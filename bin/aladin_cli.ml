@@ -43,14 +43,15 @@ let integrate_cmd =
   in
   let journal_arg =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
-           ~doc:"Run under a write-ahead journal at $(docv): each source \
-                 addition is checkpointed, so a killed process resumes \
-                 with $(b,--resume) $(docv) in O(remaining work).")
+           ~doc:"Run under a write-ahead journal at $(docv): after each \
+                 source addition the warehouse is saved into the store \
+                 $(docv)/store, so a killed process resumes with \
+                 $(b,--resume) $(docv) in O(remaining work).")
   in
   let resume_arg =
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR"
            ~doc:"Resume a killed journaled integration from $(docv). \
-                 Committed steps are restored from their checkpoints; \
+                 Committed steps are restored by loading $(docv)/store; \
                  omitted FILEs are re-imported from the paths the \
                  journal recorded.")
   in
@@ -107,7 +108,7 @@ let integrate_cmd =
       match (paths, resume) with
       | [], Some dir -> (
           (* re-import only what the journal says is still uncommitted *)
-          match Warehouse.journal_status dir with
+          match Warehouse.journal_status ~config:(load_config config) dir with
           | Error e -> die "aladin: %s" e
           | Ok entries ->
               List.filter_map

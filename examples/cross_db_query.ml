@@ -105,11 +105,13 @@ let () =
       Engine.reject_link eng weakest;
       Printf.printf
         "\nfeedback: rejected weakest link %s; %d -> %d links \
-         (engine epoch %d)\n"
+         (warehouse generation %d)\n"
         (Format.asprintf "%a" Lk.Link.pp weakest)
         before
         (List.length (Engine.links eng))
-        (Engine.epoch eng)
+        (Generation.get
+           (Warehouse.generation (Engine.warehouse eng))
+           Generation.Whole)
   | [] -> ());
 
   (* 5. export the whole warehouse as a browsable static web site *)

@@ -5,16 +5,18 @@
    sweep of durable-store operation counts, and at a sweep of byte
    offsets inside the journal/store writes. After every kill the run is
    resumed from the journal: committed steps are restored from their
-   checkpoints without recomputation, only the in-flight and remaining
-   steps re-run, and the final link set is byte-identical to the
-   uninterrupted run's — the journal turns "kill -9 anywhere" into "at
-   most one step of lost work".
+   store without recomputation, only the in-flight and remaining steps
+   re-run, and the final state — source order, links, correspondences
+   and run-report outcomes — is byte-identical to the uninterrupted
+   run's: the journal turns "kill -9 anywhere" into "at most one step of
+   lost work".
 
      dune exec examples/kill_resume.exe *)
 
 open Aladin
 module Dg = Aladin_datagen
 module Fault = Aladin_store.Fault
+module Run_report = Aladin_resilience.Run_report
 
 let corpus =
   Dg.Corpus.generate
@@ -44,7 +46,30 @@ let rec rm_rf path =
 
 let rm_rf path = if Sys.file_exists path then rm_rf path
 
-let links_csv w = Aladin_access.Link_export.to_csv (Warehouse.links w)
+(* what resume must reproduce: source order, links, correspondences and
+   run-report outcomes (not timings, and not the [resumed] flag) *)
+let fingerprint w =
+  let corr (c : Aladin_links.Xref_disc.correspondence) =
+    Printf.sprintf "%s.%s.%s>%s.%s.%s:%d:%h:%b" c.src_source c.src_relation
+      c.src_attribute c.dst_source c.dst_relation c.dst_attribute c.matches
+      c.match_frac c.encoded
+  in
+  let rec step (s : Run_report.step_report) =
+    Printf.sprintf "%s=%s[%s]" s.step
+      (Run_report.outcome_name s.outcome)
+      (String.concat ";" (List.map step s.children))
+  in
+  let report (r : Run_report.t) =
+    Printf.sprintf "%s%s: %s" r.source
+      (if r.quarantined then " (quarantined)" else "")
+      (String.concat " " (List.map step r.steps))
+  in
+  String.concat "\n"
+    ((String.concat "," (Warehouse.sources w)
+     :: Aladin_access.Link_export.to_csv (Warehouse.links w)
+     :: List.map corr
+          (Aladin_metadata.Repository.correspondences (Warehouse.repository w)))
+    @ List.map report (Warehouse.run_reports w))
 
 let integrate_into dir =
   match Warehouse.integrate_journaled ~journal:dir catalogs with
@@ -52,7 +77,7 @@ let integrate_into dir =
   | Error e -> failwith e
 
 (* one kill/resume round: arm, expect the kill, disarm, resume, compare *)
-let kill_and_resume ~expect_links ~label arm =
+let kill_and_resume ~expect ~label arm =
   let dir = fresh_dir "kill" in
   Fault.reset_counters ();
   arm ();
@@ -68,9 +93,8 @@ let kill_and_resume ~expect_links ~label arm =
   end
   else begin
     let w, (info : Warehouse.resume_info) = integrate_into dir in
-    let got = links_csv w in
-    if got <> expect_links then
-      failwith (label ^ ": resumed links differ from the uninterrupted run");
+    if fingerprint w <> expect then
+      failwith (label ^ ": resumed state differs from the uninterrupted run");
     let covered = info.resumed_sources @ info.executed_sources in
     List.iter
       (fun c ->
@@ -89,7 +113,7 @@ let () =
   Fault.reset_counters ();
   let w0, _ = integrate_into base_dir in
   let bytes_total, ops_total, steps_total = Fault.counters () in
-  let expect_links = links_csv w0 in
+  let expect = fingerprint w0 in
   rm_rf base_dir;
   Printf.printf
     "clean run: %d sources, %d step boundaries, %d store ops, %d bytes\n%!"
@@ -99,7 +123,7 @@ let () =
   let step_kills = ref 0 in
   for k = 0 to steps_total - 1 do
     if
-      kill_and_resume ~expect_links
+      kill_and_resume ~expect
         ~label:(Printf.sprintf "step %d" k)
         (fun () -> Fault.arm_step ~index:k)
     then incr step_kills
@@ -112,7 +136,7 @@ let () =
   for i = 0 to op_points - 1 do
     let k = i * ops_total / op_points in
     if
-      kill_and_resume ~expect_links
+      kill_and_resume ~expect
         ~label:(Printf.sprintf "op %d" k)
         (fun () -> Fault.arm_ops ~ops:k)
     then incr op_kills
@@ -125,7 +149,7 @@ let () =
   for i = 0 to byte_points - 1 do
     let k = i * bytes_total / byte_points in
     if
-      kill_and_resume ~expect_links
+      kill_and_resume ~expect
         ~label:(Printf.sprintf "byte %d" k)
         (fun () -> Fault.arm ~bytes:k)
     then incr byte_kills
@@ -134,4 +158,4 @@ let () =
     !byte_kills byte_points;
 
   Printf.printf
-    "kill/resume sweep passed: every kill resumed to byte-identical links\n"
+    "kill/resume sweep passed: every kill resumed to a byte-identical state\n"

@@ -22,12 +22,23 @@ type view = {
 type t = {
   profiles : Profile_list.t;
   repository : Repository.t;
-  reprs : Dup.Object_sim.repr list Lazy.t;
+  reprs : Dup.Object_sim.repr list option Atomic.t;  (* built on first use *)
 }
 
 let create profiles repository =
-  { profiles; repository;
-    reprs = lazy (Dup.Object_sim.build_reprs profiles) }
+  { profiles; repository; reprs = Atomic.make None }
+
+(* compute-once that several domains may call at the same time (a
+   [Lazy.t] forced concurrently raises [CamlinternalLazy.Undefined]):
+   racing callers each build the same deterministic value, and the
+   first to publish it wins *)
+let reprs t =
+  match Atomic.get t.reprs with
+  | Some r -> r
+  | None ->
+      let r = Dup.Object_sim.build_reprs t.profiles in
+      if Atomic.compare_and_set t.reprs None (Some r) then r
+      else Option.get (Atomic.get t.reprs)
 
 let entry_of t source = Profile_list.find t.profiles source
 
@@ -109,11 +120,10 @@ let view t obj =
           let conflicts =
             if duplicates = [] then []
             else begin
-              let reprs = Lazy.force t.reprs in
               let dup_links =
                 List.filter (fun (l : Link.t) -> l.kind = Link.Duplicate) all_links
               in
-              Dup.Conflict.in_duplicates reprs dup_links
+              Dup.Conflict.in_duplicates (reprs t) dup_links
             end
           in
           let linked =

@@ -9,12 +9,12 @@ type t = {
   mutable search : Search.t;
   mutable link_query : Link_query.t;
   mutable paths : Path_rank.t;
-  mutable epoch : int;
 }
 
 (* the warehouse memoizes each structure until its own invalidation, so
    pulling them here never builds twice; the facade pins the handles so
-   every access path of one epoch shares the same session state *)
+   every access path between two mutations shares the same session
+   state *)
 let create w =
   {
     w;
@@ -22,32 +22,24 @@ let create w =
     search = Warehouse.search w;
     link_query = Warehouse.link_query w;
     paths = Warehouse.path_index w;
-    epoch = Warehouse.revision w;
   }
 
 let integrate ?config catalogs = create (Warehouse.integrate ?config catalogs)
 
 let warehouse t = t.w
 
-let epoch t = t.epoch
-
 (* the typed cache key: the warehouse generation counters pin exactly
    the data the caller declared it reads, so a consumer keyed on
    [key t [Source "uniprot"]] keeps its cache across updates of every
-   other source. The epoch is deliberately NOT part of the key — it
-   tracks structure rebuilds, which are deterministic functions of the
-   warehouse state the counters already pin. *)
+   other source. *)
 let key t deps = Generation.key (Warehouse.generation t.w) deps
 
-(* pull the memoized structures and advance the epoch; tied to the
-   warehouse's mutation counter so a resumed warehouse starts past every
-   restored step's epoch *)
+(* pull the memoized structures the last mutation invalidated *)
 let rebuild t =
   t.browser <- Warehouse.browser t.w;
   t.search <- Warehouse.search t.w;
   t.link_query <- Warehouse.link_query t.w;
-  t.paths <- Warehouse.path_index t.w;
-  t.epoch <- max (t.epoch + 1) (Warehouse.revision t.w)
+  t.paths <- Warehouse.path_index t.w
 
 (* the public refresh is for mutations not routed through this facade,
    so it cannot know which counters the warehouse already bumped —

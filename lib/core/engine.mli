@@ -35,14 +35,6 @@ val integrate : ?config:Config.t -> Catalog.t list -> t
 
 val warehouse : t -> Warehouse.t
 
-val epoch : t -> int
-(** Monotone counter identifying the access structures this engine
-    serves from; bumped whenever they are rebuilt ({!refresh} and the
-    mutations below). Equal epochs guarantee the same session
-    structures. Diagnostic only — deliberately {e not} part of {!key},
-    since rebuilds are deterministic functions of the warehouse state
-    the generation counters already pin. *)
-
 val key : t -> Generation.dep list -> string
 (** Typed cache key over the given dependencies:
     {!Generation.key} of the warehouse's counters. Stable exactly
@@ -54,9 +46,8 @@ val key : t -> Generation.dep list -> string
     determinism contract). *)
 
 val refresh : t -> unit
-(** Rebuild the access structures from the warehouse's current state,
-    bump the {!epoch} and conservatively bump every tracked generation
-    counter ({!Generation.bump_all}), invalidating every derived
+(** Rebuild the access structures from the warehouse's current state
+    and conservatively bump every tracked generation counter ({!Generation.bump_all}), invalidating every derived
     {!key}. Call after mutating the warehouse directly (anything not
     routed through this facade — the facade's own mutations bump only
     the counters they touched). *)
@@ -118,8 +109,9 @@ val add_source :
     move, so cached keys over other sources stay valid. *)
 
 val update_source : t -> Catalog.t -> changed_rows:int -> Warehouse.update_report
-(** {!Warehouse.update_source}; the epoch (and the updated source's
-    generation counter) move only on [`Reanalyzed] — a deferred change
+(** {!Warehouse.update_source}; the access structures are rebuilt (and
+    the updated source's generation counter moves) only on
+    [`Reanalyzed] — a deferred change
     leaves query results, and every cache key, untouched. Even a
     reanalysis leaves keys over {e other} sources intact. *)
 

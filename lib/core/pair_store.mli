@@ -14,7 +14,7 @@
 
     The store serializes to one line-record document ({!save}/{!load}),
     persisted as the [pairs.txt] member (kind {!Aladin_store.Snapshot.kind.Pairs})
-    of warehouse snapshots and journal checkpoints. Groups are atomic on
+    of warehouse snapshots, journal checkpoints included. Groups are atomic on
     load: a pair whose record group was damaged is dropped whole and
     re-seeded from the metadata repository ({!seed_missing}), never
     half-restored. *)

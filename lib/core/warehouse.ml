@@ -33,10 +33,9 @@ type t = {
   mutable cached_paths : Path_rank.t option;
   mutable cached_link_query : Link_query.t option;
   pending_changes : (string, int) Hashtbl.t;
-  feedback : Feedback.t;
+  mutable feedback : Feedback.t;
   mutable seq_state : Seq_links.state option;
   mutable last_trace : Obs.Trace.t option;
-  mutable revision : int;
   mutable journal : Journal.t option;
 }
 
@@ -61,20 +60,16 @@ let create ?(config = Config.default) () =
     feedback = Feedback.create ();
     seq_state = None;
     last_trace = None;
-    revision = 0;
     journal = None;
   }
 
 let config t = t.cfg
-
-let revision t = t.revision
 
 let generation t = t.gen
 
 let last_delta t = t.last_delta
 
 let invalidate t =
-  t.revision <- t.revision + 1;
   Generation.bump_whole t.gen;
   t.cached_browser <- None;
   t.cached_search <- None;
@@ -161,6 +156,77 @@ let import_step_report ~name ~catalog import_errors =
     (fun () -> ());
   Report.step "import" outcome
 
+(* steps 2 + 3 for one source, each inside its error boundary. This is
+   the one place a Source_profile.t is built: add_source, resume and
+   load_dir all profile through it, so rejected FKs, max_path_len and
+   the budget-zero secondary skip apply alike. Returns the profile with
+   the two step reports, or step 2's error and duration. *)
+let discover t catalog =
+  let name = Catalog.name catalog in
+  (* step 2: profile + accession + FK inference + primary choice *)
+  let res2, secs2 =
+    bounded ~name:"primary discovery" ?budget:t.cfg.budgets.primary
+      (fun () ->
+        let profile =
+          Obs.Trace.ambient_span "profile" (fun () -> Profile.compute catalog)
+        in
+        let cands =
+          Obs.Trace.ambient_span "accession candidates" (fun () ->
+              Accession.candidates ~params:t.cfg.accession profile)
+        in
+        let fks =
+          Obs.Trace.ambient_span "fk inference" (fun () ->
+              Feedback.filter_fks t.feedback ~source:name
+                (Inclusion.infer ~params:t.cfg.inclusion ~pool:t.pool profile))
+        in
+        let graph, primary =
+          Obs.Trace.ambient_span "primary choice" (fun () ->
+              let graph =
+                Fk_graph.build ~relations:(Catalog.relation_names catalog) fks
+              in
+              (graph, Primary.choose graph cands))
+        in
+        (profile, cands, fks, graph, primary))
+  in
+  match res2 with
+  | Error err -> Error (err, secs2)
+  | Ok (profile, cands, fks, graph, primary) ->
+      (* step 3: secondary structure. Optional: a timeout or crash just
+         means no secondary relations for this source. *)
+      let secondary, step3 =
+        match t.cfg.budgets.secondary with
+        | Some b when b <= 0.0 ->
+            skipped_span "secondary discovery";
+            ( None,
+              Report.step "secondary discovery"
+                (Report.Skipped Report.Budget_zero) )
+        | budget -> (
+            let res3, secs3 =
+              bounded ~name:"secondary discovery" ?budget (fun () ->
+                  Option.map
+                    (fun (p : Primary.scored) ->
+                      Secondary.discover ~max_len:t.cfg.max_path_len graph
+                        ~primary:p.relation)
+                    primary)
+            in
+            match res3 with
+            | Ok secondary ->
+                ( secondary,
+                  Report.step ~seconds:secs3 "secondary discovery" Report.Ok )
+            | Error (Report.Timeout b) ->
+                ( None,
+                  Report.step ~seconds:secs3 "secondary discovery"
+                    (Report.Skipped (Report.Budget_exhausted b)) )
+            | Error (Report.Crashed _ as e) ->
+                ( None,
+                  Report.step ~seconds:secs3 "secondary discovery"
+                    (Report.Failed e) ))
+      in
+      Ok
+        ( { Source_profile.profile; accession_candidates = cands; fks; graph;
+            primary; secondary },
+          [ Report.step ~seconds:secs2 "primary discovery" Report.Ok; step3 ] )
+
 let add_source_raw ?trace ?(import_errors = []) t catalog =
   let name = Catalog.name catalog in
   let tr =
@@ -175,38 +241,11 @@ let add_source_raw ?trace ?(import_errors = []) t catalog =
           List.filter (fun c -> Catalog.name c <> name) t.catalog_list
           @ [ catalog ];
         let import_step = import_step_report ~name ~catalog import_errors in
-        (* step 2: profile + accession + FK inference + primary choice.
-           Required: on failure the source is quarantined — rolled back
-           out of the warehouse — and the remaining steps are skipped. *)
-        let res2, secs2 =
-          bounded ~name:"primary discovery" ?budget:t.cfg.budgets.primary
-            (fun () ->
-              let profile =
-                Obs.Trace.ambient_span "profile" (fun () ->
-                    Profile.compute catalog)
-              in
-              let cands =
-                Obs.Trace.ambient_span "accession candidates" (fun () ->
-                    Accession.candidates ~params:t.cfg.accession profile)
-              in
-              let fks =
-                Obs.Trace.ambient_span "fk inference" (fun () ->
-                    Feedback.filter_fks t.feedback ~source:name
-                      (Inclusion.infer ~params:t.cfg.inclusion ~pool:t.pool
-                         profile))
-              in
-              let graph, primary =
-                Obs.Trace.ambient_span "primary choice" (fun () ->
-                    let graph =
-                      Fk_graph.build
-                        ~relations:(Catalog.relation_names catalog) fks
-                    in
-                    (graph, Primary.choose graph cands))
-              in
-              (profile, cands, fks, graph, primary))
-        in
-        match res2 with
-        | Error err ->
+        (* steps 2-3. Step 2 is required: on failure the source is
+           quarantined — rolled back out of the warehouse — and the
+           remaining steps are skipped. *)
+        match discover t catalog with
+        | Error (err, secs2) ->
             t.catalog_list <- prev_catalogs;
             invalidate t;
             let dep n =
@@ -223,43 +262,7 @@ let add_source_raw ?trace ?(import_errors = []) t catalog =
                   dep "secondary discovery"; dep "link discovery";
                   dep "duplicate detection" ];
             }
-        | Ok (profile, cands, fks, graph, primary) ->
-            (* step 3: secondary structure. Optional: a timeout or crash
-               just means no secondary relations for this source. *)
-            let secondary, step3 =
-              match t.cfg.budgets.secondary with
-              | Some b when b <= 0.0 ->
-                  skipped_span "secondary discovery";
-                  ( None,
-                    Report.step "secondary discovery"
-                      (Report.Skipped Report.Budget_zero) )
-              | budget -> (
-                  let res3, secs3 =
-                    bounded ~name:"secondary discovery" ?budget (fun () ->
-                        Option.map
-                          (fun (p : Primary.scored) ->
-                            Secondary.discover ~max_len:t.cfg.max_path_len
-                              graph ~primary:p.relation)
-                          primary)
-                  in
-                  match res3 with
-                  | Ok secondary ->
-                      ( secondary,
-                        Report.step ~seconds:secs3 "secondary discovery"
-                          Report.Ok )
-                  | Error (Report.Timeout b) ->
-                      ( None,
-                        Report.step ~seconds:secs3 "secondary discovery"
-                          (Report.Skipped (Report.Budget_exhausted b)) )
-                  | Error (Report.Crashed _ as e) ->
-                      ( None,
-                        Report.step ~seconds:secs3 "secondary discovery"
-                          (Report.Failed e) ))
-            in
-            let sp =
-              { Source_profile.profile; accession_candidates = cands; fks;
-                graph; primary; secondary }
-            in
+        | Ok (sp, steps23) ->
             t.profile_list <- Profile_list.add t.profile_list sp;
             Repository.add_source t.repo sp;
             (* steps 4 + 5 *)
@@ -270,10 +273,7 @@ let add_source_raw ?trace ?(import_errors = []) t catalog =
             {
               Report.source = name;
               quarantined = false;
-              steps =
-                [ import_step;
-                  Report.step ~seconds:secs2 "primary discovery" Report.Ok;
-                  step3; link_step; dup_step ];
+              steps = (import_step :: steps23) @ [ link_step; dup_step ];
             })
   in
   t.last_trace <- Some tr;
@@ -299,28 +299,155 @@ let report_import_failure t ~source err =
   Repository.set_run_report t.repo report;
   report
 
+(* --- persistence: one store format for save/load and the journal --- *)
+
+(* the one writer of warehouse state: every member as one new store
+   generation, whose number it returns *)
+let save_generation t dir =
+  let members =
+    List.concat_map
+      (fun cat ->
+        let prefix = Catalog.name cat ^ "/" in
+        List.map
+          (fun (m : Snapshot.member) -> { m with path = prefix ^ m.path })
+          (Aladin_formats.Dump.members_of_catalog cat))
+      t.catalog_list
+    @ [
+        { Snapshot.path = "sources.txt"; kind = Snapshot.Records;
+          content =
+            String.concat ""
+              (List.map (fun c -> Catalog.name c ^ "\n") t.catalog_list) };
+        { Snapshot.path = "metadata.txt"; kind = Snapshot.Records;
+          content = Repository.save t.repo };
+        { Snapshot.path = "pairs.txt"; kind = Snapshot.Pairs;
+          content = Pair_store.save t.pair_store };
+        { Snapshot.path = "feedback.txt"; kind = Snapshot.Records;
+          content = Feedback.save t.feedback };
+      ]
+  in
+  Snapshot.save dir members
+
+let save_dir t dir = Result.map ignore (save_generation t dir)
+
+(* the source directories present among the member paths, in first-seen
+   (save) order — the fallback when sources.txt itself was lost *)
+let sources_of_members members =
+  List.fold_left
+    (fun acc (m : Snapshot.member) ->
+      match String.index_opt m.path '/' with
+      | Some i ->
+          let s = String.sub m.path 0 i in
+          if List.mem s acc then acc else s :: acc
+      | None -> acc)
+    [] members
+  |> List.rev
+
+let load_dir ?config ?(reanalyze = false) dir =
+  match Snapshot.load dir with
+  | Error msg -> raise (Sys_error msg)
+  | Ok (members, report) ->
+      let report = ref report in
+      let bump path n = report := Load_report.bump_salvaged !report path n in
+      let t = create ?config () in
+      (* feedback first: both modes profile and link through it *)
+      (match Snapshot.find members "feedback.txt" with
+      | Some doc ->
+          let saved, dropped = Feedback.load_salvaging doc in
+          bump "feedback.txt" dropped;
+          t.feedback <- saved
+      | None -> ());
+      let source_names =
+        match Snapshot.find members "sources.txt" with
+        | Some doc -> String.split_on_char '\n' doc |> List.filter (( <> ) "")
+        | None -> sources_of_members members
+      in
+      let catalogs =
+        List.filter_map
+          (fun name ->
+            let prefix = name ^ "/" in
+            let plen = String.length prefix in
+            let local =
+              List.filter_map
+                (fun (m : Snapshot.member) ->
+                  if String.starts_with ~prefix m.path then
+                    Some
+                      ( String.sub m.path plen (String.length m.path - plen),
+                        m.content )
+                  else None)
+                members
+            in
+            let cat, errs =
+              Aladin_formats.Dump.catalog_of_members ~name local
+            in
+            (* decode-layer drops (e.g. rows a salvaged CSV lost to raggedness)
+               surface on the member that caused them *)
+            List.iter
+              (fun (e : Import_error.record_error) ->
+                match String.index_opt e.reason ':' with
+                | Some i -> bump (prefix ^ String.sub e.reason 0 i) 1
+                | None -> ())
+              errs;
+            if Catalog.relations cat = [] then None else Some cat)
+          source_names
+      in
+      if reanalyze then
+        List.iter (fun c -> ignore (add_source_raw t c)) catalogs
+      else begin
+        t.catalog_list <- catalogs;
+        (* profiles are needed for browsing, search and later deltas;
+           links come from the saved repository and pair store, so steps
+           4-5 are skipped *)
+        List.iter
+          (fun catalog ->
+            match discover t catalog with
+            | Ok (sp, _) ->
+                t.profile_list <- Profile_list.add t.profile_list sp;
+                Repository.add_source t.repo sp
+            | Error (err, _) ->
+                raise
+                  (Sys_error
+                     (Printf.sprintf "%s: source %S: primary discovery: %s"
+                        dir (Catalog.name catalog)
+                        (Report.error_to_string err))))
+          catalogs;
+        (match Snapshot.find members "metadata.txt" with
+        | Some doc ->
+            let meta, dropped = Repository.load_salvaging doc in
+            bump "metadata.txt" dropped;
+            Repository.set_links t.repo (Repository.links meta);
+            Repository.set_correspondences t.repo (Repository.correspondences meta);
+            (match Repository.provenance meta with
+            | Some p -> Repository.set_provenance t.repo p
+            | None -> ());
+            List.iter (Repository.set_run_report t.repo) (Repository.run_reports meta)
+        | None -> ());
+        (* the per-pair link store: restored from its own member when
+           present; any missing or damaged pair groups (and whole stores
+           saved before the member existed) are re-seeded by partitioning
+           the repository's merged links. The homology index is not
+           rebuilt here: the next relink rebuilds it without searching. *)
+        (match Snapshot.find members "pairs.txt" with
+        | Some doc ->
+            let ps, dropped = Pair_store.load doc in
+            bump "pairs.txt" dropped;
+            t.pair_store <- ps
+        | None -> ());
+        Pair_store.seed_missing t.pair_store ~links:(Repository.links t.repo)
+          ~correspondences:(Repository.correspondences t.repo)
+      end;
+      (t, !report)
+
 (* --- write-ahead integration journal (resume protocol) ---
 
-   Each source addition becomes one journaled step: append an intent
-   record, run the (idempotent, deterministic) pipeline, durably
-   checkpoint the step's artifacts — the source's relational members,
-   the cumulative metadata repository, and the per-source-pair link
-   sets — then append the commit record. A process killed anywhere
-   leaves either an uncommitted step (recomputed on resume), a torn
-   trailing journal line (dropped on replay), or a committed step
-   (restored without recomputation). *)
+   A journaled step appends an intent record, runs the pipeline,
+   save_dirs the warehouse into the journal's store, then appends a
+   commit record naming the source, its digest and the store
+   generation. Resume is load_dir of that store plus the rest of the
+   plan. *)
 
-let slug s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-      | _ -> '-')
-    s
-
-(* content digest of a catalog, over exactly the members a checkpoint
-   stores — detects a re-supplied source file that differs from the one
-   the journal was written against *)
+(* content digest of a catalog, over exactly the members a store holds —
+   detects a re-supplied source file that differs from the one the
+   journal was written against *)
 let catalog_digest catalog =
   Aladin_formats.Dump.members_of_catalog catalog
   |> List.fold_left
@@ -331,60 +458,7 @@ let catalog_digest catalog =
 
 let config_digest cfg = Crc32.to_hex (Crc32.string (Config.to_string cfg))
 
-(* checkpoint members for one committed source step: the cumulative
-   repository is always stored (it carries links, correspondences, run
-   reports and provenance for the whole prefix); a non-quarantined step
-   also stores the source's own relational dump and, for inspection,
-   the link sets this source participates in, grouped by unordered
-   source pair. Resume reads only metadata.txt and source/ — the pair
-   CSVs stay per-source so checkpoint cost is O(new links), not
-   O(all links) per step. *)
-let commit_members t ~catalog ~quarantined =
-  (* Opaque, not Records: the journal already CRC-verifies whole
-     artifacts and falls back to the previous step's checkpoint on
-     damage, so the per-record CRCs Records adds would be pure
-     overhead here *)
-  let meta_member =
-    { Snapshot.path = "metadata.txt"; kind = Snapshot.Opaque;
-      content = Repository.save t.repo }
-  in
-  (* like metadata.txt this member is cumulative: it carries the whole
-     per-pair store so resume restores it without recomputation *)
-  let pairs_member =
-    { Snapshot.path = "pairs.txt"; kind = Snapshot.Pairs;
-      content = Pair_store.save t.pair_store }
-  in
-  if quarantined then [ meta_member ]
-  else
-    let cat_members =
-      List.map
-        (fun (m : Snapshot.member) -> { m with path = "source/" ^ m.path })
-        (Aladin_formats.Dump.members_of_catalog catalog)
-    in
-    let this = Catalog.name catalog in
-    let tbl = Hashtbl.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (l : Link.t) ->
-        let a = l.src.source and b = l.dst.source in
-        if a = this || b = this then begin
-          let key = if a <= b then (a, b) else (b, a) in
-          match Hashtbl.find_opt tbl key with
-          | Some ls -> Hashtbl.replace tbl key (l :: ls)
-          | None ->
-              order := key :: !order;
-              Hashtbl.replace tbl key [ l ]
-        end)
-      (Repository.links t.repo);
-    let pair_members =
-      List.rev_map
-        (fun ((a, b) as key) ->
-          { Snapshot.path = Printf.sprintf "links/%s__%s.csv" (slug a) (slug b);
-            kind = Snapshot.Csv;
-            content = Link_export.to_csv (List.rev (Hashtbl.find tbl key)) })
-        !order
-    in
-    (meta_member :: pairs_member :: cat_members) @ pair_members
+let ( let* ) = Result.bind
 
 let journaled_add_source ?trace ?import_errors t j catalog =
   let name = Catalog.name catalog in
@@ -393,182 +467,30 @@ let journaled_add_source ?trace ?import_errors t j catalog =
   let seq = Journal.intent j ~step in
   let report = add_source_raw ?trace ?import_errors t catalog in
   Fault.step (step ^ " computed");
-  let info =
-    [ ("source", name);
-      ("digest", catalog_digest catalog);
-      ("quarantined", (if report.Report.quarantined then "1" else "0")) ]
-  in
+  let* generation = save_generation t (Journal.store_dir (Journal.dir j)) in
   ignore
-    (Journal.commit j ~seq ~step ~info
-       (commit_members t ~catalog ~quarantined:report.Report.quarantined));
+    (Journal.commit j ~seq ~step ~generation
+       ~info:[ ("source", name); ("digest", catalog_digest catalog) ]);
   Fault.step (step ^ " committed");
-  report
+  Ok report
 
 (* public add_source: journaled when the warehouse carries a journal
    (integrate_journaled / resumed), bare otherwise *)
 let add_source ?trace ?import_errors t catalog =
   match t.journal with
-  | Some j -> journaled_add_source ?trace ?import_errors t j catalog
   | None -> add_source_raw ?trace ?import_errors t catalog
+  | Some j -> (
+      match journaled_add_source ?trace ?import_errors t j catalog with
+      | Ok report -> report
+      | Error e -> raise (Sys_error e))
 
-(* --- resume: restore the committed prefix without recomputation --- *)
-
-(* mirror of add_source's step-2/3 profile computation, without spans or
-   boundaries: restored profiles must be byte-for-byte what the original
-   run computed, including the budget-zero secondary skip *)
-let recompute_profile t catalog =
-  let name = Catalog.name catalog in
-  let profile = Profile.compute catalog in
-  let cands = Accession.candidates ~params:t.cfg.accession profile in
-  let fks =
-    Feedback.filter_fks t.feedback ~source:name
-      (Inclusion.infer ~params:t.cfg.inclusion ~pool:t.pool profile)
-  in
-  let graph =
-    Fk_graph.build ~relations:(Catalog.relation_names catalog) fks
-  in
-  let primary = Primary.choose graph cands in
-  let secondary =
-    match t.cfg.budgets.secondary with
-    | Some b when b <= 0.0 -> None
-    | Some _ | None ->
-        Option.map
-          (fun (p : Primary.scored) ->
-            Secondary.discover ~max_len:t.cfg.max_path_len graph
-              ~primary:p.relation)
-          primary
-  in
-  { Source_profile.profile; accession_candidates = cands; fks; graph;
-    primary; secondary }
-
-type restored_step = { rs_name : string; rs_catalog : Catalog.t option }
-
-(* the longest prefix of commit records whose artifacts all verify;
-   anything after the first damaged artifact is recomputed instead.
-   Returns the prefix plus the last verified repository and pair-store
-   documents, which are authoritative for links/correspondences/reports
-   and the per-pair link sets. *)
-let scan_committed ~dir commits =
-  let rec go acc meta pairs = function
-    | [] -> (List.rev acc, meta, pairs)
-    | (c : Journal.committed) :: rest -> (
-        let name =
-          match List.assoc_opt "source" c.info with
-          | Some n -> n
-          | None -> c.step
-        in
-        let quarantined = List.assoc_opt "quarantined" c.info = Some "1" in
-        match Journal.read_artifact ~dir c "metadata.txt" with
-        | None -> (List.rev acc, meta, pairs)
-        | Some meta_doc ->
-            (* absent in quarantined steps and in pre-pair-store
-               journals; the last verified one wins, like metadata *)
-            let pairs =
-              match Journal.read_artifact ~dir c "pairs.txt" with
-              | Some doc -> Some doc
-              | None -> pairs
-            in
-            if quarantined then
-              go
-                ({ rs_name = name; rs_catalog = None } :: acc)
-                (Some meta_doc) pairs rest
-            else
-              let member_paths =
-                List.filter_map
-                  (fun (a : Journal.artifact) ->
-                    if
-                      String.length a.a_path > 7
-                      && String.sub a.a_path 0 7 = "source/"
-                    then Some a.a_path
-                    else None)
-                  c.artifacts
-              in
-              let rec read_all acc = function
-                | [] -> Some (List.rev acc)
-                | p :: ps -> (
-                    match Journal.read_artifact ~dir c p with
-                    | None -> None
-                    | Some content ->
-                        read_all
-                          ((String.sub p 7 (String.length p - 7), content)
-                           :: acc)
-                          ps)
-              in
-              (match read_all [] member_paths with
-              | None -> (List.rev acc, meta, pairs)
-              | Some local ->
-                  let cat, _errs =
-                    Aladin_formats.Dump.catalog_of_members ~name local
-                  in
-                  if Catalog.relations cat = [] then (List.rev acc, meta, pairs)
-                  else
-                    go
-                      ({ rs_name = name; rs_catalog = Some cat } :: acc)
-                      (Some meta_doc) pairs rest))
-  in
-  go [] None None commits
-
-let apply_restored t steps meta_doc pairs_doc =
-  List.iter
-    (fun rs ->
-      match rs.rs_catalog with
-      | None -> ()
-      | Some catalog ->
-          t.catalog_list <-
-            List.filter (fun c -> Catalog.name c <> rs.rs_name) t.catalog_list
-            @ [ catalog ];
-          let sp = recompute_profile t catalog in
-          t.profile_list <- Profile_list.add t.profile_list sp;
-          Repository.add_source t.repo sp)
-    steps;
-  (match meta_doc with
-  | None -> ()
-  | Some doc ->
-      let meta, _dropped = Repository.load_salvaging doc in
-      Repository.set_links t.repo (Repository.links meta);
-      Repository.set_correspondences t.repo (Repository.correspondences meta);
-      (match Repository.provenance meta with
-      | Some p -> Repository.set_provenance t.repo p
-      | None -> ());
-      List.iter
-        (fun r -> Repository.set_run_report t.repo (Report.mark_resumed r))
-        (Repository.run_reports meta));
-  (* restore the per-pair link store the same way: the checkpointed
-     document is authoritative, and anything it lost (damaged groups,
-     pre-pair-store journals) is re-seeded from the repository's merged
-     links so the next delta reuses instead of recomputing *)
-  (match pairs_doc with
-  | None -> ()
-  | Some doc ->
-      let ps, _dropped = Pair_store.load doc in
-      t.pair_store <- ps);
-  Pair_store.seed_missing t.pair_store
-    ~links:(Repository.links t.repo)
-    ~correspondences:(Repository.correspondences t.repo);
-  (* rebuild the persistent homology index over the restored prefix:
-     sequences are re-indexed without any searching, and the
-     checkpointed Seq_similarity links seed the accumulated set — the
-     next add_source then pays only its own incremental alignment
-     instead of re-running every committed source's searches *)
-  let restored_names =
-    List.filter_map
-      (fun rs -> if rs.rs_catalog = None then None else Some rs.rs_name)
-      steps
-  in
-  if
-    restored_names <> [] && t.cfg.incremental_seq && t.cfg.linker.enable_seq
-  then begin
-    let st = Seq_links.state_create ~params:t.cfg.linker.seq () in
-    List.iter
-      (fun source -> Seq_links.state_index_source st t.profile_list ~source)
-      restored_names;
-    Seq_links.state_seed_links st
-      (List.filter
-         (fun (l : Link.t) -> l.kind = Link.Seq_similarity)
-         (Repository.links t.repo));
-    t.seq_state <- Some st
-  end;
-  invalidate t
+(* journaled steps in plan order, stopping at the first checkpoint that
+   could not be saved *)
+let rec run_journaled ?trace t j = function
+  | [] -> Ok ()
+  | c :: rest ->
+      let* _ = journaled_add_source ?trace t j c in
+      run_journaled ?trace t j rest
 
 (* --- the integration plan, carried in the journal header --- *)
 
@@ -603,6 +525,44 @@ let plan_of_meta meta =
       in
       go [] 0
 
+(* what a resume restores: the journal store, loaded as any store is,
+   and the plan's committed sources it stands for. One rule for resume
+   and journal_status. A store older than the last commit was replaced
+   behind the journal's back (a save never moves the manifest
+   backwards), so refuse it. A store that does not load clean, or holds
+   no run report for some committed source, restores nothing ([None]):
+   the whole plan re-runs, the same bytes at the cost of more work. *)
+let checkpoint ~config journal (r : Journal.replay) plan =
+  match List.rev r.committed with
+  | [] -> Ok None
+  | last :: _ -> (
+      match load_dir ~config (Journal.store_dir journal) with
+      | exception Sys_error _ -> Ok None
+      | _, (rep : Load_report.t) when rep.generation < last.generation ->
+          Error
+            (Printf.sprintf
+               "journal store is at generation %d, older than the last \
+                commit's %d; it was replaced or rolled back"
+               rep.generation last.generation)
+      | t, rep ->
+          let committed =
+            List.filter_map
+              (fun (n, _, _) ->
+                if
+                  List.exists
+                    (fun (c : Journal.committed) ->
+                      List.assoc_opt "source" c.info = Some n)
+                    r.committed
+                then Some n
+                else None)
+              plan
+          in
+          if
+            Load_report.is_clean rep
+            && List.for_all (fun n -> Option.is_some (run_report t n)) committed
+          then Ok (Some (t, committed))
+          else Ok None)
+
 type resume_info = {
   resumed_sources : string list;
   executed_sources : string list;
@@ -615,108 +575,81 @@ type journal_source = {
   js_committed : bool;
 }
 
-let journal_status journal =
-  match Journal.replay journal with
-  | Error e -> Error e
-  | Ok r -> (
-      match plan_of_meta r.meta with
-      | Error e -> Error e
-      | Ok plan ->
-          let restored, _, _ = scan_committed ~dir:journal r.committed in
-          let names = List.map (fun rs -> rs.rs_name) restored in
-          Ok
-            (List.map
-               (fun (n, _, path) ->
-                 { js_name = n; js_path = path;
-                   js_committed = List.mem n names })
-               plan))
+let journal_status ?(config = Config.default) journal =
+  let* r = Journal.replay journal in
+  let* plan = plan_of_meta r.meta in
+  let* cp = checkpoint ~config journal r plan in
+  let restored = match cp with Some (_, names) -> names | None -> [] in
+  Ok
+    (List.map
+       (fun (n, _, path) ->
+         { js_name = n; js_path = path; js_committed = List.mem n restored })
+       plan)
 
 let resume_journaled ~config ?trace journal catalogs =
-  match Journal.open_resume journal with
-  | Error e -> Error e
-  | Ok (j, r) -> (
-      match plan_of_meta r.meta with
-      | Error e -> Error e
-      | Ok plan ->
-          if List.assoc_opt "config" r.meta <> Some (config_digest config)
-          then
+  let* j, r = Journal.open_resume journal in
+  let* plan = plan_of_meta r.meta in
+  let* () =
+    if List.assoc_opt "config" r.meta = Some (config_digest config) then Ok ()
+    else
+      Error
+        "journal was written under a different configuration; resume with \
+         the original one"
+  in
+  let* () =
+    List.fold_left
+      (fun acc c ->
+        let* () = acc in
+        let n = Catalog.name c in
+        match List.find_opt (fun (pn, _, _) -> pn = n) plan with
+        | None ->
+            Error (Printf.sprintf "source %S is not part of the journaled plan" n)
+        | Some (_, digest, _) when catalog_digest c <> digest ->
             Error
-              "journal was written under a different configuration; resume \
-               with the original one"
-          else begin
-            let find_plan n =
-              List.find_opt (fun (pn, _, _) -> pn = n) plan
-            in
-            let mismatch =
-              List.find_map
-                (fun c ->
-                  let n = Catalog.name c in
-                  match find_plan n with
-                  | None ->
-                      Some
-                        (Printf.sprintf
-                           "source %S is not part of the journaled plan" n)
-                  | Some (_, digest, _) ->
-                      if catalog_digest c <> digest then
-                        Some
-                          (Printf.sprintf
-                             "source %S differs from the journaled plan \
-                              (digest mismatch)"
-                             n)
-                      else None)
-                catalogs
-            in
-            match mismatch with
-            | Some e -> Error e
-            | None -> (
-                let restored, meta_doc, pairs_doc =
-                  scan_committed ~dir:journal r.committed
-                in
-                let t = create ~config () in
-                t.journal <- Some j;
-                apply_restored t restored meta_doc pairs_doc;
-                let restored_names =
-                  List.fold_left
-                    (fun acc rs ->
-                      if List.mem rs.rs_name acc then acc
-                      else acc @ [ rs.rs_name ])
-                    [] restored
-                in
-                let remaining =
-                  List.filter
-                    (fun (n, _, _) -> not (List.mem n restored_names))
-                    plan
-                in
-                let rec run_remaining executed = function
-                  | [] -> Ok (List.rev executed)
-                  | (n, _, path) :: rest -> (
-                      match
-                        List.find_opt (fun c -> Catalog.name c = n) catalogs
-                      with
-                      | None ->
-                          Error
-                            (Printf.sprintf
-                               "source %S is uncommitted in the journal and \
-                                was not re-supplied%s"
-                               n
-                               (match path with
-                               | Some p ->
-                                   Printf.sprintf
-                                     " (originally imported from %s)" p
-                               | None -> ""))
-                      | Some c ->
-                          ignore (add_source ?trace t c);
-                          run_remaining (n :: executed) rest)
-                in
-                match run_remaining [] remaining with
-                | Error e -> Error e
-                | Ok executed ->
-                    Ok
-                      ( t,
-                        { resumed_sources = restored_names;
-                          executed_sources = executed;
-                          dropped_records = r.dropped } ))
-          end)
+              (Printf.sprintf
+                 "source %S differs from the journaled plan (digest mismatch)" n)
+        | Some _ -> Ok ())
+      (Ok ()) catalogs
+  in
+  let* cp = checkpoint ~config journal r plan in
+  let t, restored =
+    match cp with
+    | Some (t, restored) ->
+        List.iter
+          (fun rep -> Repository.set_run_report t.repo (Report.mark_resumed rep))
+          (Repository.run_reports t.repo);
+        (t, restored)
+    | None -> (create ~config (), [])
+  in
+  t.journal <- Some j;
+  (* the plan's steps that are not restored, in plan order *)
+  let rec to_run = function
+    | [] -> Ok []
+    | (n, _, _) :: rest when List.mem n restored -> to_run rest
+    | (n, _, path) :: rest -> (
+        match List.find_opt (fun c -> Catalog.name c = n) catalogs with
+        | Some c -> Result.map (List.cons c) (to_run rest)
+        | None ->
+            Error
+              (Printf.sprintf
+                 "source %S has no usable checkpoint in the journal and was \
+                  not re-supplied%s"
+                 n
+                 (match path with
+                 | Some p -> Printf.sprintf " (originally imported from %s)" p
+                 | None -> "")))
+  in
+  let* todo = to_run plan in
+  (* the store stood for none of the commits: void them before the
+     re-run saves over it, so a later resume neither restores them nor
+     weighs the new generations against theirs *)
+  if Option.is_none cp && r.committed <> [] then Journal.reset j;
+  let* () = run_journaled ?trace t j todo in
+  Ok
+    ( t,
+      { resumed_sources = restored;
+        executed_sources = List.map Catalog.name todo;
+        dropped_records = r.dropped } )
 
 let integrate_journaled ?(config = Config.default) ?trace ?(source_paths = [])
     ~journal catalogs =
@@ -729,29 +662,25 @@ let integrate_journaled ?(config = Config.default) ?trace ?(source_paths = [])
   | Some n ->
       Error
         (Printf.sprintf "duplicate source name %S in the integration plan" n)
+  | None when Journal.exists journal ->
+      resume_journaled ~config ?trace journal catalogs
   | None ->
-      if Journal.exists journal then
-        resume_journaled ~config ?trace journal catalogs
-      else begin
-        let entries =
-          List.map
-            (fun c ->
-              ( Catalog.name c,
-                catalog_digest c,
-                List.assoc_opt (Catalog.name c) source_paths ))
-            catalogs
-        in
-        match Journal.create journal ~meta:(plan_meta ~cfg:config entries) with
-        | Error e -> Error e
-        | Ok j ->
-            let t = create ~config () in
-            t.journal <- Some j;
-            List.iter (fun c -> ignore (add_source ?trace t c)) catalogs;
-            Ok
-              ( t,
-                { resumed_sources = []; executed_sources = names;
-                  dropped_records = 0 } )
-      end
+      let entries =
+        List.map
+          (fun c ->
+            ( Catalog.name c,
+              catalog_digest c,
+              List.assoc_opt (Catalog.name c) source_paths ))
+          catalogs
+      in
+      let* j = Journal.create journal ~meta:(plan_meta ~cfg:config entries) in
+      let t = create ~config () in
+      t.journal <- Some j;
+      let* () = run_journaled ?trace t j catalogs in
+      Ok
+        ( t,
+          { resumed_sources = []; executed_sources = names;
+            dropped_records = 0 } )
 
 let integrate ?config ?trace catalogs =
   let t = create ?config () in
@@ -868,140 +797,3 @@ let reject_fk t ~source fk =
   match catalog t source with
   | Some cat -> ignore (add_source t cat)
   | None -> ()
-
-let save_dir t dir =
-  let members =
-    List.concat_map
-      (fun cat ->
-        let prefix = Catalog.name cat ^ "/" in
-        List.map
-          (fun (m : Snapshot.member) -> { m with path = prefix ^ m.path })
-          (Aladin_formats.Dump.members_of_catalog cat))
-      t.catalog_list
-    @ [
-        { Snapshot.path = "sources.txt"; kind = Snapshot.Records;
-          content =
-            (match sources t with
-            | [] -> ""
-            | ss -> String.concat "\n" ss ^ "\n") };
-        { Snapshot.path = "metadata.txt"; kind = Snapshot.Records;
-          content = Repository.save t.repo };
-        { Snapshot.path = "pairs.txt"; kind = Snapshot.Pairs;
-          content = Pair_store.save t.pair_store };
-        { Snapshot.path = "feedback.txt"; kind = Snapshot.Records;
-          content = Feedback.save t.feedback };
-      ]
-  in
-  Snapshot.save dir members
-
-(* the source directories present among the member paths, in first-seen
-   (save) order — the fallback when sources.txt itself was lost *)
-let sources_of_members members =
-  List.fold_left
-    (fun acc (m : Snapshot.member) ->
-      match String.index_opt m.path '/' with
-      | Some i ->
-          let s = String.sub m.path 0 i in
-          if List.mem s acc then acc else s :: acc
-      | None -> acc)
-    [] members
-  |> List.rev
-
-let load_dir ?config ?(reanalyze = false) dir =
-  match Snapshot.load dir with
-  | Error msg -> raise (Sys_error msg)
-  | Ok (members, report) ->
-      let report = ref report in
-      let bump path n = report := Load_report.bump_salvaged !report path n in
-      let source_names =
-        match Snapshot.find members "sources.txt" with
-        | Some doc -> String.split_on_char '\n' doc |> List.filter (( <> ) "")
-        | None -> sources_of_members members
-      in
-      let catalogs =
-        List.filter_map
-          (fun name ->
-            let prefix = name ^ "/" in
-            let plen = String.length prefix in
-            let local =
-              List.filter_map
-                (fun (m : Snapshot.member) ->
-                  if
-                    String.length m.path > plen
-                    && String.sub m.path 0 plen = prefix
-                  then
-                    Some
-                      ( String.sub m.path plen (String.length m.path - plen),
-                        m.content )
-                  else None)
-                members
-            in
-            let cat, errs =
-              Aladin_formats.Dump.catalog_of_members ~name local
-            in
-            (* decode-layer drops (e.g. rows a salvaged CSV lost to raggedness)
-               surface on the member that caused them *)
-            List.iter
-              (fun (e : Import_error.record_error) ->
-                match String.index_opt e.reason ':' with
-                | Some i -> bump (prefix ^ String.sub e.reason 0 i) 1
-                | None -> ())
-              errs;
-            if Catalog.relations cat = [] then None else Some cat)
-          source_names
-      in
-      let feedback_doc = Snapshot.find members "feedback.txt" in
-      if reanalyze then begin
-        let t = integrate ?config catalogs in
-        (match feedback_doc with
-        | Some doc ->
-            let saved, dropped = Feedback.load_salvaging doc in
-            bump "feedback.txt" dropped;
-            (* replay persisted rejections into the fresh warehouse *)
-            Repository.set_links t.repo (Feedback.filter_links saved (links t))
-        | None -> ());
-        (t, !report)
-      end
-      else begin
-        let t = create ?config () in
-        t.catalog_list <- catalogs;
-        (* profiles are needed for browsing/search; links come from the saved
-           repository, so steps 4-5 are skipped *)
-        List.iter
-          (fun catalog ->
-            let sp =
-              Source_profile.analyze ~inclusion_params:t.cfg.inclusion catalog
-            in
-            t.profile_list <- Profile_list.add t.profile_list sp)
-          catalogs;
-        (match Snapshot.find members "metadata.txt" with
-        | Some doc ->
-            let meta, dropped = Repository.load_salvaging doc in
-            bump "metadata.txt" dropped;
-            Repository.set_links t.repo (Repository.links meta);
-            Repository.set_correspondences t.repo (Repository.correspondences meta);
-            (match Repository.provenance meta with
-            | Some p -> Repository.set_provenance t.repo p
-            | None -> ());
-            List.iter (Repository.set_run_report t.repo) (Repository.run_reports meta)
-        | None -> ());
-        List.iter
-          (fun catalog ->
-            match Profile_list.find t.profile_list (Catalog.name catalog) with
-            | Some e -> Repository.add_source t.repo e.sp
-            | None -> ())
-          catalogs;
-        (* the per-pair link store: restored from its own member when
-           present; any missing or damaged pair groups (and whole stores
-           saved before the member existed) are re-seeded by partitioning
-           the repository's merged links *)
-        (match Snapshot.find members "pairs.txt" with
-        | Some doc ->
-            let ps, dropped = Pair_store.load doc in
-            bump "pairs.txt" dropped;
-            t.pair_store <- ps
-        | None -> ());
-        Pair_store.seed_missing t.pair_store ~links:(links t)
-          ~correspondences:(Repository.correspondences t.repo);
-        (t, !report)
-      end

@@ -35,17 +35,16 @@ val create : ?config:Config.t -> unit -> t
 
 val config : t -> Config.t
 
-val revision : t -> int
-(** Monotonic mutation counter: bumped on every warehouse change
-    (source added/replaced/quarantined, link rejected, resume restore). *)
-
 val generation : t -> Generation.t
-(** The typed invalidation state: the whole-warehouse counter moves with
-    {!revision}, per-source counters bump when that source is added or
-    replaced, per-link-kind counters bump when the delta pipeline (or
-    {!reject_link}) actually changed that kind's merged link set.
-    Derive cache keys from it with {!Generation.key} over the
-    dependencies a consumer reads. *)
+(** The typed invalidation state and the warehouse's only change
+    counter: the [Whole] counter moves on every mutation (source
+    added, replaced or quarantined, link rejected), per-source counters
+    bump when that source is added or replaced, and per-link-kind
+    counters bump when the delta pipeline (or {!reject_link}) actually
+    changed that kind's merged link set. Derive cache keys from it with
+    {!Generation.key} over the dependencies a consumer reads. A
+    warehouse returned by {!load_dir} or a resume starts from fresh
+    counters. *)
 
 val last_delta : t -> Delta.audit option
 (** Which source pairs the most recent {!add_source}/{!update_source}
@@ -71,7 +70,11 @@ val add_source :
     collector; otherwise a fresh one is created. The trace is retained
     (see {!last_trace}) and its JSON rendering stored as the
     repository's provenance record. Step timings in the report come from
-    the same monotonic wall clock as the spans. *)
+    the same monotonic wall clock as the spans.
+
+    On a warehouse that carries a journal (see {!integrate_journaled}),
+    the addition is a journaled step.
+    @raise Sys_error when that step's checkpoint cannot be saved. *)
 
 val report_import_failure : t -> source:string -> Import_error.t -> Run_report.t
 (** Record that a source failed before reaching the pipeline (import
@@ -86,7 +89,8 @@ val integrate : ?config:Config.t -> ?trace:Aladin_obs.Trace.t -> Catalog.t list 
 
 type resume_info = {
   resumed_sources : string list;
-      (** committed steps restored from checkpoints, in journal order *)
+      (** committed steps restored from the journal's store, in journal
+          order *)
   executed_sources : string list;  (** steps actually (re)computed *)
   dropped_records : int;  (** torn trailing journal records dropped *)
 }
@@ -98,40 +102,48 @@ val integrate_journaled :
   journal:string ->
   Catalog.t list ->
   (t * resume_info, string) result
-(** {!integrate} under a write-ahead journal at [journal]: each source
-    addition appends an intent record, runs the pipeline, durably
-    checkpoints its artifacts (the source's relational members, the
-    cumulative metadata repository, per-source-pair link sets), then
-    appends the commit record. A process killed at any instant can be
-    resumed by calling this again with the same [journal], [config] and
-    catalogs: committed steps are restored from their checkpoints
-    (profiles recomputed deterministically, links and run reports taken
-    from the checkpointed repository, reports flagged
-    [Run_report.resumed]), and only uncommitted steps re-run — O(work
-    remaining), byte-identical final links/correspondences.
+(** {!integrate} under a write-ahead journal at [journal] (see
+    {!Aladin_store.Journal}): each source addition appends an intent
+    record, runs the pipeline, {!save_dir}s the whole warehouse into
+    [<journal>/store], and only then appends a commit record naming the
+    source, its content digest and the store generation. A failed save
+    is [Error], with no commit record.
 
-    A fresh call records the integration plan (source names, content
-    digests, optional [source_paths] origins) and a config digest in the
-    journal header; resume refuses ([Error]) a different config, a
-    re-supplied source whose content digest changed, or a source not in
-    the plan. Catalogs already committed may be omitted on resume; an
-    uncommitted source that is omitted is an error naming its original
-    path. The warehouse keeps the journal attached: later
-    {!add_source}/{!update_source}/{!reject_fk} calls on it are
-    journaled too.
+    Calling this again with the same [journal], [config] and catalogs
+    resumes a killed run: {!load_dir} of the store (run reports flagged
+    [Run_report.resumed]), then every step without a commit record — a
+    step killed between its save and its commit re-runs over a store
+    that already holds it, and {!add_source}'s replacement yields the
+    same result. The final source order, links, correspondences and
+    run-report outcomes are byte-identical to an uninterrupted run. A
+    store that does not load clean, or lacks a committed source,
+    restores nothing: the journal gets a reset record voiding its
+    commits and the whole plan re-runs. A store older than the last
+    commit is [Error].
+
+    The journal header records the plan (source names, content digests,
+    optional [source_paths] origins) and a config digest; resume refuses
+    ([Error]) a different config, a changed or unplanned source, and a
+    journal in an older format. Committed catalogs may be omitted on
+    resume; omitting one that must re-run is an error naming its
+    original path. The journal stays attached: later
+    {!add_source}/{!update_source}/{!reject_fk} calls are journaled too.
     @raise Aladin_store.Fault.Killed under an armed chaos fault,
     @raise Sys_error on journal I/O failure. *)
 
 type journal_source = {
   js_name : string;
   js_path : string option;  (** origin recorded at first integrate *)
-  js_committed : bool;  (** restorable from its checkpoint *)
+  js_committed : bool;  (** restorable from the journal's store *)
 }
 
-val journal_status : string -> (journal_source list, string) result
-(** The journaled integration plan and which of its steps are committed
-    with verifiable artifacts — what [aladin integrate --resume] uses to
-    decide which source files it still needs. *)
+val journal_status :
+  ?config:Config.t -> string -> (journal_source list, string) result
+(** The journaled plan and which sources a resume under [config] would
+    restore rather than re-run — what [aladin integrate --resume] uses
+    to decide which files it still needs. The same rule as resume, on
+    the same {!load_dir} of the store (which quarantines and sweeps as
+    any load does); nothing is written to the journal. *)
 
 val run_reports : t -> Run_report.t list
 (** Latest report per source, in integration order. *)
@@ -233,9 +245,12 @@ val load_dir :
     {!Aladin_store.Load_report.t} (rendered by [aladin load], which
     exits nonzero under [--strict] when any member degraded).
 
-    With [reanalyze] (default false) the five steps re-run from the raw
-    data; otherwise profiles are recomputed (they are needed for
-    browsing) but the saved links, correspondences, run reports and
-    feedback are trusted, so no link/duplicate discovery happens.
+    Saved feedback is restored in both modes. With [reanalyze] (default
+    false) the five steps re-run from the raw data; otherwise each
+    source is profiled exactly as {!add_source} profiles it, and the
+    saved links, correspondences, per-pair store and run reports are
+    trusted, so no link/duplicate discovery happens. A journaled
+    integration resumes through this too.
     @raise Sys_error when the store itself is unusable (no directory,
-    no manifest, or a manifest failing its own checksum). *)
+    no manifest, or a manifest failing its own checksum), or when a
+    source's primary discovery fails on reload. *)

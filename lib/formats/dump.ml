@@ -47,13 +47,6 @@ let render_constraints cs =
              dst_relation dst_attribute)
   |> String.concat "\n"
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let doc = really_input_string ic len in
-  close_in ic;
-  doc
-
 (* Build a catalog from (file, content) members — the shared tolerant
    core behind both the store-snapshot and legacy-directory loaders. *)
 let catalog_of_members ~name members =
@@ -67,7 +60,8 @@ let catalog_of_members ~name members =
       if Filename.check_suffix f ".csv" then begin
         let rel_name = Filename.chop_suffix f ".csv" in
         match Csv.read_string content with
-        | [] | [ _ ] -> report f 0 "csv has no data rows"
+        | [] -> report f 0 "csv has no header"
+        (* a header alone is an empty relation, which saves as exactly that *)
         | header :: rows -> (
             let arity = List.length header in
             let good = ref [] in
@@ -150,6 +144,9 @@ let load_dir ~name dir =
         entries
     in
     catalog_of_members ~name
-      (List.map (fun f -> (f, read_file (Filename.concat dir f))) files)
+      (List.map
+         (fun f -> (f, Aladin_store.Atomic_file.read (Filename.concat dir f)))
+         files)
 
-let save_dir cat dir = Snapshot.save dir (members_of_catalog cat)
+let save_dir cat dir =
+  Result.map ignore (Snapshot.save dir (members_of_catalog cat))

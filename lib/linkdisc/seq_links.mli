@@ -62,15 +62,14 @@ val state_links : state -> Link.t list
 (** All links accumulated so far (deduplicated). *)
 
 val state_index_source : state -> Profile_list.t -> source:string -> unit
-(** Resume fast path: index the source's sequences WITHOUT searching —
-    for sources restored from a committed checkpoint, whose links are
-    already known. Must be called in the original integration order and
+(** Rebuild fast path: index the source's sequences WITHOUT searching —
+    for sources whose links are already known (restored from a store). Must be called in the original integration order and
     paired with {!state_seed_links}; the rebuilt index is then
     byte-for-byte what the killed run had.
     @raise Invalid_argument when the source is already indexed. *)
 
 val state_seed_links : state -> Link.t list -> unit
-(** Merge checkpoint-restored links into the accumulated set
+(** Merge already-known (store-restored) links into the accumulated set
     (deduplicated, canonical order — same as if discovered live). *)
 
 val discover_between :

@@ -105,40 +105,11 @@ let render t =
    field so the whole report can itself be embedded as one field of the
    metadata repository's own line format. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let record fields =
+  String.concat "\t" (List.map Aladin_store.Records.escape_field fields)
 
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '\\' && !i + 1 < n then begin
-       (match s.[!i + 1] with
-       | 't' -> Buffer.add_char buf '\t'
-       | 'n' -> Buffer.add_char buf '\n'
-       | c -> Buffer.add_char buf c);
-       i := !i + 2
-     end
-     else begin
-       Buffer.add_char buf s.[!i];
-       incr i
-     end)
-  done;
-  Buffer.contents buf
-
-let record fields = String.concat "\t" (List.map escape fields)
-
-let fields line = String.split_on_char '\t' line |> List.map unescape
+let fields line =
+  String.split_on_char '\t' line |> List.map Aladin_store.Records.unescape_field
 
 let outcome_fields = function
   | Ok -> [ "ok" ]

@@ -279,7 +279,10 @@ let observe t route seconds status =
 let metrics_text ?(extra = []) t =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "aladin_engine_epoch %d" (Engine.epoch t.engine);
+  line "aladin_warehouse_generation %d"
+    (Generation.get
+       (Aladin.Warehouse.generation (Engine.warehouse t.engine))
+       Generation.Whole);
   let cs = Cache.stats t.cache in
   line "aladin_cache_hits_total %d" cs.hits;
   line "aladin_cache_misses_total %d" cs.misses;

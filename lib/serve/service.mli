@@ -61,5 +61,5 @@ val flush_cache : t -> unit
 val metrics_text : ?extra:(string * float) list -> t -> string
 (** Prometheus-style text: per-route request counts and latency
     histograms (with estimated p50/p95/p99), cache and error counters,
-    engine epoch, plus any [extra] gauges (the server adds queue
+    the warehouse's [Whole] generation counter, plus any [extra] gauges (the server adds queue
     depth and admission counters). *)

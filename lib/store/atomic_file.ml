@@ -9,6 +9,13 @@ let fsync_dir dir =
       (try Unix.close fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
+let rec mkdir_p dir =
+  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
+  else begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
 let write_raw path content =
   Fault.op ();
   let oc = open_out_bin path in
@@ -24,13 +31,19 @@ let write_raw path content =
   close_out oc;
   if k < n then raise Fault.Killed
 
-let write ?(sync_dir = true) path content =
+let write path content =
   let tmp = path ^ temp_suffix in
   write_raw tmp content;
   Fault.check_op ();
   Fault.op ();
   Sys.rename tmp path;
-  if sync_dir then fsync_dir (Filename.dirname path)
+  fsync_dir (Filename.dirname path)
+
+let link src dst =
+  Fault.op ();
+  match Unix.link src dst with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
 
 let append path content =
   Fault.op ();

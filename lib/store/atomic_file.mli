@@ -12,11 +12,8 @@ val temp_suffix : string
 (** [".aladin-tmp"] — what interrupted writes leave behind and sweeps
     look for. *)
 
-val write : ?sync_dir:bool -> string -> string -> unit
+val write : string -> string -> unit
 (** Atomic: temp → fsync → rename → directory fsync.
-    [~sync_dir:false] skips the final directory fsync — for batches
-    where the caller fsyncs each directory once after writing many
-    files into it (the journal's checkpoint artifacts).
     @raise Sys_error on I/O failure, @raise Fault.Killed under an armed
     fault. *)
 
@@ -26,6 +23,12 @@ val write_raw : string -> string -> unit
     them (snapshot members inside an uncommitted generation
     directory). *)
 
+val link : string -> string -> bool
+(** Hard-link [src] (an already fsynced file) as [dst]; [false] when the
+    filesystem refuses, so the caller writes [dst] instead. Counts as one
+    {!Fault} operation.
+    @raise Fault.Killed under an armed fault. *)
+
 val append : string -> string -> unit
 (** Fsynced append to [path] (created if absent). Not atomic: a crash
     mid-append leaves a torn suffix — only safe for formats whose
@@ -34,6 +37,10 @@ val append : string -> string -> unit
 
 val read : string -> string
 (** Whole file. @raise Sys_error *)
+
+val mkdir_p : string -> unit
+(** Create the directory and any missing parents (no-op when present).
+    @raise Sys_error *)
 
 val fsync_dir : string -> unit
 (** Best-effort directory fsync (ignored on filesystems that refuse). *)

@@ -1,15 +1,8 @@
-type artifact = {
-  a_path : string;
-  a_kind : Snapshot.kind;
-  a_len : int;
-  a_crc : int;
-}
-
 type committed = {
   seq : int;
   step : string;
+  generation : int;
   info : (string * string) list;
-  artifacts : artifact list;
 }
 
 type replay = {
@@ -21,116 +14,35 @@ type replay = {
 
 type t = { dir : string; mutable next_seq : int }
 
-let format_version = 1
+let format_version = 2
 
 let magic = "aladin-journal"
 
 let journal_name = "JOURNAL"
 
-let steps_dirname = "steps"
+let store_name = "store"
 
 let journal_path dir = Filename.concat dir journal_name
 
+let store_dir dir = Filename.concat dir store_name
+
+let dir t = t.dir
+
 let exists dir = Sys.file_exists (journal_path dir)
 
-(* --- field escaping (same scheme as the snapshot manifest) --- *)
-
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec loop i =
-    if i >= n then ()
-    else if s.[i] = '\\' && i + 1 < n then begin
-      (match s.[i + 1] with
-      | 't' -> Buffer.add_char buf '\t'
-      | 'n' -> Buffer.add_char buf '\n'
-      | c -> Buffer.add_char buf c);
-      loop (i + 2)
-    end
-    else begin
-      Buffer.add_char buf s.[i];
-      loop (i + 1)
-    end
-  in
-  loop 0;
-  Buffer.contents buf
-
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
-let kind_name = function
-  | Snapshot.Records -> "records"
-  | Snapshot.Csv -> "csv"
-  | Snapshot.Opaque -> "opaque"
-  | Snapshot.Pairs -> "pairs"
-
-let kind_of_name = function
-  | "records" -> Some Snapshot.Records
-  | "csv" -> Some Snapshot.Csv
-  | "opaque" -> Some Snapshot.Opaque
-  | "pairs" -> Some Snapshot.Pairs
-  | _ -> None
-
-let encode_member kind content =
-  match kind with
-  | Snapshot.Records | Snapshot.Pairs -> Records.encode content
-  | Snapshot.Csv | Snapshot.Opaque -> content
-
-let decode_member kind stored =
-  match kind with
-  | Snapshot.Records | Snapshot.Pairs -> Records.decode stored
-  | Snapshot.Csv | Snapshot.Opaque -> Some stored
-
-let valid_path p =
-  p <> ""
-  && Filename.is_relative p
-  && List.for_all
-       (fun seg -> seg <> "" && seg <> "." && seg <> "..")
-       (String.split_on_char '/' p)
-
-(* step directory names stay filesystem-safe regardless of step names *)
-let slug s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-      | _ -> '-')
-    s
-
-let step_dirname ~seq ~step = Printf.sprintf "%04d-%s" seq (slug step)
-
-(* --- line codec: each journal line is "<crc32 hex>\t<payload>" --- *)
+(* --- line codec: each journal line is one checksummed record
+   ("<crc32 hex>\t<payload>") whose payload is tab-separated escaped
+   fields --- *)
 
 let render_line fields =
-  let payload = String.concat "\t" (List.map escape fields) in
-  Printf.sprintf "%s\t%s\n" (Crc32.to_hex (Crc32.string payload)) payload
+  Records.record (String.concat "\t" (List.map Records.escape_field fields))
+  ^ "\n"
 
 let parse_line line =
-  match String.index_opt line '\t' with
-  | Some i when i = 8 -> (
-      let crc = String.sub line 0 i in
-      let payload = String.sub line (i + 1) (String.length line - i - 1) in
-      match Crc32.of_hex crc with
-      | Some c when c = Crc32.string payload ->
-          Some (String.split_on_char '\t' payload |> List.map unescape)
-      | Some _ | None -> None)
-  | Some _ | None -> None
+  Option.map
+    (fun payload ->
+      List.map Records.unescape_field (String.split_on_char '\t' payload))
+    (Records.parse_record line)
 
 let header_line meta =
   render_line
@@ -146,66 +58,23 @@ let split_kv field =
 
 let intent_line ~seq ~step = render_line [ "intent"; string_of_int seq; step ]
 
-let commit_line ~seq ~step ~info ~artifacts =
+let commit_line ~seq ~step ~generation ~info =
   render_line
-    ("commit" :: string_of_int seq :: step
-    :: string_of_int (List.length info)
-    :: List.concat_map (fun (k, v) -> [ k; v ]) info
-    @ (string_of_int (List.length artifacts)
-      :: List.concat_map
-           (fun a ->
-             [ a.a_path; kind_name a.a_kind; string_of_int a.a_len;
-               Crc32.to_hex a.a_crc ])
-           artifacts))
+    ("commit" :: string_of_int seq :: step :: string_of_int generation
+    :: List.concat_map (fun (k, v) -> [ k; v ]) info)
 
-(* inverse of [commit_line]'s counted sections *)
+(* inverse of [commit_line] *)
 let parse_commit_fields fields =
-  let rec take n acc rest =
-    if n = 0 then Some (List.rev acc, rest)
-    else match rest with [] -> None | x :: rest -> take (n - 1) (x :: acc) rest
+  let rec pairs = function
+    | [] -> Some []
+    | k :: v :: rest -> Option.map (fun tl -> (k, v) :: tl) (pairs rest)
+    | [ _ ] -> None
   in
   match fields with
-  | seq :: step :: ninfo :: rest -> (
-      match (int_of_string_opt seq, int_of_string_opt ninfo) with
-      | Some seq, Some ninfo -> (
-          match take (2 * ninfo) [] rest with
-          | None -> None
-          | Some (kvs, rest) -> (
-              let rec pairs = function
-                | [] -> []
-                | k :: v :: rest -> (k, v) :: pairs rest
-                | [ k ] -> [ (k, "") ]
-              in
-              match rest with
-              | nart :: rest -> (
-                  match int_of_string_opt nart with
-                  | Some nart -> (
-                      match take (4 * nart) [] rest with
-                      | Some (afields, []) ->
-                          let rec arts = function
-                            | [] -> Some []
-                            | p :: k :: l :: c :: rest -> (
-                                match
-                                  ( kind_of_name k,
-                                    int_of_string_opt l,
-                                    Crc32.of_hex c,
-                                    arts rest )
-                                with
-                                | Some k, Some l, Some c, Some tl ->
-                                    Some
-                                      ({ a_path = p; a_kind = k; a_len = l;
-                                         a_crc = c }
-                                      :: tl)
-                                | _ -> None)
-                            | _ -> None
-                          in
-                          Option.map
-                            (fun artifacts ->
-                              { seq; step; info = pairs kvs; artifacts })
-                            (arts afields)
-                      | Some (_, _ :: _) | None -> None)
-                  | None -> None)
-              | [] -> None))
+  | seq :: step :: generation :: kvs -> (
+      match (int_of_string_opt seq, int_of_string_opt generation, pairs kvs) with
+      | Some seq, Some generation, Some info ->
+          Some { seq; step; generation; info }
       | _ -> None)
   | _ -> None
 
@@ -213,22 +82,14 @@ let parse_commit_fields fields =
 
 let create dir ~meta =
   if exists dir then Error (dir ^ ": journal already present (resume it instead)")
-  else if
-    Sys.file_exists dir
-    && (not (Sys.is_directory dir))
-  then Error (dir ^ ": not a directory")
+  else if Sys.file_exists dir && not (Sys.is_directory dir) then
+    Error (dir ^ ": not a directory")
   else if
     Sys.file_exists dir
     && Array.exists
          (fun e ->
-           let tmp = Atomic_file.temp_suffix in
-           e <> steps_dirname
-           && not
-                (String.length e >= String.length tmp
-                && String.sub e
-                     (String.length e - String.length tmp)
-                     (String.length tmp)
-                   = tmp))
+           e <> store_name
+           && not (String.ends_with ~suffix:Atomic_file.temp_suffix e))
          (Sys.readdir dir)
   then
     Error
@@ -237,11 +98,51 @@ let create dir ~meta =
     Error "journal meta keys must not contain '='"
   else
     match
-      mkdir_p dir;
+      Atomic_file.mkdir_p dir;
       Atomic_file.write (journal_path dir) (header_line meta)
     with
     | () -> Ok { dir; next_seq = 0 }
     | exception Sys_error msg -> Error msg
+
+(* a valid line can only be followed by valid lines; the first CRC
+   failure is a torn tail — everything from there on is dropped
+   (normally just the one trailing record an interrupted append left) *)
+let rec parse_records acc = function
+  | [] -> (List.rev acc, 0)
+  | line :: rest -> (
+      match parse_line line with
+      | Some fields -> parse_records (fields :: acc) rest
+      | None -> (List.rev acc, 1 + List.length rest))
+
+let replay_records ~meta lines =
+  let all, dropped = parse_records [] lines in
+  (* a reset voids every record before it *)
+  let records =
+    List.fold_left
+      (fun acc fields -> if fields = [ "reset" ] then [] else fields :: acc)
+      [] all
+    |> List.rev
+  in
+  let committed =
+    List.filter_map
+      (function "commit" :: rest -> parse_commit_fields rest | _ -> None)
+      records
+  in
+  (* the last intent no commit record answers: the step in flight *)
+  let pending =
+    List.fold_left
+      (fun acc fields ->
+        match fields with
+        | [ "intent"; seq; step ] -> (
+            match int_of_string_opt seq with
+            | Some seq when not (List.exists (fun c -> c.seq = seq) committed)
+              ->
+                Some (seq, step)
+            | Some _ | None -> acc)
+        | _ -> acc)
+      None records
+  in
+  { meta = List.map split_kv meta; committed; pending; dropped }
 
 let replay dir =
   if not (exists dir) then Error (dir ^ ": no journal")
@@ -249,128 +150,50 @@ let replay dir =
     match Atomic_file.read (journal_path dir) with
     | exception Sys_error msg -> Error msg
     | doc -> (
-        let lines =
-          String.split_on_char '\n' doc |> List.filter (fun l -> l <> "")
-        in
-        match lines with
+        match String.split_on_char '\n' doc |> List.filter (( <> ) "") with
         | [] -> Error (dir ^ ": empty journal")
-        | header :: records -> (
+        | header :: lines -> (
             match parse_line header with
-            | Some (m :: v :: meta_fields) when m = magic -> (
+            | None -> Error (dir ^ ": journal header failed its checksum")
+            | Some (m :: v :: meta) when m = magic -> (
                 match int_of_string_opt v with
+                | None -> Error (dir ^ ": journal header has a bad version")
                 | Some v when v > format_version ->
                     Error
                       (Printf.sprintf
-                         "%s: journal format version %d is newer than \
-                          supported %d"
+                         "%s: journal format version %d is newer than supported \
+                          %d"
                          dir v format_version)
-                | Some _ ->
-                    let meta = List.map split_kv meta_fields in
-                    (* a valid line can only be followed by valid lines;
-                       the first CRC failure is a torn tail — everything
-                       from there on is dropped (normally just the one
-                       trailing record an interrupted append left) *)
-                    let rec parse_records acc = function
-                      | [] -> (List.rev acc, 0)
-                      | line :: rest -> (
-                          match parse_line line with
-                          | Some fields -> parse_records (fields :: acc) rest
-                          | None -> (List.rev acc, 1 + List.length rest))
-                    in
-                    let records, dropped = parse_records [] records in
-                    let committed = ref [] in
-                    let intents = ref [] in
-                    let next_seq = ref 0 in
-                    List.iter
-                      (fun fields ->
-                        match fields with
-                        | [ "intent"; seq; step ] -> (
-                            match int_of_string_opt seq with
-                            | Some seq ->
-                                intents := (seq, step) :: !intents;
-                                next_seq := max !next_seq (seq + 1)
-                            | None -> ())
-                        | "commit" :: rest -> (
-                            match parse_commit_fields rest with
-                            | Some c ->
-                                committed := c :: !committed;
-                                intents :=
-                                  List.filter
-                                    (fun (s, _) -> s <> c.seq)
-                                    !intents;
-                                next_seq := max !next_seq (c.seq + 1)
-                            | None -> ())
-                        | _ -> ())
-                      records;
-                    let pending =
-                      match !intents with [] -> None | i :: _ -> Some i
-                    in
-                    Ok
-                      {
-                        meta;
-                        committed = List.rev !committed;
-                        pending;
-                        dropped;
-                      }
-                | None -> Error (dir ^ ": journal header has a bad version"))
-            | Some _ -> Error (dir ^ ": not an ALADIN journal")
-            | None -> Error (dir ^ ": journal header failed its checksum")))
+                | Some v when v < format_version ->
+                    Error
+                      (Printf.sprintf
+                         "%s: journal format version %d predates store \
+                          checkpoints and cannot be resumed; re-run integrate \
+                          into a fresh journal directory"
+                         dir v)
+                | Some _ -> Ok (replay_records ~meta lines))
+            | Some _ -> Error (dir ^ ": not an ALADIN journal")))
 
 (* heal the log's tail before appending to it. Every complete append is
    one newline-terminated line (escaping keeps raw newlines out of
    payloads), so a kill mid-append leaves an unterminated fragment; a
    fresh append would otherwise concatenate onto it and corrupt the NEW
-   record as well. An append killed between its last payload byte and
-   the terminator leaves a fragment that is itself a complete, valid
-   record — that one is finished with its missing '\n' instead of being
-   discarded. Anything replay dropped is physically truncated off, so
-   records appended from here on are never shadowed by garbage before
-   them. *)
+   record as well. The log is rewritten, atomically, as exactly the
+   records replay kept, each terminated: a torn fragment is gone, and
+   an append killed between its last payload byte and the terminator —
+   itself a complete, valid record — is kept with its '\n'. *)
 let heal_tail dir ~dropped =
   let path = journal_path dir in
   let doc = Atomic_file.read path in
   let n = String.length doc in
-  let unterminated = n > 0 && doc.[n - 1] <> '\n' in
-  if dropped > 0 || unterminated then begin
-    Fault.op ();
-    let complete_fragment =
-      dropped = 0 && unterminated
-      &&
-      let start =
-        match String.rindex_opt doc '\n' with Some i -> i + 1 | None -> 0
-      in
-      parse_line (String.sub doc start (n - start)) <> None
+  if dropped > 0 || (n > 0 && doc.[n - 1] <> '\n') then
+    let rec valid = function
+      | line :: rest when parse_line line <> None -> (line ^ "\n") :: valid rest
+      | _ -> []
     in
-    if complete_fragment then begin
-      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-      output_char oc '\n';
-      flush oc;
-      (try Unix.fsync (Unix.descr_of_out_channel oc)
-       with Unix.Unix_error (_, _, _) -> ());
-      close_out oc
-    end
-    else begin
-      let rec valid acc = function
-        | [] | [ "" ] -> acc
-        | line :: rest ->
-            if parse_line line <> None then
-              valid (acc + String.length line + 1) rest
-            else acc
-      in
-      let keep =
-        match String.split_on_char '\n' doc with
-        | header :: rest when parse_line header <> None ->
-            valid (String.length header + 1) rest
-        | _ -> n
-      in
-      if keep < n then begin
-        Unix.truncate path keep;
-        let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-        (try Unix.fsync fd with Unix.Unix_error (_, _, _) -> ());
-        Unix.close fd
-      end
-    end
-  end
+    String.split_on_char '\n' doc
+    |> List.filter (( <> ) "")
+    |> valid |> String.concat "" |> Atomic_file.write path
 
 let open_resume dir =
   match replay dir with
@@ -378,7 +201,6 @@ let open_resume dir =
   | Ok r -> (
       match heal_tail dir ~dropped:r.dropped with
       | exception Sys_error msg -> Error msg
-      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
       | () ->
           let next_seq =
             List.fold_left
@@ -396,52 +218,11 @@ let intent t ~step =
   Atomic_file.append (journal_path t.dir) (intent_line ~seq ~step);
   seq
 
-let commit t ~seq ~step ?(info = []) members =
-  if List.exists (fun (m : Snapshot.member) -> not (valid_path m.path)) members
-  then invalid_arg "Journal.commit: invalid member path";
-  if List.exists (fun (k, _) -> String.contains k '=') info then
-    invalid_arg "Journal.commit: info keys must not contain '='";
-  let sdir =
-    Filename.concat (Filename.concat t.dir steps_dirname)
-      (step_dirname ~seq ~step)
-  in
-  (* artifacts are durably on disk before the commit record that makes
-     them authoritative is appended: a kill anywhere in between leaves
-     an uncommitted (recomputable) step, never a dangling reference.
-     Each file is fsynced as written; every touched directory is fsynced
-     once at the end rather than per file. *)
-  let dirs = ref [] in
-  let artifacts =
-    List.map
-      (fun (m : Snapshot.member) ->
-        let stored = encode_member m.kind m.content in
-        let path = Filename.concat sdir m.path in
-        let parent = Filename.dirname path in
-        mkdir_p parent;
-        if not (List.mem parent !dirs) then dirs := parent :: !dirs;
-        Atomic_file.write ~sync_dir:false path stored;
-        { a_path = m.path; a_kind = m.kind; a_len = String.length stored;
-          a_crc = Crc32.string stored })
-      members
-  in
-  List.iter Atomic_file.fsync_dir !dirs;
-  Atomic_file.append (journal_path t.dir)
-    (commit_line ~seq ~step ~info ~artifacts);
-  { seq; step; info; artifacts }
+let reset t =
+  Atomic_file.append (journal_path t.dir) (render_line [ "reset" ]);
+  t.next_seq <- 0
 
-let read_artifact ~dir (c : committed) path =
-  match List.find_opt (fun a -> a.a_path = path) c.artifacts with
-  | None -> None
-  | Some a -> (
-      let abs =
-        Filename.concat
-          (Filename.concat (Filename.concat dir steps_dirname)
-             (step_dirname ~seq:c.seq ~step:c.step))
-          a.a_path
-      in
-      match Atomic_file.read abs with
-      | exception Sys_error _ -> None
-      | stored ->
-          if String.length stored = a.a_len && Crc32.string stored = a.a_crc
-          then decode_member a.a_kind stored
-          else None)
+let commit t ~seq ~step ~generation ~info =
+  Atomic_file.append (journal_path t.dir)
+    (commit_line ~seq ~step ~generation ~info);
+  { seq; step; generation; info }

@@ -28,3 +28,18 @@ val decode_salvage : string -> (string * int) option
     lines, plus any shortfall against the header's count — records a
     truncation cut off entirely). [None] when nothing is recoverable:
     no parseable header and no valid line. *)
+
+val record : string -> string
+(** One stored record line, without its newline: the payload's CRC-32
+    in hex, a tab, then the payload. The journal frames its lines the
+    same way. *)
+
+val parse_record : string -> string option
+(** Inverse of {!record}: the payload, when its checksum verifies. *)
+
+val escape_field : string -> string
+(** Escape backslash, tab and newline, so the result can be one field of
+    a tab-separated line: manifest, journal and run-report records. *)
+
+val unescape_field : string -> string
+(** Inverse of {!escape_field}. *)

@@ -1,4 +1,4 @@
-type kind = Records | Csv | Opaque | Pairs
+type kind = Records | Csv | Pairs
 
 type member = { path : string; kind : kind; content : string }
 
@@ -17,62 +17,18 @@ let gen_name gen = Printf.sprintf "%s%08d" snap_prefix gen
 let kind_name = function
   | Records -> "records"
   | Csv -> "csv"
-  | Opaque -> "opaque"
   | Pairs -> "pairs"
 
 let kind_of_name = function
   | "records" -> Some Records
   | "csv" -> Some Csv
-  | "opaque" -> Some Opaque
   | "pairs" -> Some Pairs
   | _ -> None
 
 let is_store dir =
   Sys.file_exists (Filename.concat dir manifest_name)
 
-(* --- manifest field escaping (paths may in principle contain anything) --- *)
-
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec loop i =
-    if i >= n then ()
-    else if s.[i] = '\\' && i + 1 < n then begin
-      (match s.[i + 1] with
-      | 't' -> Buffer.add_char buf '\t'
-      | 'n' -> Buffer.add_char buf '\n'
-      | c -> Buffer.add_char buf c);
-      loop (i + 2)
-    end
-    else begin
-      Buffer.add_char buf s.[i];
-      loop (i + 1)
-    end
-  in
-  loop 0;
-  Buffer.contents buf
-
 (* --- small fs helpers --- *)
-
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir -> ()
-  end
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -81,24 +37,15 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let ends_with suffix s =
-  String.length s >= String.length suffix
-  && String.sub s (String.length s - String.length suffix) (String.length suffix)
-     = suffix
-
 (* files the store itself maintains; anything else makes a directory
    "foreign" and save refuses to touch it *)
 let store_entry name =
   name = manifest_name || name = quarantine_name
-  || starts_with snap_prefix name
-  || ends_with Atomic_file.temp_suffix name
+  || String.starts_with ~prefix:snap_prefix name
+  || String.ends_with ~suffix:Atomic_file.temp_suffix name
 
 let parse_gen name =
-  if starts_with snap_prefix name then
+  if String.starts_with ~prefix:snap_prefix name then
     int_of_string_opt
       (String.sub name (String.length snap_prefix)
          (String.length name - String.length snap_prefix))
@@ -115,7 +62,7 @@ let sweep dir ~keep =
   Array.iter
     (fun e ->
       let path = Filename.concat dir e in
-      if ends_with Atomic_file.temp_suffix e then
+      if String.ends_with ~suffix:Atomic_file.temp_suffix e then
         try Sys.remove path with Sys_error _ -> ()
       else
         match parse_gen e with
@@ -128,12 +75,12 @@ let sweep dir ~keep =
 let encode m =
   match m.kind with
   | Records | Pairs -> Records.encode m.content
-  | Csv | Opaque -> m.content
+  | Csv -> m.content
 
 let decode_strict kind stored =
   match kind with
   | Records | Pairs -> Records.decode stored
-  | Csv | Opaque -> Some stored
+  | Csv -> Some stored
 
 let csv_salvage stored =
   match Aladin_relational.Csv.read_string stored with
@@ -157,7 +104,6 @@ let salvage kind stored =
   match kind with
   | Records | Pairs -> Records.decode_salvage stored
   | Csv -> csv_salvage stored
-  | Opaque -> None
 
 (* --- manifest --- *)
 
@@ -169,7 +115,7 @@ let render_manifest gen entries =
   Printf.bprintf buf "snapshot\t%d\n" gen;
   List.iter
     (fun e ->
-      Printf.bprintf buf "member\t%s\t%s\t%d\t%s\n" (escape e.e_path)
+      Printf.bprintf buf "member\t%s\t%s\t%d\t%s\n" (Records.escape_field e.e_path)
         (kind_name e.e_kind) e.e_len (Crc32.to_hex e.e_crc))
     entries;
   (* trailing self-checksum over everything above *)
@@ -213,7 +159,7 @@ let parse_manifest doc =
                                         | Some k, Some l, Some c ->
                                             Some
                                               {
-                                                e_path = unescape path;
+                                                e_path = Records.unescape_field path;
                                                 e_kind = k;
                                                 e_len = l;
                                                 e_crc = c;
@@ -273,34 +219,79 @@ let validate_members members =
           end)
     (Ok ()) members
 
+(* the committed generation's entries by path, each with its file, so a
+   save can reuse the members that did not change; empty without a
+   readable manifest *)
+let committed dir =
+  let tbl = Hashtbl.create 64 in
+  (match read_manifest dir with
+  | Ok (gen, entries) ->
+      let sdir = Filename.concat dir (gen_name gen) in
+      List.iter
+        (fun e -> Hashtbl.replace tbl e.e_path (e, Filename.concat sdir e.e_path))
+        entries
+  | Error _ -> ());
+  tbl
+
+(* hard-link a member whose stored bytes equal the committed one's
+   instead of writing it again. The manifest entry is only a filter: the
+   bytes on disk are compared, so a damaged file is never carried
+   forward. *)
+let link_unchanged prev e stored path =
+  match Hashtbl.find_opt prev e.e_path with
+  | Some (p, old)
+    when p.e_kind = e.e_kind && p.e_len = e.e_len && p.e_crc = e.e_crc -> (
+      match Atomic_file.read old = stored with
+      | true -> Atomic_file.link old path
+      | false | (exception Sys_error _) -> false)
+  | Some _ | None -> false
+
 let save dir members =
   match validate_members members with
   | Error _ as e -> e
   | Ok () -> (
       let proceed () =
-        mkdir_p dir;
+        let fresh = not (Sys.file_exists dir) in
+        Atomic_file.mkdir_p dir;
+        let prev = committed dir in
         let gen = next_generation dir in
         let sdir = Filename.concat dir (gen_name gen) in
         Sys.mkdir sdir 0o755;
+        (* every directory this save creates or fills, from [dir] (which
+           gains [sdir]; its parent too when [dir] is new) down to each
+           member's parent *)
+        let dirs =
+          ref ([ sdir; dir ] @ if fresh then [ Filename.dirname dir ] else [])
+        in
+        let rec note d =
+          if not (List.mem d !dirs) then begin
+            dirs := d :: !dirs;
+            note (Filename.dirname d)
+          end
+        in
         let entries =
           List.map
             (fun m ->
               let stored = encode m in
+              let e =
+                { e_path = m.path; e_kind = m.kind;
+                  e_len = String.length stored; e_crc = Crc32.string stored }
+              in
               let path = Filename.concat sdir m.path in
-              mkdir_p (Filename.dirname path);
-              Atomic_file.write_raw path stored;
-              {
-                e_path = m.path;
-                e_kind = m.kind;
-                e_len = String.length stored;
-                e_crc = Crc32.string stored;
-              })
+              Atomic_file.mkdir_p (Filename.dirname path);
+              note (Filename.dirname path);
+              if not (link_unchanged prev e stored path) then
+                Atomic_file.write_raw path stored;
+              e)
             members
         in
+        (* the new generation's entries must be durable before the
+           manifest that references them *)
+        List.iter Atomic_file.fsync_dir !dirs;
         Atomic_file.write (Filename.concat dir manifest_name)
           (render_manifest gen entries);
         sweep dir ~keep:gen;
-        Ok ()
+        Ok gen
       in
       if Sys.file_exists dir && not (Sys.is_directory dir) then
         Error (dir ^ ": not a directory")
@@ -323,7 +314,7 @@ let save dir members =
 
 let quarantine dir relpath abs reason =
   let qdir = Filename.concat dir quarantine_name in
-  mkdir_p qdir;
+  Atomic_file.mkdir_p qdir;
   let flat = String.map (fun c -> if c = '/' then '_' else c) relpath in
   (try Sys.rename abs (Filename.concat qdir flat) with Sys_error _ -> ());
   try Atomic_file.write_raw (Filename.concat qdir (flat ^ ".reason")) (reason ^ "\n")
@@ -402,8 +393,8 @@ let repair dir =
       if Load_report.is_clean report then Ok report
       else (
         match save dir members with
-        | Ok () -> Ok report
-        | Error _ as e -> e)
+        | Ok _ -> Ok report
+        | Error e -> Error e)
 
 let find members path =
   List.find_map

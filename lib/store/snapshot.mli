@@ -9,8 +9,10 @@
     v}
 
     {!save} writes every member (fsynced) into a {e fresh} generation
-    directory, then commits by atomically renaming a new [MANIFEST] over
-    the old one. The manifest names the generation and records each
+    directory — a member whose stored bytes equal the committed
+    generation's is hard-linked from it instead — fsyncs every directory
+    it created or filled, then commits by atomically renaming a new
+    [MANIFEST] over the old one. The manifest names the generation and records each
     member's kind, length and CRC-32, plus its own trailing self-CRC; a
     crash at any byte leaves the old manifest — and therefore the old,
     untouched generation — in force. Stale temp files and orphan
@@ -27,7 +29,6 @@
 type kind =
   | Records  (** line records with per-record checksums; salvageable *)
   | Csv  (** CSV with header; salvaged by dropping non-conforming rows *)
-  | Opaque  (** no structure to salvage; quarantined when damaged *)
   | Pairs
       (** the warehouse's per-source-pair link store ([pairs.txt]):
           line records with per-record checksums, same wire codec as
@@ -48,8 +49,10 @@ val format_version : int
 val is_store : string -> bool
 (** A committed [MANIFEST] is present. *)
 
-val save : string -> member list -> (unit, string) result
-(** Atomic commit of a whole snapshot. Refuses ([Error]) to write into
+val save : string -> member list -> (int, string) result
+(** Atomic commit of a whole snapshot; [Ok] names the generation it
+    committed, one past the highest present (generations only grow).
+    Refuses ([Error]) to write into
     an existing non-empty directory that is not already an ALADIN store,
     rather than clobbering user files; also [Error] on invalid member
     paths or I/O failure (in which case the previous snapshot is still

@@ -71,6 +71,21 @@ if grep -rnE '\bopen_out|Sys\.rename' \
 fi
 echo "grep-gate ok: no raw open_out/Sys.rename outside lib/store"
 
+# Warehouse state has one writer: in the core, metadata and CLI layers
+# Snapshot.save is called only from Warehouse.save_dir (its body,
+# save_generation, also returns the generation the journal's commit
+# records name), so a second store layout cannot creep back in. (awk
+# tracks the enclosing top-level let.)
+if find lib/core lib/metadata bin -name '*.ml' -exec awk '
+    /^let / { fn = ($2 == "rec") ? $3 : $2 }
+    /Snapshot\.save([^A-Za-z0-9_]|$)/ &&
+      !(FILENAME == "lib/core/warehouse.ml" && fn == "save_generation") {
+      print FILENAME ":" FNR ": Snapshot.save in " fn }' {} + | grep .; then
+  echo "error: Snapshot.save outside Warehouse.save_dir (save warehouse state through save_dir)" >&2
+  exit 1
+fi
+echo "grep-gate ok: Snapshot.save is called only from Warehouse.save_dir"
+
 # Blocking sleeps belong to the retry/backoff policy alone: Retry.sleepf
 # is budget-clamped and EINTR-tolerant, and seeded backoff keeps waits
 # deterministic. A raw Unix.sleep/sleepf anywhere else is an unbounded,
@@ -241,7 +256,13 @@ echo "$rout" | grep -q 'resumed 1 committed step' || {
 }
 diff -u "$kdir/links-plain.csv" "$kdir/links-resumed.csv" || {
   echo "error: resumed links differ from an unkilled run" >&2; exit 1; }
-echo "resume ok: killed journaled run resumed byte-identical at 4 domains"
+# the journal's checkpoint is an ordinary store: fsck and a strict load
+# accept it like any saved warehouse
+./_build/default/bin/aladin_cli.exe fsck "$kdir/j1/store" > /dev/null || {
+  echo "error: fsck rejected the resumed journal's store" >&2; exit 1; }
+./_build/default/bin/aladin_cli.exe load --strict "$kdir/j1/store" > /dev/null || {
+  echo "error: strict load rejected the resumed journal's store" >&2; exit 1; }
+echo "resume ok: killed journaled run resumed byte-identical at 4 domains; its store passes fsck and load --strict"
 
 # Incremental delta: adding a source to a saved store must recompute only
 # the new source's pairs (the CLI prints the delta audit) yet land on the

@@ -420,6 +420,95 @@ let persistence_tests =
           (Sys.file_exists (Filename.concat dir "precious.txt")));
   ]
 
+(* state a save -> load round trip must carry: rejections and the
+   profiles add_source computed *)
+let roundtrip_tests =
+  let temp_store tag =
+    let dir = Filename.temp_file "aladin" tag in
+    Sys.remove dir;
+    dir
+  in
+  let render_profile w name =
+    match Warehouse.profile w name with
+    | Some sp -> Format.asprintf "%a" Aladin_discovery.Source_profile.pp sp
+    | None -> Alcotest.fail ("no profile for " ^ name)
+  in
+  let fks w name =
+    match Warehouse.profile w name with
+    | Some sp ->
+        List.map (Format.asprintf "%a" Aladin_discovery.Inclusion.pp_fk) sp.fks
+    | None -> Alcotest.fail ("no profile for " ^ name)
+  in
+  let rejected_link () =
+    let w = Warehouse.integrate (Lazy.force small_corpus).catalogs in
+    match Warehouse.links w with
+    | [] -> Alcotest.fail "no links"
+    | l :: _ ->
+        Warehouse.reject_link w l;
+        (w, l)
+  in
+  [
+    Alcotest.test_case "rejected link stays gone after load and add" `Quick
+      (fun () ->
+        let w, l = rejected_link () in
+        let dir = temp_store "rl" in
+        save_dir_exn w dir;
+        let w2, _ = Warehouse.load_dir dir in
+        check Alcotest.int "rejection loaded" 1
+          (Feedback.rejected_link_count (Warehouse.feedback w2));
+        (match Warehouse.catalog w2 l.src.Aladin_links.Objref.source with
+        | Some cat -> ignore (Warehouse.add_source w2 cat)
+        | None -> Alcotest.fail "source lost");
+        check Alcotest.bool "still gone" false
+          (List.exists
+             (fun l2 -> Aladin_links.Link.same_endpoints l l2)
+             (Warehouse.links w2)));
+    Alcotest.test_case "save/load/save keeps the rejection" `Quick (fun () ->
+        let w, _ = rejected_link () in
+        let dir = temp_store "rl1" and dir2 = temp_store "rl2" in
+        save_dir_exn w dir;
+        let w2, _ = Warehouse.load_dir dir in
+        save_dir_exn w2 dir2;
+        let feedback_txt d =
+          match Aladin_store.Snapshot.load d with
+          | Ok (members, _) -> Aladin_store.Snapshot.find members "feedback.txt"
+          | Error e -> Alcotest.fail e
+        in
+        check Alcotest.(option string) "feedback.txt round-trips"
+          (Some (Feedback.save (Warehouse.feedback w)))
+          (feedback_txt dir2));
+    Alcotest.test_case "rejected fk stays rejected through load" `Quick
+      (fun () ->
+        let w = Warehouse.integrate (Lazy.force small_corpus).catalogs in
+        (match Warehouse.profile w "uniprot" with
+        | Some { fks = fk :: _; _ } -> Warehouse.reject_fk w ~source:"uniprot" fk
+        | Some _ | None -> Alcotest.fail "uniprot has no fks");
+        let before = fks w "uniprot" in
+        let dir = temp_store "rf" in
+        save_dir_exn w dir;
+        List.iter
+          (fun reanalyze ->
+            let w2, _ = Warehouse.load_dir ~reanalyze dir in
+            check
+              Alcotest.(list string)
+              (Printf.sprintf "fks (reanalyze=%b)" reanalyze)
+              before (fks w2 "uniprot"))
+          [ false; true ]);
+    Alcotest.test_case "loaded profiles honour max_path_len" `Quick (fun () ->
+        let config = { Config.default with max_path_len = 1 } in
+        let w =
+          Warehouse.integrate ~config (Lazy.force small_corpus).catalogs
+        in
+        let dir = temp_store "mpl" in
+        save_dir_exn w dir;
+        let w2, _ = Warehouse.load_dir ~config dir in
+        List.iter
+          (fun name ->
+            check Alcotest.string ("profile of " ^ name) (render_profile w name)
+              (render_profile w2 name))
+          (Warehouse.sources w));
+  ]
+
 let link_query_warehouse_tests =
   [
     Alcotest.test_case "warehouse link_query traverses" `Quick (fun () ->
@@ -614,5 +703,6 @@ let tests =
     ("core.system", system_tests);
     ("core.feedback", feedback_tests);
     ("core.persistence", persistence_tests);
+    ("core.roundtrip", roundtrip_tests);
     ("core.link_query", link_query_warehouse_tests);
   ]

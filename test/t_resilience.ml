@@ -458,6 +458,31 @@ let kr_catalogs () =
 
 let links_csv w = Aladin_access.Link_export.to_csv (Warehouse.links w)
 
+(* everything resume promises to reproduce: source order, links,
+   correspondences and run-report outcomes (not timings, and not the
+   [resumed] flag) *)
+let fingerprint w =
+  let corr (c : Aladin_links.Xref_disc.correspondence) =
+    Printf.sprintf "%s.%s.%s>%s.%s.%s:%d:%h:%b" c.src_source c.src_relation
+      c.src_attribute c.dst_source c.dst_relation c.dst_attribute c.matches
+      c.match_frac c.encoded
+  in
+  let rec step (s : Run_report.step_report) =
+    Printf.sprintf "%s=%s[%s]" s.step
+      (Run_report.outcome_name s.outcome)
+      (String.concat ";" (List.map step s.children))
+  in
+  let report (r : Run_report.t) =
+    Printf.sprintf "%s%s: %s" r.source
+      (if r.quarantined then " (quarantined)" else "")
+      (String.concat " " (List.map step r.steps))
+  in
+  String.concat "\n"
+    ((String.concat "," (Warehouse.sources w) :: links_csv w
+     :: List.map corr
+          (Aladin_metadata.Repository.correspondences (Warehouse.repository w)))
+    @ List.map report (Warehouse.run_reports w))
+
 let journaled_exn ~journal catalogs =
   match Warehouse.integrate_journaled ~journal catalogs with
   | Ok (w, info) -> (w, info)
@@ -479,7 +504,7 @@ let resume_tests =
         rm_rf dir);
     Alcotest.test_case "kill at every step boundary, resume byte-identical"
       `Slow (fun () ->
-        let expect = links_csv (Warehouse.integrate (kr_catalogs ())) in
+        let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
         (* count the boundaries on a clean run *)
         let probe = fresh_dir "jprobe" in
         Fault.reset_counters ();
@@ -501,8 +526,8 @@ let resume_tests =
             journaled_exn ~journal:dir (kr_catalogs ())
           in
           check Alcotest.string
-            (Printf.sprintf "links identical after kill at %d" k)
-            expect (links_csv w);
+            (Printf.sprintf "state identical after kill at %d" k)
+            expect (fingerprint w);
           List.iter
             (fun s ->
               check Alcotest.bool
@@ -512,6 +537,264 @@ let resume_tests =
             [ "uniprot"; "pdb" ];
           rm_rf dir
         done);
+    Alcotest.test_case "op kills across the last step, resume byte-identical"
+      `Slow (fun () ->
+        (* every store operation of pdb's journaled step, including the
+           commit append that follows the manifest rename: a kill there
+           leaves a store that already holds pdb under a journal with no
+           pdb commit, and resume must re-run pdb over it *)
+        let catalogs = kr_catalogs () in
+        let expect = fingerprint (Warehouse.integrate catalogs) in
+        let ops_of cats =
+          let probe = fresh_dir "jops" in
+          Fault.reset_counters ();
+          ignore (journaled_exn ~journal:probe cats);
+          let _, ops, _ = Fault.counters () in
+          rm_rf probe;
+          ops
+        in
+        let first = ops_of [ List.hd catalogs ] and total = ops_of catalogs in
+        let window = ref 0 in
+        for k = first to total - 1 do
+          let dir = fresh_dir "jopk" in
+          Fault.reset_counters ();
+          Fault.arm_ops ~ops:k;
+          (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
+           with
+          | Ok _ | Error _ ->
+              Fault.disarm ();
+              Alcotest.fail (Printf.sprintf "op %d: expected a kill" k)
+          | exception Fault.Killed -> Fault.disarm ());
+          let store_has_pdb =
+            match Aladin_store.Snapshot.load (Filename.concat dir "store") with
+            | Ok (members, _) -> (
+                match Aladin_store.Snapshot.find members "sources.txt" with
+                | Some doc -> List.mem "pdb" (String.split_on_char '\n' doc)
+                | None -> false)
+            | Error _ -> false
+          in
+          let pdb_committed =
+            match Warehouse.journal_status dir with
+            | Ok entries ->
+                List.exists
+                  (fun (e : Warehouse.journal_source) ->
+                    e.js_name = "pdb" && e.js_committed)
+                  entries
+            | Error e -> Alcotest.fail e
+          in
+          if store_has_pdb && not pdb_committed then incr window;
+          let w, _ = journaled_exn ~journal:dir (kr_catalogs ()) in
+          check Alcotest.string
+            (Printf.sprintf "state identical after op kill %d" k)
+            expect (fingerprint w);
+          rm_rf dir
+        done;
+        check Alcotest.bool "a kill landed between save and commit" true
+          (!window > 0));
+    Alcotest.test_case "damaged store re-runs the whole plan" `Quick
+      (fun () ->
+        let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
+        let dir = fresh_dir "jdmg" in
+        ignore (journaled_exn ~journal:dir (kr_catalogs ()));
+        let store = Filename.concat dir "store" in
+        (match Aladin_store.Snapshot.verify store with
+        | Ok rep ->
+            let member =
+              Filename.concat store
+                (Printf.sprintf "snap-%08d/metadata.txt" rep.generation)
+            in
+            let ic = open_in_bin member in
+            let doc = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            let oc = open_out_bin member in
+            output_string oc
+              (Aladin_datagen.Corrupt.flip_bit_at doc ~byte:40 ~bit:1);
+            close_out oc
+        | Error e -> Alcotest.fail e);
+        (match Warehouse.journal_status dir with
+        | Ok entries ->
+            check Alcotest.bool "nothing restorable" true
+              (List.for_all
+                 (fun (e : Warehouse.journal_source) -> not e.js_committed)
+                 entries)
+        | Error e -> Alcotest.fail e);
+        let w, (info : Warehouse.resume_info) =
+          journaled_exn ~journal:dir (kr_catalogs ())
+        in
+        check Alcotest.(list string) "nothing restored" [] info.resumed_sources;
+        check
+          Alcotest.(list string)
+          "whole plan re-run" [ "uniprot"; "pdb" ] info.executed_sources;
+        check Alcotest.string "same state" expect (fingerprint w);
+        rm_rf dir);
+    Alcotest.test_case "kills while re-running over a lost store" `Slow
+      (fun () ->
+        (* a fully committed journal whose store is then damaged or
+           deleted: resume re-runs the whole plan, and a kill at any
+           store operation of that re-run must leave a journal that the
+           next resume completes to the same state — neither restoring
+           the commits the lost store made nor weighing the new
+           generations against theirs *)
+        let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
+        let lose how store =
+          match how with
+          | `Deleted -> rm_rf store
+          | `Damaged -> (
+              match Aladin_store.Snapshot.verify store with
+              | Ok rep ->
+                  let member =
+                    Filename.concat store
+                      (Printf.sprintf "snap-%08d/metadata.txt" rep.generation)
+                  in
+                  let ic = open_in_bin member in
+                  let doc = really_input_string ic (in_channel_length ic) in
+                  close_in ic;
+                  let oc = open_out_bin member in
+                  output_string oc
+                    (Aladin_datagen.Corrupt.flip_bit_at doc ~byte:40 ~bit:1);
+                  close_out oc
+              | Error e -> Alcotest.fail e)
+        in
+        let prepared how =
+          let dir = fresh_dir "jlost" in
+          ignore (journaled_exn ~journal:dir (kr_catalogs ()));
+          lose how (Filename.concat dir "store");
+          dir
+        in
+        List.iter
+          (fun how ->
+            let probe = prepared how in
+            Fault.reset_counters ();
+            ignore (journaled_exn ~journal:probe (kr_catalogs ()));
+            let _, ops, _ = Fault.counters () in
+            rm_rf probe;
+            for k = 0 to ops - 1 do
+              let dir = prepared how in
+              Fault.reset_counters ();
+              Fault.arm_ops ~ops:k;
+              (match
+                 Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
+               with
+              | Ok _ | Error _ ->
+                  Fault.disarm ();
+                  Alcotest.fail (Printf.sprintf "op %d: expected a kill" k)
+              | exception Fault.Killed -> Fault.disarm ());
+              let w, (info : Warehouse.resume_info) =
+                journaled_exn ~journal:dir (kr_catalogs ())
+              in
+              check Alcotest.string
+                (Printf.sprintf "state identical after op kill %d" k)
+                expect (fingerprint w);
+              check
+                Alcotest.(list string)
+                (Printf.sprintf "every source accounted for after op kill %d" k)
+                [ "pdb"; "uniprot" ]
+                (List.sort compare
+                   (info.resumed_sources @ info.executed_sources));
+              rm_rf dir
+            done)
+          [ `Damaged; `Deleted ]);
+    Alcotest.test_case "journal_status agrees with resume on a short decode"
+      `Quick (fun () ->
+        (* every member passes its checksum, but a CSV row has the wrong
+           arity: load_dir drops and counts it, so resume restores
+           nothing, and journal_status must say the same *)
+        let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
+        let dir = fresh_dir "jdec" in
+        ignore (journaled_exn ~journal:dir (kr_catalogs ()));
+        let store = Filename.concat dir "store" in
+        (match Aladin_store.Snapshot.load store with
+        | Ok (members, _) -> (
+            let ragged (m : Aladin_store.Snapshot.member) =
+              if m.path = "pdb/item.csv" then
+                { m with content = m.content ^ "3,P10002\n" }
+              else m
+            in
+            match Aladin_store.Snapshot.save store (List.map ragged members) with
+            | Ok _ -> ()
+            | Error e -> Alcotest.fail e)
+        | Error e -> Alcotest.fail e);
+        (match Aladin_store.Snapshot.verify store with
+        | Ok rep ->
+            check Alcotest.bool "checksums clean" true
+              (Aladin_store.Load_report.is_clean rep)
+        | Error e -> Alcotest.fail e);
+        (match Warehouse.journal_status dir with
+        | Ok entries ->
+            check Alcotest.bool "nothing restorable" true
+              (List.for_all
+                 (fun (e : Warehouse.journal_source) -> not e.js_committed)
+                 entries)
+        | Error e -> Alcotest.fail e);
+        let w, (info : Warehouse.resume_info) =
+          journaled_exn ~journal:dir (kr_catalogs ())
+        in
+        check Alcotest.(list string) "nothing restored" [] info.resumed_sources;
+        check Alcotest.string "same state" expect (fingerprint w);
+        rm_rf dir);
+    Alcotest.test_case "store older than the last commit is refused" `Quick
+      (fun () ->
+        let dir = fresh_dir "jold" and backup = fresh_dir "jbak" in
+        let store = Filename.concat dir "store" in
+        let rec copy src dst =
+          if Sys.is_directory src then begin
+            Sys.mkdir dst 0o755;
+            Array.iter
+              (fun e -> copy (Filename.concat src e) (Filename.concat dst e))
+              (Sys.readdir src)
+          end
+          else begin
+            let ic = open_in_bin src in
+            let doc = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            let oc = open_out_bin dst in
+            output_string oc doc;
+            close_out oc
+          end
+        in
+        (* uniprot committed, then keep that store aside *)
+        Fault.reset_counters ();
+        Fault.arm_step ~index:3;
+        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
+         with
+        | Ok _ | Error _ ->
+            Fault.disarm ();
+            Alcotest.fail "expected a kill"
+        | exception Fault.Killed -> Fault.disarm ());
+        copy store backup;
+        ignore (journaled_exn ~journal:dir (kr_catalogs ()));
+        rm_rf store;
+        copy backup store;
+        let stale e =
+          check Alcotest.bool "names the stale store" true
+            (Aladin_text.Strdist.contains ~needle:"older" e)
+        in
+        (match Warehouse.journal_status dir with
+        | Error e -> stale e
+        | Ok _ -> Alcotest.fail "journal_status accepted a stale store");
+        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ()) with
+        | Error e -> stale e
+        | Ok _ -> Alcotest.fail "resume accepted a stale store");
+        rm_rf dir;
+        rm_rf backup);
+    Alcotest.test_case "a failed checkpoint save is an Error, not a commit"
+      `Quick (fun () ->
+        (* a regular file where the journal's store directory belongs:
+           the first step's save_dir fails *)
+        let dir = fresh_dir "jsave" in
+        Sys.mkdir dir 0o755;
+        let oc = open_out (Filename.concat dir "store") in
+        close_out oc;
+        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ()) with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "a failed save was not reported");
+        (match Aladin_store.Journal.replay dir with
+        | Ok r ->
+            check Alcotest.int "no commit line" 0 (List.length r.committed);
+            check Alcotest.bool "the step stays pending" true
+              (r.pending = Some (0, "source:uniprot"))
+        | Error e -> Alcotest.fail e);
+        rm_rf dir);
     Alcotest.test_case "restored reports are flagged resumed" `Quick
       (fun () ->
         let dir = fresh_dir "jflag" in

@@ -36,7 +36,7 @@ let stored_path dir gen member = Filename.concat (gen_dir dir gen) member
 
 let save_exn dir members =
   match Snapshot.save dir members with
-  | Ok () -> ()
+  | Ok _ -> ()
   | Error msg -> Alcotest.fail ("save: " ^ msg)
 
 let load_exn dir =
@@ -81,7 +81,7 @@ let test_members : Snapshot.member list =
       content = "alpha\nbeta\twith tab\ngamma\n" };
     { path = "a/table.csv"; kind = Csv;
       content = "id,name\n1,aardvark\n2,badger\n3,civet\n" };
-    { path = "blob.bin"; kind = Opaque; content = "\x00\x01binary\xffpayload" };
+    { path = "blob.bin"; kind = Records; content = "\x00\x01binary\xffpayload\n" };
   ]
 
 let crc_tests =
@@ -174,7 +174,9 @@ let snapshot_tests =
       `Quick (fun () ->
         let dir = fresh_dir "st2" in
         save_exn dir test_members;
-        save_exn dir test_members;
+        (match Snapshot.save dir test_members with
+        | Ok gen -> check Alcotest.int "save names its generation" 2 gen
+        | Error msg -> Alcotest.fail ("save: " ^ msg));
         let report = committed_report dir in
         check Alcotest.int "generation" 2 report.generation;
         check Alcotest.bool "old generation swept" false
@@ -186,7 +188,7 @@ let snapshot_tests =
         write_file (Filename.concat dir "precious.txt") "user data\n";
         (match Snapshot.save dir test_members with
         | Error _ -> ()
-        | Ok () -> Alcotest.fail "clobbered a user directory");
+        | Ok _ -> Alcotest.fail "clobbered a user directory");
         check Alcotest.string "file untouched" "user data\n"
           (read_file (Filename.concat dir "precious.txt")));
     Alcotest.test_case "stale temps and orphan generations are swept" `Quick
@@ -263,8 +265,9 @@ let snapshot_tests =
       `Quick (fun () ->
         let dir = fresh_dir "st8" in
         save_exn dir test_members;
-        let path = stored_path dir 1 "blob.bin" in
-        write_file path (Corrupt.flip_bit_at (read_file path) ~byte:5 ~bit:4);
+        (* no header and no line whose checksum verifies: nothing to
+           salvage *)
+        write_file (stored_path dir 1 "blob.bin") "not a checksummed record";
         let members, report = load_exn dir in
         (match Load_report.find report "blob.bin" with
         | Some (Load_report.Quarantined _) -> ()
@@ -351,7 +354,7 @@ let torn_write_tests =
               if committed_bytes dir <> baseline then
                 Alcotest.failf "snapshot bytes changed after kill at %d" budget;
               attempt (budget + 1)
-          | Ok () -> Fault.disarm ()
+          | Ok _ -> Fault.disarm ()
           | Error msg ->
               Fault.disarm ();
               Alcotest.fail ("save: " ^ msg)
@@ -363,29 +366,34 @@ let torn_write_tests =
         check Alcotest.bool "new snapshot clean" true
           (Load_report.is_clean report);
         check Alcotest.(option string) "new content in force"
-          (Some "\x00\x01binary\xffpayloadappended-by-second-save\n")
+          (Some "\x00\x01binary\xffpayload\nappended-by-second-save\n")
           (Snapshot.find members "blob.bin"));
     Alcotest.test_case "kill between member writes and the manifest rename"
       `Quick (fun () ->
-        let dir = fresh_dir "torn2" in
-        save_exn dir test_members;
-        save_exn dir altered_members;
-        let baseline = committed_bytes dir in
-        (* re-saving the same members costs exactly the committed bytes
-           (stored members + manifest, whose generation field keeps its
-           digit count) plus one unit for the commit rename. A budget
-           one short of that means every member byte and every manifest
-           byte is on disk; the commit rename itself is what dies. *)
-        let manifest, files = baseline in
-        let cost =
-          String.length manifest
-          + List.fold_left (fun a (_, c) -> a + String.length c) 0 files
-          + 1
+        let prepare tag =
+          let dir = fresh_dir tag in
+          save_exn dir test_members;
+          save_exn dir altered_members;
+          dir
         in
+        (* measure what re-saving the same members costs on an identical
+           store: every byte it writes (unchanged members are hard-linked,
+           so mostly the manifest) plus one unit for the commit rename. A
+           budget one short of that means every member and every manifest
+           byte is on disk; the commit rename itself is what dies. *)
+        let cost =
+          let probe = prepare "torn2p" in
+          Fault.reset_counters ();
+          save_exn probe altered_members;
+          let bytes, _, _ = Fault.counters () in
+          bytes + 1
+        in
+        let dir = prepare "torn2" in
+        let baseline = committed_bytes dir in
         Fault.arm ~bytes:(cost - 1);
         (match Snapshot.save dir altered_members with
         | exception Fault.Killed -> Fault.disarm ()
-        | Ok () ->
+        | Ok _ ->
             Fault.disarm ();
             Alcotest.fail "save should have been killed at the commit"
         | Error msg ->
@@ -399,6 +407,51 @@ let torn_write_tests =
         save_exn dir altered_members;
         check Alcotest.bool "temp swept" false
           (Sys.file_exists (Filename.concat dir "MANIFEST.aladin-tmp")));
+    Alcotest.test_case "unchanged members are hard-linked, not rewritten"
+      `Quick (fun () ->
+        let dir = fresh_dir "link" in
+        save_exn dir test_members;
+        let changed =
+          List.map
+            (fun (m : Snapshot.member) ->
+              if m.path = "a/table.csv" then
+                { m with content = m.content ^ "4,dingo\n" }
+              else m)
+            test_members
+        in
+        Fault.reset_counters ();
+        save_exn dir changed;
+        let bytes, _, _ = Fault.counters () in
+        let table =
+          List.find (fun (m : Snapshot.member) -> m.path = "a/table.csv") changed
+        in
+        let manifest = read_file (Filename.concat dir "MANIFEST") in
+        check Alcotest.int "only the changed member and the manifest written"
+          (String.length table.content + String.length manifest)
+          bytes;
+        let members, report = load_exn dir in
+        check Alcotest.bool "clean" true (Load_report.is_clean report);
+        List.iter
+          (fun (m : Snapshot.member) ->
+            check Alcotest.(option string) m.path (Some m.content)
+              (Snapshot.find members m.path))
+          changed);
+    Alcotest.test_case "a damaged member is rewritten, not linked" `Quick
+      (fun () ->
+        let dir = fresh_dir "nolink" in
+        save_exn dir test_members;
+        let path = stored_path dir 1 "a/table.csv" in
+        write_file path (Corrupt.flip_bit_at (read_file path) ~byte:12 ~bit:0);
+        save_exn dir test_members;
+        let members, report = load_exn dir in
+        check Alcotest.bool "clean" true (Load_report.is_clean report);
+        check Alcotest.(option string) "intact content"
+          (Some
+             (List.find
+                (fun (m : Snapshot.member) -> m.path = "a/table.csv")
+                test_members)
+               .content)
+          (Snapshot.find members "a/table.csv"));
     Alcotest.test_case "truncation at every offset of every member" `Slow
       (fun () ->
         let dir = fresh_dir "torn3" in
@@ -564,8 +617,6 @@ let journal_resume_exn dir =
   | Ok jr -> jr
   | Error msg -> Alcotest.fail ("journal resume: " ^ msg)
 
-let member path kind content = { Snapshot.path; kind; content }
-
 let journal_size dir =
   let ic = open_in_bin (Filename.concat dir "JOURNAL") in
   let n = in_channel_length ic in
@@ -580,13 +631,9 @@ let journal_tests =
         let j = journal_create_exn dir ~meta:[ ("plan", "demo") ] in
         let seq = Journal.intent j ~step:"source:a" in
         check Alcotest.int "first seq" 0 seq;
-        let c =
-          Journal.commit j ~seq ~step:"source:a"
-            ~info:[ ("quarantined", "0") ]
-            [ member "metadata.txt" Snapshot.Records "k\tv\nline two\n";
-              member "source/a.csv" Snapshot.Csv "acc,name\nP1,alpha\n" ]
-        in
-        check Alcotest.int "two artifacts" 2 (List.length c.artifacts);
+        let info = [ ("source", "a"); ("path", "dir\twith tab\nand newline") ] in
+        let c = Journal.commit j ~seq ~step:"source:a" ~generation:7 ~info in
+        check Alcotest.int "generation" 7 c.generation;
         let r = journal_replay_exn dir in
         check
           Alcotest.(list (pair string string))
@@ -596,14 +643,13 @@ let journal_tests =
         check Alcotest.bool "no pending" true (r.pending = None);
         let c = List.hd r.committed in
         check Alcotest.string "step" "source:a" c.step;
+        check Alcotest.int "seq" 0 c.seq;
+        check Alcotest.int "generation round-trips" 7 c.generation;
         check
-          Alcotest.(option string)
-          "records member round-trips" (Some "k\tv\nline two\n")
-          (Journal.read_artifact ~dir c "metadata.txt");
-        check
-          Alcotest.(option string)
-          "csv member round-trips" (Some "acc,name\nP1,alpha\n")
-          (Journal.read_artifact ~dir c "source/a.csv"));
+          Alcotest.(list (pair string string))
+          "info round-trips, escapes included" info c.info;
+        check Alcotest.string "store beside the log"
+          (Filename.concat dir "store") (Journal.store_dir dir));
     Alcotest.test_case "pending intent survives replay" `Quick (fun () ->
         let dir = fresh_dir "jpend" in
         let j = journal_create_exn dir ~meta:[] in
@@ -612,6 +658,31 @@ let journal_tests =
         check Alcotest.int "no commits" 0 (List.length r.committed);
         check Alcotest.bool "pending" true
           (r.pending = Some (0, "source:a")));
+    Alcotest.test_case "a reset voids the records before it" `Quick
+      (fun () ->
+        let dir = fresh_dir "jreset" in
+        let j = journal_create_exn dir ~meta:[ ("plan", "r") ] in
+        let seq = Journal.intent j ~step:"source:a" in
+        ignore (Journal.commit j ~seq ~step:"source:a" ~generation:3 ~info:[]);
+        ignore (Journal.intent j ~step:"source:b");
+        let j, r = journal_resume_exn dir in
+        check Alcotest.int "commit before the reset" 1 (List.length r.committed);
+        Journal.reset j;
+        let r = journal_replay_exn dir in
+        check Alcotest.int "no commits after the reset" 0
+          (List.length r.committed);
+        check Alcotest.bool "no pending after the reset" true (r.pending = None);
+        check
+          Alcotest.(list (pair string string))
+          "meta kept" [ ("plan", "r") ] r.meta;
+        let seq = Journal.intent j ~step:"source:a" in
+        check Alcotest.int "sequence restarts" 0 seq;
+        ignore (Journal.commit j ~seq ~step:"source:a" ~generation:1 ~info:[]);
+        let r = journal_replay_exn dir in
+        check
+          Alcotest.(list int)
+          "only the commit after the reset" [ 1 ]
+          (List.map (fun (c : Journal.committed) -> c.generation) r.committed));
     Alcotest.test_case "create refuses an existing journal" `Quick (fun () ->
         let dir = fresh_dir "jdup" in
         ignore (journal_create_exn dir ~meta:[]);
@@ -621,27 +692,18 @@ let journal_tests =
         let dir = fresh_dir "jeq" in
         check Alcotest.bool "refused" true
           (Result.is_error (Journal.create dir ~meta:[ ("a=b", "v") ])));
-    Alcotest.test_case "damaged artifact reads as None" `Quick (fun () ->
-        let dir = fresh_dir "jdam" in
-        let j = journal_create_exn dir ~meta:[] in
-        let seq = Journal.intent j ~step:"source:a" in
-        ignore
-          (Journal.commit j ~seq ~step:"source:a"
-             [ member "m.txt" Snapshot.Records "precious\n" ]);
-        let r = journal_replay_exn dir in
-        let c = List.hd r.committed in
-        let path =
-          Filename.concat dir
-            (Filename.concat "steps"
-               (Filename.concat
-                  (Journal.step_dirname ~seq ~step:"source:a")
-                  "m.txt"))
-        in
-        write_file path (Corrupt.flip_bit_at (read_file path) ~byte:3 ~bit:1);
-        check
-          Alcotest.(option string)
-          "refused" None
-          (Journal.read_artifact ~dir c "m.txt"));
+    Alcotest.test_case "version-1 journal is refused" `Quick (fun () ->
+        let dir = fresh_dir "jv1" in
+        Sys.mkdir dir 0o755;
+        (* a version-1 header: same line framing, older version field *)
+        write_file
+          (Filename.concat dir "JOURNAL")
+          (Records.record "aladin-journal\t1\tsources=0" ^ "\n");
+        match Journal.replay dir with
+        | Ok _ -> Alcotest.fail "a version-1 journal replayed"
+        | Error e ->
+            check Alcotest.bool "tells the user to re-run integrate" true
+              (contains e "re-run integrate"));
     (* satellite: a torn trailing record — the append killed at EVERY
        byte offset — is dropped on replay, the committed prefix stays in
        force, and the truncated-on-resume journal accepts new commits *)
@@ -650,9 +712,7 @@ let journal_tests =
         let commit_a dir =
           let j = journal_create_exn dir ~meta:[ ("plan", "t") ] in
           let seq = Journal.intent j ~step:"source:a" in
-          ignore
-            (Journal.commit j ~seq ~step:"source:a"
-               [ member "m.txt" Snapshot.Records "hello\n" ])
+          ignore (Journal.commit j ~seq ~step:"source:a" ~generation:1 ~info:[])
         in
         (* measure the appended intent record's length on a scratch dir *)
         let len =
@@ -700,8 +760,7 @@ let journal_tests =
             (List.length r'.committed);
           let seq = Journal.intent j ~step:"source:b" in
           ignore
-            (Journal.commit j ~seq ~step:"source:b"
-               [ member "m.txt" Snapshot.Records "world\n" ]);
+            (Journal.commit j ~seq ~step:"source:b" ~generation:2 ~info:[]);
           let r'' = journal_replay_exn dir in
           check Alcotest.int
             (Printf.sprintf "both commits after heal at %d" k)
