@@ -1091,6 +1091,8 @@ let micro () =
   let rng = Dg.Rng.create 4242 in
   let seq_a = Dg.Seq_gen.dna rng 200 in
   let seq_b = Dg.Seq_gen.mutate rng ~rate:0.05 seq_a in
+  let prot_a = Dg.Seq_gen.protein rng 200 in
+  let prot_b = Dg.Seq_gen.mutate rng ~rate:0.1 prot_a in
   let words =
     List.init 200 (fun i -> Printf.sprintf "token%d content word%d" i (i * 3))
   in
@@ -1116,6 +1118,9 @@ let micro () =
           Aladin_text.Strdist.levenshtein "hexokinase glucokinase" "hexokinase glucokinases"));
       Test.make ~name:"smith-waterman-200x200" (Staged.stage (fun () ->
           Aladin_seq.Align.local_score seq_a seq_b));
+      Test.make ~name:"smith-waterman-blosum62-200x200" (Staged.stage (fun () ->
+          Aladin_seq.Align.local_score ~matrix:Aladin_seq.Subst_matrix.blosum62
+            prot_a prot_b));
       Test.make ~name:"kmer-candidates" (Staged.stage (fun () ->
           Aladin_seq.Kmer_index.candidates kidx seq_a));
       Test.make ~name:"inverted-index-search" (Staged.stage (fun () ->

@@ -242,11 +242,6 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~cache
                   List.iter
                     (fun s -> Seq_links.state_index_source st profiles ~source:s)
                     others;
-                  Seq_links.state_seed_links st
-                    (List.concat_map
-                       (fun ((a, b), (e : Pair_store.entry)) ->
-                         if a = changed || b = changed then [] else e.seq_links)
-                       (Pair_store.pairs store));
                   st
             in
             let fresh =

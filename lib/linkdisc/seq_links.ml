@@ -74,11 +74,10 @@ type state = {
   sparams : params;
   engines : (Sq.Alphabet.kind, Sq.Homology.t) Hashtbl.t;
   mutable seen : string list;
-  mutable acc : Link.t list;
 }
 
 let state_create ?(params = default_params) () =
-  { sparams = params; engines = Hashtbl.create 3; seen = []; acc = [] }
+  { sparams = params; engines = Hashtbl.create 3; seen = [] }
 
 let state_sources st = List.rev st.seen
 
@@ -139,30 +138,38 @@ let state_add_source ?pool st profiles ~source =
       new_seqs
   in
   (* Phase 2 (sequential): new-vs-new pairs via per-kind scratch indexes
-     (search-then-add yields each unordered pair once), then commit every
-     new sequence to the persistent index. Homology scoring is per-subject,
-     so old-hits + scratch-hits equals the old single search against the
-     incrementally growing index, hit for hit. *)
-  let scratch = Hashtbl.create 3 in
-  let scratch_for kind =
-    match Hashtbl.find_opt scratch kind with
-    | Some e -> e
-    | None ->
-        let e = Sq.Homology.create kind in
-        Hashtbl.add scratch kind e;
-        e
+     (search-then-add yields each unordered pair once). Homology scoring
+     is per-subject, so old-hits + scratch-hits equals one search against
+     the incrementally growing index, hit for hit. Every new-vs-new pair
+     is same-source, so with cross_source_only none is aligned. *)
+  let hits =
+    if params.cross_source_only then old_hits
+    else begin
+      let scratch = Hashtbl.create 3 in
+      List.map2
+        (fun (f, row_i, s) old ->
+          let sc =
+            match Hashtbl.find_opt scratch f.kind with
+            | Some e -> e
+            | None ->
+                let e = Sq.Homology.create f.kind in
+                Hashtbl.add scratch f.kind e;
+                e
+          in
+          let query_id = encode f.source f.relation row_i in
+          let fresh =
+            Sq.Homology.search sc ~query_id s
+              ~min_normalized:params.min_normalized
+          in
+          Sq.Homology.add sc ~id:query_id s;
+          old @ fresh)
+        new_seqs old_hits
+    end
   in
   let links = ref [] in
   let verified = ref 0 in
   List.iter2
-    (fun (f, row_i, s) old ->
-      let query_id = encode f.source f.relation row_i in
-      let sc = scratch_for f.kind in
-      let hits =
-        old
-        @ Sq.Homology.search sc ~query_id s
-            ~min_normalized:params.min_normalized
-      in
+    (fun (f, row_i, _) hits ->
       verified := !verified + List.length hits;
       List.iter
         (fun (h : Sq.Homology.hit) ->
@@ -183,9 +190,8 @@ let state_add_source ?pool st profiles ~source =
                         :: !links)
                   (objs_of ss sr srow))
               (objs_of f.source f.relation row_i))
-        hits;
-      Sq.Homology.add sc ~id:query_id s)
-    new_seqs old_hits;
+        hits)
+    new_seqs hits;
   List.iter
     (fun (f, row_i, s) ->
       Sq.Homology.add
@@ -198,15 +204,12 @@ let state_add_source ?pool st profiles ~source =
   Aladin_obs.Trace.ambient_incr ~by:indexed "seq.sequences_indexed";
   Aladin_obs.Trace.ambient_incr ~by:!verified "seq.pairs_verified";
   Aladin_obs.Trace.ambient_incr ~by:(List.length fresh) "seq.links";
-  st.acc <- Link.dedup (fresh @ st.acc);
   fresh
 
-let state_links st = st.acc
-
-(* resume fast path: put a committed source's sequences back into the
-   persistent index without re-running any homology search — its links
-   are already known (seeded from the checkpoint via state_seed_links),
-   so only the index content has to match what the original run built *)
+(* rebuild fast path: put a source's sequences back into the persistent
+   index without re-running any homology search — its links are already
+   in the store, so only the index content has to match what the
+   original run built *)
 let state_index_source st profiles ~source =
   if List.mem source st.seen then
     invalid_arg
@@ -242,8 +245,6 @@ let state_index_source st profiles ~source =
             rel)
     fields;
   Aladin_obs.Trace.ambient_incr ~by:!indexed "seq.sequences_indexed"
-
-let state_seed_links st links = st.acc <- Link.dedup (links @ st.acc)
 
 let discover ?(params = default_params) ?pool profiles =
   let fields = sequence_fields params profiles in

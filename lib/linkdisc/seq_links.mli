@@ -53,24 +53,19 @@ val state_add_source :
   ?pool:Aladin_par.Pool.t -> state -> Profile_list.t -> source:string -> Link.t list
 (** Index the named source's sequence fields; returns the NEW links (new
     vs. indexed, and new vs. new). The profile list must contain every
-    source indexed so far plus the new one. With a [pool] the new-vs-indexed
-    searches fan out (the persistent index is read-only during the fan-out;
-    new-vs-new stays sequential), with identical results and counters.
+    source indexed so far plus the new one. New-vs-new pairs are all
+    within the source, so with [cross_source_only] they are not aligned
+    at all. With a [pool] the new-vs-indexed searches fan out (the
+    persistent index is read-only during the fan-out; new-vs-new stays
+    sequential), with identical results and counters.
     @raise Invalid_argument when the source is already indexed. *)
-
-val state_links : state -> Link.t list
-(** All links accumulated so far (deduplicated). *)
 
 val state_index_source : state -> Profile_list.t -> source:string -> unit
 (** Rebuild fast path: index the source's sequences WITHOUT searching —
-    for sources whose links are already known (restored from a store). Must be called in the original integration order and
-    paired with {!state_seed_links}; the rebuilt index is then
-    byte-for-byte what the killed run had.
+    for sources whose links are already known (restored from a store).
+    Must be called in the original integration order; the rebuilt index
+    is then byte-for-byte what the original run had.
     @raise Invalid_argument when the source is already indexed. *)
-
-val state_seed_links : state -> Link.t list -> unit
-(** Merge already-known (store-restored) links into the accumulated set
-    (deduplicated, canonical order — same as if discovered live). *)
 
 val discover_between :
   ?params:params ->

@@ -100,29 +100,51 @@ let local ?(matrix = Subst_matrix.nucleotide) ?gap q s =
   let gap = Option.value gap ~default:(Subst_matrix.gap_open matrix) in
   run ~local:true ~matrix ~gap q s
 
+(* Int-only maxima for the score kernel. [Stdlib.max] is polymorphic:
+   without flambda it compiles to a call to the generic compare. These
+   spread the sign bit of the difference instead of branching; scores
+   stay far from the int range, so the subtraction cannot overflow. *)
+let sign_shift = Sys.int_size - 1
+
+let[@inline] imax (a : int) (b : int) =
+  let d = a - b in
+  a - (d land (d asr sign_shift))
+
+let[@inline] clamp0 (a : int) = a land lnot (a asr sign_shift)
+
 let local_score ?(matrix = Subst_matrix.nucleotide) ?gap q s =
   let gap = Option.value gap ~default:(Subst_matrix.gap_open matrix) in
   let q, s = if String.length q <= String.length s then (s, q) else (q, s) in
-  let tbl = Subst_matrix.table matrix in
+  let tbl = Subst_matrix.table matrix and bias = Subst_matrix.table_bias in
   let m = String.length s in
-  let prev = Array.make (m + 1) 0 in
-  let cur = Array.make (m + 1) 0 in
+  (* two DP rows, swapped after each query character; column 0 stays 0 *)
+  let prev = ref (Array.make (m + 1) 0) in
+  let cur = ref (Array.make (m + 1) 0) in
   let best = ref 0 in
   for i = 1 to String.length q do
-    cur.(0) <- 0;
+    let p = !prev and c = !cur in
     let qrow = Char.code (String.unsafe_get q (i - 1)) * 256 in
+    let diag = ref 0 and left = ref 0 in
+    (* HOT-PATH-BEGIN: one DP cell per iteration, branch-free int maxima.
+       The diagonal and up moves do not depend on this row's previous
+       cell, so they are combined (and clamped at 0) before the left
+       move joins: the chain from cell to cell is one add and one imax. *)
     for j = 1 to m do
+      let up = Array.unsafe_get p j in
       let d =
-        Array.unsafe_get prev (j - 1)
-        + Array.unsafe_get tbl (qrow + Char.code (String.unsafe_get s (j - 1)))
+        !diag - bias
+        + Char.code
+            (String.unsafe_get tbl (qrow + Char.code (String.unsafe_get s (j - 1))))
       in
-      let u = Array.unsafe_get prev j + gap in
-      let l = Array.unsafe_get cur (j - 1) + gap in
-      let v = max 0 (max d (max u l)) in
-      Array.unsafe_set cur j v;
-      if v > !best then best := v
+      let v = imax (clamp0 (imax d (up + gap))) (!left + gap) in
+      Array.unsafe_set c j v;
+      if v > !best then best := v;
+      diag := up;
+      left := v
     done;
-    Array.blit cur 0 prev 0 (m + 1)
+    (* HOT-PATH-END *)
+    prev := c;
+    cur := p
   done;
   !best
 

@@ -24,6 +24,10 @@ val local_score : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> int
 (** Score-only Smith-Waterman in O(min(n,m)) space — used in the inner loop
     of homology search where the traceback is not needed. *)
 
+val self_score : Subst_matrix.t -> string -> int
+(** The score of aligning a sequence with itself, ungapped: the sum of
+    its diagonal matrix entries. *)
+
 val normalized_score : result -> query:string -> subject:string -> float
 (** Score divided by the self-alignment score of the shorter input — 1.0 for
     identical sequences, approaching 0 for unrelated ones. *)

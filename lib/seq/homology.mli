@@ -7,7 +7,9 @@ type hit = {
   query_id : string;
   subject_id : string;
   raw_score : int;
-  normalized : float;  (** see {!Align.normalized_score} *)
+  normalized : float;
+      (** raw score over the self-score of the shorter sequence (the
+          query's on tied lengths); see {!Align.normalized_score} *)
   shared_kmers : int;
 }
 
@@ -24,10 +26,13 @@ val size : t -> int
 
 val search : t -> query_id:string -> string -> min_normalized:float -> hit list
 (** Hits above the normalized-score threshold, best first. Self-hits
-    (subject = query_id) are excluded. *)
+    (subject = query_id) are excluded. Every Smith-Waterman alignment
+    made counts toward the ambient trace counter [seq.alignments]. *)
 
 val all_pairs : ?pool:Aladin_par.Pool.t -> t -> min_normalized:float -> hit list
 (** Search every indexed sequence against the rest; each unordered pair is
-    reported once with query_id < subject_id. With a [pool] the per-query
-    searches fan out across domains (the index is only read); the result
-    is identical to the sequential run. *)
+    aligned and reported once, with query_id < subject_id: the hits equal
+    each {!search} filtered to [query_id < subject_id], in ascending
+    query_id order. With a [pool] the per-query searches fan out across
+    domains (the index is only read); the result is identical to the
+    sequential run. *)

@@ -1,16 +1,21 @@
-type t = {
-  lookup : char -> char -> int;
-  gap_open : int;
-  gap_extend : int;
-  mutable table_cache : int array option;
-}
+type t = { table : string; gap_open : int; gap_extend : int }
+
+let table_bias = 128
+
+(* Each matrix is tabulated when the module initialises: pool domains
+   align concurrently, so they must only ever read the table. One biased
+   byte per score keeps a table at 64 KB, which every program linking
+   this module pays; a score outside [-128, 127] fails here. *)
+let tabulate lookup =
+  String.init (256 * 256) (fun i ->
+      Char.chr (lookup (Char.chr (i / 256)) (Char.chr (i mod 256)) + table_bias))
 
 let nucleotide =
   let lookup a b =
     let a = Char.uppercase_ascii a and b = Char.uppercase_ascii b in
     if a = b then 5 else -4
   in
-  { lookup; gap_open = -8; gap_extend = -2; table_cache = None }
+  { table = tabulate lookup; gap_open = -8; gap_extend = -2 }
 
 (* BLOSUM62, row/column order A R N D C Q E G H I L K M F P S T W Y V. *)
 let blosum62_order = "ARNDCQEGHILKMFPSTWYV"
@@ -47,22 +52,12 @@ let blosum62 =
     let ib = index.(Char.code (Char.uppercase_ascii b)) in
     if ia < 0 || ib < 0 then -4 else blosum62_rows.(ia).(ib)
   in
-  { lookup; gap_open = -11; gap_extend = -1; table_cache = None }
+  { table = tabulate lookup; gap_open = -11; gap_extend = -1 }
 
-let score t a b = t.lookup a b
+let score t a b =
+  Char.code t.table.[(Char.code a * 256) + Char.code b] - table_bias
 
-let table t =
-  match t.table_cache with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Array.make (256 * 256) 0 in
-      for a = 0 to 255 do
-        for b = 0 to 255 do
-          tbl.((a * 256) + b) <- t.lookup (Char.chr a) (Char.chr b)
-        done
-      done;
-      t.table_cache <- Some tbl;
-      tbl
+let table t = t.table
 
 let for_kind = function
   | Alphabet.Dna | Alphabet.Rna -> nucleotide

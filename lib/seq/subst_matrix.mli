@@ -14,9 +14,14 @@ val blosum62 : t
 
 val score : t -> char -> char -> int
 
-val table : t -> int array
-(** Flat 256x256 score table ([code a * 256 + code b]), built once per
-    matrix — the allocation-free fast path for alignment inner loops. *)
+val table : t -> string
+(** Flat 256x256 score table, one byte per score: the score of [a]
+    against [b] is [Char.code tbl.[code a * 256 + code b] - table_bias].
+    Built when the module initialises — the allocation-free fast path
+    for alignment inner loops, safe to read from any domain. *)
+
+val table_bias : int
+(** What {!table} adds to every score to store it in a byte. *)
 
 val for_kind : Alphabet.kind -> t
 

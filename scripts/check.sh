@@ -152,6 +152,22 @@ if sed -n '/HOT-PATH-BEGIN/,/HOT-PATH-END/p' "$f" \
 fi
 echo "grep-gate ok: text-similarity per-pair scoring uses prepared arrays only"
 
+# The Smith-Waterman score kernel (the code between the HOT-PATH-BEGIN /
+# HOT-PATH-END sentinels in align.ml, one iteration per DP cell of every
+# candidate pair) must stay int-only: Stdlib's max/min/compare are
+# polymorphic and, without flambda, each call is a generic compare, and a
+# hashtable, a format or a substring per cell would cost more than the
+# cell itself.
+f=lib/seq/align.ml
+grep -q 'HOT-PATH-BEGIN' "$f" && grep -q 'HOT-PATH-END' "$f" || {
+  echo "error: $f lost its HOT-PATH sentinels" >&2; exit 1; }
+if sed -n '/HOT-PATH-BEGIN/,/HOT-PATH-END/p' "$f" \
+    | grep -nE '\b(max|min|compare|Hashtbl|Printf)\b|\bString\.sub\b'; then
+  echo "error: $f calls a polymorphic or allocating primitive inside the Smith-Waterman cell loop (use the int-only helpers)" >&2
+  exit 1
+fi
+echo "grep-gate ok: Smith-Waterman cell loop is int-only"
+
 dune build
 dune runtest
 

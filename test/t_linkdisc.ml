@@ -62,6 +62,34 @@ let profiles () =
   Profile_list.of_profiles
     [ Source_profile.analyze (source_a ()); Source_profile.analyze (source_b ()) ]
 
+(* one source whose first two proteins carry near-identical sequences *)
+let source_paralogs () =
+  let cat = Catalog.create ~name:"src_p" in
+  let prot =
+    Catalog.create_relation cat ~name:"prot"
+      (Schema.of_names [ "prot_id"; "accession"; "prot_name"; "descr" ])
+  in
+  List.iteri
+    (fun i (acc, name, d) ->
+      Relation.insert prot
+        [| Value.Int (i + 1); Value.text acc; Value.text name; Value.text d |])
+    [ ("PX001", "KIN1A", "alpha kinase protein involved in DNA repair pathways");
+      ("PX002", "KIN1B", "a kinase paralog");
+      ("PX003", "RCP3C", "some receptor protein binding extracellular calcium") ];
+  let seq =
+    Catalog.create_relation cat ~name:"pseq"
+      (Schema.of_names [ "prot_id"; "seq_text" ])
+  in
+  Relation.insert seq
+    [| Value.Int 1; Value.text "ACGTACGGTACCATGGCATCGATCGGCTAGCTAGGCTAACG" |];
+  Relation.insert seq
+    [| Value.Int 2; Value.text "ACGTACGGTACCATGGCTTCGATCGGCTAGCTAGGCTAACG" |];
+  cat
+
+let link_key l =
+  let l = Link.normalized l in
+  Objref.to_string l.Link.src ^ "|" ^ Objref.to_string l.Link.dst
+
 let objref_tests =
   [
     Alcotest.test_case "to_string and compare" `Quick (fun () ->
@@ -257,15 +285,30 @@ let seq_state_tests =
         let fresh_b = Seq_links.state_add_source st ps ~source:"src_b" in
         check Alcotest.int "first add finds nothing new" 0 (List.length fresh_a);
         check Alcotest.bool "second add finds the pair" true (fresh_b <> []);
-        let key l =
-          let l = Link.normalized l in
-          Objref.to_string l.Link.src ^ "|" ^ Objref.to_string l.Link.dst
-        in
         check
           Alcotest.(list string)
           "same links"
-          (List.sort String.compare (List.map key batch.links))
-          (List.sort String.compare (List.map key (Seq_links.state_links st))));
+          (List.sort String.compare (List.map link_key batch.links))
+          (List.sort String.compare
+             (List.map link_key (Link.dedup (fresh_a @ fresh_b)))));
+    Alcotest.test_case "same-source homologs without cross_source_only" `Quick
+      (fun () ->
+        let ps =
+          Profile_list.of_profiles [ Source_profile.analyze (source_paralogs ()) ]
+        in
+        let params =
+          { Seq_links.default_params with cross_source_only = false }
+        in
+        let st = Seq_links.state_create ~params () in
+        let fresh = Seq_links.state_add_source st ps ~source:"src_p" in
+        check Alcotest.(list string) "paralog link" [ "src_p:PX001|src_p:PX002" ]
+          (List.map link_key fresh);
+        check Alcotest.(list string) "batch agrees"
+          (List.map link_key (Seq_links.discover ~params ps).links)
+          (List.map link_key fresh);
+        let st = Seq_links.state_create () in
+        check Alcotest.int "dropped when cross-source only" 0
+          (List.length (Seq_links.state_add_source st ps ~source:"src_p")));
     Alcotest.test_case "double add raises" `Quick (fun () ->
         let ps = profiles () in
         let st = Seq_links.state_create () in

@@ -65,6 +65,19 @@ let subst_tests =
            = Subst_matrix.score Subst_matrix.blosum62 b a));
   ]
 
+(* protein pairs for the score kernel: every BLOSUM62 letter plus X, B
+   and * (off-matrix bytes), length 1 often, equal lengths often *)
+let protein_pair =
+  let open QCheck.Gen in
+  let letters = List.of_seq (String.to_seq (Alphabet.protein ^ "XB*")) in
+  let len = frequency [ (1, return 1); (4, int_range 1 24) ] in
+  let str n = string_size ~gen:(oneofl letters) (return n) in
+  let gen =
+    len >>= fun n ->
+    frequency [ (1, return n); (2, len) ] >>= fun m -> pair (str n) (str m)
+  in
+  QCheck.make ~print:QCheck.Print.(pair string string) gen
+
 let align_tests =
   [
     Alcotest.test_case "global identical" `Quick (fun () ->
@@ -113,6 +126,15 @@ let align_tests =
                    (string_gen_of_size (QCheck.Gen.int_range 1 15)
                       (QCheck.Gen.oneofl [ 'A'; 'C'; 'G'; 'T' ])))
          (fun (a, b) -> Align.local_score a b = Align.local_score b a));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"blosum62 local_score matches traceback, symmetric" ~count:300
+         protein_pair
+         (fun (a, b) ->
+           let matrix = Subst_matrix.blosum62 in
+           let score = Align.local_score ~matrix a b in
+           score = (Align.local ~matrix a b).score
+           && score = Align.local_score ~matrix b a));
   ]
 
 let kmer_tests =
@@ -182,6 +204,50 @@ let homology_tests =
         Homology.add t ~id:"b" "ACGTATTTTTTTTTTTTTTTT";
         let weak = Homology.search t ~query_id:"a" "ACGTAACCGGTTACGTACGTA" ~min_normalized:0.9 in
         check Alcotest.int "no strong hit" 0 (List.length weak));
+    Alcotest.test_case "all_pairs keeps each search's orientation" `Quick
+      (fun () ->
+        (* equal-length pairs with different self-scores: on tied lengths
+           the normalized score divides by the query's self-score, so a
+           pair aligned from the wrong side would change its hit *)
+        let base = "MKWVTFISLLFLFSSAYSRGVFRRDAHKSE" in
+        let seqs =
+          [ ("a", base);
+            ("b", "MKAVTFISLLFLFSSAYSRGVFRRDAHKSE");
+            ("c", "MKWVTFISLLFLFWWAYSRGVFRRDAHKSE");
+            ("d", "MKWVTFISLLFLFSSAYSRGVFRR");
+            ("e", "MKWVTFISLLFLFSSAYSRGVFRRDAHKSECC");
+            ("f", "PPPPGGGGDDDDEEEENNNNQQQQHHHHRR") ]
+        in
+        let t = Homology.create Alphabet.Protein in
+        List.iter (fun (id, s) -> Homology.add t ~id s) seqs;
+        let show (h : Homology.hit) =
+          Printf.sprintf "%s>%s raw=%d norm=%h kmers=%d" h.query_id
+            h.subject_id h.raw_score h.normalized h.shared_kmers
+        in
+        let expected =
+          List.concat_map
+            (fun (id, s) ->
+              Homology.search t ~query_id:id s ~min_normalized:0.3
+              |> List.filter (fun (h : Homology.hit) ->
+                     h.query_id < h.subject_id))
+            seqs
+        in
+        check Alcotest.(list string) "all_pairs = filtered searches"
+          (List.map show expected)
+          (List.map show (Homology.all_pairs t ~min_normalized:0.3));
+        let self = Align.self_score Subst_matrix.blosum62 in
+        match
+          List.find_opt
+            (fun (h : Homology.hit) -> h.query_id = "a" && h.subject_id = "c")
+            expected
+        with
+        | Some h ->
+            check Alcotest.bool "self-scores differ" true
+              (self base <> self (List.assoc "c" seqs));
+            check (Alcotest.float 0.0) "query's self-score"
+              (float_of_int h.raw_score /. float_of_int (self base))
+              h.normalized
+        | None -> Alcotest.fail "no a>c hit");
     Alcotest.test_case "protein homology" `Quick (fun () ->
         let t = Homology.create Alphabet.Protein in
         let s = "MKWVTFISLLFLFSSAYSRGVFRRDAH" in
