@@ -1112,6 +1112,12 @@ let micro () =
   let set_b =
     Rel.Vset.of_list (List.init 4000 (fun i -> Rel.Value.Int i))
   in
+  (* two related ~300-residue proteins, prepared once as dup detection
+     prepares every field value; the kernel is the per-pair comparison *)
+  let res_a = Dg.Seq_gen.protein rng 300 in
+  let res_b = Dg.Seq_gen.mutate rng ~rate:0.1 res_a in
+  assert (Dup.Field_sim.choose_metric res_a res_b = Dup.Field_sim.Sequence_metric);
+  let field_a = Dup.Field_sim.prepare res_a and field_b = Dup.Field_sim.prepare res_b in
   let tests =
     [
       Test.make ~name:"levenshtein-24" (Staged.stage (fun () ->
@@ -1129,6 +1135,8 @@ let micro () =
           Rel.Vset.subset set_a set_b));
       Test.make ~name:"jaro-winkler" (Staged.stage (fun () ->
           Aladin_text.Strdist.jaro_winkler "dehydrogenase" "decarboxylase"));
+      Test.make ~name:"field-sim-seq-dice" (Staged.stage (fun () ->
+          Dup.Field_sim.similarity_prepared field_a field_b));
     ]
   in
   let open Bechamel.Toolkit in

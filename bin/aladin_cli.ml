@@ -348,25 +348,12 @@ let dups_cmd =
           (fun cluster ->
             Printf.printf "  { %s }\n" (String.concat ", " cluster))
           d.clusters;
-        if explain then begin
-          let by_key = Hashtbl.create 64 in
+        if explain then
           List.iter
-            (fun (r : Aladin_dup.Object_sim.repr) ->
-              Hashtbl.replace by_key (Aladin_links.Objref.to_string r.obj) r)
-            d.reprs;
-          let context = Aladin_dup.Object_sim.context_of d.reprs in
-          List.iter
-            (fun (l : Aladin_links.Link.t) ->
-              match
-                ( Hashtbl.find_opt by_key (Aladin_links.Objref.to_string l.src),
-                  Hashtbl.find_opt by_key (Aladin_links.Objref.to_string l.dst) )
-              with
-              | Some a, Some b ->
-                  print_newline ();
-                  print_string (Aladin_dup.Object_sim.explain ~context a b)
-              | _ -> ())
-            d.links
-        end
+            (fun (_, text) ->
+              print_newline ();
+              print_string text)
+            (Aladin_dup.Dup_detect.explain d)
   in
   Cmd.v
     (Cmd.info "dups" ~doc:"List flagged duplicate objects (never merged).")

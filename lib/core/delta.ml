@@ -12,24 +12,6 @@ module Obs = Aladin_obs
 module Res = Aladin_resilience
 module Report = Res.Run_report
 
-(* --- per-source duplicate representations, cached across runs ---
-
-   A source's representations depend only on its own rows and on the
-   exclude-attribute triples naming it (cross-reference attributes stay
-   out of duplicate evidence), so they are cached per source keyed by
-   that triple set and rebuilt only when it changes. *)
-
-type repr_cache = {
-  reprs :
-    ( string,
-      (string * string * string) list * Dup.Object_sim.repr list )
-    Hashtbl.t;
-}
-
-let cache_create () = { reprs = Hashtbl.create 8 }
-
-let cache_invalidate cache source = Hashtbl.remove cache.reprs source
-
 type audit = {
   recomputed_pairs : (string * string) list;
   reused_pairs : (string * string) list;
@@ -146,11 +128,8 @@ type link_run = {
   onto_hubs : int;
 }
 
-let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~cache
+let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
     ~seq_state ~changed () =
-  (* the changed source's rows changed, so its cached representations
-     are stale whatever their exclude set says *)
-  cache_invalidate cache changed;
   let budgets = cfg.budgets in
   let lp = cfg.linker in
   let others = List.filter (fun s -> s <> changed) source_order in
@@ -449,10 +428,10 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~cache
 
   (* --- the duplicate phase: a pair's stored links stay valid unless an
      endpoint's rows changed or its exclude-attribute set shifted under
-     the new correspondences. Missing cached reprs (a fresh process after
-     a store load) do NOT dirty a pair: re-prepping an unchanged source
-     under an unchanged exclude set reproduces the representations its
-     stored links were computed from. --- *)
+     the new correspondences. A source is prepared afresh in every relink
+     (linear), which reproduces, for an unchanged source under an
+     unchanged exclude set, the representations its stored links were
+     computed from; only dirty pairs (quadratic) are re-detected. --- *)
   let new_excludes = excludes_of () in
   let dirty s =
     s = changed || List.assoc s old_excludes <> List.assoc s new_excludes
@@ -473,41 +452,35 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~cache
           { e with Pair_store.dup_links = []; dup_candidates = 0 })
       dup_pairs
   in
-  let dup_ok, dup_step =
+  (* the representations of every source when the dup phase succeeded *)
+  let dup_reprs, dup_step =
     match budgets.dups with
     | Some b when b <= 0.0 ->
         skipped_span "duplicate detection";
         clear_dup_fields ();
-        ( false,
+        ( None,
           Report.step "duplicate detection" (Report.Skipped Report.Budget_zero)
         )
     | dup_budget -> (
         let res, dup_secs =
           bounded ~name:"duplicate detection" ?budget:dup_budget (fun () ->
-              (* (re)prep whatever is missing or keyed to a stale exclude
-                 set — linear per source, unlike the pairwise detection *)
-              List.iter
-                (fun s ->
-                  let excl = List.assoc s new_excludes in
-                  let fresh =
-                    match Hashtbl.find_opt cache.reprs s with
-                    | Some (e, _) -> e = excl
-                    | None -> false
-                  in
-                  if not fresh then
-                    Hashtbl.replace cache.reprs s
-                      ( excl,
-                        Dup.Dup_detect.prep_source ~exclude_attributes:excl
-                          profiles ~source:s ))
-                source_order;
+              (* each source is prepared once for all of this relink's
+                 pairs; the table goes away with the relink *)
+              let prepared =
+                List.map
+                  (fun s ->
+                    ( s,
+                      Dup.Dup_detect.prep_source ~pool
+                        ~exclude_attributes:(List.assoc s new_excludes)
+                        profiles ~source:s ))
+                  source_order
+              in
               let results =
                 List.map
                   (fun ((a, b) as p) ->
-                    let _, ra = Hashtbl.find cache.reprs a in
-                    let _, rb = Hashtbl.find cache.reprs b in
                     ( p,
                       Dup.Dup_detect.detect_between ~params:cfg.dup ~pool
-                        ~reprs_a:ra ~reprs_b:rb () ))
+                        (List.assoc a prepared) (List.assoc b prepared) ))
                   dup_pairs
               in
               let rs = List.map snd results in
@@ -517,10 +490,13 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~cache
               Obs.Trace.ambient_incr
                 ~by:(sum (fun (r : Dup.Dup_detect.result) -> List.length r.links) rs)
                 "dup.links";
-              results)
+              ( results,
+                List.concat_map
+                  (fun (_, src) -> Dup.Dup_detect.reprs_of_source src)
+                  prepared ))
         in
         match res with
-        | Ok results ->
+        | Ok (results, reprs) ->
             List.iter
               (fun ((a, b) as p, (r : Dup.Dup_detect.result)) ->
                 let e = current_entry p in
@@ -528,16 +504,16 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~cache
                   { e with Pair_store.dup_links = r.links;
                     dup_candidates = r.candidates_checked })
               results;
-            ( true,
+            ( Some reprs,
               Report.step ~seconds:dup_secs "duplicate detection" Report.Ok )
         | Error (Report.Timeout b) ->
             clear_dup_fields ();
-            ( false,
+            ( None,
               Report.step ~seconds:dup_secs "duplicate detection"
                 (Report.Skipped (Report.Budget_exhausted b)) )
         | Error (Report.Crashed _ as e) ->
             clear_dup_fields ();
-            ( false,
+            ( None,
               Report.step ~seconds:dup_secs "duplicate detection"
                 (Report.Failed e) ))
   in
@@ -590,29 +566,23 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~cache
           }
   in
   let dups =
-    if not dup_ok then None
-    else begin
-      let dup_all = merged (fun e -> e.Pair_store.dup_links) in
-      let uf = Dup.Union_find.create () in
-      List.iter
-        (fun (l : Link.t) ->
-          Dup.Union_find.union uf (Objref.to_string l.src)
-            (Objref.to_string l.dst))
-        dup_all;
-      Some
-        {
-          Dup.Dup_detect.links = dup_all;
-          clusters = Dup.Union_find.clusters uf;
-          candidates_checked = Pair_store.dup_candidates_total store;
-          reprs =
-            List.concat_map
-              (fun s ->
-                match Hashtbl.find_opt cache.reprs s with
-                | Some (_, r) -> r
-                | None -> [])
-              source_order;
-        }
-    end
+    match dup_reprs with
+    | None -> None
+    | Some reprs ->
+        let dup_all = merged (fun e -> e.Pair_store.dup_links) in
+        let uf = Dup.Union_find.create () in
+        List.iter
+          (fun (l : Link.t) ->
+            Dup.Union_find.union uf (Objref.to_string l.src)
+              (Objref.to_string l.dst))
+          dup_all;
+        Some
+          {
+            Dup.Dup_detect.links = dup_all;
+            clusters = Dup.Union_find.clusters uf;
+            candidates_checked = Pair_store.dup_candidates_total store;
+            reprs;
+          }
   in
   let changed_kinds =
     List.filter

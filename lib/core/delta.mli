@@ -21,15 +21,6 @@ open Aladin_links
 module Dup = Aladin_dup
 module Report = Aladin_resilience.Run_report
 
-type repr_cache
-(** Per-source duplicate representations, cached across delta runs and
-    keyed by the exclude-attribute triples that shaped them. *)
-
-val cache_create : unit -> repr_cache
-
-val cache_invalidate : repr_cache -> string -> unit
-(** Forget one source's cached representations (its rows changed). *)
-
 type audit = {
   recomputed_pairs : (string * string) list;
       (** canonical source pairs this run recomputed (link passes, dup
@@ -61,7 +52,6 @@ val relink :
   profiles:Profile_list.t ->
   source_order:string list ->
   store:Pair_store.t ->
-  cache:repr_cache ->
   seq_state:Seq_links.state option ->
   changed:string ->
   unit ->
@@ -69,4 +59,10 @@ val relink :
 (** [source_order] is the warehouse catalog order with [changed] last
     (an updated source moves to the end, which is what makes the
     persistent homology index reusable: the others' relative order is
-    unchanged). The store is mutated in place. *)
+    unchanged). The store is mutated in place.
+
+    The duplicate phase prepares each source once
+    ({!Aladin_dup.Dup_detect.prep_source}, under its current
+    exclude-attribute set) and reuses that preparation in every dirty
+    pair of this relink. Nothing of it outlives the call: a later relink
+    prepares afresh, so no prepared form is kept alive between runs. *)

@@ -23,7 +23,6 @@ type t = {
   mutable profile_list : Profile_list.t;
   repo : Repository.t;
   mutable pair_store : Pair_store.t;
-  repr_cache : Delta.repr_cache;
   gen : Generation.t;
   mutable last_report : Linker.report option;
   mutable last_dups : Dup.Dup_detect.result option;
@@ -47,7 +46,6 @@ let create ?(config = Config.default) () =
     profile_list = Profile_list.empty;
     repo = Repository.create ();
     pair_store = Pair_store.create ();
-    repr_cache = Delta.cache_create ();
     gen = Generation.create ();
     last_report = None;
     last_dups = None;
@@ -116,8 +114,7 @@ let relink ~changed t =
   let source_order = List.map Catalog.name t.catalog_list in
   let out =
     Delta.relink ~cfg:t.cfg ~pool:t.pool ~profiles:t.profile_list
-      ~source_order ~store:t.pair_store ~cache:t.repr_cache
-      ~seq_state:t.seq_state ~changed ()
+      ~source_order ~store:t.pair_store ~seq_state:t.seq_state ~changed ()
   in
   t.seq_state <- out.Delta.seq_state;
   t.last_report <- out.report;

@@ -78,11 +78,12 @@ let slices nshards xs =
     go xs []
   end
 
-(* Candidate generation over the reprs array; pairs are index pairs
-   (i, j) with i < j, sorted — a canonical form that no longer depends on
-   hash-table iteration order, which also makes the sharded parallel run
-   trivially equal to the sequential one. *)
-let candidate_index_pairs ?pool params (reprs : Object_sim.repr array) =
+(* Candidate generation over the reprs array and each object's blocking
+   keys; pairs are index pairs (i, j) with i < j, sorted — a canonical
+   form that no longer depends on hash-table iteration order, which also
+   makes the sharded parallel run trivially equal to the sequential one. *)
+let candidate_index_pairs ?pool params (reprs : Object_sim.repr array)
+    (keys : string list array) =
   let n = Array.length reprs in
   let source_of i = reprs.(i).Object_sim.obj.Objref.source in
   if params.all_pairs then begin
@@ -95,12 +96,8 @@ let candidate_index_pairs ?pool params (reprs : Object_sim.repr array) =
     !out
   end
   else begin
-    (* per-object key lists fan out: blocking_keys is tokenization-heavy *)
-    let keys =
-      Pool.map ?pool (fun i -> blocking_keys reprs.(i)) (List.init n Fun.id)
-    in
     let blocks : (string, int list ref) Hashtbl.t = Hashtbl.create 256 in
-    List.iteri
+    Array.iteri
       (fun i ks ->
         List.iter
           (fun key ->
@@ -161,24 +158,59 @@ let candidate_index_pairs ?pool params (reprs : Object_sim.repr array) =
 
 let candidate_pairs ?pool params reprs =
   let arr = Array.of_list reprs in
+  (* per-object key lists fan out: blocking_keys is tokenization-heavy *)
+  let keys = Array.of_list (Pool.map ?pool blocking_keys reprs) in
   List.map
     (fun (i, j) -> (arr.(i), arr.(j)))
-    (candidate_index_pairs ?pool params arr)
+    (candidate_index_pairs ?pool params arr keys)
 
-let detect_on ?(params = default_params) ?pool reprs =
+(* one object ready for detection in any source pair: its prepared fields
+   and its blocking keys, neither of which depends on the other objects *)
+type entry = { prep : Object_sim.prepared; keys : string list }
+
+type prepared_source = entry list
+
+let prepare_reprs ?pool reprs =
+  (* one token list per attribute name, shared by every field carrying
+     it; filled before the fan-out and only read inside it *)
+  let names = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Object_sim.repr) ->
+      List.iter
+        (fun (attr, _) ->
+          if not (Hashtbl.mem names attr) then
+            Hashtbl.add names attr (Field_sim.name_tokens attr))
+        r.fields)
+    reprs;
+  Pool.map ?pool
+    (fun r ->
+      {
+        prep = Object_sim.prepare ~name_tokens:(Hashtbl.find names) r;
+        keys = blocking_keys r;
+      })
+    reprs
+
+let reprs_of_source src =
+  List.map (fun e -> Object_sim.repr_of_prepared e.prep) src
+
+(* the one detection core: objects sorted by Objref *)
+let detect_prepared ?(params = default_params) ?pool entries =
+  let prepared = List.map (fun e -> e.prep) entries in
+  let reprs = List.map Object_sim.repr_of_prepared prepared in
   let arr = Array.of_list reprs in
-  let context = Object_sim.context_of reprs in
-  (* prepare every representation ONCE before the pairwise fan-out:
-     lowercasing, tokenization and df interning leave the per-pair path *)
-  let prepared =
-    Array.of_list (Pool.map ?pool (Object_sim.prepare ~context) reprs)
+  (* df statistics are local to the objects compared together, so they
+     are bound here, once per object, never inside the pairwise fan-out *)
+  let context = Object_sim.context_of_prepared prepared in
+  let bound = Array.of_list (List.map (Object_sim.bind ~context) prepared) in
+  let pairs =
+    candidate_index_pairs ?pool params arr
+      (Array.of_list (List.map (fun e -> e.keys) entries))
   in
-  let pairs = candidate_index_pairs ?pool params arr in
   (* similarity only reads prepared data, so it fans out; union-find and
      link building stay sequential in pair order *)
   let sims =
     Pool.map ?pool
-      (fun (i, j) -> Object_sim.similarity_prepared prepared.(i) prepared.(j))
+      (fun (i, j) -> Object_sim.similarity_prepared bound.(i) bound.(j))
       pairs
   in
   let uf = Union_find.create () in
@@ -204,21 +236,59 @@ let detect_on ?(params = default_params) ?pool reprs =
     reprs;
   }
 
+let detect_on ?params ?pool reprs =
+  detect_prepared ?params ?pool (prepare_reprs ?pool reprs)
+
 let detect ?params ?pool ?exclude_attributes profiles =
   detect_on ?params ?pool (Object_sim.build_reprs ?exclude_attributes profiles)
 
 (* --- pairwise entry points (delta pipeline) --- *)
 
-let prep_source ?exclude_attributes profiles ~source =
-  Object_sim.build_reprs ?exclude_attributes
-    (Profile_list.restrict profiles [ source ])
+let prep_source ?pool ?exclude_attributes profiles ~source =
+  prepare_reprs ?pool
+    (Object_sim.build_reprs ?exclude_attributes
+       (Profile_list.restrict profiles [ source ]))
 
-let detect_between ?params ?pool ~reprs_a ~reprs_b () =
-  (* each per-source list is sorted by object (build_reprs' contract), so
-     the sorted merge reproduces exactly what build_reprs over the
-     two-source restriction would return — but the per-source halves are
-     cached across delta runs instead of being rebuilt per pair *)
-  let cmp (x : Object_sim.repr) (y : Object_sim.repr) =
-    Objref.compare x.obj y.obj
+let detect_between ?params ?pool a b =
+  (* each source is sorted by object (build_reprs' contract), so the
+     sorted merge is exactly what build_reprs over the two-source
+     restriction would return *)
+  let cmp x y =
+    Objref.compare (Object_sim.repr_of_prepared x.prep).obj
+      (Object_sim.repr_of_prepared y.prep).obj
   in
-  detect_on ?params ?pool (List.merge cmp reprs_a reprs_b)
+  detect_prepared ?params ?pool (List.merge cmp a b)
+
+let explain (r : result) =
+  let by_key = Hashtbl.create 256 in
+  List.iter
+    (fun (o : Object_sim.repr) ->
+      Hashtbl.replace by_key (Objref.to_string o.obj) o)
+    r.reprs;
+  (* detection scored each link under the df context of its two sources *)
+  let contexts = Hashtbl.create 8 in
+  let context_of_pair sa sb =
+    match Hashtbl.find_opt contexts (sa, sb) with
+    | Some ctx -> ctx
+    | None ->
+        let ctx =
+          Object_sim.context_of
+            (List.filter
+               (fun (o : Object_sim.repr) ->
+                 o.obj.source = sa || o.obj.source = sb)
+               r.reprs)
+        in
+        Hashtbl.add contexts (sa, sb) ctx;
+        ctx
+  in
+  List.filter_map
+    (fun (l : Link.t) ->
+      match
+        ( Hashtbl.find_opt by_key (Objref.to_string l.src),
+          Hashtbl.find_opt by_key (Objref.to_string l.dst) )
+      with
+      | Some a, Some b ->
+          let context = context_of_pair l.src.source l.dst.source in
+          Some (l, Object_sim.explain ~context a b)
+      | _ -> None)
+    r.links

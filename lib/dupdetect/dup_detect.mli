@@ -54,28 +54,50 @@ val detect :
 
 val detect_on :
   ?params:params -> ?pool:Aladin_par.Pool.t -> Object_sim.repr list -> result
-(** Same, over prebuilt representations (lets experiments reuse them). *)
+(** Same, over prebuilt representations (lets experiments reuse them):
+    prepares every object once, then runs the same core as
+    {!detect_between}. *)
+
+type prepared_source
+(** One source ready for {!detect_between}: its representations, each
+    object's {!Object_sim.prepared} fields and its {!blocking_keys}. None
+    of it depends on the source it is later paired with. *)
 
 val prep_source :
+  ?pool:Aladin_par.Pool.t ->
   ?exclude_attributes:(string * string * string) list ->
   Profile_list.t ->
   source:string ->
-  Object_sim.repr list
-(** One source's representations ({!Object_sim.build_reprs} over the
-    restriction to [source]) — the per-source half the delta pipeline
-    caches and reuses across {!detect_between} calls. Only
+  prepared_source
+(** Build ({!Object_sim.build_reprs} over the restriction to [source])
+    and prepare one source's objects, fanned out over the [pool]. The
+    delta pipeline prepares each source at most once per relink and
+    reuses it in every {!detect_between} call of that relink. Only
     [exclude_attributes] triples naming [source] matter here. *)
+
+val reprs_of_source : prepared_source -> Object_sim.repr list
+(** The representations a source was prepared from, sorted by object. *)
 
 val detect_between :
   ?params:params ->
   ?pool:Aladin_par.Pool.t ->
-  reprs_a:Object_sim.repr list ->
-  reprs_b:Object_sim.repr list ->
-  unit ->
+  prepared_source ->
+  prepared_source ->
   result
-(** {!detect_on} over the sorted merge of two sources' prepared
-    representations — the delta pipeline's unit of dup work. Candidate
-    blocking is cross-source only, so the pair's links depend only on the
-    two sources; token document frequencies and the blocking cap are
-    pair-local (a refinement of the old whole-warehouse statistics,
-    applied uniformly by routing every dup pass through pairs). *)
+(** Duplicate detection over two prepared sources — the delta pipeline's
+    unit of dup work. Merges them in object order, builds the df context
+    of just these two sources from the stored df keys, binds each
+    object's field dfs once ({!Object_sim.bind}), then blocks and scores
+    exactly as {!detect_on} over the merged representations does.
+    Candidate blocking is cross-source only, so the pair's links depend
+    only on the two sources; token document frequencies and the blocking
+    cap are pair-local (a refinement of the old whole-warehouse
+    statistics, applied uniformly by routing every dup pass through
+    pairs). *)
+
+val explain : result -> (Link.t * string) list
+(** {!Object_sim.explain} of each link of the result whose two objects
+    are in its [reprs], in link order. Each pair is scored under the df
+    context of its link's two sources, the context detection scored it
+    under, so every derivation ends in the link's confidence (as
+    [aladin dups --explain] prints it). *)

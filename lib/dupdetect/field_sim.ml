@@ -33,17 +33,55 @@ type prepared = {
   empty : bool;  (* trimmed value is empty *)
   lc : string;  (* lowercased trimmed value *)
   is_seq : bool;  (* is_sequence lc *)
+  bigrams : int array;
+      (* is_seq only: lc's byte bigrams as sorted int codes, the multiset
+         Strdist.dice_bigrams counts; [||] otherwise *)
   long : bool;  (* String.length lc >= 25: the Token-metric trigger *)
   terms : string list;  (* sorted unique Tokenize.terms of lc *)
 }
 
+(* s's byte bigrams as ints (first byte high), sorted by a two-pass LSD
+   radix sort: linear, where a comparison sort cost more than everything
+   else [prepare] does to a sequence *)
+let bigram_codes s =
+  let n = max 0 (String.length s - 1) in
+  let codes =
+    Array.init n (fun i -> (Char.code s.[i] lsl 8) lor Char.code s.[i + 1])
+  in
+  let tmp = Array.make n 0 in
+  let pass shift src dst =
+    let start = Array.make 257 0 in
+    for i = 0 to n - 1 do
+      let b = (src.(i) lsr shift) land 255 in
+      start.(b + 1) <- start.(b + 1) + 1
+    done;
+    for b = 1 to 256 do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    for i = 0 to n - 1 do
+      let b = (src.(i) lsr shift) land 255 in
+      dst.(start.(b)) <- src.(i);
+      start.(b) <- start.(b) + 1
+    done
+  in
+  pass 0 codes tmp;
+  pass 8 tmp codes;
+  codes
+
+(* an already-lowercase value comes back as itself, so a caller that
+   keeps its own lowercased copy of the value does not get a second one *)
+let lowercase s =
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') s then String.lowercase_ascii s
+  else s
+
 let prepare raw =
-  let t = String.trim raw in
-  let lc = String.lowercase_ascii t in
+  let lc = String.trim (lowercase raw) in
+  let is_seq = is_sequence lc in
   {
-    empty = t = "";
+    empty = lc = "";
     lc;
-    is_seq = is_sequence lc;
+    is_seq;
+    bigrams = (if is_seq then bigram_codes lc else [||]);
     long = String.length lc >= 25;
     terms = List.sort_uniq String.compare (Tx.Tokenize.terms lc);
   }
@@ -73,11 +111,33 @@ let jaccard_prepared a b =
     float_of_int inter /. float_of_int (na + nb - inter)
   end
 
+(* Dice over two sorted bigram-code arrays: a sorted merge counts the
+   multiset intersection. Equals Strdist's hashtable-built bigram Dice of
+   a.lc and b.lc, bit for bit. *)
+let dice_prepared (a : int array) (b : int array) =
+  let na = Array.length a and nb = Array.length b in
+  if na = 0 && nb = 0 then 1.0
+  else if na = 0 || nb = 0 then 0.0
+  else begin
+    let i = ref 0 and j = ref 0 and inter = ref 0 in
+    while !i < na && !j < nb do
+      let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+      if x = y then begin
+        incr inter;
+        incr i;
+        incr j
+      end
+      else if x < y then incr i
+      else incr j
+    done;
+    2.0 *. float_of_int !inter /. float_of_int (na + nb)
+  end
+
 let similarity_prepared a b =
   if a.empty && b.empty then 1.0
   else if a.empty || b.empty then 0.0
   else if a.lc = b.lc then 1.0 (* Exact *)
-  else if a.is_seq && b.is_seq then Tx.Strdist.dice_bigrams a.lc b.lc
+  else if a.is_seq && b.is_seq then dice_prepared a.bigrams b.bigrams
   else if a.long || b.long then jaccard_prepared a b
   else Tx.Strdist.jaro_winkler a.lc b.lc
 

@@ -20,10 +20,12 @@ val is_sequence_value : string -> bool
 
 type prepared
 (** A value normalized exactly once: trimmed, lowercased, sequence-flagged
-    and tokenized. {!similarity} is [O(pairs x value length)] in
+    and tokenized, and for a sequence its byte bigrams as a sorted array
+    of int codes. {!similarity} is [O(pairs x value length)] in
     normalization work when called naively inside a candidate fan-out; the
     prepared form moves all of that to a single pre-pass so the per-pair
-    cost is just the metric itself. *)
+    cost is just the metric itself — for sequences a sorted merge of the
+    two bigram arrays, with no per-pair allocation. *)
 
 val prepare : string -> prepared
 

@@ -75,24 +75,36 @@ let default_weights = { w_value = 0.8; w_name = 0.2 }
 
 type context = { df : (string, int) Hashtbl.t; n_objects : int }
 
-let context_of reprs =
+(* the df keys of one object: its lowercased values, each counted once *)
+let distinct_keys keys =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun k ->
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        true
+      end)
+    keys
+
+let context_of_keys n_objects key_lists =
   let df = Hashtbl.create 1024 in
   List.iter
-    (fun r ->
-      let seen = Hashtbl.create 16 in
-      List.iter
-        (fun (_, v) ->
-          let v = String.lowercase_ascii v in
-          if not (Hashtbl.mem seen v) then begin
-            Hashtbl.add seen v ();
-            Hashtbl.replace df v (1 + try Hashtbl.find df v with Not_found -> 0)
-          end)
-        r.fields)
-    reprs;
-  { df; n_objects = List.length reprs }
+    (List.iter (fun k ->
+         Hashtbl.replace df k (1 + try Hashtbl.find df k with Not_found -> 0)))
+    key_lists;
+  { df; n_objects }
 
-let df_of ctx v =
-  try Hashtbl.find ctx.df (String.lowercase_ascii v) with Not_found -> 1
+let context_of reprs =
+  context_of_keys (List.length reprs)
+    (List.map
+       (fun r ->
+         distinct_keys (List.map (fun (_, v) -> String.lowercase_ascii v) r.fields))
+       reprs)
+
+let df_of_key ctx k = try Hashtbl.find ctx.df k with Not_found -> 1
+
+let df_of ctx v = df_of_key ctx (String.lowercase_ascii v)
 
 (* a value is "identifying" when only a handful of objects carry it *)
 let identity_df_cap ctx = max 8 (ctx.n_objects / 50)
@@ -105,9 +117,9 @@ let identity_df_cap ctx = max 8 (ctx.n_objects / 50)
 type pfield = {
   attr : string;  (* original qualified attribute name *)
   value : string;  (* original value (for output tuples / evidence) *)
+  key : string;  (* String.lowercase_ascii value: the df key *)
   name_toks : string list;  (* Field_sim.name_tokens attr *)
   pv : Field_sim.prepared;  (* trimmed/lowercased/tokenized value *)
-  dfv : int;  (* interned df of the value under the context; 1 without *)
   (* anchor shape of the value itself: >= 4 chars, identifier-shaped
      (contains a digit) or substantial text, and not a sequence *)
   anchor_shape : bool;
@@ -117,20 +129,23 @@ type pfield = {
 type prepared = {
   prepr : repr;
   pfields : pfield array;
-  pctx : context option;
+  keys : string list;  (* distinct df keys, for context_of_prepared *)
 }
 
-let prepare ?context r =
+let prepare ?(name_tokens = Field_sim.name_tokens) r =
   let pfields =
     List.map
       (fun (attr, v) ->
         let seq_raw = Field_sim.is_sequence_value v in
+        let key = String.lowercase_ascii v in
         {
           attr;
           value = v;
-          name_toks = Field_sim.name_tokens attr;
-          pv = Field_sim.prepare v;
-          dfv = (match context with Some ctx -> df_of ctx v | None -> 1);
+          key;
+          name_toks = name_tokens attr;
+          (* prepared from the key, so the prepared value shares its
+             string unless trimming changed it *)
+          pv = Field_sim.prepare key;
           anchor_shape =
             String.length v >= 4
             && (String.exists (fun c -> c >= '0' && c <= '9') v
@@ -139,11 +154,30 @@ let prepare ?context r =
           seq_raw;
         })
       r.fields
-    |> Array.of_list
   in
-  { prepr = r; pfields; pctx = context }
+  {
+    prepr = r;
+    pfields = Array.of_list pfields;
+    keys = distinct_keys (List.map (fun f -> f.key) pfields);
+  }
 
 let repr_of_prepared p = p.prepr
+
+let context_of_prepared ps =
+  context_of_keys (List.length ps) (List.map (fun p -> p.keys) ps)
+
+(* a prepared object with its fields' dfs resolved under one context *)
+type bound = { prep : prepared; dfs : int array; ctx : context option }
+
+let bind ?context p =
+  {
+    prep = p;
+    dfs =
+      (match context with
+      | Some ctx -> Array.map (fun f -> df_of_key ctx f.key) p.pfields
+      | None -> Array.make (Array.length p.pfields) 1);
+    ctx = context;
+  }
 
 (* IDF of the rarer of the two matched values *)
 let idf_weight context va vb =
@@ -164,25 +198,6 @@ let anchor_match ctx ~name_sim ~vs va vb =
   && (String.exists (fun c -> c >= '0' && c <= '9') va || String.length va >= 25)
   && (not (Field_sim.is_sequence_value va))
   && not (Field_sim.is_sequence_value vb)
-
-(* HOT-PATH-BEGIN: per-candidate-pair code. Everything below runs once per
-   candidate pair inside the duplicate-detection fan-out; value
-   normalization, tokenization, sequence detection and df lookups must all
-   come from the [prepare]d fields, never be recomputed here (enforced by
-   a grep-gate in scripts/check.sh). *)
-
-let idf_weight_p context (fa : pfield) (fb : pfield) =
-  match context with
-  | None -> 1.0
-  | Some ctx ->
-      let d = min fa.dfv fb.dfv in
-      log (1.0 +. (float_of_int (max 1 ctx.n_objects) /. float_of_int d))
-
-let anchor_match_p ctx ~name_sim ~vs (fa : pfield) (fb : pfield) =
-  vs >= 0.85 && name_sim > 0.0
-  && min fa.dfv fb.dfv <= identity_df_cap ctx
-  && fa.anchor_shape
-  && not fb.seq_raw
 
 (* greedy best-counterpart matching, smaller object driving; returns
    (field of a, field of b, value similarity) in a-field order *)
@@ -210,57 +225,73 @@ let field_matches_prepared a b =
     smaller.pfields;
   List.rev !out
 
+(* HOT-PATH-BEGIN: per-candidate-pair code. Everything below runs once per
+   candidate pair inside the duplicate-detection fan-out; value
+   normalization, tokenization, sequence detection and df lookups must all
+   come from the [prepare]d fields and the [bind]-time df arrays, never be
+   recomputed here (enforced by a grep-gate in scripts/check.sh). *)
+
+let imin (a : int) b = if a <= b then a else b
+
+let imax (a : int) b = if a >= b then a else b
+
 let similarity_prepared ?(weights = default_weights) a b =
-  if Array.length a.pfields = 0 || Array.length b.pfields = 0 then 0.0
+  let na = Array.length a.prep.pfields and nb = Array.length b.prep.pfields in
+  if na = 0 || nb = 0 then 0.0
   else begin
-    let context = a.pctx in
+    let context = a.ctx in
     (* Fellegi-Sunter flavour: agreement on a rare value is strong evidence,
        disagreement is weak evidence either way; and a true duplicate must
        agree on at least one identifying (near-unique) value. The greedy
        matching is fused into the scoring loop — no per-pair match list is
        materialized on this path. *)
-    let smaller, larger =
-      if Array.length a.pfields <= Array.length b.pfields then (a, b) else (b, a)
-    in
-    let swapped = smaller != a in
+    let swapped = na > nb in
+    let smaller = if swapped then b else a and larger = if swapped then a else b in
+    let sf = smaller.prep.pfields and lf = larger.prep.pfields in
     let identity_agreement = ref false in
     (* float-array cells, not float refs: every [:=] on a float ref boxes
        (no flambda), and this loop runs per candidate pair *)
     let acc = [| 0.0; 0.0; 0.0 |] in
     (* acc.(0) = total, acc.(1) = wsum, acc.(2) = best vs of current fs *)
-    let nl = Array.length larger.pfields in
-    Array.iter
-      (fun (fs : pfield) ->
-        let best_i = ref (-1) in
-        acc.(2) <- neg_infinity;
-        for l = 0 to nl - 1 do
-          let vs = Field_sim.similarity_prepared fs.pv larger.pfields.(l).pv in
-          if vs > acc.(2) then begin
-            acc.(2) <- vs;
-            best_i := l
-          end
-        done;
-        if !best_i >= 0 then begin
-          let fl = larger.pfields.(!best_i) and vs = acc.(2) in
-          let fa, fb = if swapped then (fl, fs) else (fs, fl) in
-            let name_sim =
-              Field_sim.name_affinity_tokens fa.name_toks fb.name_toks
-            in
-            let s = (weights.w_value *. vs) +. (weights.w_name *. name_sim) in
-            (* a greedy value match between unrelated attributes (an accession
-               landing on "bait") must not be amplified as evidence *)
-            let w =
-              if vs >= 0.6 && name_sim > 0.0 then idf_weight_p context fa fb
-              else 1.0
-            in
-            (match context with
-            | Some ctx when anchor_match_p ctx ~name_sim ~vs fa fb ->
-                identity_agreement := true
-            | Some _ | None -> ());
-            acc.(0) <- acc.(0) +. (w *. s);
-            acc.(1) <- acc.(1) +. w
-        end)
-      smaller.pfields;
+    let nl = Array.length lf in
+    for s = 0 to Array.length sf - 1 do
+      let fs = sf.(s) in
+      let best_i = ref (-1) in
+      acc.(2) <- neg_infinity;
+      for l = 0 to nl - 1 do
+        let vs = Field_sim.similarity_prepared fs.pv lf.(l).pv in
+        if vs > acc.(2) then begin
+          acc.(2) <- vs;
+          best_i := l
+        end
+      done;
+      if !best_i >= 0 then begin
+        let fl = lf.(!best_i) and vs = acc.(2) in
+        (* a's field is the anchor candidate, b's must not be a sequence *)
+        let a_anchor_shape = if swapped then fl.anchor_shape else fs.anchor_shape
+        and b_seq_raw = if swapped then fs.seq_raw else fl.seq_raw in
+        let name_sim = Field_sim.name_affinity_tokens fs.name_toks fl.name_toks in
+        let s_score = (weights.w_value *. vs) +. (weights.w_name *. name_sim) in
+        let df = imin smaller.dfs.(s) larger.dfs.(!best_i) in
+        (* a greedy value match between unrelated attributes (an accession
+           landing on "bait") must not be amplified as evidence *)
+        let w =
+          match context with
+          | Some ctx when vs >= 0.6 && name_sim > 0.0 ->
+              log (1.0 +. (float_of_int (imax 1 ctx.n_objects) /. float_of_int df))
+          | Some _ | None -> 1.0
+        in
+        (match context with
+        | Some ctx
+          when vs >= 0.85 && name_sim > 0.0
+               && df <= identity_df_cap ctx
+               && a_anchor_shape && not b_seq_raw ->
+            identity_agreement := true
+        | Some _ | None -> ());
+        acc.(0) <- acc.(0) +. (w *. s_score);
+        acc.(1) <- acc.(1) +. w
+      end
+    done;
     if acc.(1) = 0.0 then 0.0
     else begin
       let base = acc.(0) /. acc.(1) /. (weights.w_value +. weights.w_name) in
@@ -278,7 +309,7 @@ let field_matches a b =
          (fa.attr, fa.value, fb.attr, fb.value, vs))
 
 let similarity ?weights ?context a b =
-  similarity_prepared ?weights (prepare ?context a) (prepare ?context b)
+  similarity_prepared ?weights (bind ?context (prepare a)) (bind ?context (prepare b))
 
 let explain ?(weights = default_weights) ?context a b =
   let buf = Buffer.create 512 in

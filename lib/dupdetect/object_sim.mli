@@ -46,24 +46,40 @@ val context_of : repr list -> context
 
 type prepared
 (** A representation prepared for the candidate fan-out: per-field
-    lowercased/trimmed values, token lists, sequence flags, attribute-name
-    tokens and interned df counts, all computed exactly once. Naive
-    {!similarity} re-derives every one of those per candidate pair — the
-    minor-heap churn that turned the parallel duplicate step anti-scale —
-    so the pipeline prepares each object once and compares prepared
-    forms. *)
+    lowercased/trimmed values, token lists, sequence flags and bigram
+    profiles, attribute-name tokens and df keys, all computed exactly
+    once. Naive {!similarity} re-derives every one of those per candidate
+    pair — the minor-heap churn that turned the parallel duplicate step
+    anti-scale — so the pipeline prepares each object once and compares
+    prepared forms. *)
 
-val prepare : ?context:context -> repr -> prepared
-(** Prepare one object. Pass the same [context] the comparisons will be
-    judged under: value df counts are resolved (interned) here, so
-    {!similarity_prepared} never touches the df table per pair. *)
+val prepare : ?name_tokens:(string -> string list) -> repr -> prepared
+(** Prepare one object. Independent of any {!context}: each field keeps
+    its lowercased value as its df key, so one preparation serves every
+    source pair the object is compared in; {!bind} resolves the dfs
+    under a pair's context. [name_tokens] (default
+    {!Field_sim.name_tokens}) tokenizes attribute names; a caller
+    preparing many objects can pass a lookup that returns one shared list
+    per attribute. *)
 
 val repr_of_prepared : prepared -> repr
 
-val similarity_prepared : ?weights:weights -> prepared -> prepared -> float
-(** Exactly [similarity ?weights ?context a b] for prepared forms of [a]
-    and [b] built with [prepare ?context]; both arguments must have been
-    prepared with the same context. *)
+val context_of_prepared : prepared list -> context
+(** {!context_of} over the prepared objects' representations, counted
+    from their stored df keys. *)
+
+type bound
+(** A prepared object with the df of each of its fields resolved under
+    one context. *)
+
+val bind : ?context:context -> prepared -> bound
+(** Look up each field's df once, before the candidate fan-out, so
+    {!similarity_prepared} never touches the df table per pair. *)
+
+val similarity_prepared : ?weights:weights -> bound -> bound -> float
+(** Exactly [similarity ?weights ?context a b] for [bind ?context
+    (prepare a)] and [bind ?context (prepare b)]; both arguments must be
+    bound under the same context. *)
 
 val similarity : ?weights:weights -> ?context:context -> repr -> repr -> float
 (** In [0,1]; 0 when either object has no fields. With a [context], each

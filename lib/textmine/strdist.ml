@@ -27,67 +27,100 @@ let similarity a b =
   if n = 0 then 1.0
   else 1.0 -. (float_of_int (levenshtein a b) /. float_of_int n)
 
-(* Per-domain scratch for the match flags: jaro runs once per candidate
-   field pair inside the duplicate-detection fan-out, and two fresh arrays
-   per call were a measurable source of minor-heap churn — which under
-   multiple domains turns into cross-domain minor-GC synchronization
-   stalls. The buffer packs a's flags at [0, n) and b's at [n, n + m). *)
-let jaro_scratch : Bytes.t ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref Bytes.empty)
+let imax (a : int) b = if a >= b then a else b
+
+let imin (a : int) b = if a <= b then a else b
+
+let jaro_score matches transpositions n m =
+  let mf = float_of_int matches in
+  let t = float_of_int (transpositions / 2) in
+  (mf /. float_of_int n +. mf /. float_of_int m +. ((mf -. t) /. mf)) /. 3.0
+
+(* Jaro runs once per candidate field pair inside the duplicate-detection
+   fan-out, where per-call allocation turns into cross-domain minor-GC
+   stalls. Up to [mask_chars] characters a side, the matched flags live in
+   two int bitmasks (an OCaml int has 63 bits); that covers every
+   duplicate-detection call, whose Edit metric only runs on values under
+   25 characters. Longer strings take fresh byte flags in [jaro_bytes];
+   both scans are the same greedy window match. *)
+let mask_chars = 62
+
+let jaro_masks a b n m window =
+  let am = ref 0 and bm = ref 0 and matches = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get a i in
+    let hi = imin (m - 1) (i + window) in
+    let j = ref (imax 0 (i - window)) in
+    while !j <= hi do
+      if !bm land (1 lsl !j) = 0 && String.unsafe_get b !j = c then begin
+        bm := !bm lor (1 lsl !j);
+        am := !am lor (1 lsl i);
+        incr matches;
+        j := hi + 1
+      end
+      else incr j
+    done
+  done;
+  if !matches = 0 then 0.0
+  else begin
+    let transpositions = ref 0 and k = ref 0 in
+    for i = 0 to n - 1 do
+      if !am land (1 lsl i) <> 0 then begin
+        while !bm land (1 lsl !k) = 0 do incr k done;
+        if String.unsafe_get a i <> String.unsafe_get b !k then
+          incr transpositions;
+        incr k
+      end
+    done;
+    jaro_score !matches !transpositions n m
+  end
+
+let jaro_bytes a b n m window =
+  let af = Bytes.make n '\000' and bf = Bytes.make m '\000' in
+  let matches = ref 0 in
+  for i = 0 to n - 1 do
+    let hi = imin (m - 1) (i + window) in
+    let j = ref (imax 0 (i - window)) in
+    while !j <= hi do
+      if Bytes.get bf !j = '\000' && a.[i] = b.[!j] then begin
+        Bytes.set bf !j '\001';
+        Bytes.set af i '\001';
+        incr matches;
+        j := hi + 1
+      end
+      else incr j
+    done
+  done;
+  if !matches = 0 then 0.0
+  else begin
+    let transpositions = ref 0 and k = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.get af i <> '\000' then begin
+        while Bytes.get bf !k = '\000' do incr k done;
+        if a.[i] <> b.[!k] then incr transpositions;
+        incr k
+      end
+    done;
+    jaro_score !matches !transpositions n m
+  end
 
 let jaro a b =
   let n = String.length a and m = String.length b in
   if n = 0 && m = 0 then 1.0
   else if n = 0 || m = 0 then 0.0
   else begin
-    let window = max 0 ((max n m / 2) - 1) in
-    let cell = Domain.DLS.get jaro_scratch in
-    if Bytes.length !cell < n + m then cell := Bytes.create (max 64 (n + m));
-    let flags = !cell in
-    Bytes.fill flags 0 (n + m) '\000';
-    let a_matched i = Bytes.get flags i = '\001' in
-    let b_matched j = Bytes.get flags (n + j) = '\001' in
-    let matches = ref 0 in
-    for i = 0 to n - 1 do
-      let lo = max 0 (i - window) and hi = min (m - 1) (i + window) in
-      let rec scan j =
-        if j > hi then ()
-        else if (not (b_matched j)) && a.[i] = b.[j] then begin
-          Bytes.set flags i '\001';
-          Bytes.set flags (n + j) '\001';
-          incr matches
-        end
-        else scan (j + 1)
-      in
-      scan lo
-    done;
-    if !matches = 0 then 0.0
-    else begin
-      let transpositions = ref 0 in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        if a_matched i then begin
-          while not (b_matched !k) do incr k done;
-          if a.[i] <> b.[!k] then incr transpositions;
-          incr k
-        end
-      done;
-      let mf = float_of_int !matches in
-      let t = float_of_int (!transpositions / 2) in
-      (mf /. float_of_int n +. mf /. float_of_int m +. ((mf -. t) /. mf)) /. 3.0
-    end
+    let window = imax 0 ((imax n m / 2) - 1) in
+    if n <= mask_chars && m <= mask_chars then jaro_masks a b n m window
+    else jaro_bytes a b n m window
   end
 
 let jaro_winkler a b =
   let j = jaro a b in
   let max_prefix = 4 in
-  let rec prefix_len i =
-    if i >= max_prefix || i >= String.length a || i >= String.length b then i
-    else if a.[i] = b.[i] then prefix_len (i + 1)
-    else i
-  in
-  let p = float_of_int (prefix_len 0) in
-  j +. (p *. 0.1 *. (1.0 -. j))
+  let limit = imin max_prefix (imin (String.length a) (String.length b)) in
+  let p = ref 0 in
+  while !p < limit && a.[!p] = b.[!p] do incr p done;
+  j +. (float_of_int !p *. 0.1 *. (1.0 -. j))
 
 let bigram_multiset s =
   let tbl = Hashtbl.create 16 in

@@ -125,13 +125,16 @@ echo "grep-gate ok: all access-layer entry points go through Aladin.Engine"
 # HOT-PATH-END sentinels, run once per candidate pair inside the fan-out)
 # must work exclusively on prepared representations: re-lowercasing or
 # re-tokenizing values per pair is the allocation storm that made the
-# multi-domain dup step anti-scale.
+# multi-domain dup step anti-scale, and a hashtable or substring per pair
+# (Strdist.dice_bigrams builds both) is the same storm again. The df
+# lookups (a Hashtbl) happen once per object, when Object_sim.bind
+# resolves them, outside the sentinels.
 for f in lib/dupdetect/field_sim.ml lib/dupdetect/object_sim.ml; do
   grep -q 'HOT-PATH-BEGIN' "$f" && grep -q 'HOT-PATH-END' "$f" || {
     echo "error: $f lost its HOT-PATH sentinels" >&2; exit 1; }
   if sed -n '/HOT-PATH-BEGIN/,/HOT-PATH-END/p' "$f" \
-      | grep -nE 'String\.lowercase_ascii|Tokenize\.(words|terms)'; then
-    echo "error: $f re-normalizes values inside the per-pair hot path (use the prepared representation)" >&2
+      | grep -nE 'String\.lowercase_ascii|Tokenize\.(words|terms)|\bHashtbl\b|\bString\.sub\b|\bdice_bigrams\b'; then
+    echo "error: $f re-normalizes or allocates per pair inside the hot path (use the prepared representation)" >&2
     exit 1
   fi
 done

@@ -61,6 +61,25 @@ let warehouse_tests =
         match Warehouse.duplicates w with
         | None -> Alcotest.fail "no dup result"
         | Some d -> check Alcotest.bool "clusters" true (d.clusters <> []));
+    Alcotest.test_case "dups explanation ends in the link's confidence" `Quick
+      (fun () ->
+        let w = Lazy.force warehouse in
+        match Warehouse.duplicates w with
+        | None -> Alcotest.fail "no dup result"
+        | Some d ->
+            let explained = Aladin_dup.Dup_detect.explain d in
+            check Alcotest.int "every link explained" (List.length d.links)
+              (List.length explained);
+            List.iter
+              (fun ((l : Aladin_links.Link.t), text) ->
+                let lines = String.split_on_char '\n' (String.trim text) in
+                let last = List.nth lines (List.length lines - 1) in
+                check Alcotest.string
+                  (Aladin_links.Objref.to_string l.src ^ " ~ "
+                  ^ Aladin_links.Objref.to_string l.dst)
+                  (Printf.sprintf "similarity = %.3f" l.confidence)
+                  last)
+              explained);
     Alcotest.test_case "repository populated" `Quick (fun () ->
         let w = Lazy.force warehouse in
         let repo = Warehouse.repository w in

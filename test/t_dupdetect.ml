@@ -37,6 +37,44 @@ let union_find_tests =
              pairs));
   ]
 
+(* sequence-shaped values: >= 30 residues of a DNA or protein alphabet in
+   mixed case, with embedded spaces and newlines; the second value of a
+   pair is either unrelated or a point-mutated, case-flipped copy *)
+let seq_value_pair =
+  let open QCheck.Gen in
+  let value_of alphabet len =
+    let residue = map (fun i -> alphabet.[i]) (int_bound (String.length alphabet - 1)) in
+    let cased = map2 (fun c up -> if up then c else Char.lowercase_ascii c) residue bool in
+    let* chars =
+      list_repeat len (frequency [ (12, cased); (1, oneofl [ ' '; '\n' ]) ])
+    in
+    let* tail = list_repeat 30 cased in
+    return (String.of_seq (List.to_seq (chars @ tail)))
+  in
+  let mutate alphabet s =
+    let* flips = list_repeat (String.length s) (int_bound 9) in
+    let* subst = list_repeat (String.length s) (int_bound (String.length alphabet - 1)) in
+    let flips = Array.of_list flips and subst = Array.of_list subst in
+    return
+      (String.mapi
+         (fun i c ->
+           match flips.(i) with
+           | 0 when c <> ' ' && c <> '\n' -> alphabet.[subst.(i)]
+           | 1 -> Char.lowercase_ascii c
+           | _ -> c)
+         s)
+  in
+  let gen =
+    let* alphabet = oneofl [ "ACGT"; "ACDEFGHIKLMNPQRSTVWY" ] in
+    let* a = int_range 0 90 >>= value_of alphabet in
+    let* b =
+      frequency
+        [ (1, int_range 0 90 >>= value_of alphabet); (2, mutate alphabet a) ]
+    in
+    return (a, b)
+  in
+  QCheck.make ~print:QCheck.Print.(pair string string) gen
+
 let field_sim_tests =
   [
     Alcotest.test_case "metric choice" `Quick (fun () ->
@@ -91,6 +129,15 @@ let field_sim_tests =
                      (Field_sim.prepare b)))
               vals)
           vals);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"prepared sequence similarity equals dice_bigrams"
+         ~count:500 seq_value_pair
+         (fun (a, b) ->
+           (* the values must take the sequence path for this to test it *)
+           (a = b || Field_sim.choose_metric a b = Field_sim.Sequence_metric)
+           && Field_sim.similarity_prepared (Field_sim.prepare a)
+                (Field_sim.prepare b)
+              = Aladin_text.Strdist.dice_bigrams (String.trim a) (String.trim b)));
   ]
 
 let repr obj_acc source fields =
@@ -254,6 +301,75 @@ let dup_detect_tests =
           [ 1; 2; 4 ]);
   ]
 
+(* a small generated corpus, profiled: two overlapping protein sources
+   (sequences included) and two overlapping interaction sources *)
+let corpus_profiles =
+  lazy
+    (let c =
+       Aladin_datagen.Corpus.generate
+         {
+           Aladin_datagen.Corpus.default_params with
+           universe =
+             { Aladin_datagen.Universe.default_params with n_proteins = 24;
+               n_genes = 10; n_structures = 8; n_diseases = 4; n_terms = 8;
+               n_families = 3 };
+         }
+     in
+     Profile_list.of_profiles
+       (List.map Aladin_discovery.Source_profile.analyze c.catalogs))
+
+let between_tests =
+  [
+    Alcotest.test_case "detect_between equals detect_on over the merge" `Quick
+      (fun () ->
+        let profiles = Lazy.force corpus_profiles in
+        (* confidences in hex: the per-pair df binding must reproduce them
+           to the last bit *)
+        let norm (r : Dup_detect.result) =
+          ( List.map
+              (fun (l : Link.t) ->
+                Printf.sprintf "%s %s %h" (Objref.to_string l.src)
+                  (Objref.to_string l.dst) l.confidence)
+              r.links,
+            r.clusters,
+            r.candidates_checked )
+        in
+        let testable =
+          Alcotest.(triple (list string) (list (list string)) int)
+        in
+        List.iter
+          (fun (a, b) ->
+            let pa = Dup_detect.prep_source profiles ~source:a in
+            let pb = Dup_detect.prep_source profiles ~source:b in
+            let merged =
+              List.merge
+                (fun (x : Object_sim.repr) (y : Object_sim.repr) ->
+                  Objref.compare x.obj y.obj)
+                (Dup_detect.reprs_of_source pa)
+                (Dup_detect.reprs_of_source pb)
+            in
+            let base = norm (Dup_detect.detect_on merged) in
+            let links, _, _ = base in
+            check Alcotest.bool (a ^ "/" ^ b ^ " has duplicates") true (links <> []);
+            List.iter
+              (fun domains ->
+                let p = Aladin_par.Pool.create ~domains () in
+                Fun.protect
+                  ~finally:(fun () -> Aladin_par.Pool.shutdown p)
+                  (fun () ->
+                    let lbl what =
+                      Printf.sprintf "%s/%s %s at domains=%d" a b what domains
+                    in
+                    let pa = Dup_detect.prep_source ~pool:p profiles ~source:a in
+                    let pb = Dup_detect.prep_source ~pool:p profiles ~source:b in
+                    check testable (lbl "detect_between") base
+                      (norm (Dup_detect.detect_between ~pool:p pa pb));
+                    check testable (lbl "detect_on") base
+                      (norm (Dup_detect.detect_on ~pool:p merged))))
+              [ 1; 2; 4 ])
+          [ ("pir", "uniprot"); ("bind", "mint") ]);
+  ]
+
 (* build_reprs over a real profiled source: the field cap must hold *)
 let build_reprs_tests =
   let open Aladin_relational in
@@ -338,5 +454,6 @@ let tests =
     ("dupdetect.object_sim", object_sim_tests);
     ("dupdetect.build_reprs", build_reprs_tests);
     ("dupdetect.dup_detect", dup_detect_tests);
+    ("dupdetect.between", between_tests);
     ("dupdetect.conflict", conflict_tests);
   ]

@@ -28,6 +28,74 @@ let tokenize_tests =
         check (Alcotest.float 0.001) "both empty" 1.0 (Tokenize.jaccard "" ""));
   ]
 
+(* textbook Jaro-Winkler (flag arrays, matched characters collected as
+   lists), the reference for Strdist's bitmask and byte-flag kernels;
+   transpositions are halved in integer arithmetic, as Strdist defines
+   them *)
+let textbook_jaro_winkler a b =
+  let n = String.length a and m = String.length b in
+  let jaro =
+    if n = 0 && m = 0 then 1.0
+    else if n = 0 || m = 0 then 0.0
+    else begin
+      let window = max 0 ((max n m / 2) - 1) in
+      let a_flag = Array.make n false and b_flag = Array.make m false in
+      for i = 0 to n - 1 do
+        let found = ref false in
+        for j = max 0 (i - window) to min (m - 1) (i + window) do
+          if (not !found) && (not b_flag.(j)) && a.[i] = b.[j] then begin
+            a_flag.(i) <- true;
+            b_flag.(j) <- true;
+            found := true
+          end
+        done
+      done;
+      let matched s flags =
+        List.filteri (fun i _ -> flags.(i)) (List.of_seq (String.to_seq s))
+      in
+      let ma = matched a a_flag and mb = matched b b_flag in
+      let matches = List.length ma in
+      if matches = 0 then 0.0
+      else begin
+        let half_t =
+          List.length (List.filter Fun.id (List.map2 ( <> ) ma mb)) / 2
+        in
+        let mf = float_of_int matches in
+        (mf /. float_of_int n +. mf /. float_of_int m
+        +. ((mf -. float_of_int half_t) /. mf))
+        /. 3.0
+      end
+    end
+  in
+  let rec prefix i =
+    if i < 4 && i < n && i < m && a.[i] = b.[i] then prefix (i + 1) else i
+  in
+  jaro +. (float_of_int (prefix 0) *. 0.1 *. (1.0 -. jaro))
+
+(* pairs of lengths 0-80 (both sides of Strdist's 62-character switch)
+   over small alphabets, the second often an edited copy of the first *)
+let jw_pair =
+  let open QCheck.Gen in
+  let gen =
+    let* alphabet = oneofl [ "ab"; "abcd"; "acgt"; "abcdefghijklmnopqrstuvwxyz" ] in
+    let char = map (fun i -> alphabet.[i]) (int_bound (String.length alphabet - 1)) in
+    let* a = string_size ~gen:char (int_range 0 80) in
+    let* b =
+      frequency
+        [ (1, string_size ~gen:char (int_range 0 80));
+          ( 2,
+            let* cut = int_bound (String.length a) in
+            let* ins = string_size ~gen:char (int_range 0 6) in
+            let* drop = int_bound 3 in
+            let rest = String.length a - cut in
+            return
+              (String.sub a 0 cut ^ ins
+              ^ String.sub a (cut + min drop rest) (rest - min drop rest)) ) ]
+    in
+    return (a, b)
+  in
+  QCheck.make ~print:QCheck.Print.(pair string string) gen
+
 let strdist_tests =
   [
     Alcotest.test_case "levenshtein known" `Quick (fun () ->
@@ -77,6 +145,10 @@ let strdist_tests =
                    (string_of_size (QCheck.Gen.int_range 0 8)))
          (fun (a, b, c) ->
            Strdist.levenshtein a c <= Strdist.levenshtein a b + Strdist.levenshtein b c));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"jaro_winkler equals the textbook definition"
+         ~count:2000 jw_pair
+         (fun (a, b) -> Strdist.jaro_winkler a b = textbook_jaro_winkler a b));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"jaro_winkler in [0,1]" ~count:100
          QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 12))
