@@ -610,8 +610,9 @@ let e10_scale () =
     corpus.catalogs;
   Ev.Report.print r;
   Printf.printf
-    "(incremental keeps the homology index; full recompute re-aligns all \
-     pairs on every addition)\n"
+    "(incremental indexes the added source and probes it with the others'; \
+     full recompute runs batch all-pairs homology on every recomputed \
+     source pair)\n"
 
 (* ------------------------------------------------------------------ *)
 (* E11 — access engine quality                                         *)

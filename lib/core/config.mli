@@ -29,8 +29,11 @@ type t = {
   linker : Linker.params;
   dup : Dup_detect.params;
   incremental_seq : bool;
-      (** keep a persistent homology index so adding a source only aligns
-          its new sequences (default true) *)
+      (** the seq pass indexes only the changed source's sequences and
+          probes them with every other source's
+          ({!Aladin_links.Seq_links.discover_source}, default true); false
+          runs batch all-pairs discovery on each recomputed source pair
+          ({!Aladin_links.Seq_links.discover_between}) *)
   max_path_len : int;  (** secondary-structure path bound *)
   change_threshold : float;
       (** §6.2: fraction of a source's rows that must change before links

@@ -22,7 +22,6 @@ type outcome = {
   dup_step : Report.step_report;
   report : Linker.report option;
   dups : Dup.Dup_detect.result option;
-  seq_state : Seq_links.state option;
   audit : audit;
   changed_kinds : Link.kind list;
 }
@@ -114,7 +113,6 @@ let all_kinds =
 (* what one successful link phase learned, for report synthesis *)
 type link_run = {
   passes : Report.step_report list;
-  new_seq_state : Seq_links.state option;
   xref_ran : bool;
   xref_attrs : int;
   xref_pairs : int;
@@ -128,8 +126,7 @@ type link_run = {
   onto_hubs : int;
 }
 
-let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
-    ~seq_state ~changed () =
+let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
   let budgets = cfg.budgets in
   let lp = cfg.linker in
   let others = List.filter (fun s -> s <> changed) source_order in
@@ -206,44 +203,25 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
     let seq_staged, seq_step =
       pass ~enabled:lp.enable_seq ~budget:budgets.seq_pass "seq pass" (fun () ->
           if incremental then begin
-            (* persistent homology index: reuse it when it covers exactly
-               the other sources, else rebuild WITHOUT searching (the
-               reused pairs' links are already in the store) and align
-               only the changed source's sequences *)
-            let st =
-              match seq_state with
-              | Some st
-                when List.sort compare (Seq_links.state_sources st)
-                     = List.sort compare others ->
-                  st
-              | Some _ | None ->
-                  let st = Seq_links.state_create ~params:lp.seq () in
-                  List.iter
-                    (fun s -> Seq_links.state_index_source st profiles ~source:s)
-                    others;
-                  st
-            in
+            (* index the changed source alone and probe it with every
+               other source's sequences; the reused pairs' links are
+               already in the store *)
             let fresh =
-              Seq_links.state_add_source ~pool st profiles ~source:changed
+              Seq_links.discover_source ~params:lp.seq ~pool profiles
+                ~source:changed
             in
             (* every fresh link touches the changed source, so this
-               partition covers them all *)
-            let by_pair = Hashtbl.create 8 in
-            List.iter
-              (fun (l : Link.t) ->
-                let key = Pair_store.canon l.src.source l.dst.source in
-                Hashtbl.replace by_pair key
-                  (l :: (try Hashtbl.find by_pair key with Not_found -> [])))
-              fresh;
-            let staged =
-              List.map
+               partition covers them all; [fresh] is deduplicated and
+               sorted, and so is each part *)
+            ( List.map
                 (fun p ->
                   ( p,
-                    Link.dedup
-                      (try List.rev (Hashtbl.find by_pair p) with Not_found -> []) ))
-                link_pairs
-            in
-            (Some st, staged, None)
+                    List.filter
+                      (fun (l : Link.t) ->
+                        Pair_store.canon l.src.source l.dst.source = p)
+                      fresh ))
+                link_pairs,
+              None )
           end
           else begin
             let per =
@@ -266,8 +244,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
               List.sort_uniq compare
                 (List.concat_map (fun (r : Seq_links.result) -> r.fields) rs)
             in
-            ( None,
-              List.map (fun (p, (r : Seq_links.result)) -> (p, r.links)) per,
+            ( List.map (fun (p, (r : Seq_links.result)) -> (p, r.links)) per,
               Some
                 ( fields,
                   sum (fun (r : Seq_links.result) -> r.sequences_indexed) rs,
@@ -319,7 +296,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
               | None -> []);
             seq_links =
               (match seq_staged with
-              | Some (_, staged, _) -> staged_assoc staged p
+              | Some (staged, _) -> staged_assoc staged p
               | None -> []);
             text_links =
               (match text_staged with
@@ -349,21 +326,8 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
     in
     Pair_store.set_onto store
       (match onto_staged with Some r -> r.Onto_links.links | None -> []);
-    let new_seq_state =
-      match seq_staged with
-      | Some (st, _, _) -> st
-      | None -> (
-          (* pass did not run: a mere skip keeps the old index (the
-             rebuild check above re-validates it next run); a timeout or
-             crash may have left it half-built, so drop it *)
-          match seq_step.Report.outcome with
-          | Report.Skipped Report.Disabled | Report.Skipped Report.Budget_zero ->
-              seq_state
-          | _ -> None)
-    in
     {
       passes = [ xref_step; seq_step; text_step; onto_step ];
-      new_seq_state;
       xref_ran = xref_staged <> None;
       xref_attrs =
         (match xref_staged with
@@ -375,7 +339,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
         | None -> 0);
       seq_ran = seq_staged <> None;
       seq_batch =
-        (match seq_staged with Some (_, _, batch) -> batch | None -> None);
+        (match seq_staged with Some (_, batch) -> batch | None -> None);
       text_ran = text_staged <> None;
       text_docs =
         (match text_staged with
@@ -417,15 +381,6 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
               Report.step ~seconds:link_secs "link discovery" (Report.Failed err)
             ))
   in
-  let seq_state' =
-    match link_run_opt with
-    | Some run -> run.new_seq_state
-    | None -> (
-        match link_step.Report.outcome with
-        | Report.Skipped _ -> seq_state
-        | _ -> None)
-  in
-
   (* --- the duplicate phase: a pair's stored links stay valid unless an
      endpoint's rows changed or its exclude-attribute set shifted under
      the new correspondences. A source is prepared afresh in every relink
@@ -604,7 +559,6 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store
     dup_step;
     report;
     dups;
-    seq_state = seq_state';
     audit = { recomputed_pairs; reused_pairs };
     changed_kinds;
   }

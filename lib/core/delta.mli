@@ -38,8 +38,6 @@ type outcome = {
   dups : Dup.Dup_detect.result option;
       (** whole-warehouse duplicates, clusters rebuilt over the merged
           links; [None] when the dup phase was skipped or failed *)
-  seq_state : Seq_links.state option;
-      (** the persistent homology index to carry to the next run *)
   audit : audit;
   changed_kinds : Link.kind list;
       (** link kinds whose merged set actually changed — what typed
@@ -52,17 +50,20 @@ val relink :
   profiles:Profile_list.t ->
   source_order:string list ->
   store:Pair_store.t ->
-  seq_state:Seq_links.state option ->
   changed:string ->
   unit ->
   outcome
 (** [source_order] is the warehouse catalog order with [changed] last
-    (an updated source moves to the end, which is what makes the
-    persistent homology index reusable: the others' relative order is
-    unchanged). The store is mutated in place.
+    (an updated source moves to the end). The store is mutated in place.
 
-    The duplicate phase prepares each source once
+    Nothing either phase builds outlives the call, so a relink after
+    {!Warehouse.load_dir} does the same work as one in a long-lived
+    process. The seq pass ({!Aladin_links.Seq_links.discover_source})
+    indexes only the changed source's sequences and probes that index
+    with every other source's; the changed sequence is each alignment's
+    query, so a tied-length pair is normalized by the later source in
+    [source_order], as in a cold integration in that order. The
+    duplicate phase prepares each source once
     ({!Aladin_dup.Dup_detect.prep_source}, under its current
     exclude-attribute set) and reuses that preparation in every dirty
-    pair of this relink. Nothing of it outlives the call: a later relink
-    prepares afresh, so no prepared form is kept alive between runs. *)
+    pair of this relink. *)

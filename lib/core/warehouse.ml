@@ -33,7 +33,6 @@ type t = {
   mutable cached_link_query : Link_query.t option;
   pending_changes : (string, int) Hashtbl.t;
   mutable feedback : Feedback.t;
-  mutable seq_state : Seq_links.state option;
   mutable last_trace : Obs.Trace.t option;
   mutable journal : Journal.t option;
 }
@@ -56,7 +55,6 @@ let create ?(config = Config.default) () =
     cached_link_query = None;
     pending_changes = Hashtbl.create 8;
     feedback = Feedback.create ();
-    seq_state = None;
     last_trace = None;
     journal = None;
   }
@@ -114,9 +112,8 @@ let relink ~changed t =
   let source_order = List.map Catalog.name t.catalog_list in
   let out =
     Delta.relink ~cfg:t.cfg ~pool:t.pool ~profiles:t.profile_list
-      ~source_order ~store:t.pair_store ~seq_state:t.seq_state ~changed ()
+      ~source_order ~store:t.pair_store ~changed ()
   in
-  t.seq_state <- out.Delta.seq_state;
   t.last_report <- out.report;
   t.last_dups <- out.dups;
   t.last_delta <- Some out.audit;
@@ -421,8 +418,8 @@ let load_dir ?config ?(reanalyze = false) dir =
         (* the per-pair link store: restored from its own member when
            present; any missing or damaged pair groups (and whole stores
            saved before the member existed) are re-seeded by partitioning
-           the repository's merged links. The homology index is not
-           rebuilt here: the next relink rebuilds it without searching. *)
+           the repository's merged links. Nothing else is rebuilt: a
+           relink keeps no index between runs. *)
         (match Snapshot.find members "pairs.txt" with
         | Some doc ->
             let ps, dropped = Pair_store.load doc in

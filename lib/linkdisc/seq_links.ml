@@ -62,189 +62,130 @@ type result = {
   pairs_verified : int;
 }
 
-(* id encoding for the homology index: source / relation / row *)
-let encode source relation row = Printf.sprintf "%s\x00%s\x00%d" source relation row
+(* the normalized values of a detected field at least [min_seq_len]
+   long, with their rows, in row order *)
+let field_sequences params profiles f =
+  match Profile_list.find profiles f.source with
+  | None -> []
+  | Some e ->
+      let rel = Catalog.find_exn (Profile.catalog e.sp.profile) f.relation in
+      let ai = Schema.index_of_exn (Relation.schema rel) f.attribute in
+      let out = ref [] in
+      Relation.iteri_rows
+        (fun row_i row ->
+          let v = row.(ai) in
+          if not (Value.is_null v) then begin
+            let s = Sq.Alphabet.normalize (Value.to_string v) in
+            if String.length s >= params.min_seq_len then
+              out := (row_i, s) :: !out
+          end)
+        rel;
+      List.rev !out
+
+let objs_of profiles source relation row =
+  match Profile_list.find profiles source with
+  | None -> []
+  | Some e -> Owner_map.object_of_row e.owner ~relation ~row
+
+(* one Seq_similarity link per pair of distinct owning objects *)
+let links_of_hit profiles (qs, qr, qrow) (ss, sr, srow) ~raw ~normalized acc =
+  List.fold_left
+    (fun acc src ->
+      List.fold_left
+        (fun acc dst ->
+          if Objref.equal src dst then acc
+          else
+            Link.make ~src ~dst ~kind:Link.Seq_similarity
+              ~confidence:(Float.min 1.0 normalized)
+              ~evidence:
+                (Printf.sprintf "homology score=%d norm=%.2f" raw normalized)
+            :: acc)
+        acc (objs_of profiles ss sr srow))
+    acc (objs_of profiles qs qr qrow)
+
+let discover_source ?(params = default_params) ?pool profiles ~source =
+  (* fields are detected per source, each source's columns classified
+     once *)
+  let sequences ~kind name =
+    sequence_fields params (Profile_list.restrict profiles [ name ])
+    |> List.concat_map (fun f ->
+           if kind f.kind then
+             List.map
+               (fun (row, s) -> (f, row, s))
+               (field_sequences params profiles f)
+           else [])
+  in
+  let own = sequences ~kind:(fun _ -> true) source in
+  let kinds = List.sort_uniq compare (List.map (fun (f, _, _) -> f.kind) own) in
+  let others =
+    List.concat_map
+      (fun other ->
+        if other = source then []
+        else sequences ~kind:(fun k -> List.mem k kinds) other)
+      (Profile_list.sources profiles)
+  in
+  (* per alphabet kind, the source's own sequences are indexed (ids in
+     field-then-row order) and every other source's sequences probe the
+     index, the source's sequence being the query; with
+     cross_source_only off, each own sequence also probes for the ids
+     before it, as the query itself *)
+  let probes =
+    List.concat_map
+      (fun kind ->
+        let of_kind = List.filter (fun (f, _, _) -> f.kind = kind) in
+        let entries = Array.of_list (of_kind own) in
+        let ix =
+          Sq.Homology.probe_index kind (Array.map (fun (_, _, s) -> s) entries)
+        in
+        List.map
+          (fun p -> (entries, ix, p, false, Fun.const true))
+          (of_kind others)
+        @
+        if params.cross_source_only then []
+        else
+          Array.to_list
+            (Array.mapi
+               (fun id p -> (entries, ix, p, true, fun j -> j < id))
+               entries))
+      kinds
+  in
+  let hits =
+    Aladin_par.Pool.map ?pool
+      (fun (_, ix, (_, _, s), probe_is_query, keep) ->
+        Sq.Homology.probe ix ~probe_is_query ~keep s
+          ~min_normalized:params.min_normalized)
+      probes
+  in
+  let links = ref [] and verified = ref 0 in
+  List.iter2
+    (fun (entries, _, (pf, prow, _), _, _) hits ->
+      verified := !verified + List.length hits;
+      List.iter
+        (fun (h : Sq.Homology.probe_hit) ->
+          let f, row, _ = entries.(h.id) in
+          links :=
+            links_of_hit profiles
+              (f.source, f.relation, row)
+              (pf.source, pf.relation, prow)
+              ~raw:h.score ~normalized:h.norm !links)
+        hits)
+    probes hits;
+  let fresh = Link.dedup !links in
+  Aladin_obs.Trace.ambient_incr ~by:(List.length own) "seq.sequences_indexed";
+  Aladin_obs.Trace.ambient_incr ~by:!verified "seq.pairs_verified";
+  Aladin_obs.Trace.ambient_incr ~by:(List.length fresh) "seq.links";
+  fresh
+
+(* id encoding for the batch homology engine: source / relation / row *)
+let encode source relation row =
+  Printf.sprintf "%s\x00%s\x00%d" source relation row
 
 let decode id =
   match String.split_on_char '\x00' id with
   | [ source; relation; row ] -> (source, relation, int_of_string row)
   | _ -> invalid_arg "Seq_links.decode"
 
-type state = {
-  sparams : params;
-  engines : (Sq.Alphabet.kind, Sq.Homology.t) Hashtbl.t;
-  mutable seen : string list;
-}
-
-let state_create ?(params = default_params) () =
-  { sparams = params; engines = Hashtbl.create 3; seen = [] }
-
-let state_sources st = List.rev st.seen
-
-let engine_for st kind =
-  match Hashtbl.find_opt st.engines kind with
-  | Some e -> e
-  | None ->
-      let e = Sq.Homology.create kind in
-      Hashtbl.add st.engines kind e;
-      e
-
-let state_add_source ?pool st profiles ~source =
-  if List.mem source st.seen then
-    invalid_arg
-      (Printf.sprintf "Seq_links.state_add_source: %s already indexed" source);
-  st.seen <- source :: st.seen;
-  let params = st.sparams in
-  let fields =
-    sequence_fields params profiles |> List.filter (fun f -> f.source = source)
-  in
-  let objs_of src relation row =
-    match Profile_list.find profiles src with
-    | None -> []
-    | Some e -> Owner_map.object_of_row e.owner ~relation ~row
-  in
-  (* Phase 0 (sequential): collect the new sequences in row order and
-     pre-create engines — the one index mutation the fan-out must not do. *)
-  let collected = ref [] in
-  List.iter
-    (fun f ->
-      match Profile_list.find profiles f.source with
-      | None -> ()
-      | Some e ->
-          ignore (engine_for st f.kind);
-          let catalog = Profile.catalog e.sp.profile in
-          let rel = Catalog.find_exn catalog f.relation in
-          let ai = Schema.index_of_exn (Relation.schema rel) f.attribute in
-          Relation.iteri_rows
-            (fun row_i row ->
-              let v = row.(ai) in
-              if not (Value.is_null v) then begin
-                let s = Sq.Alphabet.normalize (Value.to_string v) in
-                if String.length s >= params.min_seq_len then
-                  collected := (f, row_i, s) :: !collected
-              end)
-            rel)
-    fields;
-  let new_seqs = List.rev !collected in
-  (* Phase 1 (parallel): each new sequence against the persistent index,
-     which holds only previously-seen sources and is read-only here. *)
-  let old_hits =
-    Aladin_par.Pool.map ?pool
-      (fun (f, row_i, s) ->
-        Sq.Homology.search
-          (Hashtbl.find st.engines f.kind)
-          ~query_id:(encode f.source f.relation row_i)
-          s ~min_normalized:params.min_normalized)
-      new_seqs
-  in
-  (* Phase 2 (sequential): new-vs-new pairs via per-kind scratch indexes
-     (search-then-add yields each unordered pair once). Homology scoring
-     is per-subject, so old-hits + scratch-hits equals one search against
-     the incrementally growing index, hit for hit. Every new-vs-new pair
-     is same-source, so with cross_source_only none is aligned. *)
-  let hits =
-    if params.cross_source_only then old_hits
-    else begin
-      let scratch = Hashtbl.create 3 in
-      List.map2
-        (fun (f, row_i, s) old ->
-          let sc =
-            match Hashtbl.find_opt scratch f.kind with
-            | Some e -> e
-            | None ->
-                let e = Sq.Homology.create f.kind in
-                Hashtbl.add scratch f.kind e;
-                e
-          in
-          let query_id = encode f.source f.relation row_i in
-          let fresh =
-            Sq.Homology.search sc ~query_id s
-              ~min_normalized:params.min_normalized
-          in
-          Sq.Homology.add sc ~id:query_id s;
-          old @ fresh)
-        new_seqs old_hits
-    end
-  in
-  let links = ref [] in
-  let verified = ref 0 in
-  List.iter2
-    (fun (f, row_i, _) hits ->
-      verified := !verified + List.length hits;
-      List.iter
-        (fun (h : Sq.Homology.hit) ->
-          let ss, sr, srow = decode h.subject_id in
-          if (not params.cross_source_only) || ss <> f.source then
-            List.iter
-              (fun src_obj ->
-                List.iter
-                  (fun dst_obj ->
-                    if not (Objref.equal src_obj dst_obj) then
-                      links :=
-                        Link.make ~src:src_obj ~dst:dst_obj
-                          ~kind:Link.Seq_similarity
-                          ~confidence:(Float.min 1.0 h.normalized)
-                          ~evidence:
-                            (Printf.sprintf "homology score=%d norm=%.2f"
-                               h.raw_score h.normalized)
-                        :: !links)
-                  (objs_of ss sr srow))
-              (objs_of f.source f.relation row_i))
-        hits)
-    new_seqs hits;
-  List.iter
-    (fun (f, row_i, s) ->
-      Sq.Homology.add
-        (Hashtbl.find st.engines f.kind)
-        ~id:(encode f.source f.relation row_i)
-        s)
-    new_seqs;
-  let indexed = List.length new_seqs in
-  let fresh = Link.dedup !links in
-  Aladin_obs.Trace.ambient_incr ~by:indexed "seq.sequences_indexed";
-  Aladin_obs.Trace.ambient_incr ~by:!verified "seq.pairs_verified";
-  Aladin_obs.Trace.ambient_incr ~by:(List.length fresh) "seq.links";
-  fresh
-
-(* rebuild fast path: put a source's sequences back into the persistent
-   index without re-running any homology search — its links are already
-   in the store, so only the index content has to match what the
-   original run built *)
-let state_index_source st profiles ~source =
-  if List.mem source st.seen then
-    invalid_arg
-      (Printf.sprintf "Seq_links.state_index_source: %s already indexed"
-         source);
-  st.seen <- source :: st.seen;
-  let params = st.sparams in
-  let fields =
-    sequence_fields params profiles |> List.filter (fun f -> f.source = source)
-  in
-  let indexed = ref 0 in
-  List.iter
-    (fun f ->
-      match Profile_list.find profiles f.source with
-      | None -> ()
-      | Some e ->
-          let engine = engine_for st f.kind in
-          let catalog = Profile.catalog e.sp.profile in
-          let rel = Catalog.find_exn catalog f.relation in
-          let ai = Schema.index_of_exn (Relation.schema rel) f.attribute in
-          Relation.iteri_rows
-            (fun row_i row ->
-              let v = row.(ai) in
-              if not (Value.is_null v) then begin
-                let s = Sq.Alphabet.normalize (Value.to_string v) in
-                if String.length s >= params.min_seq_len then begin
-                  Sq.Homology.add engine
-                    ~id:(encode f.source f.relation row_i)
-                    s;
-                  incr indexed
-                end
-              end)
-            rel)
-    fields;
-  Aladin_obs.Trace.ambient_incr ~by:!indexed "seq.sequences_indexed"
+let source_of id = String.sub id 0 (String.index id '\x00')
 
 let discover ?(params = default_params) ?pool profiles =
   let fields = sequence_fields params profiles in
@@ -254,59 +195,34 @@ let discover ?(params = default_params) ?pool profiles =
   let indexed = ref 0 in
   let links = ref [] in
   let pairs_verified = ref 0 in
+  (* a same-source pair is never a link when cross_source_only holds, so
+     it is not aligned *)
+  let keep =
+    if params.cross_source_only then fun q s -> source_of q <> source_of s
+    else fun _ _ -> true
+  in
   List.iter
     (fun kind ->
       let engine = Sq.Homology.create kind in
-      let kind_fields = List.filter (fun f -> f.kind = kind) fields in
       List.iter
         (fun f ->
-          match Profile_list.find profiles f.source with
-          | None -> ()
-          | Some e ->
-              let catalog = Profile.catalog e.sp.profile in
-              let rel = Catalog.find_exn catalog f.relation in
-              let ai = Schema.index_of_exn (Relation.schema rel) f.attribute in
-              Relation.iteri_rows
-                (fun row_i row ->
-                  let v = row.(ai) in
-                  if not (Value.is_null v) then begin
-                    let s = Sq.Alphabet.normalize (Value.to_string v) in
-                    if String.length s >= params.min_seq_len then begin
-                      Sq.Homology.add engine ~id:(encode f.source f.relation row_i) s;
-                      incr indexed
-                    end
-                  end)
-                rel)
-        kind_fields;
+          if f.kind = kind then
+            List.iter
+              (fun (row_i, s) ->
+                Sq.Homology.add engine ~id:(encode f.source f.relation row_i) s;
+                incr indexed)
+              (field_sequences params profiles f))
+        fields;
       let hits =
-        Sq.Homology.all_pairs ?pool engine ~min_normalized:params.min_normalized
+        Sq.Homology.all_pairs ?pool ~keep engine
+          ~min_normalized:params.min_normalized
       in
       pairs_verified := !pairs_verified + List.length hits;
       List.iter
         (fun (h : Sq.Homology.hit) ->
-          let qs, qr, qrow = decode h.query_id in
-          let ss, sr, srow = decode h.subject_id in
-          if (not params.cross_source_only) || qs <> ss then begin
-            let objs_of source relation row =
-              match Profile_list.find profiles source with
-              | None -> []
-              | Some e -> Owner_map.object_of_row e.owner ~relation ~row
-            in
-            List.iter
-              (fun src ->
-                List.iter
-                  (fun dst ->
-                    if not (Objref.equal src dst) then
-                      links :=
-                        Link.make ~src ~dst ~kind:Link.Seq_similarity
-                          ~confidence:(Float.min 1.0 h.normalized)
-                          ~evidence:
-                            (Printf.sprintf "homology score=%d norm=%.2f"
-                               h.raw_score h.normalized)
-                        :: !links)
-                  (objs_of ss sr srow))
-              (objs_of qs qr qrow)
-          end)
+          links :=
+            links_of_hit profiles (decode h.query_id) (decode h.subject_id)
+              ~raw:h.raw_score ~normalized:h.normalized !links)
         hits)
     kinds;
   { links = Link.dedup !links; fields; sequences_indexed = !indexed;

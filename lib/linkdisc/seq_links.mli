@@ -32,40 +32,33 @@ type result = {
 
 val discover :
   ?params:params -> ?pool:Aladin_par.Pool.t -> Profile_list.t -> result
-(** With a [pool] the all-pairs homology search fans out across domains;
-    the result is identical to the sequential run. *)
+(** Batch discovery over every source in the list: all sequences of a
+    kind in one index, each unordered pair aligned once, from its smaller
+    id. With [cross_source_only] a same-source pair is dropped before it
+    is aligned, so [pairs_verified] counts cross-source hits only. With a
+    [pool] the all-pairs search fans out across domains; the result is
+    identical to the sequential run. *)
 
-(** {2 Incremental discovery}
-
-    Sequence comparison dominates integration cost, so the warehouse keeps a
-    persistent homology index: adding a source only aligns the NEW
-    sequences against everything indexed so far (§6.2: statistics and
-    indexes are "computed only once for each data source and can then be
-    reused for subsequently added data sources"). *)
-
-type state
-
-val state_create : ?params:params -> unit -> state
-
-val state_sources : state -> string list
-
-val state_add_source :
-  ?pool:Aladin_par.Pool.t -> state -> Profile_list.t -> source:string -> Link.t list
-(** Index the named source's sequence fields; returns the NEW links (new
-    vs. indexed, and new vs. new). The profile list must contain every
-    source indexed so far plus the new one. New-vs-new pairs are all
-    within the source, so with [cross_source_only] they are not aligned
-    at all. With a [pool] the new-vs-indexed searches fan out (the
-    persistent index is read-only during the fan-out; new-vs-new stays
-    sequential), with identical results and counters.
-    @raise Invalid_argument when the source is already indexed. *)
-
-val state_index_source : state -> Profile_list.t -> source:string -> unit
-(** Rebuild fast path: index the source's sequences WITHOUT searching —
-    for sources whose links are already known (restored from a store).
-    Must be called in the original integration order; the rebuilt index
-    is then byte-for-byte what the original run had.
-    @raise Invalid_argument when the source is already indexed. *)
+val discover_source :
+  ?params:params ->
+  ?pool:Aladin_par.Pool.t ->
+  Profile_list.t ->
+  source:string ->
+  Link.t list
+(** The links between the named source's sequences and every other
+    source's in the list — the delta pipeline's seq pass, which adds a
+    source at the cost of that source's sequences (§6.2). Its sequences
+    are indexed, one index per alphabet kind, and every other source's
+    sequences of that kind probe the index read-only, fanned out over
+    the [pool]; nothing is kept afterwards. The named source's sequence
+    is each alignment's query, so on tied lengths its self-score
+    normalizes the pair. With [cross_source_only] off, each of its
+    sequences also probes its own index for the ones before it, as the
+    query, which adds the within-source links. Sequence fields are
+    detected once per source. The ambient trace counts
+    [seq.sequences_indexed] (the named source's sequences),
+    [seq.alignments], [seq.pairs_verified] and [seq.links]; the result
+    and the counters do not depend on the pool size. *)
 
 val discover_between :
   ?params:params ->
@@ -75,7 +68,7 @@ val discover_between :
   b:string ->
   result
 (** Batch {!discover} restricted to the canonically ordered source pair
-    [(a, b)] — the delta pipeline's non-incremental fallback when the
-    persistent index is disabled. Alignment scores depend only on the
-    two sequences, so the union over pairs equals the global all-pairs
-    run. Symmetric in [a]/[b]. *)
+    [(a, b)] — the delta pipeline's seq pass when [incremental_seq] is
+    off. Alignment scores depend only on the two sequences, so the
+    union over pairs equals the global all-pairs run. Symmetric in
+    [a]/[b]. *)

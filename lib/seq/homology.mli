@@ -29,10 +29,52 @@ val search : t -> query_id:string -> string -> min_normalized:float -> hit list
     (subject = query_id) are excluded. Every Smith-Waterman alignment
     made counts toward the ambient trace counter [seq.alignments]. *)
 
-val all_pairs : ?pool:Aladin_par.Pool.t -> t -> min_normalized:float -> hit list
+val all_pairs :
+  ?pool:Aladin_par.Pool.t ->
+  ?keep:(string -> string -> bool) ->
+  t ->
+  min_normalized:float ->
+  hit list
 (** Search every indexed sequence against the rest; each unordered pair is
     aligned and reported once, with query_id < subject_id: the hits equal
     each {!search} filtered to [query_id < subject_id], in ascending
-    query_id order. With a [pool] the per-query searches fan out across
-    domains (the index is only read); the result is identical to the
-    sequential run. *)
+    query_id order. [keep query_id subject_id] (default: always) drops a
+    candidate pair before it is aligned. With a [pool] the per-query
+    searches fan out across domains (the index is only read); the result
+    is identical to the sequential run. *)
+
+(** {2 Probe index}
+
+    A one-shot index over a fixed array of sequences, searched by
+    read-only probes: what a pass builds over one side of a comparison
+    and streams the other side through. Ids are array positions. *)
+
+type probe_index
+
+type probe_hit = {
+  id : int;  (** the indexed sequence's position *)
+  score : int;  (** Smith-Waterman score *)
+  norm : float;
+      (** normalized as in {!hit}, with the query chosen by {!probe} *)
+}
+
+val probe_index : Alphabet.kind -> string array -> probe_index
+(** Index already-normalized sequences ({!Alphabet.normalize}) with
+    their self-scores, with the k-mer length {!create} defaults to for
+    the kind; sequences shorter than that are kept but have no k-mers. *)
+
+val probe :
+  probe_index ->
+  probe_is_query:bool ->
+  keep:(int -> bool) ->
+  string ->
+  min_normalized:float ->
+  probe_hit list
+(** Align a normalized probe against every indexed sequence that shares
+    at least 2 distinct k-mers with it (the [min_hits] default of
+    {!create}) and that [keep] admits;
+    hits at or above the threshold, in ascending id order. The query of
+    each alignment, whose self-score normalizes a tied-length pair, is
+    the probe when [probe_is_query] holds and the indexed sequence
+    otherwise. Only reads the index, so probes may run on any domain;
+    alignments made count toward [seq.alignments]. *)

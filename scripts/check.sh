@@ -242,10 +242,10 @@ echo "durability ok: fsck detects damage, --repair restores a clean store"
 kdir=$(mktemp -d)
 trap 'rm -f "$q1" "$q2" "$f1" "$slog"; rm -rf "$sdir" "$kdir"' EXIT
 cat > "$kdir/uniprot.csv" <<'EOF'
-acc,name,description
-P100,alpha,alpha kinase involved in signal transduction
-P200,beta,beta kinase involved in cell cycle control
-P300,gamma,gamma receptor binding membrane protein
+acc,name,description,sequence
+P100,alpha,alpha kinase involved in signal transduction,MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGE
+P200,beta,beta kinase involved in cell cycle control,MALWMRLLPLLALLALWGPDPAAAFVNQHLCGSHLVEALYLVCGERGFFYTPKT
+P300,gamma,gamma receptor binding membrane protein,GSHMASMTGGQQMGRDLYDDDDKDRWGS
 EOF
 cat > "$kdir/pdb.csv" <<'EOF'
 id,acc,resolution
@@ -285,13 +285,19 @@ echo "resume ok: killed journaled run resumed byte-identical at 4 domains; its s
 
 # Incremental delta: adding a source to a saved store must recompute only
 # the new source's pairs (the CLI prints the delta audit) yet land on the
-# byte-identical link set of a cold rebuild over all sources — at 1 and
-# 4 domains.
+# byte-identical link set of a cold rebuild over all sources; so must
+# replacing a stored source with an edited file of the same name, which
+# moves it to the end of the source order. Both at 1 and 4 domains. The
+# genes' protein column holds one homolog of a uniprot sequence, so the
+# seq pass links them, and the edit point-mutates that uniprot sequence.
 cat > "$kdir/genes.csv" <<'EOF'
-gene,acc,symbol
-G1,P100,ALPHA1
-G2,P300,GAMMA3
+gene,acc,symbol,protein
+G1,P100,ALPHA1,MKWVTFISLLFLFSSAYSRGVFRRDAHKSEIAHRFKDLGE
+G2,P300,GAMMA3,RPDFCLEPPYTGPCKARIIRYFYNAKAGLCQTFVYGGCRAKRNNFKSAEDCMRTCGGA
 EOF
+mkdir -p "$kdir/edited"
+sed 's/MKWVTFISLLFLFSSAYS/MKAVTFISLLFLFSTAYS/' "$kdir/uniprot.csv" \
+  > "$kdir/edited/uniprot.csv"
 for d in 1 4; do
   rm -rf "$kdir/inc-store"
   ALADIN_DOMAINS=$d integrate --save "$kdir/inc-store" \
@@ -309,8 +315,25 @@ for d in 1 4; do
     echo "error: delta-added links differ from a cold rebuild at $d domains" >&2
     exit 1
   }
+  grep -q ',seq,' "$kdir/links-delta.csv" || {
+    echo "error: aladin add linked no sequence homolog at $d domains" >&2
+    exit 1
+  }
+  ALADIN_DOMAINS=$d ./_build/default/bin/aladin_cli.exe add \
+    "$kdir/inc-store" "$kdir/edited/uniprot.csv" \
+    --links-out "$kdir/links-update.csv" > /dev/null
+  ALADIN_DOMAINS=$d integrate --links-out "$kdir/links-cold.csv" \
+    "$kdir/pdb.csv" "$kdir/genes.csv" "$kdir/edited/uniprot.csv" > /dev/null
+  diff -u "$kdir/links-cold.csv" "$kdir/links-update.csv" || {
+    echo "error: updated links differ from a cold rebuild at $d domains" >&2
+    exit 1
+  }
+  if cmp -s "$kdir/links-delta.csv" "$kdir/links-update.csv"; then
+    echo "error: the edited uniprot moved no link at $d domains" >&2
+    exit 1
+  fi
 done
-echo "incremental ok: aladin add matches a cold rebuild byte-identically at 1 and 4 domains"
+echo "incremental ok: aladin add of a new and of an edited source matches a cold rebuild byte-identically at 1 and 4 domains"
 
 # Serving: the daemon must come up on a saved store, answer /healthz,
 # serve a search from cache on repeat (x-cache: hit), expose /metrics,

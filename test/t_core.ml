@@ -709,6 +709,79 @@ let delta_tests =
         | `Reanalyzed _ -> ()
         | `Deferred -> Alcotest.fail "full-source change deferred");
         check Alcotest.string "links byte-identical" cold (render w));
+    Alcotest.test_case "edited update matches cold integrate" `Quick
+      (fun () ->
+        let c = Lazy.force small_corpus in
+        let w = Warehouse.integrate c.catalogs in
+        let seq_fields cat =
+          Aladin_links.Seq_links.sequence_fields
+            Aladin_links.Seq_links.default_params
+            (Aladin_links.Profile_list.restrict (Warehouse.profiles w)
+               [ Catalog.name cat ])
+        in
+        (* point-mutate every third value of the source's sequence
+           fields, so a pass that reads the replaced sequences drifts *)
+        let edit seed cat =
+          let rng = Aladin_datagen.Rng.create seed in
+          let fields = seq_fields cat in
+          let out = Catalog.create ~name:(Catalog.name cat) in
+          List.iter
+            (fun r ->
+              let schema = Relation.schema r in
+              let cols =
+                List.filter_map
+                  (fun (f : Aladin_links.Seq_links.seq_field) ->
+                    if f.relation = Relation.name r then
+                      Schema.index_of schema f.attribute
+                    else None)
+                  fields
+              in
+              let nr =
+                Catalog.create_relation out ~name:(Relation.name r) schema
+              in
+              Relation.iteri_rows
+                (fun i row ->
+                  let row = Array.copy row in
+                  if i mod 3 = 0 then
+                    List.iter
+                      (fun ai ->
+                        match Value.as_text row.(ai) with
+                        | Some s when s <> "" ->
+                            row.(ai) <-
+                              Value.text
+                                (Aladin_datagen.Seq_gen.mutate rng ~rate:0.1 s)
+                        | Some _ | None -> ())
+                      cols;
+                  Relation.insert nr row)
+                r)
+            (Catalog.relations cat);
+          List.iter (Catalog.declare out) (Catalog.constraints cat);
+          out
+        in
+        let with_seqs =
+          List.filter (fun cat -> seq_fields cat <> []) c.catalogs
+        in
+        check Alcotest.bool "two sources carry sequences" true
+          (List.length with_seqs >= 2);
+        (* a middle source first, then another one; each update must land
+           on a cold integration of the catalogs in their new order *)
+        let mid = List.nth with_seqs (List.length with_seqs / 2) in
+        let second = List.hd with_seqs in
+        List.iteri
+          (fun i cat ->
+            let edited = edit (i + 1) cat in
+            let upd =
+              Warehouse.update_source w edited
+                ~changed_rows:(Catalog.total_rows edited)
+            in
+            (match upd.Warehouse.outcome with
+            | `Reanalyzed _ -> ()
+            | `Deferred -> Alcotest.fail "full-source change deferred");
+            check Alcotest.string
+              (Printf.sprintf "links after updating %s" (Catalog.name cat))
+              (render (Warehouse.integrate (Warehouse.catalogs w)))
+              (render w))
+          [ mid; second ]);
   ]
 
 let tests =

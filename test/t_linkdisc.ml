@@ -275,14 +275,267 @@ let seq_link_tests =
         check Alcotest.int "two sequences" 2 r.sequences_indexed);
   ]
 
+(* --- the delta pipeline's seq pass against a brute-force oracle ---
+
+   Random sets of 2-4 sources, each one relation of accessions with a
+   protein and a DNA column. Values come from a few shared families by
+   point substitutions (so equal-length pairs with different self-scores
+   abound) and small indels, one family is a tandem repeat, and values
+   are dressed in mixed case and whitespace; a source may carry one
+   value with a byte outside its alphabet, DNA values shorter than k and
+   null cells. Field detection is the pass's own: the oracle checks
+   candidate generation, alignment, normalization and the threshold. *)
+
+type seq_case = {
+  sources : (string option * string option) list list;
+      (* per source, its rows' protein and DNA cells *)
+  changed : int;
+  cross_source_only : bool;
+  min_normalized : float;
+}
+
+let seq_case_gen st =
+  let pick s = s.[Random.State.int st (String.length s)] in
+  let random alphabet n = String.init n (fun _ -> pick alphabet) in
+  let mutate alphabet s =
+    let b = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun c ->
+        match Random.State.int st 40 with
+        | 0 -> ()
+        | 1 -> Buffer.add_char b c; Buffer.add_char b (pick alphabet)
+        | n when n < 10 -> Buffer.add_char b (pick alphabet)
+        | _ -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  in
+  let dress s =
+    let b = Buffer.create (String.length s + 4) in
+    String.iter
+      (fun c ->
+        if Random.State.int st 12 = 0 then Buffer.add_char b (pick " \t\n");
+        Buffer.add_char b
+          (if Random.State.bool st then Char.lowercase_ascii c else c))
+      s;
+    Buffer.contents b
+  in
+  let dirty bad s =
+    let i = Random.State.int st (String.length s + 1) in
+    String.sub s 0 i ^ String.make 1 (pick bad)
+    ^ String.sub s i (String.length s - i)
+  in
+  (* three random ancestors and a tandem repeat, whose k-mers recur
+     within one sequence *)
+  let families alphabet lo hi =
+    let len () = lo + Random.State.int st (hi - lo) in
+    let motif = random alphabet (2 + Random.State.int st 4) in
+    String.init (len ()) (fun i -> motif.[i mod String.length motif])
+    :: List.init 3 (fun _ -> random alphabet (len ()))
+  in
+  let prot = families Aladin_seq.Alphabet.protein 16 40 in
+  let dna = families Aladin_seq.Alphabet.dna 7 36 in
+  let cell fams alphabet bad ~dirty_row i =
+    if Random.State.int st 15 = 0 then None
+    else
+      let s =
+        mutate alphabet (List.nth fams (Random.State.int st (List.length fams)))
+      in
+      let s = if String.length s < 7 then s ^ random alphabet 7 else s in
+      Some (dress (if i = dirty_row then dirty bad s else s))
+  in
+  let n = 2 + Random.State.int st 3 in
+  let sources =
+    List.init n (fun _ ->
+        let rows = 11 + Random.State.int st 3 in
+        (* at most one value per column leaves the alphabet, so the
+           column still classifies *)
+        let dp = Random.State.int st (rows + 4) in
+        let dd = Random.State.int st (rows + 4) in
+        List.init rows (fun i ->
+            ( cell prot Aladin_seq.Alphabet.protein "XB*#1" ~dirty_row:dp i,
+              cell dna Aladin_seq.Alphabet.dna "N-." ~dirty_row:dd i )))
+  in
+  { sources; changed = Random.State.int st n;
+    cross_source_only = Random.State.bool st;
+    min_normalized = [| 0.3; 0.5; 0.8 |].(Random.State.int st 3) }
+
+let seq_case_print c =
+  let cell = function None -> "null" | Some s -> String.escaped s in
+  Printf.sprintf "changed=%d cross_source_only=%b min_normalized=%g\n%s"
+    c.changed c.cross_source_only c.min_normalized
+    (String.concat "\n"
+       (List.mapi
+          (fun i rows ->
+            Printf.sprintf "src%d: %s" i
+              (String.concat "; "
+                 (List.map (fun (p, d) -> cell p ^ " / " ^ cell d) rows)))
+          c.sources))
+
+let seq_case_profiles c =
+  Profile_list.of_profiles
+    (List.mapi
+       (fun i rows ->
+         let cat = Catalog.create ~name:(Printf.sprintf "src%d" i) in
+         let rel =
+           Catalog.create_relation cat ~name:"entry"
+             (Schema.of_names [ "acc"; "pseq"; "dseq" ])
+         in
+         let v = function None -> Value.Null | Some s -> Value.text s in
+         List.iteri
+           (fun r (p, d) ->
+             Relation.insert rel
+               [| Value.text (Printf.sprintf "Q%d%03d" i r); v p; v d |])
+           rows;
+         Source_profile.analyze cat)
+       c.sources)
+
+(* every same-kind (changed, other) pair sharing at least min_hits
+   distinct k-mers, aligned with the changed sequence as the query; with
+   cross_source_only off, every pair of the changed source's own
+   sequences too, the later one (in field-then-row order) as the query.
+   Returns the links and the trace counters the pass must report. *)
+let oracle_seq_links (params : Seq_links.params) ps ~source =
+  let k = function
+    | Aladin_seq.Alphabet.Protein -> 4
+    | Aladin_seq.Alphabet.Dna | Aladin_seq.Alphabet.Rna -> 11
+  in
+  let sequences name =
+    let e = Option.get (Profile_list.find ps name) in
+    Seq_links.sequence_fields params (Profile_list.restrict ps [ name ])
+    |> List.concat_map (fun (f : Seq_links.seq_field) ->
+           let rel =
+             Catalog.find_exn (Profile.catalog e.sp.profile) f.relation
+           in
+           let ai = Schema.index_of_exn (Relation.schema rel) f.attribute in
+           List.concat
+             (List.mapi
+                (fun row cells ->
+                  let v = cells.(ai) in
+                  let s = Aladin_seq.Alphabet.normalize (Value.to_string v) in
+                  if Value.is_null v || String.length s < params.min_seq_len
+                  then []
+                  else [ (f, row, s) ])
+                (Relation.rows rel)))
+  in
+  let kmers kind s =
+    List.sort_uniq String.compare (Aladin_seq.Kmer_index.kmers_of ~k:(k kind) s)
+  in
+  let objs (f : Seq_links.seq_field) row =
+    Owner_map.object_of_row (Option.get (Profile_list.find ps f.source)).owner
+      ~relation:f.relation ~row
+  in
+  let links = ref [] and alignments = ref 0 and hits = ref 0 in
+  let consider ((qf : Seq_links.seq_field), qrow, q)
+      ((sf : Seq_links.seq_field), srow, s) =
+    let shared () =
+      let in_s = kmers sf.kind s in
+      List.length (List.filter (fun km -> List.mem km in_s) (kmers qf.kind q))
+    in
+    if qf.kind = sf.kind && shared () >= 2 then begin
+      incr alignments;
+      let matrix = Aladin_seq.Subst_matrix.for_kind qf.kind in
+      let raw = Aladin_seq.Align.local_score ~matrix q s in
+      let self = Aladin_seq.Align.self_score matrix in
+      let denom =
+        if String.length q <= String.length s then self q else self s
+      in
+      let norm =
+        if denom <= 0 then 0.0 else float_of_int raw /. float_of_int denom
+      in
+      if norm >= params.min_normalized then begin
+        incr hits;
+        List.iter
+          (fun src ->
+            List.iter
+              (fun dst ->
+                if not (Objref.equal src dst) then
+                  links :=
+                    Link.make ~src ~dst ~kind:Link.Seq_similarity
+                      ~confidence:(Float.min 1.0 norm)
+                      ~evidence:
+                        (Printf.sprintf "homology score=%d norm=%.2f" raw norm)
+                    :: !links)
+              (objs sf srow))
+          (objs qf qrow)
+      end
+    end
+  in
+  let own = sequences source in
+  List.iter
+    (fun other ->
+      if other <> source then
+        List.iter
+          (fun o -> List.iter (fun c -> consider c o) own)
+          (sequences other))
+    (Profile_list.sources ps);
+  if not params.cross_source_only then
+    List.iteri
+      (fun j later ->
+        List.iteri (fun i earlier -> if i < j then consider later earlier) own)
+      own;
+  let links = Link.dedup !links in
+  ( links,
+    [ ("seq.alignments", !alignments); ("seq.links", List.length links);
+      ("seq.pairs_verified", !hits);
+      ("seq.sequences_indexed", List.length own) ] )
+
+let render_links links =
+  List.map
+    (fun (l : Link.t) ->
+      let l = Link.normalized l in
+      Printf.sprintf "%s|%s|%h|%s" (Objref.to_string l.src)
+        (Objref.to_string l.dst) l.confidence l.evidence)
+    links
+
 let seq_state_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"discover_source equals the brute-force oracle"
+         ~count:60
+         (QCheck.make ~print:seq_case_print seq_case_gen)
+         (fun c ->
+           let ps = seq_case_profiles c in
+           let source = List.nth (Profile_list.sources ps) c.changed in
+           let params =
+             { Seq_links.default_params with
+               cross_source_only = c.cross_source_only;
+               min_normalized = c.min_normalized; min_seq_len = 6 }
+           in
+           let show (links, counters) =
+             String.concat "\n"
+               (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters
+               @ render_links links)
+           in
+           let expected_links, expected_counters =
+             oracle_seq_links params ps ~source
+           in
+           let run ?pool () =
+             let tr = Aladin_obs.Trace.create () in
+             let links =
+               Aladin_obs.Trace.with_ambient tr (fun () ->
+                   Seq_links.discover_source ~params ?pool ps ~source)
+             in
+             show
+               ( links,
+                 List.map
+                   (fun (k, _) -> (k, Aladin_obs.Trace.counter_value tr k))
+                   expected_counters )
+           in
+           let expected = show (expected_links, expected_counters) in
+           let actual = run () in
+           let pooled = run ~pool:(Aladin_par.Pool.get ~domains:2 ()) () in
+           if expected <> actual || pooled <> actual then
+             QCheck.Test.fail_reportf "expected:\n%s\nactual:\n%s\npooled:\n%s"
+               expected actual pooled;
+           true));
     Alcotest.test_case "state matches batch discovery" `Quick (fun () ->
         let ps = profiles () in
         let batch = Seq_links.discover ps in
-        let st = Seq_links.state_create () in
-        let fresh_a = Seq_links.state_add_source st ps ~source:"src_a" in
-        let fresh_b = Seq_links.state_add_source st ps ~source:"src_b" in
+        let fresh_a =
+          Seq_links.discover_source (Profile_list.restrict ps [ "src_a" ])
+            ~source:"src_a"
+        in
+        let fresh_b = Seq_links.discover_source ps ~source:"src_b" in
         check Alcotest.int "first add finds nothing new" 0 (List.length fresh_a);
         check Alcotest.bool "second add finds the pair" true (fresh_b <> []);
         check
@@ -299,30 +552,14 @@ let seq_state_tests =
         let params =
           { Seq_links.default_params with cross_source_only = false }
         in
-        let st = Seq_links.state_create ~params () in
-        let fresh = Seq_links.state_add_source st ps ~source:"src_p" in
+        let fresh = Seq_links.discover_source ~params ps ~source:"src_p" in
         check Alcotest.(list string) "paralog link" [ "src_p:PX001|src_p:PX002" ]
           (List.map link_key fresh);
         check Alcotest.(list string) "batch agrees"
           (List.map link_key (Seq_links.discover ~params ps).links)
           (List.map link_key fresh);
-        let st = Seq_links.state_create () in
         check Alcotest.int "dropped when cross-source only" 0
-          (List.length (Seq_links.state_add_source st ps ~source:"src_p")));
-    Alcotest.test_case "double add raises" `Quick (fun () ->
-        let ps = profiles () in
-        let st = Seq_links.state_create () in
-        ignore (Seq_links.state_add_source st ps ~source:"src_a");
-        match Seq_links.state_add_source st ps ~source:"src_a" with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "no error");
-    Alcotest.test_case "sources tracked in order" `Quick (fun () ->
-        let ps = profiles () in
-        let st = Seq_links.state_create () in
-        ignore (Seq_links.state_add_source st ps ~source:"src_a");
-        ignore (Seq_links.state_add_source st ps ~source:"src_b");
-        check Alcotest.(list string) "order" [ "src_a"; "src_b" ]
-          (Seq_links.state_sources st));
+          (List.length (Seq_links.discover_source ps ~source:"src_p")));
   ]
 
 let text_link_tests =
