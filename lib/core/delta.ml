@@ -20,6 +20,7 @@ type audit = {
 type outcome = {
   link_step : Report.step_report;
   dup_step : Report.step_report;
+  links : Link.t list;
   report : Linker.report option;
   dups : Dup.Dup_detect.result option;
   audit : audit;
@@ -254,23 +255,10 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
     let text_staged, text_step =
       pass ~enabled:lp.enable_text ~budget:budgets.text_pass "text pass"
         (fun () ->
-          let per =
-            List.map
-              (fun ((a, b) as p) ->
-                if a = b && lp.text.cross_source_only then
-                  (p, { Text_links.links = []; documents = 0; mention_links = 0 })
-                else
-                  (p, Text_links.discover_between ~params:lp.text ~pool profiles ~a ~b))
-              link_pairs
-          in
-          let rs = List.map snd per in
-          Obs.Trace.ambient_incr
-            ~by:(sum (fun (r : Text_links.result) -> r.documents) rs)
-            "text.documents";
-          Obs.Trace.ambient_incr
-            ~by:(sum (fun (r : Text_links.result) -> List.length r.links) rs)
-            "text.links";
-          per)
+          (* every source prepared once, then the changed source's pairs;
+             the reused pairs' links are already in the store *)
+          Text_links.discover_source ~params:lp.text ~pool profiles
+            ~source:changed)
     in
     (* commit the three pairwise passes: a recomputed pair's lists are
        replaced wholesale (a skipped pass leaves them empty, exactly as
@@ -300,8 +288,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
               | None -> []);
             text_links =
               (match text_staged with
-              | Some per -> (
-                  try (List.assoc p per).Text_links.links with Not_found -> [])
+              | Some r -> staged_assoc r.Text_links.pairs p
               | None -> []);
           })
       link_pairs;
@@ -342,12 +329,10 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
         (match seq_staged with Some (_, batch) -> batch | None -> None);
       text_ran = text_staged <> None;
       text_docs =
-        (match text_staged with
-        | Some per -> sum (fun (_, (r : Text_links.result)) -> r.documents) per
-        | None -> 0);
+        (match text_staged with Some r -> r.Text_links.documents | None -> 0);
       text_mentions =
         (match text_staged with
-        | Some per -> sum (fun (_, (r : Text_links.result)) -> r.mention_links) per
+        | Some r -> r.Text_links.mention_links
         | None -> 0);
       onto_ran = onto_staged <> None;
       onto_hubs =
@@ -473,27 +458,26 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
                 (Report.Failed e) ))
   in
 
-  (* --- synthesized whole-warehouse views (reused pairs included) --- *)
-  let entries = Pair_store.pairs store in
-  let merged f =
-    Link.dedup (List.concat_map (fun (_, e) -> f e) entries)
+  (* --- synthesized whole-warehouse views (reused pairs included): the
+     store merged once, and every view a kind filter of that merge --- *)
+  let links = Pair_store.all_links store in
+  let of_kinds kinds =
+    List.filter (fun (l : Link.t) -> List.mem l.kind kinds) links
   in
   let report =
     match link_run_opt with
     | None -> None
     | Some run ->
-        let xref_all = merged (fun e -> e.Pair_store.xref_links) in
-        let seq_all = merged (fun e -> e.Pair_store.seq_links) in
-        let text_all = merged (fun e -> e.Pair_store.text_links) in
+        let text_all = of_kinds [ Link.Text_similarity; Link.Entity_mention ] in
         let onto_all = Pair_store.onto store in
         Some
           {
             Linker.links =
-              Link.dedup (xref_all @ seq_all @ text_all @ onto_all);
+              List.filter (fun (l : Link.t) -> l.kind <> Link.Duplicate) links;
             xref_result =
               (if run.xref_ran then
                  Some
-                   { Xref_disc.links = xref_all;
+                   { Xref_disc.links = of_kinds [ Link.Xref ];
                      correspondences = Pair_store.correspondences store;
                      attributes_scanned = run.xref_attrs;
                      pairs_compared = run.xref_pairs }
@@ -502,8 +486,9 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
               (match run.seq_batch with
               | Some (fields, indexed, verified) ->
                   Some
-                    { Seq_links.links = seq_all; fields;
-                      sequences_indexed = indexed; pairs_verified = verified }
+                    { Seq_links.links = of_kinds [ Link.Seq_similarity ];
+                      fields; sequences_indexed = indexed;
+                      pairs_verified = verified }
               | None -> None);
             text_result =
               (if run.text_ran then
@@ -524,7 +509,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
     match dup_reprs with
     | None -> None
     | Some reprs ->
-        let dup_all = merged (fun e -> e.Pair_store.dup_links) in
+        let dup_all = of_kinds [ Link.Duplicate ] in
         let uf = Dup.Union_find.create () in
         List.iter
           (fun (l : Link.t) ->
@@ -557,6 +542,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
   {
     link_step;
     dup_step;
+    links;
     report;
     dups;
     audit = { recomputed_pairs; reused_pairs };

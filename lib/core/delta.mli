@@ -32,12 +32,18 @@ type audit = {
 type outcome = {
   link_step : Report.step_report;  (** "link discovery", with pass children *)
   dup_step : Report.step_report;  (** "duplicate detection" *)
+  links : Link.t list;
+      (** the store's merged links ({!Pair_store.all_links}, before
+          feedback filtering), computed once per relink; the two views
+          below are kind filters of it *)
   report : Linker.report option;
-      (** whole-warehouse view synthesized from the store (reused pairs
-          included); [None] when the link phase was skipped or failed *)
+      (** whole-warehouse view of the merged links (reused pairs
+          included): every kind but [Duplicate], and per pass its kinds;
+          [None] when the link phase was skipped or failed *)
   dups : Dup.Dup_detect.result option;
-      (** whole-warehouse duplicates, clusters rebuilt over the merged
-          links; [None] when the dup phase was skipped or failed *)
+      (** whole-warehouse duplicates: the merged [Duplicate] links, with
+          clusters rebuilt over them; [None] when the dup phase was
+          skipped or failed *)
   audit : audit;
   changed_kinds : Link.kind list;
       (** link kinds whose merged set actually changed — what typed
@@ -62,8 +68,12 @@ val relink :
     indexes only the changed source's sequences and probes that index
     with every other source's; the changed sequence is each alignment's
     query, so a tied-length pair is normalized by the later source in
-    [source_order], as in a cold integration in that order. The
-    duplicate phase prepares each source once
-    ({!Aladin_dup.Dup_detect.prep_source}, under its current
-    exclude-attribute set) and reuses that preparation in every dirty
-    pair of this relink. *)
+    [source_order], as in a cold integration in that order. The text
+    pass ({!Aladin_links.Text_links.discover_source}) runs once: it
+    builds and splits every source's documents once and derives each of
+    the changed source's pairs from them, scoring only cross-source
+    candidates when [cross_source_only] holds. The duplicate phase
+    prepares each source once ({!Aladin_dup.Dup_detect.prep_source},
+    under its current exclude-attribute set) and reuses that preparation
+    in every dirty pair of this relink. The store is merged once at the
+    end ([links]). *)

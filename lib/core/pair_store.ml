@@ -169,18 +169,25 @@ let save t =
   List.iter (fun l -> line (link_line l)) t.onto_links;
   Buffer.contents buf
 
-(* route a parsed item into the entry under construction; items arrive
-   in save order, so appending per list preserves each list's order *)
-let entry_add e = function
-  | `Link (l : Link.t) -> (
-      match l.kind with
-      | Link.Xref -> { e with xref_links = e.xref_links @ [ l ] }
-      | Link.Seq_similarity -> { e with seq_links = e.seq_links @ [ l ] }
-      | Link.Text_similarity | Link.Entity_mention ->
-          { e with text_links = e.text_links @ [ l ] }
-      | Link.Duplicate -> { e with dup_links = e.dup_links @ [ l ] }
-      | Link.Shared_term -> e)
-  | `Corr c -> { e with correspondences = e.correspondences @ [ c ] }
+(* route parsed items, in save order, into their lists: each list is
+   accumulated in reverse and reversed once, so a group loads in time
+   linear in its item count *)
+let entry_of_items items =
+  let x = ref [] and c = ref [] and sq = ref [] and tx = ref [] and d = ref [] in
+  List.iter
+    (function
+      | `Link (l : Link.t) -> (
+          match l.kind with
+          | Link.Xref -> x := l :: !x
+          | Link.Seq_similarity -> sq := l :: !sq
+          | Link.Text_similarity | Link.Entity_mention -> tx := l :: !tx
+          | Link.Duplicate -> d := l :: !d
+          | Link.Shared_term -> ())
+      | `Corr corr -> c := corr :: !c)
+    items;
+  { xref_links = List.rev !x; correspondences = List.rev !c;
+    seq_links = List.rev !sq; text_links = List.rev !tx;
+    dup_links = List.rev !d; dup_candidates = 0 }
 
 let load doc =
   let t = create () in
@@ -214,11 +221,7 @@ let load doc =
             | Some n, Some cands when n >= 0 -> (
                 match take_items n rest with
                 | Some (items, rest) ->
-                    let e =
-                      List.fold_left entry_add
-                        { empty_entry with dup_candidates = cands }
-                        items
-                    in
+                    let e = { (entry_of_items items) with dup_candidates = cands } in
                     set t a b e;
                     scan rest
                 | None ->
@@ -290,8 +293,8 @@ let seed_missing t ~links ~correspondences =
           with Not_found -> []
         in
         let e =
-          List.fold_left entry_add { empty_entry with correspondences = cs }
-            (List.map (fun l -> `Link l) (Link.dedup ls))
+          { (entry_of_items (List.map (fun l -> `Link l) (Link.dedup ls))) with
+            correspondences = cs }
         in
         set t a b e
       end)

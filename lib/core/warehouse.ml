@@ -106,8 +106,9 @@ let skipped_span name =
 (* steps 4+5 go through the delta pipeline: recompute only the source
    pairs the changed source touches (plus dup pairs whose exclude sets
    shifted), merge every other pair's links verbatim from the pair
-   store. The repository always reflects the merged store view, and the
-   typed generation records which link kinds actually changed. *)
+   store. The repository always reflects the merged store view (already
+   deduplicated, so it is filtered, not merged again), and the typed
+   generation records which link kinds actually changed. *)
 let relink ~changed t =
   let source_order = List.map Catalog.name t.catalog_list in
   let out =
@@ -120,8 +121,7 @@ let relink ~changed t =
   List.iter
     (fun k -> Generation.bump_kind t.gen (Link.kind_name k))
     out.changed_kinds;
-  Repository.set_links t.repo
-    (Feedback.filter_links t.feedback (Pair_store.all_links t.pair_store));
+  Repository.set_links t.repo (Feedback.filter_links t.feedback out.links);
   Repository.set_correspondences t.repo
     (Pair_store.correspondences t.pair_store);
   (out.link_step, out.dup_step)
@@ -408,7 +408,8 @@ let load_dir ?config ?(reanalyze = false) dir =
         | Some doc ->
             let meta, dropped = Repository.load_salvaging doc in
             bump "metadata.txt" dropped;
-            Repository.set_links t.repo (Repository.links meta);
+            (* the one untrusted link list the repository receives *)
+            Repository.set_links t.repo (Link.dedup (Repository.links meta));
             Repository.set_correspondences t.repo (Repository.correspondences meta);
             (match Repository.provenance meta with
             | Some p -> Repository.set_provenance t.repo p

@@ -31,22 +31,51 @@ val object_documents : Profile_list.t -> (Objref.t * string) list
 
 val discover :
   ?params:params -> ?pool:Aladin_par.Pool.t -> Profile_list.t -> result
-(** The cosine candidate join runs over {!Aladin_text.Tfidf.prepare}d
-    vectors (built once, before any fan-out) and is sharded across the
-    pool by query-document range; entity-mention recognition fans out per
-    document. Per-shard accumulators are merged deterministically at the
-    join, so the result is byte-identical at any pool size. *)
+(** Batch discovery over every source in the list, one corpus and one
+    dictionary for all of them — the linker's pass, and the reference
+    {!discover_source} is tested against. The cosine candidate join runs
+    over {!Aladin_text.Tfidf.prepare}d vectors (built once, before any
+    fan-out) and is sharded across the pool by query-document range;
+    entity-mention recognition fans out per document. Per-shard
+    accumulators are merged deterministically at the join, so the result
+    is byte-identical at any pool size. *)
 
-val discover_between :
+type source_result = {
+  pairs : ((string * string) * Link.t list) list;
+      (** per canonical source pair [(a, b)] holding the named source —
+          one for every other source, plus [(source, source)] when
+          [cross_source_only] is off — the pair's links, deduplicated *)
+  documents : int;  (** documents built: every source's, once *)
+  mention_links : int;  (** entity-mention links found, summed over pairs *)
+}
+
+val discover_source :
   ?params:params ->
   ?pool:Aladin_par.Pool.t ->
   Profile_list.t ->
-  a:string ->
-  b:string ->
-  result
-(** {!discover} restricted to the canonically ordered source pair
-    [(a, b)] — the delta pipeline's unit of work. The tf-idf corpus and
-    the mention dictionary are pair-local, so a pair's links are a pure
-    function of the two sources' contents (order-independent); this
-    refines the old global-corpus semantics, whose weights shifted with
-    every unrelated source. Symmetric in [a]/[b]. *)
+  source:string ->
+  source_result
+(** The text links of every source pair holding the named source — the
+    delta pipeline's text pass, called once per relink. A pair's links
+    are exactly {!discover}'s over the two-source restriction of the
+    profile list: its tf-idf corpus, document frequencies and name
+    dictionary are pair-local, so they are a pure function of the two
+    sources' contents, and a name both sources define resolves to the
+    canonically later one.
+
+    Every source is prepared once: its documents are built and split into
+    words once (the tf-idf terms and the mention tokens), its term counts
+    land in one relink-wide lexicographic term-id space, and its document
+    frequencies and name dictionary are kept. A pair then sums the two
+    sources' counts ([N = N_a + N_b], [df = df_a + df_b]) into its
+    weights and runs {!Aladin_text.Tfidf}'s prefix-filtered join, which
+    skips same-source candidates when [cross_source_only] holds; weights
+    are summed in ascending term order, so every cosine is bit-identical
+    to {!discover}'s. The joins of all pairs fan out over the pool in one
+    batch, and nothing prepared outlives the call. The ambient trace
+    counts [text.documents] (documents built) and [text.links]; the
+    result and the counters do not depend on the pool size.
+
+    Source names must not contain [':']: a document is keyed by
+    {!Objref.to_string}, and such a name can make two sources' keys
+    collide. *)

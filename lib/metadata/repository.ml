@@ -60,7 +60,7 @@ let sources t = List.rev t.source_records
 
 let find_source t name = List.find_opt (fun s -> s.source = name) t.source_records
 
-let set_links t links = t.link_store <- Link.dedup links
+let set_links t links = t.link_store <- links
 
 let add_links t links = t.link_store <- Link.dedup (links @ t.link_store)
 

@@ -41,6 +41,10 @@ val sources : t -> source_record list
 val find_source : t -> string -> source_record option
 
 val set_links : t -> Link.t list -> unit
+(** Replace the links with [links], taken as given: the caller passes a
+    deduplicated list in {!Link.dedup}'s canonical order (the warehouse's
+    merged pair-store view, or a filter of it). A list read from outside,
+    such as a loaded repository's, goes through {!Link.dedup} first. *)
 
 val add_links : t -> Link.t list -> unit
 (** Merge (deduplicated). *)

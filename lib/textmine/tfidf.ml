@@ -4,17 +4,22 @@ type corpus = {
   mutable prep : prepared option;  (* cache, invalidated by corpus_add *)
 }
 
-(* The prepared corpus: one flat representation per document, built once
-   after all [corpus_add] calls. Term strings are interned to dense ids
-   (lexicographic, so ids are canonical for a given vocabulary); each
-   document carries its positive-weight terms as a sorted unboxed id
-   array plus the parallel tf-idf weight array and a cached norm. The
-   postings table inverts that: term id -> ascending doc indexes. This is
-   what makes the all-pairs similarity join sub-quadratic — candidates
-   come from shared postings, and scoring is a sorted-merge dot product
-   with zero allocation per pair. *)
+(* The prepared corpus: one flat representation per document, built by
+   [prepare_counts] from int term counts. Term ids order the terms
+   lexicographically; each document carries its positive-weight terms as
+   a sorted unboxed id array plus the parallel tf-idf weight array and a
+   cached norm. The postings table inverts that: term id -> ascending doc
+   indexes. This is what makes the all-pairs similarity join
+   sub-quadratic — candidates come from shared postings, and scoring is a
+   sorted-merge dot product with zero allocation per pair. *)
 and prepared = {
-  ids : string array;  (* doc index -> doc id, sorted *)
+  ids : string array;  (* doc index -> doc id *)
+  group : int array;
+      (* doc index -> group; two documents of one group are never a
+         candidate pair *)
+  run_end : int array;
+      (* doc index -> the first index past the run of consecutive
+         documents sharing its group: no pair it owns starts earlier *)
   doc_terms : int array array;  (* doc index -> sorted term ids, weight > 0 *)
   doc_weights : float array array;  (* parallel to [doc_terms] *)
   norms : float array;  (* doc index -> euclidean norm of the weight vector *)
@@ -31,6 +36,8 @@ and prepared = {
          an upper bound (Cauchy-Schwarz) on the cosine of any pair whose
          shared terms all sit at positions >= k *)
 }
+
+type counts = { terms : int array; tfs : int array }
 
 type vector = (string, float) Hashtbl.t
 
@@ -113,52 +120,60 @@ let cosine a b =
 (* prepared corpus                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let build_prepared c =
-  let n = Hashtbl.length c.docs in
-  let ids = Array.of_list (List.sort String.compare (doc_ids c)) in
-  (* canonical term ids: lexicographic over the vocabulary *)
-  let vocab =
-    Hashtbl.fold (fun t _ acc -> t :: acc) c.df []
-    |> List.sort String.compare |> Array.of_list
-  in
-  let nterms = Array.length vocab in
-  let term_id : (string, int) Hashtbl.t = Hashtbl.create (2 * max 1 nterms) in
-  Array.iteri (fun i t -> Hashtbl.replace term_id t i) vocab;
-  let term_df =
-    Array.map
-      (fun t -> match Hashtbl.find_opt c.df t with Some d -> d | None -> 0)
-      vocab
-  in
+(* Every term with positive weight has df < N, so a ceiling of N - 1 keeps
+   every discriminating term and the candidate join is provably complete:
+   any pair with cosine > 0 shares at least one positive-weight term. A
+   term in all N documents has idf = ln(N/N) = 0 and never carries weight,
+   so skipping it costs nothing. Lower ceilings trade recall for speed. *)
+let default_df_ceiling p = Array.length p.ids - 1
+
+(* HOT-PATH-BEGIN (tf-idf weighting and the candidate join): everything
+   down to the END sentinel runs per document and per candidate pair of a
+   corpus the delta text pass builds once per source pair. It works on
+   int term ids and unboxed arrays only: no string is hashed, lowercased,
+   tokenized or sorted here, and no per-pair table or count vector is
+   built (a grep-gate in scripts/check.sh enforces it on this region). *)
+
+let prepare_counts ?groups ~ids ~df docs =
+  let n = Array.length docs in
+  let nterms = Array.length df in
+  let group = match groups with Some g -> g | None -> Array.init n Fun.id in
+  let run_end = Array.make n n in
+  for i = n - 2 downto 0 do
+    run_end.(i) <- (if group.(i) = group.(i + 1) then run_end.(i + 1) else i + 1)
+  done;
+  (* the same idf expression (and below, the same w > 0 filter) as the
+     ad-hoc vectors, so prepared scores match the naive ones exactly *)
   let nf = float_of_int (max 1 n) in
-  let idf_of t = Float.max 0.0 (log (nf /. float_of_int term_df.(t))) in
+  let idf =
+    Array.map
+      (fun d -> if d <= 0 then 0.0 else Float.max 0.0 (log (nf /. float_of_int d)))
+      df
+  in
   let doc_terms = Array.make n [||] in
   let doc_weights = Array.make n [||] in
   let norms = Array.make n 0.0 in
   Array.iteri
-    (fun i id ->
-      let counts = Hashtbl.find c.docs id in
-      (* same weighting (and the same w > 0 filter) as [vector_of_counts],
-         so prepared scores match the naive ones exactly *)
-      let pairs =
-        Hashtbl.fold
-          (fun term tf acc ->
-            let t = Hashtbl.find term_id term in
-            let w = float_of_int tf *. idf_of t in
-            if w > 0.0 then (t, w) :: acc else acc)
-          counts []
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      in
-      let k = List.length pairs in
-      let ts = Array.make k 0 and ws = Array.make k 0.0 in
-      List.iteri
-        (fun j (t, w) ->
-          ts.(j) <- t;
-          ws.(j) <- w)
-        pairs;
+    (fun i { terms; tfs } ->
+      let weight x = float_of_int tfs.(x) *. idf.(terms.(x)) in
+      let k = ref 0 in
+      for x = 0 to Array.length terms - 1 do
+        if weight x > 0.0 then incr k
+      done;
+      let ts = Array.make !k 0 and ws = Array.make !k 0.0 in
+      let m = ref 0 in
+      for x = 0 to Array.length terms - 1 do
+        let w = weight x in
+        if w > 0.0 then begin
+          ts.(!m) <- terms.(x);
+          ws.(!m) <- w;
+          incr m
+        end
+      done;
       doc_terms.(i) <- ts;
       doc_weights.(i) <- ws;
       norms.(i) <- sqrt (Array.fold_left (fun acc w -> acc +. (w *. w)) 0.0 ws))
-    ids;
+    docs;
   let gen_terms = Array.make n [||] in
   let gen_suffix = Array.make n [||] in
   Array.iteri
@@ -197,33 +212,8 @@ let build_prepared c =
           fill.(t) <- fill.(t) + 1)
         ts)
     doc_terms;
-  { ids; doc_terms; doc_weights; norms; postings; term_df; gen_terms;
-    gen_suffix }
-
-let prepare c =
-  match c.prep with
-  | Some p -> p
-  | None ->
-      let p = build_prepared c in
-      c.prep <- Some p;
-      p
-
-let prepared_docs p = Array.length p.ids
-
-let prepared_doc_id p i = p.ids.(i)
-
-(* Every term with positive weight has df < N, so a ceiling of N - 1 keeps
-   every discriminating term and the candidate join is provably complete:
-   any pair with cosine > 0 shares at least one positive-weight term. A
-   term in all N documents has idf = ln(N/N) = 0 and never carries weight,
-   so skipping it costs nothing. Lower ceilings trade recall for speed. *)
-let default_df_ceiling p = Array.length p.ids - 1
-
-(* HOT-PATH-BEGIN (text-similarity scoring): everything down to the END
-   sentinel runs once per candidate pair inside the link-discovery
-   fan-out. It may only touch the prepared arrays — no per-pair table
-   construction, no re-tokenization, no tf-idf count-vector rebuild
-   (a grep-gate in scripts/check.sh enforces it on this region). *)
+  { ids; group; run_end; doc_terms; doc_weights; norms; postings;
+    term_df = df; gen_terms; gen_suffix }
 
 (* fused sorted-merge dot product over the unboxed weight arrays *)
 let dot_sorted ta wa tb wb =
@@ -249,13 +239,23 @@ let score_pair p i j =
       p.doc_weights.(j)
     /. nn
 
-(* HOT-PATH-END *)
+(* the first position of ascending [a] holding a value >= [x] *)
+let lower_bound a x =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get a mid < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* Candidate generation for query doc [i]: walk the postings of its terms
-   with df <= ceiling and collect every co-occurring doc once. [seen] is a
-   generation-stamped scratch array ([stamp] must be fresh per query), so
-   no per-query table is allocated. Candidates come out sorted, making the
-   emission order independent of postings traversal.
+   with df <= ceiling and collect every co-occurring doc of another group
+   once. [seen] is a generation-stamped scratch array ([stamp] must be
+   fresh per query), so no per-query table is allocated. Candidates come
+   out sorted, making the emission order independent of postings
+   traversal. With [only_greater], only docs past [i]'s run of same-group
+   docs are collected — each pair is owned by its smaller index — and
+   each postings walk starts there.
 
    Terms are walked in descending-weight order with a prefix filter: once
    the remaining suffix of [i]'s vector has norm fraction below [min_sim],
@@ -269,33 +269,36 @@ let score_pair p i j =
    (capacity >= number of documents); the returned prefix [0, count) is
    sorted ascending. No per-query list or table allocation. *)
 let candidates_into p ~df_ceiling ~min_sim ~seen ~stamp ~buf i ~only_greater =
-  let gts = p.gen_terms.(i) and suf = p.gen_suffix.(i) in
-  let k = Array.length gts in
-  let count = ref 0 in
-  let m = ref 0 in
-  while !m < k && suf.(!m) >= min_sim do
-    let t = gts.(!m) in
-    if p.term_df.(t) <= df_ceiling then
-      Array.iter
-        (fun j ->
-          if
-            j <> i
-            && ((not only_greater) || j > i)
-            && seen.(j) <> stamp
-          then begin
+  let from = if only_greater then p.run_end.(i) else 0 in
+  if from >= Array.length p.ids then 0
+  else begin
+    let gts = p.gen_terms.(i) and suf = p.gen_suffix.(i) in
+    let g = p.group.(i) in
+    let k = Array.length gts in
+    let count = ref 0 in
+    let m = ref 0 in
+    while !m < k && suf.(!m) >= min_sim do
+      let t = gts.(!m) in
+      if p.term_df.(t) <= df_ceiling then begin
+        let post = p.postings.(t) in
+        for x = lower_bound post from to Array.length post - 1 do
+          let j = Array.unsafe_get post x in
+          if p.group.(j) <> g && seen.(j) <> stamp then begin
             seen.(j) <- stamp;
             buf.(!count) <- j;
             incr count
-          end)
-        p.postings.(t);
-    incr m
-  done;
-  let sub = Array.sub buf 0 !count in
-  Array.sort Int.compare sub;
-  Array.blit sub 0 buf 0 !count;
-  !count
+          end
+        done
+      end;
+      incr m
+    done;
+    let sub = Array.sub buf 0 !count in
+    Array.sort Int.compare sub;
+    Array.blit sub 0 buf 0 !count;
+    !count
+  end
 
-let similar_pairs_range ?df_ceiling p ~lo ~hi ~min_sim =
+let similar_index_pairs_range ?df_ceiling p ~lo ~hi ~min_sim =
   let n = Array.length p.ids in
   let df_ceiling =
     match df_ceiling with Some d -> d | None -> default_df_ceiling p
@@ -312,10 +315,57 @@ let similar_pairs_range ?df_ceiling p ~lo ~hi ~min_sim =
     for k = 0 to count - 1 do
       let j = buf.(k) in
       let sim = score_pair p i j in
-      if sim >= min_sim then out := (p.ids.(i), p.ids.(j), sim) :: !out
+      if sim >= min_sim then out := (i, j, sim) :: !out
     done
   done;
   List.rev !out
+
+(* HOT-PATH-END *)
+
+(* a string corpus in the counts form: ascending doc ids, lexicographic
+   term ids *)
+let build_prepared c =
+  let ids = Array.of_list (List.sort String.compare (doc_ids c)) in
+  let vocab =
+    Hashtbl.fold (fun t _ acc -> t :: acc) c.df []
+    |> List.sort String.compare |> Array.of_list
+  in
+  let term_id : (string, int) Hashtbl.t =
+    Hashtbl.create (2 * max 1 (Array.length vocab))
+  in
+  Array.iteri (fun i t -> Hashtbl.replace term_id t i) vocab;
+  let df = Array.map (Hashtbl.find c.df) vocab in
+  let docs =
+    Array.map
+      (fun id ->
+        let pairs =
+          Hashtbl.fold
+            (fun term tf acc -> (Hashtbl.find term_id term, tf) :: acc)
+            (Hashtbl.find c.docs id) []
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        in
+        { terms = Array.of_list (List.map fst pairs);
+          tfs = Array.of_list (List.map snd pairs) })
+      ids
+  in
+  prepare_counts ~ids ~df docs
+
+let prepare c =
+  match c.prep with
+  | Some p -> p
+  | None ->
+      let p = build_prepared c in
+      c.prep <- Some p;
+      p
+
+let prepared_docs p = Array.length p.ids
+
+let prepared_doc_id p i = p.ids.(i)
+
+let similar_pairs_range ?df_ceiling p ~lo ~hi ~min_sim =
+  List.map
+    (fun (i, j, sim) -> (p.ids.(i), p.ids.(j), sim))
+    (similar_index_pairs_range ?df_ceiling p ~lo ~hi ~min_sim)
 
 let similar_pairs ?df_ceiling p ~min_sim =
   similar_pairs_range ?df_ceiling p ~lo:0 ~hi:(Array.length p.ids) ~min_sim

@@ -6,12 +6,13 @@
     - ad-hoc vectors ({!vector_of_text} / {!vector_of_doc} + {!cosine})
       for scoring arbitrary text against the corpus statistics;
     - the {!prepared} corpus for the all-pairs similarity join: built once
-      after all {!corpus_add} calls, it holds per-document sorted term-id
-      arrays with precomputed tf-idf weights, cached norms and a postings
-      table, so {!similar_pairs} generates candidates through shared
-      postings (only pairs sharing >= 1 non-ubiquitous term are ever
-      scored) and scores each canonical pair exactly once with a fused
-      sorted-merge dot product — no hashtable allocation per pair. *)
+      after all {!corpus_add} calls, or directly from int term counts
+      ({!prepare_counts}), it holds per-document sorted term-id arrays
+      with precomputed tf-idf weights, cached norms and a postings table,
+      so {!similar_pairs} generates candidates through shared postings
+      (only pairs sharing >= 1 non-ubiquitous term are ever scored) and
+      scores each canonical pair exactly once with a fused sorted-merge
+      dot product — no hashtable allocation per pair. *)
 
 type corpus
 
@@ -50,14 +51,38 @@ val top_terms : vector -> int -> (string * float) list
 
 type prepared
 
+type counts = { terms : int array; tfs : int array }
+(** One document's term counts: its distinct term ids, ascending, with
+    their (positive) counts. *)
+
+val prepare_counts :
+  ?groups:int array -> ids:string array -> df:int array -> counts array -> prepared
+(** The prepared form of the documents [docs] ([N = Array.length docs]),
+    document [i] being [docs.(i)] with id [ids.(i)]. [df.(t)] is term
+    [t]'s document frequency over [docs]. This is what {!prepare} builds
+    from a string corpus, in ascending doc-id order with lexicographic
+    term ids. Weights, norms and candidate-generation order are
+    bit-identical to that corpus's whenever term ids ascend in
+    lexicographic term order, so one id space may serve several corpora
+    (the delta text pass derives each source pair's corpus from counts
+    prepared once per source), and every cosine then equals the string
+    corpus's.
+
+    [groups.(i)] places document [i] in a group: two documents of one
+    group are never a candidate pair, so they are neither collected nor
+    scored. Default: every document is its own group. The join is
+    fastest when groups are contiguous index runs, but any assignment is
+    correct. The result is immutable and safe to share across pool
+    domains. *)
+
 val prepare : corpus -> prepared
-(** The prepared representation of the corpus as currently indexed.
-    Cached on the corpus; invalidated by {!corpus_add}. The result is
-    immutable and safe to share across pool domains. *)
+(** The prepared representation of the corpus as currently indexed,
+    through {!prepare_counts}. Cached on the corpus; invalidated by
+    {!corpus_add}. *)
 
 val prepared_docs : prepared -> int
-(** Number of documents. Documents are indexed [0 .. prepared_docs - 1]
-    in ascending doc-id order. *)
+(** Number of documents. A {!prepare}d corpus indexes them
+    [0 .. prepared_docs - 1] in ascending doc-id order. *)
 
 val prepared_doc_id : prepared -> int -> string
 
@@ -69,18 +94,18 @@ val default_df_ceiling : prepared -> int
 
 val similar_pairs :
   ?df_ceiling:int -> prepared -> min_sim:float -> (string * string * float) list
-(** All document pairs with cosine >= [min_sim], each canonical pair
-    [(id_i, id_j)] (with [id_i < id_j]) reported exactly once, in
-    ascending [(i, j)] order. Candidates are generated through postings:
-    only pairs sharing at least one term with df <= [df_ceiling] are
-    scored (default {!default_df_ceiling}, which misses nothing for any
-    [min_sim > 0]). Terms above the ceiling still contribute weight to the
-    scores of pairs found through other terms. A lossless prefix filter
-    skips postings walks for a query document's lightest terms: once the
-    remaining suffix of its weight vector has norm fraction below
-    [min_sim], no pair sharing only those terms can pass the threshold
-    (Cauchy-Schwarz) — which prunes exactly the ubiquitous low-idf terms
-    with the longest postings. *)
+(** All document pairs of different groups with cosine >= [min_sim],
+    each canonical pair [(id_i, id_j)] (with [i < j]) reported exactly
+    once, in ascending [(i, j)] order. Candidates are generated through
+    postings: only pairs sharing at least one term with df <=
+    [df_ceiling] are scored (default {!default_df_ceiling}, which misses
+    nothing for any [min_sim > 0]). Terms above the ceiling still
+    contribute weight to the scores of pairs found through other terms.
+    A lossless prefix filter skips postings walks for a query document's
+    lightest terms: once the remaining suffix of its weight vector has
+    norm fraction below [min_sim], no pair sharing only those terms can
+    pass the threshold (Cauchy-Schwarz) — which prunes exactly the
+    ubiquitous low-idf terms with the longest postings. *)
 
 val similar_pairs_range :
   ?df_ceiling:int ->
@@ -95,3 +120,12 @@ val similar_pairs_range :
     {!similar_pairs} exactly, whatever the range boundaries — each pair is
     owned by its smaller document index. Pure and read-only on [prepared],
     so ranges may run on different pool domains. *)
+
+val similar_index_pairs_range :
+  ?df_ceiling:int ->
+  prepared ->
+  lo:int ->
+  hi:int ->
+  min_sim:float ->
+  (int * int * float) list
+(** {!similar_pairs_range} with document indexes instead of ids. *)

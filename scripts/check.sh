@@ -48,10 +48,14 @@ echo "grep-gate ok: no raising error paths in importers/warehouse/config"
 # source pair and reuses every pair the mutation did not touch. A
 # whole-warehouse Linker.discover / Dup_detect.detect call anywhere else
 # silently reintroduces the O(all pairs) rebuild the delta store exists
-# to kill. (The pairwise *_between entry points are fine.)
-if grep -rnE 'Linker\.discover\b|Dup_detect\.detect\b' \
-    lib/core lib/serve bin --include='*.ml' 2>/dev/null \
-    | grep -v '^lib/core/delta\.ml'; then
+# to kill. (The pairwise *_between / *_source entry points are fine.)
+# The batch text pass, Text_links.discover, is only the reference the
+# delta text pass is tested against, so not even delta.ml calls it.
+if { grep -rnE 'Linker\.discover\b|Dup_detect\.detect\b' \
+       lib/core lib/serve bin --include='*.ml' 2>/dev/null \
+       | grep -v '^lib/core/delta\.ml'
+     grep -rnE 'Text_links\.discover\b' \
+       lib/core lib/serve bin --include='*.ml' 2>/dev/null; }; then
   echo "error: whole-warehouse relink outside lib/core/delta.ml (use the delta pipeline)" >&2
   exit 1
 fi
@@ -140,20 +144,25 @@ for f in lib/dupdetect/field_sim.ml lib/dupdetect/object_sim.ml; do
 done
 echo "grep-gate ok: dup-detection per-pair hot path uses prepared reprs only"
 
-# The text-similarity hot path (scored once per candidate pair emitted by
-# the inverted-index join) must stay a fused sorted-merge over the
-# prepared per-document arrays: rebuilding count vectors or allocating a
-# hashtable per pair is the quadratic-allocation profile the sparse join
-# was built to kill.
-f=lib/textmine/tfidf.ml
-grep -q 'HOT-PATH-BEGIN' "$f" && grep -q 'HOT-PATH-END' "$f" || {
-  echo "error: $f lost its HOT-PATH sentinels" >&2; exit 1; }
-if sed -n '/HOT-PATH-BEGIN/,/HOT-PATH-END/p' "$f" \
-    | grep -nE 'vector_of_counts|term_counts|Hashtbl\.create'; then
-  echo "error: $f allocates per pair inside the scoring hot path (use the prepared arrays)" >&2
-  exit 1
-fi
-echo "grep-gate ok: text-similarity per-pair scoring uses prepared arrays only"
+# The text-similarity hot path must stay on prepared int arrays. In
+# tfidf.ml the sentinels hold the tf-idf weighting (run per document of
+# every source-pair corpus the delta text pass builds) and the candidate
+# join (run per candidate pair); in text_links.ml they hold the per-pair
+# code that combines the sources the pass prepared once per relink.
+# Re-tokenizing, re-lowercasing or rebuilding documents there repeats
+# per pair what the pass does once per source, and a hashtable, a count
+# vector or a string sort per pair is the allocation profile the sparse
+# join was built to kill.
+for f in lib/textmine/tfidf.ml lib/linkdisc/text_links.ml; do
+  grep -q 'HOT-PATH-BEGIN' "$f" && grep -q 'HOT-PATH-END' "$f" || {
+    echo "error: $f lost its HOT-PATH sentinels" >&2; exit 1; }
+  if sed -n '/HOT-PATH-BEGIN/,/HOT-PATH-END/p' "$f" \
+      | grep -nE 'vector_of_counts|term_counts|Tokenize\.|String\.lowercase_ascii|\bHashtbl\b|object_documents|String\.compare'; then
+    echo "error: $f tokenizes, hashes or sorts strings per pair inside the text hot path (use the prepared arrays)" >&2
+    exit 1
+  fi
+done
+echo "grep-gate ok: text-similarity per-pair weighting and join use prepared arrays only"
 
 # The Smith-Waterman score kernel (the code between the HOT-PATH-BEGIN /
 # HOT-PATH-END sentinels in align.ml, one iteration per DP cell of every

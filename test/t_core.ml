@@ -784,9 +784,240 @@ let delta_tests =
           [ mid; second ]);
   ]
 
+let temp_store tag =
+  let dir = Filename.temp_file "aladin" tag in
+  Sys.remove dir;
+  dir
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* links rendered with every byte that matters, confidences exactly *)
+let render_links links =
+  List.map
+    (fun (l : Aladin_links.Link.t) ->
+      Printf.sprintf "%s|%s|%s|%s|%h|%s"
+        (Aladin_links.Objref.to_string l.src)
+        l.src.relation
+        (Aladin_links.Objref.to_string l.dst)
+        (Aladin_links.Link.kind_name l.kind)
+        l.confidence l.evidence)
+    links
+
+let snapshot_members dir =
+  match Aladin_store.Snapshot.load dir with
+  | Ok (members, _) -> members
+  | Error e -> Alcotest.fail e
+
+let pair_store_tests =
+  let module L = Aladin_links in
+  [
+    Alcotest.test_case "a pair of several thousand links re-saves identically"
+      `Quick (fun () ->
+        let obj s i =
+          L.Objref.make ~source:s ~relation:"r"
+            ~accession:(Printf.sprintf "%s%05d" s i)
+        in
+        let n = 4000 in
+        let link kind i =
+          L.Link.make ~src:(obj "a" i) ~dst:(obj "b" (i * 7 mod n)) ~kind
+            ~confidence:(float_of_int i /. float_of_int n)
+            ~evidence:(Printf.sprintf "e%d" i)
+        in
+        let entry =
+          { Pair_store.xref_links = List.init n (link L.Link.Xref);
+            correspondences =
+              [ { L.Xref_disc.src_source = "a"; src_relation = "r";
+                  src_attribute = "x"; dst_source = "b"; dst_relation = "r";
+                  dst_attribute = "acc"; matches = n; match_frac = 0.75;
+                  encoded = false } ];
+            seq_links = List.init 1500 (link L.Link.Seq_similarity);
+            text_links =
+              List.init 1500 (fun i ->
+                  link
+                    (if i mod 3 = 0 then L.Link.Entity_mention
+                     else L.Link.Text_similarity)
+                    i);
+            dup_links = List.init 700 (link L.Link.Duplicate);
+            dup_candidates = 1234 }
+        in
+        let ps = Pair_store.create () in
+        Pair_store.set ps "a" "b" entry;
+        Pair_store.set_onto ps (List.init 300 (link L.Link.Shared_term));
+        let doc = Pair_store.save ps in
+        let loaded, dropped = Pair_store.load doc in
+        check Alcotest.int "no group dropped" 0 dropped;
+        check Alcotest.string "re-saved byte-identically" doc
+          (Pair_store.save loaded);
+        match Pair_store.find loaded "b" "a" with
+        | None -> Alcotest.fail "pair lost"
+        | Some e ->
+            check Alcotest.(list string) "xref order kept"
+              (render_links entry.xref_links) (render_links e.xref_links);
+            check Alcotest.(list string) "text order kept"
+              (render_links entry.text_links) (render_links e.text_links));
+  ]
+
+(* After each mutation, the report and duplicate views are kind filters
+   of the merged pair-store view (read back from the saved pairs.txt),
+   and the warehouse's links are that view less the rejected links. *)
+let view_tests =
+  let module L = Aladin_links in
+  let merged_view w =
+    let dir = temp_store "views" in
+    save_dir_exn w dir;
+    let members = snapshot_members dir in
+    rm_rf dir;
+    match Aladin_store.Snapshot.find members "pairs.txt" with
+    | None -> Alcotest.fail "no pairs.txt"
+    | Some doc ->
+        let ps, dropped = Pair_store.load doc in
+        check Alcotest.int "pairs.txt loads whole" 0 dropped;
+        Pair_store.all_links ps
+  in
+  let check_views stage w =
+    let merged = merged_view w in
+    let of_kinds ks = List.filter (fun (l : L.Link.t) -> List.mem l.kind ks) merged in
+    let same what expected actual =
+      check Alcotest.(list string) (stage ^ ": " ^ what) (render_links expected)
+        (render_links actual)
+    in
+    (match Warehouse.link_report w with
+    | None -> Alcotest.fail (stage ^ ": no link report")
+    | Some r -> (
+        same "report links"
+          (List.filter (fun (l : L.Link.t) -> l.kind <> L.Link.Duplicate) merged)
+          r.links;
+        (match r.xref_result with
+        | Some x -> same "xref result" (of_kinds [ L.Link.Xref ]) x.links
+        | None -> Alcotest.fail (stage ^ ": no xref result"));
+        match r.text_result with
+        | Some t ->
+            same "text result"
+              (of_kinds [ L.Link.Text_similarity; L.Link.Entity_mention ])
+              t.links
+        | None -> Alcotest.fail (stage ^ ": no text result")));
+    (match Warehouse.duplicates w with
+    | Some d -> same "duplicates" (of_kinds [ L.Link.Duplicate ]) d.links
+    | None -> Alcotest.fail (stage ^ ": no duplicates"));
+    same "warehouse links"
+      (Feedback.filter_links (Warehouse.feedback w) merged)
+      (Warehouse.links w);
+    merged
+  in
+  (* append a word to every third multi-word text value: the source's
+     documents and term frequencies move, and so do its text links *)
+  let edit_text cat =
+    let out = Catalog.create ~name:(Catalog.name cat) in
+    List.iter
+      (fun r ->
+        let nr =
+          Catalog.create_relation out ~name:(Relation.name r) (Relation.schema r)
+        in
+        Relation.iteri_rows
+          (fun i row ->
+            let row = Array.copy row in
+            if i mod 3 = 0 then
+              Array.iteri
+                (fun ai v ->
+                  match Value.as_text v with
+                  | Some s when String.contains s ' ' ->
+                      row.(ai) <- Value.text (s ^ " edited kinase")
+                  | Some _ | None -> ())
+                row;
+            Relation.insert nr row)
+          r)
+      (Catalog.relations cat);
+    List.iter (Catalog.declare out) (Catalog.constraints cat);
+    out
+  in
+  [
+    Alcotest.test_case "report and duplicate views filter the merged store"
+      `Quick (fun () ->
+        let c = Lazy.force small_corpus in
+        let rev = List.rev c.catalogs in
+        let w = Warehouse.integrate (List.rev (List.tl rev)) in
+        ignore (Warehouse.add_source w (List.hd rev));
+        let added = check_views "add" w in
+        let cat =
+          match Warehouse.catalog w "uniprot" with
+          | Some cat -> cat
+          | None -> Alcotest.fail "no uniprot"
+        in
+        let edited = edit_text cat in
+        (match
+           (Warehouse.update_source w edited
+              ~changed_rows:(Catalog.total_rows edited)).outcome
+         with
+        | `Reanalyzed _ -> ()
+        | `Deferred -> Alcotest.fail "full-source change deferred");
+        let updated = check_views "update" w in
+        let text ls =
+          List.filter (fun (l : L.Link.t) -> l.kind = L.Link.Text_similarity) ls
+        in
+        check Alcotest.bool "the edit moved a text link" true
+          (render_links (text added) <> render_links (text updated));
+        (match text (Warehouse.links w) with
+        | l :: _ -> Warehouse.reject_link w l
+        | [] -> Alcotest.fail "no text link to reject");
+        let rejected = check_views "reject" w in
+        check Alcotest.int "one link filtered"
+          (List.length rejected - 1)
+          (List.length (Warehouse.links w)));
+    Alcotest.test_case "load_dir keeps one copy of a repeated metadata link"
+      `Quick (fun () ->
+        let w = Lazy.force warehouse in
+        let dir = temp_store "dupmeta" in
+        save_dir_exn w dir;
+        (* commit a generation whose metadata.txt repeats its first link
+           record *)
+        let repeat doc =
+          let seen = ref false in
+          String.split_on_char '\n' doc
+          |> List.concat_map (fun line ->
+                 if (not !seen) && String.starts_with ~prefix:"link\t" line
+                 then begin
+                   seen := true;
+                   [ line; line ]
+                 end
+                 else [ line ])
+          |> String.concat "\n"
+        in
+        let members =
+          List.map
+            (fun (m : Aladin_store.Snapshot.member) ->
+              if m.path = "metadata.txt" then { m with content = repeat m.content }
+              else m)
+            (snapshot_members dir)
+        in
+        (match Aladin_store.Snapshot.save dir members with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e);
+        (match Aladin_store.Snapshot.find (snapshot_members dir) "metadata.txt" with
+        | Some doc ->
+            check Alcotest.int "the record is repeated"
+              (List.length (Warehouse.links w) + 1)
+              (List.length (Aladin_metadata.Repository.links
+                              (Aladin_metadata.Repository.load doc)))
+        | None -> Alcotest.fail "no metadata.txt");
+        let w2, report = Warehouse.load_dir dir in
+        rm_rf dir;
+        check Alcotest.bool "clean load" true
+          (Aladin_store.Load_report.is_clean report);
+        check Alcotest.(list string) "each link once"
+          (render_links (Warehouse.links w))
+          (render_links (Warehouse.links w2)));
+  ]
+
 let tests =
   [
     ("core.warehouse", warehouse_tests);
+    ("core.pair_store", pair_store_tests);
+    ("core.views", view_tests);
     ("core.delta", delta_tests);
     ("core.shell", shell_tests);
     ("core.config", config_tests);

@@ -851,6 +851,271 @@ let linker_tests =
           (List.for_all (fun (l : Link.t) -> l.kind = Link.Xref) r.links));
   ]
 
+(* --- the delta pipeline's text pass against batch discovery ---
+
+   Random sets of 3-5 sources, always including [go] and [go2] (so
+   [go2:] sorts before [go:] while [go] sorts before [go2]: the pair's
+   document order and its canonical source order disagree). Each source
+   has one entry relation of accessions, a name-like symbol column drawn
+   from a shared pool (so one name often sits in two sources'
+   dictionaries) and, unless it is text-less, a description column of
+   words from a small vocabulary mixed with pool names in any case,
+   stopwords, repeats and nulls; some sources add a note relation whose
+   rows join their entry's document. No source name contains ':'. For
+   every pair holding the changed source, [discover_source] must return
+   exactly what batch [discover] finds over the two-source restriction. *)
+
+type text_source = {
+  tname : string;
+  trows : (string * string option) list;  (* symbol, description *)
+  textless : bool;
+  notes : (int * string) list;  (* entry row, note text *)
+}
+
+type text_case = {
+  tsources : text_source list;
+  tchanged : int;
+  tcross : bool;
+  tmin_cosine : float;
+}
+
+let name_pool =
+  [| "grx"; "alphakin"; "zorpin"; "betatransporterkinase"; "kinab"; "ptpn";
+     "brcaf"; "mycl"; "sonichedgehog"; "wnt"; "notchy"; "ablx"; "fosb";
+     "hedgehogreceptor" |]
+
+let text_vocab =
+  [| "kinase"; "domain"; "binding"; "receptor"; "membrane"; "transport";
+     "repair"; "zinc"; "finger"; "signal"; "cell"; "cycle"; "the"; "of";
+     "protein"; "a"; "DNA"; "Kinase"; "putative"; "nuclear"; "x" |]
+
+let text_case_gen st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let shuffle l =
+    List.map snd
+      (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+  in
+  let casing w =
+    match Random.State.int st 3 with
+    | 0 -> String.uppercase_ascii w
+    | 1 -> String.capitalize_ascii w
+    | _ -> w
+  in
+  let text () =
+    let words =
+      List.init
+        (6 + Random.State.int st 8)
+        (fun _ ->
+          if Random.State.int st 5 = 0 then casing (pick name_pool)
+          else pick text_vocab)
+    in
+    String.concat
+      (pick [| " "; " "; ", "; "; "; " (" |])
+      words
+  in
+  let extra = shuffle [ "kegg"; "src_b"; "g"; "a"; "uniprot" ] in
+  let names =
+    shuffle ([ "go"; "go2" ] @ List.filteri (fun i _ -> i < 1 + Random.State.int st 3) extra)
+  in
+  let tsources =
+    List.map
+      (fun tname ->
+        let rows = 5 + Random.State.int st 5 in
+        let syms =
+          List.filteri (fun i _ -> i < rows) (shuffle (Array.to_list name_pool))
+        in
+        let textless = Random.State.int st 4 = 0 in
+        { tname; textless;
+          trows =
+            List.map
+              (fun sym ->
+                ( casing sym,
+                  if Random.State.int st 8 = 0 then None else Some (text ()) ))
+              syms;
+          notes =
+            (if Random.State.bool st then []
+             else
+               List.init (2 + Random.State.int st 6) (fun _ ->
+                   (Random.State.int st rows, text ()))) })
+      names
+  in
+  { tsources; tchanged = Random.State.int st (List.length names);
+    tcross = Random.State.bool st;
+    tmin_cosine = [| 0.2; 0.35; 0.5 |].(Random.State.int st 3) }
+
+let text_case_print c =
+  Printf.sprintf "changed=%d cross_source_only=%b min_cosine=%g\n%s" c.tchanged
+    c.tcross c.tmin_cosine
+    (String.concat "\n"
+       (List.map
+          (fun s ->
+            Printf.sprintf "%s%s: %s | notes: %s" s.tname
+              (if s.textless then " (text-less)" else "")
+              (String.concat "; "
+                 (List.map
+                    (fun (sym, d) ->
+                      sym ^ " = " ^ Option.value d ~default:"null")
+                    s.trows))
+              (String.concat "; "
+                 (List.map (fun (r, t) -> Printf.sprintf "%d: %s" r t) s.notes)))
+          c.tsources))
+
+let text_case_profiles c =
+  Profile_list.of_profiles
+    (List.mapi
+       (fun i s ->
+         let cat = Catalog.create ~name:s.tname in
+         let acc r = Printf.sprintf "Q%d%03d" i r in
+         let entry =
+           Catalog.create_relation cat ~name:"entry"
+             (Schema.of_names
+                ([ "acc"; "sym" ] @ if s.textless then [] else [ "descr" ]))
+         in
+         List.iteri
+           (fun r (sym, d) ->
+             Relation.insert entry
+               (Array.of_list
+                  ([ Value.text (acc r); Value.text sym ]
+                  @
+                  if s.textless then []
+                  else [ (match d with Some d -> Value.text d | None -> Value.Null) ])))
+           s.trows;
+         if s.notes <> [] then begin
+           let note =
+             Catalog.create_relation cat ~name:"note"
+               (Schema.of_names [ "note_id"; "entry_acc"; "note_text" ])
+           in
+           List.iteri
+             (fun k (r, t) ->
+               Relation.insert note
+                 [| Value.Int (k + 1); Value.text (acc r); Value.text t |])
+             s.notes
+         end;
+         Source_profile.analyze cat)
+       c.tsources)
+
+let text_oracle_seed = 20241017
+
+(* one case: every pair's links against batch discovery over the pair,
+   at pool sizes 1 and 2; returns what the case exercised *)
+let text_oracle_case c =
+  let ps = text_case_profiles c in
+  let sources = Profile_list.sources ps in
+  let source = List.nth sources c.tchanged in
+  let params =
+    { Text_links.default_params with
+      cross_source_only = c.tcross; min_cosine = c.tmin_cosine }
+  in
+  let pairs =
+    List.filter_map
+      (fun other ->
+        if other = source then
+          if c.tcross then None else Some (source, source)
+        else Some (min source other, max source other))
+      sources
+  in
+  let expected =
+    List.map
+      (fun (a, b) ->
+        ( (a, b),
+          Text_links.discover ~params
+            (Profile_list.restrict ps (if a = b then [ a ] else [ a; b ])) ))
+      pairs
+  in
+  let documents =
+    List.fold_left
+      (fun acc s ->
+        acc
+        + List.length
+            (Text_links.object_documents (Profile_list.restrict ps [ s ])))
+      0 sources
+  in
+  let show_pairs pairs =
+    String.concat "\n"
+      (List.concat_map
+         (fun ((a, b), links) ->
+           Printf.sprintf "pair %s %s" a b :: render_links links)
+         (List.sort compare pairs))
+  in
+  let expect =
+    Printf.sprintf "documents=%d mentions=%d\n%s" documents
+      (List.fold_left
+         (fun acc (_, (r : Text_links.result)) -> acc + r.mention_links)
+         0 expected)
+      (show_pairs
+         (List.map (fun (p, (r : Text_links.result)) -> (p, r.links)) expected))
+  in
+  let run domains =
+    let r =
+      Text_links.discover_source ~params
+        ~pool:(Aladin_par.Pool.get ~domains ())
+        ps ~source
+    in
+    Printf.sprintf "documents=%d mentions=%d\n%s" r.documents r.mention_links
+      (show_pairs r.pairs)
+  in
+  let one = run 1 and two = run 2 in
+  if expect <> one || one <> two then
+    QCheck.Test.fail_reportf "expected:\n%s\n1 domain:\n%s\n2 domains:\n%s"
+      expect one two;
+  (* coverage: a name two sources of one pair define, a text-less source
+     in a pair, and the kinds of links found *)
+  let syms s =
+    List.map (fun (sym, _) -> String.lowercase_ascii sym)
+      (List.find (fun t -> t.tname = s) c.tsources).trows
+  in
+  let clash =
+    List.exists
+      (fun (a, b) -> a <> b && List.exists (fun n -> List.mem n (syms b)) (syms a))
+      pairs
+  in
+  let textless =
+    List.exists
+      (fun (a, b) ->
+        List.exists
+          (fun t -> (t.tname = a || t.tname = b) && t.textless)
+          c.tsources)
+      pairs
+  in
+  let kinds =
+    List.concat_map
+      (fun (_, (r : Text_links.result)) ->
+        List.map (fun (l : Link.t) -> l.kind) r.links)
+      expected
+  in
+  (clash, textless, List.mem Link.Text_similarity kinds,
+   List.mem Link.Entity_mention kinds)
+
+let text_pass_tests =
+  [
+    Alcotest.test_case "discover_source equals batch discovery per pair" `Quick
+      (fun () ->
+        let covered = ref [] in
+        let test =
+          QCheck.Test.make ~name:"discover_source equals batch per pair"
+            ~count:80
+            (QCheck.make ~print:text_case_print text_case_gen)
+            (fun c ->
+              let clash, textless, text, mention = text_oracle_case c in
+              covered :=
+                (clash, textless, text, mention, c.tcross) :: !covered;
+              true)
+        in
+        QCheck.Test.check_exn
+          ~rand:(Random.State.make [| text_oracle_seed |])
+          test;
+        let some f = List.exists f !covered in
+        check Alcotest.bool "a name both sources of a pair define" true
+          (some (fun (x, _, _, _, _) -> x));
+        check Alcotest.bool "a text-less source" true
+          (some (fun (_, x, _, _, _) -> x));
+        check Alcotest.bool "cosine links" true (some (fun (_, _, x, _, _) -> x));
+        check Alcotest.bool "mention links" true
+          (some (fun (_, _, _, x, _) -> x));
+        check Alcotest.bool "both cross_source_only values" true
+          (some (fun (_, _, _, _, x) -> x) && some (fun (_, _, _, _, x) -> not x)));
+  ]
+
 let tests =
   [
     ("linkdisc.objref", objref_tests);
@@ -862,6 +1127,7 @@ let tests =
     ("linkdisc.seq_state", seq_state_tests);
     ("linkdisc.text_links", text_link_tests);
     ("linkdisc.mention_links", mention_link_tests);
+    ("linkdisc.text_pass", text_pass_tests);
     ("linkdisc.count_by_kind", count_by_kind_tests);
     ("linkdisc.onto_links", onto_tests);
     ("linkdisc.linker", linker_tests);
