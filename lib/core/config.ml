@@ -32,7 +32,6 @@ type t = {
   inclusion : Inclusion.params;
   linker : Linker.params;
   dup : Dup_detect.params;
-  incremental_seq : bool;
   max_path_len : int;
   change_threshold : float;
   domains : int;
@@ -45,7 +44,6 @@ let default =
     inclusion = Inclusion.default_params;
     linker = Linker.default_params;
     dup = Dup_detect.default_params;
-    incremental_seq = true;
     max_path_len = 6;
     change_threshold = 0.1;
     domains = 0;
@@ -131,9 +129,6 @@ let apply t key v =
   | "dup.all_pairs" ->
       let* b = parse_bool key v in
       Ok { t with dup = { t.dup with all_pairs = b } }
-  | "incremental_seq" ->
-      let* b = parse_bool key v in
-      Ok { t with incremental_seq = b }
   | "max_path_len" ->
       let* i = parse_int key v in
       Ok { t with max_path_len = i }
@@ -232,7 +227,6 @@ let to_string t =
       Printf.sprintf "links.enable_onto = %b" t.linker.enable_onto;
       Printf.sprintf "dup.min_similarity = %g" t.dup.min_similarity;
       Printf.sprintf "dup.all_pairs = %b" t.dup.all_pairs;
-      Printf.sprintf "incremental_seq = %b" t.incremental_seq;
       Printf.sprintf "max_path_len = %d" t.max_path_len;
       Printf.sprintf "change_threshold = %g" t.change_threshold;
       Printf.sprintf "domains = %d" t.domains;

@@ -28,12 +28,6 @@ type t = {
   inclusion : Inclusion.params;
   linker : Linker.params;
   dup : Dup_detect.params;
-  incremental_seq : bool;
-      (** the seq pass indexes only the changed source's sequences and
-          probes them with every other source's
-          ({!Aladin_links.Seq_links.discover_source}, default true); false
-          runs batch all-pairs discovery on each recomputed source pair
-          ({!Aladin_links.Seq_links.discover_between}) *)
   max_path_len : int;  (** secondary-structure path bound *)
   change_threshold : float;
       (** §6.2: fraction of a source's rows that must change before links
@@ -62,7 +56,6 @@ val of_string : string -> (t, string) result
     links.enable_seq|text|onto      bool
     dup.min_similarity              float
     dup.all_pairs                   bool
-    incremental_seq                 bool
     max_path_len                    int
     change_threshold                float
     domains                         int

@@ -21,17 +21,16 @@ type outcome = {
   link_step : Report.step_report;
   dup_step : Report.step_report;
   links : Link.t list;
-  report : Linker.report option;
   dups : Dup.Dup_detect.result option;
   audit : audit;
   changed_kinds : Link.kind list;
 }
 
-(* --- resilience plumbing, mirroring the batch pipeline exactly ---
+(* --- resilience plumbing ---
 
-   Same step/pass names, same budget keys, same skip/degrade shapes: a
-   run report produced by the delta path is indistinguishable from one
-   the old whole-warehouse relink produced. *)
+   Every step and pass runs in its own span and error boundary, under
+   its budget key: a pass that is disabled, budget-zero, over budget or
+   crashed is recorded in the run report and loses only its own links. *)
 
 let skipped_span name =
   Obs.Trace.ambient_span name ~attrs:[ ("status", "skipped") ] (fun () -> ())
@@ -69,8 +68,9 @@ let outcome_of_children children =
   in
   match warnings with [] -> Report.Ok | ws -> Report.Degraded ws
 
-(* one link pass over its share of the recomputed pairs; identical
-   envelope to the batch linker's pass runner *)
+(* one link pass over its share of the recomputed pairs. A pass with a
+   zero budget is skipped before touching any data, so the other passes'
+   output is identical to a run without it. *)
 let pass ~enabled ~budget name f =
   if not enabled then (None, Report.step name (Report.Skipped Report.Disabled))
   else
@@ -111,22 +111,6 @@ let all_kinds =
   [ Link.Xref; Link.Seq_similarity; Link.Text_similarity; Link.Entity_mention;
     Link.Shared_term; Link.Duplicate ]
 
-(* what one successful link phase learned, for report synthesis *)
-type link_run = {
-  passes : Report.step_report list;
-  xref_ran : bool;
-  xref_attrs : int;
-  xref_pairs : int;
-  seq_ran : bool;
-  seq_batch : (Seq_links.seq_field list * int * int) option;
-      (* batch fallback only: fields, sequences_indexed, pairs_verified *)
-  text_ran : bool;
-  text_docs : int;
-  text_mentions : int;
-  onto_ran : bool;
-  onto_hubs : int;
-}
-
 let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
   let budgets = cfg.budgets in
   let lp = cfg.linker in
@@ -158,7 +142,6 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
       source_order
   in
   let old_excludes = excludes_of () in
-  let incremental = cfg.incremental_seq && lp.enable_seq in
 
   (* --- the link phase: three pairwise passes, commit, then the global
      shared-term pass over the committed xref view --- *)
@@ -203,54 +186,24 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
     in
     let seq_staged, seq_step =
       pass ~enabled:lp.enable_seq ~budget:budgets.seq_pass "seq pass" (fun () ->
-          if incremental then begin
-            (* index the changed source alone and probe it with every
-               other source's sequences; the reused pairs' links are
-               already in the store *)
-            let fresh =
-              Seq_links.discover_source ~params:lp.seq ~pool profiles
-                ~source:changed
-            in
-            (* every fresh link touches the changed source, so this
-               partition covers them all; [fresh] is deduplicated and
-               sorted, and so is each part *)
-            ( List.map
-                (fun p ->
-                  ( p,
-                    List.filter
-                      (fun (l : Link.t) ->
-                        Pair_store.canon l.src.source l.dst.source = p)
-                      fresh ))
-                link_pairs,
-              None )
-          end
-          else begin
-            let per =
-              List.map
-                (fun ((a, b) as p) ->
-                  (p, Seq_links.discover_between ~params:lp.seq ~pool profiles ~a ~b))
-                link_pairs
-            in
-            let rs = List.map snd per in
-            Obs.Trace.ambient_incr
-              ~by:(sum (fun (r : Seq_links.result) -> r.sequences_indexed) rs)
-              "seq.sequences_indexed";
-            Obs.Trace.ambient_incr
-              ~by:(sum (fun (r : Seq_links.result) -> r.pairs_verified) rs)
-              "seq.pairs_verified";
-            Obs.Trace.ambient_incr
-              ~by:(sum (fun (r : Seq_links.result) -> List.length r.links) rs)
-              "seq.links";
-            let fields =
-              List.sort_uniq compare
-                (List.concat_map (fun (r : Seq_links.result) -> r.fields) rs)
-            in
-            ( List.map (fun (p, (r : Seq_links.result)) -> (p, r.links)) per,
-              Some
-                ( fields,
-                  sum (fun (r : Seq_links.result) -> r.sequences_indexed) rs,
-                  sum (fun (r : Seq_links.result) -> r.pairs_verified) rs ) )
-          end)
+          (* index the changed source alone and probe it with every
+             other source's sequences; the reused pairs' links are
+             already in the store *)
+          let fresh =
+            Seq_links.discover_source ~params:lp.seq ~pool profiles
+              ~source:changed
+          in
+          (* every fresh link touches the changed source, so this
+             partition covers them all; [fresh] is deduplicated and
+             sorted, and so is each part *)
+          List.map
+            (fun p ->
+              ( p,
+                List.filter
+                  (fun (l : Link.t) ->
+                    Pair_store.canon l.src.source l.dst.source = p)
+                  fresh ))
+            link_pairs)
     in
     let text_staged, text_step =
       pass ~enabled:lp.enable_text ~budget:budgets.text_pass "text pass"
@@ -284,7 +237,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
               | None -> []);
             seq_links =
               (match seq_staged with
-              | Some (staged, _) -> staged_assoc staged p
+              | Some staged -> staged_assoc staged p
               | None -> []);
             text_links =
               (match text_staged with
@@ -313,58 +266,28 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
     in
     Pair_store.set_onto store
       (match onto_staged with Some r -> r.Onto_links.links | None -> []);
-    {
-      passes = [ xref_step; seq_step; text_step; onto_step ];
-      xref_ran = xref_staged <> None;
-      xref_attrs =
-        (match xref_staged with
-        | Some per -> sum (fun (_, (r : Xref_disc.result)) -> r.attributes_scanned) per
-        | None -> 0);
-      xref_pairs =
-        (match xref_staged with
-        | Some per -> sum (fun (_, (r : Xref_disc.result)) -> r.pairs_compared) per
-        | None -> 0);
-      seq_ran = seq_staged <> None;
-      seq_batch =
-        (match seq_staged with Some (_, batch) -> batch | None -> None);
-      text_ran = text_staged <> None;
-      text_docs =
-        (match text_staged with Some r -> r.Text_links.documents | None -> 0);
-      text_mentions =
-        (match text_staged with
-        | Some r -> r.Text_links.mention_links
-        | None -> 0);
-      onto_ran = onto_staged <> None;
-      onto_hubs =
-        (match onto_staged with
-        | Some r -> r.Onto_links.hub_targets_skipped
-        | None -> 0);
-    }
+    [ xref_step; seq_step; text_step; onto_step ]
   in
-  let link_run_opt, link_step =
+  let link_step =
     match budgets.links with
     | Some b when b <= 0.0 ->
         skipped_span "link discovery";
         clear_link_fields ();
-        (None, Report.step "link discovery" (Report.Skipped Report.Budget_zero))
+        Report.step "link discovery" (Report.Skipped Report.Budget_zero)
     | link_budget -> (
         let res, link_secs =
           bounded ~name:"link discovery" ?budget:link_budget run_link_passes
         in
         match res with
-        | Ok run ->
-            ( Some run,
-              Report.step ~seconds:link_secs ~children:run.passes
-                "link discovery"
-                (outcome_of_children run.passes) )
+        | Ok passes ->
+            Report.step ~seconds:link_secs ~children:passes "link discovery"
+              (outcome_of_children passes)
         | Error err ->
             (* discard partial results of this run; reused pairs keep
                theirs, exactly like a from-scratch run that never
                produced them *)
             clear_link_fields ();
-            ( None,
-              Report.step ~seconds:link_secs "link discovery" (Report.Failed err)
-            ))
+            Report.step ~seconds:link_secs "link discovery" (Report.Failed err))
   in
   (* --- the duplicate phase: a pair's stored links stay valid unless an
      endpoint's rows changed or its exclude-attribute set shifted under
@@ -458,52 +381,11 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
                 (Report.Failed e) ))
   in
 
-  (* --- synthesized whole-warehouse views (reused pairs included): the
-     store merged once, and every view a kind filter of that merge --- *)
+  (* --- the whole-warehouse view (reused pairs included): the store
+     merged once, and the duplicate view a kind filter of that merge --- *)
   let links = Pair_store.all_links store in
   let of_kinds kinds =
     List.filter (fun (l : Link.t) -> List.mem l.kind kinds) links
-  in
-  let report =
-    match link_run_opt with
-    | None -> None
-    | Some run ->
-        let text_all = of_kinds [ Link.Text_similarity; Link.Entity_mention ] in
-        let onto_all = Pair_store.onto store in
-        Some
-          {
-            Linker.links =
-              List.filter (fun (l : Link.t) -> l.kind <> Link.Duplicate) links;
-            xref_result =
-              (if run.xref_ran then
-                 Some
-                   { Xref_disc.links = of_kinds [ Link.Xref ];
-                     correspondences = Pair_store.correspondences store;
-                     attributes_scanned = run.xref_attrs;
-                     pairs_compared = run.xref_pairs }
-               else None);
-            seq_result =
-              (match run.seq_batch with
-              | Some (fields, indexed, verified) ->
-                  Some
-                    { Seq_links.links = of_kinds [ Link.Seq_similarity ];
-                      fields; sequences_indexed = indexed;
-                      pairs_verified = verified }
-              | None -> None);
-            text_result =
-              (if run.text_ran then
-                 Some
-                   { Text_links.links = text_all; documents = run.text_docs;
-                     mention_links = run.text_mentions }
-               else None);
-            onto_result =
-              (if run.onto_ran then
-                 Some
-                   { Onto_links.links = onto_all;
-                     hub_targets_skipped = run.onto_hubs }
-               else None);
-            passes = run.passes;
-          }
   in
   let dups =
     match dup_reprs with
@@ -543,7 +425,6 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
     link_step;
     dup_step;
     links;
-    report;
     dups;
     audit = { recomputed_pairs; reused_pairs };
     changed_kinds;

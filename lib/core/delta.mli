@@ -10,12 +10,12 @@
     so incremental results are byte-identical to a full rebuild by
     construction.
 
-    Failure semantics mirror the batch pipeline per recomputed pair: a
-    pass that is disabled, budget-zero, over budget or crashed leaves
-    the {e recomputed} pairs without its links (just as a from-scratch
-    run would), while reused pairs keep theirs. Step and pass names,
-    budget keys and report shapes are identical to the old
-    whole-warehouse relink. *)
+    Each step and pass runs in its own error boundary under its budget
+    key ({!Config.budgets}): a pass that is disabled, budget-zero, over
+    budget or crashed leaves the {e recomputed} pairs without its links
+    (just as a from-scratch run would), while reused pairs keep theirs;
+    the run report's ["link discovery"] step lists one child per pass
+    (xref, seq, text, onto). *)
 
 open Aladin_links
 module Dup = Aladin_dup
@@ -34,12 +34,8 @@ type outcome = {
   dup_step : Report.step_report;  (** "duplicate detection" *)
   links : Link.t list;
       (** the store's merged links ({!Pair_store.all_links}, before
-          feedback filtering), computed once per relink; the two views
-          below are kind filters of it *)
-  report : Linker.report option;
-      (** whole-warehouse view of the merged links (reused pairs
-          included): every kind but [Duplicate], and per pass its kinds;
-          [None] when the link phase was skipped or failed *)
+          feedback filtering), computed once per relink; [dups] below is
+          a kind filter of it *)
   dups : Dup.Dup_detect.result option;
       (** whole-warehouse duplicates: the merged [Duplicate] links, with
           clusters rebuilt over them; [None] when the dup phase was

@@ -24,7 +24,6 @@ type t = {
   repo : Repository.t;
   mutable pair_store : Pair_store.t;
   gen : Generation.t;
-  mutable last_report : Linker.report option;
   mutable last_dups : Dup.Dup_detect.result option;
   mutable last_delta : Delta.audit option;
   mutable cached_browser : Browser.t option;
@@ -46,7 +45,6 @@ let create ?(config = Config.default) () =
     repo = Repository.create ();
     pair_store = Pair_store.create ();
     gen = Generation.create ();
-    last_report = None;
     last_dups = None;
     last_delta = None;
     cached_browser = None;
@@ -115,7 +113,6 @@ let relink ~changed t =
     Delta.relink ~cfg:t.cfg ~pool:t.pool ~profiles:t.profile_list
       ~source_order ~store:t.pair_store ~changed ()
   in
-  t.last_report <- out.report;
   t.last_dups <- out.dups;
   t.last_delta <- Some out.audit;
   List.iter
@@ -696,8 +693,6 @@ let profile t name =
     (Profile_list.find t.profile_list name)
 
 let links t = Repository.links t.repo
-
-let link_report t = t.last_report
 
 let duplicates t = t.last_dups
 

@@ -165,10 +165,6 @@ val profile : t -> string -> Source_profile.t option
 
 val links : t -> Link.t list
 
-val link_report : t -> Linker.report option
-(** The latest link-discovery report ([None] before any source, and
-    [None] when step 4 as a whole failed or was skipped). *)
-
 val duplicates : t -> Aladin_dup.Dup_detect.result option
 
 val repository : t -> Repository.t

@@ -1,7 +1,3 @@
-module Obs = Aladin_obs
-module Res = Aladin_resilience
-module Report = Res.Run_report
-
 type params = {
   xref : Xref_disc.params;
   seq : Seq_links.params;
@@ -24,114 +20,6 @@ let default_params =
     enable_text = true;
     enable_onto = true;
   }
-
-type pass_budgets = {
-  xref_budget : float option;
-  seq_budget : float option;
-  text_budget : float option;
-  onto_budget : float option;
-}
-
-let no_pass_budgets =
-  { xref_budget = None; seq_budget = None; text_budget = None; onto_budget = None }
-
-type report = {
-  links : Link.t list;
-  xref_result : Xref_disc.result option;
-  seq_result : Seq_links.result option;
-  text_result : Text_links.result option;
-  onto_result : Onto_links.result option;
-  passes : Report.step_report list;
-}
-
-(* each pass is a child span of the ambient "link discovery" span (when
-   the orchestrator installed a trace), feeds the shared pass-latency
-   histogram, and runs inside its own error boundary: a crashed or
-   over-budget pass loses only its own links, never the step. A pass
-   with a zero budget is skipped before touching any data, so the other
-   passes' output is identical to a run without it. *)
-let pass ~enabled ~budget name f =
-  if not enabled then (None, Report.step name (Report.Skipped Report.Disabled))
-  else
-    match budget with
-    | Some b when b <= 0.0 ->
-        Obs.Trace.ambient_span name
-          ~attrs:[ ("status", "skipped") ]
-          (fun () -> ());
-        ignore b;
-        (None, Report.step name (Report.Skipped Report.Budget_zero))
-    | _ -> (
-        let res, secs =
-          Obs.Trace.ambient_span_timed name (fun () ->
-              let res = Res.Boundary.protect ~step:name ?budget f in
-              Obs.Trace.ambient_add_attr "status" (Res.Boundary.status_of res);
-              res)
-        in
-        Obs.Trace.ambient_observe "linkdisc.pass_seconds" secs;
-        match res with
-        | Ok v -> (Some v, Report.step ~seconds:secs name Report.Ok)
-        | Error (Report.Timeout b) ->
-            ( None,
-              Report.step ~seconds:secs name
-                (Report.Skipped (Report.Budget_exhausted b)) )
-        | Error (Report.Crashed _ as e) ->
-            (None, Report.step ~seconds:secs name (Report.Failed e)))
-
-let discover ?(params = default_params) ?pool ?(budgets = no_pass_budgets)
-    profiles =
-  let xref_result, xref_step =
-    pass ~enabled:params.enable_xref ~budget:budgets.xref_budget "xref pass"
-      (fun () ->
-        let r = Xref_disc.discover ~params:params.xref ?pool profiles in
-        Obs.Trace.ambient_incr ~by:r.attributes_scanned "xref.attributes_scanned";
-        Obs.Trace.ambient_incr ~by:r.pairs_compared "xref.pairs_compared";
-        Obs.Trace.ambient_incr
-          ~by:(List.length r.correspondences)
-          "xref.correspondences_accepted";
-        Obs.Trace.ambient_incr ~by:(List.length r.links) "xref.links";
-        r)
-  in
-  let seq_result, seq_step =
-    pass ~enabled:params.enable_seq ~budget:budgets.seq_budget "seq pass"
-      (fun () ->
-        let r = Seq_links.discover ~params:params.seq ?pool profiles in
-        Obs.Trace.ambient_incr ~by:r.sequences_indexed "seq.sequences_indexed";
-        Obs.Trace.ambient_incr ~by:r.pairs_verified "seq.pairs_verified";
-        Obs.Trace.ambient_incr ~by:(List.length r.links) "seq.links";
-        r)
-  in
-  let text_result, text_step =
-    pass ~enabled:params.enable_text ~budget:budgets.text_budget "text pass"
-      (fun () ->
-        let r = Text_links.discover ~params:params.text ?pool profiles in
-        Obs.Trace.ambient_incr ~by:r.documents "text.documents";
-        Obs.Trace.ambient_incr ~by:(List.length r.links) "text.links";
-        r)
-  in
-  let xref_links = match xref_result with Some r -> r.links | None -> [] in
-  let onto_result, onto_step =
-    pass ~enabled:params.enable_onto ~budget:budgets.onto_budget "onto pass"
-      (fun () ->
-        let parents = Onto_links.parents_from_profiles profiles in
-        let r =
-          Onto_links.discover ~params:params.onto ~parents ~xrefs:xref_links ()
-        in
-        Obs.Trace.ambient_incr ~by:r.hub_targets_skipped "onto.hub_targets_skipped";
-        Obs.Trace.ambient_incr ~by:(List.length r.links) "onto.links";
-        r)
-  in
-  let links =
-    Link.dedup
-      (List.concat
-         [
-           xref_links;
-           (match seq_result with Some r -> r.links | None -> []);
-           (match text_result with Some r -> r.links | None -> []);
-           (match onto_result with Some r -> r.links | None -> []);
-         ])
-  in
-  { links; xref_result; seq_result; text_result; onto_result;
-    passes = [ xref_step; seq_step; text_step; onto_step ] }
 
 let count_by_kind links =
   let kinds =

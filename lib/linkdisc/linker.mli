@@ -1,10 +1,7 @@
-(** Step-4 orchestration: run every link-discovery technique over the
-    analyzed sources and merge the results.
-
-    Each pass runs inside its own {!Aladin_resilience.Boundary}: a pass
-    that crashes or exceeds its wall-clock budget loses only its own
-    links, and the outcome lands in {!report.passes} for the warehouse
-    run report. *)
+(** The link-discovery settings: each technique's parameters and
+    whether it runs. The passes themselves are run per changed source by
+    the delta pipeline ([Aladin.Delta.relink]), each inside its own error
+    boundary. *)
 
 type params = {
   xref : Xref_disc.params;
@@ -18,40 +15,5 @@ type params = {
 }
 
 val default_params : params
-
-type pass_budgets = {
-  xref_budget : float option;
-  seq_budget : float option;
-  text_budget : float option;
-  onto_budget : float option;
-}
-(** Wall-clock budget in seconds per pass; [None] = unlimited, [0] =
-    skip the pass before it touches any data (the other passes' output
-    is then byte-identical to a run without it). *)
-
-val no_pass_budgets : pass_budgets
-
-type report = {
-  links : Link.t list;  (** deduplicated, all kinds *)
-  xref_result : Xref_disc.result option;
-  seq_result : Seq_links.result option;
-  text_result : Text_links.result option;
-  onto_result : Onto_links.result option;
-  passes : Aladin_resilience.Run_report.step_report list;
-      (** one entry per pass (xref, seq, text, onto) in run order:
-          [Ok], [Skipped Disabled], [Skipped Budget_zero],
-          [Skipped (Budget_exhausted _)] or [Failed (Crashed _)] *)
-}
-
-val discover :
-  ?params:params ->
-  ?pool:Aladin_par.Pool.t ->
-  ?budgets:pass_budgets ->
-  Profile_list.t ->
-  report
-(** The pool (if any) is handed to the xref, seq and text passes (the
-    text pass shards its prepared-corpus candidate join by query-document
-    range); the onto pass stays sequential. Never raises: a failing pass
-    is reported in [passes] and contributes no links. *)
 
 val count_by_kind : Link.t list -> (Link.kind * int) list

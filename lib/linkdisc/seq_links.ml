@@ -176,64 +176,66 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
   Aladin_obs.Trace.ambient_incr ~by:(List.length fresh) "seq.links";
   fresh
 
-(* id encoding for the batch homology engine: source / relation / row *)
-let encode source relation row =
-  Printf.sprintf "%s\x00%s\x00%d" source relation row
-
-let decode id =
-  match String.split_on_char '\x00' id with
-  | [ source; relation; row ] -> (source, relation, int_of_string row)
-  | _ -> invalid_arg "Seq_links.decode"
-
-let source_of id = String.sub id 0 (String.index id '\x00')
-
+(* Batch discovery, per alphabet kind: every sequence in one index, and
+   each entry probes it as the query for the entries after it, so each
+   unordered pair is aligned once. Entries are ordered by their
+   source\x00relation\x00row string, which decides the query of a
+   tied-length pair; same-key entries (two sequence columns of one row)
+   keep field order. *)
 let discover ?(params = default_params) ?pool profiles =
   let fields = sequence_fields params profiles in
-  let kinds =
-    List.sort_uniq compare (List.map (fun f -> f.kind) fields)
+  let kinds = List.sort_uniq compare (List.map (fun f -> f.kind) fields) in
+  let probes =
+    List.concat_map
+      (fun kind ->
+        let entries =
+          List.concat_map
+            (fun f ->
+              if f.kind = kind then
+                List.map
+                  (fun (row, s) ->
+                    (Printf.sprintf "%s\x00%s\x00%d" f.source f.relation row,
+                     (f, row, s)))
+                  (field_sequences params profiles f)
+              else [])
+            fields
+          |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+          |> List.map snd |> Array.of_list
+        in
+        let ix =
+          Sq.Homology.probe_index kind (Array.map (fun (_, _, s) -> s) entries)
+        in
+        List.init (Array.length entries) (fun i -> (entries, ix, i)))
+      kinds
   in
-  let indexed = ref 0 in
-  let links = ref [] in
-  let pairs_verified = ref 0 in
-  (* a same-source pair is never a link when cross_source_only holds, so
-     it is not aligned *)
-  let keep =
-    if params.cross_source_only then fun q s -> source_of q <> source_of s
-    else fun _ _ -> true
+  let hits =
+    Aladin_par.Pool.map ?pool
+      (fun (entries, ix, i) ->
+        let f, _, s = entries.(i) in
+        (* a same-source pair is never a link when cross_source_only
+           holds, so it is not aligned *)
+        let keep j =
+          let g, _, _ = entries.(j) in
+          j > i && not (params.cross_source_only && g.source = f.source)
+        in
+        Sq.Homology.probe ix ~probe_is_query:true ~keep s
+          ~min_normalized:params.min_normalized)
+      probes
   in
-  List.iter
-    (fun kind ->
-      let engine = Sq.Homology.create kind in
+  let links = ref [] and verified = ref 0 in
+  List.iter2
+    (fun (entries, _, i) hits ->
+      let qf, qrow, _ = entries.(i) in
+      verified := !verified + List.length hits;
       List.iter
-        (fun f ->
-          if f.kind = kind then
-            List.iter
-              (fun (row_i, s) ->
-                Sq.Homology.add engine ~id:(encode f.source f.relation row_i) s;
-                incr indexed)
-              (field_sequences params profiles f))
-        fields;
-      let hits =
-        Sq.Homology.all_pairs ?pool ~keep engine
-          ~min_normalized:params.min_normalized
-      in
-      pairs_verified := !pairs_verified + List.length hits;
-      List.iter
-        (fun (h : Sq.Homology.hit) ->
+        (fun (h : Sq.Homology.probe_hit) ->
+          let sf, srow, _ = entries.(h.id) in
           links :=
-            links_of_hit profiles (decode h.query_id) (decode h.subject_id)
-              ~raw:h.raw_score ~normalized:h.normalized !links)
+            links_of_hit profiles
+              (qf.source, qf.relation, qrow)
+              (sf.source, sf.relation, srow)
+              ~raw:h.score ~normalized:h.norm !links)
         hits)
-    kinds;
-  { links = Link.dedup !links; fields; sequences_indexed = !indexed;
-    pairs_verified = !pairs_verified }
-
-(* Pairwise entry point for the non-incremental (batch) homology path:
-   index and align the two sources alone. Alignment scores depend only
-   on the two sequences, so the union over pairs equals the global
-   all-pairs run. *)
-let discover_between ?params ?pool profiles ~a ~b =
-  let lo, hi = if String.compare a b <= 0 then (a, b) else (b, a) in
-  (* a self pair restricts to the single source once, not twice *)
-  let names = if lo = hi then [ lo ] else [ lo; hi ] in
-  discover ?params ?pool (Profile_list.restrict profiles names)
+    probes hits;
+  { links = Link.dedup !links; fields; sequences_indexed = List.length probes;
+    pairs_verified = !verified }

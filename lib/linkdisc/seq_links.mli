@@ -32,12 +32,17 @@ type result = {
 
 val discover :
   ?params:params -> ?pool:Aladin_par.Pool.t -> Profile_list.t -> result
-(** Batch discovery over every source in the list: all sequences of a
-    kind in one index, each unordered pair aligned once, from its smaller
-    id. With [cross_source_only] a same-source pair is dropped before it
-    is aligned, so [pairs_verified] counts cross-source hits only. With a
-    [pool] the all-pairs search fans out across domains; the result is
-    identical to the sequential run. *)
+(** Batch discovery over every source in the list — the reference the
+    delta pipeline's pass ({!discover_source}) is tested against, and
+    the E7 evaluator; the warehouse never calls it. Per alphabet kind,
+    every sequence goes into one {!Aladin_seq.Homology.probe_index},
+    ordered by its [source\x00relation\x00row] string, and each probes
+    it as the query for the ones after it: each unordered pair is
+    aligned once, the earlier side being the query. With
+    [cross_source_only] a same-source pair is dropped before it is
+    aligned, so [pairs_verified] counts cross-source hits only. With a
+    [pool] the probes fan out across domains; the result is identical to
+    the sequential run. *)
 
 val discover_source :
   ?params:params ->
@@ -59,16 +64,3 @@ val discover_source :
     [seq.sequences_indexed] (the named source's sequences),
     [seq.alignments], [seq.pairs_verified] and [seq.links]; the result
     and the counters do not depend on the pool size. *)
-
-val discover_between :
-  ?params:params ->
-  ?pool:Aladin_par.Pool.t ->
-  Profile_list.t ->
-  a:string ->
-  b:string ->
-  result
-(** Batch {!discover} restricted to the canonically ordered source pair
-    [(a, b)] — the delta pipeline's seq pass when [incremental_seq] is
-    off. Alignment scores depend only on the two sequences, so the
-    union over pairs equals the global all-pairs run. Symmetric in
-    [a]/[b]. *)

@@ -21,32 +21,69 @@ let is_over ~alphabet s =
   let s = normalize s in
   s <> "" && String.for_all (fun c -> String.contains alphabet c) s
 
-let classify ?(min_len = 10) s =
-  let s = normalize s in
-  if String.length s < min_len then None
-  else if is_over ~alphabet:dna s then Some Dna
-  else if is_over ~alphabet:rna s then Some Rna
-  else if is_over ~alphabet:protein s then Some Protein
+(* per byte, the alphabets that hold it after normalization (lowercase
+   letters count as uppercase): bit 1 DNA, 2 RNA, 4 protein *)
+let membership =
+  let t = Array.make 256 0 in
+  List.iter
+    (fun (alphabet, bit) ->
+      String.iter
+        (fun c ->
+          List.iter
+            (fun c -> t.(Char.code c) <- t.(Char.code c) lor bit)
+            [ c; Char.lowercase_ascii c ])
+        alphabet)
+    [ (dna, 1); (rna, 2); (protein, 4) ];
+  t
+
+(* one pass over the raw value, without building its normalized form:
+   the normalized length, and the bits of the alphabets that hold every
+   normalized character *)
+let scan s =
+  let len = ref 0 and bits = ref 7 in
+  String.iter
+    (function
+      | ' ' | '\t' | '\n' | '\r' -> ()
+      | c ->
+          incr len;
+          bits := !bits land membership.(Char.code c))
+    s;
+  (!len, !bits)
+
+let kind_of ~min_len (len, bits) =
+  if len = 0 || len < min_len then None
+  else if bits land 1 <> 0 then Some Dna
+  else if bits land 2 <> 0 then Some Rna
+  else if bits land 4 <> 0 then Some Protein
   else None
 
+let classify ?(min_len = 10) s = kind_of ~min_len (scan s)
+
 let classify_column ?(min_len = 10) ?(min_frac = 0.9) values =
-  let nonempty = List.filter (fun s -> normalize s <> "") values in
-  match nonempty with
-  | [] -> None
-  | _ ->
-      let total = List.length nonempty in
-      let count k =
-        List.length
-          (List.filter (fun s -> classify ~min_len s = Some k) nonempty)
-      in
-      let candidates =
-        [ (Dna, count Dna); (Rna, count Rna); (Protein, count Protein) ]
-        |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
-      in
-      (match candidates with
-      | (k, n) :: _ when float_of_int n >= min_frac *. float_of_int total ->
-          Some k
-      | _ -> None)
+  (* each value scanned and classified once *)
+  let nonempty = ref 0 and dna = ref 0 and rna = ref 0 and protein = ref 0 in
+  List.iter
+    (fun s ->
+      let ((len, _) as scanned) = scan s in
+      if len > 0 then begin
+        incr nonempty;
+        match kind_of ~min_len scanned with
+        | Some Dna -> incr dna
+        | Some Rna -> incr rna
+        | Some Protein -> incr protein
+        | None -> ()
+      end)
+    values;
+  (* the most frequent kind, DNA > RNA > Protein on ties *)
+  let kind, n =
+    List.fold_left
+      (fun (k, n) (k', n') -> if n' > n then (k', n') else (k, n))
+      (Dna, !dna)
+      [ (Rna, !rna); (Protein, !protein) ]
+  in
+  if !nonempty > 0 && float_of_int n >= min_frac *. float_of_int !nonempty
+  then Some kind
+  else None
 
 let gc_content s =
   let s = normalize s in

@@ -21,13 +21,16 @@ val is_over : alphabet:string -> string -> bool
 (** After normalization, every character is in [alphabet]; empty is false. *)
 
 val classify : ?min_len:int -> string -> kind option
-(** Detect the alphabet of a (normalized) string. DNA wins over protein for
-    ACGT-only strings; [min_len] (default 10) guards against short words like
-    "CAT" being taken for sequences. *)
+(** Detect the alphabet of a value after normalization, in one pass that
+    does not build the normalized string. DNA wins over RNA and protein
+    for ACGT-only strings, RNA over protein; [min_len] (default 10)
+    guards against short words like "CAT" being taken for sequences. *)
 
 val classify_column : ?min_len:int -> ?min_frac:float -> string list -> kind option
 (** A column is a sequence field when at least [min_frac] (default 0.9) of
-    its non-empty values classify to the same kind. *)
+    its non-empty values (after normalization) classify to the same
+    kind: the most frequent one, DNA > RNA > Protein on ties. Each value
+    is classified once. *)
 
 val gc_content : string -> float
 (** Fraction of G/C in a normalized DNA string; 0 on empty. *)

@@ -46,15 +46,17 @@ echo "grep-gate ok: no raising error paths in importers/warehouse/config"
 # Link and duplicate discovery in the core/CLI layer must go through the
 # delta pipeline (lib/core/delta.ml), which decomposes the work per
 # source pair and reuses every pair the mutation did not touch. A
-# whole-warehouse Linker.discover / Dup_detect.detect call anywhere else
-# silently reintroduces the O(all pairs) rebuild the delta store exists
-# to kill. (The pairwise *_between / *_source entry points are fine.)
-# The batch text pass, Text_links.discover, is only the reference the
-# delta text pass is tested against, so not even delta.ml calls it.
+# whole-warehouse Dup_detect.detect call anywhere else silently
+# reintroduces the O(all pairs) rebuild the delta store exists to kill.
+# (The pairwise *_between / *_source entry points are fine.) The batch
+# orchestrator Linker.discover is gone; the pattern keeps it from coming
+# back. The batch seq and text passes, Seq_links.discover and
+# Text_links.discover, are only the references the delta passes are
+# tested against (and the E7 evaluator), so not even delta.ml calls them.
 if { grep -rnE 'Linker\.discover\b|Dup_detect\.detect\b' \
        lib/core lib/serve bin --include='*.ml' 2>/dev/null \
        | grep -v '^lib/core/delta\.ml'
-     grep -rnE 'Text_links\.discover\b' \
+     grep -rnE 'Seq_links\.discover\b|Text_links\.discover\b' \
        lib/core lib/serve bin --include='*.ml' 2>/dev/null; }; then
   echo "error: whole-warehouse relink outside lib/core/delta.ml (use the delta pipeline)" >&2
   exit 1

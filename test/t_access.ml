@@ -352,36 +352,35 @@ let path_rank_tests =
         | [] -> Alcotest.fail "empty");
   ]
 
+(* a browser over the mini-sources integrated into a warehouse *)
+let mini_browser () =
+  Aladin.Warehouse.browser
+    (Aladin.Warehouse.integrate
+       [ T_linkdisc.source_a (); T_linkdisc.source_b () ])
+
 let browser_tests =
-  let build () =
-    let profiles = mini_profiles () in
-    let repo = Aladin_metadata.Repository.create () in
-    let report = Aladin_links.Linker.discover profiles in
-    Aladin_metadata.Repository.set_links repo report.links;
-    Browser.create profiles repo
-  in
   [
     Alcotest.test_case "view fields" `Quick (fun () ->
-        let b = build () in
+        let b = mini_browser () in
         match Browser.view_accession b ~source:"src_a" "AX001" with
         | None -> Alcotest.fail "no view"
         | Some v ->
             check Alcotest.bool "accession field" true
               (List.mem ("accession", "AX001") v.fields));
     Alcotest.test_case "annotations present" `Quick (fun () ->
-        let b = build () in
+        let b = mini_browser () in
         match Browser.view_accession b ~source:"src_a" "AX001" with
         | None -> Alcotest.fail "no view"
         | Some v ->
             check Alcotest.bool "dbxref annotation" true
               (List.exists (fun (a : Browser.annotation) -> a.relation = "dbxref") v.annotations));
     Alcotest.test_case "links attached" `Quick (fun () ->
-        let b = build () in
+        let b = mini_browser () in
         match Browser.view_accession b ~source:"src_a" "AX001" with
         | None -> Alcotest.fail "no view"
         | Some v -> check Alcotest.bool "linked" true (v.linked <> []));
     Alcotest.test_case "follow link" `Quick (fun () ->
-        let b = build () in
+        let b = mini_browser () in
         match Browser.view_accession b ~source:"src_a" "AX001" with
         | None -> Alcotest.fail "no view"
         | Some v -> (
@@ -391,21 +390,21 @@ let browser_tests =
                   (v2.obj.Aladin_links.Objref.accession <> "AX001")
             | None -> Alcotest.fail "follow failed"));
     Alcotest.test_case "unknown object none" `Quick (fun () ->
-        let b = build () in
+        let b = mini_browser () in
         check Alcotest.bool "none" true
           (Browser.view_accession b ~source:"src_a" "ZZZ" = None));
     Alcotest.test_case "render mentions accession" `Quick (fun () ->
-        let b = build () in
+        let b = mini_browser () in
         match Browser.view_accession b ~source:"src_a" "AX001" with
         | None -> Alcotest.fail "no view"
         | Some v ->
             check Alcotest.bool "rendered" true
               (Aladin_text.Strdist.contains ~needle:"AX001" (Browser.render v)));
     Alcotest.test_case "objects enumerates all" `Quick (fun () ->
-        let b = build () in
+        let b = mini_browser () in
         check Alcotest.int "six" 6 (List.length (Browser.objects b)));
     Alcotest.test_case "siblings window" `Quick (fun () ->
-        let b = build () in
+        let b = mini_browser () in
         match Browser.view_accession b ~source:"src_a" "AX002" with
         | None -> Alcotest.fail "no view"
         | Some v -> check Alcotest.int "two neighbours" 2 (List.length v.siblings));
@@ -484,11 +483,7 @@ let html_tests =
         check Alcotest.bool "no slash" true (not (String.contains f '/'));
         check Alcotest.bool "no colon" true (not (String.contains f ':')));
     Alcotest.test_case "object page wellformed-ish" `Quick (fun () ->
-        let profiles = mini_profiles () in
-        let repo = Aladin_metadata.Repository.create () in
-        let report = Aladin_links.Linker.discover profiles in
-        Aladin_metadata.Repository.set_links repo report.links;
-        let b = Browser.create profiles repo in
+        let b = mini_browser () in
         match Browser.view_accession b ~source:"src_a" "AX001" with
         | None -> Alcotest.fail "no view"
         | Some v ->

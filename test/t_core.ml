@@ -37,8 +37,7 @@ let warehouse_tests =
           c.gold.sources);
     Alcotest.test_case "links discovered" `Quick (fun () ->
         let w = Lazy.force warehouse in
-        check Alcotest.bool "nonempty" true (Warehouse.links w <> []);
-        check Alcotest.bool "report" true (Warehouse.link_report w <> None));
+        check Alcotest.bool "nonempty" true (Warehouse.links w <> []));
     Alcotest.test_case "xref recall against gold" `Quick (fun () ->
         let w = Lazy.force warehouse in
         let c = Lazy.force small_corpus in
@@ -117,15 +116,12 @@ let warehouse_tests =
           (List.length (Warehouse.links inc)));
     Alcotest.test_case "incremental homology equals full recompute" `Quick
       (fun () ->
-        let c = Lazy.force small_corpus in
+        (* the delta pass, run once per added source, against batch
+           discovery over every source at once *)
         let inc = Lazy.force warehouse in
-        let full =
-          Warehouse.integrate
-            ~config:{ Config.default with incremental_seq = false }
-            c.catalogs
-        in
-        let seq_keys w =
-          Warehouse.links w
+        let full = Aladin_links.Seq_links.discover (Warehouse.profiles inc) in
+        let seq_keys links =
+          links
           |> List.filter (fun (l : Aladin_links.Link.t) ->
                  l.kind = Aladin_links.Link.Seq_similarity)
           |> List.map (fun (l : Aladin_links.Link.t) ->
@@ -134,8 +130,60 @@ let warehouse_tests =
                    (Aladin_links.Objref.to_string l.dst))
           |> List.sort_uniq String.compare
         in
-        check Alcotest.(list string) "identical seq links" (seq_keys full)
-          (seq_keys inc));
+        check Alcotest.bool "some seq links" true (seq_keys full.links <> []);
+        check Alcotest.(list string) "identical seq links" (seq_keys full.links)
+          (seq_keys (Warehouse.links inc)));
+  ]
+
+(* The link-discovery settings ([Linker.params]) through the warehouse,
+   whose delta pipeline is the only link orchestrator: the defaults find
+   every kind the mini-sources carry, and a disabled pass leaves no links
+   of its kinds and is reported as disabled. *)
+let linker_tests =
+  [
+    Alcotest.test_case "all kinds discovered" `Quick (fun () ->
+        let w =
+          Warehouse.integrate [ T_linkdisc.source_a (); T_linkdisc.source_b () ]
+        in
+        let kinds =
+          List.map fst (Aladin_links.Linker.count_by_kind (Warehouse.links w))
+        in
+        check Alcotest.bool "xref" true (List.mem Aladin_links.Link.Xref kinds);
+        check Alcotest.bool "seq" true
+          (List.mem Aladin_links.Link.Seq_similarity kinds));
+    Alcotest.test_case "disable flags" `Quick (fun () ->
+        let config =
+          { Config.default with
+            linker =
+              { Aladin_links.Linker.default_params with enable_seq = false;
+                enable_text = false; enable_onto = false } }
+        in
+        let w =
+          Warehouse.integrate ~config
+            [ T_linkdisc.source_a (); T_linkdisc.source_b () ]
+        in
+        let kinds =
+          List.map fst (Aladin_links.Linker.count_by_kind (Warehouse.links w))
+        in
+        check Alcotest.bool "xref still found" true
+          (List.mem Aladin_links.Link.Xref kinds);
+        List.iter
+          (fun k ->
+            check Alcotest.bool (Aladin_links.Link.kind_name k) false
+              (List.mem k kinds))
+          Aladin_links.Link.
+            [ Seq_similarity; Text_similarity; Shared_term; Entity_mention ];
+        List.iter
+          (fun source ->
+            let report = Option.get (Warehouse.run_report w source) in
+            List.iter
+              (fun pass ->
+                match Warehouse.Run_report.find report pass with
+                | Some { outcome = Skipped Disabled; _ } -> ()
+                | Some _ | None ->
+                    Alcotest.fail (source ^ ": " ^ pass ^ " not disabled"))
+              [ "seq pass"; "text pass"; "onto pass" ])
+          (Warehouse.sources w));
   ]
 
 let table_access_tests =
@@ -862,9 +910,9 @@ let pair_store_tests =
               (render_links entry.text_links) (render_links e.text_links));
   ]
 
-(* After each mutation, the report and duplicate views are kind filters
-   of the merged pair-store view (read back from the saved pairs.txt),
-   and the warehouse's links are that view less the rejected links. *)
+(* After each mutation, the duplicate view is a kind filter of the merged
+   pair-store view (read back from the saved pairs.txt), and the
+   warehouse's links are that view less the rejected links. *)
 let view_tests =
   let module L = Aladin_links in
   let merged_view w =
@@ -886,21 +934,6 @@ let view_tests =
       check Alcotest.(list string) (stage ^ ": " ^ what) (render_links expected)
         (render_links actual)
     in
-    (match Warehouse.link_report w with
-    | None -> Alcotest.fail (stage ^ ": no link report")
-    | Some r -> (
-        same "report links"
-          (List.filter (fun (l : L.Link.t) -> l.kind <> L.Link.Duplicate) merged)
-          r.links;
-        (match r.xref_result with
-        | Some x -> same "xref result" (of_kinds [ L.Link.Xref ]) x.links
-        | None -> Alcotest.fail (stage ^ ": no xref result"));
-        match r.text_result with
-        | Some t ->
-            same "text result"
-              (of_kinds [ L.Link.Text_similarity; L.Link.Entity_mention ])
-              t.links
-        | None -> Alcotest.fail (stage ^ ": no text result")));
     (match Warehouse.duplicates w with
     | Some d -> same "duplicates" (of_kinds [ L.Link.Duplicate ]) d.links
     | None -> Alcotest.fail (stage ^ ": no duplicates"));
@@ -1028,4 +1061,5 @@ let tests =
     ("core.persistence", persistence_tests);
     ("core.roundtrip", roundtrip_tests);
     ("core.link_query", link_query_warehouse_tests);
+    ("linkdisc.linker", linker_tests);
   ]

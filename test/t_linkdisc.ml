@@ -86,6 +86,39 @@ let source_paralogs () =
     [| Value.Int 2; Value.text "ACGTACGGTACCATGGCTTCGATCGGCTAGCTAGGCTAACG" |];
   cat
 
+(* src_d's primary relation carries two DNA columns; src_h holds a
+   homolog of the first column's DX001 sequence only. Sequence lengths
+   differ by more than 20% within each column, so [acc] stays the
+   accession key. *)
+let source_two_dna () =
+  let cat = Catalog.create ~name:"src_d" in
+  let gene =
+    Catalog.create_relation cat ~name:"gene"
+      (Schema.of_names [ "acc"; "dna1"; "dna2" ])
+  in
+  List.iter
+    (fun (acc, d1, d2) ->
+      Relation.insert gene [| Value.text acc; Value.text d1; Value.text d2 |])
+    [ ("DX001", "GCTAAAGACAATTACATAACATACACGTCAGCACGAAACT",
+       "TTTTTATTACACTCAGAAACAGAACTCG");
+      ("DX002", "TGTTGGCCCAGTGTGAATCGCTTAAGGGTTAAGTAAGTGTGATGCATACGCCTTT",
+       "GGTAATTTTGACAGGTCACGCAGAGGCGCGCCCTCCTGAAGTGCG");
+      ("DX003", "ACTTGCTGTGTCCACCCCATCGGACTGGCA",
+       "TGGACACTCGCTATGAATCTCTGATTTACCCACTCTGCCAAACTCCAGCGCGGTCAGTTC") ];
+  cat
+
+let source_homolog () =
+  let cat = Catalog.create ~name:"src_h" in
+  let hom =
+    Catalog.create_relation cat ~name:"hom" (Schema.of_names [ "acc"; "dna" ])
+  in
+  List.iter
+    (fun (acc, d) -> Relation.insert hom [| Value.text acc; Value.text d |])
+    [ ("HX001", "GCTAAAGACAAGTACATAACATACACGTCAGAACGAAACT");
+      ("HX002", "CATCACCCTAAGTAACCGAATAATGCGTTCGCTCTATTGACTACGACGCG");
+      ("HX003", "CTCATTCCCTTGTCGGAGAGTTATGGAACA") ];
+  cat
+
 let link_key l =
   let l = Link.normalized l in
   Objref.to_string l.Link.src ^ "|" ^ Objref.to_string l.Link.dst
@@ -273,6 +306,16 @@ let seq_link_tests =
     Alcotest.test_case "indexing counter" `Quick (fun () ->
         let r = Seq_links.discover (profiles ()) in
         check Alcotest.int "two sequences" 2 r.sequences_indexed);
+    Alcotest.test_case "batch aligns each pair once" `Quick (fun () ->
+        (* the homolog pair, aligned from the side whose id sorts first *)
+        let tr = Aladin_obs.Trace.create () in
+        let r =
+          Aladin_obs.Trace.with_ambient tr (fun () ->
+              Seq_links.discover (profiles ()))
+        in
+        check Alcotest.int "one alignment" 1
+          (Aladin_obs.Trace.counter_value tr "seq.alignments");
+        check Alcotest.int "one hit" 1 r.pairs_verified);
   ]
 
 (* --- the delta pipeline's seq pass against a brute-force oracle ---
@@ -418,7 +461,9 @@ let oracle_seq_links (params : Seq_links.params) ps ~source =
                 (Relation.rows rel)))
   in
   let kmers kind s =
-    List.sort_uniq String.compare (Aladin_seq.Kmer_index.kmers_of ~k:(k kind) s)
+    let k = k kind in
+    List.sort_uniq String.compare
+      (List.init (max 0 (String.length s - k + 1)) (fun i -> String.sub s i k))
   in
   let objs (f : Seq_links.seq_field) row =
     Owner_map.object_of_row (Option.get (Profile_list.find ps f.source)).owner
@@ -528,6 +573,39 @@ let seq_state_tests =
              QCheck.Test.fail_reportf "expected:\n%s\nactual:\n%s\npooled:\n%s"
                expected actual pooled;
            true));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"batch discover equals discover_source folded in reverse order"
+         ~count:40
+         (QCheck.make ~print:seq_case_print seq_case_gen)
+         (fun c ->
+           let ps = seq_case_profiles c in
+           let params =
+             { Seq_links.default_params with
+               min_normalized = c.min_normalized; min_seq_len = 6 }
+           in
+           (* batch takes the sequence whose source name sorts first as a
+              cross-source pair's query: the source a fold in descending
+              name order adds later *)
+           let names =
+             List.sort (fun a b -> String.compare b a) (Profile_list.sources ps)
+           in
+           let folded =
+             List.concat
+               (List.mapi
+                  (fun i source ->
+                    Seq_links.discover_source ~params
+                      (Profile_list.restrict ps
+                         (List.filteri (fun j _ -> j <= i) names))
+                      ~source)
+                  names)
+           in
+           let expected = render_links (Link.dedup folded)
+           and actual = render_links (Seq_links.discover ~params ps).links in
+           if expected <> actual then
+             QCheck.Test.fail_reportf "folded:\n%s\nbatch:\n%s"
+               (String.concat "\n" expected) (String.concat "\n" actual);
+           true));
     Alcotest.test_case "state matches batch discovery" `Quick (fun () ->
         let ps = profiles () in
         let batch = Seq_links.discover ps in
@@ -544,6 +622,40 @@ let seq_state_tests =
           (List.sort String.compare (List.map link_key batch.links))
           (List.sort String.compare
              (List.map link_key (Link.dedup (fresh_a @ fresh_b)))));
+    Alcotest.test_case "batch indexes every sequence column of a row" `Quick
+      (fun () ->
+        let ps =
+          Profile_list.of_profiles
+            [ Source_profile.analyze (source_two_dna ());
+              Source_profile.analyze (source_homolog ()) ]
+        in
+        check
+          Alcotest.(option (pair string string))
+          "accession key" (Some ("gene", "acc"))
+          (Source_profile.primary_accession
+             (Option.get (Profile_list.find ps "src_d")).sp);
+        check Alcotest.(list string) "two DNA columns" [ "dna1"; "dna2" ]
+          (List.filter_map
+             (fun (f : Seq_links.seq_field) ->
+               if f.source = "src_d" then Some f.attribute else None)
+             (Seq_links.sequence_fields Seq_links.default_params ps));
+        let names = Profile_list.sources ps in
+        let folded =
+          Link.dedup
+            (List.concat
+               (List.mapi
+                  (fun i source ->
+                    Seq_links.discover_source
+                      (Profile_list.restrict ps
+                         (List.filteri (fun j _ -> j <= i) names))
+                      ~source)
+                  names))
+        in
+        let batch = Seq_links.discover ps in
+        check Alcotest.(list string) "batch equals the folded delta pass"
+          (List.map link_key folded) (List.map link_key batch.links);
+        check Alcotest.bool "homolog of the first column linked" true
+          (List.mem "src_d:DX001|src_h:HX001" (List.map link_key batch.links)));
     Alcotest.test_case "same-source homologs without cross_source_only" `Quick
       (fun () ->
         let ps =
@@ -833,24 +945,6 @@ let onto_tests =
         check Alcotest.int "one strong link" 1 (List.length r.links));
   ]
 
-let linker_tests =
-  [
-    Alcotest.test_case "all kinds discovered" `Quick (fun () ->
-        let r = Linker.discover (profiles ()) in
-        let kinds = List.map fst (Linker.count_by_kind r.links) in
-        check Alcotest.bool "xref" true (List.mem Link.Xref kinds);
-        check Alcotest.bool "seq" true (List.mem Link.Seq_similarity kinds));
-    Alcotest.test_case "disable flags" `Quick (fun () ->
-        let params =
-          { Linker.default_params with enable_seq = false; enable_text = false;
-            enable_onto = false }
-        in
-        let r = Linker.discover ~params (profiles ()) in
-        check Alcotest.bool "no seq result" true (r.seq_result = None);
-        check Alcotest.bool "only xrefs" true
-          (List.for_all (fun (l : Link.t) -> l.kind = Link.Xref) r.links));
-  ]
-
 (* --- the delta pipeline's text pass against batch discovery ---
 
    Random sets of 3-5 sources, always including [go] and [go2] (so
@@ -1130,5 +1224,4 @@ let tests =
     ("linkdisc.text_pass", text_pass_tests);
     ("linkdisc.count_by_kind", count_by_kind_tests);
     ("linkdisc.onto_links", onto_tests);
-    ("linkdisc.linker", linker_tests);
   ]

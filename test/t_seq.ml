@@ -23,7 +23,15 @@ let alphabet_tests =
         let col = [ "ACGTACGTACGTA"; "TTTTAAAACCCCG"; "not a sequence at all!" ] in
         check Alcotest.bool "none at 0.9" true (Alphabet.classify_column col = None);
         check Alcotest.bool "dna at 0.6" true
-          (Alphabet.classify_column ~min_frac:0.6 col = Some Alphabet.Dna));
+          (Alphabet.classify_column ~min_frac:0.6 col = Some Alphabet.Dna);
+        (* ties go to DNA, then RNA; whitespace-only values are empty *)
+        let dna = "ACGTACGTACGT" and rna = "ACGUACGUACGU" in
+        let protein = "MKWVTFISLLFL" in
+        let half values = Alphabet.classify_column ~min_frac:0.5 values in
+        check Alcotest.bool "dna = rna" true
+          (half [ rna; dna; "  \n"; rna; dna ] = Some Alphabet.Dna);
+        check Alcotest.bool "rna = protein" true
+          (half [ protein; rna; rna; protein ] = Some Alphabet.Rna));
     Alcotest.test_case "classify_column empty" `Quick (fun () ->
         check Alcotest.bool "none" true (Alphabet.classify_column [ ""; " " ] = None));
     Alcotest.test_case "gc_content" `Quick (fun () ->
@@ -37,6 +45,112 @@ let alphabet_tests =
                    (QCheck.Gen.oneofl [ 'A'; 'C'; 'G'; 'T' ]))
          (fun s ->
            Alphabet.reverse_complement (Alphabet.reverse_complement s) = s));
+  ]
+
+(* Textbook definitions of normalization and classification, against
+   which the single-pass [Alphabet] functions are checked. *)
+let ref_normalize s =
+  String.concat ""
+    (List.filter_map
+       (fun c ->
+         if String.contains " \t\n\r" c then None
+         else Some (String.make 1 (Char.uppercase_ascii c)))
+       (List.of_seq (String.to_seq s)))
+
+let ref_is_over alphabet s =
+  let s = ref_normalize s in
+  s <> "" && String.for_all (fun c -> String.contains alphabet c) s
+
+let ref_classify ~min_len s =
+  if String.length (ref_normalize s) < min_len then None
+  else if ref_is_over Alphabet.dna s then Some Alphabet.Dna
+  else if ref_is_over Alphabet.rna s then Some Alphabet.Rna
+  else if ref_is_over Alphabet.protein s then Some Alphabet.Protein
+  else None
+
+let ref_classify_column ~min_len ~min_frac values =
+  let nonempty = List.filter (fun v -> ref_normalize v <> "") values in
+  let count k =
+    List.length
+      (List.filter (fun v -> ref_classify ~min_len v = Some k) nonempty)
+  in
+  (* the most frequent kind; the earlier one in DNA, RNA, protein order
+     on ties *)
+  let best =
+    List.fold_left
+      (fun b k -> if count k > count b then k else b)
+      Alphabet.Dna [ Alphabet.Rna; Alphabet.Protein ]
+  in
+  if
+    nonempty <> []
+    && float_of_int (count best)
+       >= min_frac *. float_of_int (List.length nonempty)
+  then Some best
+  else None
+
+(* values drawn from one kind's letters or from every kind's letters
+   plus junk bytes, in either case and with whitespace mixed in;
+   whitespace-only and empty values are frequent *)
+let alphabet_value =
+  let open QCheck.Gen in
+  let from letters =
+    int_range 0 24 >>= fun n ->
+    string_size (return n)
+      ~gen:
+        (frequency
+           [ ( 8,
+               oneofl letters >>= fun c ->
+               oneofl [ c; Char.lowercase_ascii c ] );
+             (1, oneofl [ ' '; '\t'; '\n'; '\r' ]) ])
+  in
+  let chars s = List.of_seq (String.to_seq s) in
+  frequency
+    [ (3, from (chars Alphabet.dna)); (2, from (chars Alphabet.rna));
+      (2, from (chars Alphabet.protein));
+      (1, from (chars (Alphabet.dna ^ "U" ^ Alphabet.protein ^ "XB*1-.")));
+      (1, string_size (int_range 0 4) ~gen:(oneofl [ ' '; '\t'; '\n'; '\r' ]));
+      (1, return "") ]
+
+let classify_props =
+  let show_kind = function
+    | None -> "none"
+    | Some Alphabet.Dna -> "dna"
+    | Some Alphabet.Rna -> "rna"
+    | Some Alphabet.Protein -> "protein"
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"classify and is_over match the definitions"
+         ~count:500
+         QCheck.(
+           make
+             ~print:Print.(pair int string)
+             Gen.(pair (int_range 0 14) alphabet_value))
+         (fun (min_len, v) ->
+           Alphabet.classify ~min_len v = ref_classify ~min_len v
+           && List.for_all
+                (fun a -> Alphabet.is_over ~alphabet:a v = ref_is_over a v)
+                [ Alphabet.dna; Alphabet.rna; Alphabet.protein ]));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"classify_column matches the definition"
+         ~count:500
+         QCheck.(
+           make
+             ~print:
+               Print.(
+                 triple int float (fun vs ->
+                     String.concat " | " (List.map String.escaped vs)))
+             Gen.(
+               triple (int_range 0 14)
+                 (oneofl [ 0.0; 0.3; 0.5; 0.6; 0.9; 1.0 ])
+                 (list_size (int_range 0 8) alphabet_value)))
+         (fun (min_len, min_frac, values) ->
+           let actual = Alphabet.classify_column ~min_len ~min_frac values
+           and expected = ref_classify_column ~min_len ~min_frac values in
+           if actual <> expected then
+             QCheck.Test.fail_reportf "expected %s, got %s" (show_kind expected)
+               (show_kind actual);
+           true));
   ]
 
 let subst_tests =
@@ -137,129 +251,107 @@ let align_tests =
            && score = Align.local_score ~matrix b a));
   ]
 
+(* a probe with [keep] admitting every id; at threshold 0 every aligned
+   candidate is a hit, so the hit ids are exactly the ids aligned *)
+let aligned ix p =
+  List.map
+    (fun (h : Homology.probe_hit) -> h.id)
+    (Homology.probe ix ~probe_is_query:true ~keep:(fun _ -> true) p
+       ~min_normalized:0.0)
+
+(* k-mer seeding of the probe index: k = 4 for proteins, 11 for DNA,
+   and a candidate needs 2 distinct shared k-mers *)
 let kmer_tests =
   [
-    Alcotest.test_case "kmers_of" `Quick (fun () ->
-        check Alcotest.(list string) "3mers" [ "ACG"; "CGT"; "GTA" ]
-          (Kmer_index.kmers_of ~k:3 "ACGTA"));
-    Alcotest.test_case "kmers_of short" `Quick (fun () ->
-        check Alcotest.(list string) "none" [] (Kmer_index.kmers_of ~k:5 "ACG"));
-    Alcotest.test_case "bad k raises" `Quick (fun () ->
-        Alcotest.check_raises "k" (Invalid_argument "Kmer_index.create: k must be >= 1")
-          (fun () -> ignore (Kmer_index.create ~k:0)));
-    Alcotest.test_case "candidates ranked" `Quick (fun () ->
-        let idx = Kmer_index.create ~k:3 in
-        Kmer_index.add idx ~id:"close" "ACGTACGT";
-        Kmer_index.add idx ~id:"far" "TTTTTTTT";
-        (match Kmer_index.candidates idx "ACGTACGT" with
-        | (best, _) :: _ -> check Alcotest.string "best" "close" best
-        | [] -> Alcotest.fail "no candidates"));
+    Alcotest.test_case "shorter than k gives no hits" `Quick (fun () ->
+        let short = "ACGTACGTAC" and long = "ACGTACGTACGTACGTACGTAC" in
+        let ix = Homology.probe_index Alphabet.Dna [| short; long |] in
+        check Alcotest.(list int) "short probe" [] (aligned ix short);
+        check Alcotest.(list int) "short indexed" [ 1 ] (aligned ix long));
     Alcotest.test_case "min_hits filters" `Quick (fun () ->
-        let idx = Kmer_index.create ~k:3 in
-        Kmer_index.add idx ~id:"one" "ACGTTTTT";
-        check Alcotest.int "filtered" 0
-          (List.length (Kmer_index.candidates idx ~min_hits:5 "ACGAAAAA")));
-    Alcotest.test_case "sequence lookup" `Quick (fun () ->
-        let idx = Kmer_index.create ~k:3 in
-        Kmer_index.add idx ~id:"x" "acgt";
-        check Alcotest.(option string) "normalized" (Some "ACGT")
-          (Kmer_index.sequence idx "x");
-        check Alcotest.int "size" 1 (Kmer_index.size idx));
+        let ix = Homology.probe_index Alphabet.Protein [| "MKWVTFISLL" |] in
+        check Alcotest.(list int) "one shared k-mer is not aligned" []
+          (aligned ix "MKWVGGGGGG");
+        check Alcotest.(list int) "two are" [ 0 ] (aligned ix "MKWVTGGGGG"));
+    Alcotest.test_case "a repeated k-mer counts once" `Quick (fun () ->
+        (* MKWV is the one shared k-mer, repeated on both sides *)
+        let ix = Homology.probe_index Alphabet.Protein [| "MKWVEMKWVE" |] in
+        check Alcotest.(list int) "not aligned" [] (aligned ix "MKWVDMKWVD"));
   ]
 
 let homology_tests =
+  let base = "ACGTACGGTACCATGGCATCGATCGGCTAGCTAGGCT" in
   [
     Alcotest.test_case "finds mutated homolog" `Quick (fun () ->
-        let t = Homology.create Alphabet.Dna in
-        let base = "ACGTACGGTACCATGGCATCGATCGGCTAGCTAGGCT" in
         let mutated = "ACGTACGGTACCATGGCTTCGATCGGCTAGCTAGGCT" in
-        Homology.add t ~id:"a" base;
-        Homology.add t ~id:"b" mutated;
-        Homology.add t ~id:"c" "TTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTT";
-        (match Homology.search t ~query_id:"a" base ~min_normalized:0.5 with
-        | [ hit ] ->
-            check Alcotest.string "subject" "b" hit.subject_id;
-            check Alcotest.bool "norm" true (hit.normalized > 0.8)
-        | hits -> Alcotest.fail (Printf.sprintf "%d hits" (List.length hits))));
-    Alcotest.test_case "self excluded" `Quick (fun () ->
-        let t = Homology.create Alphabet.Dna in
-        Homology.add t ~id:"a" "ACGTACGTACGTACGTACGT";
-        check Alcotest.int "no hits" 0
-          (List.length
-             (Homology.search t ~query_id:"a" "ACGTACGTACGTACGTACGT"
-                ~min_normalized:0.1)));
-    Alcotest.test_case "all_pairs canonical" `Quick (fun () ->
-        let t = Homology.create Alphabet.Dna in
-        let s = "ACGGATTACAGGCATCGATCG" in
-        Homology.add t ~id:"a" s;
-        Homology.add t ~id:"b" s;
-        (match Homology.all_pairs t ~min_normalized:0.9 with
-        | [ hit ] ->
-            check Alcotest.string "q" "a" hit.query_id;
-            check Alcotest.string "s" "b" hit.subject_id
-        | hits -> Alcotest.fail (Printf.sprintf "%d pairs" (List.length hits))));
-    Alcotest.test_case "threshold excludes weak" `Quick (fun () ->
-        let t = Homology.create Alphabet.Dna in
-        Homology.add t ~id:"a" "ACGTAACCGGTTACGTACGTA";
-        Homology.add t ~id:"b" "ACGTATTTTTTTTTTTTTTTT";
-        let weak = Homology.search t ~query_id:"a" "ACGTAACCGGTTACGTACGTA" ~min_normalized:0.9 in
-        check Alcotest.int "no strong hit" 0 (List.length weak));
-    Alcotest.test_case "all_pairs keeps each search's orientation" `Quick
-      (fun () ->
-        (* equal-length pairs with different self-scores: on tied lengths
-           the normalized score divides by the query's self-score, so a
-           pair aligned from the wrong side would change its hit *)
-        let base = "MKWVTFISLLFLFSSAYSRGVFRRDAHKSE" in
-        let seqs =
-          [ ("a", base);
-            ("b", "MKAVTFISLLFLFSSAYSRGVFRRDAHKSE");
-            ("c", "MKWVTFISLLFLFWWAYSRGVFRRDAHKSE");
-            ("d", "MKWVTFISLLFLFSSAYSRGVFRR");
-            ("e", "MKWVTFISLLFLFSSAYSRGVFRRDAHKSECC");
-            ("f", "PPPPGGGGDDDDEEEENNNNQQQQHHHHRR") ]
+        let ix =
+          Homology.probe_index Alphabet.Dna
+            [| base; mutated; "TTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTTT" |]
         in
-        let t = Homology.create Alphabet.Protein in
-        List.iter (fun (id, s) -> Homology.add t ~id s) seqs;
-        let show (h : Homology.hit) =
-          Printf.sprintf "%s>%s raw=%d norm=%h kmers=%d" h.query_id
-            h.subject_id h.raw_score h.normalized h.shared_kmers
-        in
-        let expected =
-          List.concat_map
-            (fun (id, s) ->
-              Homology.search t ~query_id:id s ~min_normalized:0.3
-              |> List.filter (fun (h : Homology.hit) ->
-                     h.query_id < h.subject_id))
-            seqs
-        in
-        check Alcotest.(list string) "all_pairs = filtered searches"
-          (List.map show expected)
-          (List.map show (Homology.all_pairs t ~min_normalized:0.3));
-        let self = Align.self_score Subst_matrix.blosum62 in
         match
-          List.find_opt
-            (fun (h : Homology.hit) -> h.query_id = "a" && h.subject_id = "c")
-            expected
+          Homology.probe ix ~probe_is_query:true ~keep:(fun id -> id <> 0) base
+            ~min_normalized:0.5
         with
-        | Some h ->
-            check Alcotest.bool "self-scores differ" true
-              (self base <> self (List.assoc "c" seqs));
-            check (Alcotest.float 0.0) "query's self-score"
-              (float_of_int h.raw_score /. float_of_int (self base))
-              h.normalized
-        | None -> Alcotest.fail "no a>c hit");
+        | [ hit ] ->
+            check Alcotest.int "subject" 1 hit.id;
+            check Alcotest.bool "norm" true (hit.norm > 0.8)
+        | hits -> Alcotest.fail (Printf.sprintf "%d hits" (List.length hits)));
+    Alcotest.test_case "self excluded" `Quick (fun () ->
+        let ix = Homology.probe_index Alphabet.Dna [| base |] in
+        let hits keep =
+          List.length
+            (Homology.probe ix ~probe_is_query:true ~keep base
+               ~min_normalized:0.1)
+        in
+        check Alcotest.int "kept" 1 (hits (fun _ -> true));
+        check Alcotest.int "keep drops it" 0 (hits (fun id -> id <> 0)));
+    Alcotest.test_case "threshold excludes weak" `Quick (fun () ->
+        let ix =
+          Homology.probe_index Alphabet.Dna
+            [| "ACGTAACCGGTTACGTACGTA"; "ACGTATTTTTTTTTTTTTTTT" |]
+        in
+        check Alcotest.int "no strong hit" 0
+          (List.length
+             (Homology.probe ix ~probe_is_query:true ~keep:(fun id -> id <> 0)
+                "ACGTAACCGGTTACGTACGTA" ~min_normalized:0.9)));
+    Alcotest.test_case "tied-length orientation follows probe_is_query" `Quick
+      (fun () ->
+        (* an equal-length pair with different self-scores: on tied
+           lengths the normalized score divides by the query's
+           self-score, so the two orientations give different hits *)
+        let a = "MKWVTFISLLFLFSSAYSRGVFRRDAHKSE" in
+        let c = "MKWVTFISLLFLFWWAYSRGVFRRDAHKSE" in
+        let self = Align.self_score Subst_matrix.blosum62 in
+        check Alcotest.bool "self-scores differ" true (self a <> self c);
+        let ix = Homology.probe_index Alphabet.Protein [| a |] in
+        let hit probe_is_query =
+          match
+            Homology.probe ix ~probe_is_query ~keep:(fun _ -> true) c
+              ~min_normalized:0.3
+          with
+          | [ h ] -> h
+          | hits -> Alcotest.fail (Printf.sprintf "%d hits" (List.length hits))
+        in
+        let as_query = hit true and as_subject = hit false in
+        check Alcotest.int "same raw score" as_query.score as_subject.score;
+        check (Alcotest.float 0.0) "probe is the query"
+          (float_of_int as_query.score /. float_of_int (self c))
+          as_query.norm;
+        check (Alcotest.float 0.0) "indexed sequence is the query"
+          (float_of_int as_subject.score /. float_of_int (self a))
+          as_subject.norm);
     Alcotest.test_case "protein homology" `Quick (fun () ->
-        let t = Homology.create Alphabet.Protein in
         let s = "MKWVTFISLLFLFSSAYSRGVFRRDAH" in
-        Homology.add t ~id:"p1" s;
-        Homology.add t ~id:"p2" (s ^ "KSEVAH");
+        let ix = Homology.probe_index Alphabet.Protein [| s ^ "KSEVAH" |] in
         check Alcotest.bool "found" true
-          (Homology.search t ~query_id:"p1" s ~min_normalized:0.5 <> []));
+          (Homology.probe ix ~probe_is_query:true ~keep:(fun _ -> true) s
+             ~min_normalized:0.5
+          <> []));
   ]
 
 let tests =
   [
-    ("seq.alphabet", alphabet_tests);
+    ("seq.alphabet", alphabet_tests @ classify_props);
     ("seq.subst_matrix", subst_tests);
     ("seq.align", align_tests);
     ("seq.kmer_index", kmer_tests);
