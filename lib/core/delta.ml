@@ -241,7 +241,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
               | None -> []);
             text_links =
               (match text_staged with
-              | Some r -> staged_assoc r.Text_links.pairs p
+              | Some staged -> staged_assoc staged p
               | None -> []);
           })
       link_pairs;

@@ -207,26 +207,35 @@ let detect_prepared ?(params = default_params) ?pool entries =
       (Array.of_list (List.map (fun e -> e.keys) entries))
   in
   (* similarity only reads prepared data, so it fans out; union-find and
-     link building stay sequential in pair order *)
+     link building stay sequential in pair order. A pair that cannot
+     agree on an identifying value scores at most 0.5, so above that
+     threshold it is not scored (None). *)
+  let bounded = params.min_similarity > 0.5 in
   let sims =
     Pool.map ?pool
-      (fun (i, j) -> Object_sim.similarity_prepared bound.(i) bound.(j))
+      (fun (i, j) ->
+        if bounded && not (Object_sim.may_agree bound.(i) bound.(j)) then None
+        else Some (Object_sim.similarity_prepared bound.(i) bound.(j)))
       pairs
   in
+  Aladin_obs.Trace.ambient_incr
+    ~by:(List.length (List.filter Option.is_none sims))
+    "dup.candidates_skipped";
   let uf = Union_find.create () in
   let links =
     List.filter_map
       (fun ((i, j), sim) ->
-        if sim >= params.min_similarity then begin
+        match sim with
+        | None -> None
+        | Some sim when sim < params.min_similarity -> None
+        | Some sim ->
           let a = arr.(i) and b = arr.(j) in
           Union_find.union uf (Objref.to_string a.Object_sim.obj)
             (Objref.to_string b.Object_sim.obj);
           Some
             (Link.make ~src:a.Object_sim.obj ~dst:b.Object_sim.obj
                ~kind:Link.Duplicate ~confidence:sim
-               ~evidence:(Printf.sprintf "object similarity %.2f" sim))
-        end
-        else None)
+               ~evidence:(Printf.sprintf "object similarity %.2f" sim)))
       (List.combine pairs sims)
   in
   {

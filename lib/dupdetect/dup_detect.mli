@@ -3,7 +3,12 @@
     Duplicates are flagged, never merged: the output is a set of
     [Duplicate] links plus clusters. Candidate pairs come from cheap
     blocking (shared accession string, shared rare name token); candidates
-    are verified with {!Object_sim.similarity}. *)
+    are verified with {!Object_sim.similarity}. When [min_similarity] is
+    above 0.5, a candidate that fails {!Object_sim.may_agree} is not
+    scored: without an identity agreement its similarity is at most 0.5,
+    so it could not become a link. Such candidates still count in
+    [candidates_checked], and the ambient trace counts them in
+    [dup.candidates_skipped]. *)
 
 open Aladin_links
 
@@ -20,7 +25,7 @@ val default_params : params
 type result = {
   links : Link.t list;  (** kind = [Duplicate] *)
   clusters : string list list;  (** of {!Objref.to_string} keys *)
-  candidates_checked : int;
+  candidates_checked : int;  (** blocking candidates, scored or not *)
   reprs : Object_sim.repr list;
 }
 

@@ -38,6 +38,7 @@ type prepared = {
          Strdist.dice_bigrams counts; [||] otherwise *)
   long : bool;  (* String.length lc >= 25: the Token-metric trigger *)
   terms : string list;  (* sorted unique Tokenize.terms of lc *)
+  nterms : int;  (* List.length terms *)
 }
 
 (* s's byte bigrams as ints (first byte high), sorted by a two-pass LSD
@@ -77,13 +78,15 @@ let lowercase s =
 let prepare raw =
   let lc = String.trim (lowercase raw) in
   let is_seq = is_sequence lc in
+  let terms = List.sort_uniq String.compare (Tx.Tokenize.terms lc) in
   {
     empty = lc = "";
     lc;
     is_seq;
     bigrams = (if is_seq then bigram_codes lc else [||]);
     long = String.length lc >= 25;
-    terms = List.sort_uniq String.compare (Tx.Tokenize.terms lc);
+    terms;
+    nterms = List.length terms;
   }
 
 (* intersection size of two sorted unique lists *)
@@ -104,7 +107,7 @@ let rec inter_count acc a b =
 (* Jaccard of precomputed sorted unique term lists; equals
    [Tx.Tokenize.jaccard a.lc b.lc] *)
 let jaccard_prepared a b =
-  let na = List.length a.terms and nb = List.length b.terms in
+  let na = a.nterms and nb = b.nterms in
   if na = 0 && nb = 0 then 1.0
   else begin
     let inter = inter_count 0 a.terms b.terms in
@@ -133,13 +136,27 @@ let dice_prepared (a : int array) (b : int array) =
     2.0 *. float_of_int !inter /. float_of_int (na + nb)
   end
 
-let similarity_prepared a b =
+(* The similarity, except that a token-metric score known to be below
+   [floor] may come back as an upper bound that is also below it: the
+   Jaccard is at most the smaller term count over the larger, and
+   rounding is monotone, so the term lists are merged only when that
+   quotient reaches [floor]. *)
+let similarity_above ~floor a b =
   if a.empty && b.empty then 1.0
   else if a.empty || b.empty then 0.0
   else if a.lc = b.lc then 1.0 (* Exact *)
   else if a.is_seq && b.is_seq then dice_prepared a.bigrams b.bigrams
-  else if a.long || b.long then jaccard_prepared a b
+  else if a.long || b.long then begin
+    let lo = if a.nterms <= b.nterms then a.nterms else b.nterms
+    and hi = if a.nterms >= b.nterms then a.nterms else b.nterms in
+    let bound = if hi = 0 then 1.0 else float_of_int lo /. float_of_int hi in
+    if bound < floor then bound else jaccard_prepared a b
+  end
   else Tx.Strdist.jaro_winkler a.lc b.lc
+
+let similarity_prepared a b = similarity_above ~floor:0.0 a b
+
+let similarity_at_least a b t = similarity_above ~floor:t a b >= t
 
 let name_affinity_tokens ta tb =
   if ta = [] || tb = [] then 0.0

@@ -33,6 +33,12 @@ val similarity_prepared : prepared -> prepared -> float
 (** Exactly [similarity raw_a raw_b] for the values the arguments were
     {!prepare}d from, without re-normalizing either. *)
 
+val similarity_at_least : prepared -> prepared -> float -> bool
+(** [similarity_at_least a b t] is [similarity_prepared a b >= t]. When
+    the pair takes the token metric, the two values' term counts bound
+    its Jaccard by [min / max] first, and the term lists are merged only
+    when that bound reaches [t]. *)
+
 val name_affinity : string -> string -> float
 (** Attribute-name compatibility used to decide which fields of two
     heterogeneously-modeled objects to compare (cf. [WN04]): token overlap

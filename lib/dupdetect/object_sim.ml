@@ -301,6 +301,38 @@ let similarity_prepared ?(weights = default_weights) a b =
     end
   end
 
+(* Whether some field pair could be the identity agreement of
+   [similarity_prepared a b]: the loop there records one only for a
+   smaller-object field and its best counterpart that meet every test
+   below, so a pair with none scores half its base, at most 0.5. The
+   value similarity, the one costly test, runs last. *)
+let may_agree a b =
+  match a.ctx with
+  | None -> true
+  | Some ctx ->
+      let cap = identity_df_cap ctx in
+      let af = a.prep.pfields and bf = b.prep.pfields in
+      let a_first = Array.length af <= Array.length bf in
+      let found = ref false and i = ref 0 in
+      while (not !found) && !i < Array.length af do
+        let fa = af.(!i) in
+        if fa.anchor_shape then begin
+          let j = ref 0 in
+          while (not !found) && !j < Array.length bf do
+            let fb = bf.(!j) in
+            if (not fb.seq_raw)
+               && imin a.dfs.(!i) b.dfs.(!j) <= cap
+               && Field_sim.name_affinity_tokens fa.name_toks fb.name_toks > 0.0
+               && (if a_first then Field_sim.similarity_at_least fa.pv fb.pv 0.85
+                   else Field_sim.similarity_at_least fb.pv fa.pv 0.85)
+            then found := true;
+            incr j
+          done
+        end;
+        incr i
+      done;
+      !found
+
 (* HOT-PATH-END *)
 
 let field_matches a b =

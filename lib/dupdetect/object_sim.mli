@@ -81,6 +81,19 @@ val similarity_prepared : ?weights:weights -> bound -> bound -> float
     (prepare a)] and [bind ?context (prepare b)]; both arguments must be
     bound under the same context. *)
 
+val may_agree : bound -> bound -> bool
+(** Whether the two objects could agree on an identifying value: some
+    field pair [(fa, fb)] has an anchor-shaped [fa] (identifier-shaped
+    or long text, not a sequence), a [fb] that is not a sequence, a
+    smaller df at most the context's identity cap, attribute names
+    sharing a token, and a value similarity of at least 0.85, the
+    smaller object's field compared first. Always true without a
+    context. Every field pair on which {!similarity_prepared} records an
+    identity agreement passes these tests, so when [may_agree a b] is
+    false, [similarity_prepared a b] is half a weighted mean of values
+    at most 1: at most 0.5 (for nonnegative weights). Detection uses it
+    to leave such pairs unscored when its threshold is above 0.5. *)
+
 val similarity : ?weights:weights -> ?context:context -> repr -> repr -> float
 (** In [0,1]; 0 when either object has no fields. With a [context], each
     matched field pair is weighted by the IDF of the matched value.

@@ -128,7 +128,18 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
      field-then-row order) and every other source's sequences probe the
      index, the source's sequence being the query; with
      cross_source_only off, each own sequence also probes for the ids
-     before it, as the query itself *)
+     before it, as the query itself. Each probe names the job that
+     answers it: another source's probe whose sequence an earlier one of
+     the same kind carries shares that one's job, whose hits are its
+     own, as it would read the same index with the same [keep] and the
+     same query. *)
+  let jobs = ref [] and njobs = ref 0 in
+  let job j =
+    jobs := j :: !jobs;
+    incr njobs;
+    !njobs - 1
+  in
+  let shared = ref 0 in
   let probes =
     List.concat_map
       (fun kind ->
@@ -137,28 +148,43 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
         let ix =
           Sq.Homology.probe_index kind (Array.map (fun (_, _, s) -> s) entries)
         in
-        List.map
-          (fun p -> (entries, ix, p, false, Fun.const true))
-          (of_kind others)
-        @
-        if params.cross_source_only then []
-        else
-          Array.to_list
-            (Array.mapi
-               (fun id p -> (entries, ix, p, true, fun j -> j < id))
-               entries))
+        let first = Hashtbl.create 64 in
+        let cross =
+          List.map
+            (fun ((_, _, s) as p) ->
+              match Hashtbl.find_opt first s with
+              | Some id ->
+                  incr shared;
+                  (entries, p, id)
+              | None ->
+                  let id = job (ix, s, false, Fun.const true) in
+                  Hashtbl.add first s id;
+                  (entries, p, id))
+            (of_kind others)
+        in
+        let within =
+          if params.cross_source_only then []
+          else
+            List.mapi
+              (fun id ((_, _, s) as p) ->
+                (entries, p, job (ix, s, true, fun j -> j < id)))
+              (Array.to_list entries)
+        in
+        cross @ within)
       kinds
   in
   let hits =
-    Aladin_par.Pool.map ?pool
-      (fun (_, ix, (_, _, s), probe_is_query, keep) ->
-        Sq.Homology.probe ix ~probe_is_query ~keep s
-          ~min_normalized:params.min_normalized)
-      probes
+    Array.of_list
+      (Aladin_par.Pool.map ?pool
+         (fun (ix, s, probe_is_query, keep) ->
+           Sq.Homology.probe ix ~probe_is_query ~keep s
+             ~min_normalized:params.min_normalized)
+         (List.rev !jobs))
   in
   let links = ref [] and verified = ref 0 in
-  List.iter2
-    (fun (entries, _, (pf, prow, _), _, _) hits ->
+  List.iter
+    (fun (entries, (pf, prow, _), id) ->
+      let hits = hits.(id) in
       verified := !verified + List.length hits;
       List.iter
         (fun (h : Sq.Homology.probe_hit) ->
@@ -169,9 +195,10 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
               (pf.source, pf.relation, prow)
               ~raw:h.score ~normalized:h.norm !links)
         hits)
-    probes hits;
+    probes;
   let fresh = Link.dedup !links in
   Aladin_obs.Trace.ambient_incr ~by:(List.length own) "seq.sequences_indexed";
+  Aladin_obs.Trace.ambient_incr ~by:!shared "seq.probes_shared";
   Aladin_obs.Trace.ambient_incr ~by:!verified "seq.pairs_verified";
   Aladin_obs.Trace.ambient_incr ~by:(List.length fresh) "seq.links";
   fresh

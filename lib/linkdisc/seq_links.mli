@@ -57,10 +57,15 @@ val discover_source :
     sequences of that kind probe the index read-only, fanned out over
     the [pool]; nothing is kept afterwards. The named source's sequence
     is each alignment's query, so on tied lengths its self-score
-    normalizes the pair. With [cross_source_only] off, each of its
+    normalizes the pair. A probe whose normalized sequence an earlier
+    probe of the same kind from another source carries is not run: it
+    takes that probe's hits, which are equal, and every owning object of
+    either is linked. With [cross_source_only] off, each of its
     sequences also probes its own index for the ones before it, as the
     query, which adds the within-source links. Sequence fields are
     detected once per source. The ambient trace counts
     [seq.sequences_indexed] (the named source's sequences),
-    [seq.alignments], [seq.pairs_verified] and [seq.links]; the result
+    [seq.alignments] (Smith-Waterman calls made), [seq.probes_shared]
+    (probes answered by an earlier identical one), [seq.pairs_verified]
+    (hits, a shared probe's counted again) and [seq.links]; the result
     and the counters do not depend on the pool size. *)

@@ -204,12 +204,6 @@ let discover ?(params = default_params) ?pool profiles =
    name dictionary and its documents' dictionary hits. A pair then only
    adds two sources' frequencies and runs the join over int arrays. *)
 
-type source_result = {
-  pairs : ((string * string) * Link.t list) list;
-  documents : int;
-  mention_links : int;
-}
-
 type prepared_source = {
   objs : Objref.t array;  (* documents in ascending doc-id order *)
   ids : string array;
@@ -465,20 +459,16 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
       let objs = fst corpora.(pi) in
       cosine.(pi) <- List.rev_map (cosine_link objs) hits @ cosine.(pi))
     shards scored;
-  let mention_links = ref 0 in
   let pairs =
     List.mapi
       (fun pi (p, srcs) ->
-        let mentions = pair_mentions ~cross_source_only srcs in
-        mention_links := !mention_links + List.length mentions;
-        (p, Link.dedup (cosine.(pi) @ mentions)))
+        (p, Link.dedup (cosine.(pi) @ pair_mentions ~cross_source_only srcs)))
       pairs
   in
-  let documents =
-    List.fold_left (fun acc (_, s) -> acc + Array.length s.objs) 0 prepared
-  in
-  Aladin_obs.Trace.ambient_incr ~by:documents "text.documents";
+  Aladin_obs.Trace.ambient_incr
+    ~by:(List.fold_left (fun acc (_, s) -> acc + Array.length s.objs) 0 prepared)
+    "text.documents";
   Aladin_obs.Trace.ambient_incr
     ~by:(List.fold_left (fun acc (_, ls) -> acc + List.length ls) 0 pairs)
     "text.links";
-  { pairs; documents; mention_links = !mention_links }
+  pairs

@@ -40,23 +40,17 @@ val discover :
     accumulators are merged deterministically at the join, so the result
     is byte-identical at any pool size. *)
 
-type source_result = {
-  pairs : ((string * string) * Link.t list) list;
-      (** per canonical source pair [(a, b)] holding the named source —
-          one for every other source, plus [(source, source)] when
-          [cross_source_only] is off — the pair's links, deduplicated *)
-  documents : int;  (** documents built: every source's, once *)
-  mention_links : int;  (** entity-mention links found, summed over pairs *)
-}
-
 val discover_source :
   ?params:params ->
   ?pool:Aladin_par.Pool.t ->
   Profile_list.t ->
   source:string ->
-  source_result
+  ((string * string) * Link.t list) list
 (** The text links of every source pair holding the named source — the
-    delta pipeline's text pass, called once per relink. A pair's links
+    delta pipeline's text pass, called once per relink: per canonical
+    source pair [(a, b)] holding the named source (one for every other
+    source, plus [(source, source)] when [cross_source_only] is off),
+    the pair's links, deduplicated. A pair's links
     are exactly {!discover}'s over the two-source restriction of the
     profile list: its tf-idf corpus, document frequencies and name
     dictionary are pair-local, so they are a pure function of the two

@@ -112,40 +112,96 @@ let[@inline] imax (a : int) (b : int) =
 
 let[@inline] clamp0 (a : int) = a land lnot (a asr sign_shift)
 
+(* The calling domain's work array for [local_score], taken out of its
+   slot for the length of a call, so that another systhread of the
+   domain aligning meanwhile finds the slot empty and allocates its own.
+   It only grows: once it fits the domain's largest alignment, a call
+   allocates no array of that size, which for most protein pairs would
+   be a major-heap allocation per alignment. *)
+let work_slot : int array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+
+let take_work n =
+  let w = Domain.DLS.get work_slot in
+  Domain.DLS.set work_slot [||];
+  if Array.length w >= n then w else Array.make n 0
+
 let local_score ?(matrix = Subst_matrix.nucleotide) ?gap q s =
   let gap = Option.value gap ~default:(Subst_matrix.gap_open matrix) in
   let q, s = if String.length q <= String.length s then (s, q) else (q, s) in
+  let n = String.length q and m = String.length s in
+  (* One flat array: the DP row at [1..m] (column 0 stays 0), then the
+     query profile, one row per distinct byte of [q] holding its scores
+     against every byte of [s]. [row_of] maps a byte to its profile
+     row's offset, shifted so that index [j] of the row scores
+     [s.[j - 1]]. *)
+  let row_of = Array.make 256 (-1) and rows = ref 0 in
+  String.iter
+    (fun c ->
+      let c = Char.code c in
+      if row_of.(c) < 0 then begin
+        row_of.(c) <- m + (!rows * m);
+        incr rows
+      end)
+    q;
+  let work = take_work (m + 1 + (!rows * m)) in
+  Array.fill work 0 (m + 1) 0;
   let tbl = Subst_matrix.table matrix and bias = Subst_matrix.table_bias in
-  let m = String.length s in
-  (* two DP rows, swapped after each query character; column 0 stays 0 *)
-  let prev = ref (Array.make (m + 1) 0) in
-  let cur = ref (Array.make (m + 1) 0) in
+  Array.iteri
+    (fun c row ->
+      if row >= 0 then
+        for j = 1 to m do
+          work.(row + j) <-
+            Char.code tbl.[(c * 256) + Char.code s.[j - 1]] - bias
+        done)
+    row_of;
   let best = ref 0 in
-  for i = 1 to String.length q do
-    let p = !prev and c = !cur in
-    let qrow = Char.code (String.unsafe_get q (i - 1)) * 256 in
+  for i = 1 to n do
+    let row = row_of.(Char.code (String.unsafe_get q (i - 1))) in
     let diag = ref 0 and left = ref 0 in
-    (* HOT-PATH-BEGIN: one DP cell per iteration, branch-free int maxima.
-       The diagonal and up moves do not depend on this row's previous
-       cell, so they are combined (and clamped at 0) before the left
-       move joins: the chain from cell to cell is one add and one imax. *)
-    for j = 1 to m do
-      let up = Array.unsafe_get p j in
-      let d =
-        !diag - bias
-        + Char.code
-            (String.unsafe_get tbl (qrow + Char.code (String.unsafe_get s (j - 1))))
+    (* HOT-PATH-BEGIN: two DP cells per iteration (and a last one when
+       [m] is odd), reading only the DP row and the profile row. The row
+       is updated in place: [work.(j)] still holds the previous row's
+       cell (the up move) until this row's cell overwrites it. The
+       diagonal and up moves do not depend on this row's previous cell,
+       so they are combined (and clamped at 0) with branch-free int
+       maxima before the left move joins by a conditional select: the
+       chain from cell to cell is one add and one select. *)
+    let j = ref 1 in
+    while !j < m do
+      let j1 = !j in
+      let up1 = Array.unsafe_get work j1 in
+      let v1 =
+        clamp0 (imax (!diag + Array.unsafe_get work (row + j1)) (up1 + gap))
       in
-      let v = imax (clamp0 (imax d (up + gap))) (!left + gap) in
-      Array.unsafe_set c j v;
-      if v > !best then best := v;
-      diag := up;
-      left := v
+      let l1 = !left + gap in
+      let v1 = if l1 > v1 then l1 else v1 in
+      Array.unsafe_set work j1 v1;
+      if v1 > !best then best := v1;
+      let up2 = Array.unsafe_get work (j1 + 1) in
+      let v2 =
+        clamp0 (imax (up1 + Array.unsafe_get work (row + j1 + 1)) (up2 + gap))
+      in
+      let l2 = v1 + gap in
+      let v2 = if l2 > v2 then l2 else v2 in
+      Array.unsafe_set work (j1 + 1) v2;
+      if v2 > !best then best := v2;
+      diag := up2;
+      left := v2;
+      j := j1 + 2
     done;
+    if !j = m then begin
+      let up = Array.unsafe_get work m in
+      let v =
+        clamp0 (imax (!diag + Array.unsafe_get work (row + m)) (up + gap))
+      in
+      let l = !left + gap in
+      let v = if l > v then l else v in
+      Array.unsafe_set work m v;
+      if v > !best then best := v
+    end
     (* HOT-PATH-END *)
-    prev := c;
-    cur := p
   done;
+  Domain.DLS.set work_slot work;
   !best
 
 let self_score matrix s =

@@ -21,8 +21,15 @@ val local : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> result
     {!Subst_matrix.nucleotide}. *)
 
 val local_score : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> int
-(** Score-only Smith-Waterman in O(min(n,m)) space — used in the inner loop
-    of homology search where the traceback is not needed. *)
+(** Score-only Smith-Waterman — the verification kernel of homology
+    search, where the traceback is not needed. Equal to [(local ?matrix
+    ?gap q s).score]. The shorter sequence runs along one DP row, updated
+    in place, and the longer one's distinct bytes each get a profile row
+    of scores against the shorter, built once per call, so a DP cell
+    reads one int: O(min(n,m) x distinct bytes of the longer) space. The
+    row and the profile live in a work array of the calling domain,
+    reused by its later calls; a call allocates only a 256-entry byte
+    map. Safe to call from any domain. *)
 
 val self_score : Subst_matrix.t -> string -> int
 (** The score of aligning a sequence with itself, ungapped: the sum of

@@ -196,6 +196,151 @@ let object_sim_tests =
         | ms -> Alcotest.fail (Printf.sprintf "%d matches" (List.length ms)));
   ]
 
+(* --- the identity bound: Object_sim.may_agree against the scoring ---
+
+   Two objects and a crowd of fillers that copy them or draw fresh
+   fields, so the pair's dfs fall on both sides of the identity cap (8
+   for this many objects). Attribute names come from a small pool that
+   shares tokens; values from families of equal and near-equal
+   variants: identifiers with digits, their digit-less neighbours, long
+   text with and without digits, sequences and a common phrase. b keeps,
+   varies, replaces or drops each of a's fields. *)
+let bound_case_gen =
+  let open QCheck.Gen in
+  let attrs =
+    [ "gene.symbol"; "gene.name"; "prot.name"; "entry.desc"; "entry.seq";
+      "xref.acc" ]
+  in
+  let families =
+    [ [ "BRCA1"; "brca1"; "BRCA12"; "BRCA" ];
+      [ "P12345"; "P12354"; "p12345"; "P1234" ];
+      [ "kinase1"; "kinase"; "kinases"; "KINASE1" ];
+      [ "AB12"; "AB1"; "ab12" ];
+      [ "alpha-kinase 2 involved in signal transduction";
+        "Alpha-kinase 2 involved in signal transductions";
+        "alpha kinase involved in signal transduction";
+        "alpha-kinase 2 involved in transduction" ];
+      [ "receptor binding calcium ions in the membrane";
+        "receptor binding calcium ions in membranes" ];
+      [ "MKWVTFISLLFLFSSAYSRGVFRRDAHKSEVAHRFKDLGE";
+        "MKWVTFISLLFLFSSAYSRGVFRRDAHKSEIAHRFKDLGE" ];
+      [ "ACGTACGGTACCATGGCATCGATCGGCTAGCTAGGCTAACG";
+        "acgtacggtaccatggcttcgatcggctagctaggctaacg" ];
+      [ "Homo sapiens"; "homo sapiens"; "Homo sapien" ] ]
+  in
+  let value = oneofl families >>= oneofl in
+  let field = pair (oneofl attrs) value in
+  let fields lo hi = list_size (int_range lo hi) field in
+  let vary (attr, v) =
+    let family = List.find (List.mem v) families in
+    let* attr' = frequency [ (3, return attr); (1, oneofl attrs) ] in
+    frequency
+      [ (2, return [ (attr', v) ]);
+        (3, map (fun v' -> [ (attr', v') ]) (oneofl family));
+        (1, map (fun f -> [ f ]) field);
+        (1, return []) ]
+  in
+  let* a = fields 0 4 in
+  let* kept = flatten_l (List.map vary a) in
+  let* extra = fields 0 2 in
+  let b = List.concat kept @ extra in
+  let* fillers =
+    list_size (int_range 0 24)
+      (frequency [ (1, return a); (1, return b); (2, fields 1 3) ])
+  in
+  return (a, b, fillers)
+
+let bound_case_print (a, b, fillers) =
+  let show fs =
+    String.concat "; " (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) fs)
+  in
+  Printf.sprintf "a: %s\nb: %s\n%d fillers:\n%s" (show a) (show b)
+    (List.length fillers)
+    (String.concat "\n" (List.map show fillers))
+
+let bound_tests =
+  [
+    Alcotest.test_case "no possible identity agreement scores at most 0.5"
+      `Quick (fun () ->
+        let tight = ref 0 and agreeing = ref 0 in
+        let test =
+          QCheck.Test.make ~name:"may_agree bounds similarity_prepared"
+            ~count:600
+            (QCheck.make ~print:bound_case_print bound_case_gen)
+            (fun (a, b, fillers) ->
+              let prep i fs =
+                Object_sim.prepare
+                  (repr (Printf.sprintf "O%d" i) (Printf.sprintf "s%d" i) fs)
+              in
+              let pa = prep 0 a and pb = prep 1 b in
+              let context =
+                Object_sim.context_of_prepared
+                  (pa :: pb :: List.mapi (fun i fs -> prep (i + 2) fs) fillers)
+              in
+              let ba = Object_sim.bind ~context pa
+              and bb = Object_sim.bind ~context pb in
+              let sim = Object_sim.similarity_prepared ba bb in
+              let agree = Object_sim.may_agree ba bb in
+              if (not agree) && sim > 0.5 then
+                QCheck.Test.fail_reportf "may_agree false, similarity %.17g" sim;
+              if (not agree) && sim > 0.4 then incr tight;
+              if agree && sim > 0.5 then incr agreeing;
+              (* the thresholded field test is the plain comparison *)
+              List.iter
+                (fun (_, va) ->
+                  List.iter
+                    (fun (_, vb) ->
+                      let fa = Field_sim.prepare va
+                      and fb = Field_sim.prepare vb in
+                      List.iter
+                        (fun t ->
+                          if
+                            Field_sim.similarity_at_least fa fb t
+                            <> (Field_sim.similarity_prepared fa fb >= t)
+                          then
+                            QCheck.Test.fail_reportf
+                              "similarity_at_least %S %S %g disagrees" va vb t)
+                        [ 0.5; 0.85; 1.0 ])
+                    b)
+                a;
+              true)
+        in
+        QCheck.Test.check_exn ~rand:(Random.State.make [| 19 |]) test;
+        check Alcotest.bool "pairs the bound holds tightly" true (!tight > 0);
+        check Alcotest.bool "agreeing pairs above 0.5" true (!agreeing > 0));
+    Alcotest.test_case "a threshold at most 0.5 scores every candidate" `Quick
+      (fun () ->
+        (* "kinase" is no anchor (short, no digit): the pair scores 0.5 *)
+        let a = repr "A" "s1" [ ("r.name", "kinase") ] in
+        let b = repr "B" "s2" [ ("r.name", "kinase") ] in
+        let context = Object_sim.context_of [ a; b ] in
+        let bound r = Object_sim.bind ~context (Object_sim.prepare r) in
+        check Alcotest.bool "no identity agreement possible" false
+          (Object_sim.may_agree (bound a) (bound b));
+        let detect min_similarity =
+          let tr = Aladin_obs.Trace.create () in
+          let r =
+            Aladin_obs.Trace.with_ambient tr (fun () ->
+                Dup_detect.detect_on
+                  ~params:{ Dup_detect.default_params with min_similarity }
+                  [ a; b ])
+          in
+          (r, Aladin_obs.Trace.counter_value tr "dup.candidates_skipped")
+        in
+        let low, low_skipped = detect 0.4 in
+        check Alcotest.int "one candidate" 1 low.candidates_checked;
+        check Alcotest.int "scored" 0 low_skipped;
+        (match low.links with
+        | [ l ] ->
+            check Alcotest.bool "score in (0.4, 0.5]" true
+              (l.confidence > 0.4 && l.confidence <= 0.5)
+        | ls -> Alcotest.failf "%d links" (List.length ls));
+        let high, high_skipped = detect Dup_detect.default_params.min_similarity in
+        check Alcotest.int "still a candidate" 1 high.candidates_checked;
+        check Alcotest.int "skipped by the bound" 1 high_skipped;
+        check Alcotest.int "no link" 0 (List.length high.links));
+  ]
+
 (* reprs of planted duplicates across two pseudo-sources *)
 let planted_reprs () =
   let words =
@@ -452,6 +597,7 @@ let tests =
     ("dupdetect.union_find", union_find_tests);
     ("dupdetect.field_sim", field_sim_tests);
     ("dupdetect.object_sim", object_sim_tests);
+    ("dupdetect.identity_bound", bound_tests);
     ("dupdetect.build_reprs", build_reprs_tests);
     ("dupdetect.dup_detect", dup_detect_tests);
     ("dupdetect.between", between_tests);

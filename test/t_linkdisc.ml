@@ -119,6 +119,20 @@ let source_homolog () =
       ("HX003", "CTCATTCCCTTGTCGGAGAGTTATGGAACA") ];
   cat
 
+(* src_r carries the src_h homolog of DX001's first column in two rows,
+   the second lowercased and wrapped: equal once normalized *)
+let source_repeat () =
+  let cat = Catalog.create ~name:"src_r" in
+  let hom =
+    Catalog.create_relation cat ~name:"rep" (Schema.of_names [ "acc"; "dna" ])
+  in
+  List.iter
+    (fun (acc, d) -> Relation.insert hom [| Value.text acc; Value.text d |])
+    [ ("RX001", "GCTAAAGACAAGTACATAACATACACGTCAGAACGAAACT");
+      ("RX002", "gctaaagacaagtacataac\natacacgtcagaacgaaact");
+      ("RX003", "CTCATTCCCTTGTCGGAGAGTTATGGAACA") ];
+  cat
+
 let link_key l =
   let l = Link.normalized l in
   Objref.to_string l.Link.src ^ "|" ^ Objref.to_string l.Link.dst
@@ -436,7 +450,9 @@ let seq_case_profiles c =
    distinct k-mers, aligned with the changed sequence as the query; with
    cross_source_only off, every pair of the changed source's own
    sequences too, the later one (in field-then-row order) as the query.
-   Returns the links and the trace counters the pass must report. *)
+   Returns the links and the trace counters the pass must report; an
+   other-source sequence equal to an earlier one of its kind counts no
+   alignment. *)
 let oracle_seq_links (params : Seq_links.params) ps ~source =
   let k = function
     | Aladin_seq.Alphabet.Protein -> 4
@@ -470,14 +486,14 @@ let oracle_seq_links (params : Seq_links.params) ps ~source =
       ~relation:f.relation ~row
   in
   let links = ref [] and alignments = ref 0 and hits = ref 0 in
-  let consider ((qf : Seq_links.seq_field), qrow, q)
+  let consider ?(aligned = true) ((qf : Seq_links.seq_field), qrow, q)
       ((sf : Seq_links.seq_field), srow, s) =
     let shared () =
       let in_s = kmers sf.kind s in
       List.length (List.filter (fun km -> List.mem km in_s) (kmers qf.kind q))
     in
     if qf.kind = sf.kind && shared () >= 2 then begin
-      incr alignments;
+      if aligned then incr alignments;
       let matrix = Aladin_seq.Subst_matrix.for_kind qf.kind in
       let raw = Aladin_seq.Align.local_score ~matrix q s in
       let self = Aladin_seq.Align.self_score matrix in
@@ -506,11 +522,23 @@ let oracle_seq_links (params : Seq_links.params) ps ~source =
     end
   in
   let own = sequences source in
+  (* another source's sequence is aligned once per distinct (kind,
+     sequence): a repeat takes the hits of the first *)
+  let probed = Hashtbl.create 64 and shared = ref 0 in
   List.iter
     (fun other ->
       if other <> source then
         List.iter
-          (fun o -> List.iter (fun c -> consider c o) own)
+          (fun (((f : Seq_links.seq_field), _, s) as o) ->
+            let aligned = not (Hashtbl.mem probed (f.kind, s)) in
+            Hashtbl.replace probed (f.kind, s) ();
+            (* only a kind the changed source has is probed *)
+            if (not aligned)
+               && List.exists
+                    (fun ((g : Seq_links.seq_field), _, _) -> g.kind = f.kind)
+                    own
+            then incr shared;
+            List.iter (fun c -> consider ~aligned c o) own)
           (sequences other))
     (Profile_list.sources ps);
   if not params.cross_source_only then
@@ -521,7 +549,7 @@ let oracle_seq_links (params : Seq_links.params) ps ~source =
   let links = Link.dedup !links in
   ( links,
     [ ("seq.alignments", !alignments); ("seq.links", List.length links);
-      ("seq.pairs_verified", !hits);
+      ("seq.pairs_verified", !hits); ("seq.probes_shared", !shared);
       ("seq.sequences_indexed", List.length own) ] )
 
 let render_links links =
@@ -656,6 +684,25 @@ let seq_state_tests =
           (List.map link_key folded) (List.map link_key batch.links);
         check Alcotest.bool "homolog of the first column linked" true
           (List.mem "src_d:DX001|src_h:HX001" (List.map link_key batch.links)));
+    Alcotest.test_case "a repeated probe sequence is aligned once" `Quick
+      (fun () ->
+        let ps =
+          Profile_list.of_profiles
+            [ Source_profile.analyze (source_two_dna ());
+              Source_profile.analyze (source_repeat ()) ]
+        in
+        let tr = Aladin_obs.Trace.create () in
+        let fresh =
+          Aladin_obs.Trace.with_ambient tr (fun () ->
+              Seq_links.discover_source ps ~source:"src_d")
+        in
+        let count = Aladin_obs.Trace.counter_value tr in
+        check Alcotest.(list string) "both rows linked"
+          [ "src_d:DX001|src_r:RX001"; "src_d:DX001|src_r:RX002" ]
+          (List.map link_key fresh);
+        check Alcotest.int "both hits verified" 2 (count "seq.pairs_verified");
+        check Alcotest.int "one alignment" 1 (count "seq.alignments");
+        check Alcotest.int "one shared probe" 1 (count "seq.probes_shared"));
     Alcotest.test_case "same-source homologs without cross_source_only" `Quick
       (fun () ->
         let ps =
@@ -1131,22 +1178,32 @@ let text_oracle_case c =
            Printf.sprintf "pair %s %s" a b :: render_links links)
          (List.sort compare pairs))
   in
+  let mentions pairs =
+    List.fold_left
+      (fun acc (_, links) ->
+        acc
+        + List.length
+            (List.filter (fun (l : Link.t) -> l.kind = Link.Entity_mention) links))
+      0 pairs
+  in
+  let expected_pairs =
+    List.map (fun (p, (r : Text_links.result)) -> (p, r.links)) expected
+  in
   let expect =
     Printf.sprintf "documents=%d mentions=%d\n%s" documents
-      (List.fold_left
-         (fun acc (_, (r : Text_links.result)) -> acc + r.mention_links)
-         0 expected)
-      (show_pairs
-         (List.map (fun (p, (r : Text_links.result)) -> (p, r.links)) expected))
+      (mentions expected_pairs) (show_pairs expected_pairs)
   in
   let run domains =
-    let r =
-      Text_links.discover_source ~params
-        ~pool:(Aladin_par.Pool.get ~domains ())
-        ps ~source
+    let tr = Aladin_obs.Trace.create () in
+    let pairs =
+      Aladin_obs.Trace.with_ambient tr (fun () ->
+          Text_links.discover_source ~params
+            ~pool:(Aladin_par.Pool.get ~domains ())
+            ps ~source)
     in
-    Printf.sprintf "documents=%d mentions=%d\n%s" r.documents r.mention_links
-      (show_pairs r.pairs)
+    Printf.sprintf "documents=%d mentions=%d\n%s"
+      (Aladin_obs.Trace.counter_value tr "text.documents")
+      (mentions pairs) (show_pairs pairs)
   in
   let one = run 1 and two = run 2 in
   if expect <> one || one <> two then

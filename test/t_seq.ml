@@ -192,6 +192,37 @@ let protein_pair =
   in
   QCheck.make ~print:QCheck.Print.(pair string string) gen
 
+(* nucleotide-matrix inputs over arbitrary bytes: mostly ACGT in both
+   cases, N and '-', empty and length-1 strings among them *)
+let nucleotide_pair =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (8, oneofl [ 'A'; 'C'; 'G'; 'T'; 'a'; 'c'; 'g'; 't'; 'N'; '-' ]);
+        (1, char) ]
+  in
+  let len = frequency [ (1, return 0); (2, return 1); (6, int_range 2 24) ] in
+  let str = string_size ~gen:byte len in
+  QCheck.make ~print:QCheck.Print.(pair string string) (pair str str)
+
+(* two related proteins of 300+ residues, fixed by the seed *)
+let long_proteins () =
+  let st = Random.State.make [| 19 |] in
+  let residue () = Alphabet.protein.[Random.State.int st 20] in
+  let a = String.init 320 (fun _ -> residue ()) in
+  let b =
+    String.concat ""
+      (List.map
+         (fun c ->
+           match Random.State.int st 10 with
+           | 0 -> ""
+           | 1 -> String.make 1 (residue ())
+           | 2 -> String.make 1 c ^ String.make 1 (residue ())
+           | _ -> String.make 1 c)
+         (List.of_seq (String.to_seq a)))
+  in
+  (a, b ^ String.init 30 (fun _ -> residue ()))
+
 let align_tests =
   [
     Alcotest.test_case "global identical" `Quick (fun () ->
@@ -225,21 +256,22 @@ let align_tests =
         check (Alcotest.float 0.001) "norm" 1.0
           (Align.normalized_score r ~query:q ~subject:q));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"local_score matches traceback score" ~count:50
-         QCheck.(pair
-                   (string_gen_of_size (QCheck.Gen.int_range 1 20)
-                      (QCheck.Gen.oneofl [ 'A'; 'C'; 'G'; 'T' ]))
-                   (string_gen_of_size (QCheck.Gen.int_range 1 20)
-                      (QCheck.Gen.oneofl [ 'A'; 'C'; 'G'; 'T' ])))
+      (QCheck.Test.make ~name:"local_score matches traceback score" ~count:200
+         nucleotide_pair
          (fun (a, b) -> Align.local_score a b = (Align.local a b).score));
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"local symmetric score" ~count:50
-         QCheck.(pair
-                   (string_gen_of_size (QCheck.Gen.int_range 1 15)
-                      (QCheck.Gen.oneofl [ 'A'; 'C'; 'G'; 'T' ]))
-                   (string_gen_of_size (QCheck.Gen.int_range 1 15)
-                      (QCheck.Gen.oneofl [ 'A'; 'C'; 'G'; 'T' ])))
+      (QCheck.Test.make ~name:"local symmetric score" ~count:200
+         nucleotide_pair
          (fun (a, b) -> Align.local_score a b = Align.local_score b a));
+    Alcotest.test_case "blosum62 local_score on 300+ residue proteins" `Quick
+      (fun () ->
+        let a, b = long_proteins () in
+        let matrix = Subst_matrix.blosum62 in
+        check Alcotest.bool "both 300+" true
+          (String.length a >= 300 && String.length b >= 300);
+        let score = Align.local_score ~matrix a b in
+        check Alcotest.int "traceback score" (Align.local ~matrix a b).score score;
+        check Alcotest.int "symmetric" score (Align.local_score ~matrix b a));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"blosum62 local_score matches traceback, symmetric" ~count:300
