@@ -32,7 +32,10 @@ module Load_report = Aladin_store.Load_report
 let integrate_cmd =
   let save =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"META"
-           ~doc:"Write the metadata repository to $(docv).")
+           ~doc:"Write the metadata repository to $(docv): the sources \
+                 with their discovered structure and statistics, the run \
+                 reports and the provenance trace. It holds no links; \
+                 $(b,--links-out) exports those.")
   in
   (* positional FILEs are optional here (unlike paths_arg): a --resume
      can re-import uncommitted sources from the paths the journal

@@ -4,8 +4,8 @@
    re-links the new source against everything already integrated (the
    per-source statistics are computed once and reused). Then a data
    change below the re-analysis threshold is deferred, and a large one
-   triggers re-integration. Finally the metadata repository is saved and
-   reloaded, showing that the discovered knowledge is durable.
+   triggers re-integration. Finally the warehouse is saved as a store and
+   loaded back, showing that the discovered knowledge is durable.
 
      dune exec examples/incremental_integration.exe *)
 
@@ -52,15 +52,29 @@ let () =
       | `Deferred -> print_endline "  bulk change deferred (unexpected)")
   | None -> ());
 
-  (* the metadata repository survives a save/load round trip *)
-  let doc = Aladin_metadata.Repository.save (Warehouse.repository w) in
-  let reloaded = Aladin_metadata.Repository.load doc in
-  Printf.printf "\nrepository: %d bytes, %d sources, %d links after reload\n"
-    (String.length doc)
-    (List.length (Aladin_metadata.Repository.sources reloaded))
-    (List.length (Aladin_metadata.Repository.links reloaded));
+  (* the warehouse survives a save_dir/load_dir round trip: the links
+     come back from the store's pairs.txt *)
+  let dir = Filename.temp_file "aladin" "store" in
+  Sys.remove dir;
+  (match Warehouse.save_dir w dir with
+  | Ok () -> ()
+  | Error msg -> failwith msg);
+  let reloaded, _ = Warehouse.load_dir dir in
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  rm_rf dir;
+  let repo = Warehouse.repository reloaded in
+  Printf.printf "\nstore round trip: %d sources, %d links after reload (%d before)\n"
+    (List.length (Aladin_metadata.Repository.sources repo))
+    (List.length (Warehouse.links reloaded))
+    (List.length (Warehouse.links w));
   print_endline "\nper-source summary (relations, rows, links touching it):";
   List.iter
     (fun (name, rels, rows, links) ->
       Printf.printf "  %-10s %2d relations %5d rows %5d links\n" name rels rows links)
-    (Aladin_metadata.Repository.stats_summary reloaded)
+    (Aladin_metadata.Repository.stats_summary repo)

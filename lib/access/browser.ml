@@ -21,12 +21,33 @@ type view = {
 
 type t = {
   profiles : Profile_list.t;
-  repository : Repository.t;
+  links_by_obj : (Objref.t, Link.t list) Hashtbl.t;  (* read-only once built *)
   reprs : Dup.Object_sim.repr list option Atomic.t;  (* built on first use *)
 }
 
+(* each object's links in [Repository.links] order, a self-link listed
+   once: [Repository.links_of] for every object in one pass, so a view
+   does not scan every link *)
+let index_links links =
+  let tbl = Hashtbl.create 1024 in
+  let add obj l =
+    Hashtbl.replace tbl obj
+      (l :: Option.value (Hashtbl.find_opt tbl obj) ~default:[])
+  in
+  List.iter
+    (fun (l : Link.t) ->
+      add l.src l;
+      if not (Objref.equal l.src l.dst) then add l.dst l)
+    (List.rev links);
+  tbl
+
 let create profiles repository =
-  { profiles; repository; reprs = Atomic.make None }
+  { profiles;
+    links_by_obj = index_links (Repository.links repository);
+    reprs = Atomic.make None }
+
+let links_of t obj =
+  Option.value (Hashtbl.find_opt t.links_by_obj obj) ~default:[]
 
 (* compute-once that several domains may call at the same time (a
    [Lazy.t] forced concurrently raises [CamlinternalLazy.Undefined]):
@@ -107,7 +128,7 @@ let view t obj =
       match primary_row_fields e obj with
       | None -> None
       | Some fields ->
-          let all_links = Repository.links_of t.repository obj in
+          let all_links = links_of t obj in
           let duplicates =
             List.filter_map
               (fun (l : Link.t) ->

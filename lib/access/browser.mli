@@ -29,6 +29,12 @@ type view = {
 type t
 
 val create : Profile_list.t -> Repository.t -> t
+(** Indexes the repository's links by endpoint once, so later changes to
+    the repository are not seen: build a new browser after a change. *)
+
+val links_of : t -> Objref.t -> Link.t list
+(** {!Repository.links_of} from the index: the object's links in
+    {!Repository.links} order, a self-link once. *)
 
 val view : t -> Objref.t -> view option
 (** [None] for unknown objects. *)

@@ -85,10 +85,11 @@ let exclude_triples t ~source =
      onto  <n-items>
      plink  ...
 
-   A pair's links are routed back to their pass list by link kind, so a
-   group is exactly [n-items] item lines after its header. Any group
-   that is short, over-long or unparseable is dropped whole (the caller
-   re-seeds it from the metadata repository). *)
+   The file is the store's only record of its links, so the reader
+   salvages record by record: each link and correspondence goes to the
+   canonical pair of its own endpoints' sources (a shared-term link to
+   the onto list), and a [pair] header is read only for its
+   dup-candidate count. A damaged line loses that line alone. *)
 
 let version = 1
 
@@ -169,134 +170,72 @@ let save t =
   List.iter (fun l -> line (link_line l)) t.onto_links;
   Buffer.contents buf
 
-(* route parsed items, in save order, into their lists: each list is
-   accumulated in reverse and reversed once, so a group loads in time
-   linear in its item count *)
-let entry_of_items items =
-  let x = ref [] and c = ref [] and sq = ref [] and tx = ref [] and d = ref [] in
-  List.iter
-    (function
-      | `Link (l : Link.t) -> (
-          match l.kind with
-          | Link.Xref -> x := l :: !x
-          | Link.Seq_similarity -> sq := l :: !sq
-          | Link.Text_similarity | Link.Entity_mention -> tx := l :: !tx
-          | Link.Duplicate -> d := l :: !d
-          | Link.Shared_term -> ())
-      | `Corr corr -> c := corr :: !c)
-    items;
-  { xref_links = List.rev !x; correspondences = List.rev !c;
-    seq_links = List.rev !sq; text_links = List.rev !tx;
-    dup_links = List.rev !d; dup_candidates = 0 }
+(* --- routing, shared by [load] and [seed_missing]: each record is
+   consed onto its pair's list of its kind, and [reverse_all] reverses
+   every list once at the end, so filling a store is linear in its
+   record count and keeps the records' order --- *)
+
+let update t a b f = set t a b (f (Option.value (find t a b) ~default:empty_entry))
+
+let route_link t (l : Link.t) =
+  let update = update t l.src.source l.dst.source in
+  match l.kind with
+  | Link.Xref -> update (fun e -> { e with xref_links = l :: e.xref_links })
+  | Link.Seq_similarity -> update (fun e -> { e with seq_links = l :: e.seq_links })
+  | Link.Text_similarity | Link.Entity_mention ->
+      update (fun e -> { e with text_links = l :: e.text_links })
+  | Link.Duplicate -> update (fun e -> { e with dup_links = l :: e.dup_links })
+  | Link.Shared_term ->
+      t.onto_links <- l :: t.onto_links;
+      t.onto_present <- true
+
+let route_corr t (c : Xref_disc.correspondence) =
+  update t c.src_source c.dst_source (fun e ->
+      { e with correspondences = c :: e.correspondences })
+
+let reverse_all t =
+  Hashtbl.filter_map_inplace
+    (fun _ e ->
+      Some
+        { e with
+          xref_links = List.rev e.xref_links;
+          correspondences = List.rev e.correspondences;
+          seq_links = List.rev e.seq_links;
+          text_links = List.rev e.text_links;
+          dup_links = List.rev e.dup_links })
+    t.tbl;
+  t.onto_links <- List.rev t.onto_links
 
 let load doc =
   let t = create () in
   let dropped = ref 0 in
-  let lines = List.filter (( <> ) "") (String.split_on_char '\n' doc) in
-  (* read [n] item lines; None (plus the unconsumed rest) when a line is
-     missing or is not an item — the failing line may be the next header,
-     so scanning resumes there *)
-  let take_items n lines =
-    let rec go acc n = function
-      | rest when n = 0 -> Some (List.rev acc, rest)
-      | [] -> None
-      | line :: rest -> (
-          let fields = Serial.fields line in
+  List.iter
+    (fun line ->
+      let fields = Serial.fields line in
+      match fields with
+      | [ "" ] | [ "pairstore"; _ ] -> ()
+      | [ "pair"; a; b; _; cands ] -> (
+          match int_of_string_opt cands with
+          | Some n -> update t a b (fun e -> { e with dup_candidates = n })
+          | None -> incr dropped)
+      | [ "onto"; _ ] -> t.onto_present <- true
+      | _ -> (
           match parse_link fields with
-          | Some l -> go (`Link l :: acc) (n - 1) rest
+          | Some l -> route_link t l
           | None -> (
               match parse_corr fields with
-              | Some c -> go (`Corr c :: acc) (n - 1) rest
-              | None -> None))
-    in
-    go [] n lines
-  in
-  let rec scan = function
-    | [] -> ()
-    | line :: rest -> (
-        match Serial.fields line with
-        | [ "pairstore"; _ ] -> scan rest
-        | [ "pair"; a; b; n; cands ] -> (
-            match (int_of_string_opt n, int_of_string_opt cands) with
-            | Some n, Some cands when n >= 0 -> (
-                match take_items n rest with
-                | Some (items, rest) ->
-                    let e = { (entry_of_items items) with dup_candidates = cands } in
-                    set t a b e;
-                    scan rest
-                | None ->
-                    incr dropped;
-                    scan rest)
-            | _ ->
-                incr dropped;
-                scan rest)
-        | [ "onto"; n ] -> (
-            match int_of_string_opt n with
-            | Some n when n >= 0 -> (
-                match take_items n rest with
-                | Some (items, rest) ->
-                    let links =
-                      List.filter_map
-                        (function `Link l -> Some l | `Corr _ -> None)
-                        items
-                    in
-                    set_onto t links;
-                    scan rest
-                | None ->
-                    incr dropped;
-                    scan rest)
-            | _ ->
-                incr dropped;
-                scan rest)
-        | _ ->
-            incr dropped;
-            scan rest)
-  in
-  scan lines;
+              | Some c -> route_corr t c
+              | None -> incr dropped)))
+    (String.split_on_char '\n' doc);
+  reverse_all t;
   (t, !dropped)
 
 let seed_missing t ~links ~correspondences =
-  let groups : (string * string, Link.t list) Hashtbl.t = Hashtbl.create 32 in
-  let onto_acc = ref [] in
-  List.iter
-    (fun (l : Link.t) ->
-      match l.kind with
-      | Link.Shared_term -> onto_acc := l :: !onto_acc
-      | _ ->
-          let key = canon l.src.source l.dst.source in
-          Hashtbl.replace groups key
-            (l :: (try Hashtbl.find groups key with Not_found -> [])))
-    links;
-  let corr_groups : (string * string, Xref_disc.correspondence list) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun (c : Xref_disc.correspondence) ->
-      let key = canon c.src_source c.dst_source in
-      Hashtbl.replace corr_groups key
-        (c :: (try Hashtbl.find corr_groups key with Not_found -> [])))
-    correspondences;
-  let all_keys =
-    List.sort_uniq compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) groups []
-      @ Hashtbl.fold (fun k _ acc -> k :: acc) corr_groups [])
-  in
-  List.iter
-    (fun (a, b) ->
-      if not (mem t a b) then begin
-        let ls =
-          try List.rev (Hashtbl.find groups (a, b)) with Not_found -> []
-        in
-        let cs =
-          try
-            List.sort compare_corr (List.rev (Hashtbl.find corr_groups (a, b)))
-          with Not_found -> []
-        in
-        let e =
-          { (entry_of_items (List.map (fun l -> `Link l) (Link.dedup ls))) with
-            correspondences = cs }
-        in
-        set t a b e
-      end)
-    all_keys;
-  if not t.onto_present then set_onto t (Link.dedup !onto_acc)
+  (* one global dedup and sort leave each pair's lists in the order a
+     per-pair dedup and sort would *)
+  let seed = create () in
+  List.iter (route_link seed) (Link.dedup links);
+  List.iter (route_corr seed) (List.stable_sort compare_corr correspondences);
+  reverse_all seed;
+  Hashtbl.iter (fun (a, b) e -> if not (mem t a b) then set t a b e) seed.tbl;
+  if not t.onto_present then set_onto t seed.onto_links

@@ -14,10 +14,10 @@
 
     The store serializes to one line-record document ({!save}/{!load}),
     persisted as the [pairs.txt] member (kind {!Aladin_store.Snapshot.kind.Pairs})
-    of warehouse snapshots, journal checkpoints included. Groups are atomic on
-    load: a pair whose record group was damaged is dropped whole and
-    re-seeded from the metadata repository ({!seed_missing}), never
-    half-restored. *)
+    of warehouse snapshots, journal checkpoints included. It is the
+    store's only record of links and correspondences: the repository's
+    link view is derived from it at load, so {!load} salvages record by
+    record and a damaged line loses that record alone. *)
 
 open Aladin_links
 
@@ -77,15 +77,19 @@ val exclude_triples : t -> source:string -> (string * string * string) list
 val save : t -> string
 
 val load : string -> t * int
-(** [load doc] returns the store plus the number of record groups
-    dropped because they were truncated or unparseable (each dropped
-    group leaves its pair absent, to be re-seeded by {!seed_missing}). *)
+(** [load doc] returns the store plus the number of lines it dropped as
+    unparseable. Total on any input. Every link and correspondence line
+    is routed to the canonical pair of its own endpoints' sources (a
+    shared-term link to {!onto}), in document order; a [pair] header
+    only sets that pair's dup-candidate count. So a lost or damaged
+    line costs that record alone, and a lost header only its count. *)
 
 val seed_missing :
   t -> links:Link.t list -> correspondences:Xref_disc.correspondence list -> unit
-(** Backfill from the metadata repository's merged links and
-    correspondences: every link maps to exactly one pair (and kind), so
-    partitioning them recovers the entries of any pairs this store does
-    not yet hold — old stores saved before the pair store existed, and
-    groups {!load} dropped. Pairs (and the shared-term component)
-    already present are left untouched. *)
+(** Backfill from the [link]/[corr] records of a [metadata.txt] written
+    before the repository stopped storing links: every link maps to
+    exactly one pair (and kind), so partitioning them recovers the
+    entries of any pairs this store does not hold — every pair of a
+    store saved before [pairs.txt] existed, or a pair none of whose
+    records survived in [pairs.txt]. Pairs (and the shared-term
+    component) already present are left untouched. *)

@@ -65,7 +65,7 @@ let links t accession =
   match Search.resolve (Warehouse.search t.w) accession with
   | None -> Printf.sprintf "object %s not found\n" accession
   | Some obj ->
-      let ls = Aladin_metadata.Repository.links_of (Warehouse.repository t.w) obj in
+      let ls = Browser.links_of (Warehouse.browser t.w) obj in
       if ls = [] then "(no links)\n"
       else
         String.concat ""

@@ -101,12 +101,20 @@ let bounded ~name ?budget f =
 let skipped_span name =
   Obs.Trace.ambient_span name ~attrs:[ ("status", "skipped") ] (fun () -> ())
 
+(* the repository's link view of the pair store: [merged] (the store's
+   [Pair_store.all_links], already deduplicated, so it is filtered, not
+   merged again) less the rejected links, and the store's
+   correspondences. A relink and [load_dir] both set it here. *)
+let set_link_view t merged =
+  Repository.set_links t.repo (Feedback.filter_links t.feedback merged);
+  Repository.set_correspondences t.repo
+    (Pair_store.correspondences t.pair_store)
+
 (* steps 4+5 go through the delta pipeline: recompute only the source
    pairs the changed source touches (plus dup pairs whose exclude sets
    shifted), merge every other pair's links verbatim from the pair
-   store. The repository always reflects the merged store view (already
-   deduplicated, so it is filtered, not merged again), and the typed
-   generation records which link kinds actually changed. *)
+   store. The repository always reflects the merged store view, and the
+   typed generation records which link kinds actually changed. *)
 let relink ~changed t =
   let source_order = List.map Catalog.name t.catalog_list in
   let out =
@@ -118,9 +126,7 @@ let relink ~changed t =
   List.iter
     (fun k -> Generation.bump_kind t.gen (Link.kind_name k))
     out.changed_kinds;
-  Repository.set_links t.repo (Feedback.filter_links t.feedback out.links);
-  Repository.set_correspondences t.repo
-    (Pair_store.correspondences t.pair_store);
+  set_link_view t out.links;
   (out.link_step, out.dup_step)
 
 let import_step_report ~name ~catalog import_errors =
@@ -401,31 +407,31 @@ let load_dir ?config ?(reanalyze = false) dir =
                         dir (Catalog.name catalog)
                         (Report.error_to_string err))))
           catalogs;
-        (match Snapshot.find members "metadata.txt" with
-        | Some doc ->
-            let meta, dropped = Repository.load_salvaging doc in
-            bump "metadata.txt" dropped;
-            (* the one untrusted link list the repository receives *)
-            Repository.set_links t.repo (Link.dedup (Repository.links meta));
-            Repository.set_correspondences t.repo (Repository.correspondences meta);
-            (match Repository.provenance meta with
-            | Some p -> Repository.set_provenance t.repo p
-            | None -> ());
-            List.iter (Repository.set_run_report t.repo) (Repository.run_reports meta)
-        | None -> ());
-        (* the per-pair link store: restored from its own member when
-           present; any missing or damaged pair groups (and whole stores
-           saved before the member existed) are re-seeded by partitioning
-           the repository's merged links. Nothing else is rebuilt: a
-           relink keeps no index between runs. *)
+        (* the per-pair link store, the one record of links and
+           correspondences: restored from its own member *)
         (match Snapshot.find members "pairs.txt" with
         | Some doc ->
             let ps, dropped = Pair_store.load doc in
             bump "pairs.txt" dropped;
             t.pair_store <- ps
         | None -> ());
-        Pair_store.seed_missing t.pair_store ~links:(Repository.links t.repo)
-          ~correspondences:(Repository.correspondences t.repo)
+        (match Snapshot.find members "metadata.txt" with
+        | Some doc ->
+            let meta, dropped = Repository.load_salvaging doc in
+            bump "metadata.txt" dropped;
+            (match Repository.provenance meta with
+            | Some p -> Repository.set_provenance t.repo p
+            | None -> ());
+            List.iter (Repository.set_run_report t.repo) (Repository.run_reports meta);
+            (* a metadata.txt saved before the pair store held the only
+               copy carries the links too: they re-seed the pairs that
+               pairs.txt lacks (all of them when it predates the member) *)
+            Pair_store.seed_missing t.pair_store ~links:(Repository.links meta)
+              ~correspondences:(Repository.correspondences meta)
+        | None -> ());
+        (* the repository's view is derived, as after a relink. Nothing
+           else is rebuilt: a relink keeps no index between runs. *)
+        set_link_view t (Pair_store.all_links t.pair_store)
       end;
       (t, !report)
 

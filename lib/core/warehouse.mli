@@ -219,9 +219,11 @@ val save_dir : t -> string -> (unit, string) result
 (** Materialize the warehouse as a crash-safe [Aladin_store] snapshot:
     each source's relations as checksummed CSVs under
     [<source>/<relation>.csv] (with its declared constraints), plus
-    [sources.txt], [metadata.txt] (the repository), [pairs.txt] (the
-    per-source-pair link store, so a later [aladin add] onto the loaded
-    store pays only the new source's delta) and [feedback.txt] as
+    [sources.txt], [metadata.txt] (the repository's sources, run
+    reports and provenance), [pairs.txt] (the per-source-pair link
+    store, the one copy of the links and correspondences, so a later
+    [aladin add] onto the loaded store pays only the new source's
+    delta) and [feedback.txt] as
     per-record-checksummed record files — all committed atomically by
     the manifest rename, so a crash mid-save leaves the previous
     snapshot fully intact. Creates the directory; refuses ([Error]) to
@@ -244,8 +246,11 @@ val load_dir :
     Saved feedback is restored in both modes. With [reanalyze] (default
     false) the five steps re-run from the raw data; otherwise each
     source is profiled exactly as {!add_source} profiles it, and the
-    saved links, correspondences, per-pair store and run reports are
-    trusted, so no link/duplicate discovery happens. A journaled
+    saved per-pair store and run reports are trusted, so no
+    link/duplicate discovery happens: the links and correspondences are
+    derived from the per-pair store ([pairs.txt], their one copy), as a
+    relink derives them. The [link]/[corr] records of a [metadata.txt]
+    saved before that re-seed the pairs [pairs.txt] lacks. A journaled
     integration resumes through this too.
     @raise Sys_error when the store itself is unusable (no directory,
     no manifest, or a manifest failing its own checksum), or when a

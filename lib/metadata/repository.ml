@@ -109,8 +109,6 @@ let origin_of_string = function
   | "inferred" -> `Inferred
   | s -> invalid_arg (Printf.sprintf "Repository: bad origin %S" s)
 
-let kind_to_string = Link.kind_name
-
 let kind_of_string = function
   | "xref" -> Link.Xref
   | "seq" -> Link.Seq_similarity
@@ -157,20 +155,6 @@ let save t =
         r.sample)
     (sources t);
   List.iter
-    (fun (l : Link.t) ->
-      line
-        [ "link"; l.src.Objref.source; l.src.Objref.relation; l.src.Objref.accession;
-          l.dst.Objref.source; l.dst.Objref.relation; l.dst.Objref.accession;
-          kind_to_string l.kind; Serial.float_to_string l.confidence; l.evidence ])
-    t.link_store;
-  List.iter
-    (fun (c : Xref_disc.correspondence) ->
-      line
-        [ "corr"; c.src_source; c.src_relation; c.src_attribute; c.dst_source;
-          c.dst_relation; c.dst_attribute; string_of_int c.matches;
-          Serial.float_to_string c.match_frac; string_of_bool c.encoded ])
-    t.corr_store;
-  List.iter
     (fun r -> line [ "runreport"; Run_report.serialize r ])
     (List.rev t.report_store);
   (match t.prov_store with
@@ -211,7 +195,9 @@ let with_cur st f =
 
 (* One record line into the accumulator. @raise Invalid_argument on any
    malformed line — strict [load] propagates, [load_salvaging] counts
-   and drops. *)
+   and drops. [save] writes no [link] or [corr] record (the warehouse's
+   pair store is the one copy of the links); they are read from older
+   documents, whose stores are re-seeded from them. *)
 let apply_line st line =
   match Serial.fields line with
   | [ "source"; name ] ->

@@ -6,9 +6,13 @@
     large part of storage space will be consumed by the discovered links on
     the object level."
 
-    The repository is the durable output of integration: what was
-    discovered per source, the object-level links, and the schema-level
-    correspondences, with save/load to a text format. *)
+    The repository is the output of integration: what was discovered
+    per source, the object-level links, and the schema-level
+    correspondences. Its text format ({!save}/{!load}) holds the
+    sources, run reports and provenance. The links and correspondences
+    are a view the warehouse derives from its per-pair store (the
+    store's [pairs.txt]), the one persisted copy of them, so {!save}
+    does not write them. *)
 
 open Aladin_relational
 open Aladin_discovery
@@ -77,9 +81,15 @@ val run_reports : t -> Aladin_resilience.Run_report.t list
 val run_report : t -> string -> Aladin_resilience.Run_report.t option
 
 val save : t -> string
+(** The sources with their statistics and samples, the run reports and
+    the provenance record. Links and correspondences are not written. *)
 
 val load : string -> t
-(** @raise Invalid_argument on malformed input. *)
+(** Inverse of {!save}. Also reads the [link] and [corr] records that
+    documents saved before links moved to the pair store carry, and
+    returns them as {!links}/{!correspondences} (in document order, not
+    deduplicated) so such stores can be re-seeded.
+    @raise Invalid_argument on malformed input. *)
 
 val load_salvaging : string -> t * int
 (** Tolerant {!load} for documents that survived storage-level salvage

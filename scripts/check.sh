@@ -237,6 +237,13 @@ sdir=$(mktemp -d)
 trap 'rm -f "$q1" "$q2" "$f1"; rm -rf "$sdir"' EXIT
 rmdir "$sdir"
 ./_build/default/bin/aladin_cli.exe demo --save "$sdir" > /dev/null
+# pairs.txt is the store's one copy of the links and correspondences:
+# metadata.txt must hold no link or corr record
+tab=$(printf '\t')
+if grep -qE "^[0-9a-f]{8}${tab}(link|corr)${tab}" "$sdir"/snap-*/metadata.txt; then
+  echo "error: metadata.txt stores link/corr records; pairs.txt is their only copy" >&2
+  exit 1
+fi
 ./_build/default/bin/aladin_cli.exe fsck "$sdir" > /dev/null
 member=$(find "$sdir"/snap-* -name '*.csv' | head -n 1)
 printf 'torn,garbage' >> "$member"
@@ -247,7 +254,7 @@ fi
 ./_build/default/bin/aladin_cli.exe fsck --repair "$sdir" > /dev/null
 ./_build/default/bin/aladin_cli.exe fsck "$sdir" > /dev/null
 ./_build/default/bin/aladin_cli.exe load --strict "$sdir" > /dev/null
-echo "durability ok: fsck detects damage, --repair restores a clean store"
+echo "durability ok: links stored once, fsck detects damage, --repair restores a clean store"
 
 # Kill-anywhere resume: a journaled integration killed by an injected
 # fault (exit 3) must resume from its checkpoints — under a different

@@ -408,6 +408,42 @@ let browser_tests =
         match Browser.view_accession b ~source:"src_a" "AX002" with
         | None -> Alcotest.fail "no view"
         | Some v -> check Alcotest.int "two neighbours" 2 (List.length v.siblings));
+    (* links over a few objects, so most objects carry several links and
+       some link to themselves *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"links_of index equals the repository scan"
+         ~count:200
+         QCheck.(
+           list_of_size (Gen.int_range 0 40)
+             (quad (int_bound 5) (int_bound 5) (int_bound 5) (int_bound 9)))
+         (fun specs ->
+           let module L = Aladin_links in
+           let obj i =
+             L.Objref.make
+               ~source:(if i mod 2 = 0 then "a" else "b")
+               ~relation:"r"
+               ~accession:(Printf.sprintf "X%d" (i / 2))
+           in
+           let kinds =
+             [| L.Link.Xref; L.Link.Seq_similarity; L.Link.Text_similarity;
+                L.Link.Shared_term; L.Link.Entity_mention; L.Link.Duplicate |]
+           in
+           let links =
+             List.map
+               (fun (s, d, k, c) ->
+                 L.Link.make ~src:(obj s) ~dst:(obj d) ~kind:kinds.(k)
+                   ~confidence:(float_of_int c /. 10.)
+                   ~evidence:(Printf.sprintf "e%d" c))
+               specs
+           in
+           let repo = Aladin_metadata.Repository.create () in
+           Aladin_metadata.Repository.set_links repo links;
+           let b = Browser.create L.Profile_list.empty repo in
+           List.for_all
+             (fun o ->
+               Browser.links_of b o = Aladin_metadata.Repository.links_of repo o)
+             (obj 6
+             :: List.concat_map (fun (l : L.Link.t) -> [ l.src; l.dst ]) links)));
   ]
 
 let link_query_tests =

@@ -898,7 +898,7 @@ let pair_store_tests =
         Pair_store.set_onto ps (List.init 300 (link L.Link.Shared_term));
         let doc = Pair_store.save ps in
         let loaded, dropped = Pair_store.load doc in
-        check Alcotest.int "no group dropped" 0 dropped;
+        check Alcotest.int "no line dropped" 0 dropped;
         check Alcotest.string "re-saved byte-identically" doc
           (Pair_store.save loaded);
         match Pair_store.find loaded "b" "a" with
@@ -1001,49 +1001,94 @@ let view_tests =
         check Alcotest.int "one link filtered"
           (List.length rejected - 1)
           (List.length (Warehouse.links w)));
-    Alcotest.test_case "load_dir keeps one copy of a repeated metadata link"
+    Alcotest.test_case
+      "load_dir keeps one copy of each link an older metadata.txt carries"
       `Quick (fun () ->
         let w = Lazy.force warehouse in
-        let dir = temp_store "dupmeta" in
+        let repo = Warehouse.repository w in
+        let dir = temp_store "oldmeta" in
         save_dir_exn w dir;
-        (* commit a generation whose metadata.txt repeats its first link
-           record *)
-        let repeat doc =
-          let seen = ref false in
-          String.split_on_char '\n' doc
-          |> List.concat_map (fun line ->
-                 if (not !seen) && String.starts_with ~prefix:"link\t" line
-                 then begin
-                   seen := true;
-                   [ line; line ]
-                 end
-                 else [ line ])
-          |> String.concat "\n"
+        (* the link and corr records metadata.txt held before the pair
+           store became the only copy, with the first link repeated *)
+        let link_record (l : L.Link.t) =
+          Aladin_metadata.Serial.record
+            [ "link"; l.src.source; l.src.relation; l.src.accession;
+              l.dst.source; l.dst.relation; l.dst.accession;
+              L.Link.kind_name l.kind;
+              Aladin_metadata.Serial.float_to_string l.confidence; l.evidence ]
+        in
+        let corr_record (c : L.Xref_disc.correspondence) =
+          Aladin_metadata.Serial.record
+            [ "corr"; c.src_source; c.src_relation; c.src_attribute;
+              c.dst_source; c.dst_relation; c.dst_attribute;
+              string_of_int c.matches;
+              Aladin_metadata.Serial.float_to_string c.match_frac;
+              string_of_bool c.encoded ]
+        in
+        let older_records =
+          match Warehouse.links w with
+          | first :: _ as links ->
+              List.map link_record (first :: links)
+              @ List.map corr_record
+                  (Aladin_metadata.Repository.correspondences repo)
+          | [] -> Alcotest.fail "no links"
+        in
+        (* where they were written: after the sources, before the run
+           reports *)
+        let with_older doc =
+          let rec go = function
+            | line :: rest when String.starts_with ~prefix:"runreport\t" line ->
+                older_records @ (line :: rest)
+            | line :: rest -> line :: go rest
+            | [] -> older_records
+          in
+          String.concat "\n" (go (String.split_on_char '\n' doc))
         in
         let members =
           List.map
             (fun (m : Aladin_store.Snapshot.member) ->
-              if m.path = "metadata.txt" then { m with content = repeat m.content }
+              if m.path = "metadata.txt" then { m with content = with_older m.content }
               else m)
             (snapshot_members dir)
         in
-        (match Aladin_store.Snapshot.save dir members with
-        | Ok _ -> ()
-        | Error e -> Alcotest.fail e);
-        (match Aladin_store.Snapshot.find (snapshot_members dir) "metadata.txt" with
-        | Some doc ->
-            check Alcotest.int "the record is repeated"
-              (List.length (Warehouse.links w) + 1)
-              (List.length (Aladin_metadata.Repository.links
-                              (Aladin_metadata.Repository.load doc)))
-        | None -> Alcotest.fail "no metadata.txt");
-        let w2, report = Warehouse.load_dir dir in
+        let load_as what members =
+          (match Aladin_store.Snapshot.save dir members with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail e);
+          let w2, report = Warehouse.load_dir dir in
+          check Alcotest.bool (what ^ ": clean load") true
+            (Aladin_store.Load_report.is_clean report);
+          check Alcotest.(list string) (what ^ ": each link once")
+            (render_links (Warehouse.links w))
+            (render_links (Warehouse.links w2));
+          check Alcotest.bool (what ^ ": correspondences") true
+            (Aladin_metadata.Repository.correspondences repo
+            = Aladin_metadata.Repository.correspondences (Warehouse.repository w2));
+          w2
+        in
+        ignore (load_as "beside pairs.txt" members);
+        (* a store saved before pairs.txt existed: the pair store is
+           re-seeded from the records, one entry per link *)
+        let reseeded =
+          load_as "without pairs.txt"
+            (List.filter
+               (fun (m : Aladin_store.Snapshot.member) -> m.path <> "pairs.txt")
+               members)
+        in
         rm_rf dir;
-        check Alcotest.bool "clean load" true
-          (Aladin_store.Load_report.is_clean report);
-        check Alcotest.(list string) "each link once"
-          (render_links (Warehouse.links w))
-          (render_links (Warehouse.links w2)));
+        save_dir_exn reseeded dir;
+        let plinks =
+          match Aladin_store.Snapshot.find (snapshot_members dir) "pairs.txt" with
+          | Some doc ->
+              List.length
+                (List.filter
+                   (String.starts_with ~prefix:"plink\t")
+                   (String.split_on_char '\n' doc))
+          | None -> Alcotest.fail "no pairs.txt"
+        in
+        rm_rf dir;
+        check Alcotest.int "each link seeded once"
+          (List.length (Warehouse.links w)) plinks);
   ]
 
 let tests =

@@ -192,6 +192,63 @@ let bytes_ish =
     (QCheck.Gen.int_range 0 300)
     (QCheck.Gen.map Char.chr (QCheck.Gen.int_range 0 255))
 
+(* a pair store over three sources, every link kind and a few
+   correspondences; field values exercise the tab/newline escaping *)
+let pair_store_arb =
+  let module L = Aladin_links in
+  let open QCheck.Gen in
+  let source = oneofl [ "a"; "b"; "c" ] in
+  let field = oneofl [ "x"; "y\tz"; "w\\n"; "multi\nline"; "" ] in
+  let obj =
+    map2
+      (fun s acc -> L.Objref.make ~source:s ~relation:"r" ~accession:acc)
+      source field
+  in
+  let kind =
+    oneofl
+      [ L.Link.Xref; L.Link.Seq_similarity; L.Link.Text_similarity;
+        L.Link.Shared_term; L.Link.Entity_mention; L.Link.Duplicate ]
+  in
+  let link =
+    map (fun (src, dst, kind, (c, ev)) ->
+        L.Link.make ~src ~dst ~kind ~confidence:(float_of_int c /. 7.) ~evidence:ev)
+      (quad obj obj kind (pair (int_bound 7) field))
+  in
+  let corr =
+    map (fun (s, d, (m, f)) ->
+        { L.Xref_disc.src_source = s; src_relation = "r"; src_attribute = f;
+          dst_source = d; dst_relation = "r"; dst_attribute = "acc";
+          matches = m; match_frac = float_of_int m /. 10.; encoded = m mod 2 = 0 })
+      (triple source source (pair (int_bound 10) field))
+  in
+  let gen =
+    map3
+      (fun links corrs cands ->
+        let module P = Aladin.Pair_store in
+        let ps = P.create () in
+        P.seed_missing ps ~links ~correspondences:corrs;
+        (* at most six pairs over three sources *)
+        List.iteri
+          (fun i ((a, b), e) ->
+            P.set ps a b { e with P.dup_candidates = List.nth cands i })
+          (P.pairs ps);
+        ps)
+      (list_size (int_range 1 30) link)
+      (list_size (int_range 0 5) corr)
+      (list_repeat 6 (int_bound 1000))
+  in
+  QCheck.make ~print:Aladin.Pair_store.save gen
+
+(* saved pair stores, whole or cut at any byte *)
+let pairs_doc_ish =
+  QCheck.make
+    QCheck.Gen.(
+      map2
+        (fun ps cut ->
+          let doc = Aladin.Pair_store.save ps in
+          String.sub doc 0 (cut mod (String.length doc + 1)))
+        (QCheck.gen pair_store_arb) nat)
+
 let store_codec_fuzz =
   [
     no_crash "records strict decode total" 500 bytes_ish (fun s ->
@@ -224,6 +281,37 @@ let store_codec_fuzz =
         Aladin_metadata.Repository.load_salvaging s);
     no_crash "feedback salvaging load total" 300 textish (fun s ->
         Aladin.Feedback.load_salvaging s);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"pair store load total" ~count:500
+         (QCheck.oneof [ bytes_ish; textish; pairs_doc_ish ])
+         (fun s ->
+           ignore (Aladin.Pair_store.load s);
+           true));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"pair store load keeps every record but a garbled line"
+         ~count:300
+         QCheck.(triple pair_store_arb small_nat bytes_ish)
+         (fun (ps, i, junk) ->
+           let module P = Aladin.Pair_store in
+           let lines = String.split_on_char '\n' (P.save ps) in
+           let lines = List.filter (( <> ) "") lines in
+           let i = i mod List.length lines in
+           (* no record kind starts with '#', and the junk stays one line *)
+           let junk = "#" ^ String.map (fun c -> if c = '\n' then ' ' else c) junk in
+           let garbled = List.mapi (fun j l -> if j = i then junk else l) lines in
+           let items ls =
+             List.filter
+               (fun l ->
+                 String.starts_with ~prefix:"plink\t" l
+                 || String.starts_with ~prefix:"pcorr\t" l)
+               ls
+             |> List.sort compare
+           in
+           let loaded, dropped = P.load (String.concat "\n" garbled) in
+           dropped = 1
+           && items (String.split_on_char '\n' (P.save loaded))
+              = items (List.filteri (fun j _ -> j <> i) lines)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"truncate_at is a prefix" ~count:200
          QCheck.(pair textish small_nat)

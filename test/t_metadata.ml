@@ -97,27 +97,64 @@ let repository_tests =
         let repo = Repository.create () in
         Repository.add_source repo (mini_profile ());
         Repository.set_links repo [ sample_link () ];
-        Repository.set_correspondences repo
-          [ { Xref_disc.src_source = "a"; src_relation = "dbxref";
-              src_attribute = "accession"; dst_source = "b"; dst_relation = "prot";
-              dst_attribute = "accession"; matches = 5; match_frac = 0.5;
-              encoded = true } ];
+        let corr =
+          { Xref_disc.src_source = "a"; src_relation = "dbxref";
+            src_attribute = "accession"; dst_source = "b"; dst_relation = "prot";
+            dst_attribute = "accession"; matches = 5; match_frac = 0.5;
+            encoded = true }
+        in
+        Repository.set_correspondences repo [ corr ];
+        Repository.set_provenance repo "{\"trace\": 1}";
         let doc = Repository.save repo in
+        (* the pair store is the one copy of links and correspondences *)
+        let kinds =
+          List.filter_map
+            (fun line ->
+              match Serial.fields line with k :: _ -> Some k | [] -> None)
+            (String.split_on_char '\n' doc)
+        in
+        check Alcotest.bool "no link record" false (List.mem "link" kinds);
+        check Alcotest.bool "no corr record" false (List.mem "corr" kinds);
         let repo2 = Repository.load doc in
         check Alcotest.int "sources" 1 (List.length (Repository.sources repo2));
-        check Alcotest.int "links" 1 (List.length (Repository.links repo2));
-        check Alcotest.int "corrs" 1 (List.length (Repository.correspondences repo2));
+        check Alcotest.int "links" 0 (List.length (Repository.links repo2));
+        check Alcotest.int "corrs" 0 (List.length (Repository.correspondences repo2));
+        check Alcotest.(option string) "provenance" (Repository.provenance repo)
+          (Repository.provenance repo2);
         (match (Repository.find_source repo "mini", Repository.find_source repo2 "mini") with
         | Some a, Some b ->
             check Alcotest.bool "primary kept" true (a.primary = b.primary);
             check Alcotest.int "fk count" (List.length a.fks) (List.length b.fks);
             check Alcotest.int "stats count" (List.length a.stats) (List.length b.stats)
         | _ -> Alcotest.fail "source lost");
-        (match (Repository.links repo2, Repository.links repo) with
-        | [ l2 ], [ l1 ] ->
-            check Alcotest.bool "link equal" true (Link.same_endpoints l1 l2);
-            check Alcotest.string "evidence" l1.evidence l2.evidence
-        | _ -> Alcotest.fail "links lost"));
+        (* a document saved when the repository still wrote them: its
+           link and corr records load *)
+        let l = sample_link () in
+        let older =
+          doc
+          ^ Serial.record
+              [ "link"; l.src.source; l.src.relation; l.src.accession;
+                l.dst.source; l.dst.relation; l.dst.accession;
+                Link.kind_name l.kind; Serial.float_to_string l.confidence;
+                l.evidence ]
+          ^ "\n"
+          ^ Serial.record
+              [ "corr"; corr.src_source; corr.src_relation; corr.src_attribute;
+                corr.dst_source; corr.dst_relation; corr.dst_attribute;
+                string_of_int corr.matches;
+                Serial.float_to_string corr.match_frac;
+                string_of_bool corr.encoded ]
+          ^ "\n"
+        in
+        let repo3 = Repository.load older in
+        check Alcotest.int "older: sources" 1 (List.length (Repository.sources repo3));
+        check Alcotest.bool "older: corrs" true
+          (Repository.correspondences repo3 = [ corr ]);
+        match Repository.links repo3 with
+        | [ l3 ] ->
+            check Alcotest.bool "older: link equal" true (Link.same_endpoints l l3);
+            check Alcotest.string "older: evidence" l.evidence l3.evidence
+        | _ -> Alcotest.fail "older: links lost");
     Alcotest.test_case "load rejects garbage" `Quick (fun () ->
         match Repository.load "not a repo" with
         | exception Invalid_argument _ -> ()

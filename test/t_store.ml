@@ -567,6 +567,39 @@ let warehouse_store_tests =
         | _ -> Alcotest.fail "expected metadata.txt Salvaged");
         check Alcotest.(list string) "sources survive" (Warehouse.sources w)
           (Warehouse.sources w2));
+    Alcotest.test_case "bit flip in a pairs.txt link record drops only that record"
+      `Quick (fun () ->
+        let w = mini_warehouse () in
+        let render ls =
+          List.map
+            (fun (l : Aladin_links.Link.t) ->
+              Format.asprintf "%a %h" Aladin_links.Link.pp l l.confidence)
+            ls
+        in
+        let saved = render (Warehouse.links w) in
+        check Alcotest.bool "several links" true (List.length saved >= 2);
+        let dir = fresh_dir "wpairs" in
+        save_wh_exn w dir;
+        let report = committed_report dir in
+        let path = stored_path dir report.generation "pairs.txt" in
+        let stored = read_file path in
+        (* the last byte of the first link record, inside its evidence *)
+        let byte =
+          let rec find i =
+            if String.sub stored i 7 = "\tplink\t" then i else find (i + 1)
+          in
+          String.index_from stored (find 0) '\n' - 1
+        in
+        write_file path (Corrupt.flip_bit_at stored ~byte ~bit:0);
+        let w2, lreport = Warehouse.load_dir dir in
+        (match Load_report.find lreport "pairs.txt" with
+        | Some (Load_report.Salvaged 1) -> ()
+        | _ -> Alcotest.fail "expected pairs.txt Salvaged with one record dropped");
+        let loaded = render (Warehouse.links w2) in
+        check Alcotest.bool "at most one link lost" true
+          (List.length loaded >= List.length saved - 1);
+        check Alcotest.(list string) "the rest kept, in order" loaded
+          (List.filter (fun l -> List.mem l loaded) saved));
     Alcotest.test_case "bit flip in a csv member drops only the torn row"
       `Quick (fun () ->
         let w = mini_warehouse () in
