@@ -516,8 +516,9 @@ let e8_dups () =
         (c.src_source, c.src_relation, c.src_attribute))
       xr.correspondences
   in
-  let res = Dup.Dup_detect.detect ~exclude_attributes profiles in
-  let conflicts = Dup.Conflict.in_duplicates res.reprs res.links in
+  let reprs = Dup.Object_sim.build_reprs ~exclude_attributes profiles in
+  let res = Dup.Dup_detect.detect_on reprs in
+  let conflicts = Dup.Conflict.in_duplicates reprs res.links in
   Printf.printf "\nE8b: %d flagged duplicate pairs carry %d field conflicts\n"
     (List.length res.links) (List.length conflicts)
 

@@ -342,21 +342,18 @@ let dups_cmd =
   in
   let run paths explain =
     let w = build_warehouse paths in
-    match Warehouse.duplicates w with
-    | None -> print_endline "(no duplicate analysis)"
-    | Some d ->
-        Printf.printf "%d duplicate pairs in %d clusters\n"
-          (List.length d.links) (List.length d.clusters);
-        List.iter
-          (fun cluster ->
-            Printf.printf "  { %s }\n" (String.concat ", " cluster))
-          d.clusters;
-        if explain then
-          List.iter
-            (fun (_, text) ->
-              print_newline ();
-              print_string text)
-            (Aladin_dup.Dup_detect.explain d)
+    let d = Warehouse.duplicates w in
+    Printf.printf "%d duplicate pairs in %d clusters\n" (List.length d.links)
+      (List.length d.clusters);
+    List.iter
+      (fun cluster -> Printf.printf "  { %s }\n" (String.concat ", " cluster))
+      d.clusters;
+    if explain then
+      List.iter
+        (fun (_, text) ->
+          print_newline ();
+          print_string text)
+        (Warehouse.explain_duplicates w)
   in
   Cmd.v
     (Cmd.info "dups" ~doc:"List flagged duplicate objects (never merged).")

@@ -75,6 +75,13 @@ let () =
     (List.length (Warehouse.links w));
   print_endline "\nper-source summary (relations, rows, links touching it):";
   List.iter
-    (fun (name, rels, rows, links) ->
+    (fun (name, rels, rows) ->
+      let links =
+        List.length
+          (List.filter
+             (fun (l : Aladin_links.Link.t) ->
+               l.src.source = name || l.dst.source = name)
+             (Warehouse.links reloaded))
+      in
       Printf.printf "  %-10s %2d relations %5d rows %5d links\n" name rels rows links)
     (Aladin_metadata.Repository.stats_summary repo)

@@ -67,8 +67,7 @@ let fingerprint w =
   String.concat "\n"
     ((String.concat "," (Warehouse.sources w)
      :: Aladin_access.Link_export.to_csv (Warehouse.links w)
-     :: List.map corr
-          (Aladin_metadata.Repository.correspondences (Warehouse.repository w)))
+     :: List.map corr (Warehouse.correspondences w))
     @ List.map report (Warehouse.run_reports w))
 
 let integrate_into dir =

@@ -1,7 +1,6 @@
 open Aladin_relational
 open Aladin_discovery
 open Aladin_links
-open Aladin_metadata
 module Dup = Aladin_dup
 
 type annotation = {
@@ -25,9 +24,9 @@ type t = {
   reprs : Dup.Object_sim.repr list option Atomic.t;  (* built on first use *)
 }
 
-(* each object's links in [Repository.links] order, a self-link listed
-   once: [Repository.links_of] for every object in one pass, so a view
-   does not scan every link *)
+(* each object's links in list order, a self-link listed once: the
+   links with the object on either end, for every object in one pass,
+   so a view does not scan every link *)
 let index_links links =
   let tbl = Hashtbl.create 1024 in
   let add obj l =
@@ -41,10 +40,8 @@ let index_links links =
     (List.rev links);
   tbl
 
-let create profiles repository =
-  { profiles;
-    links_by_obj = index_links (Repository.links repository);
-    reprs = Atomic.make None }
+let create profiles links =
+  { profiles; links_by_obj = index_links links; reprs = Atomic.make None }
 
 let links_of t obj =
   Option.value (Hashtbl.find_opt t.links_by_obj obj) ~default:[]

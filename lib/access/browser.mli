@@ -9,7 +9,6 @@
     outgoing links. *)
 
 open Aladin_links
-open Aladin_metadata
 
 type annotation = {
   relation : string;
@@ -28,13 +27,13 @@ type view = {
 
 type t
 
-val create : Profile_list.t -> Repository.t -> t
-(** Indexes the repository's links by endpoint once, so later changes to
-    the repository are not seen: build a new browser after a change. *)
+val create : Profile_list.t -> Link.t list -> t
+(** Indexes the links (the warehouse's link view) by endpoint once, so
+    build a new browser after the links change. *)
 
 val links_of : t -> Objref.t -> Link.t list
-(** {!Repository.links_of} from the index: the object's links in
-    {!Repository.links} order, a self-link once. *)
+(** The links with the object on either end, from the index: in the
+    order {!create} was given them, a self-link once. *)
 
 val view : t -> Objref.t -> view option
 (** [None] for unknown objects. *)

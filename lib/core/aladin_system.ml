@@ -56,7 +56,6 @@ let summary w =
   List.iter
     (fun (kind, n) -> add "  %-12s %d\n" (Link.kind_name kind) n)
     (Linker.count_by_kind links);
-  (match Warehouse.duplicates w with
-  | Some d -> add "duplicate clusters: %d\n" (List.length d.clusters)
-  | None -> ());
+  add "duplicate clusters: %d\n"
+    (List.length (Warehouse.duplicates w).clusters);
   Buffer.contents buf

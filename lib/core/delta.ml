@@ -21,33 +21,16 @@ type outcome = {
   link_step : Report.step_report;
   dup_step : Report.step_report;
   links : Link.t list;
-  dups : Dup.Dup_detect.result option;
   audit : audit;
   changed_kinds : Link.kind list;
 }
 
 (* --- resilience plumbing ---
 
-   Every step and pass runs in its own span and error boundary, under
-   its budget key: a pass that is disabled, budget-zero, over budget or
-   crashed is recorded in the run report and loses only its own links. *)
-
-let skipped_span name =
-  Obs.Trace.ambient_span name ~attrs:[ ("status", "skipped") ] (fun () -> ())
-
-let bounded ~name ?budget f =
-  Obs.Trace.ambient_span_timed name (fun () ->
-      let attempts = ref 1 in
-      let res =
-        Res.Boundary.protect ~step:name ?budget (fun () ->
-            let v, n = Res.Retry.run_counted ~step:name f in
-            attempts := n;
-            v)
-      in
-      if !attempts > 1 then
-        Obs.Trace.ambient_add_attr "retry.attempts" (string_of_int !attempts);
-      Obs.Trace.ambient_add_attr "status" (Res.Boundary.status_of res);
-      res)
+   Every step and pass runs in its own span and error boundary
+   ([Boundary.bounded]), under its budget key: a pass that is disabled,
+   budget-zero, over budget or crashed is recorded in the run report
+   and loses only its own links. *)
 
 let outcome_of_children children =
   let warnings =
@@ -76,24 +59,12 @@ let pass ~enabled ~budget name f =
   else
     match budget with
     | Some b when b <= 0.0 ->
-        skipped_span name;
+        Res.Boundary.skipped_span name;
         (None, Report.step name (Report.Skipped Report.Budget_zero))
-    | _ -> (
-        let res, secs =
-          Obs.Trace.ambient_span_timed name (fun () ->
-              let res = Res.Boundary.protect ~step:name ?budget f in
-              Obs.Trace.ambient_add_attr "status" (Res.Boundary.status_of res);
-              res)
-        in
+    | _ ->
+        let res, secs = Res.Boundary.bounded ~retry:false ~name ?budget f in
         Obs.Trace.ambient_observe "linkdisc.pass_seconds" secs;
-        match res with
-        | Ok v -> (Some v, Report.step ~seconds:secs name Report.Ok)
-        | Error (Report.Timeout b) ->
-            ( None,
-              Report.step ~seconds:secs name
-                (Report.Skipped (Report.Budget_exhausted b)) )
-        | Error (Report.Crashed _ as e) ->
-            (None, Report.step ~seconds:secs name (Report.Failed e)))
+        Res.Boundary.to_step ~seconds:secs name res
 
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
@@ -271,12 +242,13 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
   let link_step =
     match budgets.links with
     | Some b when b <= 0.0 ->
-        skipped_span "link discovery";
+        Res.Boundary.skipped_span "link discovery";
         clear_link_fields ();
         Report.step "link discovery" (Report.Skipped Report.Budget_zero)
     | link_budget -> (
         let res, link_secs =
-          bounded ~name:"link discovery" ?budget:link_budget run_link_passes
+          Res.Boundary.bounded ~name:"link discovery" ?budget:link_budget
+            run_link_passes
         in
         match res with
         | Ok passes ->
@@ -315,18 +287,16 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
           { e with Pair_store.dup_links = []; dup_candidates = 0 })
       dup_pairs
   in
-  (* the representations of every source when the dup phase succeeded *)
-  let dup_reprs, dup_step =
+  let dup_step =
     match budgets.dups with
     | Some b when b <= 0.0 ->
-        skipped_span "duplicate detection";
+        Res.Boundary.skipped_span "duplicate detection";
         clear_dup_fields ();
-        ( None,
-          Report.step "duplicate detection" (Report.Skipped Report.Budget_zero)
-        )
-    | dup_budget -> (
+        Report.step "duplicate detection" (Report.Skipped Report.Budget_zero)
+    | dup_budget ->
         let res, dup_secs =
-          bounded ~name:"duplicate detection" ?budget:dup_budget (fun () ->
+          Res.Boundary.bounded ~name:"duplicate detection" ?budget:dup_budget
+            (fun () ->
               (* each source is prepared once for all of this relink's
                  pairs; the table goes away with the relink *)
               let prepared =
@@ -353,58 +323,22 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
               Obs.Trace.ambient_incr
                 ~by:(sum (fun (r : Dup.Dup_detect.result) -> List.length r.links) rs)
                 "dup.links";
-              ( results,
-                List.concat_map
-                  (fun (_, src) -> Dup.Dup_detect.reprs_of_source src)
-                  prepared ))
+              results)
         in
-        match res with
-        | Ok (results, reprs) ->
+        let results, step =
+          Res.Boundary.to_step ~seconds:dup_secs "duplicate detection" res
+        in
+        (match results with
+        | Some results ->
             List.iter
               (fun ((a, b) as p, (r : Dup.Dup_detect.result)) ->
                 let e = current_entry p in
                 Pair_store.set store a b
                   { e with Pair_store.dup_links = r.links;
                     dup_candidates = r.candidates_checked })
-              results;
-            ( Some reprs,
-              Report.step ~seconds:dup_secs "duplicate detection" Report.Ok )
-        | Error (Report.Timeout b) ->
-            clear_dup_fields ();
-            ( None,
-              Report.step ~seconds:dup_secs "duplicate detection"
-                (Report.Skipped (Report.Budget_exhausted b)) )
-        | Error (Report.Crashed _ as e) ->
-            clear_dup_fields ();
-            ( None,
-              Report.step ~seconds:dup_secs "duplicate detection"
-                (Report.Failed e) ))
-  in
-
-  (* --- the whole-warehouse view (reused pairs included): the store
-     merged once, and the duplicate view a kind filter of that merge --- *)
-  let links = Pair_store.all_links store in
-  let of_kinds kinds =
-    List.filter (fun (l : Link.t) -> List.mem l.kind kinds) links
-  in
-  let dups =
-    match dup_reprs with
-    | None -> None
-    | Some reprs ->
-        let dup_all = of_kinds [ Link.Duplicate ] in
-        let uf = Dup.Union_find.create () in
-        List.iter
-          (fun (l : Link.t) ->
-            Dup.Union_find.union uf (Objref.to_string l.src)
-              (Objref.to_string l.dst))
-          dup_all;
-        Some
-          {
-            Dup.Dup_detect.links = dup_all;
-            clusters = Dup.Union_find.clusters uf;
-            candidates_checked = Pair_store.dup_candidates_total store;
-            reprs;
-          }
+              results
+        | None -> clear_dup_fields ());
+        step
   in
   let changed_kinds =
     List.filter
@@ -424,8 +358,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
   {
     link_step;
     dup_step;
-    links;
-    dups;
+    links = Pair_store.all_links store;
     audit = { recomputed_pairs; reused_pairs };
     changed_kinds;
   }

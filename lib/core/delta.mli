@@ -18,7 +18,6 @@
     (xref, seq, text, onto). *)
 
 open Aladin_links
-module Dup = Aladin_dup
 module Report = Aladin_resilience.Run_report
 
 type audit = {
@@ -34,12 +33,8 @@ type outcome = {
   dup_step : Report.step_report;  (** "duplicate detection" *)
   links : Link.t list;
       (** the store's merged links ({!Pair_store.all_links}, before
-          feedback filtering), computed once per relink; [dups] below is
-          a kind filter of it *)
-  dups : Dup.Dup_detect.result option;
-      (** whole-warehouse duplicates: the merged [Duplicate] links, with
-          clusters rebuilt over them; [None] when the dup phase was
-          skipped or failed *)
+          feedback filtering), computed once per relink: the warehouse
+          derives its link view, duplicates included, from it *)
   audit : audit;
   changed_kinds : Link.kind list;
       (** link kinds whose merged set actually changed — what typed
@@ -71,5 +66,5 @@ val relink :
     candidates when [cross_source_only] holds. The duplicate phase
     prepares each source once ({!Aladin_dup.Dup_detect.prep_source},
     under its current exclude-attribute set) and reuses that preparation
-    in every dirty pair of this relink. The store is merged once at the
-    end ([links]). *)
+    in every dirty pair of this relink; the preparations go with the
+    call. The store is merged once at the end ([links]). *)

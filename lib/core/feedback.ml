@@ -66,18 +66,9 @@ let apply_line t line =
       Hashtbl.replace t.links (String.concat "\x00" rest) ()
   | "fk" :: rest when List.length rest = 5 ->
       Hashtbl.replace t.fks (String.concat "\x00" rest) ()
-  | _ -> invalid_arg (Printf.sprintf "Feedback.load: bad line %S" line)
+  | _ -> invalid_arg (Printf.sprintf "Feedback: bad line %S" line)
 
 let header_fields = [ "aladin-feedback"; "1" ]
-
-let load doc =
-  let t = create () in
-  let lines = String.split_on_char '\n' doc |> List.filter (( <> ) "") in
-  (match lines with
-  | first :: _ when Serial.fields first = header_fields -> ()
-  | _ -> invalid_arg "Feedback.load: bad header");
-  List.iteri (fun i line -> if i > 0 then apply_line t line) lines;
-  t
 
 let load_salvaging doc =
   let t = create () in

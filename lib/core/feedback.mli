@@ -39,9 +39,7 @@ val save : t -> string
 (** Deterministic (sorted) rendering — a pure function of the rejection
     set, so snapshot re-saves are byte-identical. *)
 
-val load : string -> t
-(** @raise Invalid_argument on malformed input. *)
-
 val load_salvaging : string -> t * int
-(** Tolerant {!load} for storage-salvaged documents: malformed lines are
-    skipped and counted instead of raised on. *)
+(** Inverse of {!save}, tolerant of storage-salvaged documents: a lost
+    header and malformed lines are skipped and counted. Returns the
+    feedback plus the number of lines dropped. *)

@@ -89,7 +89,11 @@ let exclude_triples t ~source =
    salvages record by record: each link and correspondence goes to the
    canonical pair of its own endpoints' sources (a shared-term link to
    the onto list), and a [pair] header is read only for its
-   dup-candidate count. A damaged line loses that line alone. *)
+   dup-candidate count. A damaged line loses that line alone.
+
+   A metadata.txt written before the links moved here carries the same
+   records tagged [link] and [corr]; [seed_missing] reads those with
+   the same field parsers. *)
 
 let version = 1
 
@@ -114,8 +118,9 @@ let corr_line (c : Xref_disc.correspondence) =
       c.dst_relation; c.dst_attribute; string_of_int c.matches;
       Serial.float_to_string c.match_frac; string_of_bool c.encoded ]
 
+(* the fields after a link or correspondence record's tag *)
 let parse_link = function
-  | [ "plink"; ss; sr; sa; ds; dr; da; kind; conf; evidence ] -> (
+  | [ ss; sr; sa; ds; dr; da; kind; conf; evidence ] -> (
       match
         ( kind_of_string kind,
           try Some (Serial.float_of_string_exn conf)
@@ -131,7 +136,7 @@ let parse_link = function
   | _ -> None
 
 let parse_corr = function
-  | [ "pcorr"; ss; sr; sa; ds; dr; da; matches; frac; encoded ] -> (
+  | [ ss; sr; sa; ds; dr; da; matches; frac; encoded ] -> (
       match
         ( int_of_string_opt matches,
           (try Some (Serial.float_of_string_exn frac)
@@ -206,36 +211,46 @@ let reverse_all t =
     t.tbl;
   t.onto_links <- List.rev t.onto_links
 
+(* a parsed record, or a dropped line *)
+let parsed dropped f = function Some x -> f x | None -> incr dropped
+
 let load doc =
   let t = create () in
   let dropped = ref 0 in
   List.iter
     (fun line ->
-      let fields = Serial.fields line in
-      match fields with
+      match Serial.fields line with
       | [ "" ] | [ "pairstore"; _ ] -> ()
-      | [ "pair"; a; b; _; cands ] -> (
-          match int_of_string_opt cands with
-          | Some n -> update t a b (fun e -> { e with dup_candidates = n })
-          | None -> incr dropped)
+      | [ "pair"; a; b; _; cands ] ->
+          parsed dropped
+            (fun n -> update t a b (fun e -> { e with dup_candidates = n }))
+            (int_of_string_opt cands)
       | [ "onto"; _ ] -> t.onto_present <- true
-      | _ -> (
-          match parse_link fields with
-          | Some l -> route_link t l
-          | None -> (
-              match parse_corr fields with
-              | Some c -> route_corr t c
-              | None -> incr dropped)))
+      | "plink" :: fs -> parsed dropped (route_link t) (parse_link fs)
+      | "pcorr" :: fs -> parsed dropped (route_corr t) (parse_corr fs)
+      | _ -> incr dropped)
     (String.split_on_char '\n' doc);
   reverse_all t;
   (t, !dropped)
 
-let seed_missing t ~links ~correspondences =
+let seed_missing t meta =
+  let dropped = ref 0 in
+  let links = ref [] and corrs = ref [] in
+  List.iter
+    (fun line ->
+      match Serial.fields line with
+      | "link" :: fs ->
+          parsed dropped (fun l -> links := l :: !links) (parse_link fs)
+      | "corr" :: fs ->
+          parsed dropped (fun c -> corrs := c :: !corrs) (parse_corr fs)
+      | _ -> ())
+    (String.split_on_char '\n' meta);
   (* one global dedup and sort leave each pair's lists in the order a
      per-pair dedup and sort would *)
   let seed = create () in
-  List.iter (route_link seed) (Link.dedup links);
-  List.iter (route_corr seed) (List.stable_sort compare_corr correspondences);
+  List.iter (route_link seed) (Link.dedup (List.rev !links));
+  List.iter (route_corr seed) (List.stable_sort compare_corr (List.rev !corrs));
   reverse_all seed;
   Hashtbl.iter (fun (a, b) e -> if not (mem t a b) then set t a b e) seed.tbl;
-  if not t.onto_present then set_onto t seed.onto_links
+  if not t.onto_present then set_onto t seed.onto_links;
+  !dropped

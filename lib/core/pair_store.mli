@@ -15,9 +15,10 @@
     The store serializes to one line-record document ({!save}/{!load}),
     persisted as the [pairs.txt] member (kind {!Aladin_store.Snapshot.kind.Pairs})
     of warehouse snapshots, journal checkpoints included. It is the
-    store's only record of links and correspondences: the repository's
-    link view is derived from it at load, so {!load} salvages record by
-    record and a damaged line loses that record alone. *)
+    warehouse's only link state, in memory and on disk: the warehouse's
+    link view, its duplicate clusters and its correspondences are
+    derived from it, so {!load} salvages record by record and a damaged
+    line loses that record alone. *)
 
 open Aladin_links
 
@@ -84,12 +85,14 @@ val load : string -> t * int
     only sets that pair's dup-candidate count. So a lost or damaged
     line costs that record alone, and a lost header only its count. *)
 
-val seed_missing :
-  t -> links:Link.t list -> correspondences:Xref_disc.correspondence list -> unit
-(** Backfill from the [link]/[corr] records of a [metadata.txt] written
-    before the repository stopped storing links: every link maps to
-    exactly one pair (and kind), so partitioning them recovers the
-    entries of any pairs this store does not hold — every pair of a
-    store saved before [pairs.txt] existed, or a pair none of whose
-    records survived in [pairs.txt]. Pairs (and the shared-term
-    component) already present are left untouched. *)
+val seed_missing : t -> string -> int
+(** [seed_missing t meta] backfills from the [link]/[corr] records of a
+    [metadata.txt] document [meta] written before the repository
+    stopped storing links. They carry the fields of [plink]/[pcorr] and
+    are read by the same parsers; every other line is ignored. Every
+    link maps to exactly one pair (and kind), so partitioning them
+    recovers the entries of any pairs this store does not hold — every
+    pair of a store saved before [pairs.txt] existed, or a pair none of
+    whose records survived in [pairs.txt]. Pairs (and the shared-term
+    component) already present are left untouched. Returns the number
+    of [link]/[corr] lines it dropped as unparseable. *)

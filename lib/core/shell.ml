@@ -72,14 +72,12 @@ let links t accession =
           (List.map (fun l -> Format.asprintf "%a@." Link.pp l) ls)
 
 let dups t =
-  match Warehouse.duplicates t.w with
-  | None -> "(no duplicate analysis)\n"
-  | Some d ->
-      Printf.sprintf "%d clusters\n%s" (List.length d.clusters)
-        (String.concat ""
-           (List.map
-              (fun c -> Printf.sprintf "  { %s }\n" (String.concat ", " c))
-              d.clusters))
+  let d = Warehouse.duplicates t.w in
+  Printf.sprintf "%d clusters\n%s" (List.length d.clusters)
+    (String.concat ""
+       (List.map
+          (fun c -> Printf.sprintf "  { %s }\n" (String.concat ", " c))
+          d.clusters))
 
 let reject t n =
   match t.current with

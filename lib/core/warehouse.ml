@@ -23,8 +23,9 @@ type t = {
   mutable profile_list : Profile_list.t;
   repo : Repository.t;
   mutable pair_store : Pair_store.t;
+  mutable link_view : Link.t list;
+      (* the pair store's merged links less the rejected ones *)
   gen : Generation.t;
-  mutable last_dups : Dup.Dup_detect.result option;
   mutable last_delta : Delta.audit option;
   mutable cached_browser : Browser.t option;
   mutable cached_search : Search.t option;
@@ -44,8 +45,8 @@ let create ?(config = Config.default) () =
     profile_list = Profile_list.empty;
     repo = Repository.create ();
     pair_store = Pair_store.create ();
+    link_view = [];
     gen = Generation.create ();
-    last_dups = None;
     last_delta = None;
     cached_browser = None;
     cached_search = None;
@@ -76,52 +77,25 @@ let run_reports t = Repository.run_reports t.repo
 
 let run_report t source = Repository.run_report t.repo source
 
-(* --- resilience plumbing --- *)
-
-(* run one pipeline step inside its span, error boundary and retry
-   envelope, stamping the span with the resilience status so traces show
-   what degraded. Transient I/O failures (see Retry.classify) are retried
-   with deterministic backoff before the boundary ever records an error;
-   a second or later attempt leaves a "retry.attempts" attribute. *)
-let bounded ~name ?budget f =
-  Obs.Trace.ambient_span_timed name (fun () ->
-      let attempts = ref 1 in
-      let res =
-        Res.Boundary.protect ~step:name ?budget (fun () ->
-            let v, n = Res.Retry.run_counted ~step:name f in
-            attempts := n;
-            v)
-      in
-      if !attempts > 1 then
-        Obs.Trace.ambient_add_attr "retry.attempts" (string_of_int !attempts);
-      Obs.Trace.ambient_add_attr "status" (Res.Boundary.status_of res);
-      res)
-
-(* marker span for a step skipped before doing any work *)
-let skipped_span name =
-  Obs.Trace.ambient_span name ~attrs:[ ("status", "skipped") ] (fun () -> ())
-
-(* the repository's link view of the pair store: [merged] (the store's
+(* the warehouse's link view of the pair store: [merged] (the store's
    [Pair_store.all_links], already deduplicated, so it is filtered, not
-   merged again) less the rejected links, and the store's
-   correspondences. A relink and [load_dir] both set it here. *)
+   merged again) less the rejected links. A relink, [load_dir] and
+   [reject_link] set it; every other link-shaped value is derived from
+   it or read from the pair store. *)
 let set_link_view t merged =
-  Repository.set_links t.repo (Feedback.filter_links t.feedback merged);
-  Repository.set_correspondences t.repo
-    (Pair_store.correspondences t.pair_store)
+  t.link_view <- Feedback.filter_links t.feedback merged
 
 (* steps 4+5 go through the delta pipeline: recompute only the source
    pairs the changed source touches (plus dup pairs whose exclude sets
    shifted), merge every other pair's links verbatim from the pair
-   store. The repository always reflects the merged store view, and the
-   typed generation records which link kinds actually changed. *)
+   store. The link view always reflects the merged store, and the typed
+   generation records which link kinds actually changed. *)
 let relink ~changed t =
   let source_order = List.map Catalog.name t.catalog_list in
   let out =
     Delta.relink ~cfg:t.cfg ~pool:t.pool ~profiles:t.profile_list
       ~source_order ~store:t.pair_store ~changed ()
   in
-  t.last_dups <- out.dups;
   t.last_delta <- Some out.audit;
   List.iter
     (fun k -> Generation.bump_kind t.gen (Link.kind_name k))
@@ -162,8 +136,8 @@ let discover t catalog =
   let name = Catalog.name catalog in
   (* step 2: profile + accession + FK inference + primary choice *)
   let res2, secs2 =
-    bounded ~name:"primary discovery" ?budget:t.cfg.budgets.primary
-      (fun () ->
+    Res.Boundary.bounded ~name:"primary discovery"
+      ?budget:t.cfg.budgets.primary (fun () ->
         let profile =
           Obs.Trace.ambient_span "profile" (fun () -> Profile.compute catalog)
         in
@@ -193,31 +167,24 @@ let discover t catalog =
       let secondary, step3 =
         match t.cfg.budgets.secondary with
         | Some b when b <= 0.0 ->
-            skipped_span "secondary discovery";
+            Res.Boundary.skipped_span "secondary discovery";
             ( None,
               Report.step "secondary discovery"
                 (Report.Skipped Report.Budget_zero) )
-        | budget -> (
+        | budget ->
             let res3, secs3 =
-              bounded ~name:"secondary discovery" ?budget (fun () ->
+              Res.Boundary.bounded ~name:"secondary discovery" ?budget
+                (fun () ->
                   Option.map
                     (fun (p : Primary.scored) ->
                       Secondary.discover ~max_len:t.cfg.max_path_len graph
                         ~primary:p.relation)
                     primary)
             in
-            match res3 with
-            | Ok secondary ->
-                ( secondary,
-                  Report.step ~seconds:secs3 "secondary discovery" Report.Ok )
-            | Error (Report.Timeout b) ->
-                ( None,
-                  Report.step ~seconds:secs3 "secondary discovery"
-                    (Report.Skipped (Report.Budget_exhausted b)) )
-            | Error (Report.Crashed _ as e) ->
-                ( None,
-                  Report.step ~seconds:secs3 "secondary discovery"
-                    (Report.Failed e) ))
+            let secondary, step3 =
+              Res.Boundary.to_step ~seconds:secs3 "secondary discovery" res3
+            in
+            (Option.join secondary, step3)
       in
       Ok
         ( { Source_profile.profile; accession_candidates = cands; fks; graph;
@@ -418,7 +385,6 @@ let load_dir ?config ?(reanalyze = false) dir =
         (match Snapshot.find members "metadata.txt" with
         | Some doc ->
             let meta, dropped = Repository.load_salvaging doc in
-            bump "metadata.txt" dropped;
             (match Repository.provenance meta with
             | Some p -> Repository.set_provenance t.repo p
             | None -> ());
@@ -426,11 +392,11 @@ let load_dir ?config ?(reanalyze = false) dir =
             (* a metadata.txt saved before the pair store held the only
                copy carries the links too: they re-seed the pairs that
                pairs.txt lacks (all of them when it predates the member) *)
-            Pair_store.seed_missing t.pair_store ~links:(Repository.links meta)
-              ~correspondences:(Repository.correspondences meta)
+            let seed_dropped = Pair_store.seed_missing t.pair_store doc in
+            bump "metadata.txt" (dropped + seed_dropped)
         | None -> ());
-        (* the repository's view is derived, as after a relink. Nothing
-           else is rebuilt: a relink keeps no index between runs. *)
+        (* the link view is derived, as after a relink. Nothing else is
+           rebuilt: a relink keeps no index between runs. *)
         set_link_view t (Pair_store.all_links t.pair_store)
       end;
       (t, !report)
@@ -698,9 +664,28 @@ let profile t name =
     (fun (e : Profile_list.entry) -> e.sp)
     (Profile_list.find t.profile_list name)
 
-let links t = Repository.links t.repo
+let links t = t.link_view
 
-let duplicates t = t.last_dups
+let correspondences t = Pair_store.correspondences t.pair_store
+
+let duplicates t =
+  Dup.Dup_detect.result_of_links
+    ~candidates_checked:(Pair_store.dup_candidates_total t.pair_store)
+    (List.filter (fun (l : Link.t) -> l.kind = Link.Duplicate) t.link_view)
+
+(* each source's representations as the dup pass built them: under its
+   current exclude triples, the ones [Dup_detect.prep_source] was given *)
+let explain_duplicates t =
+  let reprs =
+    List.concat_map
+      (fun source ->
+        Dup.Object_sim.build_reprs
+          ~exclude_attributes:
+            (Pair_store.exclude_triples t.pair_store ~source)
+          (Profile_list.restrict t.profile_list [ source ]))
+      (sources t)
+  in
+  Dup.Dup_detect.explain reprs (duplicates t).links
 
 let repository t = t.repo
 
@@ -708,7 +693,7 @@ let browser t =
   match t.cached_browser with
   | Some b -> b
   | None ->
-      let b = Browser.create t.profile_list t.repo in
+      let b = Browser.create t.profile_list (links t) in
       t.cached_browser <- Some b;
       b
 
@@ -782,7 +767,7 @@ let feedback t = t.feedback
 
 let reject_link t (l : Link.t) =
   Feedback.reject_link t.feedback l;
-  Repository.set_links t.repo (Feedback.filter_links t.feedback (links t));
+  set_link_view t t.link_view;
   (* only this link's kind changed; routes watching other kinds keep
      their cached responses *)
   Generation.bump_kind t.gen (Link.kind_name l.kind);

@@ -164,10 +164,31 @@ val profiles : t -> Profile_list.t
 val profile : t -> string -> Source_profile.t option
 
 val links : t -> Link.t list
+(** The link view: the per-pair store's merged links ({!Pair_store},
+    the warehouse's only link state) less the links rejected through
+    {!reject_link}, in {!Link.dedup}'s canonical order. Set after every
+    relink, {!load_dir} and {!reject_link}; {!duplicates} and the
+    access structures are derived from it. *)
 
-val duplicates : t -> Aladin_dup.Dup_detect.result option
+val correspondences : t -> Xref_disc.correspondence list
+(** The schema-level correspondences, read from the per-pair store. *)
+
+val duplicates : t -> Aladin_dup.Dup_detect.result
+(** The [Duplicate] links of {!links}, clustered
+    ({!Aladin_dup.Dup_detect.result_of_links}), with the candidate count
+    the per-pair store records. A rejected duplicate leaves its cluster
+    at once, and a loaded store shows the clusters of the warehouse that
+    saved it. *)
+
+val explain_duplicates : t -> (Link.t * string) list
+(** {!Aladin_dup.Dup_detect.explain} of {!duplicates}: each source's
+    representations are built when this runs, under the exclude
+    triples the duplicate pass used for it, so every derivation ends in
+    its link's confidence. *)
 
 val repository : t -> Repository.t
+(** The sources' structure and statistics, run reports and provenance;
+    links live in the per-pair store, see {!links}. *)
 
 val browser : t -> Browser.t
 (** Cached; rebuilt after warehouse changes. *)
@@ -247,11 +268,13 @@ val load_dir :
     false) the five steps re-run from the raw data; otherwise each
     source is profiled exactly as {!add_source} profiles it, and the
     saved per-pair store and run reports are trusted, so no
-    link/duplicate discovery happens: the links and correspondences are
-    derived from the per-pair store ([pairs.txt], their one copy), as a
-    relink derives them. The [link]/[corr] records of a [metadata.txt]
-    saved before that re-seed the pairs [pairs.txt] lacks. A journaled
-    integration resumes through this too.
+    link/duplicate discovery happens: the link view, and with it the
+    duplicate clusters, is derived from the per-pair store ([pairs.txt],
+    the one copy of the links and correspondences), as a relink derives
+    it. The [link]/[corr] records of a [metadata.txt] saved before that
+    re-seed the pairs [pairs.txt] lacks ({!Pair_store.seed_missing});
+    its unparseable ones count as dropped lines of that member. A
+    journaled integration resumes through this too.
     @raise Sys_error when the store itself is unusable (no directory,
     no manifest, or a manifest failing its own checksum), or when a
     source's primary discovery fails on reload. *)

@@ -14,8 +14,15 @@ type result = {
   links : Link.t list;
   clusters : string list list;
   candidates_checked : int;
-  reprs : Object_sim.repr list;
 }
+
+let result_of_links ~candidates_checked links =
+  let uf = Union_find.create () in
+  List.iter
+    (fun (l : Link.t) ->
+      Union_find.union uf (Objref.to_string l.src) (Objref.to_string l.dst))
+    links;
+  { links; clusters = Union_find.clusters uf; candidates_checked }
 
 let looks_like_accession s =
   let n = String.length s in
@@ -190,14 +197,10 @@ let prepare_reprs ?pool reprs =
       })
     reprs
 
-let reprs_of_source src =
-  List.map (fun e -> Object_sim.repr_of_prepared e.prep) src
-
 (* the one detection core: objects sorted by Objref *)
 let detect_prepared ?(params = default_params) ?pool entries =
   let prepared = List.map (fun e -> e.prep) entries in
-  let reprs = List.map Object_sim.repr_of_prepared prepared in
-  let arr = Array.of_list reprs in
+  let arr = Array.of_list (List.map Object_sim.repr_of_prepared prepared) in
   (* df statistics are local to the objects compared together, so they
      are bound here, once per object, never inside the pairwise fan-out *)
   let context = Object_sim.context_of_prepared prepared in
@@ -206,10 +209,10 @@ let detect_prepared ?(params = default_params) ?pool entries =
     candidate_index_pairs ?pool params arr
       (Array.of_list (List.map (fun e -> e.keys) entries))
   in
-  (* similarity only reads prepared data, so it fans out; union-find and
-     link building stay sequential in pair order. A pair that cannot
-     agree on an identifying value scores at most 0.5, so above that
-     threshold it is not scored (None). *)
+  (* similarity only reads prepared data, so it fans out; link building
+     stays sequential in pair order. A pair that cannot agree on an
+     identifying value scores at most 0.5, so above that threshold it is
+     not scored (None). *)
   let bounded = params.min_similarity > 0.5 in
   let sims =
     Pool.map ?pool
@@ -221,7 +224,6 @@ let detect_prepared ?(params = default_params) ?pool entries =
   Aladin_obs.Trace.ambient_incr
     ~by:(List.length (List.filter Option.is_none sims))
     "dup.candidates_skipped";
-  let uf = Union_find.create () in
   let links =
     List.filter_map
       (fun ((i, j), sim) ->
@@ -230,20 +232,13 @@ let detect_prepared ?(params = default_params) ?pool entries =
         | Some sim when sim < params.min_similarity -> None
         | Some sim ->
           let a = arr.(i) and b = arr.(j) in
-          Union_find.union uf (Objref.to_string a.Object_sim.obj)
-            (Objref.to_string b.Object_sim.obj);
           Some
             (Link.make ~src:a.Object_sim.obj ~dst:b.Object_sim.obj
                ~kind:Link.Duplicate ~confidence:sim
                ~evidence:(Printf.sprintf "object similarity %.2f" sim)))
       (List.combine pairs sims)
   in
-  {
-    links = Link.dedup links;
-    clusters = Union_find.clusters uf;
-    candidates_checked = List.length pairs;
-    reprs;
-  }
+  result_of_links ~candidates_checked:(List.length pairs) (Link.dedup links)
 
 let detect_on ?params ?pool reprs =
   detect_prepared ?params ?pool (prepare_reprs ?pool reprs)
@@ -268,12 +263,12 @@ let detect_between ?params ?pool a b =
   in
   detect_prepared ?params ?pool (List.merge cmp a b)
 
-let explain (r : result) =
+let explain reprs links =
   let by_key = Hashtbl.create 256 in
   List.iter
     (fun (o : Object_sim.repr) ->
       Hashtbl.replace by_key (Objref.to_string o.obj) o)
-    r.reprs;
+    reprs;
   (* detection scored each link under the df context of its two sources *)
   let contexts = Hashtbl.create 8 in
   let context_of_pair sa sb =
@@ -285,7 +280,7 @@ let explain (r : result) =
             (List.filter
                (fun (o : Object_sim.repr) ->
                  o.obj.source = sa || o.obj.source = sb)
-               r.reprs)
+               reprs)
         in
         Hashtbl.add contexts (sa, sb) ctx;
         ctx
@@ -300,4 +295,4 @@ let explain (r : result) =
           let context = context_of_pair l.src.source l.dst.source in
           Some (l, Object_sim.explain ~context a b)
       | _ -> None)
-    r.links
+    links

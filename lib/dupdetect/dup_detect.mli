@@ -26,8 +26,12 @@ type result = {
   links : Link.t list;  (** kind = [Duplicate] *)
   clusters : string list list;  (** of {!Objref.to_string} keys *)
   candidates_checked : int;  (** blocking candidates, scored or not *)
-  reprs : Object_sim.repr list;
 }
+
+val result_of_links : candidates_checked:int -> Link.t list -> result
+(** The links with their clusters: the connected components of two or
+    more objects, each sorted, in sorted order — the same whatever order
+    the links come in. *)
 
 val blocking_keys : Object_sim.repr -> string list
 (** The blocking keys of one object: its accession, accession-shaped field
@@ -80,9 +84,6 @@ val prep_source :
     reuses it in every {!detect_between} call of that relink. Only
     [exclude_attributes] triples naming [source] matter here. *)
 
-val reprs_of_source : prepared_source -> Object_sim.repr list
-(** The representations a source was prepared from, sorted by object. *)
-
 val detect_between :
   ?params:params ->
   ?pool:Aladin_par.Pool.t ->
@@ -100,9 +101,11 @@ val detect_between :
     statistics, applied uniformly by routing every dup pass through
     pairs). *)
 
-val explain : result -> (Link.t * string) list
-(** {!Object_sim.explain} of each link of the result whose two objects
-    are in its [reprs], in link order. Each pair is scored under the df
-    context of its link's two sources, the context detection scored it
-    under, so every derivation ends in the link's confidence (as
+val explain : Object_sim.repr list -> Link.t list -> (Link.t * string) list
+(** [explain reprs links] is {!Object_sim.explain} of each link whose
+    two objects are in [reprs], in link order. Each pair is scored under
+    the df context of its link's two sources, the context detection
+    scored it under, so given the representations detection compared
+    (each source's {!Object_sim.build_reprs} under its exclude triples)
+    every derivation ends in the link's confidence (as
     [aladin dups --explain] prints it). *)

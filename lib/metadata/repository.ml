@@ -1,6 +1,5 @@
 open Aladin_relational
 open Aladin_discovery
-open Aladin_links
 module Run_report = Aladin_resilience.Run_report
 
 type source_record = {
@@ -14,15 +13,12 @@ type source_record = {
 
 type t = {
   mutable source_records : source_record list;
-  mutable link_store : Link.t list;
-  mutable corr_store : Xref_disc.correspondence list;
   mutable prov_store : string option;
   mutable report_store : Run_report.t list; (* latest per source, reversed *)
 }
 
 let create () =
-  { source_records = []; link_store = []; corr_store = []; prov_store = None;
-    report_store = [] }
+  { source_records = []; prov_store = None; report_store = [] }
 
 let record_of_profile (sp : Source_profile.t) =
   let catalog = Profile.catalog sp.profile in
@@ -48,32 +44,9 @@ let add_source t sp =
   t.source_records <-
     r :: List.filter (fun s -> s.source <> r.source) t.source_records
 
-let remove_source t name =
-  t.source_records <- List.filter (fun s -> s.source <> name) t.source_records;
-  t.link_store <-
-    List.filter
-      (fun (l : Link.t) ->
-        l.src.Objref.source <> name && l.dst.Objref.source <> name)
-      t.link_store
-
 let sources t = List.rev t.source_records
 
 let find_source t name = List.find_opt (fun s -> s.source = name) t.source_records
-
-let set_links t links = t.link_store <- links
-
-let add_links t links = t.link_store <- Link.dedup (links @ t.link_store)
-
-let links t = t.link_store
-
-let links_of t obj =
-  List.filter
-    (fun (l : Link.t) -> Objref.equal l.src obj || Objref.equal l.dst obj)
-    t.link_store
-
-let set_correspondences t cs = t.corr_store <- cs
-
-let correspondences t = t.corr_store
 
 let set_provenance t doc = t.prov_store <- Some doc
 
@@ -108,15 +81,6 @@ let origin_of_string = function
   | "declared" -> `Declared
   | "inferred" -> `Inferred
   | s -> invalid_arg (Printf.sprintf "Repository: bad origin %S" s)
-
-let kind_of_string = function
-  | "xref" -> Link.Xref
-  | "seq" -> Link.Seq_similarity
-  | "text" -> Link.Text_similarity
-  | "shared-term" -> Link.Shared_term
-  | "mention" -> Link.Entity_mention
-  | "duplicate" -> Link.Duplicate
-  | s -> invalid_arg (Printf.sprintf "Repository: bad link kind %S" s)
 
 let save t =
   let buf = Buffer.create 4096 in
@@ -165,15 +129,12 @@ let save t =
 type loading = {
   mutable cur : source_record option;
   mutable done_sources : source_record list;
-  mutable loaded_links : Link.t list;
-  mutable loaded_corrs : Xref_disc.correspondence list;
   mutable loaded_prov : string option;
   mutable loaded_reports : Run_report.t list;
 }
 
 let init_loading () =
-  { cur = None; done_sources = []; loaded_links = []; loaded_corrs = [];
-    loaded_prov = None; loaded_reports = [] }
+  { cur = None; done_sources = []; loaded_prov = None; loaded_reports = [] }
 
 let flush st =
   match st.cur with
@@ -191,13 +152,14 @@ let flush st =
 let with_cur st f =
   match st.cur with
   | Some r -> st.cur <- Some (f r)
-  | None -> invalid_arg "Repository.load: record outside source block"
+  | None -> invalid_arg "Repository: record outside source block"
 
 (* One record line into the accumulator. @raise Invalid_argument on any
-   malformed line — strict [load] propagates, [load_salvaging] counts
-   and drops. [save] writes no [link] or [corr] record (the warehouse's
-   pair store is the one copy of the links); they are read from older
-   documents, whose stores are re-seeded from them. *)
+   malformed line, which [load_salvaging] counts and drops. [save]
+   writes no [link] or [corr] record (the warehouse's pair store is the
+   one copy of the links); older documents carry them, and the pair
+   store reads them from the document itself, so here they only end
+   the current source block. *)
 let apply_line st line =
   match Serial.fields line with
   | [ "source"; name ] ->
@@ -239,57 +201,28 @@ let apply_line st line =
               :: r.stats })
   | "sample" :: rel :: attr :: vals ->
       with_cur st (fun r -> { r with sample = (rel, attr, vals) :: r.sample })
-  | [ "link"; ss; sr; sa; ds; dr; da; kind; conf; evidence ] ->
-      flush st;
-      st.loaded_links <-
-        Link.make
-          ~src:(Objref.make ~source:ss ~relation:sr ~accession:sa)
-          ~dst:(Objref.make ~source:ds ~relation:dr ~accession:da)
-          ~kind:(kind_of_string kind)
-          ~confidence:(Serial.float_of_string_exn conf)
-          ~evidence
-        :: st.loaded_links
-  | [ "corr"; ss; sr; sa; ds; dr; da; matches; frac; encoded ] ->
-      flush st;
-      st.loaded_corrs <-
-        { Xref_disc.src_source = ss; src_relation = sr; src_attribute = sa;
-          dst_source = ds; dst_relation = dr; dst_attribute = da;
-          matches = Serial.int_of_string_exn matches;
-          match_frac = Serial.float_of_string_exn frac;
-          encoded = bool_of_string encoded }
-        :: st.loaded_corrs
+  | ("link" | "corr") :: _ -> flush st
   | [ "runreport"; doc ] ->
       flush st;
       (match Run_report.deserialize doc with
       | Some r -> st.loaded_reports <- r :: st.loaded_reports
-      | None -> invalid_arg "Repository.load: bad run report")
+      | None -> invalid_arg "Repository: bad run report")
   | [ "provenance"; prov ] ->
       flush st;
       st.loaded_prov <- Some prov
   | fs ->
       invalid_arg
-        (Printf.sprintf "Repository.load: bad line %S" (String.concat "|" fs))
+        (Printf.sprintf "Repository: bad line %S" (String.concat "|" fs))
 
 let finish st =
   flush st;
   {
     source_records = st.done_sources;
-    link_store = List.rev st.loaded_links;
-    corr_store = List.rev st.loaded_corrs;
     prov_store = st.loaded_prov;
     report_store = st.loaded_reports;
   }
 
 let header_fields = [ "aladin-metadata"; "1" ]
-
-let load doc =
-  let st = init_loading () in
-  let lines = String.split_on_char '\n' doc |> List.filter (fun l -> l <> "") in
-  (match lines with
-  | first :: _ when Serial.fields first = header_fields -> ()
-  | _ -> invalid_arg "Repository.load: bad header");
-  List.iteri (fun i line -> if i > 0 then apply_line st line) lines;
-  finish st
 
 let load_salvaging doc =
   let st = init_loading () in
@@ -314,12 +247,5 @@ let stats_summary t =
   List.map
     (fun r ->
       let rows = List.fold_left (fun acc (_, n) -> acc + n) 0 r.relations in
-      let nlinks =
-        List.length
-          (List.filter
-             (fun (l : Link.t) ->
-               l.src.Objref.source = r.source || l.dst.Objref.source = r.source)
-             t.link_store)
-      in
-      (r.source, List.length r.relations, rows, nlinks))
+      (r.source, List.length r.relations, rows))
     (sources t)

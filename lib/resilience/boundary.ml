@@ -20,3 +20,35 @@ let status_of = function
   | Ok _ -> "ok"
   | Error (Run_report.Timeout _) -> "timeout"
   | Error (Run_report.Crashed _) -> "failed"
+
+let bounded ?(retry = true) ~name ?budget f =
+  Aladin_obs.Trace.ambient_span_timed name (fun () ->
+      let attempts = ref 1 in
+      let body () =
+        if retry then begin
+          let v, n = Retry.run_counted ~step:name f in
+          attempts := n;
+          v
+        end
+        else f ()
+      in
+      let res = protect ~step:name ?budget body in
+      if !attempts > 1 then
+        Aladin_obs.Trace.ambient_add_attr "retry.attempts"
+          (string_of_int !attempts);
+      Aladin_obs.Trace.ambient_add_attr "status" (status_of res);
+      res)
+
+let skipped_span name =
+  Aladin_obs.Trace.ambient_span name
+    ~attrs:[ ("status", "skipped") ]
+    (fun () -> ())
+
+let to_step ~seconds name = function
+  | Ok v -> (Some v, Run_report.step ~seconds name Run_report.Ok)
+  | Error (Run_report.Timeout b) ->
+      ( None,
+        Run_report.step ~seconds name
+          (Run_report.Skipped (Run_report.Budget_exhausted b)) )
+  | Error (Run_report.Crashed _ as e) ->
+      (None, Run_report.step ~seconds name (Run_report.Failed e))

@@ -31,3 +31,35 @@ val protect :
 
 val status_of : ('a, Run_report.error) result -> string
 (** Span-attribute value for the result: ["ok" | "timeout" | "failed"]. *)
+
+(** {2 Pipeline steps}
+
+    The warehouse's steps and the delta pipeline's passes share these,
+    so a span, its ["status"] attribute and an optional step's report
+    mean the same thing for every step. *)
+
+val bounded :
+  ?retry:bool ->
+  name:string ->
+  ?budget:float ->
+  (unit -> 'a) ->
+  ('a, Run_report.error) result * float
+(** {!protect} the body as step [name] inside an ambient span of that
+    name, and return the result with the span's wall-clock seconds. The
+    span is stamped with the result's {!status_of} as its ["status"].
+    With [retry] (default true) transient failures are retried first
+    ({!Retry.run_counted}); a second or later attempt leaves a
+    ["retry.attempts"] attribute. *)
+
+val skipped_span : string -> unit
+(** A marker span [name] with status ["skipped"], for a step skipped
+    before doing any work. *)
+
+val to_step :
+  seconds:float ->
+  string ->
+  ('a, Run_report.error) result ->
+  'a option * Run_report.step_report
+(** The report of an optional step from its {!bounded} result: [Ok]
+    keeps the value; a [Timeout] is [Skipped (Budget_exhausted _)] and
+    a crash is [Failed], both without a value. *)

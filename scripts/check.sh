@@ -236,7 +236,7 @@ echo "resilience ok: faults degrade gracefully, --strict fails the run"
 sdir=$(mktemp -d)
 trap 'rm -f "$q1" "$q2" "$f1"; rm -rf "$sdir"' EXIT
 rmdir "$sdir"
-./_build/default/bin/aladin_cli.exe demo --save "$sdir" > /dev/null
+./_build/default/bin/aladin_cli.exe demo --save "$sdir" > "$f1"
 # pairs.txt is the store's one copy of the links and correspondences:
 # metadata.txt must hold no link or corr record
 tab=$(printf '\t')
@@ -244,6 +244,16 @@ if grep -qE "^[0-9a-f]{8}${tab}(link|corr)${tab}" "$sdir"/snap-*/metadata.txt; t
   echo "error: metadata.txt stores link/corr records; pairs.txt is their only copy" >&2
   exit 1
 fi
+# ...and everything derived from them comes back with the store: the
+# summary demo printed before saving (sources, link counts, duplicate
+# clusters) is what load prints before its load report
+sed '/^warehouse saved to /,$d' "$f1" > "$q1"
+./_build/default/bin/aladin_cli.exe load "$sdir" > "$f1"
+sed '/^load report:/,$d' "$f1" > "$q2"
+diff -u "$q1" "$q2" || {
+  echo "error: the loaded store's summary differs from the run that saved it" >&2
+  exit 1
+}
 ./_build/default/bin/aladin_cli.exe fsck "$sdir" > /dev/null
 member=$(find "$sdir"/snap-* -name '*.csv' | head -n 1)
 printf 'torn,garbage' >> "$member"
@@ -254,7 +264,7 @@ fi
 ./_build/default/bin/aladin_cli.exe fsck --repair "$sdir" > /dev/null
 ./_build/default/bin/aladin_cli.exe fsck "$sdir" > /dev/null
 ./_build/default/bin/aladin_cli.exe load --strict "$sdir" > /dev/null
-echo "durability ok: links stored once, fsck detects damage, --repair restores a clean store"
+echo "durability ok: links stored once, a loaded store reports the summary it was saved with, fsck detects damage, --repair restores a clean store"
 
 # Kill-anywhere resume: a journaled integration killed by an injected
 # fault (exit 3) must resume from its checkpoints — under a different

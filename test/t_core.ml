@@ -57,35 +57,33 @@ let warehouse_tests =
         check Alcotest.bool "precision >= 0.95" true (s.precision >= 0.95));
     Alcotest.test_case "duplicates flagged between protein sources" `Quick (fun () ->
         let w = Lazy.force warehouse in
-        match Warehouse.duplicates w with
-        | None -> Alcotest.fail "no dup result"
-        | Some d -> check Alcotest.bool "clusters" true (d.clusters <> []));
+        let d = Warehouse.duplicates w in
+        check Alcotest.bool "clusters" true (d.clusters <> []);
+        check Alcotest.bool "candidates" true (d.candidates_checked > 0));
     Alcotest.test_case "dups explanation ends in the link's confidence" `Quick
       (fun () ->
         let w = Lazy.force warehouse in
-        match Warehouse.duplicates w with
-        | None -> Alcotest.fail "no dup result"
-        | Some d ->
-            let explained = Aladin_dup.Dup_detect.explain d in
-            check Alcotest.int "every link explained" (List.length d.links)
-              (List.length explained);
-            List.iter
-              (fun ((l : Aladin_links.Link.t), text) ->
-                let lines = String.split_on_char '\n' (String.trim text) in
-                let last = List.nth lines (List.length lines - 1) in
-                check Alcotest.string
-                  (Aladin_links.Objref.to_string l.src ^ " ~ "
-                  ^ Aladin_links.Objref.to_string l.dst)
-                  (Printf.sprintf "similarity = %.3f" l.confidence)
-                  last)
-              explained);
+        let d = Warehouse.duplicates w in
+        let explained = Warehouse.explain_duplicates w in
+        check Alcotest.int "every link explained" (List.length d.links)
+          (List.length explained);
+        List.iter
+          (fun ((l : Aladin_links.Link.t), text) ->
+            let lines = String.split_on_char '\n' (String.trim text) in
+            let last = List.nth lines (List.length lines - 1) in
+            check Alcotest.string
+              (Aladin_links.Objref.to_string l.src ^ " ~ "
+              ^ Aladin_links.Objref.to_string l.dst)
+              (Printf.sprintf "similarity = %.3f" l.confidence)
+              last)
+          explained);
     Alcotest.test_case "repository populated" `Quick (fun () ->
         let w = Lazy.force warehouse in
         let repo = Warehouse.repository w in
         check Alcotest.int "sources" 8
           (List.length (Aladin_metadata.Repository.sources repo));
         check Alcotest.bool "correspondences" true
-          (Aladin_metadata.Repository.correspondences repo <> []));
+          (Warehouse.correspondences w <> []));
     Alcotest.test_case "run report covers five steps" `Quick (fun () ->
         let c = Lazy.force small_corpus in
         let w = Warehouse.create () in
@@ -383,13 +381,14 @@ let feedback_tests =
             ~kind:Aladin_links.Link.Xref ~confidence:0.8 ~evidence:"t"
         in
         Feedback.reject_link fb l;
-        let fb2 = Feedback.load (Feedback.save fb) in
+        let fb2, dropped = Feedback.load_salvaging (Feedback.save fb) in
+        check Alcotest.int "nothing dropped" 0 dropped;
         check Alcotest.bool "persisted" true (Feedback.is_link_rejected fb2 l);
         check Alcotest.int "counts" 1 (Feedback.rejected_link_count fb2));
     Alcotest.test_case "load rejects garbage" `Quick (fun () ->
-        match Feedback.load "nope" with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "no error");
+        let fb, dropped = Feedback.load_salvaging "nope" in
+        check Alcotest.bool "dropped" true (dropped > 0);
+        check Alcotest.int "nothing rejected" 0 (Feedback.rejected_link_count fb));
     Alcotest.test_case "warehouse reject_link survives relink" `Quick (fun () ->
         let c = Lazy.force small_corpus in
         let w = Warehouse.integrate c.catalogs in
@@ -910,9 +909,133 @@ let pair_store_tests =
               (render_links entry.text_links) (render_links e.text_links));
   ]
 
-(* After each mutation, the duplicate view is a kind filter of the merged
-   pair-store view (read back from the saved pairs.txt), and the
-   warehouse's links are that view less the rejected links. *)
+(* append a word to every third multi-word text value: the source's
+   documents and term frequencies move, and so do its text links *)
+let edit_text cat =
+  let out = Catalog.create ~name:(Catalog.name cat) in
+  List.iter
+    (fun r ->
+      let nr =
+        Catalog.create_relation out ~name:(Relation.name r) (Relation.schema r)
+      in
+      Relation.iteri_rows
+        (fun i row ->
+          let row = Array.copy row in
+          if i mod 3 = 0 then
+            Array.iteri
+              (fun ai v ->
+                match Value.as_text v with
+                | Some s when String.contains s ' ' ->
+                    row.(ai) <- Value.text (s ^ " edited kinase")
+                | Some _ | None -> ())
+              row;
+          Relation.insert nr row)
+        r)
+    (Catalog.relations cat);
+  List.iter (Catalog.declare out) (Catalog.constraints cat);
+  out
+
+(* one link with every byte that matters, as [render_links] shows it *)
+let link_testable =
+  Alcotest.testable
+    (fun ppf l -> Format.pp_print_string ppf (List.hd (render_links [ l ])))
+    (fun a b -> render_links [ a ] = render_links [ b ])
+
+(* [expected] and [actual] must be equal, and on a mismatch the first
+   differing link is printed instead of two lists of thousands *)
+let same_links what expected actual =
+  let rec first i = function
+    | e :: es, a :: rest when render_links [ e ] = render_links [ a ] ->
+        first (i + 1) (es, rest)
+    | e :: _, a :: _ -> (i, Some e, Some a)
+    | e :: _, [] -> (i, Some e, None)
+    | [], a :: _ -> (i, None, Some a)
+    | [], [] -> (i, None, None)
+  in
+  let i, e, a = first 0 (expected, actual) in
+  let what =
+    if e = None && a = None then what
+    else Printf.sprintf "%s: first differing link, at %d" what i
+  in
+  check (Alcotest.option link_testable) what e a
+
+let same_duplicates what (d : Aladin_dup.Dup_detect.result)
+    (d' : Aladin_dup.Dup_detect.result) =
+  same_links (what ^ ": duplicate links") d.links d'.links;
+  check Alcotest.(list (list string)) (what ^ ": clusters") d.clusters
+    d'.clusters;
+  check Alcotest.int (what ^ ": candidates checked") d.candidates_checked
+    d'.candidates_checked
+
+(* the clusters of the Duplicate links among [links]: a union-find over
+   them, independent of [Dup_detect.result_of_links] *)
+let clusters_of links =
+  let uf = Aladin_dup.Union_find.create () in
+  List.iter
+    (fun (l : Aladin_links.Link.t) ->
+      if l.kind = Aladin_links.Link.Duplicate then
+        Aladin_dup.Union_find.union uf
+          (Aladin_links.Objref.to_string l.src)
+          (Aladin_links.Objref.to_string l.dst))
+    links;
+  Aladin_dup.Union_find.clusters uf
+
+(* the promises every state of the warehouse keeps, checked on one fresh
+   save: the link view is the feedback filter of the saved pairs.txt's
+   merge, the duplicate clusters are those of the view's Duplicate
+   links, and loading the save gives back the same links,
+   correspondences and duplicates *)
+let check_promises stage w =
+  let dir = temp_store "promises" in
+  save_dir_exn w dir;
+  let merged =
+    match Aladin_store.Snapshot.find (snapshot_members dir) "pairs.txt" with
+    | None -> Alcotest.fail "no pairs.txt"
+    | Some doc -> Pair_store.all_links (fst (Pair_store.load doc))
+  in
+  let w2, report = Warehouse.load_dir dir in
+  rm_rf dir;
+  same_links (stage ^ ": links")
+    (Feedback.filter_links (Warehouse.feedback w) merged)
+    (Warehouse.links w);
+  check Alcotest.(list (list string)) (stage ^ ": duplicate clusters")
+    (clusters_of (Warehouse.links w))
+    (Warehouse.duplicates w).clusters;
+  check Alcotest.bool (stage ^ ": clean reload") true
+    (Aladin_store.Load_report.is_clean report);
+  same_links (stage ^ ": reloaded links") (Warehouse.links w)
+    (Warehouse.links w2);
+  check Alcotest.bool (stage ^ ": reloaded correspondences") true
+    (Warehouse.correspondences w = Warehouse.correspondences w2);
+  same_duplicates (stage ^ ": reloaded") (Warehouse.duplicates w)
+    (Warehouse.duplicates w2)
+
+(* one step of the randomized view test: reject a link of the view (a
+   Duplicate one when the flag holds and there is one), save and reload,
+   add the held-out source, or update uniprot with [edit_text] *)
+type view_op = Reject of int * bool | Reload | Add_held_out | Update_text
+
+let view_op_name = function
+  | Reject (i, dup) ->
+      Printf.sprintf "reject %d%s" i (if dup then " dup" else "")
+  | Reload -> "reload"
+  | Add_held_out -> "add held-out"
+  | Update_text -> "update uniprot"
+
+let view_ops_gen =
+  QCheck.Gen.(
+    list_size (int_range 3 6)
+      (frequency
+         [ (3, map2 (fun i dup -> Reject (i, dup)) nat bool);
+           (1, return Reload);
+           (1, return Add_held_out);
+           (1, return Update_text) ]))
+
+let view_ops_seed = 20261018
+
+(* After each mutation, the warehouse's links are the merged pair-store
+   view (read back from the saved pairs.txt) less the rejected links,
+   and its duplicates are a kind filter of those links. *)
 let view_tests =
   let module L = Aladin_links in
   let merged_view w =
@@ -929,44 +1052,16 @@ let view_tests =
   in
   let check_views stage w =
     let merged = merged_view w in
-    let of_kinds ks = List.filter (fun (l : L.Link.t) -> List.mem l.kind ks) merged in
+    let view = Feedback.filter_links (Warehouse.feedback w) merged in
     let same what expected actual =
       check Alcotest.(list string) (stage ^ ": " ^ what) (render_links expected)
         (render_links actual)
     in
-    (match Warehouse.duplicates w with
-    | Some d -> same "duplicates" (of_kinds [ L.Link.Duplicate ]) d.links
-    | None -> Alcotest.fail (stage ^ ": no duplicates"));
-    same "warehouse links"
-      (Feedback.filter_links (Warehouse.feedback w) merged)
-      (Warehouse.links w);
+    same "duplicates"
+      (List.filter (fun (l : L.Link.t) -> l.kind = L.Link.Duplicate) view)
+      (Warehouse.duplicates w).links;
+    same "warehouse links" view (Warehouse.links w);
     merged
-  in
-  (* append a word to every third multi-word text value: the source's
-     documents and term frequencies move, and so do its text links *)
-  let edit_text cat =
-    let out = Catalog.create ~name:(Catalog.name cat) in
-    List.iter
-      (fun r ->
-        let nr =
-          Catalog.create_relation out ~name:(Relation.name r) (Relation.schema r)
-        in
-        Relation.iteri_rows
-          (fun i row ->
-            let row = Array.copy row in
-            if i mod 3 = 0 then
-              Array.iteri
-                (fun ai v ->
-                  match Value.as_text v with
-                  | Some s when String.contains s ' ' ->
-                      row.(ai) <- Value.text (s ^ " edited kinase")
-                  | Some _ | None -> ())
-                row;
-            Relation.insert nr row)
-          r)
-      (Catalog.relations cat);
-    List.iter (Catalog.declare out) (Catalog.constraints cat);
-    out
   in
   [
     Alcotest.test_case "report and duplicate views filter the merged store"
@@ -1005,7 +1100,6 @@ let view_tests =
       "load_dir keeps one copy of each link an older metadata.txt carries"
       `Quick (fun () ->
         let w = Lazy.force warehouse in
-        let repo = Warehouse.repository w in
         let dir = temp_store "oldmeta" in
         save_dir_exn w dir;
         (* the link and corr records metadata.txt held before the pair
@@ -1029,8 +1123,7 @@ let view_tests =
           match Warehouse.links w with
           | first :: _ as links ->
               List.map link_record (first :: links)
-              @ List.map corr_record
-                  (Aladin_metadata.Repository.correspondences repo)
+              @ List.map corr_record (Warehouse.correspondences w)
           | [] -> Alcotest.fail "no links"
         in
         (* where they were written: after the sources, before the run
@@ -1062,8 +1155,7 @@ let view_tests =
             (render_links (Warehouse.links w))
             (render_links (Warehouse.links w2));
           check Alcotest.bool (what ^ ": correspondences") true
-            (Aladin_metadata.Repository.correspondences repo
-            = Aladin_metadata.Repository.correspondences (Warehouse.repository w2));
+            (Warehouse.correspondences w = Warehouse.correspondences w2);
           w2
         in
         ignore (load_as "beside pairs.txt" members);
@@ -1089,6 +1181,127 @@ let view_tests =
         rm_rf dir;
         check Alcotest.int "each link seeded once"
           (List.length (Warehouse.links w)) plinks);
+    Alcotest.test_case
+      "a rejected duplicate leaves the duplicates, also after a relink"
+      `Quick (fun () ->
+        let c = Lazy.force small_corpus in
+        let w = Warehouse.integrate c.catalogs in
+        let before = Warehouse.duplicates w in
+        let pair_of (l : L.Link.t) =
+          List.sort String.compare
+            [ L.Objref.to_string l.src; L.Objref.to_string l.dst ]
+        in
+        (* a duplicate pair that is a cluster of its own *)
+        let l =
+          match
+            List.find_opt
+              (fun l -> List.mem (pair_of l) before.clusters)
+              before.links
+          with
+          | Some l -> l
+          | None -> Alcotest.fail "no two-object cluster"
+        in
+        Warehouse.reject_link w l;
+        let gone stage =
+          let d = Warehouse.duplicates w in
+          check Alcotest.bool (stage ^ ": link gone") false
+            (List.exists (L.Link.same_endpoints l) d.links);
+          check Alcotest.bool (stage ^ ": cluster gone") false
+            (List.mem (pair_of l) d.clusters);
+          d
+        in
+        let d = gone "rejected" in
+        same_links "rejected: the other duplicates"
+          (List.filter
+             (fun l' -> not (L.Link.same_endpoints l l'))
+             before.links)
+          d.links;
+        check Alcotest.int "rejected: one cluster fewer"
+          (List.length before.clusters - 1)
+          (List.length d.clusters);
+        (* re-adding a source of the link rediscovers it *)
+        (match Warehouse.catalog w l.src.source with
+        | Some cat -> ignore (Warehouse.add_source w cat)
+        | None -> Alcotest.fail "no source");
+        ignore (gone "relinked"));
+    Alcotest.test_case "load_dir returns the saved warehouse's duplicates"
+      `Quick (fun () ->
+        let w = Lazy.force warehouse in
+        let d = Warehouse.duplicates w in
+        check Alcotest.bool "clusters to compare" true (d.clusters <> []);
+        let dir = temp_store "dups" in
+        save_dir_exn w dir;
+        let w2, report = Warehouse.load_dir dir in
+        rm_rf dir;
+        check Alcotest.bool "clean load" true
+          (Aladin_store.Load_report.is_clean report);
+        same_duplicates "loaded" d (Warehouse.duplicates w2));
+    Alcotest.test_case
+      "random operations keep the link view, its duplicates and reloads"
+      `Quick (fun () ->
+        let c = Lazy.force small_corpus in
+        let held_out, rest =
+          match List.rev c.catalogs with
+          | last :: rest -> (last, List.rev rest)
+          | [] -> Alcotest.fail "no catalogs"
+        in
+        let base = temp_store "viewbase" in
+        save_dir_exn (Warehouse.integrate rest) base;
+        let covered = ref [] in
+        let run_case ops =
+          let w = ref (fst (Warehouse.load_dir base)) in
+          List.iteri
+            (fun i op ->
+              (match op with
+              | Reject (k, dup) -> (
+                  let links = Warehouse.links !w in
+                  let dups =
+                    List.filter
+                      (fun (l : L.Link.t) -> l.kind = L.Link.Duplicate)
+                      links
+                  in
+                  let pool = if dup && dups <> [] then dups else links in
+                  match pool with
+                  | [] -> ()
+                  | _ ->
+                      let l = List.nth pool (k mod List.length pool) in
+                      covered := l.kind :: !covered;
+                      Warehouse.reject_link !w l)
+              | Reload ->
+                  let dir = temp_store "reload" in
+                  save_dir_exn !w dir;
+                  w := fst (Warehouse.load_dir dir);
+                  rm_rf dir
+              | Add_held_out -> ignore (Warehouse.add_source !w held_out)
+              | Update_text -> (
+                  match Warehouse.catalog !w "uniprot" with
+                  | Some cat ->
+                      let edited = edit_text cat in
+                      ignore
+                        (Warehouse.update_source !w edited
+                           ~changed_rows:(Catalog.total_rows edited))
+                  | None -> Alcotest.fail "no uniprot"));
+              check_promises
+                (Printf.sprintf "op %d (%s)" i (view_op_name op))
+                !w)
+            ops
+        in
+        Fun.protect
+          ~finally:(fun () -> rm_rf base)
+          (fun () ->
+            QCheck.Test.check_exn
+              ~rand:(Random.State.make [| view_ops_seed |])
+              (QCheck.Test.make ~name:"view promises under random operations"
+                 ~count:6
+                 (QCheck.make
+                    ~print:(fun ops ->
+                      String.concat "; " (List.map view_op_name ops))
+                    view_ops_gen)
+                 (fun ops ->
+                   run_case ops;
+                   true)));
+        check Alcotest.bool "a Duplicate link was rejected" true
+          (List.mem L.Link.Duplicate !covered));
   ]
 
 let tests =

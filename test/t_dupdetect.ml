@@ -484,14 +484,15 @@ let between_tests =
         in
         List.iter
           (fun (a, b) ->
-            let pa = Dup_detect.prep_source profiles ~source:a in
-            let pb = Dup_detect.prep_source profiles ~source:b in
+            (* the representations prep_source builds for one source *)
+            let reprs_of s =
+              Object_sim.build_reprs (Profile_list.restrict profiles [ s ])
+            in
             let merged =
               List.merge
                 (fun (x : Object_sim.repr) (y : Object_sim.repr) ->
                   Objref.compare x.obj y.obj)
-                (Dup_detect.reprs_of_source pa)
-                (Dup_detect.reprs_of_source pb)
+                (reprs_of a) (reprs_of b)
             in
             let base = norm (Dup_detect.detect_on merged) in
             let links, _, _ = base in

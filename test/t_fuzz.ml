@@ -46,9 +46,6 @@ let fuzz_tests =
     no_crash "sniff total" 300 textish (fun s -> Import.sniff s);
     no_crash "sql parser structured fuzz" 500 sql_tokens (fun s -> Sql_parser.parse s);
     no_crash "sql lexer raw fuzz" 300 textish (fun s -> Sql_lexer.tokenize s);
-    no_crash "repository load total" 300 textish (fun s ->
-        Aladin_metadata.Repository.load s);
-    no_crash "feedback load total" 300 textish (fun s -> Aladin.Feedback.load s);
     no_crash "dump constraints total" 300 textish (fun s -> Dump.parse_constraints s);
   ]
 
@@ -221,12 +218,34 @@ let pair_store_arb =
           matches = m; match_frac = float_of_int m /. 10.; encoded = m mod 2 = 0 })
       (triple source source (pair (int_bound 10) field))
   in
+  (* the links and correspondences as records of an older metadata.txt,
+     the document [Pair_store.seed_missing] seeds a store from *)
+  let meta links corrs =
+    let module S = Aladin_metadata.Serial in
+    String.concat "\n"
+      (List.map
+         (fun (l : L.Link.t) ->
+           S.record
+             [ "link"; l.src.source; l.src.relation; l.src.accession;
+               l.dst.source; l.dst.relation; l.dst.accession;
+               L.Link.kind_name l.kind; S.float_to_string l.confidence;
+               l.evidence ])
+         links
+      @ List.map
+          (fun (c : L.Xref_disc.correspondence) ->
+            S.record
+              [ "corr"; c.src_source; c.src_relation; c.src_attribute;
+                c.dst_source; c.dst_relation; c.dst_attribute;
+                string_of_int c.matches; S.float_to_string c.match_frac;
+                string_of_bool c.encoded ])
+          corrs)
+  in
   let gen =
     map3
       (fun links corrs cands ->
         let module P = Aladin.Pair_store in
         let ps = P.create () in
-        P.seed_missing ps ~links ~correspondences:corrs;
+        assert (P.seed_missing ps (meta links corrs) = 0);
         (* at most six pairs over three sources *)
         List.iteri
           (fun i ((a, b), e) ->

@@ -283,10 +283,11 @@ let pipeline_tests =
             check_contains "provenance json" "\"spans\"" doc;
             check_contains "provenance json" "link discovery" doc;
             (* survives a save/load cycle *)
-            let reloaded =
-              Aladin_metadata.Repository.load
+            let reloaded, dropped =
+              Aladin_metadata.Repository.load_salvaging
                 (Aladin_metadata.Repository.save repo)
             in
+            check Alcotest.int "nothing dropped" 0 dropped;
             check
               Alcotest.(option string)
               "reloaded" (Some doc)

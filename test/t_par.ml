@@ -194,11 +194,8 @@ let pipeline_tests =
               (Lk.Profile_list.entries (Aladin.Warehouse.profiles w))
           in
           let dups =
-            match Aladin.Warehouse.duplicates w with
-            | Some (r : Aladin_dup.Dup_detect.result) ->
-                ( r.clusters,
-                  List.map (Format.asprintf "%a" Lk.Link.pp) r.links )
-            | None -> ([], [])
+            let r = Aladin.Warehouse.duplicates w in
+            (r.clusters, List.map (Format.asprintf "%a" Lk.Link.pp) r.links)
           in
           (links, fks, dups, Obs.Trace.counters tr)
         in

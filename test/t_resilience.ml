@@ -148,9 +148,11 @@ let report_tests =
     Alcotest.test_case "repository persists reports" `Quick (fun () ->
         let repo = Aladin_metadata.Repository.create () in
         Aladin_metadata.Repository.set_run_report repo sample_report;
-        let reloaded =
-          Aladin_metadata.Repository.load (Aladin_metadata.Repository.save repo)
+        let reloaded, dropped =
+          Aladin_metadata.Repository.load_salvaging
+            (Aladin_metadata.Repository.save repo)
         in
+        check Alcotest.int "nothing dropped" 0 dropped;
         match Aladin_metadata.Repository.run_reports reloaded with
         | [ r ] -> check Alcotest.bool "roundtrip" true (r = sample_report)
         | rs -> Alcotest.fail (Printf.sprintf "%d reports" (List.length rs)));
@@ -479,8 +481,7 @@ let fingerprint w =
   in
   String.concat "\n"
     ((String.concat "," (Warehouse.sources w) :: links_csv w
-     :: List.map corr
-          (Aladin_metadata.Repository.correspondences (Warehouse.repository w)))
+     :: List.map corr (Warehouse.correspondences w))
     @ List.map report (Warehouse.run_reports w))
 
 let journaled_exn ~journal catalogs =
