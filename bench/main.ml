@@ -518,7 +518,9 @@ let e8_dups () =
   in
   let reprs = Dup.Object_sim.build_reprs ~exclude_attributes profiles in
   let res = Dup.Dup_detect.detect_on reprs in
-  let conflicts = Dup.Conflict.in_duplicates reprs res.links in
+  let conflicts =
+    Dup.Conflict.in_duplicates (Dup.Conflict.table reprs) res.links
+  in
   Printf.printf "\nE8b: %d flagged duplicate pairs carry %d field conflicts\n"
     (List.length res.links) (List.length conflicts)
 
@@ -676,7 +678,7 @@ let e11_access () =
   Ev.Report.add_row r
     [ "SQL join entry x sequence rows"; string_of_int joined ];
   (* path ranking: linked objects outrank unlinked ones *)
-  let paths = Engine.paths eng in
+  let index = Engine.link_index eng in
   let linked_scores, unlinked_scores =
     match Engine.links eng with
     | [] -> ([], [])
@@ -685,7 +687,7 @@ let e11_access () =
           links
           |> List.filteri (fun i _ -> i mod 11 = 0)
           |> List.map (fun (l : Lk.Link.t) ->
-                 Aladin_access.Path_rank.relatedness paths l.src l.dst)
+                 Aladin_access.Path_rank.relatedness index l.src l.dst)
         in
         let objs = Engine.objects eng in
         let unlinked =
@@ -693,7 +695,7 @@ let e11_access () =
           | a :: rest ->
               rest
               |> List.filteri (fun i _ -> i mod 17 = 0)
-              |> List.map (fun b -> Aladin_access.Path_rank.relatedness paths a b)
+              |> List.map (fun b -> Aladin_access.Path_rank.relatedness index a b)
           | [] -> []
         in
         (linked, unlinked)
@@ -933,8 +935,7 @@ let resilience_bench () =
   (* budgets generous enough to never fire: the cost measured is purely
      the boundary + the per-item deadline polls in the pool *)
   let generous =
-    { Config.no_budgets with
-      Config.primary = Some 3600.0; secondary = Some 3600.0;
+    { Config.primary = Some 3600.0; secondary = Some 3600.0;
       links = Some 3600.0; xref_pass = Some 3600.0; seq_pass = Some 3600.0;
       text_pass = Some 3600.0; onto_pass = Some 3600.0; dups = Some 3600.0 }
   in

@@ -125,7 +125,10 @@ let integrate_cmd =
       with_trace_file trace_file (fun trace ->
           let w, resume_note =
             match journal_dir with
-            | None -> (build_warehouse_resilient ?config ?trace paths, "")
+            | None ->
+                ( Aladin_system.integrate_paths ~config:(load_config config)
+                    ?trace paths,
+                  "" )
             | Some dir ->
                 (* journaled import is strict: a source that cannot be
                    imported would poison the recorded plan *)
@@ -380,10 +383,10 @@ let export_cmd =
 
 let shell_cmd =
   let run paths =
-    let w = build_warehouse paths in
-    print_string (Aladin_system.summary w);
+    let eng = build_engine paths in
+    print_string (Aladin_system.summary (Engine.warehouse eng));
     print_endline "type 'help' for commands";
-    Shell.repl (Shell.create w) stdin stdout
+    Shell.repl (Shell.create eng) stdin stdout
   in
   Cmd.v
     (Cmd.info "shell"

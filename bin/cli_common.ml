@@ -107,24 +107,5 @@ let build_warehouse ?config ?trace paths =
   let config = load_config config in
   Warehouse.integrate ~config ?trace (List.map import_or_die paths)
 
-(* resilient build for [integrate]: a source that cannot even be imported
-   is quarantined with a report and the rest still integrate *)
-let build_warehouse_resilient ?config ?trace paths =
-  let config = load_config config in
-  let w = Warehouse.create ~config () in
-  List.iter
-    (fun path ->
-      match Aladin_system.import_file path with
-      | Ok (im : Aladin_formats.Import.import) ->
-          ignore
-            (Warehouse.add_source ?trace ~import_errors:im.record_errors w
-               im.catalog)
-      | Error err ->
-          ignore
-            (Warehouse.report_import_failure w
-               ~source:(Aladin_system.source_name_of_path path) err))
-    paths;
-  w
-
 let build_engine ?config ?trace paths =
   Engine.create (build_warehouse ?config ?trace paths)

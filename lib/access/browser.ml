@@ -20,43 +20,14 @@ type view = {
 
 type t = {
   profiles : Profile_list.t;
-  links_by_obj : (Objref.t, Link.t list) Hashtbl.t;  (* read-only once built *)
-  reprs : Dup.Object_sim.repr list option Atomic.t;  (* built on first use *)
+  index : Link_query.t;
+  reprs : Dup.Conflict.table;
 }
 
-(* each object's links in list order, a self-link listed once: the
-   links with the object on either end, for every object in one pass,
-   so a view does not scan every link *)
-let index_links links =
-  let tbl = Hashtbl.create 1024 in
-  let add obj l =
-    Hashtbl.replace tbl obj
-      (l :: Option.value (Hashtbl.find_opt tbl obj) ~default:[])
-  in
-  List.iter
-    (fun (l : Link.t) ->
-      add l.src l;
-      if not (Objref.equal l.src l.dst) then add l.dst l)
-    (List.rev links);
-  tbl
+let create profiles index reprs =
+  { profiles; index; reprs = Dup.Conflict.table reprs }
 
-let create profiles links =
-  { profiles; links_by_obj = index_links links; reprs = Atomic.make None }
-
-let links_of t obj =
-  Option.value (Hashtbl.find_opt t.links_by_obj obj) ~default:[]
-
-(* compute-once that several domains may call at the same time (a
-   [Lazy.t] forced concurrently raises [CamlinternalLazy.Undefined]):
-   racing callers each build the same deterministic value, and the
-   first to publish it wins *)
-let reprs t =
-  match Atomic.get t.reprs with
-  | Some r -> r
-  | None ->
-      let r = Dup.Object_sim.build_reprs t.profiles in
-      if Atomic.compare_and_set t.reprs None (Some r) then r
-      else Option.get (Atomic.get t.reprs)
+let links_of t obj = Link_query.links_of t.index obj
 
 let entry_of t source = Profile_list.find t.profiles source
 
@@ -135,15 +106,7 @@ let view t obj =
                 else None)
               all_links
           in
-          let conflicts =
-            if duplicates = [] then []
-            else begin
-              let dup_links =
-                List.filter (fun (l : Link.t) -> l.kind = Link.Duplicate) all_links
-              in
-              Dup.Conflict.in_duplicates (reprs t) dup_links
-            end
-          in
+          let conflicts = Dup.Conflict.in_duplicates t.reprs all_links in
           let linked =
             List.filter (fun (l : Link.t) -> l.kind <> Link.Duplicate) all_links
             |> List.sort (fun (a : Link.t) (b : Link.t) ->

@@ -26,14 +26,18 @@ type view = {
 }
 
 type t
+(** Immutable once built, so any number of domains may view at once. *)
 
-val create : Profile_list.t -> Link.t list -> t
-(** Indexes the links (the warehouse's link view) by endpoint once, so
-    build a new browser after the links change. *)
+val create : Profile_list.t -> Link_query.t -> Aladin_dup.Object_sim.repr list -> t
+(** A browser over the sources, the per-object link index of the
+    warehouse's link view and the objects' representations, which a
+    view compares field by field to list its conflicts with its
+    duplicates. Builds the lookup table over the representations once;
+    build a new browser after the links or the sources change. *)
 
 val links_of : t -> Objref.t -> Link.t list
-(** The links with the object on either end, from the index: in the
-    order {!create} was given them, a self-link once. *)
+(** The links with the object on either end ({!Link_query.links_of}):
+    in link-view order, a self-link once. *)
 
 val view : t -> Objref.t -> view option
 (** [None] for unknown objects. *)

@@ -23,21 +23,31 @@ module Otbl = Hashtbl.Make (struct
   let hash = Objref.hash
 end)
 
-type t = { adj : (Objref.t * Link.t) list Otbl.t }
+(* each object's links, last first: the links with the object on either
+   end in the reverse of the order [create] was given them, a self-link
+   once. Read-only once built, so any number of domains may read it. *)
+type t = Link.t list Otbl.t
 
 let create links =
-  let adj = Otbl.create 256 in
-  let add k entry =
-    Otbl.replace adj k (entry :: (try Otbl.find adj k with Not_found -> []))
+  let t = Otbl.create 1024 in
+  let add obj l =
+    Otbl.replace t obj (l :: (try Otbl.find t obj with Not_found -> []))
   in
   List.iter
     (fun (l : Link.t) ->
-      add l.src (l.dst, l);
-      add l.dst (l.src, l))
+      add l.src l;
+      if not (Objref.equal l.src l.dst) then add l.dst l)
     links;
-  { adj }
+  t
 
-let neighbors t o = try Otbl.find t.adj o with Not_found -> []
+let adjacent t obj = try Otbl.find t obj with Not_found -> []
+
+let links_of t obj = List.rev (adjacent t obj)
+
+let other_end (l : Link.t) obj = if Objref.equal l.src obj then l.dst else l.src
+
+let iter_adjacent t obj f =
+  List.iter (fun l -> f (other_end l obj) l) (adjacent t obj)
 
 let step_admits stp (next : Objref.t) (l : Link.t) =
   (stp.kinds = [] || List.mem l.kind stp.kinds)
@@ -65,8 +75,9 @@ let run t ~start ~steps =
   let expand stp partials =
     List.concat_map
       (fun p ->
-        neighbors t p.here
-        |> List.filter_map (fun (next, l) ->
+        adjacent t p.here
+        |> List.filter_map (fun l ->
+               let next = other_end l p.here in
                if
                  step_admits stp next l
                  && not (List.exists (Objref.equal next) p.visited)
@@ -102,4 +113,4 @@ let run t ~start ~steps =
              | c -> c)
          | c -> c)
 
-let reachable_count t o = List.length (neighbors t o)
+let reachable_count t obj = List.length (adjacent t obj)

@@ -25,14 +25,33 @@ type hit = {
 }
 
 type t
+(** The per-object link index: for every object, the links with it on
+    either end. It is the link graph that traversal ({!run}), path
+    ranking ({!Path_rank}) and the browser ({!Browser.links_of}) all
+    read; [Aladin.Engine] builds one per warehouse state. Read-only once
+    built, so domains may share it. *)
 
 val create : Link.t list -> t
+(** Index the links (the warehouse's link view) by endpoint, once; build
+    a new index after the links change. *)
+
+val links_of : t -> Objref.t -> Link.t list
+(** The links with the object on either end, in the order {!create} was
+    given them, a self-link once; [[]] for an object without links. *)
+
+val iter_adjacent : t -> Objref.t -> (Objref.t -> Link.t -> unit) -> unit
+(** [iter_adjacent t o f] calls [f next l] for each link [l] at [o], in
+    the reverse of {!links_of}'s order, where [next] is [l]'s other end
+    ([o] itself for a self-link). {!run} and {!Path_rank} walk links in
+    this order. *)
 
 val run : t -> start:Objref.t list -> steps:step list -> hit list
 (** Traverse (links are followed in both directions); objects are never
     revisited within one path. One hit per (start, endpoint) pair, keeping
-    the best-scoring witness; descending score. With [steps = []] every
-    start object is its own hit. *)
+    the best-scoring witness (the first found on a tie, links walked as
+    {!iter_adjacent} walks them); descending score. With [steps = []]
+    every start object is its own hit. *)
 
 val reachable_count : t -> Objref.t -> int
-(** Objects connected by at least one link (degree), for diagnostics. *)
+(** The number of links at the object (its degree, a self-link counted
+    once), for diagnostics. *)

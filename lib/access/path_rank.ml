@@ -1,53 +1,29 @@
 open Aladin_links
 
-module Otbl = Hashtbl.Make (struct
-  type t = Objref.t
-
-  let equal = Objref.equal
-  let hash = Objref.hash
-end)
-
-type t = { adj : (Objref.t * Link.t) list Otbl.t }
-
-let build links =
-  let adj = Otbl.create 256 in
-  let add k entry =
-    Otbl.replace adj k (entry :: (try Otbl.find adj k with Not_found -> []))
-  in
-  List.iter
-    (fun (l : Link.t) ->
-      add l.src (l.dst, l);
-      add l.dst (l.src, l))
-    links;
-  { adj }
-
-let neighbors t obj = try Otbl.find t.adj obj with Not_found -> []
-
-(* accumulate path contributions into [sink] for every reachable node *)
-let explore ?(max_depth = 3) ?(decay = 0.5) t start =
-  let sink : float ref Otbl.t = Otbl.create 64 in
+(* accumulate path contributions into [sink] for every reachable node,
+   walking each object's links in the index's order *)
+let explore ?(max_depth = 3) ?(decay = 0.5) index start =
+  let sink : (Objref.t, float ref) Hashtbl.t = Hashtbl.create 64 in
   let rec dfs node visited weight depth =
     if depth < max_depth then
-      List.iter
-        (fun (next, (l : Link.t)) ->
+      Link_query.iter_adjacent index node (fun next (l : Link.t) ->
           if not (List.exists (Objref.equal next) visited) then begin
             let w = weight *. l.confidence *. (decay ** float_of_int depth) in
-            (match Otbl.find_opt sink next with
+            (match Hashtbl.find_opt sink next with
             | Some r -> r := !r +. w
-            | None -> Otbl.add sink next (ref w));
+            | None -> Hashtbl.add sink next (ref w));
             dfs next (next :: visited) (weight *. l.confidence) (depth + 1)
           end)
-        (neighbors t node)
   in
   dfs start [ start ] 1.0 0;
   sink
 
-let relatedness ?max_depth ?decay t a b =
-  let sink = explore ?max_depth ?decay t a in
-  match Otbl.find_opt sink b with Some r -> !r | None -> 0.0
+let relatedness ?max_depth ?decay index a b =
+  let sink = explore ?max_depth ?decay index a in
+  match Hashtbl.find_opt sink b with Some r -> !r | None -> 0.0
 
-let rank_from ?max_depth ?decay t start =
-  let sink = explore ?max_depth ?decay t start in
-  Otbl.fold (fun obj r acc -> (obj, !r) :: acc) sink []
+let rank_from ?max_depth ?decay index start =
+  let sink = explore ?max_depth ?decay index start in
+  Hashtbl.fold (fun obj r acc -> (obj, !r) :: acc) sink []
   |> List.sort (fun (oa, a) (ob, b) ->
          match Float.compare b a with 0 -> Objref.compare oa ob | c -> c)

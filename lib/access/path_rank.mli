@@ -4,22 +4,23 @@
     length of different paths between two objects" (cf. BioFast
     [BLM+04]). The relatedness of two objects aggregates every simple path
     up to a depth bound: each path contributes the product of its link
-    confidences, discounted by length. *)
+    confidences, discounted by length.
+
+    Paths run over the engine's one per-object link index
+    ({!Link_query.t}, an undirected multigraph over the links of every
+    kind); this module keeps no adjacency of its own. *)
 
 open Aladin_links
 
-type t
-
-val build : Link.t list -> t
-(** Undirected multigraph over the links (all kinds). *)
-
-val neighbors : t -> Objref.t -> (Objref.t * Link.t) list
-
-val relatedness : ?max_depth:int -> ?decay:float -> t -> Objref.t -> Objref.t -> float
+val relatedness :
+  ?max_depth:int -> ?decay:float -> Link_query.t -> Objref.t -> Objref.t -> float
 (** Sum over simple paths (length <= [max_depth], default 3) of
     [decay^(len-1) * prod confidence] with [decay] default 0.5. 0 when
-    unconnected. *)
+    unconnected. The paths are summed in the order
+    {!Link_query.iter_adjacent} walks them, so the float result is the
+    same on every call. *)
 
 val rank_from :
-  ?max_depth:int -> ?decay:float -> t -> Objref.t -> (Objref.t * float) list
-(** All objects reachable within [max_depth], by descending relatedness. *)
+  ?max_depth:int -> ?decay:float -> Link_query.t -> Objref.t -> (Objref.t * float) list
+(** All objects reachable within [max_depth], by descending relatedness
+    (ties by {!Objref.compare}). *)

@@ -14,16 +14,15 @@ let source_name_of_path path =
 let import_file path =
   Fm.Import.import_path ~name:(source_name_of_path path) path
 
-let integrate_catalogs ?config catalogs = Warehouse.integrate ?config catalogs
-
-let integrate_paths ?config paths =
+let integrate_paths ?config ?trace paths =
   let t = Warehouse.create ?config () in
   List.iter
     (fun path ->
       match import_file path with
       | Ok (im : Fm.Import.import) ->
           ignore
-            (Warehouse.add_source ~import_errors:im.record_errors t im.catalog)
+            (Warehouse.add_source ?trace ~import_errors:im.record_errors t
+               im.catalog)
       | Error err ->
           ignore
             (Warehouse.report_import_failure t

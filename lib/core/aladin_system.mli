@@ -3,7 +3,6 @@
     [Aladin.Aladin_system] is what the examples and the CLI use; library
     users wanting control work with {!Warehouse} directly. *)
 
-open Aladin_relational
 module Import_error = Aladin_resilience.Import_error
 
 val source_name_of_path : string -> string
@@ -17,12 +16,12 @@ val import_file : string -> (Aladin_formats.Import.import, Import_error.t) resul
     [Error], and recovered per-record failures ride along in the
     [import]'s [record_errors]. *)
 
-val integrate_paths : ?config:Config.t -> string list -> Warehouse.t
-(** Import and integrate every path. A path that fails to import is
+val integrate_paths :
+  ?config:Config.t -> ?trace:Aladin_obs.Trace.t -> string list -> Warehouse.t
+(** Import and integrate every path, each addition into [trace] when
+    given ({!Warehouse.add_source}). A path that fails to import is
     quarantined via {!Warehouse.report_import_failure} — the rest still
     integrate; inspect {!Warehouse.run_reports}. *)
-
-val integrate_catalogs : ?config:Config.t -> Catalog.t list -> Warehouse.t
 
 val summary : Warehouse.t -> string
 (** Human-readable integration summary: per source the discovered primary

@@ -3,7 +3,6 @@ open Aladin_links
 open Aladin_dup
 
 type budgets = {
-  import : float option;
   primary : float option;
   secondary : float option;
   links : float option;
@@ -16,7 +15,6 @@ type budgets = {
 
 let no_budgets =
   {
-    import = None;
     primary = None;
     secondary = None;
     links = None;
@@ -138,9 +136,6 @@ let apply t key v =
   | "domains" ->
       let* i = parse_int key v in
       Ok { t with domains = i }
-  | "budget.import" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with import = b } }
   | "budget.primary" ->
       let* b = parse_budget key v in
       Ok { t with budgets = { t.budgets with primary = b } }
@@ -230,7 +225,6 @@ let to_string t =
       Printf.sprintf "max_path_len = %d" t.max_path_len;
       Printf.sprintf "change_threshold = %g" t.change_threshold;
       Printf.sprintf "domains = %d" t.domains;
-      Printf.sprintf "budget.import = %s" (budget_to_string t.budgets.import);
       Printf.sprintf "budget.primary = %s" (budget_to_string t.budgets.primary);
       Printf.sprintf "budget.secondary = %s" (budget_to_string t.budgets.secondary);
       Printf.sprintf "budget.links = %s" (budget_to_string t.budgets.links);

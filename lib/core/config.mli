@@ -5,7 +5,6 @@ open Aladin_links
 open Aladin_dup
 
 type budgets = {
-  import : float option;
   primary : float option;
   secondary : float option;
   links : float option;  (** whole link-discovery step *)
@@ -19,7 +18,14 @@ type budgets = {
     everywhere) means unlimited. A budget of [0] skips the step or pass
     outright. A required step (primary discovery) that exceeds its
     budget quarantines the source; an optional step or pass is skipped
-    with a recorded reason in the {!Aladin_resilience.Run_report}. *)
+    with a recorded reason in the {!Aladin_resilience.Run_report}.
+
+    Import has no budget: the caller imports before the pipeline runs.
+    The [budget.import] key that once parsed into a field nothing read
+    is gone, so a config file naming it fails as an unknown key, and
+    since a journal's config digest hashes {!to_string}, a journal
+    begun with that key in the rendering is refused on resume (as after
+    the removal of [incremental_seq]). *)
 
 val no_budgets : budgets
 
@@ -59,7 +65,6 @@ val of_string : string -> (t, string) result
     max_path_len                    int
     change_threshold                float
     domains                         int
-    budget.import                   seconds | none
     budget.primary                  seconds | none
     budget.secondary                seconds | none
     budget.links                    seconds | none

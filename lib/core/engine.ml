@@ -3,26 +3,28 @@ open Aladin_access
 module Run_report = Aladin_resilience.Run_report
 module Import_error = Aladin_resilience.Import_error
 
-type t = {
-  w : Warehouse.t;
-  mutable browser : Browser.t;
-  mutable search : Search.t;
-  mutable link_query : Link_query.t;
-  mutable paths : Path_rank.t;
+(* everything a read needs, built together from one warehouse state *)
+type access = {
+  browser : Browser.t;
+  search : Search.t;
+  index : Link_query.t;
 }
 
-(* the warehouse memoizes each structure until its own invalidation, so
-   pulling them here never builds twice; the facade pins the handles so
-   every access path between two mutations shares the same session
-   state *)
-let create w =
+type t = { w : Warehouse.t; mutable access : access }
+
+(* the one builder of access structures: one per-object link index over
+   the link view, which the browser, traversal and path ranking all
+   read *)
+let build w =
+  let profiles = Warehouse.profiles w in
+  let index = Link_query.create (Warehouse.links w) in
   {
-    w;
-    browser = Warehouse.browser w;
-    search = Warehouse.search w;
-    link_query = Warehouse.link_query w;
-    paths = Warehouse.path_index w;
+    browser = Browser.create profiles index (Warehouse.dup_reprs w);
+    search = Search.build profiles;
+    index;
   }
+
+let create w = { w; access = build w }
 
 let integrate ?config catalogs = create (Warehouse.integrate ?config catalogs)
 
@@ -34,49 +36,38 @@ let warehouse t = t.w
    other source. *)
 let key t deps = Generation.key (Warehouse.generation t.w) deps
 
-(* pull the memoized structures the last mutation invalidated *)
-let rebuild t =
-  t.browser <- Warehouse.browser t.w;
-  t.search <- Warehouse.search t.w;
-  t.link_query <- Warehouse.link_query t.w;
-  t.paths <- Warehouse.path_index t.w
-
-(* the public refresh is for mutations not routed through this facade,
-   so it cannot know which counters the warehouse already bumped —
-   conservatively move every tracked one *)
-let refresh t =
-  rebuild t;
-  Generation.bump_all (Warehouse.generation t.w)
+let rebuild t = t.access <- build t.w
 
 (* --- browse --- *)
 
-let objects t = Browser.objects t.browser
+let objects t = Browser.objects t.access.browser
 
-let view t obj = Browser.view t.browser obj
+let view t obj = Browser.view t.access.browser obj
 
-let resolve t accession = Search.resolve t.search accession
+let resolve t accession = Search.resolve t.access.search accession
 
 let browse t ?source accession =
   match source with
-  | Some s -> Browser.view_accession t.browser ~source:s accession
+  | Some s -> Browser.view_accession t.access.browser ~source:s accession
   | None -> Option.bind (resolve t accession) (view t)
 
-let follow t v i = Browser.follow t.browser v i
+let follow t v i = Browser.follow t.access.browser v i
 
-let browser t = t.browser
+let browser t = t.access.browser
 
 (* --- search --- *)
 
-let search t ?limit query = Search.search t.search ?limit query
+let search t ?limit query = Search.search t.access.search ?limit query
 
 let focused t ?source ?field ?limit query =
-  Search.focused t.search ?source ?field ?limit query
+  Search.focused t.access.search ?source ?field ?limit query
 
 (* --- query --- *)
 
 let query t sql =
-  match Warehouse.sql t.w sql with
+  match Sql_eval.run ~resolve:(Warehouse.resolve_table t.w) sql with
   | r -> Ok r
+  | exception Sql_lexer.Lex_error msg -> Error ("lex error: " ^ msg)
   | exception Sql_parser.Parse_error msg -> Error ("parse error: " ^ msg)
   | exception Sql_eval.Eval_error msg -> Error msg
 
@@ -86,16 +77,16 @@ let links ?kind t =
   | None -> all
   | Some k -> List.filter (fun (l : Link.t) -> Link.kind_name l.kind = k) all
 
-let traverse t ~start ~steps = Link_query.run t.link_query ~start ~steps
+let traverse t ~start ~steps = Link_query.run t.access.index ~start ~steps
 
-let related t obj = Path_rank.rank_from t.paths obj
+let related t obj = Path_rank.rank_from t.access.index obj
 
-let paths t = t.paths
+let link_index t = t.access.index
 
 (* --- mutation --- *)
 
-(* facade-routed mutations only [rebuild]: the warehouse bumped exactly
-   the generation counters the mutation touched, so keys over unrelated
+(* a mutation rebuilds the access structures; the warehouse bumped
+   exactly the generation counters it touched, so keys over unrelated
    sources/kinds — and the cache entries they guard — survive *)
 let add_source ?import_errors t catalog =
   let report = Warehouse.add_source ?import_errors t.w catalog in

@@ -1,13 +1,18 @@
 (** The unified access-engine facade (§4.6): build once, serve many.
 
-    Every access-layer entry point — the CLI subcommands, the examples,
-    and the [lib/serve] daemon — goes through this one handle instead of
-    constructing {!Aladin_access.Search} / {!Aladin_access.Browser} /
-    {!Aladin_access.Link_query} structures itself. {!create} forces all
-    of them eagerly, exactly once; browse, search, SQL and link-path
-    queries then share the same session state, so a long-lived process
-    (or a sequence of CLI operations over one warehouse) never pays the
-    per-command rebuild that the old entry points did.
+    Every access-layer entry point — the CLI subcommands, the shell,
+    the examples, and the [lib/serve] daemon — goes through this one
+    handle, and this module is the only code that builds access
+    structures: the search index, one per-object link index over the
+    warehouse's link view ({!Aladin_access.Link_query.t}, which the
+    browser, traversal and path ranking all read) and the browser with
+    its conflict representations. {!create} forces all of them eagerly,
+    exactly once, in one build function; browse, search, SQL and
+    link-path queries then share the same session state, so a
+    long-lived process (or a sequence of CLI operations over one
+    warehouse) never pays a per-command rebuild. A mutation made through
+    the facade runs the same build again; the structures themselves
+    never change once built, so worker domains may read them at once.
 
     Invalidation is typed: the facade derives cache keys ({!key}) from
     the warehouse's per-source / per-link-kind {!Generation.t}
@@ -26,8 +31,8 @@ module Import_error = Aladin_resilience.Import_error
 type t
 
 val create : Warehouse.t -> t
-(** Wrap a warehouse and eagerly build the search index, browser, link
-    query and path-rank structures over its current contents. *)
+(** Wrap a warehouse and build its search index, link index and browser
+    over its current contents. *)
 
 val integrate : ?config:Config.t -> Catalog.t list -> t
 (** [create (Warehouse.integrate catalogs)] — the one-step form the
@@ -44,13 +49,6 @@ val key : t -> Generation.dep list -> string
     [[Whole]] moves on every warehouse mutation. Equal keys guarantee
     byte-identical query results (see {!Aladin_access.Search}'s
     determinism contract). *)
-
-val refresh : t -> unit
-(** Rebuild the access structures from the warehouse's current state
-    and conservatively bump every tracked generation counter ({!Generation.bump_all}), invalidating every derived
-    {!key}. Call after mutating the warehouse directly (anything not
-    routed through this facade — the facade's own mutations bump only
-    the counters they touched). *)
 
 (** {2 Browse} *)
 
@@ -80,8 +78,10 @@ val resolve : t -> string -> Objref.t option
 (** {2 Query} *)
 
 val query : t -> string -> (Relation.t, string) result
-(** SQL over the integrated warehouse. Parse and evaluation errors come
-    back as [Error msg] — the facade never raises. *)
+(** SQL over the integrated warehouse's tables
+    ({!Warehouse.resolve_table}). Lexer, parse and evaluation errors
+    come back as [Error msg] (["lex error: ..."], ["parse error: ..."],
+    or the evaluator's message) — the facade never raises. *)
 
 val links : ?kind:string -> t -> Link.t list
 (** Discovered links, optionally filtered by {!Link.kind_name}. *)
@@ -93,8 +93,8 @@ val traverse :
 val related : t -> Objref.t -> (Objref.t * float) list
 (** Objects ranked by link-path evidence ({!Path_rank.rank_from}). *)
 
-val paths : t -> Path_rank.t
-(** The shared path-rank handle (for pairwise
+val link_index : t -> Link_query.t
+(** The shared per-object link index (for pairwise
     {!Path_rank.relatedness}). *)
 
 (** {2 Mutation} *)
@@ -104,16 +104,17 @@ val add_source :
   t ->
   Catalog.t ->
   Run_report.t
-(** {!Warehouse.add_source}, then rebuild the access structures. Only
+(** {!Warehouse.add_source}, then build the access structures anew. Only
     the new source's (and any changed link kinds') generation counters
     move, so cached keys over other sources stay valid. *)
 
 val update_source : t -> Catalog.t -> changed_rows:int -> Warehouse.update_report
-(** {!Warehouse.update_source}; the access structures are rebuilt (and
+(** {!Warehouse.update_source}; the access structures are built anew (and
     the updated source's generation counter moves) only on
     [`Reanalyzed] — a deferred change
     leaves query results, and every cache key, untouched. Even a
     reanalysis leaves keys over {e other} sources intact. *)
 
 val reject_link : t -> Link.t -> unit
-(** §6.2 feedback: the link disappears immediately and stays gone. *)
+(** §6.2 feedback: the link disappears immediately and stays gone; the
+    access structures are built anew. *)

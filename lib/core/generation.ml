@@ -25,11 +25,6 @@ let bump_kind t k =
   bump t.kinds k;
   bump_whole t
 
-let bump_all t =
-  t.whole <- t.whole + 1;
-  Hashtbl.iter (fun s _ -> bump t.sources s) (Hashtbl.copy t.sources);
-  Hashtbl.iter (fun k _ -> bump t.kinds k) (Hashtbl.copy t.kinds)
-
 let get t = function
   | Whole -> t.whole
   | Source s -> ( match Hashtbl.find_opt t.sources s with Some n -> n | None -> 0)

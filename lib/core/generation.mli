@@ -35,11 +35,6 @@ val bump_source : t -> string -> unit
 val bump_kind : t -> string -> unit
 (** Also bumps [Whole]. *)
 
-val bump_all : t -> unit
-(** Conservative invalidation: bump [Whole] and every tracked source and
-    kind counter — used by [Engine.refresh], which must assume anything
-    changed. *)
-
 val get : t -> dep -> int
 (** Untracked sources/kinds read 0. *)
 

@@ -2,28 +2,23 @@ open Aladin_links
 open Aladin_access
 
 type t = {
-  w : Warehouse.t;
+  eng : Engine.t;
   mutable current : Browser.view option;
 }
 
-let create w = { w; current = None }
+let create eng = { eng; current = None }
 
 let help_text =
   "commands:\n\
   \  sources | view <acc> | view <source> <acc> | follow <n> | search <terms>\n\
   \  sql <query> | links <acc> | dups | reject <n> | save <dir> | help | quit\n"
 
-let sources_text t =
-  Aladin_system.summary t.w
+let sources_text t = Aladin_system.summary (Engine.warehouse t.eng)
 
 let resolve_view t args =
-  let browser = Warehouse.browser t.w in
   match args with
-  | [ accession ] -> (
-      match Search.resolve (Warehouse.search t.w) accession with
-      | Some obj -> Browser.view browser obj
-      | None -> None)
-  | [ source; accession ] -> Browser.view_accession browser ~source accession
+  | [ accession ] -> Engine.browse t.eng accession
+  | [ source; accession ] -> Engine.browse t.eng ~source accession
   | _ -> None
 
 let view t args =
@@ -37,14 +32,14 @@ let follow t n =
   match t.current with
   | None -> "nothing viewed yet; use: view <accession>\n"
   | Some v -> (
-      match Browser.follow (Warehouse.browser t.w) v n with
+      match Engine.follow t.eng v n with
       | Some v2 ->
           t.current <- Some v2;
           Browser.render v2
       | None -> Printf.sprintf "no link %d on %s\n" n (Objref.to_string v.obj))
 
 let search t terms =
-  let hits = Search.search (Warehouse.search t.w) (String.concat " " terms) in
+  let hits = Engine.search t.eng (String.concat " " terms) in
   if hits = [] then "(no hits)\n"
   else
     String.concat ""
@@ -55,24 +50,22 @@ let search t terms =
          hits)
 
 let sql t query =
-  match Warehouse.sql t.w query with
-  | result -> Sql_eval.render_result result ^ "\n"
-  | exception Sql_parser.Parse_error msg -> Printf.sprintf "parse error: %s\n" msg
-  | exception Sql_lexer.Lex_error msg -> Printf.sprintf "lex error: %s\n" msg
-  | exception Sql_eval.Eval_error msg -> Printf.sprintf "error: %s\n" msg
+  match Engine.query t.eng query with
+  | Ok result -> Sql_eval.render_result result ^ "\n"
+  | Error msg -> msg ^ "\n"
 
 let links t accession =
-  match Search.resolve (Warehouse.search t.w) accession with
+  match Engine.resolve t.eng accession with
   | None -> Printf.sprintf "object %s not found\n" accession
   | Some obj ->
-      let ls = Browser.links_of (Warehouse.browser t.w) obj in
+      let ls = Browser.links_of (Engine.browser t.eng) obj in
       if ls = [] then "(no links)\n"
       else
         String.concat ""
           (List.map (fun l -> Format.asprintf "%a@." Link.pp l) ls)
 
 let dups t =
-  let d = Warehouse.duplicates t.w in
+  let d = Warehouse.duplicates (Engine.warehouse t.eng) in
   Printf.sprintf "%d clusters\n%s" (List.length d.clusters)
     (String.concat ""
        (List.map
@@ -86,13 +79,13 @@ let reject t n =
       match List.nth_opt v.linked n with
       | None -> Printf.sprintf "no link %d\n" n
       | Some l ->
-          Warehouse.reject_link t.w l;
-          (* refresh the view so the link disappears *)
-          t.current <- Browser.view (Warehouse.browser t.w) v.obj;
+          Engine.reject_link t.eng l;
+          (* view the object again so the link disappears *)
+          t.current <- Engine.view t.eng v.obj;
           Printf.sprintf "rejected: %s\n" (Format.asprintf "%a" Link.pp l))
 
 let save t dir =
-  match Warehouse.save_dir t.w dir with
+  match Warehouse.save_dir (Engine.warehouse t.eng) dir with
   | Ok () -> Printf.sprintf "warehouse saved to %s\n" dir
   | Error msg -> Printf.sprintf "save failed: %s\n" msg
   | exception Sys_error msg -> Printf.sprintf "save failed: %s\n" msg

@@ -1,6 +1,8 @@
-(** The interactive front-end: a small command language over a warehouse
-    (the "generic front-end" of §1 in terminal form). Pure interpreter —
-    the CLI wraps it in a read-eval-print loop.
+(** The interactive front-end: a small command language over an access
+    engine (the "generic front-end" of §1 in terminal form). A client of
+    {!Engine} like every other entry point: it builds no access
+    structure of its own, and [reject] goes through {!Engine.reject_link}.
+    Pure interpreter — the CLI wraps it in a read-eval-print loop.
 
     Commands:
     {v
@@ -20,7 +22,7 @@
 
 type t
 
-val create : Warehouse.t -> t
+val create : Engine.t -> t
 
 val execute : t -> string -> [ `Output of string | `Quit ]
 (** Run one command line; never raises (errors become [`Output]). State

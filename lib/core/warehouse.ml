@@ -2,7 +2,6 @@ open Aladin_relational
 open Aladin_discovery
 open Aladin_links
 open Aladin_metadata
-open Aladin_access
 module Dup = Aladin_dup
 module Obs = Aladin_obs
 module Par = Aladin_par
@@ -27,10 +26,6 @@ type t = {
       (* the pair store's merged links less the rejected ones *)
   gen : Generation.t;
   mutable last_delta : Delta.audit option;
-  mutable cached_browser : Browser.t option;
-  mutable cached_search : Search.t option;
-  mutable cached_paths : Path_rank.t option;
-  mutable cached_link_query : Link_query.t option;
   pending_changes : (string, int) Hashtbl.t;
   mutable feedback : Feedback.t;
   mutable last_trace : Obs.Trace.t option;
@@ -48,10 +43,6 @@ let create ?(config = Config.default) () =
     link_view = [];
     gen = Generation.create ();
     last_delta = None;
-    cached_browser = None;
-    cached_search = None;
-    cached_paths = None;
-    cached_link_query = None;
     pending_changes = Hashtbl.create 8;
     feedback = Feedback.create ();
     last_trace = None;
@@ -63,13 +54,6 @@ let config t = t.cfg
 let generation t = t.gen
 
 let last_delta t = t.last_delta
-
-let invalidate t =
-  Generation.bump_whole t.gen;
-  t.cached_browser <- None;
-  t.cached_search <- None;
-  t.cached_paths <- None;
-  t.cached_link_query <- None
 
 let last_trace t = t.last_trace
 
@@ -211,7 +195,7 @@ let add_source_raw ?trace ?(import_errors = []) t catalog =
         match discover t catalog with
         | Error (err, secs2) ->
             t.catalog_list <- prev_catalogs;
-            invalidate t;
+            Generation.bump_whole t.gen;
             let dep n =
               Report.step n
                 (Report.Skipped (Report.Dependency_failed "primary discovery"))
@@ -233,7 +217,7 @@ let add_source_raw ?trace ?(import_errors = []) t catalog =
             let link_step, dup_step = relink ~changed:name t in
             Hashtbl.remove t.pending_changes name;
             Generation.bump_source t.gen name;
-            invalidate t;
+            Generation.bump_whole t.gen;
             {
               Report.source = name;
               quarantined = false;
@@ -675,43 +659,18 @@ let duplicates t =
 
 (* each source's representations as the dup pass built them: under its
    current exclude triples, the ones [Dup_detect.prep_source] was given *)
+let dup_reprs t =
+  List.concat_map
+    (fun source ->
+      Dup.Object_sim.build_reprs
+        ~exclude_attributes:(Pair_store.exclude_triples t.pair_store ~source)
+        (Profile_list.restrict t.profile_list [ source ]))
+    (sources t)
+
 let explain_duplicates t =
-  let reprs =
-    List.concat_map
-      (fun source ->
-        Dup.Object_sim.build_reprs
-          ~exclude_attributes:
-            (Pair_store.exclude_triples t.pair_store ~source)
-          (Profile_list.restrict t.profile_list [ source ]))
-      (sources t)
-  in
-  Dup.Dup_detect.explain reprs (duplicates t).links
+  Dup.Dup_detect.explain (dup_reprs t) (duplicates t).links
 
 let repository t = t.repo
-
-let browser t =
-  match t.cached_browser with
-  | Some b -> b
-  | None ->
-      let b = Browser.create t.profile_list (links t) in
-      t.cached_browser <- Some b;
-      b
-
-let search t =
-  match t.cached_search with
-  | Some s -> s
-  | None ->
-      let s = Search.build t.profile_list in
-      t.cached_search <- Some s;
-      s
-
-let path_index t =
-  match t.cached_paths with
-  | Some p -> p
-  | None ->
-      let p = Path_rank.build (links t) in
-      t.cached_paths <- Some p;
-      p
 
 let resolve_table t name =
   match String.index_opt name '.' with
@@ -724,8 +683,6 @@ let resolve_table t name =
         List.filter_map (fun c -> Catalog.find c name) t.catalog_list
       in
       match hits with [ r ] -> Some r | [] | _ :: _ :: _ -> None)
-
-let sql t query = Sql_eval.run ~resolve:(resolve_table t) query
 
 let notify_change t ~source ~changed_rows =
   let prior = try Hashtbl.find t.pending_changes source with Not_found -> 0 in
@@ -755,14 +712,6 @@ let update_source t new_catalog ~changed_rows =
       let report = add_source t new_catalog in
       { outcome = `Reanalyzed report; delta = t.last_delta }
 
-let link_query t =
-  match t.cached_link_query with
-  | Some q -> q
-  | None ->
-      let q = Link_query.create (links t) in
-      t.cached_link_query <- Some q;
-      q
-
 let feedback t = t.feedback
 
 let reject_link t (l : Link.t) =
@@ -771,7 +720,7 @@ let reject_link t (l : Link.t) =
   (* only this link's kind changed; routes watching other kinds keep
      their cached responses *)
   Generation.bump_kind t.gen (Link.kind_name l.kind);
-  invalidate t
+  Generation.bump_whole t.gen
 
 let reject_fk t ~source fk =
   Feedback.reject_fk t.feedback ~source fk;

@@ -1,5 +1,8 @@
 (** The ALADIN warehouse: the paper's five-step integration pipeline
-    (Figure 2) plus the access engine on top (Figure 1).
+    (Figure 2). The access engine on top (Figure 1) is {!Engine}, which
+    builds its structures from this module's views ({!profiles},
+    {!links}, {!dup_reprs}, {!resolve_table}); the warehouse holds none
+    of them.
 
     Sources are added incrementally; per-source statistics are computed
     once and reused, and links and duplicates live in a per-source-pair
@@ -25,7 +28,6 @@ open Aladin_relational
 open Aladin_discovery
 open Aladin_links
 open Aladin_metadata
-open Aladin_access
 module Run_report = Aladin_resilience.Run_report
 module Import_error = Aladin_resilience.Import_error
 
@@ -180,30 +182,25 @@ val duplicates : t -> Aladin_dup.Dup_detect.result
     at once, and a loaded store shows the clusters of the warehouse that
     saved it. *)
 
+val dup_reprs : t -> Aladin_dup.Object_sim.repr list
+(** Every object's representation as the duplicate pass built it,
+    source by source in warehouse order: {!Aladin_dup.Object_sim.build_reprs}
+    of the source alone, under its exclude triples
+    ({!Pair_store.exclude_triples}, the cross-reference attributes
+    discovered for it), built when this runs. The browser's conflicts
+    and {!explain_duplicates} both compare these, so an attribute that
+    holds another object's accession is never reported as a conflict. *)
+
 val explain_duplicates : t -> (Link.t * string) list
-(** {!Aladin_dup.Dup_detect.explain} of {!duplicates}: each source's
-    representations are built when this runs, under the exclude
-    triples the duplicate pass used for it, so every derivation ends in
-    its link's confidence. *)
+(** {!Aladin_dup.Dup_detect.explain} of {!duplicates} over {!dup_reprs},
+    so every derivation ends in its link's confidence. *)
 
 val repository : t -> Repository.t
 (** The sources' structure and statistics, run reports and provenance;
     links live in the per-pair store, see {!links}. *)
 
-val browser : t -> Browser.t
-(** Cached; rebuilt after warehouse changes. *)
-
-val search : t -> Search.t
-
-val path_index : t -> Path_rank.t
-
 val resolve_table : t -> string -> Relation.t option
 (** ["source.relation"], or a bare relation name when unique warehouse-wide. *)
-
-val sql : t -> string -> Relation.t
-(** Parse + evaluate against {!resolve_table}.
-    @raise Aladin_access.Sql_parser.Parse_error
-    @raise Aladin_access.Sql_eval.Eval_error *)
 
 val notify_change : t -> source:string -> changed_rows:int -> [ `Reanalyze | `Defer ]
 (** §6.2 change policy: compare the (accumulated) changed-row fraction with
@@ -221,9 +218,6 @@ val update_source : t -> Catalog.t -> changed_rows:int -> update_report
 (** Apply {!notify_change}; on [`Reanalyze] the source is replaced, the
     pending counter resets, and only the source pairs touching it are
     recomputed (see {!Delta}) — the report's [delta] says which. *)
-
-val link_query : t -> Link_query.t
-(** Cross-database path queries over the link graph (cached). *)
 
 val feedback : t -> Feedback.t
 

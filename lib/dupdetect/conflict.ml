@@ -35,19 +35,23 @@ let between ?(params = default_params) (a : Object_sim.repr) (b : Object_sim.rep
         b.fields)
     a.fields
 
-let in_duplicates ?params reprs links =
-  let repr_of : (string, Object_sim.repr) Hashtbl.t = Hashtbl.create 64 in
+type table = (string, Object_sim.repr) Hashtbl.t
+
+let table reprs =
+  let tbl = Hashtbl.create 1024 in
   List.iter
-    (fun (r : Object_sim.repr) ->
-      Hashtbl.replace repr_of (Objref.to_string r.obj) r)
+    (fun (r : Object_sim.repr) -> Hashtbl.replace tbl (Objref.to_string r.obj) r)
     reprs;
+  tbl
+
+let in_duplicates ?params tbl links =
   List.concat_map
     (fun (l : Link.t) ->
       if l.kind <> Link.Duplicate then []
       else
         match
-          ( Hashtbl.find_opt repr_of (Objref.to_string l.src),
-            Hashtbl.find_opt repr_of (Objref.to_string l.dst) )
+          ( Hashtbl.find_opt tbl (Objref.to_string l.src),
+            Hashtbl.find_opt tbl (Objref.to_string l.dst) )
         with
         | Some a, Some b -> between ?params a b
         | (Some _ | None), _ -> [])

@@ -29,8 +29,15 @@ val default_params : params
 
 val between : ?params:params -> Object_sim.repr -> Object_sim.repr -> t list
 
-val in_duplicates :
-  ?params:params -> Object_sim.repr list -> Link.t list -> t list
-(** Conflicts inside every [Duplicate] link's pair. *)
+type table
+(** Representations looked up by object: the last one given for each
+    {!Objref.to_string} key. Read-only once built. *)
+
+val table : Object_sim.repr list -> table
+
+val in_duplicates : ?params:params -> table -> Link.t list -> t list
+(** Conflicts inside every [Duplicate] link's pair, in link order; a
+    link with an end the table lacks has none. Looks up only the links'
+    own ends. *)
 
 val pp : Format.formatter -> t -> unit

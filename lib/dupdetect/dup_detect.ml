@@ -243,9 +243,6 @@ let detect_prepared ?(params = default_params) ?pool entries =
 let detect_on ?params ?pool reprs =
   detect_prepared ?params ?pool (prepare_reprs ?pool reprs)
 
-let detect ?params ?pool ?exclude_attributes profiles =
-  detect_on ?params ?pool (Object_sim.build_reprs ?exclude_attributes profiles)
-
 (* --- pairwise entry points (delta pipeline) --- *)
 
 let prep_source ?pool ?exclude_attributes profiles ~source =

@@ -50,22 +50,14 @@ val candidate_pairs :
     per-shard local seen tables merged deterministically at the join; the
     result is identical at any pool size. *)
 
-val detect :
-  ?params:params ->
-  ?pool:Aladin_par.Pool.t ->
-  ?exclude_attributes:(string * string * string) list ->
-  Profile_list.t ->
-  result
-(** [exclude_attributes] (see {!Object_sim.build_reprs}) should name the
-    cross-reference attributes discovered in step 4. With a [pool] the
-    pairwise similarity verification fans out across domains; the result
-    is identical to the sequential run. *)
-
 val detect_on :
   ?params:params -> ?pool:Aladin_par.Pool.t -> Object_sim.repr list -> result
-(** Same, over prebuilt representations (lets experiments reuse them):
-    prepares every object once, then runs the same core as
-    {!detect_between}. *)
+(** Detection over prebuilt representations ({!Object_sim.build_reprs},
+    whose [exclude_attributes] should name the cross-reference
+    attributes discovered in step 4): prepares every object once, then
+    runs the same core as {!detect_between}. With a [pool] the pairwise
+    similarity verification fans out across domains; the result is
+    identical to the sequential run. *)
 
 type prepared_source
 (** One source ready for {!detect_between}: its representations, each

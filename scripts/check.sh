@@ -117,15 +117,18 @@ if grep -rnE 'Unix\.(socket|accept|bind|listen|connect)\b' \
 fi
 echo "grep-gate ok: no socket primitives outside lib/serve"
 
-# Access structures are built by the Engine facade exactly once per
-# session; entry points (CLI, examples, bench, serve) must not construct
-# or fetch them directly.
-if grep -rnE 'Warehouse\.(browser|search|link_query|path_index)\b|Search\.build|Browser\.create|Link_query\.create' \
-    bin examples bench lib/serve --include='*.ml' 2>/dev/null; then
-  echo "error: access structure built outside the Engine facade (use Aladin.Engine)" >&2
+# Access structures have one builder: Aladin.Engine's build function
+# makes the search index, the one per-object link index and the browser
+# over them. Everything else in the core, serve, CLI, example and bench
+# layers (the warehouse and the shell included) holds an Engine.t or
+# nothing, so no second copy of an access structure can creep back in.
+if grep -rnE '\b(Browser\.create|Search\.build|Link_query\.create)\b' \
+    lib/core lib/serve bin examples bench --include='*.ml' 2>/dev/null \
+    | grep -v '^lib/core/engine\.ml:'; then
+  echo "error: access structure built outside lib/core/engine.ml (use Aladin.Engine)" >&2
   exit 1
 fi
-echo "grep-gate ok: all access-layer entry points go through Aladin.Engine"
+echo "grep-gate ok: access structures are built only in lib/core/engine.ml"
 
 # The duplicate-detection hot path (the code between the HOT-PATH-BEGIN /
 # HOT-PATH-END sentinels, run once per candidate pair inside the fan-out)

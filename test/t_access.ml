@@ -326,25 +326,25 @@ let path_rank_tests =
   [
     Alcotest.test_case "direct link relatedness" `Quick (fun () ->
         let a = obj "s" "A" and b = obj "s" "B" in
-        let pr = Path_rank.build [ link a b 0.8 ] in
+        let pr = Link_query.create [ link a b 0.8 ] in
         check (Alcotest.float 0.001) "conf" 0.8 (Path_rank.relatedness pr a b));
     Alcotest.test_case "two-hop decays" `Quick (fun () ->
         let a = obj "s" "A" and b = obj "s" "B" and c = obj "s" "C" in
-        let pr = Path_rank.build [ link a b 1.0; link b c 1.0 ] in
+        let pr = Link_query.create [ link a b 1.0; link b c 1.0 ] in
         check (Alcotest.float 0.001) "decay" 0.5 (Path_rank.relatedness pr a c));
     Alcotest.test_case "parallel paths add up" `Quick (fun () ->
         let a = obj "s" "A" and b = obj "s" "B" and c = obj "s" "C" and d = obj "s" "D" in
         let pr =
-          Path_rank.build [ link a b 1.0; link b d 1.0; link a c 1.0; link c d 1.0 ]
+          Link_query.create [ link a b 1.0; link b d 1.0; link a c 1.0; link c d 1.0 ]
         in
         check (Alcotest.float 0.001) "two paths" 1.0 (Path_rank.relatedness pr a d));
     Alcotest.test_case "unconnected zero" `Quick (fun () ->
         let a = obj "s" "A" and b = obj "s" "B" in
-        let pr = Path_rank.build [] in
+        let pr = Link_query.create [] in
         check (Alcotest.float 0.001) "zero" 0.0 (Path_rank.relatedness pr a b));
     Alcotest.test_case "rank_from orders" `Quick (fun () ->
         let a = obj "s" "A" and b = obj "s" "B" and c = obj "s" "C" in
-        let pr = Path_rank.build [ link a b 0.9; link b c 0.9 ] in
+        let pr = Link_query.create [ link a b 0.9; link b c 0.9 ] in
         match Path_rank.rank_from pr a with
         | (first, _) :: _ ->
             check Alcotest.string "direct first" "s:B"
@@ -354,9 +354,8 @@ let path_rank_tests =
 
 (* a browser over the mini-sources integrated into a warehouse *)
 let mini_browser () =
-  Aladin.Warehouse.browser
-    (Aladin.Warehouse.integrate
-       [ T_linkdisc.source_a (); T_linkdisc.source_b () ])
+  Aladin.Engine.browser
+    (Aladin.Engine.integrate [ T_linkdisc.source_a (); T_linkdisc.source_b () ])
 
 let browser_tests =
   [
@@ -436,7 +435,9 @@ let browser_tests =
                    ~evidence:(Printf.sprintf "e%d" c))
                specs
            in
-           let b = Browser.create L.Profile_list.empty links in
+           let b =
+             Browser.create L.Profile_list.empty (Link_query.create links) []
+           in
            (* the scan the index replaces: every link with [o] on an end *)
            let scan o =
              List.filter
@@ -449,6 +450,171 @@ let browser_tests =
              (obj 6
              :: List.concat_map (fun (l : L.Link.t) -> [ l.src; l.dst ]) links)));
   ]
+
+(* The three per-object adjacencies the one link index replaced, kept
+   as references: the browser's (each object's links in list order, a
+   self-link once) and the identical ones of traversal and path ranking
+   ((other end, link) pairs, last link first, a self-link twice), with
+   the traversal and ranking walks that read them. *)
+module Ref_adjacency = struct
+  module L = Aladin_links
+
+  let find tbl obj = Option.value (Hashtbl.find_opt tbl obj) ~default:[]
+
+  let browser_links links =
+    let tbl = Hashtbl.create 16 in
+    let add obj l = Hashtbl.replace tbl obj (l :: find tbl obj) in
+    List.iter
+      (fun (l : L.Link.t) ->
+        add l.src l;
+        if not (L.Objref.equal l.src l.dst) then add l.dst l)
+      (List.rev links);
+    find tbl
+
+  let neighbors links =
+    let tbl = Hashtbl.create 16 in
+    let add obj entry = Hashtbl.replace tbl obj (entry :: find tbl obj) in
+    List.iter
+      (fun (l : L.Link.t) ->
+        add l.src (l.dst, l);
+        add l.dst (l.src, l))
+      links;
+    find tbl
+
+  let admits (stp : Link_query.step) (next : L.Objref.t) (l : L.Link.t) =
+    (stp.kinds = [] || List.mem l.kind stp.kinds)
+    && (match stp.target_source with Some s -> next.source = s | None -> true)
+    && l.confidence >= stp.min_confidence
+
+  let run neighbors ~start ~steps =
+    let expand stp partials =
+      List.concat_map
+        (fun (here, rev_path, visited, score, origin) ->
+          neighbors here
+          |> List.filter_map (fun (next, (l : L.Link.t)) ->
+                 if admits stp next l && not (List.exists (L.Objref.equal next) visited)
+                 then
+                   Some (next, l :: rev_path, next :: visited, score *. l.confidence, origin)
+                 else None))
+        partials
+    in
+    let finals =
+      List.fold_left
+        (fun ps stp -> expand stp ps)
+        (List.map (fun o -> (o, [], [ o ], 1.0, o)) start)
+        steps
+    in
+    let best = Hashtbl.create 64 in
+    List.iter
+      (fun (here, rev_path, _, score, origin) ->
+        let key = L.Objref.to_string origin ^ "\x00" ^ L.Objref.to_string here in
+        let hit =
+          { Link_query.endpoint = here; path = List.rev rev_path; score; start = origin }
+        in
+        match Hashtbl.find_opt best key with
+        | Some (existing : Link_query.hit) when existing.score >= hit.score -> ()
+        | Some _ | None -> Hashtbl.replace best key hit)
+      finals;
+    Hashtbl.fold (fun _ h acc -> h :: acc) best []
+    |> List.sort (fun (a : Link_query.hit) (b : Link_query.hit) ->
+           match Float.compare b.score a.score with
+           | 0 -> (
+               match L.Objref.compare a.start b.start with
+               | 0 -> L.Objref.compare a.endpoint b.endpoint
+               | c -> c)
+           | c -> c)
+
+  let explore ~max_depth neighbors start =
+    let sink = Hashtbl.create 64 in
+    let rec dfs node visited weight depth =
+      if depth < max_depth then
+        List.iter
+          (fun (next, (l : L.Link.t)) ->
+            if not (List.exists (L.Objref.equal next) visited) then begin
+              let w = weight *. l.confidence *. (0.5 ** float_of_int depth) in
+              (match Hashtbl.find_opt sink next with
+              | Some r -> r := !r +. w
+              | None -> Hashtbl.add sink next (ref w));
+              dfs next (next :: visited) (weight *. l.confidence) (depth + 1)
+            end)
+          (neighbors node)
+    in
+    dfs start [ start ] 1.0 0;
+    sink
+
+  let rank_from ~max_depth neighbors start =
+    Hashtbl.fold (fun o r acc -> (o, !r) :: acc) (explore ~max_depth neighbors start) []
+    |> List.sort (fun (oa, a) (ob, b) ->
+           match Float.compare b a with 0 -> L.Objref.compare oa ob | c -> c)
+
+  let relatedness ~max_depth neighbors a b =
+    match Hashtbl.find_opt (explore ~max_depth neighbors a) b with
+    | Some r -> !r
+    | None -> 0.0
+end
+
+let one_index_seed = 20261018
+
+(* random link lists over six objects in two sources: repeated endpoint
+   pairs, tied confidences (four values) and self-links are common *)
+let one_index_test =
+  let module L = Aladin_links in
+  let obj i =
+    L.Objref.make
+      ~source:(if i mod 2 = 0 then "a" else "b")
+      ~relation:"r"
+      ~accession:(Printf.sprintf "X%d" (i / 2))
+  in
+  let kinds = [| L.Link.Xref; L.Link.Seq_similarity; L.Link.Duplicate |] in
+  let confidences = [| 0.5; 0.7; 0.9; 1.0 |] in
+  let steps =
+    let s = Link_query.step in
+    [ []; [ s () ]; [ s (); s () ]; [ s (); s (); s () ];
+      [ s ~kinds:[ L.Link.Xref; L.Link.Duplicate ] (); s ~min_confidence:0.7 () ];
+      [ s ~target_source:"a" (); s (); s ~target_source:"b" () ] ]
+  in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| one_index_seed |])
+    (QCheck.Test.make ~name:"one link index equals the three it replaced"
+       ~count:200
+       QCheck.(
+         list_of_size (Gen.int_range 0 24)
+           (quad (int_bound 5) (int_bound 5) (int_bound 2) (int_bound 3)))
+       (fun specs ->
+         let links =
+           List.map
+             (fun (s, d, k, c) ->
+               L.Link.make ~src:(obj s) ~dst:(obj d) ~kind:kinds.(k)
+                 ~confidence:confidences.(c) ~evidence:(Printf.sprintf "e%d" c))
+             specs
+         in
+         let index = Link_query.create links in
+         let browser = Browser.create L.Profile_list.empty index [] in
+         let ref_links = Ref_adjacency.browser_links links in
+         let ref_neighbors = Ref_adjacency.neighbors links in
+         let objs = List.init 7 obj (* obj 6 has no link *) in
+         List.for_all (fun o -> Browser.links_of browser o = ref_links o) objs
+         && List.for_all
+              (fun steps ->
+                List.for_all
+                  (fun start ->
+                    Link_query.run index ~start ~steps
+                    = Ref_adjacency.run ref_neighbors ~start ~steps)
+                  (objs :: List.map (fun o -> [ o ]) objs))
+              steps
+         && List.for_all
+              (fun max_depth ->
+                List.for_all
+                  (fun a ->
+                    Path_rank.rank_from ~max_depth index a
+                    = Ref_adjacency.rank_from ~max_depth ref_neighbors a
+                    && List.for_all
+                         (fun b ->
+                           Path_rank.relatedness ~max_depth index a b
+                           = Ref_adjacency.relatedness ~max_depth ref_neighbors a b)
+                         objs)
+                  objs)
+              [ 3; 4 ]))
 
 let link_query_tests =
   let obj s a = Aladin_links.Objref.make ~source:s ~relation:"r" ~accession:a in
@@ -508,6 +674,7 @@ let link_query_tests =
     Alcotest.test_case "reachable_count" `Quick (fun () ->
         check Alcotest.int "prot degree" 3
           (Link_query.reachable_count (graph ()) prot));
+    one_index_test;
   ]
 
 let html_tests =
@@ -556,7 +723,7 @@ let html_tests =
                !ok)));
     Alcotest.test_case "write_site" `Quick (fun () ->
         let profiles = mini_profiles () in
-        let b = Browser.create profiles [] in
+        let b = Browser.create profiles (Link_query.create []) [] in
         let dir = Filename.temp_file "aladin" "site" in
         Sys.remove dir;
         let n = Html_export.write_site b ~dir in

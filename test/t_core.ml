@@ -16,6 +16,60 @@ let small_corpus =
 
 let warehouse = lazy (Warehouse.integrate (Lazy.force small_corpus).catalogs)
 
+let engine = lazy (Engine.create (Lazy.force warehouse))
+
+let query_exn eng sql =
+  match Engine.query eng sql with
+  | Ok r -> r
+  | Error msg -> Alcotest.fail ("unexpected query error: " ^ msg)
+
+(* left:LA001 and right:RB901 describe the same protein, so the
+   duplicate pass flags them, but LA001 cross-references right:QC552: its
+   [dbxref.accession] holds another object's accession, which xref
+   discovery finds and the duplicate pass leaves out of the comparison *)
+let xref_duplicate_sources () =
+  let source src key_attr rows =
+    let cat = Catalog.create ~name:src in
+    let rel =
+      Catalog.create_relation cat ~name:(if src = "left" then "entry" else "prot")
+        (Schema.of_names
+           [ key_attr; "accession"; "name"; "organism"; "descr"; "gene"; "keywords" ])
+    in
+    List.iteri
+      (fun i (acc, name, organism, descr) ->
+        Relation.insert rel
+          (Array.append
+             [| Value.Int (i + 1) |]
+             (Array.map Value.text
+                [| acc; name; organism; descr; name ^ "g";
+                   (if name = "KINA1" then "kinase; DNA repair" else "transport") |])))
+      rows;
+    cat
+  in
+  let kinase = "alpha kinase protein involved in DNA repair pathways and signaling" in
+  let left =
+    source "left" "entry_id"
+      [ ("LA001", "KINA1", "Homo sapiens", kinase);
+        ("LA002", "TRPB22", "Homo sapiens", "beta transporter protein briefly");
+        ("LA003", "RCPC333", "Danio rerio",
+         "gamma receptor protein binding extracellular calcium ligands here") ]
+  in
+  let dbxref =
+    Catalog.create_relation left ~name:"dbxref"
+      (Schema.of_names [ "dbxref_id"; "entry_id"; "accession" ])
+  in
+  List.iteri
+    (fun i (entry, target) ->
+      Relation.insert dbxref [| Value.Int (i + 1); Value.Int entry; Value.text target |])
+    [ (1, "QC552"); (2, "RB901"); (3, "TX347"); (3, "QC552") ];
+  let right =
+    source "right" "prot_id"
+      [ ("RB901", "KINA1", "Homo sapiens", kinase);
+        ("QC552", "XYZ", "Rattus norvegicus", "a transporter of things");
+        ("TX347", "QQQQQQ", "Gallus gallus", "some unrelated receptor of ligand sets") ]
+  in
+  [ left; right ]
+
 let warehouse_tests =
   [
     Alcotest.test_case "all sources integrated" `Quick (fun () ->
@@ -77,6 +131,36 @@ let warehouse_tests =
               (Printf.sprintf "similarity = %.3f" l.confidence)
               last)
           explained);
+    Alcotest.test_case "conflicts leave out cross-reference attributes" `Quick
+      (fun () ->
+        let eng = Engine.integrate (xref_duplicate_sources ()) in
+        check Alcotest.bool "dbxref.accession is a cross-reference" true
+          (List.exists
+             (fun (c : Aladin_links.Xref_disc.correspondence) ->
+               (c.src_source, c.src_relation, c.src_attribute)
+               = ("left", "dbxref", "accession"))
+             (Warehouse.correspondences (Engine.warehouse eng)));
+        List.iter
+          (fun (source, accession, other) ->
+            match Engine.browse eng ~source accession with
+            | None -> Alcotest.fail ("no view of " ^ accession)
+            | Some v ->
+                check
+                  Alcotest.(list string)
+                  (accession ^ " duplicates") [ other ]
+                  (List.map
+                     (fun (o, _) -> Aladin_links.Objref.to_string o)
+                     v.duplicates);
+                (* only the accessions disagree; LA001's cross-reference
+                   to QC552 says nothing about RB901 *)
+                check
+                  Alcotest.(list (pair string string))
+                  (accession ^ " conflicts")
+                  [ ("entry.accession", "prot.accession") ]
+                  (List.map
+                     (fun (c : Aladin_dup.Conflict.t) -> (c.attr_a, c.attr_b))
+                     v.conflicts))
+          [ ("left", "LA001", "right:RB901"); ("right", "RB901", "left:LA001") ]);
     Alcotest.test_case "repository populated" `Quick (fun () ->
         let w = Lazy.force warehouse in
         let repo = Warehouse.repository w in
@@ -201,13 +285,28 @@ let table_access_tests =
         check Alcotest.bool "comment ambiguous" true
           (Warehouse.resolve_table w "comment" = None));
     Alcotest.test_case "sql over warehouse" `Quick (fun () ->
-        let w = Lazy.force warehouse in
-        let r = Warehouse.sql w "SELECT accession FROM uniprot.entry LIMIT 5" in
+        let eng = Lazy.force engine in
+        let r = query_exn eng "SELECT accession FROM uniprot.entry LIMIT 5" in
         check Alcotest.int "five" 5 (Relation.cardinality r));
+    Alcotest.test_case "engine query returns SQL errors" `Quick (fun () ->
+        let eng = Lazy.force engine in
+        let error sql =
+          match Engine.query eng sql with
+          | Ok _ -> Alcotest.fail ("no error for " ^ sql)
+          | Error msg -> msg
+        in
+        check Alcotest.string "lexer"
+          "lex error: unterminated string literal"
+          (error "SELECT accession FROM uniprot.entry WHERE accession = 'x");
+        check Alcotest.string "lexer, stray character"
+          "lex error: unexpected character '?'"
+          (error "SELECT ? FROM uniprot.entry");
+        check Alcotest.bool "parser" true
+          (String.starts_with ~prefix:"parse error: " (error "SELEC accession")));
     Alcotest.test_case "sql join across relations" `Quick (fun () ->
-        let w = Lazy.force warehouse in
+        let eng = Lazy.force engine in
         let r =
-          Warehouse.sql w
+          query_exn eng
             "SELECT accession, seq_text FROM uniprot.entry JOIN \
              uniprot.sequence_data ON uniprot.entry.entry_id = \
              uniprot.sequence_data.entry_id LIMIT 3"
@@ -215,23 +314,27 @@ let table_access_tests =
         check Alcotest.bool "rows" true (Relation.cardinality r > 0));
     Alcotest.test_case "search over warehouse" `Quick (fun () ->
         let w = Lazy.force warehouse in
-        let s = Warehouse.search w in
+        let s = Aladin_access.Search.build (Warehouse.profiles w) in
         check Alcotest.bool "objects indexed" true
           (Aladin_access.Search.object_count s > 50));
     Alcotest.test_case "browser views an object" `Quick (fun () ->
-        let w = Lazy.force warehouse in
-        let b = Warehouse.browser w in
-        match Aladin_access.Browser.objects b with
-        | obj :: _ ->
-            check Alcotest.bool "view" true (Aladin_access.Browser.view b obj <> None)
+        let eng = Lazy.force engine in
+        match Engine.objects eng with
+        | obj :: _ -> check Alcotest.bool "view" true (Engine.view eng obj <> None)
         | [] -> Alcotest.fail "no objects");
     Alcotest.test_case "path index built" `Quick (fun () ->
-        let w = Lazy.force warehouse in
-        ignore (Warehouse.path_index w));
+        let eng = Lazy.force engine in
+        match Engine.links eng with
+        | (l : Aladin_links.Link.t) :: _ ->
+            check Alcotest.bool "linked pair related" true
+              (Aladin_access.Path_rank.relatedness (Engine.link_index eng) l.src
+                 l.dst
+              > 0.)
+        | [] -> Alcotest.fail "no links");
     Alcotest.test_case "sql over a shredded XML source" `Quick (fun () ->
-        let w = Lazy.force warehouse in
+        let eng = Lazy.force engine in
         let r =
-          Warehouse.sql w
+          query_exn eng
             "SELECT COUNT(*) FROM bind.partner JOIN bind.interaction ON \
              bind.partner.parent_id = bind.interaction.interaction_id"
         in
@@ -239,9 +342,9 @@ let table_access_tests =
         | Value.Int n -> check Alcotest.bool "partners joined" true (n > 0)
         | _ -> Alcotest.fail "not an int");
     Alcotest.test_case "aggregate over warehouse" `Quick (fun () ->
-        let w = Lazy.force warehouse in
+        let eng = Lazy.force engine in
         let r =
-          Warehouse.sql w
+          query_exn eng
             "SELECT organism_name, COUNT(*) FROM uniprot.entry JOIN \
              uniprot.organism ON uniprot.entry.organism_id = \
              uniprot.organism.organism_id GROUP BY organism_name"
@@ -446,11 +549,10 @@ let persistence_tests =
           (List.length (Warehouse.links w))
           (List.length (Warehouse.links w2));
         (* browsing works on the restored warehouse *)
-        let b = Warehouse.browser w2 in
-        match Aladin_access.Browser.objects b with
+        let eng = Engine.create w2 in
+        match Engine.objects eng with
         | obj :: _ ->
-            check Alcotest.bool "view works" true
-              (Aladin_access.Browser.view b obj <> None)
+            check Alcotest.bool "view works" true (Engine.view eng obj <> None)
         | [] -> Alcotest.fail "no objects after load");
     Alcotest.test_case "load with reanalyze rediscovers" `Quick (fun () ->
         let w = Lazy.force warehouse in
@@ -468,7 +570,10 @@ let persistence_tests =
         Sys.remove dir;
         save_dir_exn w dir;
         let w2, _report = Warehouse.load_dir dir in
-        let n w = Relation.cardinality (Warehouse.sql w "SELECT * FROM uniprot.entry") in
+        let n w =
+          Relation.cardinality
+            (query_exn (Engine.create w) "SELECT * FROM uniprot.entry")
+        in
         check Alcotest.int "same rows" (n w) (n w2));
     Alcotest.test_case "save refuses to clobber a non-store directory" `Quick
       (fun () ->
@@ -578,12 +683,11 @@ let roundtrip_tests =
 let link_query_warehouse_tests =
   [
     Alcotest.test_case "warehouse link_query traverses" `Quick (fun () ->
-        let w = Lazy.force warehouse in
-        let lq = Warehouse.link_query w in
-        match Warehouse.links w with
+        let eng = Lazy.force engine in
+        match Engine.links eng with
         | (l : Aladin_links.Link.t) :: _ ->
             let hits =
-              Aladin_access.Link_query.run lq ~start:[ l.src ]
+              Engine.traverse eng ~start:[ l.src ]
                 ~steps:[ Aladin_access.Link_query.step () ]
             in
             check Alcotest.bool "reaches dst" true
@@ -643,6 +747,12 @@ let config_tests =
         let cfg2 = config_ok (Config.to_string cfg) in
         check Alcotest.bool "primary" true (cfg2.budgets.primary = Some 1.5);
         check Alcotest.bool "secondary" true (cfg2.budgets.secondary = None));
+    Alcotest.test_case "budget.import is an unknown key" `Quick (fun () ->
+        match Config.of_string "budget.import = 2" with
+        | Error msg ->
+            check Alcotest.bool "unknown key" true
+              (Aladin_text.Strdist.contains ~needle:"unknown key" msg)
+        | Ok _ -> Alcotest.fail "no error");
     Alcotest.test_case "bad budget rejected" `Quick (fun () ->
         match Config.of_string "budget.links = fast" with
         | Error _ -> ()
@@ -650,7 +760,7 @@ let config_tests =
   ]
 
 let shell_tests =
-  let shell = lazy (Shell.create (Lazy.force warehouse)) in
+  let shell = lazy (Shell.create (Lazy.force engine)) in
   let out line =
     match Shell.execute (Lazy.force shell) line with
     | `Output s -> s

@@ -587,10 +587,11 @@ let conflict_tests =
             ~kind:Link.Duplicate ~confidence:0.9 ~evidence:"t"
         in
         check Alcotest.int "one conflict" 1
-          (List.length (Conflict.in_duplicates [ a; b ] [ link ]));
+          (List.length (Conflict.in_duplicates (Conflict.table [ a; b ]) [ link ]));
         let xref = { link with kind = Link.Xref } in
         check Alcotest.int "xref ignored" 0
-          (List.length (Conflict.in_duplicates [ a; b ] [ xref ])));
+          (List.length
+             (Conflict.in_duplicates (Conflict.table [ a; b ]) [ xref ])));
   ]
 
 let tests =

@@ -155,9 +155,9 @@ let service_tests =
           [ 2; 4 ]);
     Alcotest.test_case "concurrent first /object views all succeed" `Quick
       (fun () ->
-        (* each fresh engine's browser builds its duplicate
-           representations on first use; a batch of /object requests on
-           a 4-domain pool makes several domains ask for them at once *)
+        (* a batch of /object requests for objects with duplicates on
+           a 4-domain pool: several domains read each fresh engine's
+           browser and its conflict representations at once *)
         let corpus = Lazy.force small_corpus in
         let pool = Pool.create ~domains:4 () in
         for _ = 1 to 4 do
@@ -282,6 +282,30 @@ let service_tests =
         check Alcotest.int "503" 503 resp.status;
         check Alcotest.(option string) "retry-after" (Some "1")
           (List.assoc_opt "retry-after" resp.headers));
+    Alcotest.test_case "malformed SQL is a 400, not a counted failure" `Quick
+      (fun () ->
+        let service = Serve.Service.create (Lazy.force engine) in
+        let failures () =
+          String.split_on_char '\n' (Serve.Service.metrics_text service)
+          |> List.find_map (fun line ->
+                 match String.split_on_char ' ' line with
+                 | [ "aladin_request_failures_total"; n ] -> int_of_string_opt n
+                 | _ -> None)
+        in
+        let before = failures () in
+        let unterminated =
+          Serve.Service.handle service
+            (req
+               "/query?sql=SELECT%20accession%20FROM%20uniprot.entry%20WHERE%20accession%20%3D%20'x")
+        in
+        check Alcotest.int "lexer error status" 400 unterminated.status;
+        check Alcotest.string "lexer error body"
+          "lex error: unterminated string literal\n" unterminated.body;
+        let misspelt =
+          Serve.Service.handle service (req "/query?sql=SELEC%20accession")
+        in
+        check Alcotest.int "parse error status" 400 misspelt.status;
+        check Alcotest.(option int) "no failure counted" before (failures ()));
     Alcotest.test_case "slow endpoint hidden without debug" `Quick (fun () ->
         let service = Serve.Service.create (Lazy.force engine) in
         check Alcotest.int "404" 404

@@ -625,8 +625,9 @@ let warehouse_store_tests =
         check Alcotest.bool "load degraded" false
           (Load_report.is_clean lreport);
         let n w =
-          Aladin_relational.Relation.cardinality
-            (Warehouse.sql w "SELECT * FROM uniprot.entry")
+          match Engine.query (Engine.create w) "SELECT * FROM uniprot.entry" with
+          | Ok r -> Aladin_relational.Relation.cardinality r
+          | Error msg -> Alcotest.fail msg
         in
         check Alcotest.int "one row lost" 2 (n w2);
         check Alcotest.(list string) "sources survive" (Warehouse.sources w)
