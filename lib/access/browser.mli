@@ -32,15 +32,25 @@ val create : Profile_list.t -> Link_query.t -> Aladin_dup.Object_sim.repr list -
 (** A browser over the sources, the per-object link index of the
     warehouse's link view and the objects' representations, which a
     view compares field by field to list its conflicts with its
-    duplicates. Builds the lookup table over the representations once;
-    build a new browser after the links or the sources change. *)
+    duplicates. Builds, once, a lookup table over the representations
+    and, per source with a primary relation, a row index: the primary
+    accessions in row order, each accession's primary row (the first
+    whose accession value is that text), and each primary row's owned
+    secondary rows (from the owner map's {!Owner_map.row_owners}), by
+    secondary entry and then by row. This is the only place a browser
+    scans a relation: a {!view} looks up its own object's rows, so it
+    costs time in the size of its object, not of its source. Build a new
+    browser after the links or the sources change. *)
 
 val links_of : t -> Objref.t -> Link.t list
 (** The links with the object on either end ({!Link_query.links_of}):
     in link-view order, a self-link once. *)
 
 val view : t -> Objref.t -> view option
-(** [None] for unknown objects. *)
+(** [None] for unknown objects. Reads the object's own primary row, the
+    secondary rows it owns (in secondary-entry order, each relation's in
+    row order, labelled with the entry's name), the rows before and the
+    two after it, its links and its duplicates' representations. *)
 
 val view_accession : t -> source:string -> string -> view option
 
@@ -51,4 +61,5 @@ val follow : t -> view -> int -> view option
 (** Follow the [i]-th link of a view (0-based into [linked]). *)
 
 val render : view -> string
-(** Plain-text "page" for CLI browsing. *)
+(** Plain-text "page" for CLI browsing; a conflict line is
+    {!Aladin_dup.Conflict.to_string}. *)

@@ -14,13 +14,15 @@ type t = { w : Warehouse.t; mutable access : access }
 
 (* the one builder of access structures: one per-object link index over
    the link view, which the browser, traversal and path ranking all
-   read *)
-let build w =
+   read. The search index reads only the profiles, so a mutation that
+   changes only links passes the one it already has. *)
+let build ?search w =
   let profiles = Warehouse.profiles w in
   let index = Link_query.create (Warehouse.links w) in
   {
     browser = Browser.create profiles index (Warehouse.dup_reprs w);
-    search = Search.build profiles;
+    search =
+      (match search with Some s -> s | None -> Search.build profiles);
     index;
   }
 
@@ -100,6 +102,7 @@ let update_source t catalog ~changed_rows =
   | `Deferred -> ());
   r
 
+(* a rejected link changes no profile: keep the search index *)
 let reject_link t l =
   Warehouse.reject_link t.w l;
-  rebuild t
+  t.access <- build ~search:t.access.search t.w

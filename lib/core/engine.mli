@@ -116,5 +116,6 @@ val update_source : t -> Catalog.t -> changed_rows:int -> Warehouse.update_repor
     reanalysis leaves keys over {e other} sources intact. *)
 
 val reject_link : t -> Link.t -> unit
-(** §6.2 feedback: the link disappears immediately and stays gone; the
-    access structures are built anew. *)
+(** §6.2 feedback: the link disappears immediately and stays gone. The
+    link index and the browser are built anew; the search index, which
+    reads only the profiles a rejection leaves alone, is kept. *)

@@ -131,10 +131,12 @@ let source t = t.source
 
 let primary_relation t = t.primary
 
+let row_owners t ~relation =
+  Option.value (Hashtbl.find_opt t.owners (norm relation)) ~default:[||]
+
 let owners t ~relation ~row =
-  match Hashtbl.find_opt t.owners (norm relation) with
-  | Some arr when row >= 0 && row < Array.length arr -> arr.(row)
-  | Some _ | None -> []
+  let arr = row_owners t ~relation in
+  if row >= 0 && row < Array.length arr then arr.(row) else []
 
 let objref t ~accession =
   match t.primary with

@@ -22,6 +22,12 @@ val owners : t -> relation:string -> row:int -> string list
     relation's own rows map to their own accession. Unreachable rows (or an
     unknown relation) yield []. *)
 
+val row_owners : t -> relation:string -> string list array
+(** {!owners} of every row of the relation at once, indexed by row ([[||]]
+    for an unknown relation): each list sorted and free of repeats. The
+    map's own array, so a caller indexing a whole relation pays no copy;
+    do not write to it. *)
+
 val objref : t -> accession:string -> Objref.t option
 (** The {!Objref.t} for a primary accession of this source. *)
 

@@ -137,17 +137,40 @@ echo "grep-gate ok: access structures are built only in lib/core/engine.ml"
 # multi-domain dup step anti-scale, and a hashtable or substring per pair
 # (Strdist.dice_bigrams builds both) is the same storm again. The df
 # lookups (a Hashtbl) happen once per object, when Object_sim.bind
-# resolves them, outside the sentinels.
-for f in lib/dupdetect/field_sim.ml lib/dupdetect/object_sim.ml; do
+# resolves them, outside the sentinels. conflict.ml's sentinels hold the
+# field-pair loop of Conflict.between (up to 40 x 40 pairs per duplicate
+# link of every browser view), which compares the names' tokens and the
+# values it prepared once per field: the unprepared Field_sim.similarity
+# and Field_sim.name_affinity re-prepare both sides of every pair.
+for f in lib/dupdetect/field_sim.ml lib/dupdetect/object_sim.ml \
+    lib/dupdetect/conflict.ml; do
   grep -q 'HOT-PATH-BEGIN' "$f" && grep -q 'HOT-PATH-END' "$f" || {
     echo "error: $f lost its HOT-PATH sentinels" >&2; exit 1; }
   if sed -n '/HOT-PATH-BEGIN/,/HOT-PATH-END/p' "$f" \
-      | grep -nE 'String\.lowercase_ascii|Tokenize\.(words|terms)|\bHashtbl\b|\bString\.sub\b|\bdice_bigrams\b'; then
+      | grep -nE 'String\.lowercase_ascii|Tokenize\.(words|terms)|\bHashtbl\b|\bString\.sub\b|\bdice_bigrams\b|Field_sim\.(similarity|name_affinity)\b'; then
     echo "error: $f re-normalizes or allocates per pair inside the hot path (use the prepared representation)" >&2
     exit 1
   fi
 done
-echo "grep-gate ok: dup-detection per-pair hot path uses prepared reprs only"
+echo "grep-gate ok: dup-detection and conflict per-pair hot paths use prepared reprs only"
+
+# A browser view reads only its own object's rows: in
+# lib/access/browser.ml a relation is scanned (Relation.iter_rows,
+# iteri_rows, fold_rows, rows, find_row) only by index_rows, which
+# Browser.create runs once per engine build to index each source's rows
+# by the object that owns them. A scan anywhere else makes a view cost
+# time linear in its source's size again. (awk tracks the enclosing
+# top-level let.)
+if awk '
+    /^let / { fn = ($2 == "rec") ? $3 : $2 }
+    /Relation\.(iter_rows|iteri_rows|fold_rows|rows|find_row)([^A-Za-z0-9_]|$)/ &&
+      fn != "index_rows" {
+      print FILENAME ":" FNR ": relation scan in " fn }' \
+    lib/access/browser.ml | grep .; then
+  echo "error: browser.ml scans a relation outside index_rows (look the rows up in the index Browser.create built)" >&2
+  exit 1
+fi
+echo "grep-gate ok: browser views scan no relation; only index_rows does"
 
 # The text-similarity hot path must stay on prepared int arrays. In
 # tfidf.ml the sentinels hold the tf-idf weighting (run per document of

@@ -451,6 +451,242 @@ let browser_tests =
              :: List.concat_map (fun (l : L.Link.t) -> [ l.src; l.dst ]) links)));
   ]
 
+(* The browser's view as it was computed before the row index: the
+   primary row by [Relation.find_row], the annotations by a scan of every
+   row of every secondary relation against its owners, the siblings by a
+   walk of the accession list, the links by a scan of the link list and
+   the conflicts by the per-pair reference of [Conflict.between]. Kept
+   as the reference the indexed view must equal. *)
+module Ref_view = struct
+  module L = Aladin_links
+  module D = Aladin_discovery
+  module Dup = Aladin_dup
+
+  let primary_row_fields (e : L.Profile_list.entry) (obj : L.Objref.t) =
+    let catalog = D.Profile.catalog e.sp.profile in
+    match D.Source_profile.primary_accession e.sp with
+    | None -> None
+    | Some (prel, pattr) ->
+        let rel = Catalog.find_exn catalog prel in
+        Relation.find_row rel pattr (Value.text obj.accession)
+        |> Option.map (fun row ->
+               List.mapi
+                 (fun i attr -> (attr, Value.to_string row.(i)))
+                 (Schema.names (Relation.schema rel)))
+
+  let annotations_of (e : L.Profile_list.entry) (obj : L.Objref.t) =
+    let catalog = D.Profile.catalog e.sp.profile in
+    match e.sp.secondary with
+    | None -> []
+    | Some sec ->
+        List.concat_map
+          (fun (entry : D.Secondary.entry) ->
+            let rel = Catalog.find_exn catalog entry.relation in
+            let attrs = Schema.names (Relation.schema rel) in
+            let rows = ref [] in
+            Relation.iteri_rows
+              (fun row_i row ->
+                let owners =
+                  L.Owner_map.owners e.owner ~relation:entry.relation ~row:row_i
+                in
+                if List.mem obj.accession owners then
+                  rows :=
+                    {
+                      Browser.relation = entry.relation;
+                      fields =
+                        List.mapi (fun i a -> (a, Value.to_string row.(i))) attrs;
+                    }
+                    :: !rows)
+              rel;
+            List.rev !rows)
+          sec.entries
+
+  let siblings_of (e : L.Profile_list.entry) (obj : L.Objref.t) =
+    let accs = L.Owner_map.primary_accessions e.owner in
+    let rec find_window prev = function
+      | [] -> []
+      | acc :: rest when acc = obj.accession ->
+          let nexts = List.filteri (fun i _ -> i < 2) rest in
+          (match prev with Some p -> [ p ] | None -> []) @ nexts
+      | acc :: rest -> find_window (Some acc) rest
+    in
+    find_window None accs
+    |> List.filter_map (fun accession -> L.Owner_map.objref e.owner ~accession)
+
+  let in_duplicates reprs links =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun (r : Dup.Object_sim.repr) ->
+        Hashtbl.replace tbl (L.Objref.to_string r.obj) r)
+      reprs;
+    List.concat_map
+      (fun (l : L.Link.t) ->
+        if l.kind <> L.Link.Duplicate then []
+        else
+          match
+            ( Hashtbl.find_opt tbl (L.Objref.to_string l.src),
+              Hashtbl.find_opt tbl (L.Objref.to_string l.dst) )
+          with
+          | Some a, Some b -> T_dupdetect.Ref_conflict.between a b
+          | (Some _ | None), _ -> [])
+      links
+
+  let view profiles links reprs (obj : L.Objref.t) : Browser.view option =
+    match L.Profile_list.find profiles obj.source with
+    | None -> None
+    | Some e -> (
+        match primary_row_fields e obj with
+        | None -> None
+        | Some fields ->
+            let all_links =
+              List.filter
+                (fun (l : L.Link.t) ->
+                  L.Objref.equal l.src obj || L.Objref.equal l.dst obj)
+                links
+            in
+            let other (l : L.Link.t) =
+              if L.Objref.equal l.src obj then l.dst else l.src
+            in
+            Some
+              {
+                obj;
+                fields;
+                annotations = annotations_of e obj;
+                siblings = siblings_of e obj;
+                duplicates =
+                  List.filter_map
+                    (fun (l : L.Link.t) ->
+                      if l.kind = L.Link.Duplicate then Some (other l, l.confidence)
+                      else None)
+                    all_links;
+                conflicts = in_duplicates reprs all_links;
+                linked =
+                  List.filter (fun (l : L.Link.t) -> l.kind <> L.Link.Duplicate) all_links
+                  |> List.sort (fun (a : L.Link.t) (b : L.Link.t) ->
+                         Float.compare b.confidence a.confidence);
+              })
+end
+
+(* A source with what the row index must get right: a Keyword row that
+   two entries own (HX001 and HX002 through [entry.kw_id]), an entry that
+   owns no row (HX004: no keyword and no cross-reference), several rows
+   of one relation owned by one entry, and the Keyword relation's
+   secondary entry named KEYWORD, in another case than the catalog's. *)
+let hand_source () =
+  let cat = Catalog.create ~name:"src_h" in
+  let entry =
+    Catalog.create_relation cat ~name:"entry"
+      (Schema.of_names [ "entry_id"; "accession"; "descr"; "kw_id" ])
+  in
+  List.iteri
+    (fun i (acc, d, kw) ->
+      Relation.insert entry [| Value.Int (i + 1); Value.text acc; Value.text d; kw |])
+    [ ("HX001", "alpha kinase protein involved in DNA repair pathways", Value.Int 10);
+      ("HX002", "beta transporter protein briefly", Value.Int 10);
+      ("HX003", "gamma receptor protein binding extracellular calcium", Value.Int 11);
+      ("HX004", "delta", Value.Null) ];
+  let kw =
+    Catalog.create_relation cat ~name:"Keyword" (Schema.of_names [ "kw_id"; "label" ])
+  in
+  List.iter
+    (fun (id, l) -> Relation.insert kw [| Value.Int id; Value.text l |])
+    [ (10, "kinase"); (11, "receptor"); (12, "unused") ];
+  let dbx =
+    Catalog.create_relation cat ~name:"dbxref"
+      (Schema.of_names [ "dbxref_id"; "entry_id"; "target" ])
+  in
+  List.iteri
+    (fun i (eid, t) -> Relation.insert dbx [| Value.Int (i + 1); Value.Int eid; Value.text t |])
+    [ (1, "BX901"); (3, "BX903"); (1, "BX902") ];
+  let sp = Aladin_discovery.Source_profile.analyze cat in
+  let upcase_keyword (e : Aladin_discovery.Secondary.entry) =
+    if String.lowercase_ascii e.relation = "keyword" then
+      { e with relation = "KEYWORD" }
+    else e
+  in
+  {
+    sp with
+    secondary =
+      Option.map
+        (fun (sec : Aladin_discovery.Secondary.t) ->
+          { sec with entries = List.map upcase_keyword sec.entries })
+        sp.secondary;
+  }
+
+let view_reference_tests =
+  let module L = Aladin_links in
+  (* every object's view, and views of an unknown accession, an unknown
+     source and an object named under another relation *)
+  let views_equal browser profiles links reprs =
+    let objs = Browser.objects browser in
+    let probes =
+      match objs with
+      | (o : L.Objref.t) :: _ ->
+          [ { o with accession = "NOPE0" }; { o with source = "nope" };
+            { o with relation = "other" } ]
+      | [] -> []
+    in
+    List.iter
+      (fun o ->
+        if Browser.view browser o <> Ref_view.view profiles links reprs o then
+          Alcotest.failf "view of %s differs from the reference"
+            (L.Objref.to_string o))
+      (objs @ probes);
+    objs
+  in
+  [
+    Alcotest.test_case "views equal the scanning reference on the small corpus"
+      `Quick (fun () ->
+        let w = Lazy.force T_core.warehouse in
+        let eng = Aladin.Engine.create w in
+        let objs =
+          views_equal (Aladin.Engine.browser eng) (Aladin.Warehouse.profiles w)
+            (Aladin.Warehouse.links w) (Aladin.Warehouse.dup_reprs w)
+        in
+        let some what f =
+          check Alcotest.bool ("some views have " ^ what) true
+            (List.exists
+               (fun o ->
+                 match Aladin.Engine.view eng o with Some v -> f v | None -> false)
+               objs)
+        in
+        some "annotations" (fun v -> v.annotations <> []);
+        some "conflicts" (fun v -> v.conflicts <> []));
+    Alcotest.test_case "views equal the scanning reference on a hand-built source"
+      `Quick (fun () ->
+        let profiles = L.Profile_list.of_profiles [ hand_source () ] in
+        let reprs = Aladin_dup.Object_sim.build_reprs profiles in
+        let obj acc = L.Objref.make ~source:"src_h" ~relation:"entry" ~accession:acc in
+        let links =
+          [ L.Link.make ~src:(obj "HX001") ~dst:(obj "HX002") ~kind:L.Link.Duplicate
+              ~confidence:0.9 ~evidence:"d";
+            L.Link.make ~src:(obj "HX003") ~dst:(obj "HX001") ~kind:L.Link.Xref
+              ~confidence:0.7 ~evidence:"x" ]
+        in
+        let b = Browser.create profiles (Link_query.create links) reprs in
+        ignore (views_equal b profiles links reprs);
+        let view acc =
+          match Browser.view b (obj acc) with
+          | Some v -> v
+          | None -> Alcotest.failf "no view of %s" acc
+        in
+        let keyword acc =
+          List.filter
+            (fun (a : Browser.annotation) -> a.relation = "KEYWORD")
+            (view acc).annotations
+        in
+        (* the fixture has what it claims *)
+        check Alcotest.bool "HX001 and HX002 share their keyword row" true
+          (keyword "HX001" <> [] && keyword "HX001" = keyword "HX002");
+        check Alcotest.int "HX004 owns no row" 0
+          (List.length (view "HX004").annotations);
+        check Alcotest.int "HX001 owns two dbxref rows" 2
+          (List.length
+             (List.filter
+                (fun (a : Browser.annotation) -> a.relation = "dbxref")
+                (view "HX001").annotations)));
+  ]
+
 (* The three per-object adjacencies the one link index replaced, kept
    as references: the browser's (each object's links in list order, a
    self-link once) and the identical ones of traversal and path ranking
@@ -740,7 +976,7 @@ let tests =
     ("access.like", like_tests);
     ("access.search", search_tests);
     ("access.path_rank", path_rank_tests);
-    ("access.browser", browser_tests);
+    ("access.browser", browser_tests @ view_reference_tests);
     ("access.link_query", link_query_tests);
     ("access.html_export", html_tests);
   ]

@@ -445,6 +445,26 @@ let system_tests =
 
 let feedback_tests =
   [
+    Alcotest.test_case "engine reject_link keeps search and drops the link"
+      `Quick (fun () ->
+        let eng = Engine.create (Warehouse.integrate (Lazy.force small_corpus).catalogs) in
+        let queries = [ "kinase"; "protein"; "binding domain"; "P" ] in
+        let hits () = List.map (fun q -> Engine.search eng q) queries in
+        let before = hits () in
+        let in_view (l : Aladin_links.Link.t) o =
+          match Engine.view eng o with
+          | Some v -> List.mem l v.linked
+          | None -> Alcotest.fail "an end of the link has no view"
+        in
+        match Engine.links ~kind:"xref" eng with
+        | [] -> Alcotest.fail "no xref link"
+        | l :: _ ->
+            check Alcotest.bool "in both ends' views before" true
+              (in_view l l.src && in_view l l.dst);
+            Engine.reject_link eng l;
+            check Alcotest.bool "search hits unchanged" true (hits () = before);
+            check Alcotest.bool "gone from both ends' views" false
+              (in_view l l.src || in_view l l.dst));
     Alcotest.test_case "reject_link filters" `Quick (fun () ->
         let fb = Feedback.create () in
         let l =

@@ -594,6 +594,93 @@ let conflict_tests =
              (Conflict.in_duplicates (Conflict.table [ a; b ]) [ xref ])));
   ]
 
+(* Conflict.between as it was before it prepared each field once: both
+   names tokenized and both values prepared again for every field pair.
+   Kept as the reference the prepared kernel must equal. *)
+module Ref_conflict = struct
+  let between ?(params = Conflict.default_params) (a : Object_sim.repr)
+      (b : Object_sim.repr) =
+    List.concat_map
+      (fun (attr_a, value_a) ->
+        List.filter_map
+          (fun (attr_b, value_b) ->
+            let name_sim = Field_sim.name_affinity attr_a attr_b in
+            if name_sim < params.Conflict.min_name_affinity then None
+            else
+              let vs = Field_sim.similarity value_a value_b in
+              if vs >= params.max_value_similarity then None
+              else
+                Some
+                  { Conflict.obj_a = a.obj; obj_b = b.obj; attr_a; attr_b;
+                    value_a; value_b; similarity = vs })
+          b.fields)
+      a.fields
+end
+
+let conflict_kernel_seed = 23
+
+(* reprs whose attribute names share tokens, carry "id", dots,
+   underscores and mixed case, and whose values are empty, blank,
+   sequence-shaped, long text or short identifiers, so every metric and
+   both thresholds are crossed *)
+let conflict_kernel_test =
+  let open QCheck.Gen in
+  let token = oneofl [ "name"; "gene"; "length"; "seq"; "descr"; "id"; "Name"; "GENE"; "Id"; "" ] in
+  let attr =
+    let* parts = list_size (int_range 1 3) token in
+    let* sep = oneofl [ "."; "_"; "._" ] in
+    return (String.concat sep parts)
+  in
+  let letters alphabet n =
+    map (fun l -> String.concat "" l)
+      (list_repeat n (map (String.make 1) (oneofl alphabet)))
+  in
+  let value =
+    oneof
+      [
+        return "";
+        oneofl [ " "; "  "; "\t \n" ];
+        (* sequence-shaped: long, letters only, few distinct letters *)
+        (let* n = int_range 30 60 in
+         letters [ 'A'; 'C'; 'G'; 'T' ] n);
+        (let* n = int_range 30 60 in
+         map String.lowercase_ascii (letters [ 'M'; 'K'; 'L'; 'V'; 'A' ] n));
+        (* 25 chars and more: token metric *)
+        (let* words =
+           list_size (int_range 4 9)
+             (oneofl [ "kinase"; "binding"; "protein"; "DNA"; "repair"; "Kinase"; "membrane" ])
+         in
+         return (String.concat " " words));
+        (* short identifiers: edit metric, sometimes equal *)
+        (let* p = oneofl [ "P"; "Q"; "ab"; "AB" ] in
+         let* d = int_range 0 120 in
+         return (Printf.sprintf "%s%03d" p d));
+      ]
+  in
+  let repr acc =
+    let* fields = list_size (int_range 0 12) (pair attr value) in
+    return
+      { Object_sim.obj = Objref.make ~source:"s" ~relation:"r" ~accession:acc;
+        fields }
+  in
+  (* besides the defaults: every name pair compared, every unequal value
+     flagged *)
+  let params =
+    oneofl
+      [ Conflict.default_params;
+        { Conflict.min_name_affinity = 0.0; max_value_similarity = 1.0 } ]
+  in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| conflict_kernel_seed |])
+    (QCheck.Test.make ~name:"between equals the per-pair reference" ~count:300
+       (QCheck.make (triple params (repr "A") (repr "B")))
+       (fun (params, a, b) ->
+         Conflict.between ~params a b = Ref_conflict.between ~params a b
+         && Conflict.between ~params b a = Ref_conflict.between ~params b a
+         && Conflict.between ~params a a = Ref_conflict.between ~params a a))
+
+let conflict_tests = conflict_tests @ [ conflict_kernel_test ]
+
 let tests =
   [
     ("dupdetect.union_find", union_find_tests);
