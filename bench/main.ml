@@ -1098,11 +1098,10 @@ let micro () =
   let words =
     List.init 200 (fun i -> Printf.sprintf "token%d content word%d" i (i * 3))
   in
-  let idx = Aladin_text.Inverted_index.create () in
-  List.iteri
-    (fun i text ->
-      Aladin_text.Inverted_index.add idx ~doc_id:(string_of_int i) ~field:"f" text)
-    words;
+  let idx =
+    Aladin_text.Inverted_index.build (fun add ->
+        List.iteri (fun i text -> add ~doc_id:(string_of_int i) ~field:"f" text) words)
+  in
   (* 100 unrelated indexed DNA sequences: a probe of [seq_a] seeds
      through the k-mer postings and aligns nothing, so the kernel is the
      probe's cost beyond the Smith-Waterman kernels above *)

@@ -107,6 +107,8 @@ let create profiles index reprs =
     reprs = Dup.Conflict.table reprs;
   }
 
+let with_index t index = { t with index }
+
 let links_of t obj = Link_query.links_of t.index obj
 
 let objects t =

@@ -40,7 +40,14 @@ val create : Profile_list.t -> Link_query.t -> Aladin_dup.Object_sim.repr list -
     secondary entry and then by row. This is the only place a browser
     scans a relation: a {!view} looks up its own object's rows, so it
     costs time in the size of its object, not of its source. Build a new
-    browser after the links or the sources change. *)
+    browser after the sources change; after a change to the links alone,
+    {!with_index} is enough. *)
+
+val with_index : t -> Link_query.t -> t
+(** The browser over another link index, sharing the row indexes and
+    the representation table of [t]: for a change that leaves the
+    profiles and the representations as they were, such as a rejected
+    link. *)
 
 val links_of : t -> Objref.t -> Link.t list
 (** The links with the object on either end ({!Link_query.links_of}):

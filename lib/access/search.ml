@@ -10,64 +10,63 @@ type t = {
 }
 
 let build profiles =
-  let idx = Tx.Inverted_index.create () in
   let objects = Hashtbl.create 512 in
   let by_accession = Hashtbl.create 512 in
-  List.iter
-    (fun (e : Profile_list.entry) ->
-      let catalog = Profile.catalog e.sp.profile in
-      (match Source_profile.primary_accession e.sp with
-      | None -> ()
-      | Some (prel, pattr) ->
-          (* index the primary rows field by field *)
-          let rel = Catalog.find_exn catalog prel in
-          let schema = Relation.schema rel in
-          let acc_i = Schema.index_of_exn schema pattr in
-          let source = Source_profile.source e.sp in
-          Relation.iter_rows
-            (fun row ->
-              let accession = Value.to_string row.(acc_i) in
-              let obj = Objref.make ~source ~relation:prel ~accession in
-              let doc_id = Objref.to_string obj in
-              Hashtbl.replace objects doc_id obj;
-              Hashtbl.replace by_accession (String.lowercase_ascii accession) obj;
-              Tx.Inverted_index.add idx ~doc_id ~field:"accession" accession;
-              List.iteri
-                (fun i attr ->
-                  if i <> acc_i then
-                    let v = row.(i) in
-                    if not (Value.is_null v) then
-                      Tx.Inverted_index.add idx ~doc_id
-                        ~field:(prel ^ "." ^ attr)
-                        (Value.to_string v))
-                (Schema.names schema))
-            rel);
-      (* index owned text fields of secondary relations *)
-      Profile.all_stats e.sp.profile
-      |> List.iter (fun (cs : Col_stats.t) ->
-             let is_primary_rel =
-               match Source_profile.primary_relation e.sp with
-               | Some p -> String.lowercase_ascii p = String.lowercase_ascii cs.relation
-               | None -> false
-             in
-             if (not is_primary_rel) && Prune.is_text_field cs then begin
-               let rel = Catalog.find_exn catalog cs.relation in
-               let ai = Schema.index_of_exn (Relation.schema rel) cs.attribute in
-               Relation.iteri_rows
-                 (fun row_i row ->
-                   let v = row.(ai) in
-                   if not (Value.is_null v) then
-                     List.iter
-                       (fun obj ->
-                         Tx.Inverted_index.add idx
-                           ~doc_id:(Objref.to_string obj)
-                           ~field:(cs.relation ^ "." ^ cs.attribute)
-                           (Value.to_string v))
-                       (Owner_map.object_of_row e.owner ~relation:cs.relation
-                          ~row:row_i))
-                 rel
-             end))
-    (Profile_list.entries profiles);
+  let fill add =
+    List.iter
+      (fun (e : Profile_list.entry) ->
+        let catalog = Profile.catalog e.sp.profile in
+        (match Source_profile.primary_accession e.sp with
+        | None -> ()
+        | Some (prel, pattr) ->
+            (* index the primary rows field by field *)
+            let rel = Catalog.find_exn catalog prel in
+            let schema = Relation.schema rel in
+            let acc_i = Schema.index_of_exn schema pattr in
+            let source = Source_profile.source e.sp in
+            Relation.iter_rows
+              (fun row ->
+                let accession = Value.to_string row.(acc_i) in
+                let obj = Objref.make ~source ~relation:prel ~accession in
+                let doc_id = Objref.to_string obj in
+                Hashtbl.replace objects doc_id obj;
+                Hashtbl.replace by_accession (String.lowercase_ascii accession) obj;
+                add ~doc_id ~field:"accession" accession;
+                List.iteri
+                  (fun i attr ->
+                    if i <> acc_i then
+                      let v = row.(i) in
+                      if not (Value.is_null v) then
+                        add ~doc_id ~field:(prel ^ "." ^ attr) (Value.to_string v))
+                  (Schema.names schema))
+              rel);
+        (* index owned text fields of secondary relations *)
+        Profile.all_stats e.sp.profile
+        |> List.iter (fun (cs : Col_stats.t) ->
+               let is_primary_rel =
+                 match Source_profile.primary_relation e.sp with
+                 | Some p -> String.lowercase_ascii p = String.lowercase_ascii cs.relation
+                 | None -> false
+               in
+               if (not is_primary_rel) && Prune.is_text_field cs then begin
+                 let rel = Catalog.find_exn catalog cs.relation in
+                 let ai = Schema.index_of_exn (Relation.schema rel) cs.attribute in
+                 Relation.iteri_rows
+                   (fun row_i row ->
+                     let v = row.(ai) in
+                     if not (Value.is_null v) then
+                       List.iter
+                         (fun obj ->
+                           add ~doc_id:(Objref.to_string obj)
+                             ~field:(cs.relation ^ "." ^ cs.attribute)
+                             (Value.to_string v))
+                         (Owner_map.object_of_row e.owner ~relation:cs.relation
+                            ~row:row_i))
+                   rel
+               end))
+      (Profile_list.entries profiles)
+  in
+  let idx = Tx.Inverted_index.build fill in
   { idx; objects; by_accession }
 
 let object_count t = Hashtbl.length t.objects

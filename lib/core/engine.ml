@@ -14,17 +14,21 @@ type t = { w : Warehouse.t; mutable access : access }
 
 (* the one builder of access structures: one per-object link index over
    the link view, which the browser, traversal and path ranking all
-   read. The search index reads only the profiles, so a mutation that
-   changes only links passes the one it already has. *)
-let build ?search w =
-  let profiles = Warehouse.profiles w in
+   read. A mutation that changes the links alone passes the structures
+   it has as [links_only]: only the link index is made anew, and the
+   search index, the browser's row indexes and its representations,
+   which read the profiles and the exclude triples, are kept. *)
+let build ?links_only w =
   let index = Link_query.create (Warehouse.links w) in
-  {
-    browser = Browser.create profiles index (Warehouse.dup_reprs w);
-    search =
-      (match search with Some s -> s | None -> Search.build profiles);
-    index;
-  }
+  match links_only with
+  | Some a -> { a with index; browser = Browser.with_index a.browser index }
+  | None ->
+      let profiles = Warehouse.profiles w in
+      {
+        browser = Browser.create profiles index (Warehouse.dup_reprs w);
+        search = Search.build profiles;
+        index;
+      }
 
 let create w = { w; access = build w }
 
@@ -102,7 +106,8 @@ let update_source t catalog ~changed_rows =
   | `Deferred -> ());
   r
 
-(* a rejected link changes no profile: keep the search index *)
+(* a rejected link changes no profile and no exclude triple, so neither
+   the search index nor the browser's rows and representations *)
 let reject_link t l =
   Warehouse.reject_link t.w l;
-  t.access <- build ~search:t.access.search t.w
+  t.access <- build ~links_only:t.access t.w

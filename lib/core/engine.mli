@@ -116,6 +116,9 @@ val update_source : t -> Catalog.t -> changed_rows:int -> Warehouse.update_repor
     reanalysis leaves keys over {e other} sources intact. *)
 
 val reject_link : t -> Link.t -> unit
-(** §6.2 feedback: the link disappears immediately and stays gone. The
-    link index and the browser are built anew; the search index, which
-    reads only the profiles a rejection leaves alone, is kept. *)
+(** §6.2 feedback: the link disappears immediately and stays gone. Only
+    the link index is built anew, and the browser moved onto it
+    ({!Aladin_access.Browser.with_index}): the search index, the
+    browser's row indexes and the duplicate representations read only
+    the profiles and the exclude triples, which a rejection leaves
+    alone, so they are kept. *)

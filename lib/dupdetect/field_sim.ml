@@ -10,14 +10,18 @@ let is_sequence s =
          (c >= 'A' && c <= 'Z') || c = ' ' || c = '\n')
        s
   &&
-  (* low character diversity is the cheap tell of a sequence *)
-  let seen = Hashtbl.create 8 in
-  String.iter
-    (fun c ->
-      let c = Char.uppercase_ascii c in
-      if c <> ' ' && c <> '\n' then Hashtbl.replace seen c ())
-    s;
-  Hashtbl.length seen <= 21
+  (* low character diversity is the cheap tell of a sequence; past the
+     check above only letters, spaces and newlines are left, so the
+     distinct letters fit in a 26-bit mask *)
+  let seen = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match s.[i] with
+    | ' ' | '\n' -> ()
+    | c ->
+        seen := !seen lor (1 lsl (Char.code (Char.uppercase_ascii c) - Char.code 'A'))
+  done;
+  let rec bits n = if n = 0 then 0 else 1 + bits (n land (n - 1)) in
+  bits !seen <= 21
 
 let is_sequence_value = is_sequence
 

@@ -10,6 +10,10 @@
     while entries over unrelated sources keep serving hits; {!flush}
     reclaims orphans eagerly.
 
+    Values are opaque here; {!Service} stores each response rendered
+    once (the wire bytes of its hit variant), so a hit hands back the
+    very string the server writes.
+
     Recency is tracked with a lazy-deletion queue: every touch enqueues
     a fresh (key, sequence) ticket and eviction pops tickets until one
     is current, giving O(1) amortized updates with bounded garbage. *)

@@ -1,21 +1,3 @@
-let read_all ?(limit = 16 * 1024 * 1024) fd =
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    if Buffer.length buf > limit then Error "response too large"
-    else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Ok (Buffer.contents buf)
-      | k ->
-          Buffer.add_subbytes buf chunk 0 k;
-          go ()
-      | exception Unix.Unix_error (EINTR, _, _) -> go ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          Error "timed out reading response"
-      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  in
-  go ()
-
 let request ?(host = "127.0.0.1") ?(timeout = 10.0) ~port target =
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
@@ -31,18 +13,8 @@ let request ?(host = "127.0.0.1") ?(timeout = 10.0) ~port target =
               Printf.sprintf "GET %s HTTP/1.1\r\nhost: %s:%d\r\nconnection: close\r\n\r\n"
                 target host port
             in
-            let b = Bytes.of_string req in
-            let n = Bytes.length b in
-            let rec send off =
-              if off < n then
-                match Unix.write fd b off (n - off) with
-                | k -> send (off + k)
-                | exception Unix.Unix_error (EINTR, _, _) -> send off
-            in
-            send 0;
-            match read_all fd with
-            | Error _ as e -> e
-            | Ok raw -> Http.parse_response raw
+            if Http.write fd req then Http.read_response fd
+            else Error "connection lost while sending the request"
           with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)))
 
 let get = request

@@ -11,9 +11,14 @@ val request :
   string ->
   (Http.response, string) result
 (** [request ~port target] sends [GET target] to [host] (default
-    127.0.0.1) and returns the parsed response. [timeout] (default 10 s)
-    bounds both connect and read. [Error] on connection failure,
-    timeout, or an unparsable response — never raises. *)
+    127.0.0.1) and returns the response {!Http.read_response} reads: the
+    head, then exactly [Content-Length] body bytes into one buffer of
+    that size (to end of file when the head has no [Content-Length]).
+    [timeout] (default 10 s) bounds both connect and each read. [Error]
+    on connection failure, timeout, an unparsable head, a body cut short
+    before [Content-Length] bytes, or a body over 16 MiB (a larger
+    [Content-Length] is refused before anything is allocated) — never
+    raises. *)
 
 val get : ?host:string -> ?timeout:float -> port:int -> string -> (Http.response, string) result
 (** Alias of {!request}. *)

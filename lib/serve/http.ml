@@ -27,16 +27,23 @@ let response ?(headers = []) ?(content_type = "text/plain; charset=utf-8")
     status body =
   { status; headers = ("content-type", content_type) :: headers; body }
 
+(* ASCII case-insensitive equality, without lowercased copies *)
+let equal_ci a b =
+  let n = String.length a in
+  n = String.length b
+  &&
+  let rec go i =
+    i = n
+    || (Char.lowercase_ascii a.[i] = Char.lowercase_ascii b.[i] && go (i + 1))
+  in
+  go 0
+
 let header r name =
-  let name = String.lowercase_ascii name in
-  List.assoc_opt name (List.map (fun (k, v) -> (String.lowercase_ascii k, v)) r.headers)
+  List.find_map (fun (k, v) -> if equal_ci k name then Some v else None) r.headers
 
 let with_header r name value =
-  let name = String.lowercase_ascii name in
-  let rest =
-    List.filter (fun (k, _) -> String.lowercase_ascii k <> name) r.headers
-  in
-  { r with headers = rest @ [ (name, value) ] }
+  let rest = List.filter (fun (k, _) -> not (equal_ci k name)) r.headers in
+  { r with headers = rest @ [ (String.lowercase_ascii name, value) ] }
 
 let query_param req name = List.assoc_opt name req.query
 
@@ -126,32 +133,36 @@ let parse_target target =
         parse_query (String.sub target (i + 1) (String.length target - i - 1)) )
   | None -> (pct_decode target, [])
 
+(* the lines of a head, each without its trailing \r *)
+let head_lines head =
+  String.split_on_char '\n' head
+  |> List.map (fun l ->
+         let n = String.length l in
+         if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l)
+
+(* "name: value" lines, names lowercased, both trimmed; a line without a
+   colon is skipped *)
+let parse_headers lines =
+  List.filter_map
+    (fun l ->
+      match String.index_opt l ':' with
+      | Some i ->
+          Some
+            ( String.lowercase_ascii (String.trim (String.sub l 0 i)),
+              String.trim (String.sub l (i + 1) (String.length l - i - 1)) )
+      | None -> None)
+    (List.filter (( <> ) "") lines)
+
+let is_http_version v = String.length v >= 5 && String.sub v 0 5 = "HTTP/"
+
 let parse_request head =
-  let lines = String.split_on_char '\n' head in
-  let lines = List.map (fun l ->
-    let n = String.length l in
-    if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l) lines
-  in
-  match lines with
+  match head_lines head with
   | [] -> Error "empty request"
   | rl :: rest -> (
       match String.split_on_char ' ' rl with
-      | [ meth; target; version ]
-        when String.length version >= 5 && String.sub version 0 5 = "HTTP/" ->
-          let headers =
-            List.filter_map
-              (fun l ->
-                match String.index_opt l ':' with
-                | Some i ->
-                    Some
-                      ( String.lowercase_ascii (String.trim (String.sub l 0 i)),
-                        String.trim
-                          (String.sub l (i + 1) (String.length l - i - 1)) )
-                | None -> None)
-              (List.filter (( <> ) "") rest)
-          in
+      | [ meth; target; version ] when is_http_version version ->
           let path, query = parse_target target in
-          Ok { meth; target; path; query; headers }
+          Ok { meth; target; path; query; headers = parse_headers rest }
       | _ -> Error (Printf.sprintf "malformed request line %S" rl))
 
 let normalize_target req =
@@ -167,143 +178,202 @@ let normalize_target req =
 
 (* --- rendering --- *)
 
+(* the head is built first, so that the whole response goes into one
+   buffer of its exact size: the body is copied once *)
 let render r =
-  let b = Buffer.create (String.length r.body + 256) in
-  Buffer.add_string b
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" r.status (reason r.status));
+  let head = Buffer.create 256 in
+  let add = Buffer.add_string head in
+  add "HTTP/1.1 ";
+  add (string_of_int r.status);
+  add " ";
+  add (reason r.status);
+  add "\r\n";
   List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
+    (fun (k, v) ->
+      add k;
+      add ": ";
+      add v;
+      add "\r\n")
     r.headers;
-  Buffer.add_string b
-    (Printf.sprintf "content-length: %d\r\n" (String.length r.body));
-  Buffer.add_string b "connection: close\r\n\r\n";
-  Buffer.add_string b r.body;
-  Buffer.contents b
+  add "content-length: ";
+  add (string_of_int (String.length r.body));
+  add "\r\nconnection: close\r\n\r\n";
+  let head_len = Buffer.length head and body_len = String.length r.body in
+  let b = Bytes.create (head_len + body_len) in
+  Buffer.blit head 0 b 0 head_len;
+  Bytes.blit_string r.body 0 b head_len body_len;
+  (* [b] is never written again *)
+  Bytes.unsafe_to_string b
 
-(* --- descriptor I/O --- *)
+(* --- response parsing --- *)
 
-(* (head length, offset just past the \r\n\r\n or \n\n separator) *)
-let find_head_end s =
-  let n = String.length s in
+(* (head length, offset just past the \r\n\r\n or \n\n separator) in the
+   first [len] bytes of [b], for a separator ending at or after [from] *)
+let find_head_end ?(from = 0) b len =
   let rec go i =
-    if i >= n then None
-    else if s.[i] = '\n' then
-      if i >= 3 && s.[i - 1] = '\r' && s.[i - 2] = '\n' && s.[i - 3] = '\r' then
-        Some (i - 3, i + 1)
-      else if i >= 1 && s.[i - 1] = '\n' then Some (i - 1, i + 1)
+    if i >= len then None
+    else if Bytes.get b i = '\n' then
+      if
+        i >= 3
+        && Bytes.get b (i - 1) = '\r'
+        && Bytes.get b (i - 2) = '\n'
+        && Bytes.get b (i - 3) = '\r'
+      then Some (i - 3, i + 1)
+      else if i >= 1 && Bytes.get b (i - 1) = '\n' then Some (i - 1, i + 1)
       else go (i + 1)
     else go (i + 1)
   in
-  go 0
+  go from
+
+(* status line and headers of a response head *)
+let parse_response_head head =
+  match head_lines head with
+  | [] -> Error "empty response head"
+  | sl :: rest -> (
+      match String.split_on_char ' ' sl with
+      | version :: code :: _ when is_http_version version -> (
+          match int_of_string_opt code with
+          | None -> Error (Printf.sprintf "bad status code %S" code)
+          | Some status -> Ok (status, parse_headers rest))
+      | _ -> Error (Printf.sprintf "malformed status line %S" sl))
+
+(* [Ok None] when the head has no Content-Length *)
+let content_length headers =
+  match List.assoc_opt "content-length" headers with
+  | None -> Ok None
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n >= 0 -> Ok (Some n)
+      | _ -> Error (Printf.sprintf "bad content-length %S" v))
+
+let cut_short ~got n =
+  Error (Printf.sprintf "response body cut short: %d of %d bytes" got n)
+
+let ( let* ) = Result.bind
 
 let parse_response raw =
-  match find_head_end raw with
-  | None -> Error "no header terminator in response"
-  | Some (head_len, body_off) -> (
-      let lines =
-        String.split_on_char '\n' (String.sub raw 0 head_len)
-        |> List.map (fun l ->
-               let n = String.length l in
-               if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l)
-      in
-      match lines with
-      | [] -> Error "empty response head"
-      | sl :: rest -> (
-          match String.split_on_char ' ' sl with
-          | version :: code :: _
-            when String.length version >= 5 && String.sub version 0 5 = "HTTP/"
-            -> (
-              match int_of_string_opt code with
-              | None -> Error (Printf.sprintf "bad status code %S" code)
-              | Some status ->
-                  let headers =
-                    List.filter_map
-                      (fun l ->
-                        match String.index_opt l ':' with
-                        | Some i ->
-                            Some
-                              ( String.lowercase_ascii
-                                  (String.trim (String.sub l 0 i)),
-                                String.trim
-                                  (String.sub l (i + 1)
-                                     (String.length l - i - 1)) )
-                        | None -> None)
-                      (List.filter (( <> ) "") rest)
-                  in
-                  let body =
-                    String.sub raw body_off (String.length raw - body_off)
-                  in
-                  let body =
-                    match
-                      Option.bind (List.assoc_opt "content-length" headers)
-                        (fun n -> int_of_string_opt (String.trim n))
-                    with
-                    | Some n when n >= 0 && n <= String.length body ->
-                        String.sub body 0 n
-                    | _ -> body
-                  in
-                  Ok { status; headers; body })
-          | _ -> Error (Printf.sprintf "malformed status line %S" sl)))
+  let* head_len, body_off =
+    Option.to_result ~none:"no header terminator in response"
+      (find_head_end (Bytes.unsafe_of_string raw) (String.length raw))
+  in
+  let* status, headers = parse_response_head (String.sub raw 0 head_len) in
+  let have = String.length raw - body_off in
+  let* length = content_length headers in
+  match length with
+  | Some n when n > have -> cut_short ~got:have n
+  | Some n -> Ok { status; headers; body = String.sub raw body_off n }
+  | None -> Ok { status; headers; body = String.sub raw body_off have }
+
+(* --- descriptor I/O --- *)
 
 let header_of (req : request) name = List.assoc_opt name req.headers
 
-let read_request ?(max_head = 16384) fd =
-  let buf = Buffer.create 512 in
-  let chunk = Bytes.create 2048 in
-  let rec fill () =
-    match find_head_end (Buffer.contents buf) with
-    | Some (head_len, body_off) -> Ok (head_len, body_off)
-    | None ->
-        if Buffer.length buf > max_head then Error "request head too large"
-        else begin
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> Error "connection closed before request head"
-          | k ->
-              Buffer.add_subbytes buf chunk 0 k;
-              fill ()
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-              Error "timed out reading request"
-          | exception Unix.Unix_error (EINTR, _, _) -> fill ()
-          | exception Unix.Unix_error (e, _, _) ->
-              Error (Unix.error_message e)
-        end
-  in
-  match fill () with
-  | Error _ as e -> e
-  | Ok (head_len, body_off) -> (
-      let head = String.sub (Buffer.contents buf) 0 head_len in
-      match parse_request head with
-      | Error _ as e -> e
-      | Ok req ->
-          (* drain any body so the peer never sees a reset before our
-             response; GET bodies are ignored *)
-          (match header_of req "content-length" with
-          | Some n -> (
-              match int_of_string_opt (String.trim n) with
-              | Some want when want > 0 ->
-                  let have = ref (Buffer.length buf - body_off) in
-                  (try
-                     while !have < want && want <= 1_048_576 do
-                       match Unix.read fd chunk 0 (Bytes.length chunk) with
-                       | 0 -> have := want
-                       | k -> have := !have + k
-                     done
-                   with Unix.Unix_error (_, _, _) -> ())
-              | _ -> ())
-          | None -> ());
-          Ok req)
+(* one read into [b] at [off] of at most [len] bytes; [Ok 0] at end of
+   file *)
+let rec read_some ~what fd b off len =
+  match Unix.read fd b off len with
+  | k -> Ok k
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      Error ("timed out reading " ^ what)
+  | exception Unix.Unix_error (EINTR, _, _) -> read_some ~what fd b off len
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
-let write_response fd resp =
-  let s = render resp in
-  let b = Bytes.of_string s in
+(* [b], or [b] doubled when its first [len] bytes fill it *)
+let room b len =
+  if len < Bytes.length b then b else Bytes.extend b 0 (Bytes.length b)
+
+(* Read until a whole head has arrived. Returns the buffer, how many
+   bytes it holds (the head and whatever followed it in the same reads)
+   and the head's end as [find_head_end] gives it. The buffer starts at
+   1 KiB, small enough for the minor heap, and doubles for longer heads. *)
+let read_head ~what ~max_head fd =
+  let rec fill buf len =
+    if len > max_head then Error (what ^ " head too large")
+    else
+      let buf = room buf len in
+      let* k = read_some ~what fd buf len (Bytes.length buf - len) in
+      if k = 0 then Error ("connection closed before " ^ what ^ " head")
+      else
+        match find_head_end ~from:len buf (len + k) with
+        | Some (head_len, body_off) -> Ok (buf, len + k, head_len, body_off)
+        | None -> fill buf (len + k)
+  in
+  fill (Bytes.create 1024) 0
+
+let read_request ?(max_head = 16384) fd =
+  let* buf, len, head_len, body_off = read_head ~what:"request" ~max_head fd in
+  let* req = parse_request (Bytes.sub_string buf 0 head_len) in
+  (* drain any body so the peer never sees a reset before our response;
+     GET bodies are ignored *)
+  (match header_of req "content-length" with
+  | Some n -> (
+      match int_of_string_opt (String.trim n) with
+      | Some want when want > 0 ->
+          let have = ref (len - body_off) in
+          (try
+             while !have < want && want <= 1_048_576 do
+               match Unix.read fd buf 0 (Bytes.length buf) with
+               | 0 -> have := want
+               | k -> have := !have + k
+             done
+           with Unix.Unix_error (_, _, _) -> ())
+      | _ -> ())
+  | None -> ());
+  Ok req
+
+(* read into [b] from [got] on until it is full *)
+let rec read_exactly fd b got =
   let n = Bytes.length b in
+  if got = n then Ok ()
+  else
+    let* k = read_some ~what:"response" fd b got (n - got) in
+    if k = 0 then cut_short ~got n else read_exactly fd b (got + k)
+
+(* the largest response body a client reads *)
+let max_body = 16 * 1024 * 1024
+
+(* a body without Content-Length runs to end of file *)
+let rec read_to_eof ~limit fd buf len =
+  if len > limit then Error "response too large"
+  else
+    let buf = room buf len in
+    let* k = read_some ~what:"response" fd buf len (Bytes.length buf - len) in
+    if k = 0 then Ok (buf, len) else read_to_eof ~limit fd buf (len + k)
+
+let read_response fd =
+  let* buf, len, head_len, body_off =
+    read_head ~what:"response" ~max_head:65536 fd
+  in
+  let* status, headers =
+    parse_response_head (Bytes.sub_string buf 0 head_len)
+  in
+  let* length = content_length headers in
+  match length with
+  | Some n when n > max_body ->
+      Error
+        (Printf.sprintf "response body of %d bytes is over the %d-byte limit" n
+           max_body)
+  | Some n ->
+      (* one buffer of the body's size: what came with the head, then
+         exactly the rest, and no read past it *)
+      let body = Bytes.create n in
+      let got = min n (len - body_off) in
+      Bytes.blit buf body_off body 0 got;
+      let* () = read_exactly fd body got in
+      (* [body] is never written again *)
+      Ok { status; headers; body = Bytes.unsafe_to_string body }
+  | None ->
+      let* buf, len = read_to_eof ~limit:(body_off + max_body) fd buf len in
+      Ok { status; headers; body = Bytes.sub_string buf body_off (len - body_off) }
+
+let write fd s =
+  let n = String.length s in
   let rec go off =
     if off >= n then true
     else
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | k -> go (off + k)
       | exception Unix.Unix_error (EINTR, _, _) -> go off
-      | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> false
       | exception Unix.Unix_error (_, _, _) -> false
   in
   go 0

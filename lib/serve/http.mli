@@ -1,10 +1,11 @@
 (** Minimal dependency-free HTTP/1.1, the wire layer of [aladin serve].
 
-    Only what a query-serving daemon needs: parse a request head, render
-    a response with [Content-Length], and move both over a file
-    descriptor. Connections are one-request ([Connection: close]);
-    request bodies are read and discarded. Parsing is pure ({!parse_request})
-    so it can be tested without sockets. *)
+    Only what a query-serving daemon and its client need: parse a request
+    head, render a response with [Content-Length], and move both over a
+    file descriptor. Connections are one-request ([Connection: close]);
+    request bodies are read and discarded. Parsing is pure
+    ({!parse_request}, {!parse_response}) so it can be tested without
+    sockets. *)
 
 type request = {
   meth : string;  (** verbatim, e.g. ["GET"] *)
@@ -30,6 +31,7 @@ val reason : int -> string
 (** Standard reason phrase (["OK"], ["Service Unavailable"], ...). *)
 
 val header : response -> string -> string option
+(** The first header of that name, compared ASCII case-insensitively. *)
 
 val with_header : response -> string -> string -> response
 (** Replace-or-add one header. *)
@@ -45,9 +47,11 @@ val parse_request : string -> (request, string) result
 (** Parse a request head (request line + headers, no body). *)
 
 val parse_response : string -> (response, string) result
-(** Parse full response wire bytes (status line, headers, body); the
-    body is truncated to [Content-Length] when present. Used by
-    {!Client}. *)
+(** Parse full response wire bytes (status line, headers, body). With a
+    [Content-Length] the body is that many bytes (anything after them is
+    ignored), and fewer bytes after the head, or a length that is not a
+    non-negative integer, is an [Error]. Without one the body is
+    everything after the head. *)
 
 val pct_decode : string -> string
 (** Percent-decoding; [+] becomes a space (query-string convention). *)
@@ -60,7 +64,8 @@ val json_string : string -> string
 
 val render : response -> string
 (** Full wire bytes: status line, headers (adding [Content-Length] and
-    [Connection: close]), blank line, body. *)
+    [Connection: close]), blank line, body — built in one buffer of the
+    exact size, so the body is copied once. *)
 
 (** {2 Descriptor I/O} — confined to lib/serve by scripts/check.sh. *)
 
@@ -70,6 +75,16 @@ val read_request : ?max_head:int -> Unix.file_descr -> (request, string) result
     [Error] on EOF, timeout, malformed head, or a head over [max_head]
     (default 16 KiB) bytes. *)
 
-val write_response : Unix.file_descr -> response -> bool
-(** Write the full rendered response; [false] if the peer vanished
-    (EPIPE/ECONNRESET) — never raises. *)
+val read_response : Unix.file_descr -> (response, string) result
+(** Read one response as {!parse_response} reads its bytes: the head,
+    then exactly [Content-Length] body bytes into one buffer of that
+    size, with no read past them; without [Content-Length], everything
+    up to end of file. [Error] on a body cut short, a body over 16 MiB
+    (a larger [Content-Length] is refused before anything is
+    allocated), a timeout, EOF before the head ends, or an unparsable
+    head. *)
+
+val write : Unix.file_descr -> string -> bool
+(** Write the bytes as they are (a stored or freshly {!render}ed
+    response); [false] if the peer vanished (EPIPE/ECONNRESET) — never
+    raises. *)

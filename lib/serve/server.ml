@@ -34,10 +34,13 @@ type state = {
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let respond st fd resp =
-  if not (Http.write_response fd resp) then
-    st.write_errors <- st.write_errors + 1;
+(* every response leaves through here, as bytes already rendered (or
+   stored in the service's cache) *)
+let send st fd wire =
+  if not (Http.write fd wire) then st.write_errors <- st.write_errors + 1;
   close_quietly fd
+
+let respond st fd resp = send st fd (Http.render resp)
 
 let listener cfg =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -117,12 +120,12 @@ let run_batch st =
       st.queue <- [];
       st.batches <- st.batches + 1;
       st.max_batch <- max st.max_batch (List.length admitted);
-      let resps = Service.handle_batch st.service (List.map snd admitted) in
+      let wires = Service.render_batch st.service (List.map snd admitted) in
       List.iter2
-        (fun (fd, _) resp ->
+        (fun (fd, _) wire ->
           st.served <- st.served + 1;
-          respond st fd resp)
-        admitted resps
+          send st fd wire)
+        admitted wires
 
 let wait_readable fd seconds =
   match Unix.select [ fd ] [] [] seconds with

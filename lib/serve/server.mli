@@ -7,8 +7,10 @@
     accepts a burst of connections, answers [/healthz], [/metrics] and
     malformed requests inline, queues up to [max_queue] real requests —
     everything past that is refused with [503] and [Retry-After] before
-    any compute is spent — then evaluates the whole batch and writes
-    responses back in admission order.
+    any compute is spent — then evaluates the whole batch
+    ({!Service.render_batch}) and writes responses back in admission
+    order. Every response is written as bytes, in one write: a cache
+    hit as the string the service stored, with no rendering or copy.
 
     [SIGINT]/[SIGTERM] (or an external [stop] flag) trigger a graceful
     drain: stop accepting, finish every admitted request, write all

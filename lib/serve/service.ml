@@ -23,11 +23,21 @@ let default_config =
     debug_endpoints = false;
   }
 
+(* A cached response, kept as the wire bytes of its hit variant: the
+   server writes [wire] as it is, and [handle_batch] slices the body back
+   out of it. *)
+type entry = {
+  wire : string;  (* Http.render of the response with x-cache: hit *)
+  status : int;
+  headers : (string * string) list;  (* the hit variant's *)
+  body_off : int;  (* where the body starts in [wire] *)
+}
+
 type t = {
   engine : Engine.t;
   pool : Pool.t option;
   cfg : config;
-  cache : Http.response Cache.t;
+  cache : entry Cache.t;
   histos : (string, Histogram.t) Hashtbl.t;  (* route -> latency *)
   counts : (string, int ref) Hashtbl.t;  (* route -> requests served *)
   mutable timeouts : int;  (* request deadlines hit *)
@@ -321,11 +331,33 @@ let metrics_text ?(extra = []) t =
 
 (* --- the batch path --- *)
 
+(* pure: runs on a pool domain, so the copy into the entry is made in
+   parallel with the batch's other misses *)
+let entry_of (resp : Http.response) =
+  let hit = Http.with_header resp "x-cache" "hit" in
+  let wire = Http.render hit in
+  {
+    wire;
+    status = hit.status;
+    headers = hit.headers;
+    body_off = String.length wire - String.length hit.body;
+  }
+
+let response_of (e : entry) : Http.response =
+  {
+    status = e.status;
+    headers = e.headers;
+    body = String.sub e.wire e.body_off (String.length e.wire - e.body_off);
+  }
+
 type item =
-  | Hit of string * Http.response  (* route, cached response *)
+  | Hit of string * entry  (* route, cached entry *)
   | Run of string * string option * Http.request  (* route, cache key *)
 
-let handle_batch t reqs =
+(* one answer: a cache entry, or a fresh response flagged a miss *)
+type answer = Stored of entry | Fresh of Http.response
+
+let answer_batch t reqs =
   let items =
     List.map
       (fun req ->
@@ -333,7 +365,7 @@ let handle_batch t reqs =
         if cacheable route && req.meth = "GET" then
           let key = cache_key t route req in
           match Cache.find t.cache key with
-          | Some resp -> Hit (route, resp)
+          | Some e -> Hit (route, e)
           | None -> Run (route, Some key, req)
         else Run (route, None, req))
       reqs
@@ -348,27 +380,40 @@ let handle_batch t reqs =
     Pool.map ?pool:t.pool
       (fun (route, key, req) ->
         let resp, secs = Clock.timed (fun () -> compute_protected t route req) in
-        (route, key, resp, secs))
+        let entry =
+          match key with
+          | Some k when resp.Http.status = 200 -> Some (k, entry_of resp)
+          | _ -> None
+        in
+        (route, resp, secs, entry))
       to_run
   in
   let ran = ref ran in
   List.map
     (fun item ->
       match item with
-      | Hit (route, resp) ->
-          observe t route None resp.Http.status;
-          Http.with_header resp "x-cache" "hit"
+      | Hit (route, e) ->
+          observe t route None e.status;
+          Stored e
       | Run _ -> (
           match !ran with
-          | (route, key, resp, secs) :: rest ->
+          | (route, resp, secs, entry) :: rest ->
               ran := rest;
               observe t route (Some secs) resp.Http.status;
-              (match key with
-              | Some k when resp.Http.status = 200 -> Cache.add t.cache k resp
-              | _ -> ());
-              Http.with_header resp "x-cache" "miss"
-          | [] -> Http.response 500 "internal error: batch result mismatch\n"))
+              Option.iter (fun (k, e) -> Cache.add t.cache k e) entry;
+              Fresh (Http.with_header resp "x-cache" "miss")
+          | [] -> Fresh (Http.response 500 "internal error: batch result mismatch\n")))
     items
+
+let handle_batch t reqs =
+  List.map
+    (function Stored e -> response_of e | Fresh resp -> resp)
+    (answer_batch t reqs)
+
+let render_batch t reqs =
+  List.map
+    (function Stored e -> e.wire | Fresh resp -> Http.render resp)
+    (answer_batch t reqs)
 
 let handle t req =
   match handle_batch t [ req ] with

@@ -12,6 +12,12 @@
     produce byte-identical bodies at any pool size, cached or not (the
     [x-cache] header is the only difference).
 
+    A cache entry keeps its response rendered: the wire bytes of its hit
+    variant ([x-cache: hit]), made once on the pool domain that computed
+    the miss. {!render_batch} hands a hit out as those very bytes, so the
+    server writes it without rendering or copying anything;
+    {!handle_batch} slices the body back out of them.
+
     Routes: [/healthz], [/metrics], [/search?q=&source=&field=&limit=],
     [/object/SOURCE/ACCESSION] (or [/object?accession=&source=]),
     [/resolve?accession=], [/query?sql=], [/links?kind=], and — only
@@ -51,6 +57,11 @@ val handle_batch : t -> Http.request list -> Http.response list
     sources / link kinds the route reads, so entries from before a
     relevant source add/update can never be served — while entries over
     unrelated sources keep their hits. *)
+
+val render_batch : t -> Http.request list -> string list
+(** {!handle_batch}, each response as its wire bytes: a hit is its cache
+    entry's stored string itself (no copy), a miss is {!Http.render}ed
+    once. Byte for byte [Http.render] of what {!handle_batch} returns. *)
 
 val cache_stats : t -> Cache.stats
 

@@ -1,83 +1,130 @@
 type posting = { doc_id : string; field : string; tf : int }
 
+(* a posting as the index keeps it: the document by its number *)
+type entry = { doc : int; field : string; tf : int }
+
+(* A term's postings, newest first, and the number of distinct documents
+   they name. [build] fills both and never writes them after it returns,
+   so pool domains may read them at once. *)
+type term = { mutable postings : entry list; mutable df : int }
+
 type t = {
-  index : (string, posting list ref) Hashtbl.t;
-  docs : (string, unit) Hashtbl.t;
+  index : (string, term) Hashtbl.t;
+  doc_ids : string array;  (* document number -> id, in first-add order *)
 }
 
-let create () = { index = Hashtbl.create 1024; docs = Hashtbl.create 256 }
-
-let add t ~doc_id ~field text =
-  Hashtbl.replace t.docs doc_id ();
-  let counts = Hashtbl.create 16 in
-  List.iter
-    (fun w ->
-      let c = try Hashtbl.find counts w with Not_found -> 0 in
-      Hashtbl.replace counts w (c + 1))
-    (Tokenize.terms text);
+let build fill =
+  let index = Hashtbl.create 1024 in
+  let numbers = Hashtbl.create 256 in
+  let ids = ref [] in
+  let add ~doc_id ~field text =
+    let doc =
+      match Hashtbl.find_opt numbers doc_id with
+      | Some d -> d
+      | None ->
+          let d = Hashtbl.length numbers in
+          Hashtbl.add numbers doc_id d;
+          ids := doc_id :: !ids;
+          d
+    in
+    let counts = Hashtbl.create 16 in
+    List.iter
+      (fun w ->
+        let c = try Hashtbl.find counts w with Not_found -> 0 in
+        Hashtbl.replace counts w (c + 1))
+      (Tokenize.terms text);
+    Hashtbl.iter
+      (fun w tf ->
+        let p = { doc; field; tf } in
+        match Hashtbl.find_opt index w with
+        | Some t -> t.postings <- p :: t.postings
+        | None -> Hashtbl.add index w { postings = [ p ]; df = 0 })
+      counts
+  in
+  fill add;
+  (* every term's distinct documents, counted once: [last.(d)] is the
+     number of the last term that counted document [d] (a document
+     indexed under several fields has one posting per field) *)
+  let last = Array.make (Hashtbl.length numbers) (-1) in
+  let k = ref 0 in
   Hashtbl.iter
-    (fun term tf ->
-      let p = { doc_id; field; tf } in
-      match Hashtbl.find_opt t.index term with
-      | Some ps -> ps := p :: !ps
-      | None -> Hashtbl.add t.index term (ref [ p ]))
-    counts
+    (fun _ t ->
+      incr k;
+      List.iter
+        (fun p ->
+          if last.(p.doc) <> !k then begin
+            last.(p.doc) <- !k;
+            t.df <- t.df + 1
+          end)
+        t.postings)
+    index;
+  { index; doc_ids = Array.of_list (List.rev !ids) }
 
-let doc_count t = Hashtbl.length t.docs
+let doc_count t = Array.length t.doc_ids
 
 let term_count t = Hashtbl.length t.index
 
+let find t term = Hashtbl.find_opt t.index (String.lowercase_ascii term)
+
 let postings t term =
-  match Hashtbl.find_opt t.index (String.lowercase_ascii term) with
-  | Some ps -> !ps
+  match find t term with
+  | Some e ->
+      List.map
+        (fun (p : entry) -> { doc_id = t.doc_ids.(p.doc); field = p.field; tf = p.tf })
+        e.postings
   | None -> []
 
 type query_result = { doc_id : string; score : float; matched : string list }
 
-let idf t term =
+let idf_of t e =
   let n = float_of_int (max 1 (doc_count t)) in
-  (* distinct doc count via a table: the posting list holds one entry per
-     (doc, field), so a List.mem dedup would be quadratic in postings *)
-  let seen = Hashtbl.create 16 in
-  List.iter (fun (p : posting) -> Hashtbl.replace seen p.doc_id ()) (postings t term);
-  let docs_with = Hashtbl.length seen in
-  if docs_with = 0 then 0.0 else log (1.0 +. (n /. float_of_int docs_with))
+  if e.df = 0 then 0.0 else log (1.0 +. (n /. float_of_int e.df))
+
+let idf t term = match find t term with Some e -> idf_of t e | None -> 0.0
 
 let search t ?field ?(limit = 20) query =
   let terms = Tokenize.terms query in
-  let scores : (string, float ref * string list ref) Hashtbl.t =
+  let scores : (int, float ref * string list ref) Hashtbl.t =
     Hashtbl.create 64
   in
   List.iter
     (fun term ->
-      let w = idf t term in
-      if w > 0.0 then
-        postings t term
-        |> List.iter (fun p ->
-               let keep =
-                 match field with None -> true | Some f -> p.field = f
-               in
-               if keep then
-                 let entry =
-                   match Hashtbl.find_opt scores p.doc_id with
-                   | Some e -> e
-                   | None ->
-                       let e = (ref 0.0, ref []) in
-                       Hashtbl.add scores p.doc_id e;
-                       e
-                 in
-                 let score, matched = entry in
-                 score := !score +. (float_of_int p.tf *. w);
-                 if not (List.mem term !matched) then matched := term :: !matched))
+      match find t term with
+      | None -> ()
+      | Some e ->
+          let w = idf_of t e in
+          if w > 0.0 then
+            e.postings
+            |> List.iter (fun (p : entry) ->
+                   let keep =
+                     match field with None -> true | Some f -> p.field = f
+                   in
+                   if keep then
+                     let entry =
+                       match Hashtbl.find_opt scores p.doc with
+                       | Some e -> e
+                       | None ->
+                           let e = (ref 0.0, ref []) in
+                           Hashtbl.add scores p.doc e;
+                           e
+                     in
+                     let score, matched = entry in
+                     score := !score +. (float_of_int p.tf *. w);
+                     if not (List.mem term !matched) then
+                       matched := term :: !matched))
     terms;
   Hashtbl.fold
-    (fun doc_id (score, matched) acc ->
+    (fun doc (score, matched) acc ->
       (* reward matching more distinct query terms *)
       let coverage =
         float_of_int (List.length !matched)
         /. float_of_int (max 1 (List.length terms))
       in
-      { doc_id; score = !score *. (0.5 +. (0.5 *. coverage)); matched = !matched }
+      {
+        doc_id = t.doc_ids.(doc);
+        score = !score *. (0.5 +. (0.5 *. coverage));
+        matched = !matched;
+      }
       :: acc)
     scores []
   |> List.sort (fun a b ->

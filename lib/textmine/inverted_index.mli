@@ -6,10 +6,12 @@ type t
 
 type posting = { doc_id : string; field : string; tf : int }
 
-val create : unit -> t
-
-val add : t -> doc_id:string -> field:string -> string -> unit
-(** Index one field of a document. Repeated calls accumulate. *)
+val build : ((doc_id:string -> field:string -> string -> unit) -> unit) -> t
+(** [build fill] indexes what [fill] passes to the function it is given:
+    one call per field of a document; calls for one document accumulate,
+    in any order. Each term's distinct documents are counted once, when
+    [fill] returns, and nothing in the index changes after that, so pool
+    domains may search it at once. *)
 
 val doc_count : t -> int
 
@@ -20,8 +22,8 @@ val postings : t -> string -> posting list
 
 val idf : t -> string -> float
 (** [log (1 + N / df)] over DISTINCT documents containing the term (a
-    document indexed under several fields counts once); 0.0 for a term
-    absent from the index. *)
+    document indexed under several fields counts once; [df] is counted
+    by {!build}, not per query); 0.0 for a term absent from the index. *)
 
 type query_result = { doc_id : string; score : float; matched : string list }
 

@@ -395,7 +395,7 @@ echo "incremental ok: aladin add of a new and of an edited source matches a cold
 # serve a search from cache on repeat (x-cache: hit), expose /metrics,
 # and drain cleanly on SIGTERM.
 slog=$(mktemp)
-trap 'rm -f "$q1" "$q2" "$f1" "$slog"; rm -rf "$sdir"' EXIT
+trap 'rm -f "$q1" "$q2" "$f1" "$slog"; rm -rf "$sdir" "$kdir"' EXIT
 ./_build/default/bin/aladin_cli.exe serve --store "$sdir" --port 0 > "$slog" 2>&1 &
 spid=$!
 port=""
@@ -421,6 +421,31 @@ fetch '/search?q=protein' > /dev/null || {
 fetch -i '/search?q=protein' | grep -qi 'x-cache: hit' || {
   echo "error: repeated search was not served from cache" >&2
   kill "$spid"; exit 1; }
+# A large body over the wire: /links (every link, over 200 KB on the
+# demo store) twice. The second reply is the bytes the cache stored: its
+# body must be byte-identical to the first's, it must say x-cache: hit,
+# and the two heads may differ in the x-cache line only.
+{ fetch -i /links > "$kdir/links-miss.txt" &&
+  fetch -i /links > "$kdir/links-hit.txt"; } || {
+  echo "error: /links over the socket failed" >&2; kill "$spid"; exit 1; }
+for r in miss hit; do
+  sed '/^$/q' "$kdir/links-$r.txt" > "$kdir/head-$r.txt"
+  grep -v '^x-cache: ' "$kdir/head-$r.txt" > "$kdir/rest-$r.txt"
+  sed '1,/^$/d' "$kdir/links-$r.txt" > "$kdir/body-$r.txt"
+done
+[ "$(wc -c < "$kdir/body-miss.txt")" -gt 65536 ] || {
+  echo "error: the /links body is under 64 KiB, too small for this check" >&2
+  kill "$spid"; exit 1; }
+cmp -s "$kdir/body-miss.txt" "$kdir/body-hit.txt" || {
+  echo "error: the cached /links body differs from the computed one" >&2
+  kill "$spid"; exit 1; }
+{ grep -qx 'x-cache: miss' "$kdir/head-miss.txt" &&
+  grep -qx 'x-cache: hit' "$kdir/head-hit.txt"; } || {
+  echo "error: /links was not a miss and then a cache hit" >&2
+  kill "$spid"; exit 1; }
+diff -u "$kdir/rest-miss.txt" "$kdir/rest-hit.txt" || {
+  echo "error: the cached /links head differs beyond its x-cache line" >&2
+  kill "$spid"; exit 1; }
 fetch /metrics | grep -q 'aladin_cache_hits_total' || {
   echo "error: /metrics missing cache counters" >&2; kill "$spid"; exit 1; }
 kill -TERM "$spid"
@@ -431,6 +456,6 @@ grep -q 'drained:' "$slog" || {
   cat "$slog" >&2
   exit 1
 }
-echo "serve ok: healthz, cached search, metrics, graceful SIGTERM drain"
+echo "serve ok: healthz, cached search, a large body byte-identical from cache, metrics, graceful SIGTERM drain"
 
 echo "check.sh: all green"

@@ -464,7 +464,61 @@ let feedback_tests =
             Engine.reject_link eng l;
             check Alcotest.bool "search hits unchanged" true (hits () = before);
             check Alcotest.bool "gone from both ends' views" false
-              (in_view l l.src || in_view l l.dst));
+              (in_view l l.src || in_view l l.dst);
+            (* a duplicate link with conflicts: they leave both ends'
+               views, and no other view changes a byte *)
+            let render o =
+              Option.map Aladin_access.Browser.render (Engine.view eng o)
+            in
+            let pair_conflicts (d : Aladin_links.Link.t) o =
+              match Engine.view eng o with
+              | None -> Alcotest.fail "an end of the duplicate link has no view"
+              | Some v ->
+                  List.filter
+                    (fun (c : Aladin_dup.Conflict.t) ->
+                      let ends = [ c.obj_a; c.obj_b ] in
+                      List.mem d.src ends && List.mem d.dst ends)
+                    v.conflicts
+            in
+            let d =
+              match
+                List.find_opt
+                  (fun (d : Aladin_links.Link.t) ->
+                    (not (Aladin_links.Objref.equal d.src d.dst))
+                    && pair_conflicts d d.src <> [])
+                  (Engine.links ~kind:"duplicate" eng)
+              with
+              | Some d -> d
+              | None -> Alcotest.fail "no duplicate link with conflicts"
+            in
+            let others =
+              List.filter
+                (fun o ->
+                  not
+                    (Aladin_links.Objref.equal o d.src
+                    || Aladin_links.Objref.equal o d.dst))
+                (Engine.objects eng)
+            in
+            let before = List.map render others in
+            check Alcotest.bool "conflicts at the other end before" true
+              (pair_conflicts d d.dst <> []);
+            Engine.reject_link eng d;
+            check Alcotest.int "conflicts gone from the source end" 0
+              (List.length (pair_conflicts d d.src));
+            check Alcotest.int "conflicts gone from the target end" 0
+              (List.length (pair_conflicts d d.dst));
+            check Alcotest.bool "every other view byte-identical" true
+              (List.map render others = before);
+            (* and the kept structures are what a full build makes *)
+            let fresh = Engine.create (Engine.warehouse eng) in
+            List.iter
+              (fun o ->
+                check
+                  Alcotest.(option string)
+                  (Aladin_links.Objref.to_string o)
+                  (Option.map Aladin_access.Browser.render (Engine.view fresh o))
+                  (render o))
+              (Engine.objects eng));
     Alcotest.test_case "reject_link filters" `Quick (fun () ->
         let fb = Feedback.create () in
         let l =

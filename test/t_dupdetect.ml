@@ -75,6 +75,43 @@ let seq_value_pair =
   in
   QCheck.make ~print:QCheck.Print.(pair string string) gen
 
+(* [Field_sim.is_sequence] as it counted distinct letters with a table *)
+let is_sequence_reference s =
+  String.length s >= 30
+  && String.for_all
+       (fun c ->
+         let c = Char.uppercase_ascii c in
+         (c >= 'A' && c <= 'Z') || c = ' ' || c = '\n')
+       s
+  &&
+  let seen = Hashtbl.create 8 in
+  String.iter
+    (fun c ->
+      let c = Char.uppercase_ascii c in
+      if c <> ' ' && c <> '\n' then Hashtbl.replace seen c ())
+    s;
+  Hashtbl.length seen <= 21
+
+let is_sequence_seed = 26
+
+(* strings of 0-200 bytes, mostly letters of either case, spaces and
+   newlines, over an alphabet of 1 to 26 letters so that both sides of
+   the 21-letter limit come up; now and then another byte *)
+let sequence_like_value =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      int_range 1 26 >>= fun letters ->
+      let letter =
+        map2
+          (fun i up -> Char.chr (i + Char.code (if up then 'A' else 'a')))
+          (int_bound (letters - 1)) bool
+      in
+      let byte =
+        frequency
+          [ (40, letter); (3, return ' '); (2, return '\n'); (1, char) ]
+      in
+      string_size ~gen:byte (int_range 0 200))
+
 let field_sim_tests =
   [
     Alcotest.test_case "metric choice" `Quick (fun () ->
@@ -138,6 +175,11 @@ let field_sim_tests =
            && Field_sim.similarity_prepared (Field_sim.prepare a)
                 (Field_sim.prepare b)
               = Aladin_text.Strdist.dice_bigrams (String.trim a) (String.trim b)));
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| is_sequence_seed |])
+      (QCheck.Test.make ~name:"is_sequence letter mask equals the table count"
+         ~count:2000 sequence_like_value
+         (fun s -> Field_sim.is_sequence_value s = is_sequence_reference s));
   ]
 
 let repr obj_acc source fields =

@@ -62,6 +62,18 @@ let http_tests =
             check Alcotest.(option string) "content-length"
               (Some (string_of_int (String.length back.body)))
               (List.assoc_opt "content-length" back.headers));
+    Alcotest.test_case "parse_response refuses a short body" `Quick
+      (fun () ->
+        let wire = Http.render (Http.response 200 "0123456789") in
+        (match Http.parse_response (String.sub wire 0 (String.length wire - 3)) with
+        | Error _ -> ()
+        | Ok r -> Alcotest.failf "cut-off body parsed as %S" r.body);
+        (match Http.parse_response "HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\nab" with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "bad content-length parsed");
+        match Http.parse_response "HTTP/1.1 200 OK\r\n\r\nto the end" with
+        | Ok r -> check Alcotest.string "no length: to the end" "to the end" r.body
+        | Error msg -> Alcotest.fail msg);
     Alcotest.test_case "json_string escapes" `Quick (fun () ->
         check Alcotest.string "escaped" "\"a\\\"b\\\\c\\nd\""
           (Http.json_string "a\"b\\c\nd"));
@@ -389,7 +401,8 @@ let open_conn port target =
   ignore (Unix.write_substring fd s 0 (String.length s));
   fd
 
-let read_resp fd =
+(* every byte the peer sends, up to its close *)
+let read_raw fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 1024 in
@@ -404,12 +417,177 @@ let read_resp fd =
      go ()
    with Unix.Unix_error _ -> ());
   Unix.close fd;
-  match Http.parse_response (Buffer.contents buf) with
+  Buffer.contents buf
+
+let read_resp fd =
+  match Http.parse_response (read_raw fd) with
   | Ok r -> r
   | Error msg -> Alcotest.fail ("unparsable response: " ^ msg)
 
+(* A listener that answers one connection with [pieces], each its own
+   write, a pause between them. With [hold] it then waits for the
+   client to close before closing, so a client that read to end of file
+   would time out instead of returning. *)
+let with_raw_listener ?(hold = false) pieces f =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> Alcotest.fail "listener has no port"
+  in
+  (* a client that never connects makes the accept time out *)
+  Unix.setsockopt_float lfd Unix.SO_RCVTIMEO 10.0;
+  let answer () =
+    match Unix.accept lfd with
+    | exception Unix.Unix_error _ -> ()
+    | conn, _ ->
+        Unix.setsockopt_float conn Unix.SO_RCVTIMEO 10.0;
+        let chunk = Bytes.create 1024 in
+        (* the request head, then the scripted reply *)
+        let rec head acc =
+          if not (Aladin_text.Strdist.contains ~needle:"\r\n\r\n" acc) then
+            match Unix.read conn chunk 0 1024 with
+            | 0 -> ()
+            | k -> head (acc ^ Bytes.sub_string chunk 0 k)
+        in
+        (try
+           head "";
+           List.iter
+             (fun p ->
+               ignore (Unix.write_substring conn p 0 (String.length p));
+               Thread.delay 0.005)
+             pieces;
+           if hold then ignore (Unix.read conn chunk 0 1024)
+         with Unix.Unix_error _ -> ());
+        Unix.close conn
+  in
+  (* a client that gives up early must not kill this process *)
+  let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let th = Thread.create answer () in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join th;
+      Unix.close lfd;
+      Sys.set_signal Sys.sigpipe prev_pipe)
+    (fun () -> f port)
+
+(* [s] cut into pieces of [n] bytes *)
+let pieces_of n s =
+  List.init
+    ((String.length s + n - 1) / n)
+    (fun i -> String.sub s (i * n) (min n (String.length s - (i * n))))
+
+let fetch_raw ?hold pieces =
+  with_raw_listener ?hold pieces (fun port ->
+      Serve.Client.request ~timeout:2.0 ~port "/x")
+
+let client_tests =
+  let ok = function
+    | Ok (r : Http.response) -> r
+    | Error msg -> Alcotest.fail msg
+  in
+  let refused what = function
+    | Error _ -> ()
+    | Ok (r : Http.response) ->
+        Alcotest.failf "%s: accepted a body of %d bytes" what
+          (String.length r.body)
+  in
+  [
+    Alcotest.test_case "body over 64 KiB in pieces, no read past it" `Quick
+      (fun () ->
+        let body = String.init 200_000 (fun i -> Char.chr (32 + (i mod 90))) in
+        let wire = Http.render (Http.response 200 body) in
+        let r = ok (fetch_raw ~hold:true (pieces_of 7_000 wire)) in
+        check Alcotest.int "status" 200 r.status;
+        check Alcotest.bool "body byte-identical" true (r.body = body));
+    Alcotest.test_case "head split across writes" `Quick (fun () ->
+        let r =
+          ok
+            (fetch_raw ~hold:true
+               [ "HTTP/1.1 200 OK\r\ncontent-le"; "ngth: 5\r\nx-a: b\r\n\r";
+                 "\nhel"; "lo" ])
+        in
+        check Alcotest.string "body" "hello" r.body;
+        check Alcotest.(option string) "header" (Some "b") (Http.header r "X-A"));
+    Alcotest.test_case "no content-length reads to end of file" `Quick
+      (fun () ->
+        let r =
+          ok
+            (fetch_raw
+               [ "HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\n\r\npart one,";
+                 " part two" ])
+        in
+        check Alcotest.string "body" "part one, part two" r.body);
+    Alcotest.test_case "short body is an error" `Quick (fun () ->
+        refused "short body"
+          (fetch_raw
+             [ "HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\n";
+               String.make 40 'a' ]));
+    Alcotest.test_case "oversized content-length refused unallocated" `Quick
+      (fun () ->
+        let before = Gc.allocated_bytes () in
+        refused "oversized"
+          (fetch_raw ~hold:true
+             [ "HTTP/1.1 200 OK\r\ncontent-length: 16777217\r\n\r\nab" ]);
+        check Alcotest.bool "nothing of that size allocated" true
+          (Gc.allocated_bytes () -. before < 1_048_576.0));
+  ]
+
+(* every route of the small corpus, as targets; the object ones name
+   the first object the engine lists *)
+let route_targets () =
+  let o = List.hd (Engine.objects (Lazy.force engine)) in
+  [
+    "/healthz";
+    "/search?q=protein";
+    "/search?q=repair&limit=4&source=uniprot";
+    "/search";
+    Printf.sprintf "/object/%s/%s" o.source o.accession;
+    "/object?accession=" ^ o.accession;
+    "/object/nosuch/X1";
+    "/resolve?accession=" ^ o.accession;
+    "/resolve?accession=NOSUCH";
+    "/query?sql=SELECT%20*%20FROM%20uniprot.entry";
+    "/query?sql=SELEC%20accession";
+    "/links";
+    "/links?kind=xref";
+    "/nosuch";
+  ]
+
 let server_tests =
   [
+    Alcotest.test_case "wire bytes of every route, miss then hit" `Quick
+      (fun () ->
+        let targets = route_targets () in
+        (* what the reply must be: a fresh in-process response, rendered
+           with the x-cache value the reply should carry (none for the
+           server's inline /healthz) *)
+        let fresh = Serve.Service.create (Lazy.force engine) in
+        let expected ~round target =
+          let resp = Serve.Service.handle fresh (req target) in
+          if target = "/healthz" then Http.render (Http.response 200 "ok\n")
+          else
+            let cached = round = 2 && resp.status = 200 in
+            Http.render
+              (Http.with_header resp "x-cache" (if cached then "hit" else "miss"))
+        in
+        let stats =
+          with_server (fun ~port ~stop:_ ->
+              List.iter
+                (fun round ->
+                  List.iter
+                    (fun target ->
+                      let got = read_raw (open_conn port target) in
+                      check Alcotest.string
+                        (Printf.sprintf "round %d %s" round target)
+                        (expected ~round target) got)
+                    targets)
+                [ 1; 2 ])
+        in
+        check Alcotest.int "no write errors" 0 stats.write_errors);
     Alcotest.test_case "end-to-end over a socket" `Quick (fun () ->
         let stats =
           with_server (fun ~port ~stop:_ ->
@@ -481,4 +659,5 @@ let tests =
     ("serve.cache", cache_tests);
     ("serve.service", service_tests);
     ("serve.server", server_tests);
+    ("serve.client", client_tests);
   ]

@@ -395,67 +395,169 @@ let prepared_tests =
           (List.length (Tfidf.similar_docs c ~doc_id:"d6" ~min_sim:0.0)));
   ]
 
+(* an index of (doc id, field, text) adds, in order *)
+let index_of adds =
+  Inverted_index.build (fun add ->
+      List.iter (fun (doc_id, field, text) -> add ~doc_id ~field text) adds)
+
+(* the per-query count [Inverted_index.idf] made before the index counted
+   each term's documents when built: distinct ids among its postings *)
+let idf_per_query idx term =
+  let n = float_of_int (max 1 (Inverted_index.doc_count idx)) in
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (p : Inverted_index.posting) -> Hashtbl.replace seen p.doc_id ())
+    (Inverted_index.postings idx term);
+  let docs_with = Hashtbl.length seen in
+  if docs_with = 0 then 0.0 else log (1.0 +. (n /. float_of_int docs_with))
+
+(* the ranking as it was computed with [idf_per_query] *)
+let search_per_query idx ?field ~limit query =
+  let terms = Tokenize.terms query in
+  let scores = Hashtbl.create 64 in
+  List.iter
+    (fun term ->
+      let w = idf_per_query idx term in
+      if w > 0.0 then
+        List.iter
+          (fun (p : Inverted_index.posting) ->
+            if match field with None -> true | Some f -> p.field = f then begin
+              let score, matched =
+                match Hashtbl.find_opt scores p.doc_id with
+                | Some e -> e
+                | None ->
+                    let e = (ref 0.0, ref []) in
+                    Hashtbl.add scores p.doc_id e;
+                    e
+              in
+              score := !score +. (float_of_int p.tf *. w);
+              if not (List.mem term !matched) then matched := term :: !matched
+            end)
+          (Inverted_index.postings idx term))
+    terms;
+  Hashtbl.fold
+    (fun doc_id (score, matched) acc ->
+      let coverage =
+        float_of_int (List.length !matched)
+        /. float_of_int (max 1 (List.length terms))
+      in
+      (doc_id, !score *. (0.5 +. (0.5 *. coverage)), !matched) :: acc)
+    scores []
+  |> List.sort (fun (da, a, _) (db, b, _) ->
+         match Float.compare b a with 0 -> String.compare da db | c -> c)
+  |> List.filteri (fun i _ -> i < limit)
+
+let build_count_seed = 24
+
+let vocabulary = [ "alpha"; "beta"; "gamma"; "kinase"; "repair" ]
+
+(* random adds over four documents and three fields, with one document
+   given one term in two fields, added first and last so that its fields
+   are not contiguous *)
+let random_adds =
+  QCheck.Gen.(
+    let word = oneofl vocabulary in
+    let text = map (String.concat " ") (list_size (int_range 1 4) word) in
+    let add =
+      triple
+        (map (Printf.sprintf "d%d") (int_range 0 3))
+        (oneofl [ "f0"; "f1"; "f2" ])
+        text
+    in
+    map
+      (fun (adds, (d, w)) -> ((d, "f0", w) :: adds) @ [ (d, "f1", w ^ " " ^ w) ])
+      (pair (list_size (int_range 0 12) add)
+         (pair (map (Printf.sprintf "d%d") (int_range 0 3)) word)))
+
+let build_count_test =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| build_count_seed |])
+    (QCheck.Test.make ~name:"build-time df equals the per-query count"
+       ~count:300
+       (QCheck.make
+          ~print:(fun adds ->
+            String.concat "; "
+              (List.map (fun (d, f, t) -> Printf.sprintf "%s.%s=%S" d f t) adds))
+          random_adds)
+       (fun adds ->
+         let idx = index_of adds in
+         let bits = Int64.bits_of_float in
+         List.for_all
+           (fun w -> bits (Inverted_index.idf idx w) = bits (idf_per_query idx w))
+           ("absent" :: vocabulary)
+         && List.for_all
+              (fun (field, q) ->
+                let got =
+                  List.map
+                    (fun (r : Inverted_index.query_result) ->
+                      (r.doc_id, bits r.score, r.matched))
+                    (Inverted_index.search idx ?field ~limit:3 q)
+                in
+                let want =
+                  List.map
+                    (fun (d, s, m) -> (d, bits s, m))
+                    (search_per_query idx ?field ~limit:3 q)
+                in
+                got = want)
+              [
+                (None, "alpha"); (None, "alpha beta kinase"); (Some "f1", "beta gamma");
+                (None, "repair repair alpha"); (Some "f2", "kinase");
+              ]))
+
 let inverted_tests =
   [
     Alcotest.test_case "search finds and ranks" `Quick (fun () ->
-        let idx = Inverted_index.create () in
-        Inverted_index.add idx ~doc_id:"d1" ~field:"desc" "kinase kinase kinase";
-        Inverted_index.add idx ~doc_id:"d2" ~field:"desc" "kinase once, other words";
+        let idx =
+          index_of
+            [ ("d1", "desc", "kinase kinase kinase"); ("d2", "desc", "kinase once, other words") ]
+        in
         (match Inverted_index.search idx "kinase" with
         | first :: _ :: _ -> check Alcotest.string "tf wins" "d1" first.doc_id
         | other -> Alcotest.fail (Printf.sprintf "%d results" (List.length other))));
     Alcotest.test_case "field restriction" `Quick (fun () ->
-        let idx = Inverted_index.create () in
-        Inverted_index.add idx ~doc_id:"d1" ~field:"name" "alpha";
-        Inverted_index.add idx ~doc_id:"d2" ~field:"desc" "alpha";
+        let idx = index_of [ ("d1", "name", "alpha"); ("d2", "desc", "alpha") ] in
         let hits = Inverted_index.search idx ~field:"name" "alpha" in
         check Alcotest.(list string) "only d1" [ "d1" ]
           (List.map (fun (r : Inverted_index.query_result) -> r.doc_id) hits));
     Alcotest.test_case "multi-term coverage bonus" `Quick (fun () ->
-        let idx = Inverted_index.create () in
-        Inverted_index.add idx ~doc_id:"both" ~field:"f" "alpha beta";
-        Inverted_index.add idx ~doc_id:"one" ~field:"f" "alpha gamma";
+        let idx = index_of [ ("both", "f", "alpha beta"); ("one", "f", "alpha gamma") ] in
         (match Inverted_index.search idx "alpha beta" with
         | first :: _ -> check Alcotest.string "both wins" "both" first.doc_id
         | [] -> Alcotest.fail "no results"));
     Alcotest.test_case "phrase_matches conjunctive" `Quick (fun () ->
-        let idx = Inverted_index.create () in
-        Inverted_index.add idx ~doc_id:"d1" ~field:"f" "alpha beta";
-        Inverted_index.add idx ~doc_id:"d2" ~field:"f" "alpha";
+        let idx = index_of [ ("d1", "f", "alpha beta"); ("d2", "f", "alpha") ] in
         check Alcotest.(list string) "d1 only" [ "d1" ]
           (Inverted_index.phrase_matches idx "alpha beta"));
     Alcotest.test_case "limit respected" `Quick (fun () ->
-        let idx = Inverted_index.create () in
-        for i = 1 to 30 do
-          Inverted_index.add idx ~doc_id:(string_of_int i) ~field:"f" "shared"
-        done;
+        let idx = index_of (List.init 30 (fun i -> (string_of_int (i + 1), "f", "shared"))) in
         check Alcotest.int "limit" 5
           (List.length (Inverted_index.search idx ~limit:5 "shared")));
     Alcotest.test_case "counts" `Quick (fun () ->
-        let idx = Inverted_index.create () in
-        Inverted_index.add idx ~doc_id:"d" ~field:"f" "alpha beta";
+        let idx = index_of [ ("d", "f", "alpha beta") ] in
         check Alcotest.int "docs" 1 (Inverted_index.doc_count idx);
         check Alcotest.int "terms" 2 (Inverted_index.term_count idx));
     Alcotest.test_case "idf counts distinct docs across fields" `Quick
       (fun () ->
-        let idx = Inverted_index.create () in
         (* same doc indexed under two fields: two postings, ONE document *)
-        Inverted_index.add idx ~doc_id:"d1" ~field:"name" "alpha";
-        Inverted_index.add idx ~doc_id:"d1" ~field:"desc" "alpha";
-        Inverted_index.add idx ~doc_id:"d2" ~field:"desc" "beta";
+        let idx =
+          index_of [ ("d1", "name", "alpha"); ("d1", "desc", "alpha"); ("d2", "desc", "beta") ]
+        in
         check (Alcotest.float 1e-9) "df 1 of 2" (log (1.0 +. 2.0))
           (Inverted_index.idf idx "alpha");
         check (Alcotest.float 1e-9) "absent term" 0.0
           (Inverted_index.idf idx "nosuch"));
     Alcotest.test_case "phrase_matches across fields stays conjunctive" `Quick
       (fun () ->
-        let idx = Inverted_index.create () in
-        Inverted_index.add idx ~doc_id:"d1" ~field:"a" "alpha";
-        Inverted_index.add idx ~doc_id:"d1" ~field:"b" "beta";
-        Inverted_index.add idx ~doc_id:"d2" ~field:"a" "alpha beta";
-        Inverted_index.add idx ~doc_id:"d3" ~field:"a" "beta";
+        let idx =
+          index_of
+            [
+              ("d1", "a", "alpha"); ("d1", "b", "beta"); ("d2", "a", "alpha beta");
+              ("d3", "a", "beta");
+            ]
+        in
         check Alcotest.(list string) "d1 d2" [ "d1"; "d2" ]
           (List.sort String.compare (Inverted_index.phrase_matches idx "alpha beta")));
+    build_count_test;
   ]
 
 let entity_tests =
