@@ -166,8 +166,7 @@ let integrate_cmd =
           List.iter (fun r -> print_string (Run_report.render r)) reports;
           (match save with
           | Some path ->
-              Aladin_store.Atomic_file.write path
-                (Aladin_metadata.Repository.save (Warehouse.repository w));
+              Aladin_store.Atomic_file.write path (Warehouse.metadata w);
               Printf.printf "metadata written to %s\n" path
           | None -> ());
           (match links_out with

@@ -68,14 +68,14 @@ let () =
     else Sys.remove path
   in
   rm_rf dir;
-  let repo = Warehouse.repository reloaded in
   Printf.printf "\nstore round trip: %d sources, %d links after reload (%d before)\n"
-    (List.length (Aladin_metadata.Repository.sources repo))
+    (List.length (Warehouse.sources reloaded))
     (List.length (Warehouse.links reloaded))
     (List.length (Warehouse.links w));
   print_endline "\nper-source summary (relations, rows, links touching it):";
   List.iter
-    (fun (name, rels, rows) ->
+    (fun catalog ->
+      let name = Aladin_relational.Catalog.name catalog in
       let links =
         List.length
           (List.filter
@@ -83,5 +83,8 @@ let () =
                l.src.source = name || l.dst.source = name)
              (Warehouse.links reloaded))
       in
-      Printf.printf "  %-10s %2d relations %5d rows %5d links\n" name rels rows links)
-    (Aladin_metadata.Repository.stats_summary repo)
+      Printf.printf "  %-10s %2d relations %5d rows %5d links\n" name
+        (List.length (Aladin_relational.Catalog.relations catalog))
+        (Aladin_relational.Catalog.total_rows catalog)
+        links)
+    (Warehouse.catalogs reloaded)

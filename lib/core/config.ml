@@ -74,93 +74,120 @@ let parse_budget key v =
           Error
             (Printf.sprintf "%s expects seconds or \"none\", got %S" key v))
 
-let ( let* ) = Result.bind
+let budget_to_string = function None -> "none" | Some f -> Printf.sprintf "%g" f
 
-let apply t key v =
-  match key with
-  | "accession.min_length" ->
-      let* i = parse_int key v in
-      Ok { t with accession = { t.accession with min_length = i } }
-  | "accession.max_length_spread" ->
-      let* f = parse_float key v in
-      Ok { t with accession = { t.accession with max_length_spread = f } }
-  | "inclusion.min_containment" ->
-      let* f = parse_float key v in
-      Ok { t with inclusion = { t.inclusion with min_containment = f } }
-  | "inclusion.require_name_affinity" ->
-      let* b = parse_bool key v in
-      Ok
+(* Every key once: its name, how its value renders and how a value
+   parses into a config. [apply] and [to_string] both read this table,
+   and the journal's config digest hashes [to_string], so a key cannot
+   be parsed without also being rendered into the digest. The order is
+   the rendering's. *)
+type key = {
+  name : string;
+  get : t -> string;
+  set : t -> string -> (t, string) result;
+}
+
+let key render parse name get set =
+  { name;
+    get = (fun t -> render (get t));
+    set = (fun t v -> Result.map (set t) (parse name v)) }
+
+let int_key = key string_of_int parse_int
+
+let float_key = key (Printf.sprintf "%g") parse_float
+
+let bool_key = key string_of_bool parse_bool
+
+let budget_key = key budget_to_string parse_budget
+
+let keys =
+  [
+    int_key "accession.min_length"
+      (fun t -> t.accession.min_length)
+      (fun t i -> { t with accession = { t.accession with min_length = i } });
+    float_key "accession.max_length_spread"
+      (fun t -> t.accession.max_length_spread)
+      (fun t f -> { t with accession = { t.accession with max_length_spread = f } });
+    float_key "inclusion.min_containment"
+      (fun t -> t.inclusion.min_containment)
+      (fun t f -> { t with inclusion = { t.inclusion with min_containment = f } });
+    bool_key "inclusion.require_name_affinity"
+      (fun t -> t.inclusion.require_name_affinity_for_pk_pk)
+      (fun t b ->
         { t with
-          inclusion = { t.inclusion with require_name_affinity_for_pk_pk = b } }
-  | "links.seq.min_normalized" ->
-      let* f = parse_float key v in
-      Ok
+          inclusion = { t.inclusion with require_name_affinity_for_pk_pk = b } });
+    float_key "links.seq.min_normalized"
+      (fun t -> t.linker.seq.min_normalized)
+      (fun t f ->
         { t with
-          linker = { t.linker with seq = { t.linker.seq with min_normalized = f } } }
-  | "links.seq.min_seq_len" ->
-      let* i = parse_int key v in
-      Ok
+          linker = { t.linker with seq = { t.linker.seq with min_normalized = f } } });
+    int_key "links.seq.min_seq_len"
+      (fun t -> t.linker.seq.min_seq_len)
+      (fun t i ->
         { t with
-          linker = { t.linker with seq = { t.linker.seq with min_seq_len = i } } }
-  | "links.text.min_cosine" ->
-      let* f = parse_float key v in
-      Ok
+          linker = { t.linker with seq = { t.linker.seq with min_seq_len = i } } });
+    float_key "links.text.min_cosine"
+      (fun t -> t.linker.text.min_cosine)
+      (fun t f ->
         { t with
-          linker = { t.linker with text = { t.linker.text with min_cosine = f } } }
-  | "links.xref.min_matches" ->
-      let* i = parse_int key v in
-      Ok
+          linker = { t.linker with text = { t.linker.text with min_cosine = f } } });
+    int_key "links.xref.min_matches"
+      (fun t -> t.linker.xref.min_matches)
+      (fun t i ->
         { t with
-          linker = { t.linker with xref = { t.linker.xref with min_matches = i } } }
-  | "links.enable_seq" ->
-      let* b = parse_bool key v in
-      Ok { t with linker = { t.linker with enable_seq = b } }
-  | "links.enable_text" ->
-      let* b = parse_bool key v in
-      Ok { t with linker = { t.linker with enable_text = b } }
-  | "links.enable_onto" ->
-      let* b = parse_bool key v in
-      Ok { t with linker = { t.linker with enable_onto = b } }
-  | "dup.min_similarity" ->
-      let* f = parse_float key v in
-      Ok { t with dup = { t.dup with min_similarity = f } }
-  | "dup.all_pairs" ->
-      let* b = parse_bool key v in
-      Ok { t with dup = { t.dup with all_pairs = b } }
-  | "max_path_len" ->
-      let* i = parse_int key v in
-      Ok { t with max_path_len = i }
-  | "change_threshold" ->
-      let* f = parse_float key v in
-      Ok { t with change_threshold = f }
-  | "domains" ->
-      let* i = parse_int key v in
-      Ok { t with domains = i }
-  | "budget.primary" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with primary = b } }
-  | "budget.secondary" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with secondary = b } }
-  | "budget.links" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with links = b } }
-  | "budget.links.xref" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with xref_pass = b } }
-  | "budget.links.seq" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with seq_pass = b } }
-  | "budget.links.text" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with text_pass = b } }
-  | "budget.links.onto" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with onto_pass = b } }
-  | "budget.dups" ->
-      let* b = parse_budget key v in
-      Ok { t with budgets = { t.budgets with dups = b } }
-  | _ -> Error (Printf.sprintf "unknown key %S" key)
+          linker = { t.linker with xref = { t.linker.xref with min_matches = i } } });
+    bool_key "links.enable_seq"
+      (fun t -> t.linker.enable_seq)
+      (fun t b -> { t with linker = { t.linker with enable_seq = b } });
+    bool_key "links.enable_text"
+      (fun t -> t.linker.enable_text)
+      (fun t b -> { t with linker = { t.linker with enable_text = b } });
+    bool_key "links.enable_onto"
+      (fun t -> t.linker.enable_onto)
+      (fun t b -> { t with linker = { t.linker with enable_onto = b } });
+    float_key "dup.min_similarity"
+      (fun t -> t.dup.min_similarity)
+      (fun t f -> { t with dup = { t.dup with min_similarity = f } });
+    bool_key "dup.all_pairs"
+      (fun t -> t.dup.all_pairs)
+      (fun t b -> { t with dup = { t.dup with all_pairs = b } });
+    int_key "max_path_len"
+      (fun t -> t.max_path_len)
+      (fun t i -> { t with max_path_len = i });
+    float_key "change_threshold"
+      (fun t -> t.change_threshold)
+      (fun t f -> { t with change_threshold = f });
+    int_key "domains" (fun t -> t.domains) (fun t i -> { t with domains = i });
+    budget_key "budget.primary"
+      (fun t -> t.budgets.primary)
+      (fun t b -> { t with budgets = { t.budgets with primary = b } });
+    budget_key "budget.secondary"
+      (fun t -> t.budgets.secondary)
+      (fun t b -> { t with budgets = { t.budgets with secondary = b } });
+    budget_key "budget.links"
+      (fun t -> t.budgets.links)
+      (fun t b -> { t with budgets = { t.budgets with links = b } });
+    budget_key "budget.links.xref"
+      (fun t -> t.budgets.xref_pass)
+      (fun t b -> { t with budgets = { t.budgets with xref_pass = b } });
+    budget_key "budget.links.seq"
+      (fun t -> t.budgets.seq_pass)
+      (fun t b -> { t with budgets = { t.budgets with seq_pass = b } });
+    budget_key "budget.links.text"
+      (fun t -> t.budgets.text_pass)
+      (fun t b -> { t with budgets = { t.budgets with text_pass = b } });
+    budget_key "budget.links.onto"
+      (fun t -> t.budgets.onto_pass)
+      (fun t b -> { t with budgets = { t.budgets with onto_pass = b } });
+    budget_key "budget.dups"
+      (fun t -> t.budgets.dups)
+      (fun t b -> { t with budgets = { t.budgets with dups = b } });
+  ]
+
+let apply t name v =
+  match List.find_opt (fun k -> k.name = name) keys with
+  | Some k -> k.set t v
+  | None -> Error (Printf.sprintf "unknown key %S" name)
 
 (* fold lines over [default], keeping the 1-based line number for errors *)
 let parse_lines doc =
@@ -203,35 +230,5 @@ let of_file path =
       | Error (lineno, msg) -> Error (Printf.sprintf "%s:%d: %s" path lineno msg))
   | exception Sys_error msg -> Error msg
 
-let budget_to_string = function None -> "none" | Some f -> Printf.sprintf "%g" f
-
 let to_string t =
-  String.concat "\n"
-    [
-      Printf.sprintf "accession.min_length = %d" t.accession.min_length;
-      Printf.sprintf "accession.max_length_spread = %g" t.accession.max_length_spread;
-      Printf.sprintf "inclusion.min_containment = %g" t.inclusion.min_containment;
-      Printf.sprintf "inclusion.require_name_affinity = %b"
-        t.inclusion.require_name_affinity_for_pk_pk;
-      Printf.sprintf "links.seq.min_normalized = %g" t.linker.seq.min_normalized;
-      Printf.sprintf "links.seq.min_seq_len = %d" t.linker.seq.min_seq_len;
-      Printf.sprintf "links.text.min_cosine = %g" t.linker.text.min_cosine;
-      Printf.sprintf "links.xref.min_matches = %d" t.linker.xref.min_matches;
-      Printf.sprintf "links.enable_seq = %b" t.linker.enable_seq;
-      Printf.sprintf "links.enable_text = %b" t.linker.enable_text;
-      Printf.sprintf "links.enable_onto = %b" t.linker.enable_onto;
-      Printf.sprintf "dup.min_similarity = %g" t.dup.min_similarity;
-      Printf.sprintf "dup.all_pairs = %b" t.dup.all_pairs;
-      Printf.sprintf "max_path_len = %d" t.max_path_len;
-      Printf.sprintf "change_threshold = %g" t.change_threshold;
-      Printf.sprintf "domains = %d" t.domains;
-      Printf.sprintf "budget.primary = %s" (budget_to_string t.budgets.primary);
-      Printf.sprintf "budget.secondary = %s" (budget_to_string t.budgets.secondary);
-      Printf.sprintf "budget.links = %s" (budget_to_string t.budgets.links);
-      Printf.sprintf "budget.links.xref = %s" (budget_to_string t.budgets.xref_pass);
-      Printf.sprintf "budget.links.seq = %s" (budget_to_string t.budgets.seq_pass);
-      Printf.sprintf "budget.links.text = %s" (budget_to_string t.budgets.text_pass);
-      Printf.sprintf "budget.links.onto = %s" (budget_to_string t.budgets.onto_pass);
-      Printf.sprintf "budget.dups = %s" (budget_to_string t.budgets.dups);
-    ]
-  ^ "\n"
+  String.concat "" (List.map (fun k -> k.name ^ " = " ^ k.get t ^ "\n") keys)

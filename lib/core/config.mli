@@ -79,4 +79,7 @@ val of_file : string -> (t, string) result
     unreadable file is an [Error], not an exception. *)
 
 val to_string : t -> string
-(** Render every supported key with its current value ([of_string]-parsable). *)
+(** Render every supported key with its current value, one [key = value]
+    line each in the order listed above ([of_string]-parsable). It reads
+    the same key table as {!of_string}, so no key is parsed but not
+    rendered. A journal's config digest hashes this rendering. *)

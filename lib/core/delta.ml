@@ -53,8 +53,9 @@ let outcome_of_children children =
 
 (* one link pass over its share of the recomputed pairs. A pass with a
    zero budget is skipped before touching any data, so the other passes'
-   output is identical to a run without it. *)
-let pass ~enabled ~budget name f =
+   output is identical to a run without it. The xref pass always runs
+   (there is no key to disable it); the others have an enable flag. *)
+let pass ?(enabled = true) ~budget name f =
   if not enabled then (None, Report.step name (Report.Skipped Report.Disabled))
   else
     match budget with
@@ -127,7 +128,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
   in
   let run_link_passes () =
     let xref_staged, xref_step =
-      pass ~enabled:lp.enable_xref ~budget:budgets.xref_pass "xref pass"
+      pass ~budget:budgets.xref_pass "xref pass"
         (fun () ->
           let per =
             List.map

@@ -1,6 +1,6 @@
 open Aladin_discovery
 open Aladin_links
-module Serial = Aladin_metadata.Serial
+module Serial = Aladin_store.Serial
 
 type t = {
   links : (string, unit) Hashtbl.t;

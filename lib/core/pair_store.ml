@@ -1,5 +1,5 @@
 open Aladin_links
-module Serial = Aladin_metadata.Serial
+module Serial = Aladin_store.Serial
 
 type entry = {
   xref_links : Link.t list;

@@ -18,9 +18,11 @@ module Crc32 = Aladin_store.Crc32
 type t = {
   cfg : Config.t;
   pool : Par.Pool.t;
-  mutable catalog_list : Catalog.t list;
   mutable profile_list : Profile_list.t;
-  repo : Repository.t;
+      (* the one record of each source: its catalog is the profile's *)
+  mutable reports : Run_report.t list;
+      (* the latest per source, in the order they were last recorded *)
+  mutable provenance : string option;  (* the last run's trace, as JSON *)
   mutable pair_store : Pair_store.t;
   mutable link_view : Link.t list;
       (* the pair store's merged links less the rejected ones *)
@@ -36,9 +38,9 @@ let create ?(config = Config.default) () =
   {
     cfg = config;
     pool = Par.Pool.get ~domains:config.domains ();
-    catalog_list = [];
     profile_list = Profile_list.empty;
-    repo = Repository.create ();
+    reports = [];
+    provenance = None;
     pair_store = Pair_store.create ();
     link_view = [];
     gen = Generation.create ();
@@ -57,9 +59,24 @@ let last_delta t = t.last_delta
 
 let last_trace t = t.last_trace
 
-let run_reports t = Repository.run_reports t.repo
+let run_reports t = t.reports
 
-let run_report t source = Repository.run_report t.repo source
+let run_report t source =
+  List.find_opt (fun (r : Report.t) -> r.source = source) t.reports
+
+let record_report t (r : Report.t) =
+  t.reports <-
+    List.filter (fun (r' : Report.t) -> r'.source <> r.source) t.reports @ [ r ]
+
+let provenance t = t.provenance
+
+let sources t = Profile_list.sources t.profile_list
+
+let catalog_of (e : Profile_list.entry) = Profile.catalog e.sp.profile
+
+let catalogs t = List.map catalog_of (Profile_list.entries t.profile_list)
+
+let catalog t name = Option.map catalog_of (Profile_list.find t.profile_list name)
 
 (* the warehouse's link view of the pair store: [merged] (the store's
    [Pair_store.all_links], already deduplicated, so it is filtered, not
@@ -75,7 +92,7 @@ let set_link_view t merged =
    store. The link view always reflects the merged store, and the typed
    generation records which link kinds actually changed. *)
 let relink ~changed t =
-  let source_order = List.map Catalog.name t.catalog_list in
+  let source_order = sources t in
   let out =
     Delta.relink ~cfg:t.cfg ~pool:t.pool ~profiles:t.profile_list
       ~source_order ~store:t.pair_store ~changed ()
@@ -184,17 +201,12 @@ let add_source_raw ?trace ?(import_errors = []) t catalog =
   in
   let report =
     Obs.Trace.with_ambient tr (fun () ->
-        let prev_catalogs = t.catalog_list in
-        t.catalog_list <-
-          List.filter (fun c -> Catalog.name c <> name) t.catalog_list
-          @ [ catalog ];
         let import_step = import_step_report ~name ~catalog import_errors in
         (* steps 2-3. Step 2 is required: on failure the source is
-           quarantined — rolled back out of the warehouse — and the
-           remaining steps are skipped. *)
+           quarantined — it never enters the warehouse, which keeps any
+           earlier version — and the remaining steps are skipped. *)
         match discover t catalog with
         | Error (err, secs2) ->
-            t.catalog_list <- prev_catalogs;
             Generation.bump_whole t.gen;
             let dep n =
               Report.step n
@@ -212,7 +224,6 @@ let add_source_raw ?trace ?(import_errors = []) t catalog =
             }
         | Ok (sp, steps23) ->
             t.profile_list <- Profile_list.add t.profile_list sp;
-            Repository.add_source t.repo sp;
             (* steps 4 + 5 *)
             let link_step, dup_step = relink ~changed:name t in
             Hashtbl.remove t.pending_changes name;
@@ -225,8 +236,8 @@ let add_source_raw ?trace ?(import_errors = []) t catalog =
             })
   in
   t.last_trace <- Some tr;
-  Repository.set_provenance t.repo (Obs.Sink.to_json tr);
-  Repository.set_run_report t.repo report;
+  t.provenance <- Some (Obs.Sink.to_json tr);
+  record_report t report;
   report
 
 let report_import_failure t ~source err =
@@ -244,10 +255,18 @@ let report_import_failure t ~source err =
           dep "link discovery"; dep "duplicate detection" ];
     }
   in
-  Repository.set_run_report t.repo report;
+  record_report t report;
   report
 
 (* --- persistence: one store format for save/load and the journal --- *)
+
+let metadata t =
+  Repository.render
+    ~profiles:
+      (List.map
+         (fun (e : Profile_list.entry) -> e.sp)
+         (Profile_list.entries t.profile_list))
+    ~reports:t.reports ~provenance:t.provenance
 
 (* the one writer of warehouse state: every member as one new store
    generation, whose number it returns *)
@@ -259,14 +278,12 @@ let save_generation t dir =
         List.map
           (fun (m : Snapshot.member) -> { m with path = prefix ^ m.path })
           (Aladin_formats.Dump.members_of_catalog cat))
-      t.catalog_list
+      (catalogs t)
     @ [
         { Snapshot.path = "sources.txt"; kind = Snapshot.Records;
-          content =
-            String.concat ""
-              (List.map (fun c -> Catalog.name c ^ "\n") t.catalog_list) };
+          content = String.concat "" (List.map (fun s -> s ^ "\n") (sources t)) };
         { Snapshot.path = "metadata.txt"; kind = Snapshot.Records;
-          content = Repository.save t.repo };
+          content = metadata t };
         { Snapshot.path = "pairs.txt"; kind = Snapshot.Pairs;
           content = Pair_store.save t.pair_store };
         { Snapshot.path = "feedback.txt"; kind = Snapshot.Records;
@@ -341,16 +358,13 @@ let load_dir ?config ?(reanalyze = false) dir =
       if reanalyze then
         List.iter (fun c -> ignore (add_source_raw t c)) catalogs
       else begin
-        t.catalog_list <- catalogs;
         (* profiles are needed for browsing, search and later deltas;
-           links come from the saved repository and pair store, so steps
-           4-5 are skipped *)
+           links come from the saved pair store, so steps 4-5 are
+           skipped *)
         List.iter
           (fun catalog ->
             match discover t catalog with
-            | Ok (sp, _) ->
-                t.profile_list <- Profile_list.add t.profile_list sp;
-                Repository.add_source t.repo sp
+            | Ok (sp, _) -> t.profile_list <- Profile_list.add t.profile_list sp
             | Error (err, _) ->
                 raise
                   (Sys_error
@@ -368,16 +382,16 @@ let load_dir ?config ?(reanalyze = false) dir =
         | None -> ());
         (match Snapshot.find members "metadata.txt" with
         | Some doc ->
-            let meta, dropped = Repository.load_salvaging doc in
-            (match Repository.provenance meta with
-            | Some p -> Repository.set_provenance t.repo p
-            | None -> ());
-            List.iter (Repository.set_run_report t.repo) (Repository.run_reports meta);
+            (* the source blocks are rendered from the profiles just
+               rebuilt; the reports and the provenance are all it adds *)
+            let meta = Repository.read doc in
+            List.iter (record_report t) meta.reports;
+            t.provenance <- meta.provenance;
             (* a metadata.txt saved before the pair store held the only
                copy carries the links too: they re-seed the pairs that
                pairs.txt lacks (all of them when it predates the member) *)
             let seed_dropped = Pair_store.seed_missing t.pair_store doc in
-            bump "metadata.txt" (dropped + seed_dropped)
+            bump "metadata.txt" (meta.dropped + seed_dropped)
         | None -> ());
         (* the link view is derived, as after a relink. Nothing else is
            rebuilt: a relink keeps no index between runs. *)
@@ -563,9 +577,7 @@ let resume_journaled ~config ?trace journal catalogs =
   let t, restored =
     match cp with
     | Some (t, restored) ->
-        List.iter
-          (fun rep -> Repository.set_run_report t.repo (Report.mark_resumed rep))
-          (Repository.run_reports t.repo);
+        t.reports <- List.map Report.mark_resumed t.reports;
         (t, restored)
     | None -> (create ~config (), [])
   in
@@ -635,12 +647,6 @@ let integrate ?config ?trace catalogs =
   List.iter (fun c -> ignore (add_source ?trace t c)) catalogs;
   t
 
-let sources t = List.map Catalog.name t.catalog_list
-
-let catalogs t = t.catalog_list
-
-let catalog t name = List.find_opt (fun c -> Catalog.name c = name) t.catalog_list
-
 let profiles t = t.profile_list
 
 let profile t name =
@@ -670,8 +676,6 @@ let dup_reprs t =
 let explain_duplicates t =
   Dup.Dup_detect.explain (dup_reprs t) (duplicates t).links
 
-let repository t = t.repo
-
 let resolve_table t name =
   match String.index_opt name '.' with
   | Some i ->
@@ -679,9 +683,7 @@ let resolve_table t name =
       let rel = String.sub name (i + 1) (String.length name - i - 1) in
       Option.bind (catalog t source) (fun c -> Catalog.find c rel)
   | None -> (
-      let hits =
-        List.filter_map (fun c -> Catalog.find c name) t.catalog_list
-      in
+      let hits = List.filter_map (fun c -> Catalog.find c name) (catalogs t) in
       match hits with [ r ] -> Some r | [] | _ :: _ :: _ -> None)
 
 let notify_change t ~source ~changed_rows =

@@ -21,13 +21,12 @@
     of the warehouse and the remaining steps are skipped), while failed
     optional steps (secondary discovery, a link pass, duplicate
     detection) just contribute nothing and the run continues. What
-    happened is returned — and persisted in the metadata repository —
-    as a typed {!Aladin_resilience.Run_report.t}. *)
+    happened is returned — and persisted in the metadata repository
+    ({!metadata}) — as a typed {!Aladin_resilience.Run_report.t}. *)
 
 open Aladin_relational
 open Aladin_discovery
 open Aladin_links
-open Aladin_metadata
 module Run_report = Aladin_resilience.Run_report
 module Import_error = Aladin_resilience.Import_error
 
@@ -63,15 +62,15 @@ val add_source :
     [import_errors] so the report's import step shows [Degraded]).
     Replaces any source with the same name. Never raises for pipeline
     failures: they are captured in the returned report, which is also
-    stored in the metadata repository (see {!run_reports}).
+    kept as the source's latest report (see {!run_reports}).
 
     Every run is traced: spans for the five pipeline steps (child spans
     for profiling, FK inference, the link passes, ...) each carrying a
     ["status"] attribute, counters and latency histograms from the
     discovery layers. Pass [trace] to accumulate into your own
     collector; otherwise a fresh one is created. The trace is retained
-    (see {!last_trace}) and its JSON rendering stored as the
-    repository's provenance record. Step timings in the report come from
+    (see {!last_trace}) and its JSON rendering kept as the
+    {!provenance} record. Step timings in the report come from
     the same monotonic wall clock as the spans.
 
     On a warehouse that carries a journal (see {!integrate_journaled}),
@@ -81,8 +80,8 @@ val add_source :
 val report_import_failure : t -> source:string -> Import_error.t -> Run_report.t
 (** Record that a source failed before reaching the pipeline (import
     could not produce a catalog). The source is quarantined: the report
-    marks the import step [Failed] and steps 2-5 skipped, and is stored
-    in the repository; the warehouse itself is untouched. *)
+    marks the import step [Failed] and steps 2-5 skipped, and is kept
+    with {!run_reports}; the warehouse itself is untouched. *)
 
 val integrate : ?config:Config.t -> ?trace:Aladin_obs.Trace.t -> Catalog.t list -> t
 (** Fresh warehouse with all sources added (all into the same [trace]
@@ -148,7 +147,8 @@ val journal_status :
     any load does); nothing is written to the journal. *)
 
 val run_reports : t -> Run_report.t list
-(** Latest report per source, in integration order. *)
+(** Latest report per source (quarantined and failed-import sources
+    included), in the order they were last recorded. *)
 
 val run_report : t -> string -> Run_report.t option
 
@@ -195,9 +195,18 @@ val explain_duplicates : t -> (Link.t * string) list
 (** {!Aladin_dup.Dup_detect.explain} of {!duplicates} over {!dup_reprs},
     so every derivation ends in its link's confidence. *)
 
-val repository : t -> Repository.t
-(** The sources' structure and statistics, run reports and provenance;
-    links live in the per-pair store, see {!links}. *)
+val provenance : t -> string option
+(** The provenance record of the last pipeline run: the JSON rendering
+    of its execution trace ([Aladin_obs.Sink.to_json] of {!last_trace}),
+    kept through {!save_dir}/{!load_dir}. *)
+
+val metadata : t -> string
+(** The metadata repository's document
+    ({!Aladin_metadata.Repository.render}): each source's structure,
+    statistics and samples, rendered from its profile (the one record of
+    a source), then {!run_reports} and {!provenance}. What {!save_dir} stores as [metadata.txt] and
+    [aladin integrate -o] writes. Links live in the per-pair store, see
+    {!links}. *)
 
 val resolve_table : t -> string -> Relation.t option
 (** ["source.relation"], or a bare relation name when unique warehouse-wide. *)
@@ -234,11 +243,11 @@ val save_dir : t -> string -> (unit, string) result
 (** Materialize the warehouse as a crash-safe [Aladin_store] snapshot:
     each source's relations as checksummed CSVs under
     [<source>/<relation>.csv] (with its declared constraints), plus
-    [sources.txt], [metadata.txt] (the repository's sources, run
-    reports and provenance), [pairs.txt] (the per-source-pair link
-    store, the one copy of the links and correspondences, so a later
-    [aladin add] onto the loaded store pays only the new source's
-    delta) and [feedback.txt] as
+    [sources.txt], [metadata.txt] ({!metadata}: the sources' structure
+    and statistics, the run reports and the provenance), [pairs.txt]
+    (the per-source-pair link store, the one copy of the links and
+    correspondences, so a later [aladin add] onto the loaded store pays
+    only the new source's delta) and [feedback.txt] as
     per-record-checksummed record files — all committed atomically by
     the manifest rename, so a crash mid-save leaves the previous
     snapshot fully intact. Creates the directory; refuses ([Error]) to
@@ -261,11 +270,13 @@ val load_dir :
     Saved feedback is restored in both modes. With [reanalyze] (default
     false) the five steps re-run from the raw data; otherwise each
     source is profiled exactly as {!add_source} profiles it, and the
-    saved per-pair store and run reports are trusted, so no
-    link/duplicate discovery happens: the link view, and with it the
-    duplicate clusters, is derived from the per-pair store ([pairs.txt],
-    the one copy of the links and correspondences), as a relink derives
-    it. The [link]/[corr] records of a [metadata.txt] saved before that
+    saved per-pair store, run reports and provenance are trusted, so no
+    link/duplicate discovery happens. Only the run reports and the
+    provenance are read back from [metadata.txt]; its source blocks are
+    rendered from the profiles and skipped unread. The link view, and
+    with it the duplicate clusters, is derived from the per-pair store
+    ([pairs.txt], the one copy of the links and correspondences), as a
+    relink derives it. The [link]/[corr] records of a [metadata.txt] saved before that
     re-seed the pairs [pairs.txt] lacks ({!Pair_store.seed_missing});
     its unparseable ones count as dropped lines of that member. A
     journaled integration resumes through this too.

@@ -1,7 +1,8 @@
 (** Steps 2 + 3 of the ALADIN pipeline for one source: profile the data,
     guess constraints, pick the primary relation, and map out the secondary
-    structure. The result is what the metadata repository stores per source
-    and what link discovery consumes. *)
+    structure. The result is the warehouse's one record of a source: the
+    metadata repository renders the source's block from it, and link
+    discovery consumes it. *)
 
 open Aladin_relational
 

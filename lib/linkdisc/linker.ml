@@ -3,7 +3,6 @@ type params = {
   seq : Seq_links.params;
   text : Text_links.params;
   onto : Onto_links.params;
-  enable_xref : bool;
   enable_seq : bool;
   enable_text : bool;
   enable_onto : bool;
@@ -15,7 +14,6 @@ let default_params =
     seq = Seq_links.default_params;
     text = Text_links.default_params;
     onto = Onto_links.default_params;
-    enable_xref = true;
     enable_seq = true;
     enable_text = true;
     enable_onto = true;

@@ -8,7 +8,6 @@ type params = {
   seq : Seq_links.params;
   text : Text_links.params;
   onto : Onto_links.params;
-  enable_xref : bool;
   enable_seq : bool;
   enable_text : bool;
   enable_onto : bool;

@@ -6,71 +6,40 @@
     large part of storage space will be consumed by the discovered links on
     the object level."
 
-    The repository records what integration discovered per source: its
-    relations, primary and foreign keys, statistics and samples, with
-    each source's run report and the provenance of the last run. Its
-    text format ({!save}/{!load_salvaging}) holds just that. The
-    object-level links and the schema-level correspondences live in
-    the warehouse's per-pair store (the store's [pairs.txt]), their one
-    copy; the warehouse derives its link view from it. *)
+    This module is the codec of the repository's text document,
+    [metadata.txt]. It holds no state: the warehouse's source profiles
+    are the one record of each source, and {!render} writes each
+    source's block (its relations, primary and foreign keys, statistics
+    and samples) from its profile, followed by the run reports and the
+    provenance of the last run. {!read} returns only what the data
+    cannot rebuild: the reports and the provenance. The object-level
+    links and the schema-level correspondences live in the warehouse's
+    per-pair store (the store's [pairs.txt]), their one copy. *)
 
-open Aladin_relational
 open Aladin_discovery
 
-type source_record = {
-  source : string;
-  relations : (string * int) list;  (** (relation, row count) *)
-  primary : (string * string) option;  (** (relation, accession attribute) *)
-  fks : Inclusion.fk list;
-  stats : Col_stats.t list;  (** statistical metadata *)
-  sample : (string * string * string list) list;
-      (** (relation, attribute, sample values) *)
+val render :
+  profiles:Source_profile.t list ->
+  reports:Aladin_resilience.Run_report.t list ->
+  provenance:string option ->
+  string
+(** The document: a header, one block per profile in list order, one
+    record per run report in list order, then the provenance record —
+    by convention the JSON execution trace emitted by
+    [Aladin_obs.Sink.to_json] ("statistics ... and provenance", §3). *)
+
+type contents = {
+  reports : Aladin_resilience.Run_report.t list;  (** in document order *)
+  provenance : string option;
+  dropped : int;  (** lines that were lost or could not be read *)
 }
 
-type t
-
-val create : unit -> t
-
-val record_of_profile : Source_profile.t -> source_record
-
-val add_source : t -> Source_profile.t -> unit
-(** Replaces any record with the same source name. *)
-
-val sources : t -> source_record list
-
-val find_source : t -> string -> source_record option
-
-val set_provenance : t -> string -> unit
-(** Store the provenance record of the last pipeline run — by convention
-    the JSON execution trace emitted by [Aladin_obs.Sink.to_json]
-    ("statistics ... and provenance", §3). Replaces any previous record;
-    persisted by {!save}/{!load_salvaging}. *)
-
-val provenance : t -> string option
-
-val set_run_report : t -> Aladin_resilience.Run_report.t -> unit
-(** Store the typed run report of a source's latest pipeline run next to
-    the trace (replacing any previous report for the same source);
-    persisted by {!save}/{!load_salvaging}. *)
-
-val run_reports : t -> Aladin_resilience.Run_report.t list
-(** Latest report per source, most recent last. *)
-
-val run_report : t -> string -> Aladin_resilience.Run_report.t option
-
-val save : t -> string
-(** The sources with their statistics and samples, the run reports and
-    the provenance record. *)
-
-val load_salvaging : string -> t * int
-(** Inverse of {!save}, tolerant of documents that survived
-    storage-level salvage (see [Aladin_store]): a lost header,
-    unparseable lines and records orphaned by a dropped parent
-    ([source]) line are skipped and counted. Returns the repository plus
-    the number of lines dropped. Documents saved before the links moved
-    to the pair store also carry [link] and [corr] records; they are
-    not read here ([Pair_store] re-seeds from them) and only end the
-    current source block. *)
-
-val stats_summary : t -> (string * int * int) list
-(** Per source: (name, #relations, #rows). *)
+val read : string -> contents
+(** What {!render} wrote and cannot be rebuilt from the data. Total on
+    any input, and tolerant of documents that survived storage-level
+    salvage (see [Aladin_store]): a lost header and unreadable lines
+    are counted in [dropped] and skipped. Source-block records are
+    skipped unread, since the profiles they were rendered from are
+    rebuilt from the data; so are the [link] and [corr] records of
+    documents saved before the links moved to the pair store
+    ([Pair_store] re-seeds from them). *)

@@ -1,3 +1,5 @@
+module Serial = Aladin_store.Serial
+
 type warning = { code : string; detail : string }
 
 type reason =
@@ -101,15 +103,9 @@ let render t =
 
 (* --- serialization ---
 
-   Line-oriented, tab-separated, with Serial-style escaping of each
-   field so the whole report can itself be embedded as one field of the
-   metadata repository's own line format. *)
-
-let record fields =
-  String.concat "\t" (List.map Aladin_store.Records.escape_field fields)
-
-let fields line =
-  String.split_on_char '\t' line |> List.map Aladin_store.Records.unescape_field
+   Line-oriented {!Aladin_store.Serial} records, so the whole report can
+   itself be embedded as one field of the metadata repository's own
+   line format. *)
 
 let outcome_fields = function
   | Ok -> [ "ok" ]
@@ -145,13 +141,13 @@ let outcome_of_fields = function
 let serialize t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (record [ "report"; t.source; (if t.quarantined then "1" else "0") ]);
+    (Serial.record [ "report"; t.source; (if t.quarantined then "1" else "0") ]);
   let rec add depth s =
     Buffer.add_char buf '\n';
     (* the optional "resumed" token precedes the outcome fields; outcome
        heads are ok/degraded/skipped/failed, so no ambiguity *)
     Buffer.add_string buf
-      (record
+      (Serial.record
          (string_of_int depth :: s.step
           :: Printf.sprintf "%h" s.seconds
           :: ((if s.resumed then [ "resumed" ] else [])
@@ -168,13 +164,13 @@ let deserialize doc =
   match lines with
   | [] -> None
   | header :: rest -> (
-      match fields header with
+      match Serial.fields header with
       | [ "report"; source; q ] when q = "0" || q = "1" -> (
           (* parse each line into (depth, step_report without children) *)
           let parsed =
             List.map
               (fun line ->
-                match fields line with
+                match Serial.fields line with
                 | depth :: name :: secs :: outcome -> (
                     let resumed, outcome =
                       match outcome with

@@ -35,14 +35,10 @@ let exists dir = Sys.file_exists (journal_path dir)
    fields --- *)
 
 let render_line fields =
-  Records.record (String.concat "\t" (List.map Records.escape_field fields))
-  ^ "\n"
+  Records.record (Serial.record fields) ^ "\n"
 
 let parse_line line =
-  Option.map
-    (fun payload ->
-      List.map Records.unescape_field (String.split_on_char '\t' payload))
-    (Records.parse_record line)
+  Option.map Serial.fields (Records.parse_record line)
 
 let header_line meta =
   render_line

@@ -30,8 +30,8 @@
     those commits are neither restored nor compared against the new
     store's generations again.
 
-    Every line is a {!Records.record} whose payload is tab-separated
-    {!Records.escape_field}-escaped fields. The header carries
+    Every line is a {!Records.record} whose payload is a {!Serial.record}
+    of tab-separated escaped fields. The header carries
     {!format_version} (replay refuses any other) and the caller's [meta]
     key=value pairs — the integration {e plan}. All writes are
     {!Fault}-aware, so chaos sweeps can kill at any byte, operation or

@@ -43,8 +43,9 @@ val find : t -> string -> status option
 val bump_salvaged : t -> string -> int -> t
 (** [bump_salvaged t path n] folds [n] more dropped records into
     [path]'s status ([Ok] becomes [Salvaged n]): how decode-layer
-    salvage (e.g. repository lines orphaned by a dropped parent) is
-    surfaced on the member that caused it. No-op when [n = 0] or the
+    salvage (e.g. unreadable [metadata.txt] lines, or CSV rows a
+    salvaged member lost to raggedness) is surfaced on the member that
+    caused it. No-op when [n = 0] or the
     member is quarantined/missing. *)
 
 val render : t -> string

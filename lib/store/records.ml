@@ -69,35 +69,3 @@ let decode_salvage stored =
           | None -> bad
         in
         Some (join_lines kept, dropped)
-
-let escape_field s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape_field s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec loop i =
-    if i >= n then ()
-    else if s.[i] = '\\' && i + 1 < n then begin
-      (match s.[i + 1] with
-      | 't' -> Buffer.add_char buf '\t'
-      | 'n' -> Buffer.add_char buf '\n'
-      | c -> Buffer.add_char buf c);
-      loop (i + 2)
-    end
-    else begin
-      Buffer.add_char buf s.[i];
-      loop (i + 1)
-    end
-  in
-  loop 0;
-  Buffer.contents buf

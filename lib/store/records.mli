@@ -36,10 +36,3 @@ val record : string -> string
 
 val parse_record : string -> string option
 (** Inverse of {!record}: the payload, when its checksum verifies. *)
-
-val escape_field : string -> string
-(** Escape backslash, tab and newline, so the result can be one field of
-    a tab-separated line: manifest, journal and run-report records. *)
-
-val unescape_field : string -> string
-(** Inverse of {!escape_field}. *)

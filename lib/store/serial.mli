@@ -1,7 +1,9 @@
-(** Line-oriented serialization for the metadata repository.
+(** The one codec for tab-separated record lines: [metadata.txt],
+    [pairs.txt], [feedback.txt], the journal, the manifest's member
+    paths and run reports.
 
-    Records are tab-separated fields, one per line, with backslash escaping
-    for tab/newline/backslash. *)
+    Records are tab-separated fields, one per line, with backslash
+    escaping for tab, newline, carriage return and backslash. *)
 
 val escape : string -> string
 

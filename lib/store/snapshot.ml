@@ -115,7 +115,7 @@ let render_manifest gen entries =
   Printf.bprintf buf "snapshot\t%d\n" gen;
   List.iter
     (fun e ->
-      Printf.bprintf buf "member\t%s\t%s\t%d\t%s\n" (Records.escape_field e.e_path)
+      Printf.bprintf buf "member\t%s\t%s\t%d\t%s\n" (Serial.escape e.e_path)
         (kind_name e.e_kind) e.e_len (Crc32.to_hex e.e_crc))
     entries;
   (* trailing self-checksum over everything above *)
@@ -159,7 +159,7 @@ let parse_manifest doc =
                                         | Some k, Some l, Some c ->
                                             Some
                                               {
-                                                e_path = Records.unescape_field path;
+                                                e_path = Serial.unescape path;
                                                 e_kind = k;
                                                 e_len = l;
                                                 e_crc = c;
@@ -202,22 +202,43 @@ let valid_path p =
        (fun seg -> seg <> "" && seg <> "." && seg <> "..")
        (String.split_on_char '/' p)
 
+(* the directories a member path lies under: "a/b/c" -> "a", "a/b" *)
+let parent_dirs p =
+  let rec go i acc =
+    match String.index_from_opt p i '/' with
+    | Some j -> go (j + 1) (String.sub p 0 j :: acc)
+    | None -> acc
+  in
+  go 0 []
+
+(* checked before anything is created: a path that is both a member and
+   another member's directory ("metadata.txt" and "metadata.txt/term.csv")
+   could be written as neither *)
 let validate_members members =
   let seen = Hashtbl.create 16 in
-  List.fold_left
-    (fun acc m ->
-      match acc with
-      | Error _ -> acc
-      | Ok () ->
-          if not (valid_path m.path) then
-            Error (Printf.sprintf "invalid member path %S" m.path)
-          else if Hashtbl.mem seen m.path then
-            Error (Printf.sprintf "duplicate member path %S" m.path)
-          else begin
-            Hashtbl.add seen m.path ();
-            Ok ()
-          end)
-    (Ok ()) members
+  let dirs = Hashtbl.create 16 in
+  let checked =
+    List.fold_left
+      (fun acc m ->
+        match acc with
+        | Error _ -> acc
+        | Ok () ->
+            if not (valid_path m.path) then
+              Error (Printf.sprintf "invalid member path %S" m.path)
+            else if Hashtbl.mem seen m.path then
+              Error (Printf.sprintf "duplicate member path %S" m.path)
+            else begin
+              Hashtbl.add seen m.path ();
+              List.iter (fun d -> Hashtbl.replace dirs d ()) (parent_dirs m.path);
+              Ok ()
+            end)
+      (Ok ()) members
+  in
+  match (checked, List.find_opt (fun m -> Hashtbl.mem dirs m.path) members) with
+  | Ok (), Some m ->
+      Error
+        (Printf.sprintf "member path %S is both a file and a directory" m.path)
+  | checked, _ -> checked
 
 (* the committed generation's entries by path, each with its file, so a
    save can reuse the members that did not change; empty without a

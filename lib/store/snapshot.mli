@@ -55,8 +55,11 @@ val save : string -> member list -> (int, string) result
     Refuses ([Error]) to write into
     an existing non-empty directory that is not already an ALADIN store,
     rather than clobbering user files; also [Error] on invalid member
-    paths or I/O failure (in which case the previous snapshot is still
-    in force).
+    paths (empty, absolute, [.]/[..] segments, duplicates, or a path
+    that another member's path lies under, such as [metadata.txt] and
+    [metadata.txt/term.csv]), checked before anything is created, or on
+    I/O failure (in which case the previous snapshot is still in
+    force).
     @raise Fault.Killed under an armed injected fault. *)
 
 val load : string -> (member list * Load_report.t, string) result

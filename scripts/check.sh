@@ -92,6 +92,18 @@ if find lib/core lib/metadata bin -name '*.ml' -exec awk '
 fi
 echo "grep-gate ok: Snapshot.save is called only from Warehouse.save_dir"
 
+# The metadata repository is a codec, not a container: the warehouse's
+# profiles are the one record of each source, and Repository.render
+# writes metadata.txt from them when the store is saved. A mutable
+# field in lib/metadata would let the repository hold a copy of
+# warehouse state again.
+if grep -rnE '\bmutable\b' lib/metadata --include='*.ml' --include='*.mli' \
+    2>/dev/null; then
+  echo "error: mutable field in lib/metadata (render from the warehouse's state instead of keeping a copy)" >&2
+  exit 1
+fi
+echo "grep-gate ok: lib/metadata declares no mutable field"
+
 # Blocking sleeps belong to the retry/backoff policy alone: Retry.sleepf
 # is budget-clamped and EINTR-tolerant, and seeded backoff keeps waits
 # deterministic. A raw Unix.sleep/sleepf anywhere else is an unbounded,

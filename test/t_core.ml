@@ -163,11 +163,26 @@ let warehouse_tests =
           [ ("left", "LA001", "right:RB901"); ("right", "RB901", "left:LA001") ]);
     Alcotest.test_case "repository populated" `Quick (fun () ->
         let w = Lazy.force warehouse in
-        let repo = Warehouse.repository w in
-        check Alcotest.int "sources" 8
-          (List.length (Aladin_metadata.Repository.sources repo));
+        check Alcotest.int "sources" 8 (List.length (Warehouse.sources w));
         check Alcotest.bool "correspondences" true
-          (Warehouse.correspondences w <> []));
+          (Warehouse.correspondences w <> []);
+        (* the reports and the provenance come back from a store *)
+        let dir = Filename.temp_file "aladin" "repo" in
+        Sys.remove dir;
+        match Warehouse.save_dir w dir with
+        | Error msg -> Alcotest.fail ("save_dir: " ^ msg)
+        | Ok () ->
+            let w2, _ = Warehouse.load_dir dir in
+            check Alcotest.int "reports" 8
+              (List.length (Warehouse.run_reports w2));
+            check Alcotest.bool "reports reloaded" true
+              (Warehouse.run_reports w2 = Warehouse.run_reports w);
+            check Alcotest.bool "provenance" true
+              (Warehouse.provenance w <> None);
+            check
+              Alcotest.(option string)
+              "provenance reloaded" (Warehouse.provenance w)
+              (Warehouse.provenance w2));
     Alcotest.test_case "run report covers five steps" `Quick (fun () ->
         let c = Lazy.force small_corpus in
         let w = Warehouse.create () in
@@ -777,6 +792,8 @@ let config_ok doc =
   | Ok cfg -> cfg
   | Error msg -> Alcotest.fail ("unexpected config error: " ^ msg)
 
+let config_seed = 20261019
+
 let config_tests =
   [
     Alcotest.test_case "of_string overrides" `Quick (fun () ->
@@ -831,6 +848,81 @@ let config_tests =
         match Config.of_string "budget.links = fast" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "no error");
+    Alcotest.test_case "default rendering is pinned" `Quick (fun () ->
+        (* a journal's config digest hashes this rendering, so a journal
+           begun under another one is refused on resume *)
+        check Alcotest.string "rendering"
+          (String.concat ""
+             (List.map
+                (fun l -> l ^ "\n")
+                [ "accession.min_length = 4";
+                  "accession.max_length_spread = 0.2";
+                  "inclusion.min_containment = 1";
+                  "inclusion.require_name_affinity = true";
+                  "links.seq.min_normalized = 0.5";
+                  "links.seq.min_seq_len = 20";
+                  "links.text.min_cosine = 0.5";
+                  "links.xref.min_matches = 2";
+                  "links.enable_seq = true";
+                  "links.enable_text = true";
+                  "links.enable_onto = true";
+                  "dup.min_similarity = 0.78";
+                  "dup.all_pairs = false";
+                  "max_path_len = 6";
+                  "change_threshold = 0.1";
+                  "domains = 0";
+                  "budget.primary = none";
+                  "budget.secondary = none";
+                  "budget.links = none";
+                  "budget.links.xref = none";
+                  "budget.links.seq = none";
+                  "budget.links.text = none";
+                  "budget.links.onto = none";
+                  "budget.dups = none" ]))
+          (Config.to_string Config.default));
+    (* every rendered key parses back to a config that renders the same:
+       a key rendered but not parsed (or parsed into another field)
+       fails here *)
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| config_seed |])
+      (QCheck.Test.make ~name:"to_string is stable through of_string"
+         ~count:300
+         (QCheck.make
+            ~print:Config.to_string
+            (fun st ->
+              let open QCheck.Gen in
+              let i () = int st and f () = float st and b () = bool st in
+              let budget () = opt float st in
+              let d = Config.default in
+              { Config.accession =
+                  { d.accession with min_length = i ();
+                    max_length_spread = f () };
+                inclusion =
+                  { d.inclusion with min_containment = f ();
+                    require_name_affinity_for_pk_pk = b () };
+                linker =
+                  { d.linker with
+                    seq =
+                      { d.linker.seq with min_normalized = f ();
+                        min_seq_len = i () };
+                    text = { d.linker.text with min_cosine = f () };
+                    xref = { d.linker.xref with min_matches = i () };
+                    enable_seq = b (); enable_text = b ();
+                    enable_onto = b () };
+                dup = { d.dup with min_similarity = f (); all_pairs = b () };
+                max_path_len = i ();
+                change_threshold = f ();
+                domains = i ();
+                budgets =
+                  { Config.primary = budget (); secondary = budget ();
+                    links = budget (); xref_pass = budget ();
+                    seq_pass = budget (); text_pass = budget ();
+                    onto_pass = budget (); dups = budget () } }))
+         (fun cfg ->
+           let s = Config.to_string cfg in
+           match Config.of_string s with
+           | Ok cfg2 -> Config.to_string cfg2 = s
+           | Error _ -> false));
   ]
 
 let shell_tests =
@@ -1289,18 +1381,18 @@ let view_tests =
         (* the link and corr records metadata.txt held before the pair
            store became the only copy, with the first link repeated *)
         let link_record (l : L.Link.t) =
-          Aladin_metadata.Serial.record
+          Aladin_store.Serial.record
             [ "link"; l.src.source; l.src.relation; l.src.accession;
               l.dst.source; l.dst.relation; l.dst.accession;
               L.Link.kind_name l.kind;
-              Aladin_metadata.Serial.float_to_string l.confidence; l.evidence ]
+              Aladin_store.Serial.float_to_string l.confidence; l.evidence ]
         in
         let corr_record (c : L.Xref_disc.correspondence) =
-          Aladin_metadata.Serial.record
+          Aladin_store.Serial.record
             [ "corr"; c.src_source; c.src_relation; c.src_attribute;
               c.dst_source; c.dst_relation; c.dst_attribute;
               string_of_int c.matches;
-              Aladin_metadata.Serial.float_to_string c.match_frac;
+              Aladin_store.Serial.float_to_string c.match_frac;
               string_of_bool c.encoded ]
         in
         let older_records =

@@ -1,8 +1,27 @@
+open Aladin_relational
 open Aladin_discovery
 open Aladin_links
 open Aladin_metadata
+module Serial = Aladin_store.Serial
+module Run_report = Aladin_resilience.Run_report
 
 let check = Alcotest.check
+
+(* the field escape the journal, the manifest and the run reports used
+   before Serial was the one codec: carriage returns went out raw *)
+let records_escape s =
+  let buf = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let old_escape_seed = 20261019
 
 let serial_tests =
   [
@@ -43,7 +62,111 @@ let serial_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"escape roundtrip" ~count:200 QCheck.string
          (fun s -> Serial.unescape (Serial.escape s) = s));
+    (* journals, manifests and run reports written with the old escape
+       still read back, and a field without a carriage return is
+       written with the same bytes as before *)
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| old_escape_seed |])
+      (QCheck.Test.make ~name:"unescape reads the old records escape"
+         ~count:500
+         (QCheck.string_gen_of_size
+            QCheck.Gen.(int_range 0 24)
+            (QCheck.Gen.oneofl [ '\\'; '\t'; '\n'; '\r'; 't'; 'n'; 'r'; 'a' ]))
+         (fun s ->
+           Serial.unescape (records_escape s) = s
+           && (String.contains s '\r' || Serial.escape s = records_escape s)));
   ]
+
+(* The writer this document had while the repository kept a copy of
+   every source: [record_of_profile] copied each profile into a
+   [source_record], and [save] wrote the records, then the reports and
+   the provenance. Kept as the reference {!Repository.render} must
+   equal byte for byte. *)
+module Record_writer = struct
+  type source_record = {
+    source : string;
+    relations : (string * int) list;
+    primary : (string * string) option;
+    fks : Inclusion.fk list;
+    stats : Col_stats.t list;
+    sample : (string * string * string list) list;
+  }
+
+  let record_of_profile (sp : Source_profile.t) =
+    let catalog = Profile.catalog sp.profile in
+    let stats = Profile.all_stats sp.profile in
+    {
+      source = Catalog.name catalog;
+      relations =
+        List.map
+          (fun r -> (Relation.name r, Relation.cardinality r))
+          (Catalog.relations catalog);
+      primary = Source_profile.primary_accession sp;
+      fks = sp.fks;
+      stats;
+      sample =
+        List.map
+          (fun (cs : Col_stats.t) ->
+            ( cs.relation, cs.attribute,
+              List.map Value.to_string cs.sample
+              |> List.filteri (fun i _ -> i < 5) ))
+          stats;
+    }
+
+  let card_to_string = function
+    | Inclusion.One_to_one -> "1:1"
+    | Inclusion.One_to_many -> "1:N"
+
+  let origin_to_string = function
+    | `Declared -> "declared"
+    | `Inferred -> "inferred"
+
+  let save records reports provenance =
+    let buf = Buffer.create 4096 in
+    let line fs =
+      Buffer.add_string buf (Serial.record fs);
+      Buffer.add_char buf '\n'
+    in
+    line [ "aladin-metadata"; "1" ];
+    List.iter
+      (fun r ->
+        line [ "source"; r.source ];
+        List.iter
+          (fun (rel, n) -> line [ "relation"; rel; string_of_int n ])
+          r.relations;
+        (match r.primary with
+        | Some (rel, attr) -> line [ "primary"; rel; attr ]
+        | None -> ());
+        List.iter
+          (fun (fk : Inclusion.fk) ->
+            line
+              [ "fk"; fk.src_relation; fk.src_attribute; fk.dst_relation;
+                fk.dst_attribute; card_to_string fk.cardinality;
+                origin_to_string fk.origin ])
+          r.fks;
+        List.iter
+          (fun (cs : Col_stats.t) ->
+            line
+              [ "stats"; cs.relation; cs.attribute; string_of_int cs.rows;
+                string_of_int cs.nulls; string_of_int cs.distinct;
+                string_of_int cs.min_len; string_of_int cs.max_len;
+                Serial.float_to_string cs.avg_len;
+                Serial.float_to_string cs.numeric_frac;
+                Serial.float_to_string cs.alpha_frac;
+                string_of_bool cs.all_unique ])
+          r.stats;
+        List.iter
+          (fun (rel, attr, vals) -> line ("sample" :: rel :: attr :: vals))
+          r.sample)
+      records;
+    List.iter
+      (fun r -> line [ "runreport"; Run_report.serialize r ])
+      reports;
+    (match provenance with
+    | Some doc -> line [ "provenance"; doc ]
+    | None -> ());
+    Buffer.contents buf
+end
 
 let mini_profile () =
   Source_profile.analyze (T_discovery.mini_source ())
@@ -54,63 +177,57 @@ let sample_link () =
     ~dst:(Objref.make ~source:"b" ~relation:"prot" ~accession:"B1")
     ~kind:Link.Xref ~confidence:0.9 ~evidence:"test evidence"
 
+(* the small datagen corpus's warehouse, its profiles and the document
+   it renders *)
+let corpus_document () =
+  let w = Lazy.force T_core.warehouse in
+  let profiles =
+    List.map
+      (fun (e : Profile_list.entry) -> e.sp)
+      (Profile_list.entries (Aladin.Warehouse.profiles w))
+  in
+  let reports = Aladin.Warehouse.run_reports w in
+  let provenance = Aladin.Warehouse.provenance w in
+  (w, profiles, reports, provenance,
+   Repository.render ~profiles ~reports ~provenance)
+
+let kinds_of doc =
+  List.filter_map
+    (fun line -> match Serial.fields line with k :: _ -> Some k | [] -> None)
+    (String.split_on_char '\n' doc)
+
 let repository_tests =
   [
-    Alcotest.test_case "add and find source" `Quick (fun () ->
-        let repo = Repository.create () in
-        Repository.add_source repo (mini_profile ());
-        check Alcotest.bool "found" true (Repository.find_source repo "mini" <> None);
-        check Alcotest.int "one" 1 (List.length (Repository.sources repo)));
-    Alcotest.test_case "add replaces same name" `Quick (fun () ->
-        let repo = Repository.create () in
-        Repository.add_source repo (mini_profile ());
-        Repository.add_source repo (mini_profile ());
-        check Alcotest.int "still one" 1 (List.length (Repository.sources repo)));
-    Alcotest.test_case "record contents" `Quick (fun () ->
-        let repo = Repository.create () in
-        Repository.add_source repo (mini_profile ());
-        match Repository.find_source repo "mini" with
-        | None -> Alcotest.fail "missing"
-        | Some r ->
-            check Alcotest.(option (pair string string)) "primary"
-              (Some ("entry", "accession")) r.primary;
-            check Alcotest.bool "fks" true (r.fks <> []);
-            check Alcotest.bool "stats" true (r.stats <> []));
     Alcotest.test_case "save/load roundtrip" `Quick (fun () ->
-        let repo = Repository.create () in
-        Repository.add_source repo (mini_profile ());
+        let sp = mini_profile () in
+        let report =
+          { Run_report.source = "mini"; quarantined = false;
+            steps = [ Run_report.step ~seconds:0.25 "import" Run_report.Ok ] }
+        in
+        let doc =
+          Repository.render ~profiles:[ sp ] ~reports:[ report ]
+            ~provenance:(Some "{\"trace\": 1}")
+        in
+        (* the pair store is the one copy of links and correspondences *)
+        let kinds = kinds_of doc in
+        check Alcotest.bool "no link record" false (List.mem "link" kinds);
+        check Alcotest.bool "no corr record" false (List.mem "corr" kinds);
+        check Alcotest.bool "source block" true (List.mem "source" kinds);
+        let read = Repository.read doc in
+        check Alcotest.int "nothing dropped" 0 read.dropped;
+        check Alcotest.bool "reports" true (read.reports = [ report ]);
+        check Alcotest.(option string) "provenance" (Some "{\"trace\": 1}")
+          read.provenance;
+        (* a document saved when the repository still wrote them: its
+           link and corr records are left to the pair store, which reads
+           them from the same document, and drop nothing here *)
+        let l = sample_link () in
         let corr =
           { Xref_disc.src_source = "a"; src_relation = "dbxref";
             src_attribute = "accession"; dst_source = "b"; dst_relation = "prot";
             dst_attribute = "accession"; matches = 5; match_frac = 0.5;
             encoded = true }
         in
-        Repository.set_provenance repo "{\"trace\": 1}";
-        let doc = Repository.save repo in
-        (* the pair store is the one copy of links and correspondences *)
-        let kinds =
-          List.filter_map
-            (fun line ->
-              match Serial.fields line with k :: _ -> Some k | [] -> None)
-            (String.split_on_char '\n' doc)
-        in
-        check Alcotest.bool "no link record" false (List.mem "link" kinds);
-        check Alcotest.bool "no corr record" false (List.mem "corr" kinds);
-        let repo2, dropped = Repository.load_salvaging doc in
-        check Alcotest.int "nothing dropped" 0 dropped;
-        check Alcotest.int "sources" 1 (List.length (Repository.sources repo2));
-        check Alcotest.(option string) "provenance" (Repository.provenance repo)
-          (Repository.provenance repo2);
-        (match (Repository.find_source repo "mini", Repository.find_source repo2 "mini") with
-        | Some a, Some b ->
-            check Alcotest.bool "primary kept" true (a.primary = b.primary);
-            check Alcotest.int "fk count" (List.length a.fks) (List.length b.fks);
-            check Alcotest.int "stats count" (List.length a.stats) (List.length b.stats)
-        | _ -> Alcotest.fail "source lost");
-        (* a document saved when the repository still wrote them: its
-           link and corr records are left to the pair store, which reads
-           them from the same document, and drop nothing here *)
-        let l = sample_link () in
         let older =
           doc
           ^ Serial.record
@@ -127,24 +244,55 @@ let repository_tests =
                 string_of_bool corr.encoded ]
           ^ "\n"
         in
-        let repo3, dropped3 = Repository.load_salvaging older in
-        check Alcotest.int "older: nothing dropped" 0 dropped3;
-        check Alcotest.int "older: sources" 1 (List.length (Repository.sources repo3));
-        check Alcotest.(option string) "older: provenance"
-          (Repository.provenance repo) (Repository.provenance repo3));
+        let read3 = Repository.read older in
+        check Alcotest.int "older: nothing dropped" 0 read3.dropped;
+        check Alcotest.bool "older: reports" true (read3.reports = [ report ]);
+        check Alcotest.(option string) "older: provenance" read.provenance
+          read3.provenance);
     Alcotest.test_case "load rejects garbage" `Quick (fun () ->
-        let repo, dropped = Repository.load_salvaging "not a repo" in
-        check Alcotest.bool "dropped" true (dropped > 0);
-        check Alcotest.int "no source" 0 (List.length (Repository.sources repo)));
-    Alcotest.test_case "stats_summary" `Quick (fun () ->
-        let repo = Repository.create () in
-        Repository.add_source repo (mini_profile ());
-        match Repository.stats_summary repo with
-        | [ (name, rels, rows) ] ->
-            check Alcotest.string "name" "mini" name;
-            check Alcotest.int "rels" 5 rels;
-            check Alcotest.bool "rows" true (rows > 0)
-        | other -> Alcotest.fail (Printf.sprintf "%d rows" (List.length other)));
+        let read = Repository.read "not a repo" in
+        check Alcotest.bool "dropped" true (read.dropped > 0);
+        check Alcotest.int "no report" 0 (List.length read.reports);
+        check Alcotest.(option string) "no provenance" None read.provenance);
+    Alcotest.test_case "render equals the per-source record writer" `Quick
+      (fun () ->
+        let w, profiles, reports, provenance, doc = corpus_document () in
+        check Alcotest.int "every source" 8 (List.length profiles);
+        check Alcotest.string "same bytes"
+          (Record_writer.save
+             (List.map Record_writer.record_of_profile profiles)
+             reports provenance)
+          doc;
+        check Alcotest.string "the warehouse's document" doc
+          (Aladin.Warehouse.metadata w));
+    Alcotest.test_case "read returns the reports and the provenance" `Quick
+      (fun () ->
+        let _, _, reports, provenance, doc = corpus_document () in
+        let read = Repository.read doc in
+        check Alcotest.int "nothing dropped" 0 read.dropped;
+        check Alcotest.int "a report per source" 8 (List.length read.reports);
+        check Alcotest.bool "reports" true (read.reports = reports);
+        check Alcotest.bool "provenance present" true (provenance <> None);
+        check Alcotest.(option string) "provenance" provenance read.provenance);
+    Alcotest.test_case "a bad run report drops its line alone" `Quick
+      (fun () ->
+        let _, _, reports, provenance, doc = corpus_document () in
+        let bad = ref false in
+        let damaged =
+          String.split_on_char '\n' doc
+          |> List.map (fun line ->
+                 match Serial.fields line with
+                 | [ "runreport"; _ ] when not !bad ->
+                     bad := true;
+                     Serial.record [ "runreport"; "not a report" ]
+                 | _ -> line)
+          |> String.concat "\n"
+        in
+        let read = Repository.read damaged in
+        check Alcotest.int "one line dropped" 1 read.dropped;
+        check Alcotest.bool "the other reports" true
+          (read.reports = List.tl reports);
+        check Alcotest.(option string) "provenance" provenance read.provenance);
   ]
 
 let tests =

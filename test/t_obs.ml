@@ -276,22 +276,24 @@ let pipeline_tests =
               <= Trace.counter_value tr "fk.pairs_considered"));
     Alcotest.test_case "trace persisted as provenance" `Quick (fun () ->
         let w, _ = Lazy.force traced in
-        let repo = Aladin.Warehouse.repository w in
-        match Aladin_metadata.Repository.provenance repo with
+        match Aladin.Warehouse.provenance w with
         | None -> Alcotest.fail "no provenance"
-        | Some doc ->
+        | Some doc -> (
             check_contains "provenance json" "\"spans\"" doc;
             check_contains "provenance json" "link discovery" doc;
-            (* survives a save/load cycle *)
-            let reloaded, dropped =
-              Aladin_metadata.Repository.load_salvaging
-                (Aladin_metadata.Repository.save repo)
-            in
-            check Alcotest.int "nothing dropped" 0 dropped;
-            check
-              Alcotest.(option string)
-              "reloaded" (Some doc)
-              (Aladin_metadata.Repository.provenance reloaded));
+            (* survives a store round trip *)
+            let dir = Filename.temp_file "aladin" "prov" in
+            Sys.remove dir;
+            match Aladin.Warehouse.save_dir w dir with
+            | Error msg -> Alcotest.fail ("save_dir: " ^ msg)
+            | Ok () ->
+                let reloaded, report = Aladin.Warehouse.load_dir dir in
+                check Alcotest.bool "clean load" true
+                  (Aladin_store.Load_report.is_clean report);
+                check
+                  Alcotest.(option string)
+                  "reloaded" (Some doc)
+                  (Aladin.Warehouse.provenance reloaded)));
   ]
 
 let tests =

@@ -146,23 +146,26 @@ let report_tests =
               (Aladin_text.Strdist.contains ~needle doc))
           [ "degraded"; "skipped"; "failed"; "record_error" ]);
     Alcotest.test_case "repository persists reports" `Quick (fun () ->
-        let repo = Aladin_metadata.Repository.create () in
-        Aladin_metadata.Repository.set_run_report repo sample_report;
-        let reloaded, dropped =
-          Aladin_metadata.Repository.load_salvaging
-            (Aladin_metadata.Repository.save repo)
+        let module Repository = Aladin_metadata.Repository in
+        let read =
+          Repository.read
+            (Repository.render ~profiles:[] ~reports:[ sample_report ]
+               ~provenance:None)
         in
-        check Alcotest.int "nothing dropped" 0 dropped;
-        match Aladin_metadata.Repository.run_reports reloaded with
+        check Alcotest.int "nothing dropped" 0 read.dropped;
+        match read.reports with
         | [ r ] -> check Alcotest.bool "roundtrip" true (r = sample_report)
         | rs -> Alcotest.fail (Printf.sprintf "%d reports" (List.length rs)));
     Alcotest.test_case "latest report per source wins" `Quick (fun () ->
-        let repo = Aladin_metadata.Repository.create () in
-        Aladin_metadata.Repository.set_run_report repo sample_report;
-        Aladin_metadata.Repository.set_run_report repo
-          { sample_report with quarantined = true };
-        check Alcotest.int "one" 1
-          (List.length (Aladin_metadata.Repository.run_reports repo)));
+        let w = Warehouse.create () in
+        let fail detail =
+          Warehouse.report_import_failure w ~source:"s"
+            (Import_error.make ~source:"s" ~kind:Import_error.Io detail)
+        in
+        ignore (fail "first");
+        let latest = fail "second" in
+        check Alcotest.bool "only the latest" true
+          (Warehouse.run_reports w = [ latest ]));
   ]
 
 (* acceptance: a corrupted source in a multi-source integrate is

@@ -501,6 +501,32 @@ let save_wh_exn w dir =
 
 let warehouse_store_tests =
   [
+    Alcotest.test_case "a source named like a store member is refused"
+      `Quick (fun () ->
+        (* its CSVs would lie under a directory named like the member,
+           which is a file: refused before any generation is created *)
+        List.iter
+          (fun name ->
+            let w =
+              Warehouse.integrate
+                [ Dump.load ~name
+                    [ ("entry", "acc,name\nP10001,alpha\nP10002,beta\nP10003,gamma\n") ];
+                  List.nth (mini_catalogs ()) 1 ]
+            in
+            check Alcotest.(list string) "integrated" [ name; "pdb" ]
+              (Warehouse.sources w);
+            let dir = fresh_dir "wname" in
+            (match Warehouse.save_dir w dir with
+            | Ok () -> Alcotest.failf "saved a source named %S" name
+            | Error msg ->
+                check Alcotest.bool ("error names " ^ name) true
+                  (contains msg (Printf.sprintf "%S" name)));
+            check Alcotest.bool "no generation created" false
+              (Sys.file_exists dir
+              && Array.exists
+                   (String.starts_with ~prefix:"snap-")
+                   (Sys.readdir dir)))
+          [ "metadata.txt"; "sources.txt"; "pairs.txt"; "feedback.txt" ]);
     Alcotest.test_case "save/load/save is byte-identical" `Quick (fun () ->
         let w = mini_warehouse () in
         let dir1 = fresh_dir "wbi1" and dir2 = fresh_dir "wbi2" in
