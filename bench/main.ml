@@ -910,8 +910,9 @@ let pipeline_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* resilience — error-boundary overhead on the clean path, plus the    *)
-(* write-ahead journal: its clean-path overhead and how much a resume  *)
-(* after a late kill saves over a cold rerun (BENCH_resilience.json)   *)
+(* journaled integration: its clean-path overhead and how much a       *)
+(* resume after a late kill saves over a cold rerun                    *)
+(* (BENCH_resilience.json)                                             *)
 (* ------------------------------------------------------------------ *)
 
 let bench_fresh_dir tag =
@@ -939,45 +940,17 @@ let resilience_bench () =
       links = Some 3600.0; xref_pass = Some 3600.0; seq_pass = Some 3600.0;
       text_pass = Some 3600.0; onto_pass = Some 3600.0; dups = Some 3600.0 }
   in
+  let links_csv w = Aladin_access.Link_export.to_csv (Warehouse.links w) in
   let run budgets =
     let w, wall =
       timed (fun () ->
           Warehouse.integrate ~config:{ Config.default with budgets }
             corpus.catalogs)
     in
-    (wall, List.length (Warehouse.links w))
+    (wall, links_csv w)
   in
-  ignore (run Config.no_budgets) (* warm-up *);
-  let reps = 3 in
-  let sample budgets =
-    let measures = List.init reps (fun _ -> run budgets) in
-    ( List.fold_left (fun acc (w, _) -> min acc w) infinity measures,
-      fst (List.split measures),
-      snd (List.hd measures) )
-  in
-  let plain_wall, plain_all, plain_links = sample Config.no_budgets in
-  let budg_wall, budg_all, budg_links = sample generous in
-  let overhead_pct = (budg_wall -. plain_wall) /. plain_wall *. 100.0 in
-  let r =
-    Ev.Report.create
-      ~title:
-        "resilience: clean-path integration, unbudgeted vs fully budgeted \
-         (best of 3)"
-      ~columns:[ "variant"; "wall"; "links" ]
-  in
-  Ev.Report.add_row r
-    [ "no budgets"; Printf.sprintf "%.3f" plain_wall; string_of_int plain_links ];
-  Ev.Report.add_row r
-    [ "all budgeted"; Printf.sprintf "%.3f" budg_wall; string_of_int budg_links ];
-  Ev.Report.print r;
-  Printf.printf "boundary overhead: %+.2f%% (links identical: %s)\n"
-    overhead_pct
-    (if plain_links = budg_links then "yes" else "NO");
-  (* --- the write-ahead journal: clean-path overhead --- *)
-  let links_csv w = Aladin_access.Link_export.to_csv (Warehouse.links w) in
-  let plain_csv =
-    links_csv (Warehouse.integrate ~config:Config.default corpus.catalogs)
-  in
+  let plain_csv = snd (run Config.no_budgets) (* warm-up *) in
+  (* a clean journaled integration ... *)
   let journaled () =
     let dir = bench_fresh_dir "wal" in
     let (w, _), wall =
@@ -986,35 +959,10 @@ let resilience_bench () =
           | Ok r -> r
           | Error e -> failwith e)
     in
-    (dir, wall, links_csv w)
+    bench_rm_rf dir;
+    (wall, links_csv w)
   in
-  let cold () =
-    snd (timed (fun () -> Warehouse.integrate ~config:Config.default corpus.catalogs))
-  in
-  (* interleave cold and journaled reps so page-cache / heap drift over
-     the run biases neither variant *)
-  let interleaved =
-    List.init reps (fun _ ->
-        let c = cold () in
-        let j = journaled () in
-        (c, j))
-  in
-  let cold_measures = List.map fst interleaved in
-  let journal_measures = List.map snd interleaved in
-  let journal_all = List.map (fun (_, w, _) -> w) journal_measures in
-  let journal_wall = List.fold_left min infinity journal_all in
-  let cold_wall = List.fold_left min infinity cold_measures in
-  let journal_identical =
-    List.for_all (fun (_, _, csv) -> csv = plain_csv) journal_measures
-  in
-  let journal_overhead_pct =
-    (journal_wall -. cold_wall) /. cold_wall *. 100.0
-  in
-  List.iter (fun (d, _, _) -> bench_rm_rf d) journal_measures;
-  Printf.printf "journal overhead: %+.2f%% (links identical: %s)\n"
-    journal_overhead_pct
-    (if journal_identical then "yes" else "NO");
-  (* --- resume after a late kill vs a cold rerun --- *)
+  (* ... and a resume after a late kill *)
   let n_sources = List.length corpus.catalogs in
   let resume_once () =
     let dir = bench_fresh_dir "res" in
@@ -1034,18 +982,59 @@ let resilience_bench () =
           | Error e -> failwith e)
     in
     bench_rm_rf dir;
-    (wall, links_csv w = plain_csv)
+    (wall, links_csv w)
   in
-  let resume_measures = List.init reps (fun _ -> resume_once ()) in
-  let resume_all = List.map fst resume_measures in
-  let resume_wall = List.fold_left min infinity resume_all in
-  let resume_identical = List.for_all snd resume_measures in
+  (* every figure is the median of [reps] interleaved reps: each rep runs
+     every variant once, so page-cache / heap drift over the run biases
+     none of them. The unbudgeted run is the cold integration the
+     journaled run and the resume are compared with. *)
+  let reps = 5 in
+  let variants =
+    [ ("unbudgeted", fun () -> run Config.no_budgets);
+      ("budgeted", fun () -> run generous);
+      ("journaled", journaled);
+      ("resume", resume_once) ]
+  in
+  let measures =
+    List.init reps (fun _ -> List.map (fun (name, f) -> (name, f ())) variants)
+  in
+  let walls name = List.map (fun m -> fst (List.assoc name m)) measures in
+  let identical name =
+    List.for_all (fun m -> snd (List.assoc name m) = plain_csv) measures
+  in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let med name = median (walls name) in
+  let cold_wall = med "unbudgeted" and budg_wall = med "budgeted" in
+  let journal_wall = med "journaled" and resume_wall = med "resume" in
+  let pct a b = (a -. b) /. b *. 100.0 in
+  let overhead_pct = pct budg_wall cold_wall in
+  let journal_overhead_pct = pct journal_wall cold_wall in
   let resume_ratio = resume_wall /. cold_wall in
+  let r =
+    Ev.Report.create
+      ~title:
+        (Printf.sprintf
+           "resilience: clean-path integration, unbudgeted vs fully budgeted \
+            (median of %d)"
+           reps)
+      ~columns:[ "variant"; "wall"; "links identical" ]
+  in
+  List.iter
+    (fun name ->
+      Ev.Report.add_row r
+        [ name; Printf.sprintf "%.3f" (med name);
+          (if identical name then "yes" else "NO") ])
+    (List.map fst variants);
+  Ev.Report.print r;
+  Printf.printf "boundary overhead: %+.2f%%\n" overhead_pct;
+  Printf.printf "journal overhead: %+.2f%%\n" journal_overhead_pct;
   Printf.printf
-    "resume after late kill: %.3fs vs %.3fs cold (%.0f%% of a rerun, links \
-     identical: %s)\n"
-    resume_wall cold_wall (resume_ratio *. 100.0)
-    (if resume_identical then "yes" else "NO");
+    "resume after late kill: %.3fs vs %.3fs cold (%.0f%% of a rerun)\n"
+    resume_wall cold_wall (resume_ratio *. 100.0);
   let floats l =
     String.concat ", " (List.map (Printf.sprintf "%.6f") l)
   in
@@ -1055,29 +1044,31 @@ let resilience_bench () =
       \  \"bench\": \"resilience\",\n\
       \  \"corpus_seed\": %d,\n\
       \  \"reps\": %d,\n\
+      \  \"statistic\": \"median of interleaved reps\",\n\
       \  \"unbudgeted_wall_seconds\": [%s],\n\
       \  \"budgeted_wall_seconds\": [%s],\n\
-      \  \"best_unbudgeted\": %.6f,\n\
-      \  \"best_budgeted\": %.6f,\n\
+      \  \"median_unbudgeted\": %.6f,\n\
+      \  \"median_budgeted\": %.6f,\n\
       \  \"overhead_percent\": %.3f,\n\
       \  \"links_identical\": %b,\n\
       \  \"journaled_wall_seconds\": [%s],\n\
-      \  \"cold_wall_seconds\": [%s],\n\
-      \  \"best_journaled\": %.6f,\n\
-      \  \"best_cold\": %.6f,\n\
+      \  \"median_journaled\": %.6f,\n\
       \  \"journal_overhead_percent\": %.3f,\n\
       \  \"links_identical_after_journal\": %b,\n\
       \  \"resume_wall_seconds\": [%s],\n\
-      \  \"best_resume_after_late_kill\": %.6f,\n\
+      \  \"median_resume_after_late_kill\": %.6f,\n\
       \  \"resume_to_cold_ratio\": %.3f,\n\
       \  \"links_identical_after_resume\": %b\n\
        }\n"
-      default_corpus_params.Dg.Corpus.seed reps (floats plain_all)
-      (floats budg_all) plain_wall budg_wall overhead_pct
-      (plain_links = budg_links)
-      (floats journal_all) (floats cold_measures) journal_wall cold_wall
-      journal_overhead_pct journal_identical (floats resume_all) resume_wall
-      resume_ratio resume_identical
+      default_corpus_params.Dg.Corpus.seed reps
+      (floats (walls "unbudgeted"))
+      (floats (walls "budgeted"))
+      cold_wall budg_wall overhead_pct
+      (identical "unbudgeted" && identical "budgeted")
+      (floats (walls "journaled"))
+      journal_wall journal_overhead_pct (identical "journaled")
+      (floats (walls "resume"))
+      resume_wall resume_ratio (identical "resume")
   in
   let oc = open_out "BENCH_resilience.json" in
   output_string oc json;

@@ -46,7 +46,8 @@ let integrate_cmd =
   in
   let journal_arg =
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
-           ~doc:"Run under a write-ahead journal at $(docv): after each \
+           ~doc:"Run journaled at $(docv), which must be empty or absent: \
+                 the plan is written to $(docv)/JOURNAL, and after each \
                  source addition the warehouse is saved into the store \
                  $(docv)/store, so a killed process resumes with \
                  $(b,--resume) $(docv) in O(remaining work).")
@@ -148,15 +149,11 @@ let integrate_cmd =
                     let note =
                       if resume = None then ""
                       else
-                        Printf.sprintf
-                          "resumed %d committed step%s, executed %d, \
-                           dropped %d torn record%s\n"
+                        Printf.sprintf "resumed %d committed step%s, executed %d\n"
                           (List.length info.resumed_sources)
                           (if List.length info.resumed_sources = 1 then ""
                            else "s")
                           (List.length info.executed_sources)
-                          info.dropped_records
-                          (if info.dropped_records = 1 then "" else "s")
                     in
                     (w, note))
           in

@@ -1,15 +1,16 @@
 (* Kill-anywhere resumable integration, demonstrated exhaustively.
 
-   A small corpus is integrated under a write-ahead journal, then the
-   same integration is killed at every pipeline step boundary, at a
-   sweep of durable-store operation counts, and at a sweep of byte
-   offsets inside the journal/store writes. After every kill the run is
-   resumed from the journal: committed steps are restored from their
-   store without recomputation, only the in-flight and remaining steps
-   re-run, and the final state — source order, links, correspondences
-   and run-report outcomes — is byte-identical to the uninterrupted
-   run's: the journal turns "kill -9 anywhere" into "at most one step of
-   lost work".
+   A small corpus is integrated journaled — the plan written once to
+   JOURNAL, the warehouse saved into the journal's store after every
+   source — then the same integration is killed at every pipeline step
+   boundary, at a sweep of durable-store operation counts, and at a
+   sweep of byte offsets inside the store's writes. After every kill the
+   run is resumed: the store's manifest is the only commit record, so
+   the sources it holds are restored without recomputation, only the
+   in-flight and remaining steps re-run, and the final state — source
+   order, links, correspondences and run-report outcomes — is
+   byte-identical to the uninterrupted run's: "kill -9 anywhere" costs
+   at most one step of lost work.
 
      dune exec examples/kill_resume.exe *)
 

@@ -332,8 +332,6 @@ let eval ~resolve (q : Sql_parser.query) =
   List.iter (Relation.insert result) out_rows;
   result
 
-let eval_catalog catalog q = eval ~resolve:(Catalog.find catalog) q
-
 let run ~resolve input = eval ~resolve (Sql_parser.parse input)
 
 let render_result ?(max_rows = 25) rel =

@@ -14,8 +14,6 @@ val eval : resolve:(string -> Relation.t option) -> Sql_parser.query -> Relation
 (** @raise Eval_error on unknown tables/columns, ambiguous references, or
     non-grouped columns selected next to aggregates. *)
 
-val eval_catalog : Catalog.t -> Sql_parser.query -> Relation.t
-
 val run : resolve:(string -> Relation.t option) -> string -> Relation.t
 (** Parse + eval. *)
 

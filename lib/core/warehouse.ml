@@ -31,7 +31,7 @@ type t = {
   pending_changes : (string, int) Hashtbl.t;
   mutable feedback : Feedback.t;
   mutable last_trace : Obs.Trace.t option;
-  mutable journal : Journal.t option;
+  mutable journal : string option;  (* the journal directory, if any *)
 }
 
 let create ?(config = Config.default) () =
@@ -269,8 +269,8 @@ let metadata t =
     ~reports:t.reports ~provenance:t.provenance
 
 (* the one writer of warehouse state: every member as one new store
-   generation, whose number it returns *)
-let save_generation t dir =
+   generation *)
+let save_dir t dir =
   let members =
     List.concat_map
       (fun cat ->
@@ -290,9 +290,7 @@ let save_generation t dir =
           content = Feedback.save t.feedback };
       ]
   in
-  Snapshot.save dir members
-
-let save_dir t dir = Result.map ignore (save_generation t dir)
+  Result.map ignore (Snapshot.save dir members)
 
 (* the source directories present among the member paths, in first-seen
    (save) order — the fallback when sources.txt itself was lost *)
@@ -399,13 +397,11 @@ let load_dir ?config ?(reanalyze = false) dir =
       end;
       (t, !report)
 
-(* --- write-ahead integration journal (resume protocol) ---
+(* --- journaled integration (resume protocol) ---
 
-   A journaled step appends an intent record, runs the pipeline,
-   save_dirs the warehouse into the journal's store, then appends a
-   commit record naming the source, its digest and the store
-   generation. Resume is load_dir of that store plus the rest of the
-   plan. *)
+   A journaled step runs the pipeline, then save_dirs the warehouse into
+   the journal's store: the manifest rename commits the step. Resume is
+   load_dir of that store plus the rest of the plan. *)
 
 (* content digest of a catalog, over exactly the members a store holds —
    detects a re-supplied source file that differs from the one the
@@ -422,17 +418,12 @@ let config_digest cfg = Crc32.to_hex (Crc32.string (Config.to_string cfg))
 
 let ( let* ) = Result.bind
 
-let journaled_add_source ?trace ?import_errors t j catalog =
-  let name = Catalog.name catalog in
-  let step = "source:" ^ name in
+let journaled_add_source ?trace ?import_errors t journal catalog =
+  let step = "source:" ^ Catalog.name catalog in
   Fault.step step;
-  let seq = Journal.intent j ~step in
   let report = add_source_raw ?trace ?import_errors t catalog in
   Fault.step (step ^ " computed");
-  let* generation = save_generation t (Journal.store_dir (Journal.dir j)) in
-  ignore
-    (Journal.commit j ~seq ~step ~generation
-       ~info:[ ("source", name); ("digest", catalog_digest catalog) ]);
+  let* () = save_dir t (Journal.store_dir journal) in
   Fault.step (step ^ " committed");
   Ok report
 
@@ -441,18 +432,18 @@ let journaled_add_source ?trace ?import_errors t j catalog =
 let add_source ?trace ?import_errors t catalog =
   match t.journal with
   | None -> add_source_raw ?trace ?import_errors t catalog
-  | Some j -> (
-      match journaled_add_source ?trace ?import_errors t j catalog with
+  | Some journal -> (
+      match journaled_add_source ?trace ?import_errors t journal catalog with
       | Ok report -> report
       | Error e -> raise (Sys_error e))
 
 (* journaled steps in plan order, stopping at the first checkpoint that
    could not be saved *)
-let rec run_journaled ?trace t j = function
+let rec run_journaled ?trace t journal = function
   | [] -> Ok ()
   | c :: rest ->
-      let* _ = journaled_add_source ?trace t j c in
-      run_journaled ?trace t j rest
+      let* _ = journaled_add_source ?trace t journal c in
+      run_journaled ?trace t journal rest
 
 (* --- the integration plan, carried in the journal header --- *)
 
@@ -487,48 +478,35 @@ let plan_of_meta meta =
       in
       go [] 0
 
-(* what a resume restores: the journal store, loaded as any store is,
-   and the plan's committed sources it stands for. One rule for resume
-   and journal_status. A store older than the last commit was replaced
-   behind the journal's back (a save never moves the manifest
-   backwards), so refuse it. A store that does not load clean, or holds
-   no run report for some committed source, restores nothing ([None]):
-   the whole plan re-runs, the same bytes at the cost of more work. *)
-let checkpoint ~config journal (r : Journal.replay) plan =
-  match List.rev r.committed with
-  | [] -> Ok None
-  | last :: _ -> (
-      match load_dir ~config (Journal.store_dir journal) with
-      | exception Sys_error _ -> Ok None
-      | _, (rep : Load_report.t) when rep.generation < last.generation ->
-          Error
-            (Printf.sprintf
-               "journal store is at generation %d, older than the last \
-                commit's %d; it was replaced or rolled back"
-               rep.generation last.generation)
-      | t, rep ->
-          let committed =
-            List.filter_map
-              (fun (n, _, _) ->
-                if
-                  List.exists
-                    (fun (c : Journal.committed) ->
-                      List.assoc_opt "source" c.info = Some n)
-                    r.committed
-                then Some n
-                else None)
-              plan
-          in
-          if
-            Load_report.is_clean rep
-            && List.for_all (fun n -> Option.is_some (run_report t n)) committed
-          then Ok (Some (t, committed))
-          else Ok None)
+(* what a resume restores: one rule for resume and journal_status. The
+   store's manifest is the commit record, so the store is loaded as any
+   store is. When it loads clean and its run reports name exactly a
+   prefix of the plan, that prefix comes back. Otherwise — no store, a
+   damaged one, or reports beyond the prefix (a source missing in the
+   middle, or one foreign to the plan) — nothing is restored ([None])
+   and the whole plan re-runs over the store, the same bytes at the cost
+   of more work. *)
+let checkpoint ~config journal plan =
+  match load_dir ~config (Journal.store_dir journal) with
+  | exception Sys_error _ -> None
+  | t, rep when Load_report.is_clean rep ->
+      let rec prefix = function
+        | (n, _, _) :: rest when Option.is_some (run_report t n) ->
+            n :: prefix rest
+        | _ -> []
+      in
+      let restored = prefix plan in
+      if
+        List.for_all
+          (fun (r : Report.t) -> List.mem r.source restored)
+          t.reports
+      then Some (t, restored)
+      else None
+  | _ -> None
 
 type resume_info = {
   resumed_sources : string list;
   executed_sources : string list;
-  dropped_records : int;
 }
 
 type journal_source = {
@@ -538,10 +516,12 @@ type journal_source = {
 }
 
 let journal_status ?(config = Config.default) journal =
-  let* r = Journal.replay journal in
-  let* plan = plan_of_meta r.meta in
-  let* cp = checkpoint ~config journal r plan in
-  let restored = match cp with Some (_, names) -> names | None -> [] in
+  let* plan = Result.bind (Journal.plan journal) plan_of_meta in
+  let restored =
+    match checkpoint ~config journal plan with
+    | Some (_, names) -> names
+    | None -> []
+  in
   Ok
     (List.map
        (fun (n, _, path) ->
@@ -549,10 +529,10 @@ let journal_status ?(config = Config.default) journal =
        plan)
 
 let resume_journaled ~config ?trace journal catalogs =
-  let* j, r = Journal.open_resume journal in
-  let* plan = plan_of_meta r.meta in
+  let* meta = Journal.plan journal in
+  let* plan = plan_of_meta meta in
   let* () =
-    if List.assoc_opt "config" r.meta = Some (config_digest config) then Ok ()
+    if List.assoc_opt "config" meta = Some (config_digest config) then Ok ()
     else
       Error
         "journal was written under a different configuration; resume with \
@@ -573,15 +553,14 @@ let resume_journaled ~config ?trace journal catalogs =
         | Some _ -> Ok ())
       (Ok ()) catalogs
   in
-  let* cp = checkpoint ~config journal r plan in
   let t, restored =
-    match cp with
+    match checkpoint ~config journal plan with
     | Some (t, restored) ->
         t.reports <- List.map Report.mark_resumed t.reports;
         (t, restored)
     | None -> (create ~config (), [])
   in
-  t.journal <- Some j;
+  t.journal <- Some journal;
   (* the plan's steps that are not restored, in plan order *)
   let rec to_run = function
     | [] -> Ok []
@@ -600,16 +579,11 @@ let resume_journaled ~config ?trace journal catalogs =
                  | None -> "")))
   in
   let* todo = to_run plan in
-  (* the store stood for none of the commits: void them before the
-     re-run saves over it, so a later resume neither restores them nor
-     weighs the new generations against theirs *)
-  if Option.is_none cp && r.committed <> [] then Journal.reset j;
-  let* () = run_journaled ?trace t j todo in
+  let* () = run_journaled ?trace t journal todo in
   Ok
     ( t,
       { resumed_sources = restored;
-        executed_sources = List.map Catalog.name todo;
-        dropped_records = r.dropped } )
+        executed_sources = List.map Catalog.name todo } )
 
 let integrate_journaled ?(config = Config.default) ?trace ?(source_paths = [])
     ~journal catalogs =
@@ -633,14 +607,11 @@ let integrate_journaled ?(config = Config.default) ?trace ?(source_paths = [])
               List.assoc_opt (Catalog.name c) source_paths ))
           catalogs
       in
-      let* j = Journal.create journal ~meta:(plan_meta ~cfg:config entries) in
+      let* () = Journal.create journal ~meta:(plan_meta ~cfg:config entries) in
       let t = create ~config () in
-      t.journal <- Some j;
-      let* () = run_journaled ?trace t j catalogs in
-      Ok
-        ( t,
-          { resumed_sources = []; executed_sources = names;
-            dropped_records = 0 } )
+      t.journal <- Some journal;
+      let* () = run_journaled ?trace t journal catalogs in
+      Ok (t, { resumed_sources = []; executed_sources = names })
 
 let integrate ?config ?trace catalogs =
   let t = create ?config () in

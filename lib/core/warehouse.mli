@@ -90,10 +90,9 @@ val integrate : ?config:Config.t -> ?trace:Aladin_obs.Trace.t -> Catalog.t list 
 
 type resume_info = {
   resumed_sources : string list;
-      (** committed steps restored from the journal's store, in journal
+      (** committed steps restored from the journal's store, in plan
           order *)
   executed_sources : string list;  (** steps actually (re)computed *)
-  dropped_records : int;  (** torn trailing journal records dropped *)
 }
 
 val integrate_journaled :
@@ -103,34 +102,36 @@ val integrate_journaled :
   journal:string ->
   Catalog.t list ->
   (t * resume_info, string) result
-(** {!integrate} under a write-ahead journal at [journal] (see
-    {!Aladin_store.Journal}): each source addition appends an intent
-    record, runs the pipeline, {!save_dir}s the whole warehouse into
-    [<journal>/store], and only then appends a commit record naming the
-    source, its content digest and the store generation. A failed save
-    is [Error], with no commit record.
+(** {!integrate}, journaled at [journal] (see {!Aladin_store.Journal}):
+    the plan is written once to [<journal>/JOURNAL], and each source
+    addition runs the pipeline and then {!save_dir}s the whole warehouse
+    into [<journal>/store]. The store's manifest rename commits the
+    step; there is no other commit record. A failed save is [Error].
 
     Calling this again with the same [journal], [config] and catalogs
-    resumes a killed run: {!load_dir} of the store (run reports flagged
-    [Run_report.resumed]), then every step without a commit record — a
-    step killed between its save and its commit re-runs over a store
-    that already holds it, and {!add_source}'s replacement yields the
-    same result. The final source order, links, correspondences and
-    run-report outcomes are byte-identical to an uninterrupted run. A
-    store that does not load clean, or lacks a committed source,
-    restores nothing: the journal gets a reset record voiding its
-    commits and the whole plan re-runs. A store older than the last
-    commit is [Error].
+    resumes a killed run by one rule, shared with {!journal_status}: if
+    {!load_dir} of the store is clean and its run reports name exactly a
+    prefix of the plan, that prefix is restored (run reports flagged
+    [Run_report.resumed]) and the rest of the plan runs. A step killed
+    before its manifest rename is recomputed; one killed after it is
+    restored. A store that does not load, does not load clean, or holds
+    a report beyond that prefix restores nothing, and the whole plan
+    re-runs over it. A store rolled back to an earlier generation
+    resumes from that generation. The final source order, links,
+    correspondences and run-report outcomes are byte-identical to an
+    uninterrupted run.
 
     The journal header records the plan (source names, content digests,
     optional [source_paths] origins) and a config digest; resume refuses
     ([Error]) a different config, a changed or unplanned source, and a
-    journal in an older format. Committed catalogs may be omitted on
-    resume; omitting one that must re-run is an error naming its
-    original path. The journal stays attached: later
-    {!add_source}/{!update_source}/{!reject_fk} calls are journaled too.
-    @raise Aladin_store.Fault.Killed under an armed chaos fault,
-    @raise Sys_error on journal I/O failure. *)
+    journal in an older format. A fresh journal needs an empty
+    directory (leftover temp files aside): one holding only a [store/]
+    is refused too, so a new plan never adopts a stale store. Committed
+    catalogs may be omitted on resume; omitting one that must re-run is
+    an error naming its original path. The journal stays attached:
+    later {!add_source}/{!update_source}/{!reject_fk} calls are
+    journaled too.
+    @raise Aladin_store.Fault.Killed under an armed chaos fault. *)
 
 type journal_source = {
   js_name : string;

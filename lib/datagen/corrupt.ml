@@ -32,12 +32,6 @@ let value rng ~rate s =
 
 let maybe_drop rng ~rate s = if Rng.chance rng rate then "" else s
 
-let recase rng s =
-  match Rng.int rng 3 with
-  | 0 -> String.lowercase_ascii s
-  | 1 -> String.uppercase_ascii s
-  | _ -> s
-
 let flip_bit_at s ~byte ~bit =
   let n = String.length s in
   if n = 0 || byte < 0 || byte >= n then s
@@ -47,10 +41,6 @@ let flip_bit_at s ~byte ~bit =
     Bytes.set b byte (Char.chr (c lxor (1 lsl (bit land 7))));
     Bytes.to_string b
   end
-
-let bit_flip rng s =
-  if s = "" then s
-  else flip_bit_at s ~byte:(Rng.int rng (String.length s)) ~bit:(Rng.int rng 8)
 
 let truncate_at s n =
   let n = max 0 n in

@@ -12,17 +12,10 @@ val value : Rng.t -> rate:float -> string -> string
 val maybe_drop : Rng.t -> rate:float -> string -> string
 (** Return "" (a null) with probability [rate]. *)
 
-val recase : Rng.t -> string -> string
-(** Random case change (whole-string upper/lower), a common inter-source
-    difference. *)
-
 val flip_bit_at : string -> byte:int -> bit:int -> string
 (** Flip bit [bit land 7] of the byte at offset [byte]; out-of-range
     offsets return the string unchanged. Deterministic — the workhorse
     of the store fault-injection tests. *)
-
-val bit_flip : Rng.t -> string -> string
-(** Flip one random bit somewhere in the string ("" is unchanged). *)
 
 val truncate_at : string -> int -> string
 (** Keep the first [n] bytes (a torn write); [n] past the end is the

@@ -19,12 +19,6 @@ let pp_fk ppf fk =
 
 let norm = String.lowercase_ascii
 
-let fk_equal a b =
-  norm a.src_relation = norm b.src_relation
-  && norm a.src_attribute = norm b.src_attribute
-  && norm a.dst_relation = norm b.dst_relation
-  && norm a.dst_attribute = norm b.dst_attribute
-
 let tokens_of name =
   String.split_on_char '_' (norm name)
   |> List.concat_map (String.split_on_char '.')

@@ -26,9 +26,6 @@ type fk = {
 
 val pp_fk : Format.formatter -> fk -> unit
 
-val fk_equal : fk -> fk -> bool
-(** Ignores [origin] and [cardinality] — same endpoints. *)
-
 val name_affinity : src_attribute:string -> dst_relation:string -> dst_attribute:string -> float
 (** Token overlap (ignoring the ubiquitous "id" token) between the source
     attribute name and the target's relation/attribute names, in [0,1]. *)

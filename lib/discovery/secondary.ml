@@ -56,11 +56,6 @@ let discover ?(max_len = 6) graph ~primary =
   in
   { primary; entries; orphans }
 
-let annotation_relations t =
-  List.filter_map
-    (fun e -> match e.kind with `Annotation -> Some e.relation | `Bridge | `Dictionary -> None)
-    t.entries
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>primary %s" t.primary;
   List.iter

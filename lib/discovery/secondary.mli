@@ -25,6 +25,4 @@ type t = {
 val discover : ?max_len:int -> Fk_graph.t -> primary:string -> t
 (** [max_len] (default 6) bounds path search. *)
 
-val annotation_relations : t -> string list
-
 val pp : Format.formatter -> t -> unit

@@ -35,6 +35,3 @@ let pair_key a b = if a <= b then a ^ "\x00" ^ b else b ^ "\x00" ^ a
 let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let pp_scores ppf s =
-  Format.fprintf ppf "P=%.3f R=%.3f F1=%.3f" s.precision s.recall s.f1

@@ -20,5 +20,3 @@ val pair_key : string -> string -> string
 
 val mean : float list -> float
 (** 0 on []. *)
-
-val pp_scores : Format.formatter -> scores -> unit

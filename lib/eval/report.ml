@@ -17,10 +17,6 @@ let cell_f f = Printf.sprintf "%.3f" f
 
 let cell_pct f = Printf.sprintf "%.1f%%" (100.0 *. f)
 
-let add_float_row t label floats =
-  add_row t (label :: List.map cell_f floats);
-  t
-
 let render t =
   let all = t.columns :: t.rows in
   let ncols = List.length t.columns in

@@ -7,9 +7,6 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument on column-count mismatch. *)
 
-val add_float_row : t -> string -> float list -> t
-(** First cell verbatim, rest formatted %.3f; returns [t] for chaining. *)
-
 val render : t -> string
 (** Title, header, separator, aligned rows. *)
 

@@ -3,16 +3,6 @@ module Import_error = Aladin_resilience.Import_error
 
 type format = Swissprot_flat | Embl_flat | Genbank_flat | Fasta_format | Obo_format | Pdb_format | Xml_format | Csv_dump
 
-let format_name = function
-  | Swissprot_flat -> "swissprot"
-  | Embl_flat -> "embl"
-  | Genbank_flat -> "genbank"
-  | Fasta_format -> "fasta"
-  | Obo_format -> "obo"
-  | Pdb_format -> "pdb"
-  | Xml_format -> "xml"
-  | Csv_dump -> "csv"
-
 let first_meaningful_lines doc n =
   String.split_on_char '\n' doc
   |> List.filter_map (fun l ->

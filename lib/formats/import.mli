@@ -14,8 +14,6 @@ module Import_error = Aladin_resilience.Import_error
 
 type format = Swissprot_flat | Embl_flat | Genbank_flat | Fasta_format | Obo_format | Pdb_format | Xml_format | Csv_dump
 
-val format_name : format -> string
-
 val sniff : string -> format option
 (** Guess the format of a document from its first lines. *)
 

@@ -18,11 +18,3 @@ let pp ppf = function
   | Foreign_key { src_relation; src_attribute; dst_relation; dst_attribute } ->
       Format.fprintf ppf "FOREIGN KEY %s.%s -> %s.%s" src_relation src_attribute
         dst_relation dst_attribute
-
-let relation_of = function
-  | Unique { relation; _ } | Primary_key { relation; _ } -> relation
-  | Foreign_key { src_relation; _ } -> src_relation
-
-let is_unique_like = function
-  | Unique _ | Primary_key _ -> true
-  | Foreign_key _ -> false

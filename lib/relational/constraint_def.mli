@@ -17,9 +17,3 @@ type t =
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-val relation_of : t -> string
-(** The relation the constraint is attached to (source side for FKs). *)
-
-val is_unique_like : t -> bool
-(** [Unique] and [Primary_key] both imply uniqueness. *)

@@ -88,8 +88,6 @@ let text s = Text s
 
 let as_text = function Text s -> Some s | Null | Int _ | Float _ -> None
 
-let as_int = function Int i -> Some i | Null | Float _ | Text _ -> None
-
 let is_numeric = function Int _ | Float _ -> true | Null | Text _ -> false
 
 let contains_alpha v =

@@ -42,8 +42,6 @@ val text : string -> t
 
 val as_text : t -> string option
 
-val as_int : t -> int option
-
 val is_numeric : t -> bool
 (** True for [Int] and [Float]. *)
 

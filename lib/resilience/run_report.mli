@@ -58,7 +58,7 @@ val step :
 
 val mark_resumed : t -> t
 (** Flag every step (recursively) as restored-from-checkpoint — applied
-    to reports replayed out of the integration journal. *)
+    to the reports a journaled integration restores from its store. *)
 
 val outcome_name : outcome -> string
 (** ["ok" | "degraded" | "skipped" | "failed"]. *)

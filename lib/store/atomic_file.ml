@@ -45,22 +45,6 @@ let link src dst =
   | () -> true
   | exception Unix.Unix_error _ -> false
 
-let append path content =
-  Fault.op ();
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  let n = String.length content in
-  let k = Fault.request n in
-  (try
-     output_substring oc content 0 k;
-     flush oc;
-     fsync_fd (Unix.descr_of_out_channel oc)
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  close_out oc;
-  if k < n then raise Fault.Killed;
-  fsync_dir (Filename.dirname path)
-
 let read path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in

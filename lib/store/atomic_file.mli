@@ -6,7 +6,8 @@
     fsync, rename over [path], fsync the directory. A crash at any point
     leaves either the old file or the new one, never a torn mix — the
     temp file a crash may leave behind is swept by the snapshot layer.
-    All writes are {!Fault}-aware. *)
+    Files are only ever written whole, never appended to, so no reader
+    has to detect a torn tail. All writes are {!Fault}-aware. *)
 
 val temp_suffix : string
 (** [".aladin-tmp"] — what interrupted writes leave behind and sweeps
@@ -28,12 +29,6 @@ val link : string -> string -> bool
     filesystem refuses, so the caller writes [dst] instead. Counts as one
     {!Fault} operation.
     @raise Fault.Killed under an armed fault. *)
-
-val append : string -> string -> unit
-(** Fsynced append to [path] (created if absent). Not atomic: a crash
-    mid-append leaves a torn suffix — only safe for formats whose
-    reader detects and drops a torn trailing record (the journal's
-    per-line CRCs). {!Fault}-aware like {!write}. *)
 
 val read : string -> string
 (** Whole file. @raise Sys_error *)

@@ -7,26 +7,26 @@
       rename, which costs one unit — draws down the budget; the write
       that crosses it is truncated at the exact byte and {!Killed} is
       raised, leaving a torn file on disk.
-    - {!arm_ops} [~ops]: every store {e operation} (an atomic write, an
-      append, a commit rename) draws one unit; the operation that
+    - {!arm_ops} [~ops]: every store {e operation} (a file write, a
+      hard link, a commit rename) draws one unit; the operation that
       crosses the budget raises {!Killed} before doing anything.
     - {!arm_step} [~index]: pipeline code marks its step boundaries with
       {!step}; crossing boundary number [index] (0-based, counted since
       {!reset_counters}) raises {!Killed}.
 
-    The snapshot and journal protocols must leave the previous
-    consistent state loadable no matter where the kill lands; the
-    [t_store] harness sweeps byte budgets over every offset of a save,
-    and [examples/kill_resume.ml] sweeps step/op/byte kills across the
-    whole integration pipeline and proves [--resume] restores a
-    byte-identical warehouse.
+    The snapshot protocol must leave the previous consistent state
+    loadable no matter where the kill lands (a journaled integration
+    resumes from exactly that state); the [t_store] harness sweeps byte
+    budgets over every offset of a save, and [examples/kill_resume.ml]
+    sweeps step/op/byte kills across the whole integration pipeline and
+    proves [--resume] restores a byte-identical warehouse.
 
     Disarmed (the default), the hooks cost a few branches and counter
     increments. Single-process, single-writer: the budgets are plain
     state, like the crash they model. *)
 
 exception Killed
-(** The simulated crash. Escapes [Snapshot.save] / [Journal] /
+(** The simulated crash. Escapes [Snapshot.save] / [Journal.create] /
     [Atomic_file] calls and journaled pipeline step boundaries; never
     raised when disarmed. *)
 

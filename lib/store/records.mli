@@ -31,8 +31,8 @@ val decode_salvage : string -> (string * int) option
 
 val record : string -> string
 (** One stored record line, without its newline: the payload's CRC-32
-    in hex, a tab, then the payload. The journal frames its lines the
-    same way. *)
+    in hex, a tab, then the payload. The journal's header is framed
+    the same way. *)
 
 val parse_record : string -> string option
 (** Inverse of {!record}: the payload, when its checksum verifies. *)

@@ -1,6 +1,6 @@
 (** The one codec for tab-separated record lines: [metadata.txt],
-    [pairs.txt], [feedback.txt], the journal, the manifest's member
-    paths and run reports.
+    [pairs.txt], [feedback.txt], the journal's header, the manifest's
+    member paths and run reports.
 
     Records are tab-separated fields, one per line, with backslash
     escaping for tab, newline, carriage return and backslash. *)

@@ -105,6 +105,53 @@ let salvage kind stored =
   | Records | Pairs -> Records.decode_salvage stored
   | Csv -> csv_salvage stored
 
+(* --- member path rules, for save and for every manifest read --- *)
+
+let valid_path p =
+  p <> ""
+  && Filename.is_relative p
+  && List.for_all
+       (fun seg -> seg <> "" && seg <> "." && seg <> "..")
+       (String.split_on_char '/' p)
+
+(* the directories a member path lies under: "a/b/c" -> "a", "a/b" *)
+let parent_dirs p =
+  let rec go i acc =
+    match String.index_from_opt p i '/' with
+    | Some j -> go (j + 1) (String.sub p 0 j :: acc)
+    | None -> acc
+  in
+  go 0 []
+
+(* a path that is both a member and another member's directory
+   ("metadata.txt" and "metadata.txt/term.csv") could be written as
+   neither; a path leaving the generation directory ("../x") would be
+   read, or quarantined, outside the store *)
+let validate_paths paths =
+  let seen = Hashtbl.create 16 in
+  let dirs = Hashtbl.create 16 in
+  let checked =
+    List.fold_left
+      (fun acc p ->
+        match acc with
+        | Error _ -> acc
+        | Ok () ->
+            if not (valid_path p) then
+              Error (Printf.sprintf "invalid member path %S" p)
+            else if Hashtbl.mem seen p then
+              Error (Printf.sprintf "duplicate member path %S" p)
+            else begin
+              Hashtbl.add seen p ();
+              List.iter (fun d -> Hashtbl.replace dirs d ()) (parent_dirs p);
+              Ok ()
+            end)
+      (Ok ()) paths
+  in
+  match (checked, List.find_opt (Hashtbl.mem dirs) paths) with
+  | Ok (), Some p ->
+      Error (Printf.sprintf "member path %S is both a file and a directory" p)
+  | checked, _ -> checked
+
 (* --- manifest --- *)
 
 type entry = { e_path : string; e_kind : kind; e_len : int; e_crc : int }
@@ -169,7 +216,13 @@ let parse_manifest doc =
                                   in
                                   let entries = List.map parse_member members in
                                   if List.for_all Option.is_some entries then
-                                    Ok (gen, List.filter_map Fun.id entries)
+                                    let entries = List.filter_map Fun.id entries in
+                                    match
+                                      validate_paths
+                                        (List.map (fun e -> e.e_path) entries)
+                                    with
+                                    | Ok () -> Ok (gen, entries)
+                                    | Error msg -> Error ("manifest: " ^ msg)
                                   else Error "manifest has an unparseable member line"
                               | None -> Error "manifest has a bad snapshot line")
                           | _ -> Error "manifest has a bad snapshot line")
@@ -194,51 +247,6 @@ let read_manifest dir =
     | exception Sys_error msg -> Error msg
 
 (* --- save --- *)
-
-let valid_path p =
-  p <> ""
-  && Filename.is_relative p
-  && List.for_all
-       (fun seg -> seg <> "" && seg <> "." && seg <> "..")
-       (String.split_on_char '/' p)
-
-(* the directories a member path lies under: "a/b/c" -> "a", "a/b" *)
-let parent_dirs p =
-  let rec go i acc =
-    match String.index_from_opt p i '/' with
-    | Some j -> go (j + 1) (String.sub p 0 j :: acc)
-    | None -> acc
-  in
-  go 0 []
-
-(* checked before anything is created: a path that is both a member and
-   another member's directory ("metadata.txt" and "metadata.txt/term.csv")
-   could be written as neither *)
-let validate_members members =
-  let seen = Hashtbl.create 16 in
-  let dirs = Hashtbl.create 16 in
-  let checked =
-    List.fold_left
-      (fun acc m ->
-        match acc with
-        | Error _ -> acc
-        | Ok () ->
-            if not (valid_path m.path) then
-              Error (Printf.sprintf "invalid member path %S" m.path)
-            else if Hashtbl.mem seen m.path then
-              Error (Printf.sprintf "duplicate member path %S" m.path)
-            else begin
-              Hashtbl.add seen m.path ();
-              List.iter (fun d -> Hashtbl.replace dirs d ()) (parent_dirs m.path);
-              Ok ()
-            end)
-      (Ok ()) members
-  in
-  match (checked, List.find_opt (fun m -> Hashtbl.mem dirs m.path) members) with
-  | Ok (), Some m ->
-      Error
-        (Printf.sprintf "member path %S is both a file and a directory" m.path)
-  | checked, _ -> checked
 
 (* the committed generation's entries by path, each with its file, so a
    save can reuse the members that did not change; empty without a
@@ -268,7 +276,7 @@ let link_unchanged prev e stored path =
   | Some _ | None -> false
 
 let save dir members =
-  match validate_members members with
+  match validate_paths (List.map (fun m -> m.path) members) with
   | Error _ as e -> e
   | Ok () -> (
       let proceed () =

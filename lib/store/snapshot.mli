@@ -68,7 +68,10 @@ val load : string -> (member list * Load_report.t, string) result
     files. Members that could not be recovered are absent from the
     returned list and flagged in the report. [Error] only for
     store-level damage: no directory, no manifest, or a manifest that
-    fails its own checksum or version check. *)
+    fails its own checksum or version check or names a member path
+    {!save} would refuse (a [..] segment, an absolute path, ...) — a
+    CRC is no MAC, so a re-sealed manifest could otherwise make a load
+    read or quarantine files outside the store. *)
 
 val verify : string -> (Load_report.t, string) result
 (** Read-only {!load}: same classification, but nothing is moved,

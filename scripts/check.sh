@@ -78,14 +78,13 @@ fi
 echo "grep-gate ok: no raw open_out/Sys.rename outside lib/store"
 
 # Warehouse state has one writer: in the core, metadata and CLI layers
-# Snapshot.save is called only from Warehouse.save_dir (its body,
-# save_generation, also returns the generation the journal's commit
-# records name), so a second store layout cannot creep back in. (awk
-# tracks the enclosing top-level let.)
+# Snapshot.save is called only from Warehouse.save_dir, which a
+# journaled step calls too, so a second store layout cannot creep back
+# in. (awk tracks the enclosing top-level let.)
 if find lib/core lib/metadata bin -name '*.ml' -exec awk '
     /^let / { fn = ($2 == "rec") ? $3 : $2 }
     /Snapshot\.save([^A-Za-z0-9_]|$)/ &&
-      !(FILENAME == "lib/core/warehouse.ml" && fn == "save_generation") {
+      !(FILENAME == "lib/core/warehouse.ml" && fn == "save_dir") {
       print FILENAME ":" FNR ": Snapshot.save in " fn }' {} + | grep .; then
   echo "error: Snapshot.save outside Warehouse.save_dir (save warehouse state through save_dir)" >&2
   exit 1
@@ -307,6 +306,9 @@ echo "durability ok: links stored once, a loaded store reports the summary it wa
 # Kill-anywhere resume: a journaled integration killed by an injected
 # fault (exit 3) must resume from its checkpoints — under a different
 # domain count, even — to the byte-identical link set of an unkilled run.
+# The store's manifest is the only commit record: JOURNAL is the plan's
+# one header line, after the kill and after the resume alike, and a
+# fresh journal refuses a directory that already holds a store.
 kdir=$(mktemp -d)
 trap 'rm -f "$q1" "$q2" "$f1" "$slog"; rm -rf "$sdir" "$kdir"' EXIT
 cat > "$kdir/uniprot.csv" <<'EOF'
@@ -334,6 +336,11 @@ if integrate --journal "$kdir/j1" --chaos-kill-step 4 \
 else
   [ $? -eq 3 ] || { echo "error: injected kill must exit 3" >&2; exit 1; }
 fi
+journal_one_line() {
+  [ "$(wc -l < "$kdir/j1/JOURNAL")" -eq 1 ] || {
+    echo "error: $kdir/j1/JOURNAL is not one line $1" >&2; exit 1; }
+}
+journal_one_line "after the killed run"
 rout=$(ALADIN_DOMAINS=4 integrate --resume "$kdir/j1" \
   --links-out "$kdir/links-resumed.csv")
 echo "$rout" | grep -q 'resumed 1 committed step' || {
@@ -343,13 +350,23 @@ echo "$rout" | grep -q 'resumed 1 committed step' || {
 }
 diff -u "$kdir/links-plain.csv" "$kdir/links-resumed.csv" || {
   echo "error: resumed links differ from an unkilled run" >&2; exit 1; }
+journal_one_line "after the resume"
+mkdir -p "$kdir/j2"
+cp -R "$kdir/j1/store" "$kdir/j2/store"
+if integrate --journal "$kdir/j2" "$kdir/uniprot.csv" "$kdir/pdb.csv" \
+    > /dev/null 2>&1; then
+  echo "error: --journal adopted a directory holding only a store" >&2
+  exit 1
+fi
+[ ! -e "$kdir/j2/JOURNAL" ] || {
+  echo "error: a refused --journal still wrote a JOURNAL" >&2; exit 1; }
 # the journal's checkpoint is an ordinary store: fsck and a strict load
 # accept it like any saved warehouse
 ./_build/default/bin/aladin_cli.exe fsck "$kdir/j1/store" > /dev/null || {
   echo "error: fsck rejected the resumed journal's store" >&2; exit 1; }
 ./_build/default/bin/aladin_cli.exe load --strict "$kdir/j1/store" > /dev/null || {
   echo "error: strict load rejected the resumed journal's store" >&2; exit 1; }
-echo "resume ok: killed journaled run resumed byte-identical at 4 domains; its store passes fsck and load --strict"
+echo "resume ok: killed journaled run resumed byte-identical at 4 domains; JOURNAL stayed one line; its store passes fsck and load --strict; a stale store is not adopted"
 
 # Incremental delta: adding a source to a saved store must recompute only
 # the new source's pairs (the CLI prints the delta audit) yet land on the

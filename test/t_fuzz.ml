@@ -268,6 +268,172 @@ let pairs_doc_ish =
           String.sub doc 0 (cut mod (String.length doc + 1)))
         (QCheck.gen pair_store_arb) nat)
 
+(* --- the two commit-record readers: the journal's plan header and the
+   store's MANIFEST, each read back from arbitrary bytes on disk --- *)
+
+module Journal = Aladin_store.Journal
+module Snapshot = Aladin_store.Snapshot
+module Crc32 = Aladin_store.Crc32
+
+(* these cases draw from one fixed seed, so a tier-1 run is repeatable *)
+let fixed_seed test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) test
+
+let scratch_dir tag =
+  let d = Filename.temp_file "aladin-fuzz" tag in
+  Sys.remove d;
+  d
+
+let write_bytes path doc =
+  let oc = open_out_bin path in
+  output_string oc doc;
+  close_out oc
+
+let read_bytes path =
+  let ic = open_in_bin path in
+  let doc = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  doc
+
+(* a valid document, bit-flipped at one offset or cut at one *)
+let damaged valid =
+  QCheck.Gen.(
+    oneof
+      [
+        map2
+          (fun byte bit ->
+            Corrupt.flip_bit_at valid ~byte:(byte mod String.length valid) ~bit)
+          nat (int_bound 7);
+        map
+          (fun cut -> Corrupt.truncate_at valid (cut mod (String.length valid + 1)))
+          nat;
+      ])
+
+let journal_meta =
+  [ ("config", "0badc0de"); ("sources", "1"); ("source.0.name", "uni prot");
+    ("source.0.path", "dir\twith tab\nand newline=x") ]
+
+(* one journal directory whose JOURNAL each case overwrites *)
+let journal_dir, valid_journal =
+  let dir = scratch_dir "jplan" in
+  (match Journal.create dir ~meta:journal_meta with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  (dir, read_bytes (Filename.concat dir "JOURNAL"))
+
+let plan_of doc =
+  write_bytes (Filename.concat journal_dir "JOURNAL") doc;
+  Journal.plan journal_dir
+
+(* what Snapshot.save accepts as member paths, stated independently of
+   it: relative, no empty/./.. segment, no duplicate, and no path under
+   another member's path *)
+let save_would_accept paths =
+  List.for_all
+    (fun p ->
+      p <> "" && p.[0] <> '/'
+      && List.for_all
+           (fun seg -> seg <> "" && seg <> "." && seg <> "..")
+           (String.split_on_char '/' p))
+    paths
+  && List.length (List.sort_uniq compare paths) = List.length paths
+  && not
+       (List.exists
+          (fun p ->
+            List.exists (String.starts_with ~prefix:(p ^ "/")) paths)
+          paths)
+
+(* one store, saved once, whose MANIFEST each case overwrites *)
+let store_dir, valid_manifest =
+  let dir = scratch_dir "mfst" in
+  (match
+     Snapshot.save dir
+       [ { path = "a/recs.txt"; kind = Records; content = "alpha\nbeta\n" };
+         { path = "a/table.csv"; kind = Csv; content = "id,name\n1,x\n" };
+         { path = "tab\there/blob.txt"; kind = Records; content = "z\n" } ]
+   with
+  | Ok _ -> ()
+  | Error e -> failwith e);
+  (dir, read_bytes (Filename.concat dir "MANIFEST"))
+
+(* the manifest's lines up to its self-CRC line, sealed again with a
+   correct self-CRC, so the parser beyond the checksum is reached *)
+let reseal doc =
+  let body =
+    String.split_on_char '\n' doc
+    |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"crc\t" l))
+    |> List.map (fun l -> l ^ "\n")
+    |> String.concat ""
+  in
+  body ^ "crc\t" ^ Crc32.to_hex (Crc32.string body) ^ "\n"
+
+(* a member line of the valid manifest given a path save refuses *)
+let hostile_member =
+  QCheck.Gen.(
+    map2
+      (fun i path ->
+        let lines = String.split_on_char '\n' valid_manifest in
+        let members =
+          List.filter (String.starts_with ~prefix:"member\t") lines
+        in
+        let victim = List.nth members (i mod List.length members) in
+        List.map
+          (fun l ->
+            if l <> victim then l
+            else
+              match String.split_on_char '\t' l with
+              | _ :: _ :: rest -> String.concat "\t" ("member" :: path :: rest)
+              | _ -> l)
+          lines
+        |> String.concat "\n")
+      nat
+      (oneofl
+         [ "../../victim.txt"; "a/../../../secret.csv"; "/etc/passwd"; "";
+           "."; ".."; "a//recs.txt"; "a/./recs.txt"; "a/recs.txt"; "a";
+           "a/recs.txt/x" ]))
+
+let verify_of doc =
+  write_bytes (Filename.concat store_dir "MANIFEST") doc;
+  match Snapshot.verify store_dir with
+  | Ok report ->
+      save_would_accept
+        (List.map
+           (fun (m : Aladin_store.Load_report.member) -> m.path)
+           report.members)
+  | Error _ -> true
+
+let commit_record_fuzz =
+  [
+    fixed_seed
+      (QCheck.Test.make ~name:"journal plan over arbitrary bytes" ~count:300
+         (QCheck.oneof [ bytes_ish; textish ])
+         (fun doc -> match plan_of doc with Ok _ | Error _ -> true));
+    fixed_seed
+      (QCheck.Test.make
+         ~name:"journal plan over a damaged JOURNAL is the plan or Error"
+         ~count:400
+         (QCheck.make ~print:(Printf.sprintf "%S") (damaged valid_journal))
+         (fun doc ->
+           match plan_of doc with
+           | Ok meta -> meta = journal_meta
+           | Error _ -> true));
+    fixed_seed
+      (QCheck.Test.make ~name:"manifest verify over arbitrary bytes"
+         ~count:300
+         QCheck.(pair (oneof [ bytes_ish; textish ]) bool)
+         (fun (doc, sealed) -> verify_of (if sealed then reseal doc else doc)));
+    fixed_seed
+      (QCheck.Test.make
+         ~name:"manifest verify over a damaged MANIFEST names no bad path"
+         ~count:400
+         (QCheck.make
+            ~print:(fun (doc, sealed) ->
+              Printf.sprintf "%S (re-sealed %b)" doc sealed)
+            QCheck.Gen.(
+              pair (oneof [ damaged valid_manifest; hostile_member ]) bool))
+         (fun (doc, sealed) -> verify_of (if sealed then reseal doc else doc)));
+  ]
+
 let store_codec_fuzz =
   [
     no_crash "records strict decode total" 500 bytes_ish (fun s ->
@@ -349,6 +515,7 @@ let store_codec_fuzz =
            String.length t <= String.length s
            && t = String.sub s 0 (String.length t)));
   ]
+  @ commit_record_fuzz
 
 let tests =
   [ ("fuzz.parsers", fuzz_tests);

@@ -277,75 +277,6 @@ let col_stats_tests =
           (List.map (fun (c : Col_stats.t) -> c.attribute) stats));
   ]
 
-(* ---- Table_ops ---- *)
-
-let table_ops_tests =
-  [
-    Alcotest.test_case "select" `Quick (fun () ->
-        let r = sample_relation () in
-        let out = Table_ops.select r (fun row -> row.(2) = Value.Int 10) in
-        check Alcotest.int "rows" 2 (Relation.cardinality out));
-    Alcotest.test_case "project" `Quick (fun () ->
-        let r = sample_relation () in
-        let out = Table_ops.project r [ "acc" ] in
-        check Alcotest.int "arity" 1 (Relation.arity out);
-        check Alcotest.int "rows" 3 (Relation.cardinality out));
-    Alcotest.test_case "hash_join" `Quick (fun () ->
-        let a = Relation.create ~name:"a" (Schema.of_names [ "k"; "x" ]) in
-        Relation.insert a [| Value.Int 1; Value.text "one" |];
-        Relation.insert a [| Value.Int 2; Value.text "two" |];
-        let b = Relation.create ~name:"b" (Schema.of_names [ "k"; "y" ]) in
-        Relation.insert b [| Value.Int 2; Value.text "deux" |];
-        Relation.insert b [| Value.Int 2; Value.text "zwei" |];
-        let j = Table_ops.hash_join ~left:a ~right:b ~on:("k", "k") in
-        check Alcotest.int "rows" 2 (Relation.cardinality j);
-        check Alcotest.int "arity" 4 (Relation.arity j));
-    Alcotest.test_case "join skips null keys" `Quick (fun () ->
-        let a = Relation.create ~name:"a" (Schema.of_names [ "k" ]) in
-        Relation.insert a [| Value.Null |];
-        let b = Relation.create ~name:"b" (Schema.of_names [ "k" ]) in
-        Relation.insert b [| Value.Null |];
-        let j = Table_ops.hash_join ~left:a ~right:b ~on:("k", "k") in
-        check Alcotest.int "no rows" 0 (Relation.cardinality j));
-    Alcotest.test_case "semi_join" `Quick (fun () ->
-        let r = sample_relation () in
-        let other = Relation.create ~name:"o" (Schema.of_names [ "ref" ]) in
-        Relation.insert other [| Value.text "A1" |];
-        let out = Table_ops.semi_join ~left:r ~right:other ~on:("acc", "ref") in
-        check Alcotest.int "rows" 1 (Relation.cardinality out));
-    Alcotest.test_case "union compatible" `Quick (fun () ->
-        let r = sample_relation () and s = sample_relation () in
-        check Alcotest.int "union" 6 (Relation.cardinality (Table_ops.union r s)));
-    Alcotest.test_case "union incompatible raises" `Quick (fun () ->
-        let r = sample_relation () in
-        let s = Relation.create ~name:"s" (Schema.of_names [ "z" ]) in
-        Alcotest.check_raises "raises"
-          (Invalid_argument "Table_ops.union: schemas are not union-compatible")
-          (fun () -> ignore (Table_ops.union r s)));
-    Alcotest.test_case "sort_by and limit" `Quick (fun () ->
-        let r = sample_relation () in
-        let sorted = Table_ops.sort_by r "id" in
-        let top = Table_ops.limit sorted 2 in
-        check Alcotest.int "limit" 2 (Relation.cardinality top);
-        check Alcotest.bool "first" true ((Relation.row top 0).(0) = Value.Int 1));
-    Alcotest.test_case "group_count descending" `Quick (fun () ->
-        let r = sample_relation () in
-        match Table_ops.group_count r "v" with
-        | [ (v, n) ] ->
-            check Alcotest.bool "value" true (v = Value.Int 10);
-            check Alcotest.int "count" 2 n
-        | other -> Alcotest.fail (Printf.sprintf "%d groups" (List.length other)));
-    Alcotest.test_case "distinct_rows" `Quick (fun () ->
-        let r = sample_relation () in
-        let doubled = Table_ops.union r r in
-        check Alcotest.int "dedup" 3
-          (Relation.cardinality (Table_ops.distinct_rows doubled)));
-    Alcotest.test_case "value_set" `Quick (fun () ->
-        let r = sample_relation () in
-        let s = Table_ops.value_set r "v" in
-        check Alcotest.int "card" 1 (Vset.cardinal s));
-  ]
-
 (* ---- Vset ---- *)
 
 let vset_tests =
@@ -469,7 +400,6 @@ let tests =
     ("relational.relation", relation_tests);
     ("relational.catalog", catalog_tests);
     ("relational.col_stats", col_stats_tests);
-    ("relational.table_ops", table_ops_tests);
     ("relational.vset", vset_tests);
     ("relational.csv", csv_tests);
   ]

@@ -492,6 +492,50 @@ let journaled_exn ~journal catalogs =
   | Ok (w, info) -> (w, info)
   | Error e -> Alcotest.fail ("integrate_journaled: " ^ e)
 
+(* a journaled run of [kr_catalogs] killed at step boundary [index] *)
+let killed_at_step ~journal index =
+  Fault.reset_counters ();
+  Fault.arm_step ~index;
+  match Warehouse.integrate_journaled ~journal (kr_catalogs ()) with
+  | Ok _ | Error _ ->
+      Fault.disarm ();
+      Alcotest.fail (Printf.sprintf "step %d: expected a kill" index)
+  | exception Fault.Killed -> Fault.disarm ()
+
+let read_file path =
+  let ic = open_in_bin path in
+  let doc = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  doc
+
+let write_file path doc =
+  let oc = open_out_bin path in
+  output_string oc doc;
+  close_out oc
+
+(* the journal is written once: its header line and nothing else *)
+let check_journal_one_line what dir =
+  let doc = read_file (Filename.concat dir "JOURNAL") in
+  check Alcotest.int (what ^ ": JOURNAL is one line") 1
+    (List.length (String.split_on_char '\n' doc) - 1)
+
+let store_sources dir =
+  match Aladin_store.Snapshot.load (Filename.concat dir "store") with
+  | Ok (members, _) -> (
+      match Aladin_store.Snapshot.find members "sources.txt" with
+      | Some doc -> List.filter (( <> ) "") (String.split_on_char '\n' doc)
+      | None -> [])
+  | Error _ -> []
+
+let committed_sources dir =
+  match Warehouse.journal_status dir with
+  | Ok entries ->
+      List.filter_map
+        (fun (e : Warehouse.journal_source) ->
+          if e.js_committed then Some e.js_name else None)
+        entries
+  | Error e -> Alcotest.fail e
+
 let resume_tests =
   [
     Alcotest.test_case "journaled run matches plain integrate" `Quick
@@ -505,6 +549,7 @@ let resume_tests =
         check
           Alcotest.(list string)
           "all executed" [ "uniprot"; "pdb" ] info.executed_sources;
+        check_journal_one_line "after the run" dir;
         rm_rf dir);
     Alcotest.test_case "kill at every step boundary, resume byte-identical"
       `Slow (fun () ->
@@ -539,14 +584,17 @@ let resume_tests =
                 true
                 (List.mem s (info.resumed_sources @ info.executed_sources)))
             [ "uniprot"; "pdb" ];
+          check_journal_one_line (Printf.sprintf "resume after kill at %d" k) dir;
           rm_rf dir
         done);
     Alcotest.test_case "op kills across the last step, resume byte-identical"
       `Slow (fun () ->
-        (* every store operation of pdb's journaled step, including the
-           commit append that follows the manifest rename: a kill there
-           leaves a store that already holds pdb under a journal with no
-           pdb commit, and resume must re-run pdb over it *)
+        (* every store operation of pdb's journaled step: the store's
+           manifest is the only commit record, so journal_status marks
+           pdb committed exactly when the store holds it, and resume
+           restores exactly those sources. The manifest rename is the
+           step's last operation, so no op kill leaves pdb committed;
+           the next case kills after the rename. *)
         let catalogs = kr_catalogs () in
         let expect = fingerprint (Warehouse.integrate catalogs) in
         let ops_of cats =
@@ -558,7 +606,8 @@ let resume_tests =
           ops
         in
         let first = ops_of [ List.hd catalogs ] and total = ops_of catalogs in
-        let window = ref 0 in
+        check Alcotest.bool "pdb's step has store operations" true
+          (total > first);
         for k = first to total - 1 do
           let dir = fresh_dir "jopk" in
           Fault.reset_counters ();
@@ -569,32 +618,41 @@ let resume_tests =
               Fault.disarm ();
               Alcotest.fail (Printf.sprintf "op %d: expected a kill" k)
           | exception Fault.Killed -> Fault.disarm ());
-          let store_has_pdb =
-            match Aladin_store.Snapshot.load (Filename.concat dir "store") with
-            | Ok (members, _) -> (
-                match Aladin_store.Snapshot.find members "sources.txt" with
-                | Some doc -> List.mem "pdb" (String.split_on_char '\n' doc)
-                | None -> false)
-            | Error _ -> false
+          let committed = committed_sources dir in
+          check Alcotest.bool
+            (Printf.sprintf "pdb committed iff the store holds it, op %d" k)
+            (List.mem "pdb" (store_sources dir))
+            (List.mem "pdb" committed);
+          let w, (info : Warehouse.resume_info) =
+            journaled_exn ~journal:dir (kr_catalogs ())
           in
-          let pdb_committed =
-            match Warehouse.journal_status dir with
-            | Ok entries ->
-                List.exists
-                  (fun (e : Warehouse.journal_source) ->
-                    e.js_name = "pdb" && e.js_committed)
-                  entries
-            | Error e -> Alcotest.fail e
-          in
-          if store_has_pdb && not pdb_committed then incr window;
-          let w, _ = journaled_exn ~journal:dir (kr_catalogs ()) in
+          check Alcotest.(list string)
+            (Printf.sprintf "resume restores what journal_status named, op %d" k)
+            committed info.resumed_sources;
           check Alcotest.string
             (Printf.sprintf "state identical after op kill %d" k)
             expect (fingerprint w);
           rm_rf dir
-        done;
-        check Alcotest.bool "a kill landed between save and commit" true
-          (!window > 0));
+        done);
+    Alcotest.test_case "a kill after the last manifest rename restores the step"
+      `Quick (fun () ->
+        (* the last boundary ("source:pdb committed") follows pdb's
+           manifest rename: the store holds pdb, so resume restores it
+           instead of recomputing it *)
+        let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
+        let dir = fresh_dir "jlate" in
+        killed_at_step ~journal:dir 5;
+        check Alcotest.(list string) "the store holds both" [ "uniprot"; "pdb" ]
+          (store_sources dir);
+        let w, (info : Warehouse.resume_info) =
+          journaled_exn ~journal:dir (kr_catalogs ())
+        in
+        check Alcotest.(list string) "both restored" [ "uniprot"; "pdb" ]
+          info.resumed_sources;
+        check Alcotest.(list string) "nothing executed" [] info.executed_sources;
+        check Alcotest.string "same state" expect (fingerprint w);
+        check_journal_one_line "after the resume" dir;
+        rm_rf dir);
     Alcotest.test_case "damaged store re-runs the whole plan" `Quick
       (fun () ->
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
@@ -736,9 +794,10 @@ let resume_tests =
         check Alcotest.(list string) "nothing restored" [] info.resumed_sources;
         check Alcotest.string "same state" expect (fingerprint w);
         rm_rf dir);
-    Alcotest.test_case "store older than the last commit is refused" `Quick
-      (fun () ->
-        let dir = fresh_dir "jold" and backup = fresh_dir "jbak" in
+    Alcotest.test_case "a store rolled back to the first step resumes from it"
+      `Quick (fun () ->
+        let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
+        let dir = fresh_dir "jback" and backup = fresh_dir "jbak" in
         let store = Filename.concat dir "store" in
         let rec copy src dst =
           if Sys.is_directory src then begin
@@ -747,70 +806,46 @@ let resume_tests =
               (fun e -> copy (Filename.concat src e) (Filename.concat dst e))
               (Sys.readdir src)
           end
-          else begin
-            let ic = open_in_bin src in
-            let doc = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            let oc = open_out_bin dst in
-            output_string oc doc;
-            close_out oc
-          end
+          else write_file dst (read_file src)
         in
         (* uniprot committed, then keep that store aside *)
-        Fault.reset_counters ();
-        Fault.arm_step ~index:3;
-        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
-         with
-        | Ok _ | Error _ ->
-            Fault.disarm ();
-            Alcotest.fail "expected a kill"
-        | exception Fault.Killed -> Fault.disarm ());
+        killed_at_step ~journal:dir 3;
         copy store backup;
         ignore (journaled_exn ~journal:dir (kr_catalogs ()));
         rm_rf store;
         copy backup store;
-        let stale e =
-          check Alcotest.bool "names the stale store" true
-            (Aladin_text.Strdist.contains ~needle:"older" e)
+        check Alcotest.(list string) "journal_status follows the store"
+          [ "uniprot" ] (committed_sources dir);
+        let w, (info : Warehouse.resume_info) =
+          journaled_exn ~journal:dir (kr_catalogs ())
         in
-        (match Warehouse.journal_status dir with
-        | Error e -> stale e
-        | Ok _ -> Alcotest.fail "journal_status accepted a stale store");
-        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ()) with
-        | Error e -> stale e
-        | Ok _ -> Alcotest.fail "resume accepted a stale store");
+        check Alcotest.(list string) "uniprot restored" [ "uniprot" ]
+          info.resumed_sources;
+        check Alcotest.(list string) "pdb recomputed" [ "pdb" ]
+          info.executed_sources;
+        check Alcotest.string "same state" expect (fingerprint w);
         rm_rf dir;
         rm_rf backup);
     Alcotest.test_case "a failed checkpoint save is an Error, not a commit"
       `Quick (fun () ->
-        (* a regular file where the journal's store directory belongs:
-           the first step's save_dir fails *)
+        (* a plan with no store yet (killed at the first boundary), then
+           a regular file where the store directory belongs: the first
+           step's save_dir fails *)
         let dir = fresh_dir "jsave" in
-        Sys.mkdir dir 0o755;
-        let oc = open_out (Filename.concat dir "store") in
-        close_out oc;
+        killed_at_step ~journal:dir 0;
+        write_file (Filename.concat dir "store") "";
         (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ()) with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "a failed save was not reported");
-        (match Aladin_store.Journal.replay dir with
-        | Ok r ->
-            check Alcotest.int "no commit line" 0 (List.length r.committed);
-            check Alcotest.bool "the step stays pending" true
-              (r.pending = Some (0, "source:uniprot"))
-        | Error e -> Alcotest.fail e);
+        check Alcotest.(list string) "nothing restorable" []
+          (committed_sources dir);
+        check_journal_one_line "after the failed save" dir;
         rm_rf dir);
     Alcotest.test_case "restored reports are flagged resumed" `Quick
       (fun () ->
         let dir = fresh_dir "jflag" in
         (* kill at the second source's first boundary: uniprot committed *)
-        Fault.reset_counters ();
-        Fault.arm_step ~index:3;
-        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
-         with
-        | Ok _ | Error _ ->
-            Fault.disarm ();
-            Alcotest.fail "expected a kill"
-        | exception Fault.Killed -> Fault.disarm ());
+        killed_at_step ~journal:dir 3;
         let w, (info : Warehouse.resume_info) =
           journaled_exn ~journal:dir (kr_catalogs ())
         in
@@ -835,38 +870,59 @@ let resume_tests =
                  r.steps)
         | None -> Alcotest.fail "no report for pdb");
         rm_rf dir);
-    Alcotest.test_case "torn trailing journal record salvaged on resume"
-      `Quick (fun () ->
-        let expect = links_csv (Warehouse.integrate (kr_catalogs ())) in
-        let dir = fresh_dir "jtorn" in
-        ignore (journaled_exn ~journal:dir (kr_catalogs ()));
-        (* simulate an append killed mid-record: a CRC-less fragment *)
-        let oc =
-          open_out_gen
-            [ Open_append; Open_binary ] 0o644
-            (Filename.concat dir "JOURNAL")
+    Alcotest.test_case "a journal in the append-only format resumes" `Quick
+      (fun () ->
+        (* the earlier format appended intent, commit and reset records
+           after the header, and a kill mid-append left a torn fragment;
+           resume reads only the header and restores from the store *)
+        let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
+        let dir = fresh_dir "jappend" in
+        killed_at_step ~journal:dir 3;
+        let path = Filename.concat dir "JOURNAL" in
+        let line fields =
+          Aladin_store.Records.record (Aladin_store.Serial.record fields) ^ "\n"
         in
-        output_string oc "deadbeef\tintent\t9";
-        close_out oc;
+        let commit seq src gen =
+          line
+            [ "commit"; string_of_int seq; "source:" ^ src; string_of_int gen;
+              "source"; src; "digest"; "00000000" ]
+        in
+        write_file path
+          (read_file path
+          ^ line [ "intent"; "0"; "source:uniprot" ]
+          ^ commit 0 "uniprot" 1 ^ line [ "reset" ]
+          ^ line [ "intent"; "0"; "source:uniprot" ]
+          ^ commit 0 "uniprot" 2
+          ^ line [ "intent"; "1"; "source:pdb" ]
+          ^ "deadbeef\tcommit\t1");
         let w, (info : Warehouse.resume_info) =
           journaled_exn ~journal:dir (kr_catalogs ())
         in
-        check Alcotest.int "torn record counted" 1 info.dropped_records;
-        check
-          Alcotest.(list string)
-          "both sources restored" [ "uniprot"; "pdb" ] info.resumed_sources;
-        check Alcotest.string "links identical" expect (links_csv w);
+        check Alcotest.(list string) "uniprot restored" [ "uniprot" ]
+          info.resumed_sources;
+        check Alcotest.(list string) "pdb recomputed" [ "pdb" ]
+          info.executed_sources;
+        check Alcotest.string "same state" expect (fingerprint w);
+        rm_rf dir);
+    Alcotest.test_case "a fresh journal refuses a directory holding a store"
+      `Quick (fun () ->
+        (* the store is the commit record: adopting a stale one would
+           restore sources the new plan never committed *)
+        let dir = fresh_dir "jstale" in
+        (match Warehouse.save_dir (Warehouse.integrate (kr_catalogs ()))
+                 (Filename.concat dir "store")
+         with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ()) with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "a journal adopted a stale store");
+        check Alcotest.bool "no journal written" false
+          (Sys.file_exists (Filename.concat dir "JOURNAL"));
         rm_rf dir);
     Alcotest.test_case "resume refuses a changed source" `Quick (fun () ->
         let dir = fresh_dir "jdig" in
-        Fault.reset_counters ();
-        Fault.arm_step ~index:3;
-        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
-         with
-        | Ok _ | Error _ ->
-            Fault.disarm ();
-            Alcotest.fail "expected a kill"
-        | exception Fault.Killed -> Fault.disarm ());
+        killed_at_step ~journal:dir 3;
         let changed =
           [
             List.hd (kr_catalogs ());
@@ -883,14 +939,7 @@ let resume_tests =
     Alcotest.test_case "journal_status names uncommitted work" `Quick
       (fun () ->
         let dir = fresh_dir "jstat" in
-        Fault.reset_counters ();
-        Fault.arm_step ~index:3;
-        (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
-         with
-        | Ok _ | Error _ ->
-            Fault.disarm ();
-            Alcotest.fail "expected a kill"
-        | exception Fault.Killed -> Fault.disarm ());
+        killed_at_step ~journal:dir 3;
         (match Warehouse.journal_status dir with
         | Ok entries ->
             check

@@ -660,98 +660,130 @@ let warehouse_store_tests =
           (Warehouse.sources w2));
   ]
 
-(* --- the write-ahead integration journal (ISSUE 9) --- *)
+(* --- a manifest is untrusted input: its member paths obey save's rules --- *)
+
+(* add one member line to a store's MANIFEST and re-seal it with a
+   correct self-CRC, as anyone with write access could *)
+let reseal_with_member dir line =
+  let path = Filename.concat dir "MANIFEST" in
+  let body =
+    String.split_on_char '\n' (read_file path)
+    |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"crc\t" l))
+    |> fun ls -> String.concat "" (List.map (fun l -> l ^ "\n") (ls @ [ line ]))
+  in
+  write_file path (body ^ "crc\t" ^ Crc32.to_hex (Crc32.string body) ^ "\n")
+
+let manifest_path_tests =
+  let outside name line_of =
+    let base = fresh_dir "mpath" in
+    Sys.mkdir base 0o755;
+    let st = Filename.concat base "st" in
+    save_exn st test_members;
+    let victim = Filename.concat base name in
+    let bytes = "outside the store\n" in
+    write_file victim bytes;
+    reseal_with_member st (line_of bytes);
+    List.iter
+      (fun (what, res) ->
+        match res with
+        | Ok () -> Alcotest.fail (what ^ " accepted a manifest naming " ^ name)
+        | Error e ->
+            check Alcotest.bool (what ^ " names the path") true
+              (contains e ("../" ^ name)))
+      [ ("load", Result.map ignore (Snapshot.load st));
+        ("verify", Result.map ignore (Snapshot.verify st));
+        ("repair", Result.map ignore (Snapshot.repair st)) ];
+    check Alcotest.string "the outside file keeps its bytes" bytes
+      (read_file victim);
+    check Alcotest.bool "nothing quarantined" false
+      (Sys.file_exists (Filename.concat st ".quarantine"))
+  in
+  [
+    Alcotest.test_case "a member path leaving the store is refused" `Quick
+      (fun () ->
+        outside "victim.txt" (fun _ ->
+            "member\t../../victim.txt\trecords\t3\t00000000"));
+    Alcotest.test_case "an outside file with its own checksum is refused"
+      `Quick (fun () ->
+        outside "secret.csv" (fun bytes ->
+            Printf.sprintf "member\ta/../../../secret.csv\tcsv\t%d\t%s"
+              (String.length bytes)
+              (Crc32.to_hex (Crc32.string bytes))));
+  ]
+
+(* --- the journal: a plan file written once --- *)
 
 let journal_create_exn dir ~meta =
   match Journal.create dir ~meta with
-  | Ok j -> j
+  | Ok () -> ()
   | Error msg -> Alcotest.fail ("journal create: " ^ msg)
 
-let journal_replay_exn dir =
-  match Journal.replay dir with
-  | Ok r -> r
-  | Error msg -> Alcotest.fail ("journal replay: " ^ msg)
-
-let journal_resume_exn dir =
-  match Journal.open_resume dir with
-  | Ok jr -> jr
-  | Error msg -> Alcotest.fail ("journal resume: " ^ msg)
-
-let journal_size dir =
-  let ic = open_in_bin (Filename.concat dir "JOURNAL") in
-  let n = in_channel_length ic in
-  close_in ic;
-  n
+let journal_plan_exn dir =
+  match Journal.plan dir with
+  | Ok meta -> meta
+  | Error msg -> Alcotest.fail ("journal plan: " ^ msg)
 
 let journal_tests =
   [
-    Alcotest.test_case "create/intent/commit/replay roundtrip" `Quick
-      (fun () ->
+    Alcotest.test_case "create/plan roundtrip" `Quick (fun () ->
         let dir = fresh_dir "jrt" in
-        let j = journal_create_exn dir ~meta:[ ("plan", "demo") ] in
-        let seq = Journal.intent j ~step:"source:a" in
-        check Alcotest.int "first seq" 0 seq;
-        let info = [ ("source", "a"); ("path", "dir\twith tab\nand newline") ] in
-        let c = Journal.commit j ~seq ~step:"source:a" ~generation:7 ~info in
-        check Alcotest.int "generation" 7 c.generation;
-        let r = journal_replay_exn dir in
+        let meta =
+          [ ("plan", "demo"); ("source.0.path", "dir\twith tab\nand newline") ]
+        in
+        journal_create_exn dir ~meta;
         check
           Alcotest.(list (pair string string))
-          "meta" [ ("plan", "demo") ] r.meta;
-        check Alcotest.int "committed" 1 (List.length r.committed);
-        check Alcotest.int "dropped" 0 r.dropped;
-        check Alcotest.bool "no pending" true (r.pending = None);
-        let c = List.hd r.committed in
-        check Alcotest.string "step" "source:a" c.step;
-        check Alcotest.int "seq" 0 c.seq;
-        check Alcotest.int "generation round-trips" 7 c.generation;
-        check
-          Alcotest.(list (pair string string))
-          "info round-trips, escapes included" info c.info;
-        check Alcotest.string "store beside the log"
+          "meta round-trips, escapes included" meta (journal_plan_exn dir);
+        let doc = read_file (Filename.concat dir "JOURNAL") in
+        check Alcotest.int "one line" 1
+          (List.length (String.split_on_char '\n' doc) - 1);
+        check Alcotest.string "store beside the plan"
           (Filename.concat dir "store") (Journal.store_dir dir));
-    Alcotest.test_case "pending intent survives replay" `Quick (fun () ->
-        let dir = fresh_dir "jpend" in
-        let j = journal_create_exn dir ~meta:[] in
-        ignore (Journal.intent j ~step:"source:a");
-        let r = journal_replay_exn dir in
-        check Alcotest.int "no commits" 0 (List.length r.committed);
-        check Alcotest.bool "pending" true
-          (r.pending = Some (0, "source:a")));
-    Alcotest.test_case "a reset voids the records before it" `Quick
-      (fun () ->
-        let dir = fresh_dir "jreset" in
-        let j = journal_create_exn dir ~meta:[ ("plan", "r") ] in
-        let seq = Journal.intent j ~step:"source:a" in
-        ignore (Journal.commit j ~seq ~step:"source:a" ~generation:3 ~info:[]);
-        ignore (Journal.intent j ~step:"source:b");
-        let j, r = journal_resume_exn dir in
-        check Alcotest.int "commit before the reset" 1 (List.length r.committed);
-        Journal.reset j;
-        let r = journal_replay_exn dir in
-        check Alcotest.int "no commits after the reset" 0
-          (List.length r.committed);
-        check Alcotest.bool "no pending after the reset" true (r.pending = None);
-        check
-          Alcotest.(list (pair string string))
-          "meta kept" [ ("plan", "r") ] r.meta;
-        let seq = Journal.intent j ~step:"source:a" in
-        check Alcotest.int "sequence restarts" 0 seq;
-        ignore (Journal.commit j ~seq ~step:"source:a" ~generation:1 ~info:[]);
-        let r = journal_replay_exn dir in
-        check
-          Alcotest.(list int)
-          "only the commit after the reset" [ 1 ]
-          (List.map (fun (c : Journal.committed) -> c.generation) r.committed));
     Alcotest.test_case "create refuses an existing journal" `Quick (fun () ->
         let dir = fresh_dir "jdup" in
-        ignore (journal_create_exn dir ~meta:[]);
+        journal_create_exn dir ~meta:[];
         check Alcotest.bool "refused" true
           (Result.is_error (Journal.create dir ~meta:[])));
     Alcotest.test_case "create refuses '=' in meta keys" `Quick (fun () ->
         let dir = fresh_dir "jeq" in
         check Alcotest.bool "refused" true
           (Result.is_error (Journal.create dir ~meta:[ ("a=b", "v") ])));
+    Alcotest.test_case "create refuses a directory holding a store" `Quick
+      (fun () ->
+        (* the store is the commit record: a new plan must not adopt a
+           stale one *)
+        let dir = fresh_dir "jstale" in
+        save_exn (Journal.store_dir dir) test_members;
+        check Alcotest.bool "refused" true
+          (Result.is_error (Journal.create dir ~meta:[]));
+        check Alcotest.bool "no journal written" false (Journal.exists dir));
+    Alcotest.test_case "create accepts leftover temp files" `Quick (fun () ->
+        (* what a create killed before its rename leaves behind *)
+        let dir = fresh_dir "jtmp" in
+        Sys.mkdir dir 0o755;
+        write_file
+          (Filename.concat dir ("JOURNAL" ^ Atomic_file.temp_suffix))
+          "torn";
+        journal_create_exn dir ~meta:[ ("plan", "t") ];
+        check
+          Alcotest.(list (pair string string))
+          "plan" [ ("plan", "t") ] (journal_plan_exn dir));
+    Alcotest.test_case "plan ignores records after the header" `Quick
+      (fun () ->
+        (* a journal of the earlier append-only format: intent, commit
+           and reset records and a torn fragment after the header *)
+        let dir = fresh_dir "jold" in
+        journal_create_exn dir ~meta:[ ("plan", "old") ];
+        let path = Filename.concat dir "JOURNAL" in
+        let line fields = Records.record (Serial.record fields) ^ "\n" in
+        write_file path
+          (read_file path
+          ^ line [ "intent"; "0"; "source:a" ]
+          ^ line [ "commit"; "0"; "source:a"; "1"; "source"; "a" ]
+          ^ line [ "reset" ] ^ "deadbeef\tintent\t9");
+        check
+          Alcotest.(list (pair string string))
+          "plan" [ ("plan", "old") ] (journal_plan_exn dir));
     Alcotest.test_case "version-1 journal is refused" `Quick (fun () ->
         let dir = fresh_dir "jv1" in
         Sys.mkdir dir 0o755;
@@ -759,75 +791,11 @@ let journal_tests =
         write_file
           (Filename.concat dir "JOURNAL")
           (Records.record "aladin-journal\t1\tsources=0" ^ "\n");
-        match Journal.replay dir with
-        | Ok _ -> Alcotest.fail "a version-1 journal replayed"
+        match Journal.plan dir with
+        | Ok _ -> Alcotest.fail "a version-1 journal was read"
         | Error e ->
             check Alcotest.bool "tells the user to re-run integrate" true
               (contains e "re-run integrate"));
-    (* satellite: a torn trailing record — the append killed at EVERY
-       byte offset — is dropped on replay, the committed prefix stays in
-       force, and the truncated-on-resume journal accepts new commits *)
-    Alcotest.test_case "torn trailing record: full byte sweep" `Slow
-      (fun () ->
-        let commit_a dir =
-          let j = journal_create_exn dir ~meta:[ ("plan", "t") ] in
-          let seq = Journal.intent j ~step:"source:a" in
-          ignore (Journal.commit j ~seq ~step:"source:a" ~generation:1 ~info:[])
-        in
-        (* measure the appended intent record's length on a scratch dir *)
-        let len =
-          let dir = fresh_dir "jlen" in
-          commit_a dir;
-          let s0 = journal_size dir in
-          let j, _ = journal_resume_exn dir in
-          ignore (Journal.intent j ~step:"source:b");
-          journal_size dir - s0
-        in
-        check Alcotest.bool "measurable record" true (len > 8);
-        for k = 1 to len - 1 do
-          let dir = fresh_dir "jtear" in
-          commit_a dir;
-          let j, _ = journal_resume_exn dir in
-          Fault.arm ~bytes:k;
-          (match Journal.intent j ~step:"source:b" with
-          | _ -> Alcotest.fail "expected the armed fault to kill the append"
-          | exception Fault.Killed -> ());
-          Fault.disarm ();
-          let r = journal_replay_exn dir in
-          check Alcotest.int
-            (Printf.sprintf "committed prefix intact at %d" k)
-            1 (List.length r.committed);
-          (* killed mid-line: the fragment fails its CRC and is dropped.
-             Killed between the last payload byte and the terminator
-             (k = len - 1): the fragment is a complete record and counts
-             as the pending intent. *)
-          (match (r.dropped, r.pending) with
-          | 1, None -> ()
-          | 0, Some (_, "source:b") -> ()
-          | d, p ->
-              Alcotest.fail
-                (Printf.sprintf
-                   "at %d: dropped=%d pending=%s (expected a dropped torn \
-                    tail or a terminator-less pending intent)"
-                   k d
-                   (match p with
-                   | Some (_, s) -> s
-                   | None -> "none")));
-          (* resume truncates the tail; the journal must accept and keep
-             a fresh commit *)
-          let j, r' = journal_resume_exn dir in
-          check Alcotest.int "resume sees the prefix" 1
-            (List.length r'.committed);
-          let seq = Journal.intent j ~step:"source:b" in
-          ignore
-            (Journal.commit j ~seq ~step:"source:b" ~generation:2 ~info:[]);
-          let r'' = journal_replay_exn dir in
-          check Alcotest.int
-            (Printf.sprintf "both commits after heal at %d" k)
-            2
-            (List.length r''.committed);
-          check Alcotest.int "no drops after heal" 0 r''.dropped
-        done);
   ]
 
 let tests =
@@ -836,6 +804,7 @@ let tests =
     ("store.records", records_tests);
     ("store.snapshot", snapshot_tests);
     ("store.torn-write", torn_write_tests);
+    ("store.manifest_paths", manifest_path_tests);
     ("store.journal", journal_tests);
     ("store.warehouse", warehouse_store_tests);
   ]
