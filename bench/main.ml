@@ -1112,6 +1112,43 @@ let micro () =
   let res_b = Dg.Seq_gen.mutate rng ~rate:0.1 res_a in
   assert (Dup.Field_sim.choose_metric res_a res_b = Dup.Field_sim.Sequence_metric);
   let field_a = Dup.Field_sim.prepare res_a and field_b = Dup.Field_sim.prepare res_b in
+  (* the store codecs a load runs: a pairs.txt-sized member (7 sources,
+     each pair's four lists in Link.dedup's form, ~11.5k links, as the
+     perfbench base store holds), and 1 MiB of bytes to checksum *)
+  let mib = String.init (1 lsl 20) (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  let pairs_doc =
+    let ps = Pair_store.create () in
+    let sources = List.init 7 (Printf.sprintf "source%d") in
+    let obj s i =
+      Lk.Objref.make ~source:s ~relation:"entry"
+        ~accession:(Printf.sprintf "ACC%05d" i)
+    in
+    let links kind a b n =
+      Lk.Link.dedup
+        (List.init n (fun i ->
+             Lk.Link.make ~src:(obj a (Dg.Rng.int rng 600))
+               ~dst:(obj b (Dg.Rng.int rng 600)) ~kind
+               ~confidence:(float_of_int (Dg.Rng.range rng 1 1000) /. 1000.)
+               ~evidence:(Printf.sprintf "%s.entry.acc=ACC%05d" a i)))
+    in
+    List.iteri
+      (fun i a ->
+        List.iteri
+          (fun j b ->
+            if i < j then
+              Pair_store.set ps a b
+                { Pair_store.xref_links = links Lk.Link.Xref a b 200;
+                  correspondences = [];
+                  seq_links = links Lk.Link.Seq_similarity a b 150;
+                  text_links = links Lk.Link.Text_similarity a b 120;
+                  dup_links = links Lk.Link.Duplicate a b 60;
+                  dup_candidates = 100 })
+          sources)
+      sources;
+    Pair_store.set_onto ps (links Lk.Link.Shared_term "source0" "source1" 400);
+    Pair_store.save ps
+  in
+  let pairs_member = Aladin_store.Records.encode pairs_doc in
   let tests =
     [
       Test.make ~name:"levenshtein-24" (Staged.stage (fun () ->
@@ -1132,6 +1169,12 @@ let micro () =
           Aladin_text.Strdist.jaro_winkler "dehydrogenase" "decarboxylase"));
       Test.make ~name:"field-sim-seq-dice" (Staged.stage (fun () ->
           Dup.Field_sim.similarity_prepared field_a field_b));
+      Test.make ~name:"crc32-1MiB" (Staged.stage (fun () ->
+          Aladin_store.Crc32.string mib));
+      Test.make ~name:"records-decode-pairs" (Staged.stage (fun () ->
+          Aladin_store.Records.decode pairs_member));
+      Test.make ~name:"pair-store-load-all-links" (Staged.stage (fun () ->
+          Pair_store.all_links (fst (Pair_store.load pairs_doc))));
     ]
   in
   let open Bechamel.Toolkit in

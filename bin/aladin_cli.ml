@@ -108,20 +108,7 @@ let integrate_cmd =
           Some d
       | None, None -> None
     in
-    let paths =
-      match (paths, resume) with
-      | [], Some dir -> (
-          (* re-import only what the journal says is still uncommitted *)
-          match Warehouse.journal_status ~config:(load_config config) dir with
-          | Error e -> die "aladin: %s" e
-          | Ok entries ->
-              List.filter_map
-                (fun (e : Warehouse.journal_source) ->
-                  if e.js_committed then None else e.js_path)
-                entries)
-      | [], None -> die "aladin: no source files given"
-      | ps, _ -> ps
-    in
+    if paths = [] && resume = None then die "aladin: no source files given";
     match
       with_trace_file trace_file (fun trace ->
           let w, resume_note =
@@ -133,17 +120,24 @@ let integrate_cmd =
             | Some dir ->
                 (* journaled import is strict: a source that cannot be
                    imported would poison the recorded plan *)
-                let catalogs = List.map import_or_die paths in
-                let source_paths =
-                  List.map2
-                    (fun p c -> (Aladin_relational.Catalog.name c, p))
-                    paths catalogs
-                in
                 let cfg = load_config config in
-                (match
-                   Warehouse.integrate_journaled ~config:cfg ?trace
-                     ~source_paths ~journal:dir catalogs
-                 with
+                let result =
+                  if paths = [] then
+                    (* re-import, from the paths the plan recorded, only
+                       what the journal's store does not hold *)
+                    Warehouse.resume_journal ~config:cfg ?trace
+                      ~import:import_or_die dir
+                  else
+                    let catalogs = List.map import_or_die paths in
+                    let source_paths =
+                      List.map2
+                        (fun p c -> (Aladin_relational.Catalog.name c, p))
+                        paths catalogs
+                    in
+                    Warehouse.integrate_journaled ~config:cfg ?trace
+                      ~source_paths ~journal:dir catalogs
+                in
+                (match result with
                 | Error e -> die "aladin: %s" e
                 | Ok (w, (info : Warehouse.resume_info)) ->
                     let note =

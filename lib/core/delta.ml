@@ -224,8 +224,8 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
       pass ~enabled:lp.enable_onto ~budget:budgets.onto_pass "onto pass"
         (fun () ->
           let xrefs =
-            Link.dedup
-              (List.concat_map
+            Link.union
+              (List.map
                  (fun (_, (e : Pair_store.entry)) -> e.xref_links)
                  (Pair_store.pairs store))
           in

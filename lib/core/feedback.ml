@@ -33,7 +33,8 @@ let rejected_link_count t = Hashtbl.length t.links
 let rejected_fk_count t = Hashtbl.length t.fks
 
 let filter_links t links =
-  List.filter (fun l -> not (is_link_rejected t l)) links
+  if Hashtbl.length t.links = 0 then links
+  else List.filter (fun l -> not (is_link_rejected t l)) links
 
 let filter_fks t ~source fks =
   List.filter (fun fk -> not (is_fk_rejected t ~source fk)) fks

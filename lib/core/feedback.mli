@@ -32,6 +32,8 @@ val rejected_link_count : t -> int
 val rejected_fk_count : t -> int
 
 val filter_links : t -> Link.t list -> Link.t list
+(** The links not rejected, in their order. With no link rejected, the
+    list itself, unread. *)
 
 val filter_fks : t -> source:string -> Inclusion.fk list -> Inclusion.fk list
 

@@ -42,13 +42,16 @@ let set_onto t links =
   t.onto_links <- links;
   t.onto_present <- true
 
+(* every list the store holds is in [Link.dedup]'s form: each pass ends
+   in [Link.dedup] (a filter of a deduplicated list keeps the form), and
+   [save] writes each list in its order, so [load] reads it back in
+   form. [Link.union] checks each list in one pass and merges them. *)
 let all_links t =
-  let per_pair =
-    List.concat_map
-      (fun (_, e) -> e.xref_links @ e.seq_links @ e.text_links @ e.dup_links)
-      (pairs t)
-  in
-  Link.dedup (per_pair @ t.onto_links)
+  Link.union
+    (List.fold_left
+       (fun acc (_, e) ->
+         e.xref_links :: e.seq_links :: e.text_links :: e.dup_links :: acc)
+       [ t.onto_links ] (pairs t))
 
 let compare_corr (a : Xref_disc.correspondence) (b : Xref_disc.correspondence) =
   compare
@@ -106,17 +109,19 @@ let kind_of_string = function
   | "duplicate" -> Some Link.Duplicate
   | _ -> None
 
-let link_line (l : Link.t) =
-  Serial.record
+let add_link buf (l : Link.t) =
+  Serial.add_record buf
     [ "plink"; l.src.source; l.src.relation; l.src.accession; l.dst.source;
       l.dst.relation; l.dst.accession; Link.kind_name l.kind;
-      Serial.float_to_string l.confidence; l.evidence ]
+      Serial.float_to_string l.confidence; l.evidence ];
+  Buffer.add_char buf '\n'
 
-let corr_line (c : Xref_disc.correspondence) =
-  Serial.record
+let add_corr buf (c : Xref_disc.correspondence) =
+  Serial.add_record buf
     [ "pcorr"; c.src_source; c.src_relation; c.src_attribute; c.dst_source;
       c.dst_relation; c.dst_attribute; string_of_int c.matches;
-      Serial.float_to_string c.match_frac; string_of_bool c.encoded ]
+      Serial.float_to_string c.match_frac; string_of_bool c.encoded ];
+  Buffer.add_char buf '\n'
 
 (* the fields after a link or correspondence record's tag *)
 let parse_link = function
@@ -151,106 +156,168 @@ let parse_corr = function
       | _ -> None)
   | _ -> None
 
-let entry_lines e =
-  List.map link_line e.xref_links
-  @ List.map corr_line e.correspondences
-  @ List.map link_line e.seq_links
-  @ List.map link_line e.text_links
-  @ List.map link_line e.dup_links
-
 let save t =
-  let buf = Buffer.create 4096 in
-  let line l = Buffer.add_string buf l; Buffer.add_char buf '\n' in
-  line (Serial.record [ "pairstore"; string_of_int version ]);
+  let pairs = pairs t in
+  let items e =
+    List.length e.xref_links + List.length e.correspondences
+    + List.length e.seq_links + List.length e.text_links
+    + List.length e.dup_links
+  in
+  let total =
+    List.fold_left (fun n (_, e) -> n + items e) (List.length t.onto_links) pairs
+  in
+  let buf = Buffer.create (4096 + (128 * total)) in
+  let header fs =
+    Serial.add_record buf fs;
+    Buffer.add_char buf '\n'
+  in
+  header [ "pairstore"; string_of_int version ];
   List.iter
     (fun ((a, b), e) ->
-      let items = entry_lines e in
-      line
-        (Serial.record
-           [ "pair"; a; b; string_of_int (List.length items);
-             string_of_int e.dup_candidates ]);
-      List.iter line items)
-    (pairs t);
-  line (Serial.record [ "onto"; string_of_int (List.length t.onto_links) ]);
-  List.iter (fun l -> line (link_line l)) t.onto_links;
+      header
+        [ "pair"; a; b; string_of_int (items e); string_of_int e.dup_candidates ];
+      List.iter (add_link buf) e.xref_links;
+      List.iter (add_corr buf) e.correspondences;
+      List.iter (add_link buf) e.seq_links;
+      List.iter (add_link buf) e.text_links;
+      List.iter (add_link buf) e.dup_links)
+    pairs;
+  header [ "onto"; string_of_int (List.length t.onto_links) ];
+  List.iter (add_link buf) t.onto_links;
   Buffer.contents buf
 
 (* --- routing, shared by [load] and [seed_missing]: each record is
-   consed onto its pair's list of its kind, and [reverse_all] reverses
-   every list once at the end, so filling a store is linear in its
-   record count and keeps the records' order --- *)
+   consed onto its pair's accumulator, created once per pair, and
+   [finish] builds each entry once, reversing its lists, so filling a
+   store is linear in its record count and keeps the records' order.
+   [save] writes the records grouped by pair, so the last pair's
+   accumulator is found by comparing two strings, without hashing the
+   pair (which would cost about a third of a load) --- *)
 
-let update t a b f = set t a b (f (Option.value (find t a b) ~default:empty_entry))
+type acc = {
+  mutable xrefs : Link.t list;
+  mutable corrs : Xref_disc.correspondence list;
+  mutable seqs : Link.t list;
+  mutable texts : Link.t list;
+  mutable dups : Link.t list;
+  mutable cands : int;
+}
 
-let route_link t (l : Link.t) =
-  let update = update t l.src.source l.dst.source in
+type router = {
+  accs : (string * string, acc) Hashtbl.t;
+  mutable onto_acc : Link.t list;
+  mutable onto_seen : bool;
+  mutable last : (string * string * acc) option;
+}
+
+let router () =
+  { accs = Hashtbl.create 32; onto_acc = []; onto_seen = false; last = None }
+
+let acc_of r a b =
+  match r.last with
+  | Some (la, lb, acc)
+    when (String.equal a la && String.equal b lb)
+         || (String.equal a lb && String.equal b la) ->
+      acc
+  | Some _ | None ->
+      let key = canon a b in
+      let acc =
+        match Hashtbl.find_opt r.accs key with
+        | Some acc -> acc
+        | None ->
+            let acc =
+              { xrefs = []; corrs = []; seqs = []; texts = []; dups = [];
+                cands = 0 }
+            in
+            Hashtbl.add r.accs key acc;
+            acc
+      in
+      r.last <- Some (a, b, acc);
+      acc
+
+let route_link r (l : Link.t) =
+  let add f = f (acc_of r l.src.source l.dst.source) in
   match l.kind with
-  | Link.Xref -> update (fun e -> { e with xref_links = l :: e.xref_links })
-  | Link.Seq_similarity -> update (fun e -> { e with seq_links = l :: e.seq_links })
+  | Link.Xref -> add (fun acc -> acc.xrefs <- l :: acc.xrefs)
+  | Link.Seq_similarity -> add (fun acc -> acc.seqs <- l :: acc.seqs)
   | Link.Text_similarity | Link.Entity_mention ->
-      update (fun e -> { e with text_links = l :: e.text_links })
-  | Link.Duplicate -> update (fun e -> { e with dup_links = l :: e.dup_links })
+      add (fun acc -> acc.texts <- l :: acc.texts)
+  | Link.Duplicate -> add (fun acc -> acc.dups <- l :: acc.dups)
   | Link.Shared_term ->
-      t.onto_links <- l :: t.onto_links;
-      t.onto_present <- true
+      r.onto_acc <- l :: r.onto_acc;
+      r.onto_seen <- true
 
-let route_corr t (c : Xref_disc.correspondence) =
-  update t c.src_source c.dst_source (fun e ->
-      { e with correspondences = c :: e.correspondences })
+let route_corr r (c : Xref_disc.correspondence) =
+  let acc = acc_of r c.src_source c.dst_source in
+  acc.corrs <- c :: acc.corrs
 
-let reverse_all t =
-  Hashtbl.filter_map_inplace
-    (fun _ e ->
-      Some
-        { e with
-          xref_links = List.rev e.xref_links;
-          correspondences = List.rev e.correspondences;
-          seq_links = List.rev e.seq_links;
-          text_links = List.rev e.text_links;
-          dup_links = List.rev e.dup_links })
-    t.tbl;
-  t.onto_links <- List.rev t.onto_links
+(* a store holding exactly what [r] routed *)
+let finish r =
+  let t = create () in
+  Hashtbl.iter
+    (fun key acc ->
+      Hashtbl.replace t.tbl key
+        { xref_links = List.rev acc.xrefs;
+          correspondences = List.rev acc.corrs;
+          seq_links = List.rev acc.seqs;
+          text_links = List.rev acc.texts;
+          dup_links = List.rev acc.dups;
+          dup_candidates = acc.cands })
+    r.accs;
+  t.onto_links <- List.rev r.onto_acc;
+  t.onto_present <- r.onto_seen;
+  t
 
 (* a parsed record, or a dropped line *)
 let parsed dropped f = function Some x -> f x | None -> incr dropped
 
+(* [f] on the fields of each line of [doc], in order; the lines are
+   what [String.split_on_char '\n'] gives *)
+let iter_lines f doc =
+  let n = String.length doc in
+  let rec go pos =
+    let e =
+      match String.index_from_opt doc pos '\n' with Some i -> i | None -> n
+    in
+    f (Serial.fields_sub doc ~pos ~len:(e - pos));
+    if e < n then go (e + 1)
+  in
+  go 0
+
 let load doc =
-  let t = create () in
+  let r = router () in
   let dropped = ref 0 in
-  List.iter
-    (fun line ->
-      match Serial.fields line with
+  iter_lines
+    (function
       | [ "" ] | [ "pairstore"; _ ] -> ()
       | [ "pair"; a; b; _; cands ] ->
           parsed dropped
-            (fun n -> update t a b (fun e -> { e with dup_candidates = n }))
+            (fun n -> (acc_of r a b).cands <- n)
             (int_of_string_opt cands)
-      | [ "onto"; _ ] -> t.onto_present <- true
-      | "plink" :: fs -> parsed dropped (route_link t) (parse_link fs)
-      | "pcorr" :: fs -> parsed dropped (route_corr t) (parse_corr fs)
+      | [ "onto"; _ ] -> r.onto_seen <- true
+      | "plink" :: fs -> parsed dropped (route_link r) (parse_link fs)
+      | "pcorr" :: fs -> parsed dropped (route_corr r) (parse_corr fs)
       | _ -> incr dropped)
-    (String.split_on_char '\n' doc);
-  reverse_all t;
-  (t, !dropped)
+    doc;
+  (finish r, !dropped)
 
 let seed_missing t meta =
   let dropped = ref 0 in
   let links = ref [] and corrs = ref [] in
-  List.iter
-    (fun line ->
-      match Serial.fields line with
+  iter_lines
+    (function
       | "link" :: fs ->
           parsed dropped (fun l -> links := l :: !links) (parse_link fs)
       | "corr" :: fs ->
           parsed dropped (fun c -> corrs := c :: !corrs) (parse_corr fs)
       | _ -> ())
-    (String.split_on_char '\n' meta);
+    meta;
   (* one global dedup and sort leave each pair's lists in the order a
      per-pair dedup and sort would *)
-  let seed = create () in
-  List.iter (route_link seed) (Link.dedup (List.rev !links));
-  List.iter (route_corr seed) (List.stable_sort compare_corr (List.rev !corrs));
-  reverse_all seed;
+  let r = router () in
+  List.iter (route_link r) (Link.dedup (List.rev !links));
+  List.iter (route_corr r) (List.stable_sort compare_corr (List.rev !corrs));
+  let seed = finish r in
   Hashtbl.iter (fun (a, b) e -> if not (mem t a b) then set t a b e) seed.tbl;
   if not t.onto_present then set_onto t seed.onto_links;
   !dropped

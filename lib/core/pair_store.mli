@@ -58,9 +58,13 @@ val onto : t -> Link.t list
 val set_onto : t -> Link.t list -> unit
 
 val all_links : t -> Link.t list
-(** Every pass's links over every pair, plus the shared-term component,
-    deduplicated into {!Link.dedup}'s canonical order — the warehouse's
-    merged link set (before feedback filtering). *)
+(** Every pass's links over every pair, plus the shared-term component:
+    [Link.dedup] of their concatenation, the warehouse's merged link set
+    (before feedback filtering). Every list the pipeline stores is
+    already in [Link.dedup]'s form (each pass ends in it, and {!save}
+    and {!load} keep each list's order), so this is {!Link.union}'s
+    merge of the lists, with no hashing or sorting; a list out of form
+    is deduplicated first. *)
 
 val correspondences : t -> Xref_disc.correspondence list
 (** All pairs' xref correspondences in one canonical (sorted) order. *)
@@ -76,6 +80,10 @@ val exclude_triples : t -> source:string -> (string * string * string) list
     stale. *)
 
 val save : t -> string
+(** The [pairs.txt] document: the pairs in {!pairs} order, each a [pair]
+    header and then its records (xref links, correspondences, seq, text
+    and dup links, each list in its order), then the shared-term
+    component. Written into one buffer. *)
 
 val load : string -> t * int
 (** [load doc] returns the store plus the number of lines it dropped as
@@ -83,7 +91,9 @@ val load : string -> t * int
     is routed to the canonical pair of its own endpoints' sources (a
     shared-term link to {!onto}), in document order; a [pair] header
     only sets that pair's dup-candidate count. So a lost or damaged
-    line costs that record alone, and a lost header only its count. *)
+    line costs that record alone, and a lost header only its count.
+    One pass over [doc] by index: each record goes to its pair's
+    accumulator, and each entry is built once, at the end. *)
 
 val seed_missing : t -> string -> int
 (** [seed_missing t meta] backfills from the [link]/[corr] records of a

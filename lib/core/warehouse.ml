@@ -528,7 +528,10 @@ let journal_status ?(config = Config.default) journal =
          { js_name = n; js_path = path; js_committed = List.mem n restored })
        plan)
 
-let resume_journaled ~config ?trace journal catalogs =
+(* a resume of [journal]: the store is loaded once, by [checkpoint], and
+   [supply plan restored] then gives the catalogs of the plan's steps
+   that load did not restore *)
+let resume ~config ?trace journal supply =
   let* meta = Journal.plan journal in
   let* plan = plan_of_meta meta in
   let* () =
@@ -538,6 +541,9 @@ let resume_journaled ~config ?trace journal catalogs =
         "journal was written under a different configuration; resume with \
          the original one"
   in
+  let loaded = checkpoint ~config journal plan in
+  let restored = match loaded with Some (_, names) -> names | None -> [] in
+  let catalogs = supply plan restored in
   let* () =
     List.fold_left
       (fun acc c ->
@@ -553,12 +559,12 @@ let resume_journaled ~config ?trace journal catalogs =
         | Some _ -> Ok ())
       (Ok ()) catalogs
   in
-  let t, restored =
-    match checkpoint ~config journal plan with
-    | Some (t, restored) ->
+  let t =
+    match loaded with
+    | Some (t, _) ->
         t.reports <- List.map Report.mark_resumed t.reports;
-        (t, restored)
-    | None -> (create ~config (), [])
+        t
+    | None -> create ~config ()
   in
   t.journal <- Some journal;
   (* the plan's steps that are not restored, in plan order *)
@@ -585,6 +591,13 @@ let resume_journaled ~config ?trace journal catalogs =
       { resumed_sources = restored;
         executed_sources = List.map Catalog.name todo } )
 
+let resume_journal ?(config = Config.default) ?trace ~import journal =
+  resume ~config ?trace journal (fun plan restored ->
+      List.filter_map
+        (fun (n, _, path) ->
+          if List.mem n restored then None else Option.map import path)
+        plan)
+
 let integrate_journaled ?(config = Config.default) ?trace ?(source_paths = [])
     ~journal catalogs =
   let names = List.map Catalog.name catalogs in
@@ -597,7 +610,7 @@ let integrate_journaled ?(config = Config.default) ?trace ?(source_paths = [])
       Error
         (Printf.sprintf "duplicate source name %S in the integration plan" n)
   | None when Journal.exists journal ->
-      resume_journaled ~config ?trace journal catalogs
+      resume ~config ?trace journal (fun _ _ -> catalogs)
   | None ->
       let entries =
         List.map

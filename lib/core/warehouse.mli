@@ -142,10 +142,24 @@ type journal_source = {
 val journal_status :
   ?config:Config.t -> string -> (journal_source list, string) result
 (** The journaled plan and which sources a resume under [config] would
-    restore rather than re-run — what [aladin integrate --resume] uses
-    to decide which files it still needs. The same rule as resume, on
-    the same {!load_dir} of the store (which quarantines and sweeps as
-    any load does); nothing is written to the journal. *)
+    restore rather than re-run. The same rule as resume, on the same
+    {!load_dir} of the store (which quarantines and sweeps as any load
+    does); nothing is written to the journal. *)
+
+val resume_journal :
+  ?config:Config.t ->
+  ?trace:Aladin_obs.Trace.t ->
+  import:(string -> Catalog.t) ->
+  string ->
+  (t * resume_info, string) result
+(** [resume_journal ~import journal] resumes [journal] from the source
+    paths its plan recorded: what [aladin integrate --resume DIR] runs
+    when given no files. The store is loaded once, before anything is
+    imported. [import] is then called, in plan order, on the recorded
+    path of each source that load does not restore, and the resume goes
+    on as {!integrate_journaled} of those catalogs would: the same
+    checks, the same errors (a source to re-run without a recorded path
+    is one), the same result. *)
 
 val run_reports : t -> Run_report.t list
 (** Latest report per source (quarantined and failed-import sources

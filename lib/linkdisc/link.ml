@@ -52,27 +52,76 @@ let same_endpoints a b =
   let a = normalized a and b = normalized b in
   a.kind = b.kind && Objref.equal a.src b.src && Objref.equal a.dst b.dst
 
+(* of two links with equal endpoints and kind, the one [dedup] keeps:
+   the higher confidence, then the smaller evidence, so the kept
+   representative does not depend on traversal order (sequential and
+   parallel runs must agree) *)
+let compare_preference a b =
+  match Float.compare b.confidence a.confidence with
+  | 0 -> String.compare a.evidence b.evidence
+  | c -> c
+
+(* a [compare_links]-sorted list with each run of equal links ordered
+   by preference -> the first of each run *)
+let first_of_runs sorted =
+  List.fold_left
+    (fun acc l ->
+      match acc with
+      | prev :: _ when compare_links prev l = 0 -> acc
+      | _ -> l :: acc)
+    [] sorted
+  |> List.rev
+
 let dedup links =
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun l ->
-      let l = normalized l in
-      let key =
-        (Objref.to_string l.src, Objref.to_string l.dst, kind_rank l.kind)
-      in
-      (* tie-break on evidence so the kept representative does not depend
-         on traversal order (sequential and parallel runs must agree) *)
-      match Hashtbl.find_opt tbl key with
-      | Some existing
-        when l.confidence > existing.confidence
-             || (l.confidence = existing.confidence
-                && String.compare l.evidence existing.evidence < 0) ->
-          Hashtbl.replace tbl key l
-      | Some _ -> ()
-      | None -> Hashtbl.replace tbl key l)
-    links;
-  Hashtbl.fold (fun _ l acc -> l :: acc) tbl []
-  |> List.sort compare_links
+  List.rev_map normalized links
+  |> List.sort (fun a b ->
+         match compare_links a b with 0 -> compare_preference a b | c -> c)
+  |> first_of_runs
+
+let is_normalized l =
+  match l.kind with
+  | Xref -> true
+  | Seq_similarity | Text_similarity | Shared_term | Entity_mention | Duplicate ->
+      Objref.compare l.src l.dst <= 0
+
+(* [l] is in [dedup]'s form: normalized, and strictly after its
+   predecessor in [compare_links] order. One pass. *)
+let rec in_dedup_order = function
+  | a :: (b :: _ as rest) ->
+      is_normalized a && compare_links a b < 0 && in_dedup_order rest
+  | [ a ] -> is_normalized a
+  | [] -> true
+
+let merge2 xs ys =
+  let rec go acc xs ys =
+    match (xs, ys) with
+    | [], rest | rest, [] -> List.rev_append acc rest
+    | x :: xs', y :: ys' -> (
+        match compare_links x y with
+        | 0 ->
+            go ((if compare_preference x y <= 0 then x else y) :: acc) xs' ys'
+        | c when c < 0 -> go (x :: acc) xs' ys
+        | _ -> go (y :: acc) xs ys')
+  in
+  go [] xs ys
+
+let union lists =
+  let rec pass = function
+    | a :: b :: rest -> merge2 a b :: pass rest
+    | short -> short
+  in
+  let rec merge_all = function
+    | [] -> []
+    | [ l ] -> l
+    | ls -> merge_all (pass ls)
+  in
+  merge_all
+    (List.filter_map
+       (function
+         | [] -> None
+         | l when in_dedup_order l -> Some l
+         | l -> Some (dedup l))
+       lists)
 
 let pp ppf t =
   Format.fprintf ppf "%a --%s(%.2f)--> %a [%s]" Objref.pp t.src

@@ -37,7 +37,19 @@ val same_endpoints : t -> t -> bool
 (** Equal endpoints and kind, after normalization. *)
 
 val dedup : t list -> t list
-(** Remove endpoint+kind duplicates, keeping the highest confidence.
-    Deterministic order (by src, dst, kind). *)
+(** Normalize, then keep one link per endpoints and kind: the one of
+    highest confidence, then of smallest evidence. The output is
+    strictly increasing by [src], then [dst] (each by {!Objref.compare},
+    relation included), then {!kind_rank}; two links are the same link
+    when that order finds them equal. So the output is a function of the
+    input multiset alone. *)
+
+val union : t list list -> t list
+(** [union ls = dedup (List.concat ls)], by merging. A list already in
+    [dedup]'s form (normalized and strictly increasing, checked in one
+    pass) is merged as it is; any other list is deduplicated first. Two
+    equal links from different lists resolve as in [dedup]. Linear in
+    the links times the logarithm of the number of lists when every list
+    is in form, which is what the pair store holds. *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,6 +14,6 @@ let equal a b = compare a b = 0
 
 let hash t = Hashtbl.hash (t.source, t.relation, t.accession)
 
-let to_string t = Printf.sprintf "%s:%s" t.source t.accession
+let to_string t = String.concat ":" [ t.source; t.accession ]
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

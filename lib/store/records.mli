@@ -12,7 +12,11 @@
     so a corrupted file can be salvaged record-by-record: lines whose
     checksum still matches are kept, the rest are dropped and counted.
     A line may itself contain tabs — only the first tab separates the
-    checksum from the payload. *)
+    checksum from the payload.
+
+    Each function makes one pass over its input by index: it finds each
+    newline, checks a record's 8 hex digits in place against the CRC-32
+    of its payload range, and appends the payload to one buffer. *)
 
 val encode : string -> string
 (** The logical document (newline-terminated lines; a missing final

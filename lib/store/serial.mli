@@ -6,14 +6,28 @@
     escaping for tab, newline, carriage return and backslash. *)
 
 val escape : string -> string
+(** Backslash-escapes tab, newline, carriage return and backslash; a
+    string holding none of them is returned as it is. *)
 
 val unescape : string -> string
+(** Inverse of {!escape}. A backslash before any other byte, or at the
+    end, is kept as it stands; a string without a backslash is returned
+    as it is. *)
 
 val record : string list -> string
 (** Fields -> one line (no trailing newline). *)
 
+val add_record : Buffer.t -> string list -> unit
+(** [add_record buf fs] appends [record fs] to [buf] without building it
+    first. *)
+
 val fields : string -> string list
 (** Inverse of {!record}. *)
+
+val fields_sub : string -> pos:int -> len:int -> string list
+(** [fields_sub s ~pos ~len = fields (String.sub s pos len)], without
+    copying the line. @raise Invalid_argument if the range is not inside
+    [s]. *)
 
 val float_to_string : float -> string
 (** Round-trippable float rendering: [%h] hex floats for finite values,

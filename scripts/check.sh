@@ -183,6 +183,35 @@ if awk '
 fi
 echo "grep-gate ok: browser views scan no relation; only index_rows does"
 
+# Opening a store re-reads its links in linear passes. Every list the
+# pair store holds is already in Link.dedup's form (each pass ends in
+# Link.dedup, and save writes each list in its order), so
+# Pair_store.all_links checks each list once and merges them
+# (Link.union) instead of hashing and sorting every link again. (awk
+# tracks the enclosing top-level let.)
+grep -q '^let all_links' lib/core/pair_store.ml || {
+  echo "error: lib/core/pair_store.ml lost all_links" >&2; exit 1; }
+if awk '
+    /^let / { fn = ($2 == "rec") ? $3 : $2 }
+    /Link\.dedup|Hashtbl|List\.(stable_)?sort/ && fn == "all_links" {
+      print FILENAME ":" FNR ": " $0 }' lib/core/pair_store.ml | grep .; then
+  echo "error: Pair_store.all_links dedups, hashes or sorts the stored links again (merge the lists with Link.union)" >&2
+  exit 1
+fi
+echo "grep-gate ok: Pair_store.all_links merges the stored lists without hashing or sorting"
+
+# The store's checksum and record codecs run over every byte a load
+# reads: the CRC-32 tables are built when the module initialises (a
+# lazy value forced from two domains at once raises), a step takes
+# eight bytes without a closure per byte, and records are written into
+# and read from one buffer by index, not formatted through Printf.
+if grep -nE '\b(Printf|Lazy|lazy)\b|String\.iter\b' \
+    lib/store/crc32.ml lib/store/records.ml; then
+  echo "error: lib/store/crc32.ml or records.ml uses Printf, a lazy value or String.iter (keep the codec table-driven and buffer-based)" >&2
+  exit 1
+fi
+echo "grep-gate ok: the CRC-32 and record codecs use no Printf, lazy value or String.iter"
+
 # The text-similarity hot path must stay on prepared int arrays. In
 # tfidf.ml the sentinels hold the tf-idf weighting (run per document of
 # every source-pair corpus the delta text pass builds) and the candidate

@@ -1136,6 +1136,243 @@ let snapshot_members dir =
   | Ok (members, _) -> members
   | Error e -> Alcotest.fail e
 
+(* --- the merged link view against [Link.dedup] of the concatenation ---
+
+   [random_store_gen] fills a store as the pipeline does: 3-4 sources,
+   self pairs included, every list holding only its own kinds between
+   its own pair's sources (where [Pair_store.load] routes them), but
+   handed to [set] unsorted and with duplicates. Small pools of
+   relations, accessions, confidences and evidence make equal endpoints
+   and tied confidences common. *)
+
+let pair_store_seed = 20261019
+
+module Lk = Aladin_links
+
+let random_obj source =
+  QCheck.Gen.(
+    map2
+      (fun relation accession -> Lk.Objref.make ~source ~relation ~accession)
+      (oneofl [ "r"; "r"; "q" ])
+      (oneofl [ "A1"; "A2"; "A3"; "B1"; "x\ty" ]))
+
+let random_link kinds s1 s2 =
+  QCheck.Gen.(
+    map
+      (fun ((o1, o2), kind, (c, evidence), flip) ->
+        let src, dst = if flip then (o2, o1) else (o1, o2) in
+        Lk.Link.make ~src ~dst ~kind ~confidence:(float_of_int c /. 4.)
+          ~evidence)
+      (quad
+         (pair (random_obj s1) (random_obj s2))
+         (oneofl kinds)
+         (pair (int_range 1 4) (oneofl [ "e"; "f"; "e\\n" ]))
+         bool))
+
+(* a list with some of its links repeated *)
+let random_links kinds s1 s2 =
+  QCheck.Gen.(
+    map2
+      (fun ls again -> if again then ls @ List.filteri (fun i _ -> i mod 2 = 0) ls else ls)
+      (list_size (int_range 0 8) (random_link kinds s1 s2))
+      bool)
+
+let random_corr s1 s2 =
+  QCheck.Gen.(
+    map2
+      (fun (flip, attribute) m ->
+        let a, b = if flip then (s2, s1) else (s1, s2) in
+        { Lk.Xref_disc.src_source = a; src_relation = "r"; src_attribute = attribute;
+          dst_source = b; dst_relation = "q"; dst_attribute = "acc"; matches = m;
+          match_frac = float_of_int m /. 8.; encoded = m mod 2 = 0 })
+      (pair bool (oneofl [ "x"; "y\tz" ]))
+      (int_bound 8))
+
+let random_entry a b =
+  QCheck.Gen.(
+    map
+      (fun ((xref_links, correspondences), (seq_links, text_links), dup_links, dup_candidates) ->
+        { Pair_store.xref_links; correspondences; seq_links; text_links;
+          dup_links; dup_candidates })
+      (quad
+         (pair (random_links [ Lk.Link.Xref ] a b)
+            (list_size (int_range 0 2) (random_corr a b)))
+         (pair
+            (random_links [ Lk.Link.Seq_similarity ] a b)
+            (random_links [ Lk.Link.Text_similarity; Lk.Link.Entity_mention ] a b))
+         (random_links [ Lk.Link.Duplicate ] a b)
+         (int_bound 50)))
+
+let random_store_gen =
+  QCheck.Gen.(
+    int_range 3 4 >>= fun n ->
+    let sources = List.filteri (fun i _ -> i < n) [ "a"; "b"; "c"; "d" ] in
+    let pairs =
+      List.concat_map
+        (fun a -> List.filter_map (fun b -> if a <= b then Some (a, b) else None) sources)
+        sources
+    in
+    let entries =
+      flatten_l
+        (List.map
+           (fun (a, b) ->
+             map2 (fun keep e -> if keep then Some ((a, b), e) else None)
+               (frequency [ (4, return true); (1, return false) ])
+               (random_entry a b))
+           pairs)
+    in
+    let onto =
+      oneofl sources >>= fun a ->
+      oneofl sources >>= fun b -> random_links [ Lk.Link.Shared_term ] a b
+    in
+    map3
+      (fun entries onto seed ->
+        let ps = Pair_store.create () in
+        List.iter (fun ((a, b), e) -> Pair_store.set ps a b e) (List.filter_map Fun.id entries);
+        Pair_store.set_onto ps onto;
+        (ps, seed))
+      entries onto int)
+
+let every_list ps =
+  Pair_store.onto ps
+  :: List.concat_map
+       (fun (_, (e : Pair_store.entry)) ->
+         [ e.xref_links; e.seq_links; e.text_links; e.dup_links ])
+       (Pair_store.pairs ps)
+
+let reference_links ps = Lk.Link.dedup (List.concat (every_list ps))
+
+(* [doc] with its plink lines permuted among themselves *)
+let shuffle_plinks seed doc =
+  let rng = Random.State.make [| seed |] in
+  let lines = Array.of_list (String.split_on_char '\n' doc) in
+  let at = List.filter (fun i -> String.starts_with ~prefix:"plink\t" lines.(i))
+      (List.init (Array.length lines) Fun.id) in
+  let shuffled =
+    List.map (fun i -> (Random.State.bits rng, lines.(i))) at
+    |> List.sort compare |> List.map snd
+  in
+  List.iter2 (fun i l -> lines.(i) <- l) at shuffled;
+  String.concat "\n" (Array.to_list lines)
+
+(* [Link.dedup] as it keyed links before: by each endpoint's
+   [Objref.to_string], which leaves the relation out *)
+let dedup_by_rendering links =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun l ->
+      let l = Lk.Link.normalized l in
+      let key =
+        (Lk.Objref.to_string l.src, Lk.Objref.to_string l.dst, Lk.Link.kind_rank l.kind)
+      in
+      match Hashtbl.find_opt tbl key with
+      | Some (e : Lk.Link.t)
+        when l.confidence > e.confidence
+             || (l.confidence = e.confidence && String.compare l.evidence e.evidence < 0) ->
+          Hashtbl.replace tbl key l
+      | Some _ -> ()
+      | None -> Hashtbl.replace tbl key l)
+    links;
+  Hashtbl.fold (fun _ l acc -> l :: acc) tbl []
+  |> List.sort (fun (a : Lk.Link.t) (b : Lk.Link.t) ->
+         compare
+           ((a.src.source, a.src.relation, a.src.accession),
+            (a.dst.source, a.dst.relation, a.dst.accession), Lk.Link.kind_rank a.kind)
+           ((b.src.source, b.src.relation, b.src.accession),
+            (b.dst.source, b.dst.relation, b.dst.accession), Lk.Link.kind_rank b.kind))
+
+let merged_view_tests =
+  let fixed test =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| pair_store_seed |]) test
+  in
+  let store_arb = QCheck.make ~print:(fun (ps, _) -> Pair_store.save ps) random_store_gen in
+  [
+    fixed
+      (QCheck.Test.make ~name:"all_links equals Link.dedup of every list" ~count:300
+         store_arb (fun (ps, _) ->
+           render_links (Pair_store.all_links ps) = render_links (reference_links ps)));
+    fixed
+      (QCheck.Test.make ~name:"load of a save gives equal entries and links" ~count:300
+         store_arb (fun (ps, _) ->
+           let loaded, dropped = Pair_store.load (Pair_store.save ps) in
+           dropped = 0
+           && Pair_store.pairs loaded = Pair_store.pairs ps
+           && Pair_store.onto loaded = Pair_store.onto ps
+           && render_links (Pair_store.all_links loaded)
+              = render_links (Pair_store.all_links ps)));
+    fixed
+      (QCheck.Test.make ~name:"a save with shuffled plink lines loads to the same links"
+         ~count:300 store_arb (fun (ps, seed) ->
+           let loaded, dropped = Pair_store.load (shuffle_plinks seed (Pair_store.save ps)) in
+           dropped = 0
+           && render_links (Pair_store.all_links loaded)
+              = render_links (reference_links ps)));
+    fixed
+      (QCheck.Test.make ~name:"Link.union of sorted and unsorted lists equals dedup"
+         ~count:500
+         (QCheck.make
+            QCheck.Gen.(
+              list_size (int_range 0 6)
+                (pair bool
+                   (random_links
+                      [ Lk.Link.Xref; Lk.Link.Seq_similarity; Lk.Link.Duplicate ]
+                      "a" "b"))))
+         (fun lists ->
+           (* in-form lists share links, so ties cross lists *)
+           let ls = List.map (fun (sorted, l) -> if sorted then Lk.Link.dedup l else l) lists in
+           render_links (Lk.Link.union ls) = render_links (Lk.Link.dedup (List.concat ls))));
+    fixed
+      (QCheck.Test.make
+         ~name:"Link.dedup keys as before when no two endpoints render alike"
+         ~count:300
+         (QCheck.make
+            QCheck.Gen.(
+              list_size (int_range 0 30)
+                (oneofl [ "a"; "b"; "c" ] >>= fun s1 ->
+                 oneofl [ "a"; "b"; "c" ] >>= fun s2 ->
+                 map (fun (l : Lk.Link.t) ->
+                     { l with src = { l.src with relation = "r" };
+                              dst = { l.dst with relation = "r" } })
+                   (random_link
+                      [ Lk.Link.Xref; Lk.Link.Text_similarity; Lk.Link.Shared_term ]
+                      s1 s2))))
+         (fun links ->
+           render_links (Lk.Link.dedup links) = render_links (dedup_by_rendering links)));
+    Alcotest.test_case "links that render alike but differ in relation stay apart"
+      `Quick (fun () ->
+        let o source relation accession = Lk.Objref.make ~source ~relation ~accession in
+        let xref src dst c =
+          Lk.Link.make ~src ~dst ~kind:Lk.Link.Xref ~confidence:c ~evidence:"e"
+        in
+        (* two objects of source a share accession X under two relations;
+           a:b's c and a's b:c render as the same "a:b:c" *)
+        let by_relation = [ xref (o "a" "r" "X") (o "b" "r" "Y") 0.9;
+                            xref (o "a" "q" "X") (o "b" "r" "Y") 0.8 ] in
+        let by_colon = [ xref (o "a:b" "r" "c") (o "z" "r" "Y") 0.9;
+                         xref (o "a" "r" "b:c") (o "z" "r" "Y") 0.8 ] in
+        List.iter
+          (fun (what, links) ->
+            let (first : Lk.Link.t), (second : Lk.Link.t) =
+              (List.hd links, List.nth links 1)
+            in
+            check Alcotest.string (what ^ ": same rendering")
+              (Lk.Objref.to_string first.src) (Lk.Objref.to_string second.src);
+            check Alcotest.int (what ^ ": dedup keeps both") 2
+              (List.length (Lk.Link.dedup links));
+            check Alcotest.(list string) (what ^ ": union agrees")
+              (render_links (Lk.Link.dedup links))
+              (render_links (Lk.Link.union [ [ first ]; [ second ] ]));
+            let ps = Pair_store.create () in
+            Pair_store.set ps first.src.source first.dst.source
+              { Pair_store.empty_entry with xref_links = [ first ] };
+            Pair_store.set ps second.src.source second.dst.source
+              { Pair_store.empty_entry with xref_links = [ second ] };
+            check Alcotest.(list string) (what ^ ": all_links agrees")
+              (render_links (reference_links ps))
+              (render_links (Pair_store.all_links ps)))
+          [ ("relation", by_relation); ("colon", by_colon) ]);
+  ]
+
 let pair_store_tests =
   let module L = Aladin_links in
   [
@@ -1584,6 +1821,7 @@ let tests =
   [
     ("core.warehouse", warehouse_tests);
     ("core.pair_store", pair_store_tests);
+    ("core.merged_view", merged_view_tests);
     ("core.views", view_tests);
     ("core.delta", delta_tests);
     ("core.shell", shell_tests);

@@ -936,6 +936,45 @@ let resume_tests =
               (Aladin_text.Strdist.contains ~needle:"digest" e)
         | Ok _ -> Alcotest.fail "expected a digest-mismatch refusal");
         rm_rf dir);
+    Alcotest.test_case "a resume from the plan's paths loads the store once"
+      `Quick (fun () ->
+        let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
+        let dir = fresh_dir "jpaths" in
+        let paths = [ ("uniprot", "in/uniprot.csv"); ("pdb", "in/pdb.csv") ] in
+        (* killed after uniprot's step committed, with every path in the
+           plan *)
+        Fault.reset_counters ();
+        Fault.arm_step ~index:3;
+        (match
+           Warehouse.integrate_journaled ~source_paths:paths ~journal:dir
+             (kr_catalogs ())
+         with
+        | Ok _ | Error _ ->
+            Fault.disarm ();
+            Alcotest.fail "expected a kill"
+        | exception Fault.Killed -> Fault.disarm ());
+        (* the first import removes the store: a resume that loaded it
+           again after choosing what to import would restore nothing *)
+        let imported = ref [] in
+        let import path =
+          if !imported = [] then rm_rf (Filename.concat dir "store");
+          imported := path :: !imported;
+          List.find
+            (fun c ->
+              List.assoc (Aladin_relational.Catalog.name c) paths = path)
+            (kr_catalogs ())
+        in
+        (match Warehouse.resume_journal ~import dir with
+        | Error e -> Alcotest.fail e
+        | Ok (w, info) ->
+            check Alcotest.(list string) "imports the uncommitted path only"
+              [ "in/pdb.csv" ] !imported;
+            check Alcotest.(list string) "restores what the one load held"
+              [ "uniprot" ] info.resumed_sources;
+            check Alcotest.(list string) "runs the rest" [ "pdb" ]
+              info.executed_sources;
+            check Alcotest.string "same state" expect (fingerprint w));
+        rm_rf dir);
     Alcotest.test_case "journal_status names uncommitted work" `Quick
       (fun () ->
         let dir = fresh_dir "jstat" in

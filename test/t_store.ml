@@ -156,6 +156,302 @@ let records_tests =
             check Alcotest.string "lines recovered" "alpha\nbeta\n" kept);
   ]
 
+(* --- the codecs against reference copies of their earlier, bytewise
+   implementations: for every input the same checksum, the same
+   Some/None, the same content and the same dropped count --- *)
+
+module Ref = struct
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1)
+          else c := !c lsr 1
+        done;
+        !c)
+
+  let crc_update crc s =
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    String.iter
+      (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+      s;
+    !c lxor 0xFFFFFFFF
+
+  let crc s = crc_update 0 s
+
+  let to_hex crc = Printf.sprintf "%08x" (crc land 0xFFFFFFFF)
+
+  let of_hex s =
+    let digit c =
+      match c with
+      | '0' .. '9' -> Some (Char.code c - Char.code '0')
+      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+      | _ -> None
+    in
+    if String.length s <> 8 then None
+    else
+      String.fold_left
+        (fun acc c ->
+          match (acc, digit c) with
+          | Some v, Some d -> Some ((v lsl 4) lor d)
+          | _, _ -> None)
+        (Some 0) s
+
+  let split_lines doc =
+    if doc = "" then []
+    else
+      let parts = String.split_on_char '\n' doc in
+      match List.rev parts with "" :: rest -> List.rev rest | _ -> parts
+
+  let join_lines = function
+    | [] -> ""
+    | lines -> String.concat "\n" lines ^ "\n"
+
+  let encode doc =
+    let lines = split_lines doc in
+    let buf = Buffer.create (String.length doc + (16 * List.length lines)) in
+    Printf.bprintf buf "%s\t%d\t%d\n" "aladin-records" 1 (List.length lines);
+    List.iter (fun l -> Printf.bprintf buf "%s\t%s\n" (to_hex (crc l)) l) lines;
+    Buffer.contents buf
+
+  let parse_header line =
+    match String.split_on_char '\t' line with
+    | [ m; v; count ] when m = "aladin-records" && v = "1" ->
+        int_of_string_opt count
+    | _ -> None
+
+  let parse_record line =
+    match String.index_opt line '\t' with
+    | None -> None
+    | Some i -> (
+        let payload = String.sub line (i + 1) (String.length line - i - 1) in
+        match of_hex (String.sub line 0 i) with
+        | Some c when c = crc payload -> Some payload
+        | Some _ | None -> None)
+
+  let decode stored =
+    match split_lines stored with
+    | [] -> None
+    | header :: rest -> (
+        match parse_header header with
+        | None -> None
+        | Some count ->
+            let payloads = List.map parse_record rest in
+            if List.length payloads = count && List.for_all Option.is_some payloads
+            then Some (join_lines (List.filter_map Fun.id payloads))
+            else None)
+
+  let decode_salvage stored =
+    match split_lines stored with
+    | [] -> None
+    | first :: rest ->
+        let header = parse_header first in
+        let records = if header = None then first :: rest else rest in
+        let kept = List.filter_map parse_record records in
+        let bad = List.length records - List.length kept in
+        if header = None && kept = [] then None
+        else
+          let dropped =
+            match header with
+            | Some count -> max (count - List.length kept) bad
+            | None -> bad
+          in
+          Some (join_lines kept, dropped)
+
+  let escape s =
+    let buf = Buffer.create (String.length s) in
+    String.iter
+      (fun c ->
+        match c with
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let unescape s =
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let rec loop i =
+      if i >= n then ()
+      else if s.[i] = '\\' && i + 1 < n then begin
+        (match s.[i + 1] with
+        | '\\' -> Buffer.add_char buf '\\'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'n' -> Buffer.add_char buf '\n'
+        | 'r' -> Buffer.add_char buf '\r'
+        | c ->
+            Buffer.add_char buf '\\';
+            Buffer.add_char buf c);
+        loop (i + 2)
+      end
+      else begin
+        Buffer.add_char buf s.[i];
+        loop (i + 1)
+      end
+    in
+    loop 0;
+    Buffer.contents buf
+
+  let record fs = String.concat "\t" (List.map escape fs)
+
+  let fields line = List.map unescape (String.split_on_char '\t' line)
+end
+
+(* these cases draw from one fixed seed, so a tier-1 run is repeatable *)
+let fixed_seed test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |]) test
+
+(* bytes the codecs treat specially, and a few they do not *)
+let codec_char =
+  QCheck.Gen.(
+    frequency
+      [ (6, oneofl [ 'a'; 'b'; 'z'; '0'; '9'; 'f'; ' '; ':' ]);
+        (3, oneofl [ '\t'; '\n'; '\\'; '\r' ]);
+        (1, oneofl [ 't'; 'n'; 'r'; 'x'; 'F'; '_'; '\x00'; '\xff' ]) ])
+
+let codec_string = QCheck.Gen.(string_size ~gen:codec_char (int_range 0 40))
+
+(* a logical document: lines of codec bytes, blank lines among them, with
+   or without a final newline *)
+let doc_gen =
+  QCheck.Gen.(
+    map2
+      (fun lines final ->
+        String.concat "\n" lines ^ if final && lines <> [] then "\n" else "")
+      (list_size (int_range 0 12)
+         (string_size
+            ~gen:(frequency [ (9, codec_char); (1, return '\n') ])
+            (int_range 0 30)))
+      bool)
+
+(* the stored bytes of a document, intact or damaged: a bit flip, a
+   truncation, a blank line inserted, the header dropped or rewritten,
+   or a line appended that is no record *)
+let stored_gen =
+  QCheck.Gen.(
+    doc_gen >>= fun doc ->
+    let stored = Ref.encode doc in
+    let n = String.length stored in
+    let lines = String.split_on_char '\n' stored in
+    let at i f =
+      List.mapi (fun j l -> if j = i mod List.length lines then f l else l) lines
+    in
+    let join = String.concat "\n" in
+    oneof
+      [
+        return stored;
+        map2
+          (fun byte bit -> Corrupt.flip_bit_at stored ~byte:(byte mod n) ~bit)
+          nat (int_bound 7);
+        map (fun cut -> Corrupt.truncate_at stored (cut mod (n + 1))) nat;
+        map (fun i -> join (at i (fun l -> l ^ "\n"))) nat;
+        return (join (List.tl lines));
+        map
+          (fun h ->
+            join
+              (Printf.sprintf "aladin-records\t1\t%s" h :: List.tl lines))
+          (oneofl [ "0"; "-1"; "+2"; "0x3"; "1_0"; " 4"; "99"; "" ]);
+        return (join ("aladin-records\t2\t1" :: List.tl lines));
+        map (fun tail -> stored ^ tail)
+          (oneofl [ "\\"; "00000000\tx\n"; "CBF43926\t123456789\n"; "\n\n" ]);
+        string_size ~gen:codec_char (int_range 0 60);
+      ])
+
+let codec_reference_tests =
+  let module G = QCheck.Gen in
+  let big = String.init 5000 (fun i -> Char.chr ((i * 7919) land 0xff)) in
+  [
+    fixed_seed
+      (QCheck.Test.make ~name:"crc32 of a string and of a range equal the bytewise reference"
+         ~count:500
+         (QCheck.make
+            ~print:(fun (s, (p, l)) -> Printf.sprintf "%S pos %d len %d" s p l)
+            G.(
+              pair
+                (oneof
+                   [ string_size ~gen:char (int_range 0 300);
+                     map (fun k -> String.sub big 0 (k mod 5001)) nat ])
+                (pair nat nat)))
+         (fun (s, (p, l)) ->
+           let n = String.length s in
+           let pos = if n = 0 then 0 else p mod (n + 1) in
+           let len = l mod (n - pos + 1) in
+           Crc32.string s = Ref.crc s
+           && Crc32.sub s ~pos ~len = Ref.crc (String.sub s pos len)
+           && Crc32.update (Ref.crc (String.sub s 0 pos))
+                (String.sub s pos (n - pos))
+              = Ref.crc s
+           && Crc32.to_hex (Crc32.string s) = Ref.to_hex (Ref.crc s)));
+    Alcotest.test_case "crc32 hex forms equal the reference" `Quick (fun () ->
+        List.iter
+          (fun h ->
+            check Alcotest.(option int) h (Ref.of_hex h) (Crc32.of_hex h);
+            List.iter
+              (fun v ->
+                check Alcotest.bool (h ^ " matches")
+                  (String.length h >= 8
+                  && Ref.of_hex (String.sub h 0 8) = Some v)
+                  (Crc32.matches_hex v h ~pos:0))
+              [ 0; 0xCBF43926; 0xFFFFFFFF; 0x0badc0de ])
+          [ "cbf43926"; "CBF43926"; "00000000"; "ffffffff"; "0badc0de";
+            "0badc0d"; "0badc0de0"; "0x0badc0"; "0badc0_e"; "" ];
+        check Alcotest.bool "short tail" false
+          (Crc32.matches_hex 0 "0000000" ~pos:0));
+    fixed_seed
+      (QCheck.Test.make ~name:"records encode equals the reference" ~count:400
+         (QCheck.make ~print:(Printf.sprintf "%S") doc_gen)
+         (fun doc -> Records.encode doc = Ref.encode doc));
+    fixed_seed
+      (QCheck.Test.make
+         ~name:"records decode and salvage equal the reference on damaged bytes"
+         ~count:1500
+         (QCheck.make ~print:(Printf.sprintf "%S") stored_gen)
+         (fun stored ->
+           Records.decode stored = Ref.decode stored
+           && Records.decode_salvage stored = Ref.decode_salvage stored));
+    fixed_seed
+      (QCheck.Test.make
+         ~name:"records decode and salvage equal the reference on arbitrary bytes"
+         ~count:500
+         (QCheck.make ~print:(Printf.sprintf "%S")
+            G.(string_size ~gen:char (int_range 0 200)))
+         (fun stored ->
+           Records.decode stored = Ref.decode stored
+           && Records.decode_salvage stored = Ref.decode_salvage stored));
+    fixed_seed
+      (QCheck.Test.make ~name:"records record forms equal the reference"
+         ~count:400
+         (QCheck.make ~print:(Printf.sprintf "%S") codec_string)
+         (fun s ->
+           let line = Ref.to_hex (Ref.crc s) ^ "\t" ^ s in
+           Records.record s = line
+           && Records.parse_record s = Ref.parse_record s
+           && Records.parse_record line = Ref.parse_record line));
+    fixed_seed
+      (QCheck.Test.make
+         ~name:"serial escape, unescape, record and fields equal the reference"
+         ~count:800
+         (QCheck.make
+            ~print:(fun fs -> String.concat " | " (List.map (Printf.sprintf "%S") fs))
+            G.(list_size (int_range 1 6) codec_string))
+         (fun fs ->
+           let line = String.concat "\t" fs in
+           List.for_all
+             (fun s ->
+               Serial.escape s = Ref.escape s && Serial.unescape s = Ref.unescape s)
+             (line :: fs)
+           && Serial.record fs = Ref.record fs
+           && Serial.fields line = Ref.fields line
+           && Serial.fields (Ref.record fs) = Ref.fields (Ref.record fs)
+           &&
+           let framed = "<" ^ line ^ ">" in
+           Serial.fields_sub framed ~pos:1 ~len:(String.length line)
+           = Ref.fields line));
+  ]
+
 let snapshot_tests =
   [
     Alcotest.test_case "snapshot save/load roundtrip" `Quick (fun () ->
@@ -802,6 +1098,7 @@ let tests =
   [
     ("store.crc32", crc_tests);
     ("store.records", records_tests);
+    ("store.codec_reference", codec_reference_tests);
     ("store.snapshot", snapshot_tests);
     ("store.torn-write", torn_write_tests);
     ("store.manifest_paths", manifest_path_tests);
