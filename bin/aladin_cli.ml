@@ -405,11 +405,6 @@ let serve_cmd =
            & info [ "cache-size" ] ~docv:"N"
                ~doc:"Response-cache entries (0 disables caching).")
   in
-  let cache_ttl =
-    Arg.(value & opt float Serve.Service.default_config.cache_ttl
-           & info [ "cache-ttl" ] ~docv:"SECONDS"
-               ~doc:"Response-cache entry lifetime (0 = never expires).")
-  in
   let request_budget =
     Arg.(value & opt float 5.0 & info [ "request-budget" ] ~docv:"SECONDS"
            ~doc:"Per-request deadline; an expired request gets 503. 0 \
@@ -420,8 +415,8 @@ let serve_cmd =
            ~doc:"Expose /slow (deadline-polling sleeper) for load and drain \
                  testing.")
   in
-  let run paths store config port host max_queue cache_size cache_ttl
-      request_budget debug =
+  let run paths store config port host max_queue cache_size request_budget
+      debug =
     let cfg = load_config config in
     let w =
       match (store, paths) with
@@ -443,7 +438,6 @@ let serve_cmd =
         ~config:
           {
             Serve.Service.cache_capacity = cache_size;
-            cache_ttl;
             request_budget = (if request_budget > 0.0 then Some request_budget else None);
             debug_endpoints = debug;
           }
@@ -468,7 +462,7 @@ let serve_cmd =
        ~doc:"Integrate once, then serve browse/search/query over HTTP with a \
              response cache, bounded admission and graceful drain.")
     Term.(const run $ paths $ store $ config_arg $ port_arg $ host_arg
-          $ max_queue $ cache_size $ cache_ttl $ request_budget $ debug)
+          $ max_queue $ cache_size $ request_budget $ debug)
 
 (* --- fetch --- *)
 

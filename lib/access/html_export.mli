@@ -8,19 +8,6 @@
     duplicates (conflicts highlighted) and hyperlinked discovered links,
     plus an index page per source. *)
 
-open Aladin_links
-
-val page_filename : Objref.t -> string
-(** Stable, filesystem-safe file name for an object's page. *)
-
-val object_page : Browser.t -> Browser.view -> string
-(** Standalone HTML document for one object. *)
-
-val index_page : Browser.t -> string
-(** The site's entry page: objects grouped by source. *)
-
 val write_site : Browser.t -> dir:string -> int
 (** Write index.html plus one page per object into [dir] (created when
     missing). Returns the number of object pages written. *)
-
-val escape_html : string -> string

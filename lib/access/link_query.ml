@@ -112,5 +112,3 @@ let run t ~start ~steps =
              | 0 -> Objref.compare a.endpoint b.endpoint
              | c -> c)
          | c -> c)
-
-let reachable_count t obj = List.length (adjacent t obj)

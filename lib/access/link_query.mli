@@ -51,7 +51,3 @@ val run : t -> start:Objref.t list -> steps:step list -> hit list
     the best-scoring witness (the first found on a tie, links walked as
     {!iter_adjacent} walks them); descending score. With [steps = []]
     every start object is its own hit. *)
-
-val reachable_count : t -> Objref.t -> int
-(** The number of links at the object (its degree, a self-link counted
-    once), for diagnostics. *)

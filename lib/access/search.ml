@@ -69,8 +69,6 @@ let build profiles =
   let idx = Tx.Inverted_index.build fill in
   { idx; objects; by_accession }
 
-let object_count t = Hashtbl.length t.objects
-
 type hit = { obj : Objref.t; score : float; matched : string list }
 
 (* descending score, ties broken by the full Objref order (source,
@@ -105,5 +103,3 @@ let focused t ?source ?field ?(limit = 20) query =
 
 let resolve t accession =
   Hashtbl.find_opt t.by_accession (String.lowercase_ascii accession)
-
-let index t = t.idx

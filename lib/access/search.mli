@@ -12,8 +12,6 @@ val build : Profile_list.t -> t
     are ["relation.attribute"]; the accession is also indexed under
     ["accession"]. *)
 
-val object_count : t -> int
-
 type hit = { obj : Objref.t; score : float; matched : string list }
 (** [matched] is sorted alphabetically. *)
 
@@ -31,6 +29,3 @@ val focused :
 
 val resolve : t -> string -> Objref.t option
 (** Exact accession lookup ("known-item" access). *)
-
-val index : t -> Aladin_text.Inverted_index.t
-(** The underlying index (for diagnostics). *)

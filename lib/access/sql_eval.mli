@@ -10,15 +10,8 @@ open Aladin_relational
 
 exception Eval_error of string
 
-val eval : resolve:(string -> Relation.t option) -> Sql_parser.query -> Relation.t
-(** @raise Eval_error on unknown tables/columns, ambiguous references, or
-    non-grouped columns selected next to aggregates. *)
-
 val run : resolve:(string -> Relation.t option) -> string -> Relation.t
 (** Parse + eval. *)
-
-val like_match : pattern:string -> string -> bool
-(** SQL LIKE with '%' (any run) and '_' (any char), case-insensitive. *)
 
 val render_result : ?max_rows:int -> Relation.t -> string
 (** ASCII table for CLI/examples. *)

@@ -20,8 +20,6 @@ type token =
 
 exception Lex_error of string
 
-val keywords : string list
-
 val tokenize : string -> token list
 (** @raise Lex_error on unterminated strings or stray characters. *)
 

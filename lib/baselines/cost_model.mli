@@ -14,19 +14,6 @@ type cost = {
   notes : string;
 }
 
-val minutes_per_curated_row : float
-(** 2.0 — reading + merging one record by a human curator. *)
-
-val minutes_per_mapping_rule : float
-(** 10.0 — one semantic mapping between schema elements. *)
-
-val minutes_per_spec_item : float
-(** 3.0 — one line of an SRS-style parser spec. *)
-
-val minutes_per_parser : float
-(** 120.0 — the quick-and-dirty import parser ALADIN may still need (§4.1:
-    "writing a parser took only a few hours in both cases"). *)
-
 val data_focused : Catalog.t list -> cost
 (** Manual curation of every row. *)
 

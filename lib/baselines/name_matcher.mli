@@ -18,11 +18,5 @@ type correspondence = {
   score : float;
 }
 
-val match_attributes :
-  ?min_score:float -> Catalog.t -> Catalog.t -> correspondence list
-(** Best name-similarity match per source attribute (Jaro-Winkler over
-    "relation.attribute" with token bonuses); [min_score] defaults
-    to 0.75. *)
-
 val match_corpus : ?min_score:float -> Catalog.t list -> correspondence list
 (** All ordered source pairs. *)

@@ -5,13 +5,10 @@
 
 module Import_error = Aladin_resilience.Import_error
 
-val source_name_of_path : string -> string
-(** The source name a path imports under: the file basename without
-    extension (a directory keeps its full basename). *)
-
 val import_file : string -> (Aladin_formats.Import.import, Import_error.t) result
-(** Sniff the format and import (step 1). The source name comes from
-    {!source_name_of_path}; a directory is loaded as a CSV dump. Never
+(** Sniff the format and import (step 1). The source name is the file
+    basename without extension (a directory keeps its full basename); a
+    directory is loaded as a CSV dump. Never
     raises on bad input: unrecognized or unparseable data comes back as
     [Error], and recovered per-record failures ride along in the
     [import]'s [record_errors]. *)

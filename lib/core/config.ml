@@ -211,11 +211,6 @@ let parse_lines doc =
   in
   go default 1 (String.split_on_char '\n' doc)
 
-let of_string doc =
-  match parse_lines doc with
-  | Ok t -> Ok t
-  | Error (lineno, msg) -> Error (Printf.sprintf "line %d: %s" lineno msg)
-
 let of_file path =
   match
     let ic = open_in path in

@@ -47,9 +47,9 @@ type t = {
 
 val default : t
 
-val of_string : string -> (t, string) result
-(** Parse a [key = value] configuration ([#] comments, blank lines ok) over
-    {!default}. Keys:
+val of_file : string -> (t, string) result
+(** Parse a [key = value] configuration file ([#] comments, blank lines
+    ok) over {!default}. Keys:
     {v
     accession.min_length            int
     accession.max_length_spread     float
@@ -71,15 +71,12 @@ val of_string : string -> (t, string) result
     budget.links.xref|seq|text|onto seconds | none
     budget.dups                     seconds | none
     v}
-    [Error] messages carry the 1-based line number
-    (["line 3: unknown key ..."]); never raises. *)
-
-val of_file : string -> (t, string) result
-(** Like {!of_string}; errors are prefixed ["<path>:<line>: ..."] and an
-    unreadable file is an [Error], not an exception. *)
+    [Error] messages carry the path and the 1-based line number
+    (["<path>:3: unknown key ..."]), and an unreadable file is an
+    [Error]; never raises. *)
 
 val to_string : t -> string
 (** Render every supported key with its current value, one [key = value]
-    line each in the order listed above ([of_string]-parsable). It reads
-    the same key table as {!of_string}, so no key is parsed but not
+    line each in the order listed above ({!of_file} reads it back). It
+    reads the same key table as {!of_file}, so no key is parsed but not
     rendered. A journal's config digest hashes this rendering. *)

@@ -91,14 +91,6 @@ let link_index t = t.access.index
 
 (* --- mutation --- *)
 
-(* a mutation rebuilds the access structures; the warehouse bumped
-   exactly the generation counters it touched, so keys over unrelated
-   sources/kinds — and the cache entries they guard — survive *)
-let add_source ?import_errors t catalog =
-  let report = Warehouse.add_source ?import_errors t.w catalog in
-  rebuild t;
-  report
-
 let update_source t catalog ~changed_rows =
   let r = Warehouse.update_source t.w catalog ~changed_rows in
   (match r.Warehouse.outcome with

@@ -99,15 +99,6 @@ val link_index : t -> Link_query.t
 
 (** {2 Mutation} *)
 
-val add_source :
-  ?import_errors:Import_error.record_error list ->
-  t ->
-  Catalog.t ->
-  Run_report.t
-(** {!Warehouse.add_source}, then build the access structures anew. Only
-    the new source's (and any changed link kinds') generation counters
-    move, so cached keys over other sources stay valid. *)
-
 val update_source : t -> Catalog.t -> changed_rows:int -> Warehouse.update_report
 (** {!Warehouse.update_source}; the access structures are built anew (and
     the updated source's generation counter moves) only on

@@ -24,13 +24,7 @@ let reject_link t l = Hashtbl.replace t.links (link_key l) ()
 
 let is_link_rejected t l = Hashtbl.mem t.links (link_key l)
 
-let reject_fk t ~source fk = Hashtbl.replace t.fks (fk_key ~source fk) ()
-
 let is_fk_rejected t ~source fk = Hashtbl.mem t.fks (fk_key ~source fk)
-
-let rejected_link_count t = Hashtbl.length t.links
-
-let rejected_fk_count t = Hashtbl.length t.fks
 
 let filter_links t links =
   if Hashtbl.length t.links = 0 then links

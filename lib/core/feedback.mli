@@ -20,17 +20,6 @@ val create : unit -> t
 val reject_link : t -> Link.t -> unit
 (** Reject by endpoints + kind (symmetric for symmetric kinds). *)
 
-val is_link_rejected : t -> Link.t -> bool
-
-val reject_fk : t -> source:string -> Inclusion.fk -> unit
-(** Reject an inferred relationship between two schema elements. *)
-
-val is_fk_rejected : t -> source:string -> Inclusion.fk -> bool
-
-val rejected_link_count : t -> int
-
-val rejected_fk_count : t -> int
-
 val filter_links : t -> Link.t list -> Link.t list
 (** The links not rejected, in their order. With no link rejected, the
     list itself, unread. *)

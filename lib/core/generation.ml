@@ -8,9 +8,6 @@ type dep = Whole | Source of string | Link_kind of string
 
 let create () = { whole = 0; sources = Hashtbl.create 8; kinds = Hashtbl.create 8 }
 
-let copy t =
-  { whole = t.whole; sources = Hashtbl.copy t.sources; kinds = Hashtbl.copy t.kinds }
-
 let bump tbl name =
   Hashtbl.replace tbl name
     (1 + (match Hashtbl.find_opt tbl name with Some n -> n | None -> 0))

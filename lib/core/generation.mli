@@ -24,9 +24,6 @@ type dep =
 val create : unit -> t
 (** All counters at 0. *)
 
-val copy : t -> t
-(** Snapshot — later bumps of either copy leave the other unchanged. *)
-
 val bump_whole : t -> unit
 
 val bump_source : t -> string -> unit

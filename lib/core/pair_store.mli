@@ -13,8 +13,9 @@
     cheap, derived from already-discovered xref links.
 
     The store serializes to one line-record document ({!save}/{!load}),
-    persisted as the [pairs.txt] member (kind {!Aladin_store.Snapshot.kind.Pairs})
-    of warehouse snapshots, journal checkpoints included. It is the
+    persisted as the [pairs.txt] member (a
+    {!Aladin_store.Snapshot.kind.Records} member) of warehouse
+    snapshots, journal checkpoints included. It is the
     warehouse's only link state, in memory and on disk: the warehouse's
     link view, its duplicate clusters and its correspondences are
     derived from it, so {!load} salvages record by record and a damaged
@@ -44,8 +45,6 @@ val find : t -> string -> string -> entry option
 (** Order-insensitive. *)
 
 val set : t -> string -> string -> entry -> unit
-
-val mem : t -> string -> string -> bool
 
 val pairs : t -> ((string * string) * entry) list
 (** All entries, sorted by canonical pair key. *)

@@ -24,9 +24,5 @@ type t
 
 val create : Engine.t -> t
 
-val execute : t -> string -> [ `Output of string | `Quit ]
-(** Run one command line; never raises (errors become [`Output]). State
-    (the last viewed object) persists across calls. *)
-
 val repl : t -> in_channel -> out_channel -> unit
 (** Prompted loop until [quit] or EOF. *)

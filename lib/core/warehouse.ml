@@ -51,8 +51,6 @@ let create ?(config = Config.default) () =
     journal = None;
   }
 
-let config t = t.cfg
-
 let generation t = t.gen
 
 let last_delta t = t.last_delta
@@ -67,8 +65,6 @@ let run_report t source =
 let record_report t (r : Report.t) =
   t.reports <-
     List.filter (fun (r' : Report.t) -> r'.source <> r.source) t.reports @ [ r ]
-
-let provenance t = t.provenance
 
 let sources t = Profile_list.sources t.profile_list
 
@@ -268,29 +264,41 @@ let metadata t =
          (Profile_list.entries t.profile_list))
     ~reports:t.reports ~provenance:t.provenance
 
+(* the snapshot members of the warehouse's state *)
+let store_members t =
+  List.concat_map
+    (fun cat ->
+      let prefix = Catalog.name cat ^ "/" in
+      List.map
+        (fun (m : Snapshot.member) -> { m with path = prefix ^ m.path })
+        (Aladin_formats.Dump.members_of_catalog cat))
+    (catalogs t)
+  @ [
+      { Snapshot.path = "sources.txt"; kind = Snapshot.Records;
+        content = String.concat "" (List.map (fun s -> s ^ "\n") (sources t)) };
+      { Snapshot.path = "metadata.txt"; kind = Snapshot.Records;
+        content = metadata t };
+      { Snapshot.path = "pairs.txt"; kind = Snapshot.Records;
+        content = Pair_store.save t.pair_store };
+      { Snapshot.path = "feedback.txt"; kind = Snapshot.Records;
+        content = Feedback.save t.feedback };
+    ]
+
+(* Until member paths encode source names, a name that sources.txt (one
+   name per line) or a <source>/ member path cannot give back is refused:
+   "x/y" would load as source x's relation "y/entry", and a name holding
+   a newline would be lost. *)
+let unstorable_name name = String.contains name '/' || String.contains name '\n'
+
 (* the one writer of warehouse state: every member as one new store
    generation *)
 let save_dir t dir =
-  let members =
-    List.concat_map
-      (fun cat ->
-        let prefix = Catalog.name cat ^ "/" in
-        List.map
-          (fun (m : Snapshot.member) -> { m with path = prefix ^ m.path })
-          (Aladin_formats.Dump.members_of_catalog cat))
-      (catalogs t)
-    @ [
-        { Snapshot.path = "sources.txt"; kind = Snapshot.Records;
-          content = String.concat "" (List.map (fun s -> s ^ "\n") (sources t)) };
-        { Snapshot.path = "metadata.txt"; kind = Snapshot.Records;
-          content = metadata t };
-        { Snapshot.path = "pairs.txt"; kind = Snapshot.Pairs;
-          content = Pair_store.save t.pair_store };
-        { Snapshot.path = "feedback.txt"; kind = Snapshot.Records;
-          content = Feedback.save t.feedback };
-      ]
-  in
-  Result.map ignore (Snapshot.save dir members)
+  match List.find_opt unstorable_name (sources t) with
+  | Some name ->
+      Error
+        (Printf.sprintf "source %S: a name holding '/' or a newline cannot be stored"
+           name)
+  | None -> Result.map ignore (Snapshot.save dir (store_members t))
 
 (* the source directories present among the member paths, in first-seen
    (save) order — the fallback when sources.txt itself was lost *)
@@ -707,9 +715,3 @@ let reject_link t (l : Link.t) =
      their cached responses *)
   Generation.bump_kind t.gen (Link.kind_name l.kind);
   Generation.bump_whole t.gen
-
-let reject_fk t ~source fk =
-  Feedback.reject_fk t.feedback ~source fk;
-  match catalog t source with
-  | Some cat -> ignore (add_source t cat)
-  | None -> ()

@@ -34,8 +34,6 @@ type t
 
 val create : ?config:Config.t -> unit -> t
 
-val config : t -> Config.t
-
 val generation : t -> Generation.t
 (** The typed invalidation state and the warehouse's only change
     counter: the [Whole] counter moves on every mutation (source
@@ -69,8 +67,8 @@ val add_source :
     ["status"] attribute, counters and latency histograms from the
     discovery layers. Pass [trace] to accumulate into your own
     collector; otherwise a fresh one is created. The trace is retained
-    (see {!last_trace}) and its JSON rendering kept as the
-    {!provenance} record. Step timings in the report come from
+    (see {!last_trace}) and its JSON rendering kept as the provenance
+    record of {!metadata}, through {!save_dir}/{!load_dir}. Step timings in the report come from
     the same monotonic wall clock as the spans.
 
     On a warehouse that carries a journal (see {!integrate_journaled}),
@@ -129,8 +127,7 @@ val integrate_journaled :
     is refused too, so a new plan never adopts a stale store. Committed
     catalogs may be omitted on resume; omitting one that must re-run is
     an error naming its original path. The journal stays attached:
-    later {!add_source}/{!update_source}/{!reject_fk} calls are
-    journaled too.
+    later {!add_source}/{!update_source} calls are journaled too.
     @raise Aladin_store.Fault.Killed under an armed chaos fault. *)
 
 type journal_source = {
@@ -164,8 +161,6 @@ val resume_journal :
 val run_reports : t -> Run_report.t list
 (** Latest report per source (quarantined and failed-import sources
     included), in the order they were last recorded. *)
-
-val run_report : t -> string -> Run_report.t option
 
 val last_trace : t -> Aladin_obs.Trace.t option
 (** Execution trace of the most recent {!add_source} run. *)
@@ -210,16 +205,13 @@ val explain_duplicates : t -> (Link.t * string) list
 (** {!Aladin_dup.Dup_detect.explain} of {!duplicates} over {!dup_reprs},
     so every derivation ends in its link's confidence. *)
 
-val provenance : t -> string option
-(** The provenance record of the last pipeline run: the JSON rendering
-    of its execution trace ([Aladin_obs.Sink.to_json] of {!last_trace}),
-    kept through {!save_dir}/{!load_dir}. *)
-
 val metadata : t -> string
 (** The metadata repository's document
     ({!Aladin_metadata.Repository.render}): each source's structure,
     statistics and samples, rendered from its profile (the one record of
-    a source), then {!run_reports} and {!provenance}. What {!save_dir} stores as [metadata.txt] and
+    a source), then {!run_reports} and the provenance record: the JSON
+    rendering of the last pipeline run's trace ({!last_trace}), kept
+    through {!save_dir}/{!load_dir}. What {!save_dir} stores as [metadata.txt] and
     [aladin integrate -o] writes. Links live in the per-pair store, see
     {!links}. *)
 
@@ -249,11 +241,6 @@ val reject_link : t -> Link.t -> unit
 (** §6.2 user feedback: the link disappears immediately and stays gone
     through future re-discovery. *)
 
-val reject_fk : t -> source:string -> Aladin_discovery.Inclusion.fk -> unit
-(** Reject a guessed schema-level relationship; the source is re-analyzed
-    without it ("especially false links between relations can be removed
-    quickly"). *)
-
 val save_dir : t -> string -> (unit, string) result
 (** Materialize the warehouse as a crash-safe [Aladin_store] snapshot:
     each source's relations as checksummed CSVs under
@@ -267,7 +254,9 @@ val save_dir : t -> string -> (unit, string) result
     the manifest rename, so a crash mid-save leaves the previous
     snapshot fully intact. Creates the directory; refuses ([Error]) to
     clobber an existing non-empty directory that is not an ALADIN
-    store. *)
+    store. Refuses ([Error], naming the source, before anything is
+    written) a source whose name holds a [/] or a newline: the store
+    could not give it back. *)
 
 val load_dir :
   ?config:Config.t ->

@@ -201,5 +201,3 @@ let generate (params : params) =
     else catalogs
   in
   { params; universe; catalogs; gold }
-
-let source_names t = List.map Catalog.name t.catalogs

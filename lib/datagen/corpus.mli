@@ -39,5 +39,3 @@ type t = {
 }
 
 val generate : params -> t
-
-val source_names : t -> string list

@@ -30,8 +30,6 @@ let value rng ~rate s =
   in
   go s 0
 
-let maybe_drop rng ~rate s = if Rng.chance rng rate then "" else s
-
 let flip_bit_at s ~byte ~bit =
   let n = String.length s in
   if n = 0 || byte < 0 || byte >= n then s

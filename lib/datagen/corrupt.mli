@@ -1,16 +1,10 @@
 (** Controlled value corruption — duplicate-detection stress (E8) and the
     "differences due to different cleansing procedures" of §5. *)
 
-val typo : Rng.t -> string -> string
-(** One random edit: swap, replace, delete or insert a character.
-    Strings shorter than 2 are returned unchanged. *)
-
 val value : Rng.t -> rate:float -> string -> string
-(** Apply {!typo} repeatedly: each pass happens with probability [rate]
-    (max 3 passes). *)
-
-val maybe_drop : Rng.t -> rate:float -> string -> string
-(** Return "" (a null) with probability [rate]. *)
+(** Apply a typo (swap, replace, delete or duplicate one character;
+    strings under 2 bytes are left alone) repeatedly: each pass happens
+    with probability [rate] (max 3 passes). *)
 
 val flip_bit_at : string -> byte:int -> bit:int -> string
 (** Flip bit [bit land 7] of the byte at offset [byte]; out-of-range

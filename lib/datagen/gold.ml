@@ -93,17 +93,3 @@ let family_pairs universe t =
   in
   loop with_family;
   List.sort_uniq compare !pairs
-
-let entity_of t key =
-  let rec search = function
-    | [] -> None
-    | sg :: rest -> (
-        match
-          List.find_opt
-            (fun (acc, _) -> obj_key ~source:sg.source ~accession:acc = key)
-            sg.objects
-        with
-        | Some (_, uid) -> Some uid
-        | None -> search rest)
-  in
-  search t.sources

@@ -44,6 +44,3 @@ val family_pairs : Universe.t -> t -> (string * string) list
 (** Cross-source object pairs whose entities belong to the same homology
     family (expected sequence-similarity links). Only entities with
     sequences count. *)
-
-val entity_of : t -> string -> int option
-(** Entity uid of an object key. *)

@@ -3,19 +3,10 @@
 val species : string array
 (** Binomial species names. *)
 
-val protein_stems : string array
-(** Protein-family stems ("kinase", "dehydrogenase", ...). *)
-
-val adjectives : string array
-(** Descriptive words for annotation text. *)
-
 val keywords : string array
 (** Controlled-vocabulary keywords (GO-flavoured). *)
 
 val diseases : string array
-
-val filler : string array
-(** Function words for description sentences. *)
 
 val gene_symbol : Rng.t -> string
 (** "BRCA2"-style symbols: 3-5 uppercase letters + digit(s). *)

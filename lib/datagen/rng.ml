@@ -3,8 +3,6 @@ type t = { mutable state : int64 }
 let create seed =
   { state = Int64.add (Int64.of_int seed) 0x9E3779B97F4A7C15L }
 
-let copy t = { state = t.state }
-
 let next t =
   t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
   let z = t.state in
@@ -21,8 +19,6 @@ let int t n =
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (v /. 9007199254740992.0)
-
-let bool t = Int64.logand (next t) 1L = 1L
 
 let chance t p = float t 1.0 < p
 

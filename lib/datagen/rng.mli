@@ -6,18 +6,11 @@ type t
 val create : int -> t
 (** Seeded. *)
 
-val copy : t -> t
-
-val next : t -> int64
-(** Raw 64 bits. *)
-
 val int : t -> int -> int
 (** [int t n] in [0, n). @raise Invalid_argument when [n <= 0]. *)
 
 val float : t -> float -> float
 (** In [0, bound). *)
-
-val bool : t -> bool
 
 val chance : t -> float -> bool
 (** True with probability [p]. *)

@@ -26,11 +26,3 @@ let mutate rng ~rate s =
       end)
     s;
   Buffer.contents buf
-
-let family rng ~kind ~size ~len ~rate =
-  let ancestor =
-    match kind with
-    | Sq.Alphabet.Dna | Sq.Alphabet.Rna -> dna rng len
-    | Sq.Alphabet.Protein -> protein rng len
-  in
-  List.init size (fun i -> if i = 0 then ancestor else mutate rng ~rate ancestor)

@@ -9,6 +9,3 @@ val mutate : Rng.t -> rate:float -> string -> string
 (** Point-mutate each position with probability [rate]; with rate/10 each,
     positions are deleted or duplicated (small indels). The alphabet is
     inferred from the input. *)
-
-val family : Rng.t -> kind:Aladin_seq.Alphabet.kind -> size:int -> len:int -> rate:float -> string list
-(** A family of [size] sequences mutated from one random ancestor. *)

@@ -2,14 +2,6 @@ module Sq = Aladin_seq
 
 type kind = Protein | Gene | Structure | Disease | Term | Interaction
 
-let kind_name = function
-  | Protein -> "protein"
-  | Gene -> "gene"
-  | Structure -> "structure"
-  | Disease -> "disease"
-  | Term -> "term"
-  | Interaction -> "interaction"
-
 type entity = {
   uid : int;
   kind : kind;
@@ -262,5 +254,3 @@ let entity t uid =
   | None -> raise Not_found
 
 let of_kind t k = List.filter (fun e -> e.kind = k) (entities t)
-
-let size t = Array.length t.all

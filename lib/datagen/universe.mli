@@ -5,8 +5,6 @@
 
 type kind = Protein | Gene | Structure | Disease | Term | Interaction
 
-val kind_name : kind -> string
-
 type entity = {
   uid : int;
   kind : kind;
@@ -45,11 +43,7 @@ val generate : params -> t
 
 val params : t -> params
 
-val entities : t -> entity list
-
 val entity : t -> int -> entity
 (** By uid. @raise Not_found *)
 
 val of_kind : t -> kind -> entity list
-
-val size : t -> int

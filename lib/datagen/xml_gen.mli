@@ -20,6 +20,3 @@ val document :
     the assignment). Partner proteins are referenced by their accession in
     the first partner source that contains them; gold xrefs are recorded.
     Appends the source's {!Gold.source_gold} (primary = [interaction]). *)
-
-val expected_fks : Gold.expected_fk list
-(** The true structure of the shredded schema. *)

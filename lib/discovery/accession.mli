@@ -39,9 +39,6 @@ type candidate = {
   stats : Aladin_relational.Col_stats.t;
 }
 
-val attribute_is_candidate : ?params:params -> Profile.t -> Aladin_relational.Col_stats.t -> bool
-(** The per-attribute test (uniqueness + value-shape rules). *)
-
 val candidates : ?params:params -> Profile.t -> candidate list
 (** At most one candidate per relation (longest average length wins),
     in catalog order. *)

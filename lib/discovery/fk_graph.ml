@@ -91,35 +91,3 @@ let paths_from t ~src ~max_len =
                in
                Some (rel, sorted)
            | None -> None)
-
-let connected_components t =
-  let seen = Hashtbl.create 16 in
-  let component start =
-    let members = ref [] in
-    let rec visit node =
-      if not (Hashtbl.mem seen node) then begin
-        Hashtbl.add seen node ();
-        members := node :: !members;
-        List.iter (fun (next, _) -> visit next) (neighbors t node)
-      end
-    in
-    visit start;
-    !members
-  in
-  t.relations
-  |> List.filter_map (fun rel ->
-         let k = norm rel in
-         if Hashtbl.mem seen k then None
-         else begin
-           let comp = component k in
-           (* map back to original casing *)
-           let originals =
-             List.filter (fun r -> List.mem (norm r) comp) t.relations
-           in
-           Some (List.sort String.compare originals)
-         end)
-  |> List.sort (fun a b ->
-         match (a, b) with
-         | x :: _, y :: _ -> String.compare x y
-         | [], _ -> -1
-         | _, [] -> 1)

@@ -24,14 +24,7 @@ val out_degree : t -> string -> int
 
 val average_in_degree : t -> float
 
-val neighbors : t -> string -> (string * step) list
-(** Adjacent relations ignoring direction, with the step taken. *)
-
 val paths_from : t -> src:string -> max_len:int -> (string * path list) list
 (** For every other relation reachable from [src] (ignoring direction): all
     shortest undirected paths, plus any longer simple paths up to
     [max_len]; capped at 8 paths per destination. *)
-
-val connected_components : t -> string list list
-(** Partition of the relations; each component sorted, components sorted by
-    first member. *)

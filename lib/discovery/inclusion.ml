@@ -111,9 +111,7 @@ let source_cardinality profile fk =
   in
   if src_unique && Vset.equal src_vals dst_vals then One_to_one else One_to_many
 
-(* The two pruning predicates, shared by [infer] and
-   [candidate_pairs_considered] so the reported comparison space never
-   drifts from the work actually done. *)
+(* The two pruning predicates of [infer]. *)
 let source_eligible params ~covered (src : Col_stats.t) =
   src.distinct > 0
   && (not (covered src))
@@ -243,19 +241,3 @@ let infer ?(params = default_params) ?pool profile =
   let fks = declared @ inferred in
   Aladin_obs.Trace.ambient_incr ~by:(List.length fks) "fk.accepted";
   fks
-
-let candidate_pairs_considered ?(params = default_params) profile =
-  let all = Profile.all_stats profile in
-  let uniques =
-    List.filter
-      (fun (cs : Col_stats.t) ->
-        Profile.is_unique profile ~relation:cs.relation ~attribute:cs.attribute)
-      all
-  in
-  let declared = if params.use_declared then declared_fks profile else [] in
-  let covered = covered_by declared in
-  List.fold_left
-    (fun acc (src : Col_stats.t) ->
-      if not (source_eligible params ~covered src) then acc
-      else acc + List.length (List.filter (candidate_target src) uniques))
-    0 all

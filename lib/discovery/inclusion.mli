@@ -26,10 +26,6 @@ type fk = {
 
 val pp_fk : Format.formatter -> fk -> unit
 
-val name_affinity : src_attribute:string -> dst_relation:string -> dst_attribute:string -> float
-(** Token overlap (ignoring the ubiquitous "id" token) between the source
-    attribute name and the target's relation/attribute names, in [0,1]. *)
-
 type params = {
   use_declared : bool;  (** seed with data-dictionary FKs (default true) *)
   require_name_affinity_for_pk_pk : bool;
@@ -52,10 +48,3 @@ val infer : ?params:params -> ?pool:Aladin_par.Pool.t -> Profile.t -> fk list
     value-compatible target (if any). Deterministic order: with a [pool]
     the per-source candidate scans fan out across domains, but the result
     (and the trace counters) are identical to the sequential run. *)
-
-val candidate_pairs_considered : ?params:params -> Profile.t -> int
-(** Size of the source x target comparison space after pruning — the cost
-    metric reported by experiment E6/E10. Uses the same source/target
-    predicates as {!infer} (empty and declared-FK-covered sources and
-    [max_source_distinct] overflows are skipped), so it counts exactly the
-    pairs [infer] evaluates. *)

@@ -12,11 +12,9 @@ type scored = {
   score : float;  (** in-degree, with row count as a small tie-breaker *)
 }
 
-val rank : Fk_graph.t -> Accession.candidate list -> scored list
-(** All accession-bearing relations, best first. Deterministic. *)
-
 val choose : Fk_graph.t -> Accession.candidate list -> scored option
-(** The single primary relation: the top of {!rank}. *)
+(** The single primary relation: the best of the accession-bearing
+    relations. Deterministic. *)
 
 val choose_multi :
   ?margin:float -> Fk_graph.t -> Accession.candidate list -> scored list

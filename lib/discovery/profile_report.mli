@@ -3,23 +3,11 @@
     attribute the §4.2 statistics, key candidacy, and the content class
     link discovery will assign to it. *)
 
-type content_class =
-  | Surrogate_key  (** pure integers, unique *)
-  | Accession_like  (** passed the accession-number rules *)
-  | Foreign_key_like  (** source of an inferred/declared FK *)
-  | Sequence  (** fixed biological alphabet *)
-  | Long_text  (** description-style prose *)
-  | Categorical  (** few distinct values *)
-  | Other
-
-val class_name : content_class -> string
-
-val classify :
-  Source_profile.t -> relation:string -> attribute:string -> content_class
-(** Priority order: FK source > accession > surrogate > sequence > text >
-    categorical. @raise Not_found on unknown attributes. *)
-
 val render : Source_profile.t -> string
 (** The full report: per relation, one line per attribute with rows,
-    distinct count, null fraction, length range and content class; then the
-    discovered primary/secondary summary. *)
+    distinct count, null fraction, length range and content class
+    ([surrogate-key]: unique integers; [accession]: passed the
+    accession-number rules; [foreign-key]: source of an inferred or
+    declared FK; [sequence]: a fixed biological alphabet; [text]:
+    description-style prose; [categorical]: few distinct values;
+    [other]); then the discovered primary/secondary summary. *)

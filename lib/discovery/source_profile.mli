@@ -29,8 +29,6 @@ val primary_relation : t -> string option
 val primary_accession : t -> (string * string) option
 (** (relation, attribute) of the primary accession number. *)
 
-val unique_attributes : t -> (string * string) list
-
 val with_primary : t -> relation:string -> t
 (** Override the primary relation (used by the error-propagation experiment
     and by user feedback, §6.2); recomputes the secondary structure.

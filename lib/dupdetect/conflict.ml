@@ -99,5 +99,3 @@ let to_string c =
   Printf.sprintf "%s.%s=%S vs %s.%s=%S (sim %.2f)" (Objref.to_string c.obj_a)
     c.attr_a c.value_a (Objref.to_string c.obj_b) c.attr_b c.value_b
     c.similarity
-
-let pp ppf c = Format.pp_print_string ppf (to_string c)

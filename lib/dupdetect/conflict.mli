@@ -25,16 +25,6 @@ type params = {
                                      (default 0.8) *)
 }
 
-val default_params : params
-
-val between : ?params:params -> Object_sim.repr -> Object_sim.repr -> t list
-(** Every (field of [a], field of [b]) pair, in that order, whose
-    attribute names reach [min_name_affinity] ({!Field_sim.name_affinity})
-    and whose values stay below [max_value_similarity]
-    ({!Field_sim.similarity}). Each field's name is tokenized once per
-    call and its value prepared at most once, on its first name match, so
-    the pair loop only compares prepared forms. *)
-
 type table
 (** Representations looked up by object: the last one given for each
     {!Objref.to_string} key. Read-only once built. *)
@@ -50,5 +40,3 @@ val to_string : t -> string
 (** [source:acc.attr="value" vs source:acc.attr="value" (sim 0.42)], the
     values in OCaml string syntax: the conflict line of a browser page. *)
 
-val pp : Format.formatter -> t -> unit
-(** {!to_string}. *)

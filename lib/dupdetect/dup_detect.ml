@@ -163,14 +163,6 @@ let candidate_index_pairs ?pool params (reprs : Object_sim.repr array)
     List.sort_uniq compare (List.concat shard_pairs)
   end
 
-let candidate_pairs ?pool params reprs =
-  let arr = Array.of_list reprs in
-  (* per-object key lists fan out: blocking_keys is tokenization-heavy *)
-  let keys = Array.of_list (Pool.map ?pool blocking_keys reprs) in
-  List.map
-    (fun (i, j) -> (arr.(i), arr.(j)))
-    (candidate_index_pairs ?pool params arr keys)
-
 (* one object ready for detection in any source pair: its prepared fields
    and its blocking keys, neither of which depends on the other objects *)
 type entry = { prep : Object_sim.prepared; keys : string list }

@@ -3,7 +3,7 @@
     Duplicates are flagged, never merged: the output is a set of
     [Duplicate] links plus clusters. Candidate pairs come from cheap
     blocking (shared accession string, shared rare name token); candidates
-    are verified with {!Object_sim.similarity}. When [min_similarity] is
+    are verified with {!Object_sim.similarity_prepared}. When [min_similarity] is
     above 0.5, a candidate that fails {!Object_sim.may_agree} is not
     scored: without an identity agreement its similarity is at most 0.5,
     so it could not become a link. Such candidates still count in
@@ -33,23 +33,6 @@ val result_of_links : candidates_checked:int -> Link.t list -> result
     more objects, each sorted, in sorted order — the same whatever order
     the links come in. *)
 
-val blocking_keys : Object_sim.repr -> string list
-(** The blocking keys of one object: its accession, accession-shaped field
-    values, and rare name tokens — all lowercased before key derivation so
-    blocking is case-insensitive. Sorted, deduplicated. *)
-
-val candidate_pairs :
-  ?pool:Aladin_par.Pool.t ->
-  params ->
-  Object_sim.repr list ->
-  (Object_sim.repr * Object_sim.repr) list
-(** Blocking output: cross-source pairs, deduplicated, each oriented with
-    the smaller {!Objref} first and sorted in that order — a canonical
-    form independent of hash-table iteration order. With a [pool], key
-    extraction fans out and blocks are sharded across domains with
-    per-shard local seen tables merged deterministically at the join; the
-    result is identical at any pool size. *)
-
 val detect_on :
   ?params:params -> ?pool:Aladin_par.Pool.t -> Object_sim.repr list -> result
 (** Detection over prebuilt representations ({!Object_sim.build_reprs},
@@ -61,7 +44,7 @@ val detect_on :
 
 type prepared_source
 (** One source ready for {!detect_between}: its representations, each
-    object's {!Object_sim.prepared} fields and its {!blocking_keys}. None
+    object's {!Object_sim.prepared} fields and its blocking keys. None
     of it depends on the source it is later paired with. *)
 
 val prep_source :

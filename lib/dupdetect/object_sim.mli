@@ -35,8 +35,6 @@ type weights = {
   w_name : float;  (** default 0.2 *)
 }
 
-val default_weights : weights
-
 type context
 (** Corpus-level value statistics: how many objects carry each value.
     Matching a value shared by half the corpus ("Homo sapiens") is weak
@@ -48,8 +46,8 @@ type prepared
 (** A representation prepared for the candidate fan-out: per-field
     lowercased/trimmed values, token lists, sequence flags and bigram
     profiles, attribute-name tokens and df keys, all computed exactly
-    once. Naive {!similarity} re-derives every one of those per candidate
-    pair — the minor-heap churn that turned the parallel duplicate step
+    once. Scoring unprepared representations would re-derive every one of
+    those per candidate pair — the minor-heap churn that turned the parallel duplicate step
     anti-scale — so the pipeline prepares each object once and compares
     prepared forms. *)
 
@@ -94,18 +92,8 @@ val may_agree : bound -> bound -> bool
     at most 1: at most 0.5 (for nonnegative weights). Detection uses it
     to leave such pairs unscored when its threshold is above 0.5. *)
 
-val similarity : ?weights:weights -> ?context:context -> repr -> repr -> float
-(** In [0,1]; 0 when either object has no fields. With a [context], each
-    matched field pair is weighted by the IDF of the matched value.
-    Equivalent to preparing both sides and calling
-    {!similarity_prepared}. *)
-
 val explain : ?weights:weights -> ?context:context -> repr -> repr -> string
-(** Human-readable derivation of {!similarity}: one line per matched field
+(** Human-readable derivation of {!similarity_prepared} over the two
+    objects: one line per matched field
     pair with value similarity, name affinity, weight and anchor status —
     the "why were these flagged as duplicates" provenance. *)
-
-val field_matches : repr -> repr -> (string * string * string * string * float) list
-(** The greedy field matching behind {!similarity}:
-    (attr_a, value_a, attr_b, value_b, value_similarity) — also used by
-    conflict detection. *)

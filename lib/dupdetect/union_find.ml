@@ -33,8 +33,6 @@ let union t a b =
     end
   end
 
-let connected t a b = find t a = find t b
-
 let clusters t =
   let members : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.iter

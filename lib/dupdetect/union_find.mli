@@ -5,15 +5,7 @@ type t
 
 val create : unit -> t
 
-val add : t -> string -> unit
-(** Idempotent. *)
-
-val find : t -> string -> string
-(** Representative; unknown elements are added first. *)
-
 val union : t -> string -> string -> unit
-
-val connected : t -> string -> string -> bool
 
 val clusters : t -> string list list
 (** Only clusters with >= 2 members; members sorted, clusters sorted by

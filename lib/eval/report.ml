@@ -15,8 +15,6 @@ let add_row t row =
 
 let cell_f f = Printf.sprintf "%.3f" f
 
-let cell_pct f = Printf.sprintf "%.1f%%" (100.0 *. f)
-
 let render t =
   let all = t.columns :: t.rows in
   let ncols = List.length t.columns in

@@ -7,13 +7,7 @@ val create : title:string -> columns:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument on column-count mismatch. *)
 
-val render : t -> string
-(** Title, header, separator, aligned rows. *)
-
 val print : t -> unit
 
 val cell_f : float -> string
 (** "%.3f" *)
-
-val cell_pct : float -> string
-(** "12.3%" *)

@@ -2,16 +2,6 @@ open Aladin_relational
 module Import_error = Aladin_resilience.Import_error
 module Snapshot = Aladin_store.Snapshot
 
-let load ~name pairs =
-  let cat = Catalog.create ~name in
-  List.iter
-    (fun (rel_name, doc) ->
-      let records = Csv.read_string doc in
-      let rel = Csv.relation_of_records ~name:rel_name ~header:true records in
-      Catalog.add cat rel)
-    pairs;
-  cat
-
 let parse_constraints doc =
   let constraints = ref [] in
   let bad = ref [] in

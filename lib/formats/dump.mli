@@ -5,15 +5,11 @@
 open Aladin_relational
 module Import_error = Aladin_resilience.Import_error
 
-val load : name:string -> (string * string) list -> Catalog.t
-(** [(relation_name, csv_with_header)] pairs. Strict: raises on malformed
-    CSV (library callers wanting tolerance go through {!load_dir} or
-    [Import.import_string]). *)
-
 val load_dir :
   name:string -> string -> Catalog.t * Import_error.record_error list
 (** Every [*.csv] becomes a relation (file basename); [constraints.txt],
-    when present, is parsed with {!parse_constraints}. A directory with a
+    when present, is parsed as one declared constraint per line ([#]
+    comments and blank lines skipped). A directory with a
     [MANIFEST] is read as a crash-safe [Aladin_store] snapshot: members
     are checksum-verified, damaged ones salvaged or quarantined, and any
     degradation reported as record errors alongside the usual ones.
@@ -36,18 +32,6 @@ val members_of_catalog : Catalog.t -> Aladin_store.Snapshot.member list
 (** The snapshot members {!save_dir} writes: one checksummed CSV per
     relation plus [constraints.txt] (per-record checksums) when any
     constraint is declared. *)
-
-val parse_constraints : string -> Constraint_def.t list * (int * string) list
-(** One constraint per line:
-    {v
-    unique <relation> <attribute>
-    pkey <relation> <attribute>
-    fkey <src_rel> <src_attr> <dst_rel> <dst_attr>
-    v}
-    Blank lines and [#] comments are skipped. Malformed lines are
-    returned as [(line_number, message)] diagnostics, not raised. *)
-
-val render_constraints : Constraint_def.t list -> string
 
 val save_dir : Catalog.t -> string -> (unit, string) result
 (** Write the catalog as a crash-safe [Aladin_store] snapshot: each

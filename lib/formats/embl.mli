@@ -23,10 +23,7 @@
 
 open Aladin_relational
 
-val records : string -> Genbank.record list
-(** EMBL text into the shared flat-record representation. *)
-
 val parse : ?name:string -> string -> Catalog.t
 
 val render : Genbank.record list -> string
-(** Inverse of {!records}. *)
+(** The EMBL text of the records, which {!parse} reads back. *)

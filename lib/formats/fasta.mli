@@ -8,9 +8,8 @@ open Aladin_relational
 
 type record = { accession : string; description : string; sequence : string }
 
-val records : string -> record list
-
 val parse : ?name:string -> string -> Catalog.t
 
 val render : record list -> string
-(** Inverse of {!records}: sequences wrapped at 60 columns. *)
+(** The FASTA text of the records, which {!parse} reads back: sequences
+    wrapped at 60 columns. *)

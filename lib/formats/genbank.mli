@@ -36,9 +36,8 @@ type record = {
   origin : string;  (** sequence, lowercase stripped of digits/blanks *)
 }
 
-val records : string -> record list
-
 val parse : ?name:string -> string -> Catalog.t
 
 val render : record list -> string
-(** Inverse of {!records} (sequence wrapped GenBank-style). *)
+(** The GenBank text of the records, which {!parse} reads back
+    (sequence wrapped GenBank-style). *)

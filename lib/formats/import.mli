@@ -12,11 +12,6 @@
 open Aladin_relational
 module Import_error = Aladin_resilience.Import_error
 
-type format = Swissprot_flat | Embl_flat | Genbank_flat | Fasta_format | Obo_format | Pdb_format | Xml_format | Csv_dump
-
-val sniff : string -> format option
-(** Guess the format of a document from its first lines. *)
-
 type import = {
   catalog : Catalog.t;
   record_errors : Import_error.record_error list;

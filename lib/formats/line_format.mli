@@ -5,10 +5,6 @@
 
 type line = { code : string; payload : string }
 
-val parse_line : string -> line option
-(** [None] for blank lines. The code is the first whitespace-delimited
-    token; the payload is the rest, trimmed. *)
-
 val records : string -> line list list
 (** Split a whole document into records at ["//"] terminator lines. A final
     unterminated record is kept. *)

@@ -15,8 +15,6 @@ type term = {
   is_a : string list;
 }
 
-val terms : string -> term list
-
 val parse : ?name:string -> string -> Catalog.t
 
 val render : term list -> string

@@ -108,10 +108,3 @@ let parse ?(name = "pdb") doc =
         (payloads "DBREF" lines))
     (split_records doc);
   cat
-
-let parse_file ?name path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let doc = really_input_string ic len in
-  close_in ic;
-  parse ?name doc

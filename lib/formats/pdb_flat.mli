@@ -18,5 +18,3 @@
 open Aladin_relational
 
 val parse : ?name:string -> string -> Catalog.t
-
-val parse_file : ?name:string -> string -> Catalog.t

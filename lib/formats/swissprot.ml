@@ -185,10 +185,3 @@ let parse ?(name = source_name) ?(declare = false) doc =
   List.iter (parse_record tables counters) (Line_format.records doc);
   if declare then declare_constraints cat;
   cat
-
-let parse_file ?name ?declare path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let doc = really_input_string ic len in
-  close_in ic;
-  parse ?name ?declare doc

@@ -15,13 +15,8 @@
 
 open Aladin_relational
 
-val source_name : string
-(** "swissprot" — default catalog name. *)
-
 val parse : ?name:string -> ?declare:bool -> string -> Catalog.t
 (** Parse a whole document. When [declare] (default false) the importer
     also records the real integrity constraints in the catalog — the
     situation where a source ships its schema; leaving it off forces ALADIN
     to infer everything. *)
-
-val parse_file : ?name:string -> ?declare:bool -> string -> Catalog.t

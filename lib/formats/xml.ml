@@ -198,21 +198,6 @@ let parse doc =
   in
   find_root ()
 
-let rec text_content = function
-  | Text s -> s
-  | Element { children; _ } -> String.concat "" (List.map text_content children)
-
-let children_named tag = function
-  | Text _ -> []
-  | Element { children; _ } ->
-      List.filter
-        (function Element { tag = t; _ } -> t = tag | Text _ -> false)
-        children
-
-let attr name = function
-  | Text _ -> None
-  | Element { attrs; _ } -> List.assoc_opt name attrs
-
 let escape s =
   let buf = Buffer.create (String.length s) in
   String.iter

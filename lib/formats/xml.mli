@@ -14,14 +14,6 @@ val parse : string -> node
 (** Parse a document to its root element. @raise Parse_error on malformed
     input or when no root element exists. *)
 
-val text_content : node -> string
-(** Concatenated text of the subtree. *)
-
-val children_named : string -> node -> node list
-(** Direct child elements with the given tag. *)
-
-val attr : string -> node -> string option
-
 val render : node -> string
 (** Serialize (attributes and text escaped). *)
 

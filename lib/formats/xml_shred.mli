@@ -11,7 +11,5 @@
 
 open Aladin_relational
 
-val shred : ?name:string -> Xml.node -> Catalog.t
-
 val shred_string : ?name:string -> string -> Catalog.t
 (** Parse then shred. @raise Xml.Parse_error *)

@@ -48,10 +48,6 @@ let compare_links a b =
       | c -> c)
   | c -> c
 
-let same_endpoints a b =
-  let a = normalized a and b = normalized b in
-  a.kind = b.kind && Objref.equal a.src b.src && Objref.equal a.dst b.dst
-
 (* of two links with equal endpoints and kind, the one [dedup] keeps:
    the higher confidence, then the smaller evidence, so the kept
    representative does not depend on traversal order (sequential and

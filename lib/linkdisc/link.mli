@@ -33,9 +33,6 @@ val normalized : t -> t
 (** Symmetric kinds (everything but [Xref]) are canonicalized so that
     [src <= dst]; dedup relies on this. *)
 
-val same_endpoints : t -> t -> bool
-(** Equal endpoints and kind, after normalization. *)
-
 val dedup : t list -> t list
 (** Normalize, then keep one link per endpoints and kind: the one of
     highest confidence, then of smallest evidence. The output is

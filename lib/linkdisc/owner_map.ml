@@ -127,10 +127,6 @@ let build (sp : Source_profile.t) =
         accessions = List.rev !acc_list;
       }
 
-let source t = t.source
-
-let primary_relation t = t.primary
-
 let row_owners t ~relation =
   Option.value (Hashtbl.find_opt t.owners (norm relation)) ~default:[||]
 

@@ -13,18 +13,10 @@ type t
 val build : Source_profile.t -> t
 (** Requires a discovered primary relation; otherwise the map is empty. *)
 
-val source : t -> string
-
-val primary_relation : t -> string option
-
-val owners : t -> relation:string -> row:int -> string list
-(** Accessions of the primary objects owning this row. The primary
-    relation's own rows map to their own accession. Unreachable rows (or an
-    unknown relation) yield []. *)
-
 val row_owners : t -> relation:string -> string list array
-(** {!owners} of every row of the relation at once, indexed by row ([[||]]
-    for an unknown relation): each list sorted and free of repeats. The
+(** The accessions of the primary objects owning each row of the
+    relation, indexed by row ([[||]] for an unknown relation): each list
+    sorted and free of repeats. The
     map's own array, so a caller indexing a whole relation pays no copy;
     do not write to it. *)
 
@@ -35,4 +27,4 @@ val primary_accessions : t -> string list
 (** All accessions of the primary relation, in row order. *)
 
 val object_of_row : t -> relation:string -> row:int -> Objref.t list
-(** [owners] composed with [objref]. *)
+(** The row's owners ({!row_owners}) as {!Objref.t}s ({!objref}). *)

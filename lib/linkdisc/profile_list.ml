@@ -22,8 +22,6 @@ let sources t = List.map (fun e -> Source_profile.source e.sp) t
 let find t name =
   List.find_opt (fun e -> Source_profile.source e.sp = name) t
 
-let size t = List.length t
-
 let restrict t names =
   (* entries (and their owner maps) are reused, never rebuilt; the result
      follows the order of [names], so a caller restricting to a sorted

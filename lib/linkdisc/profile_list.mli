@@ -15,16 +15,12 @@ val add : t -> Source_profile.t -> t
 (** Append one analyzed source (owner map built once here); an existing
     entry with the same source name is replaced. *)
 
-val remove : t -> string -> t
-
 val entries : t -> entry list
 
 val sources : t -> string list
 
 val find : t -> string -> entry option
 (** By source name. *)
-
-val size : t -> int
 
 val restrict : t -> string list -> t
 (** The sub-list holding exactly the named sources, in the order of

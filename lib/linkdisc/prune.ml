@@ -1,5 +1,4 @@
 open Aladin_relational
-open Aladin_discovery
 
 type params = {
   min_distinct : int;
@@ -23,21 +22,3 @@ let is_link_source params (cs : Col_stats.t) =
 
 let is_text_field (cs : Col_stats.t) =
   cs.avg_len >= 30.0 && cs.alpha_frac >= 0.9 && cs.distinct > 0
-
-let link_source_attributes params profiles =
-  Profile_list.entries profiles
-  |> List.concat_map (fun (e : Profile_list.entry) ->
-         let source = Source_profile.source e.sp in
-         Profile.all_stats e.sp.profile
-         |> List.filter (is_link_source params)
-         |> List.map (fun cs -> (source, cs)))
-
-let pairs_to_compare params profiles =
-  let targets = Profile_list.targets profiles in
-  link_source_attributes params profiles
-  |> List.fold_left
-       (fun acc (source, _) ->
-         (* every candidate attribute is compared against the accession
-            attribute of every OTHER source's primary relation *)
-         acc + List.length (List.filter (fun (s, _, _) -> s <> source) targets))
-       0

@@ -26,10 +26,3 @@ val is_link_source : params -> Col_stats.t -> bool
 val is_text_field : Col_stats.t -> bool
 (** Long, alphabetic, mostly non-unique content — a description field worth
     text mining (avg length >= 30). *)
-
-val link_source_attributes : params -> Profile_list.t -> (string * Col_stats.t) list
-(** (source, stats) of every surviving candidate attribute. *)
-
-val pairs_to_compare : params -> Profile_list.t -> int
-(** Number of (source attribute) x (foreign primary accession attribute)
-    comparisons implied — the work-saved metric of E6. *)

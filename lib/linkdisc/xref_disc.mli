@@ -6,7 +6,6 @@
     the values of DBRef.accession against all unique fields of primary
     relations automatically finds the correct target database" (§5). *)
 
-
 type params = {
   prune : Prune.params;
   min_matches : int;  (** rows that must match before an attribute counts
@@ -34,10 +33,6 @@ type result = {
   attributes_scanned : int;
   pairs_compared : int;
 }
-
-val decode_candidates : string -> string list
-(** Tokens of an encoded cross-reference value worth matching: the value
-    itself plus alphanumeric segments after ':' '/' '|' and '=' splits. *)
 
 val discover :
   ?params:params -> ?pool:Aladin_par.Pool.t -> Profile_list.t -> result

@@ -73,10 +73,3 @@ let merge_into dst src =
     dst.total <- dst.total + src.total;
     dst.vsum <- dst.vsum +. src.vsum
   end
-
-let reset t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.total <- 0;
-  t.vsum <- 0.0;
-  t.vmin <- 0.0;
-  t.vmax <- 0.0

@@ -6,10 +6,6 @@
 
 type t
 
-val default_bounds : float array
-(** Upper bucket bounds in seconds: 1us, 10us, ... 100s; values above the
-    last bound land in an implicit overflow bucket. *)
-
 val create : ?bounds:float array -> unit -> t
 (** [bounds] must be sorted ascending. *)
 
@@ -37,5 +33,3 @@ val merge_into : t -> t -> unit
     counts and totals add, min/max combine. Used to merge per-domain
     buffers after a parallel fan-out. [src] is left untouched.
     @raise Invalid_argument when the two histograms' bounds differ. *)
-
-val reset : t -> unit

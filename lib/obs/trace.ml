@@ -3,7 +3,7 @@ type t = {
   started : float;
   mutable open_stack : Span.t list; (* innermost first *)
   mutable finished_roots : Span.t list; (* reversed *)
-  tcounters : (string, Counter.t) Hashtbl.t;
+  tcounters : (string, int ref) Hashtbl.t;
   thistograms : (string, Histogram.t) Hashtbl.t;
 }
 
@@ -56,13 +56,16 @@ let duration t =
     (fun acc sp -> Float.max acc (Span.finish sp -. t.started))
     0.0 t.finished_roots
 
-let counter t cname =
-  match Hashtbl.find_opt t.tcounters cname with
+(* A counter is a named int cell, of the trace or of a domain's buffer. *)
+let counter tbl cname =
+  match Hashtbl.find_opt tbl cname with
   | Some c -> c
   | None ->
-      let c = Counter.create () in
-      Hashtbl.add t.tcounters cname c;
+      let c = ref 0 in
+      Hashtbl.add tbl cname c;
       c
+
+let bump c by = c := !c + Option.value by ~default:1
 
 let histogram t hname =
   match Hashtbl.find_opt t.thistograms hname with
@@ -72,19 +75,19 @@ let histogram t hname =
       Hashtbl.add t.thistograms hname h;
       h
 
-let incr t ?by cname = Counter.incr ?by (counter t cname)
+let incr t ?by cname = bump (counter t.tcounters cname) by
 
 let observe t hname v = Histogram.observe (histogram t hname) v
 
 let counter_value t cname =
   match Hashtbl.find_opt t.tcounters cname with
-  | Some c -> Counter.value c
+  | Some c -> !c
   | None -> 0
 
 let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
 
 let counters t =
-  Hashtbl.fold (fun k c acc -> (k, Counter.value c) :: acc) t.tcounters []
+  Hashtbl.fold (fun k c acc -> (k, !c) :: acc) t.tcounters []
   |> by_name
 
 let histograms t =
@@ -98,7 +101,7 @@ let attach_span t sp =
 (* --- per-domain buffers --- *)
 
 type buffer = {
-  bcounters : (string, Counter.t) Hashtbl.t;
+  bcounters : (string, int ref) Hashtbl.t;
   bhistograms : (string, Histogram.t) Hashtbl.t;
   mutable bstack : Span.t list; (* innermost first *)
   mutable broots : Span.t list; (* reversed *)
@@ -119,14 +122,6 @@ let with_buffer b f =
   let prev = Domain.DLS.get buffer_key in
   Domain.DLS.set buffer_key (Some b);
   Fun.protect ~finally:(fun () -> Domain.DLS.set buffer_key prev) f
-
-let buf_counter b cname =
-  match Hashtbl.find_opt b.bcounters cname with
-  | Some c -> c
-  | None ->
-      let c = Counter.create () in
-      Hashtbl.add b.bcounters cname c;
-      c
 
 let buf_histogram b hname =
   match Hashtbl.find_opt b.bhistograms hname with
@@ -152,7 +147,7 @@ let buffer_span b ?(attrs = []) sname f =
     f
 
 let merge_buffer t ?spans_into b =
-  Hashtbl.iter (fun k c -> incr t ~by:(Counter.value c) k) b.bcounters;
+  Hashtbl.iter (fun k c -> incr t ~by:!c k) b.bcounters;
   Hashtbl.iter
     (fun k h -> Histogram.merge_into (histogram t k) h)
     b.bhistograms;
@@ -196,7 +191,7 @@ let ambient_add_attr k v =
 
 let ambient_incr ?by cname =
   match Domain.DLS.get buffer_key with
-  | Some b -> Counter.incr ?by (buf_counter b cname)
+  | Some b -> bump (counter b.bcounters cname) by
   | None -> ( match !current with Some t -> incr t ?by cname | None -> ())
 
 let ambient_observe hname v =

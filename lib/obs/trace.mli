@@ -1,5 +1,8 @@
-(** The trace collector: a tree of {!Span}s plus named {!Counter}s and
-    {!Histogram}s for one pipeline run.
+(** The trace collector: a tree of {!Span}s plus named counters and
+    {!Histogram}s for one pipeline run. A counter is a monotonically
+    increasing event count (pairs considered, pairs pruned, candidates
+    accepted, ...), created at its first increment and exported by
+    {!Sink}.
 
     Two usage styles:
 
@@ -33,10 +36,6 @@ val with_span : t -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 
 (** Run the body inside a new span; nests under the innermost open span,
     or becomes a root span. *)
 
-val timed_span :
-  t -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a * float
-(** {!with_span} that also returns the span's duration in seconds. *)
-
 val add_attr : t -> string -> string -> unit
 (** Attach to the innermost open span; no-op when none is open. *)
 
@@ -49,8 +48,6 @@ val duration : t -> float
 (** {2 Metrics} *)
 
 val incr : t -> ?by:int -> string -> unit
-
-val observe : t -> string -> float -> unit
 
 val counter_value : t -> string -> int
 (** 0 for a name never incremented. *)
@@ -91,7 +88,7 @@ val ambient_observe : string -> float -> unit
 
     Worker domains record ambient effects into a private [buffer] instead
     of the shared trace; the pool merges buffers after joining. Counter
-    merges are exact (integer sums are order-independent); histogram
+    sums are exact (integer sums are order-independent); histogram
     float sums may differ from a sequential run in the last bit. *)
 
 type buffer

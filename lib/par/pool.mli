@@ -28,55 +28,23 @@ type t
 val create : ?domains:int -> unit -> t
 (** A pool running on [domains] domains in total ([<= 1] = sequential; the
     calling domain is one of them, so [domains - 1] workers are spawned).
-    [domains] defaults to {!auto_domains}. Created pools are shut down
-    automatically at exit. *)
-
-val auto_domains : unit -> int
-(** The [ALADIN_DOMAINS] environment variable when set (a positive
-    integer), else [Domain.recommended_domain_count ()].
-    @raise Invalid_argument when [ALADIN_DOMAINS] is set but unparsable. *)
+    [domains] defaults to the [ALADIN_DOMAINS] environment variable when
+    set (a positive integer), else [Domain.recommended_domain_count ()]
+    ([Invalid_argument] when [ALADIN_DOMAINS] is set but unparsable).
+    Created pools are shut down automatically at exit. *)
 
 val get : ?domains:int -> unit -> t
-(** A shared pool of the given size ([0] or unset = {!auto_domains});
+(** A shared pool of the given size ([0] or unset = the default of
+    {!create});
     pools are cached per size, so repeated calls do not spawn new
     domains. This is what {!Aladin.Config}-driven callers use. *)
 
 val size : t -> int
 (** Total domains participating in a fan-out, including the caller. *)
 
-val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [List.map f xs], fanned out over the pool. Results are assembled in
-    input order. The first exception raised by [f] is re-raised in the
-    caller (remaining items are drained without running [f]); the pool
-    stays usable.
-
-    {b Chunked claiming.} Participants claim a small run of consecutive
-    items per atomic cursor bump (scaled so each participant still claims
-    several times per batch, capped at 64) instead of one item at a time,
-    so batches of many cheap items don't serialize on the cursor's cache
-    line. Claiming granularity never affects the result — assembly is by
-    input index — only scheduling.
-
-    {b Cooperative cancellation.} Before each item, every participating
-    domain polls [Aladin_resilience.Budget.check]; when the enclosing
-    step's wall-clock budget has expired, the fan-out stops claiming
-    work and [Budget.Expired] is re-raised in the caller through the
-    normal first-exception path. The sequential fallback polls the same
-    way, so a budget behaves identically at any pool size.
-    @raise Invalid_argument when called from inside a pool task (nested
-    fan-out would deadlock the fixed-size pool). *)
-
-val parallel_filter_map : t -> ('a -> 'b option) -> 'a list -> 'b list
-(** [List.filter_map f xs] with {!parallel_map}'s contract. *)
-
-val run_sequential : ('a -> 'b) -> 'a list -> 'b list
-(** The sequential fallback ([List.map] with the same per-item budget
-    poll); what every [parallel_*] function runs when [size t <= 1].
-    Exposed so callers can be explicit. *)
-
 val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!parallel_map} when a pool is given, {!run_sequential} otherwise —
-    the convenience form used by library entry points taking [?pool]. *)
+(** [List.map f xs], fanned out over [pool] when one is given and
+    sequential otherwise; the result keeps the input order either way. *)
 
 val filter_map : ?pool:t -> ('a -> 'b option) -> 'a list -> 'b list
 

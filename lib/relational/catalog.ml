@@ -31,8 +31,6 @@ let find t rel_name = Hashtbl.find_opt t.by_name (norm rel_name)
 let find_exn t rel_name =
   match find t rel_name with Some r -> r | None -> raise Not_found
 
-let mem t rel_name = Hashtbl.mem t.by_name (norm rel_name)
-
 let relations t =
   Vec.to_list t.order |> List.map (fun key -> Hashtbl.find t.by_name key)
 
@@ -79,17 +77,3 @@ let declared_fks t =
 
 let total_rows t =
   List.fold_left (fun acc r -> acc + Relation.cardinality r) 0 (relations t)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>source %s (%d relations, %d rows)" t.name
-    (List.length (relations t))
-    (total_rows t);
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "@,  %s%a [%d]" (Relation.name r) Schema.pp
-        (Relation.schema r) (Relation.cardinality r))
-    (relations t);
-  List.iter
-    (fun c -> Format.fprintf ppf "@,  %a" Constraint_def.pp c)
-    (constraints t);
-  Format.fprintf ppf "@]"

@@ -21,8 +21,6 @@ val find : t -> string -> Relation.t option
 val find_exn : t -> string -> Relation.t
 (** @raise Not_found *)
 
-val mem : t -> string -> bool
-
 val relations : t -> Relation.t list
 (** In insertion order. *)
 
@@ -41,5 +39,3 @@ val declared_fks : t -> Constraint_def.t list
 (** Only the foreign-key constraints. *)
 
 val total_rows : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -80,9 +80,3 @@ let of_relation rel =
 let length_spread t =
   if t.max_len = 0 then 0.0
   else float_of_int (t.max_len - t.min_len) /. float_of_int t.max_len
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%s.%s: rows=%d nulls=%d distinct=%d len=[%d..%d avg %.1f] numeric=%.2f alpha=%.2f unique=%b"
-    t.relation t.attribute t.rows t.nulls t.distinct t.min_len t.max_len
-    t.avg_len t.numeric_frac t.alpha_frac t.all_unique

@@ -20,15 +20,9 @@ type t = {
   sample : Value.t list;  (** up to [sample_size] distinct values *)
 }
 
-val sample_size : int
-
-val of_column : relation:string -> attribute:string -> Value.t array -> t
-
 val of_relation : Relation.t -> t list
 (** One record per attribute, in schema order. *)
 
 val length_spread : t -> float
 (** [(max_len - min_len) / max 1 max_len] — the paper's "values differ by at
     most 20 percent in length" test uses this. 0 when the column is empty. *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,12 +9,3 @@ type t =
     }
 
 let equal (a : t) (b : t) = a = b
-
-let pp ppf = function
-  | Unique { relation; attribute } ->
-      Format.fprintf ppf "UNIQUE %s.%s" relation attribute
-  | Primary_key { relation; attribute } ->
-      Format.fprintf ppf "PRIMARY KEY %s.%s" relation attribute
-  | Foreign_key { src_relation; src_attribute; dst_relation; dst_attribute } ->
-      Format.fprintf ppf "FOREIGN KEY %s.%s -> %s.%s" src_relation src_attribute
-        dst_relation dst_attribute

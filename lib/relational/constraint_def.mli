@@ -15,5 +15,3 @@ type t =
     }
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -1,41 +1,3 @@
-let parse_line line =
-  let buf = Buffer.create 32 in
-  let fields = ref [] in
-  let n = String.length line in
-  let flush () =
-    fields := Buffer.contents buf :: !fields;
-    Buffer.clear buf
-  in
-  (* states: 0 = unquoted, 1 = inside quotes *)
-  let rec loop i state =
-    if i >= n then flush ()
-    else
-      let c = line.[i] in
-      match state with
-      | 0 ->
-          if c = ',' then begin
-            flush ();
-            loop (i + 1) 0
-          end
-          else if c = '"' && Buffer.length buf = 0 then loop (i + 1) 1
-          else begin
-            Buffer.add_char buf c;
-            loop (i + 1) 0
-          end
-      | _ ->
-          if c = '"' then
-            if i + 1 < n && line.[i + 1] = '"' then begin
-              Buffer.add_char buf '"';
-              loop (i + 2) 1
-            end
-            else loop (i + 1) 0
-          else begin
-            Buffer.add_char buf c;
-            loop (i + 1) 1
-          end
-  in
-  loop 0 0;
-  List.rev !fields
 
 let needs_quoting s =
   String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
@@ -129,13 +91,6 @@ let read_string doc =
   in
   loop 0 0;
   List.rev !records
-
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let doc = really_input_string ic len in
-  close_in ic;
-  read_string doc
 
 let relation_of_records ~name ~header records =
   match (records, header) with

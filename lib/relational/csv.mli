@@ -1,13 +1,5 @@
 (** Minimal RFC-4180-ish CSV reader/writer (relational dump files). *)
 
-val parse_line : string -> string list
-(** Split one pre-split line into fields. Handles double-quoted fields with
-    embedded commas and escaped quotes (""). A field spanning multiple
-    physical lines cannot be represented here — use {!read_string}, which
-    tracks quote state across newlines. *)
-
-val escape_field : string -> string
-
 val render_line : string list -> string
 
 val read_string : string -> string list list
@@ -15,8 +7,6 @@ val read_string : string -> string list list
     tracking: quoted fields may contain newlines, CR and LF inside quotes
     are preserved, and a CR before an unquoted record-ending LF is stripped
     (CRLF input). Blank lines are skipped. *)
-
-val read_file : string -> string list list
 
 val relation_of_records :
   name:string -> header:bool -> string list list -> Relation.t

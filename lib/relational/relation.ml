@@ -26,8 +26,6 @@ let iter_rows f t = Vec.iter f t.rows
 
 let iteri_rows f t = Vec.iteri f t.rows
 
-let fold_rows f acc t = Vec.fold_left f acc t.rows
-
 let rows t = Vec.to_list t.rows
 
 let col_index t attr =
@@ -39,8 +37,6 @@ let column t attr =
   let i = col_index t attr in
   Array.init (cardinality t) (fun r -> (Vec.get t.rows r).(i))
 
-let value t i attr = (row t i).(col_index t attr)
-
 let find_row t attr v =
   let i = col_index t attr in
   Vec.find_opt (fun r -> Value.equal r.(i) v) t.rows
@@ -51,48 +47,3 @@ module Vtbl = Hashtbl.Make (struct
   let equal = Value.equal
   let hash = Value.hash
 end)
-
-let distinct t attr =
-  let i = col_index t attr in
-  let seen = Vtbl.create 64 in
-  let out = ref [] in
-  Vec.iter
-    (fun r ->
-      let v = r.(i) in
-      if (not (Value.is_null v)) && not (Vtbl.mem seen v) then begin
-        Vtbl.add seen v ();
-        out := v :: !out
-      end)
-    t.rows;
-  !out
-
-let distinct_count t attr = List.length (distinct t attr)
-
-let is_unique t attr =
-  let i = col_index t attr in
-  let seen = Vtbl.create 64 in
-  let dup = ref false in
-  let nonnull = ref 0 in
-  Vec.iter
-    (fun r ->
-      let v = r.(i) in
-      if not (Value.is_null v) then begin
-        incr nonnull;
-        if Vtbl.mem seen v then dup := true else Vtbl.add seen v ()
-      end)
-    t.rows;
-  !nonnull > 0 && not !dup
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s %a [%d rows]" t.name Schema.pp t.schema (cardinality t);
-  let limit = min 10 (cardinality t) in
-  for i = 0 to limit - 1 do
-    let cells = Array.to_list (row t i) in
-    Format.fprintf ppf "@,  %a"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
-         Value.pp)
-      cells
-  done;
-  if cardinality t > limit then Format.fprintf ppf "@,  ...";
-  Format.fprintf ppf "@]"

@@ -11,8 +11,6 @@ val name : t -> string
 
 val schema : t -> Schema.t
 
-val arity : t -> int
-
 val cardinality : t -> int
 (** Number of rows. *)
 
@@ -29,28 +27,11 @@ val iter_rows : (Value.t array -> unit) -> t -> unit
 
 val iteri_rows : (int -> Value.t array -> unit) -> t -> unit
 
-val fold_rows : ('acc -> Value.t array -> 'acc) -> 'acc -> t -> 'acc
-
 val rows : t -> Value.t array list
 
 val column : t -> string -> Value.t array
 (** All values of the named attribute, in row order.
     @raise Not_found on unknown attribute. *)
 
-val value : t -> int -> string -> Value.t
-(** [value r i attr]: field [attr] of row [i]. *)
-
 val find_row : t -> string -> Value.t -> Value.t array option
 (** First row whose named attribute equals the value. *)
-
-val distinct : t -> string -> Value.t list
-(** Distinct non-null values of the attribute, unordered. *)
-
-val distinct_count : t -> string -> int
-
-val is_unique : t -> string -> bool
-(** True when non-null values of the attribute are pairwise distinct and
-    there is at least one row. This is the SQL-probe from §4.2 of the paper. *)
-
-val pp : Format.formatter -> t -> unit
-(** Render name, schema and up to 10 rows. *)

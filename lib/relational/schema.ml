@@ -23,32 +23,9 @@ let attributes t = Array.to_list t.attrs
 
 let names t = List.map (fun a -> a.name) (attributes t)
 
-let attribute t i = t.attrs.(i)
-
 let index_of t name = Hashtbl.find_opt t.index (norm name)
 
 let index_of_exn t name =
   match index_of t name with Some i -> i | None -> raise Not_found
 
 let mem t name = Hashtbl.mem t.index (norm name)
-
-let ty_of t name =
-  match index_of t name with Some i -> Some t.attrs.(i).ty | None -> None
-
-let equal a b =
-  arity a = arity b
-  && Array.for_all2
-       (fun x y -> norm x.name = norm y.name && x.ty = y.ty)
-       a.attrs b.attrs
-
-let pp ppf t =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf a -> Format.fprintf ppf "%s:%s" a.name (Value.ty_name a.ty)))
-    (attributes t)
-
-let rename t ~prefix =
-  make (List.map (fun a -> { a with name = prefix ^ a.name }) (attributes t))
-
-let concat a b = make (attributes a @ attributes b)

@@ -4,19 +4,12 @@ type attribute = { name : string; ty : Value.ty }
 
 type t
 
-val make : attribute list -> t
-(** @raise Invalid_argument on duplicate attribute names (case-insensitive). *)
-
 val of_names : string list -> t
 (** All attributes typed [Ttext]. *)
 
 val arity : t -> int
 
-val attributes : t -> attribute list
-
 val names : t -> string list
-
-val attribute : t -> int -> attribute
 
 val index_of : t -> string -> int option
 (** Case-insensitive lookup. *)
@@ -25,15 +18,3 @@ val index_of_exn : t -> string -> int
 (** @raise Not_found when the attribute is absent. *)
 
 val mem : t -> string -> bool
-
-val ty_of : t -> string -> Value.ty option
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-
-val rename : t -> prefix:string -> t
-(** Prefix every attribute name, as in qualified join outputs. *)
-
-val concat : t -> t -> t
-(** Schema of a join output. @raise Invalid_argument on name clash. *)

@@ -6,17 +6,6 @@ type t =
   | Float of float
   | Text of string
 
-let ty_of = function
-  | Null -> None
-  | Int _ -> Some Tint
-  | Float _ -> Some Tfloat
-  | Text _ -> Some Ttext
-
-let ty_name = function
-  | Tint -> "int"
-  | Tfloat -> "float"
-  | Ttext -> "text"
-
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
@@ -51,12 +40,6 @@ let to_string = function
         Printf.sprintf "%.1f" x
       else string_of_float x
   | Text s -> s
-
-let pp ppf v =
-  match v with
-  | Null -> Format.pp_print_string ppf "NULL"
-  | Text s -> Format.fprintf ppf "%S" s
-  | Int _ | Float _ -> Format.pp_print_string ppf (to_string v)
 
 let is_int_literal s =
   let n = String.length s in

@@ -11,11 +11,6 @@ type t =
   | Float of float
   | Text of string
 
-val ty_of : t -> ty option
-(** [None] for [Null]. *)
-
-val ty_name : ty -> string
-
 val compare : t -> t -> int
 (** Total order: [Null] first, then ints and floats numerically (mixed
     comparisons are by numeric value), then text lexicographically. *)
@@ -28,8 +23,6 @@ val is_null : t -> bool
 
 val to_string : t -> string
 (** [Null] renders as the empty string. *)
-
-val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t
 (** Infer the tightest type: empty string and ["\\N"] become [Null], integer

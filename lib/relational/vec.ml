@@ -8,8 +8,6 @@ let create ?(capacity = 16) () =
 
 let length v = v.len
 
-let is_empty v = v.len = 0
-
 let check v i =
   if i < 0 || i >= v.len then
     invalid_arg (Printf.sprintf "Vec: index %d out of bounds (length %d)" i v.len)
@@ -17,10 +15,6 @@ let check v i =
 let get v i =
   check v i;
   v.data.(i)
-
-let set v i x =
-  check v i;
-  v.data.(i) <- x
 
 let grow v x =
   let cap = Array.length v.data in
@@ -34,17 +28,6 @@ let push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-let pop v =
-  if v.len = 0 then None
-  else begin
-    v.len <- v.len - 1;
-    Some v.data.(v.len)
-  end
-
-let clear v =
-  v.data <- [||];
-  v.len <- 0
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)
@@ -55,29 +38,6 @@ let iteri f v =
     f i v.data.(i)
   done
 
-let fold_left f acc v =
-  let acc = ref acc in
-  for i = 0 to v.len - 1 do
-    acc := f !acc v.data.(i)
-  done;
-  !acc
-
-let map f v =
-  let out = create () in
-  iter (fun x -> push out (f x)) v;
-  out
-
-let exists p v =
-  let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
-  loop 0
-
-let for_all p v = not (exists (fun x -> not (p x)) v)
-
-let filter p v =
-  let out = create () in
-  iter (fun x -> if p x then push out x) v;
-  out
-
 let find_opt p v =
   let rec loop i =
     if i >= v.len then None
@@ -87,22 +47,3 @@ let find_opt p v =
   loop 0
 
 let to_list v = List.init v.len (fun i -> v.data.(i))
-
-let of_list xs =
-  let v = create () in
-  List.iter (push v) xs;
-  v
-
-let to_array v = Array.init v.len (fun i -> v.data.(i))
-
-let of_array a =
-  let v = create () in
-  Array.iter (push v) a;
-  v
-
-let append dst src = iter (push dst) src
-
-let sort cmp v =
-  let a = to_array v in
-  Array.sort cmp a;
-  Array.blit a 0 v.data 0 v.len

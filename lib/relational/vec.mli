@@ -10,47 +10,15 @@ val create : ?capacity:int -> unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val get : 'a t -> int -> 'a
 (** [get v i] is the [i]-th element. @raise Invalid_argument out of bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
-(** @raise Invalid_argument when out of bounds. *)
-
 val push : 'a t -> 'a -> unit
-
-val pop : 'a t -> 'a option
-(** Remove and return the last element, if any. *)
-
-val clear : 'a t -> unit
 
 val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
-val map : ('a -> 'b) -> 'a t -> 'b t
-
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val exists : ('a -> bool) -> 'a t -> bool
-
-val for_all : ('a -> bool) -> 'a t -> bool
-
-val filter : ('a -> bool) -> 'a t -> 'a t
-
 val find_opt : ('a -> bool) -> 'a t -> 'a option
 
 val to_list : 'a t -> 'a list
-
-val of_list : 'a list -> 'a t
-
-val to_array : 'a t -> 'a array
-
-val of_array : 'a array -> 'a t
-
-val append : 'a t -> 'a t -> unit
-(** [append dst src] pushes all of [src] onto [dst]. *)
-
-val sort : ('a -> 'a -> int) -> 'a t -> unit
-(** In-place sort of the live prefix. *)

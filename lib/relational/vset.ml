@@ -17,8 +17,6 @@ let cardinal t = Vtbl.length t
 
 let iter f t = Vtbl.iter (fun v () -> f v) t
 
-let to_list t = Vtbl.fold (fun v () acc -> v :: acc) t []
-
 let of_list vs =
   let t = create () in
   List.iter (add t) vs;

@@ -3,17 +3,7 @@
 
 type t
 
-val create : ?size:int -> unit -> t
-
-val add : t -> Value.t -> unit
-
-val mem : t -> Value.t -> bool
-
 val cardinal : t -> int
-
-val iter : (Value.t -> unit) -> t -> unit
-
-val to_list : t -> Value.t list
 
 val of_list : Value.t list -> t
 

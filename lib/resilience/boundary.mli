@@ -29,9 +29,6 @@ val protect :
     sane state to continue from). Apart from those, the boundary never
     raises. *)
 
-val status_of : ('a, Run_report.error) result -> string
-(** Span-attribute value for the result: ["ok" | "timeout" | "failed"]. *)
-
 (** {2 Pipeline steps}
 
     The warehouse's steps and the delta pipeline's passes share these,
@@ -46,7 +43,8 @@ val bounded :
   ('a, Run_report.error) result * float
 (** {!protect} the body as step [name] inside an ambient span of that
     name, and return the result with the span's wall-clock seconds. The
-    span is stamped with the result's {!status_of} as its ["status"].
+    span is stamped with the result's status as its ["status"]: [ok],
+    [timeout] or [failed].
     With [retry] (default true) transient failures are retried first
     ({!Retry.run_counted}); a second or later attempt leaves a
     ["retry.attempts"] attribute. *)

@@ -20,8 +20,6 @@ let tightest () =
   | l, None -> l
   | (Some ls as l), (Some gs as g) -> if ls.deadline <= gs.deadline then l else g
 
-let active () = Option.map (fun s -> s.step) (tightest ())
-
 (* clamped at zero: an expired budget has nothing left, it is not in
    debt — callers feed this into Retry-After headers and backoff caps *)
 let remaining () =

@@ -40,9 +40,6 @@ val check : unit -> unit
     no-op when none is installed.
     @raise Expired when an active deadline has passed. *)
 
-val active : unit -> string option
-(** Name of the step whose budget would expire first, if any. *)
-
 val remaining : unit -> float option
 (** Seconds until the tightest active deadline, clamped at [0.0] once
     expired (never negative); [None] when no budget is installed. *)

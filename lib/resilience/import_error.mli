@@ -19,9 +19,6 @@ type t = { source : string; kind : kind; detail : string }
 
 val make : source:string -> kind:kind -> string -> t
 
-val kind_name : kind -> string
-(** ["unrecognized" | "parse" | "io"]. *)
-
 val to_string : t -> string
 (** ["<source>: <kind> error: <detail>"]. *)
 

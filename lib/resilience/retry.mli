@@ -28,16 +28,7 @@ type policy = {
   seed : int;  (** jitter hash seed *)
 }
 
-val default_policy : policy
-(** 3 attempts, 5ms base, doubling, 250ms cap, ±25% jitter. *)
-
 type verdict = Transient | Permanent
-
-val classify : exn -> verdict
-(** Default classification: [Unix_error]
-    EINTR/EAGAIN/EWOULDBLOCK/EBUSY/ENFILE/EMFILE and [Sys_error]s whose
-    message says interrupted/busy/temporarily-unavailable are
-    [Transient]; everything else [Permanent]. *)
 
 val backoff_delay : policy -> step:string -> attempt:int -> float
 (** Delay (seconds) before retrying [attempt] (0-based): [min max_delay

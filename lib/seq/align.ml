@@ -20,22 +20,13 @@ let identity_of qa sa =
     float_of_int !same /. float_of_int n
   end
 
-(* Shared dynamic program. [local] selects Smith-Waterman semantics:
-   cells clamp at 0 and traceback starts at the best cell. *)
-let run ~local ~matrix ~gap q s =
+(* Smith-Waterman with traceback: cells clamp at 0 and the traceback
+   starts at the best cell. *)
+let local ?(matrix = Subst_matrix.nucleotide) ?gap q s =
+  let gap = Option.value gap ~default:(Subst_matrix.gap_open matrix) in
   let n = String.length q and m = String.length s in
   let score = Array.make_matrix (n + 1) (m + 1) 0 in
   let trace = Array.make_matrix (n + 1) (m + 1) Stop in
-  if not local then begin
-    for i = 1 to n do
-      score.(i).(0) <- i * gap;
-      trace.(i).(0) <- Up
-    done;
-    for j = 1 to m do
-      score.(0).(j) <- j * gap;
-      trace.(0).(j) <- Left
-    done
-  end;
   let best = ref 0 and best_i = ref 0 and best_j = ref 0 in
   for i = 1 to n do
     for j = 1 to m do
@@ -47,19 +38,16 @@ let run ~local ~matrix ~gap q s =
         else if u >= l then (u, Up)
         else (l, Left)
       in
-      let v, t = if local && v < 0 then (0, Stop) else (v, t) in
+      let v, t = if v < 0 then (0, Stop) else (v, t) in
       score.(i).(j) <- v;
       trace.(i).(j) <- t;
-      if local && v > !best then begin
+      if v > !best then begin
         best := v;
         best_i := i;
         best_j := j
       end
     done
   done;
-  let start_i, start_j, final_score =
-    if local then (!best_i, !best_j, !best) else (n, m, score.(n).(m))
-  in
   let qa = Buffer.create 32 and sa = Buffer.create 32 in
   let rec back i j =
     match trace.(i).(j) with
@@ -77,28 +65,20 @@ let run ~local ~matrix ~gap q s =
         Buffer.add_char sa s.[j - 1];
         back i (j - 1)
   in
-  let end_i, end_j = back start_i start_j in
+  let end_i, end_j = back !best_i !best_j in
   let rev buf =
     let s = Buffer.contents buf in
     String.init (String.length s) (fun i -> s.[String.length s - 1 - i])
   in
   let query_aligned = rev qa and subject_aligned = rev sa in
   {
-    score = final_score;
+    score = !best;
     query_aligned;
     subject_aligned;
     identity = identity_of query_aligned subject_aligned;
-    query_span = (end_i, start_i);
-    subject_span = (end_j, start_j);
+    query_span = (end_i, !best_i);
+    subject_span = (end_j, !best_j);
   }
-
-let global ?(matrix = Subst_matrix.nucleotide) ?gap q s =
-  let gap = Option.value gap ~default:(Subst_matrix.gap_open matrix) in
-  run ~local:false ~matrix ~gap q s
-
-let local ?(matrix = Subst_matrix.nucleotide) ?gap q s =
-  let gap = Option.value gap ~default:(Subst_matrix.gap_open matrix) in
-  run ~local:true ~matrix ~gap q s
 
 (* Int-only maxima for the score kernel. [Stdlib.max] is polymorphic:
    without flambda it compiles to a call to the generic compare. These
@@ -208,14 +188,3 @@ let self_score matrix s =
   let total = ref 0 in
   String.iter (fun c -> total := !total + Subst_matrix.score matrix c c) s;
   !total
-
-let normalized_score result ~query ~subject =
-  let shorter =
-    if String.length query <= String.length subject then query else subject
-  in
-  (* normalize against a nucleotide-style perfect score when the result came
-     from the default matrix; callers with protein matrices should compare
-     normalized scores only among themselves *)
-  let denom = self_score Subst_matrix.nucleotide shorter in
-  if denom <= 0 then 0.0
-  else Float.max 0.0 (float_of_int result.score /. float_of_int denom)

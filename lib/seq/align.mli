@@ -1,8 +1,9 @@
-(** Pairwise sequence alignment: Needleman-Wunsch (global) and
-    Smith-Waterman (local), with linear gap penalties.
+(** Pairwise local sequence alignment (Smith-Waterman) with linear gap
+    penalties.
 
-    These are the verification kernels behind homology-based link discovery
-    (the paper's BLAST role, §4.4). *)
+    {!local_score} is the verification kernel behind homology-based link
+    discovery (the paper's BLAST role, §4.4); {!local} is its traceback
+    reference. *)
 
 type result = {
   score : int;
@@ -13,12 +14,10 @@ type result = {
   subject_span : int * int;
 }
 
-val global : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> result
-(** Needleman-Wunsch. [gap] defaults to the matrix's gap-open penalty. *)
-
 val local : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> result
-(** Smith-Waterman; score is never negative. The default matrix is
-    {!Subst_matrix.nucleotide}. *)
+(** Smith-Waterman with traceback; score is never negative. The default
+    matrix is {!Subst_matrix.nucleotide}. The reference {!local_score} is
+    tested against. *)
 
 val local_score : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> int
 (** Score-only Smith-Waterman — the verification kernel of homology
@@ -34,7 +33,3 @@ val local_score : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> int
 val self_score : Subst_matrix.t -> string -> int
 (** The score of aligning a sequence with itself, ungapped: the sum of
     its diagonal matrix entries. *)
-
-val normalized_score : result -> query:string -> subject:string -> float
-(** Score divided by the self-alignment score of the shorter input — 1.0 for
-    identical sequences, approaching 0 for unrelated ones. *)

@@ -84,22 +84,3 @@ let classify_column ?(min_len = 10) ?(min_frac = 0.9) values =
   if !nonempty > 0 && float_of_int n >= min_frac *. float_of_int !nonempty
   then Some kind
   else None
-
-let gc_content s =
-  let s = normalize s in
-  if s = "" then 0.0
-  else
-    let gc = ref 0 in
-    String.iter (fun c -> if c = 'G' || c = 'C' then incr gc) s;
-    float_of_int !gc /. float_of_int (String.length s)
-
-let reverse_complement s =
-  let s = normalize s in
-  let n = String.length s in
-  String.init n (fun i ->
-      match s.[n - 1 - i] with
-      | 'A' -> 'T'
-      | 'T' -> 'A'
-      | 'G' -> 'C'
-      | 'C' -> 'G'
-      | c -> invalid_arg (Printf.sprintf "Alphabet.reverse_complement: %c" c))

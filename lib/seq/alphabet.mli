@@ -8,9 +8,6 @@ type kind = Dna | Rna | Protein
 val dna : string
 (** "ACGT" *)
 
-val rna : string
-(** "ACGU" *)
-
 val protein : string
 (** The 20 standard amino-acid one-letter codes. *)
 
@@ -31,9 +28,3 @@ val classify_column : ?min_len:int -> ?min_frac:float -> string list -> kind opt
     its non-empty values (after normalization) classify to the same
     kind: the most frequent one, DNA > RNA > Protein on ties. Each value
     is classified once. *)
-
-val gc_content : string -> float
-(** Fraction of G/C in a normalized DNA string; 0 on empty. *)
-
-val reverse_complement : string -> string
-(** DNA reverse complement. @raise Invalid_argument on non-DNA letters. *)

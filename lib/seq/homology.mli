@@ -13,8 +13,7 @@ type probe_hit = {
   score : int;  (** Smith-Waterman score *)
   norm : float;
       (** raw score over the self-score of the shorter sequence (the
-          query's on tied lengths, the query being chosen by {!probe});
-          see {!Align.normalized_score} *)
+          query's on tied lengths, the query being chosen by {!probe}) *)
 }
 
 val probe_index : Alphabet.kind -> string array -> probe_index

@@ -64,5 +64,3 @@ let for_kind = function
   | Alphabet.Protein -> blosum62
 
 let gap_open t = t.gap_open
-
-let gap_extend t = t.gap_extend

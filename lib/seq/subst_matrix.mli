@@ -27,6 +27,3 @@ val for_kind : Alphabet.kind -> t
 
 val gap_open : t -> int
 (** Suggested gap-open penalty (negative). *)
-
-val gap_extend : t -> int
-(** Suggested gap-extension penalty (negative). *)

@@ -1,42 +1,32 @@
-module Clock = Aladin_obs.Clock
-
-type 'v entry = { value : 'v; born : float; mutable seq : int }
+type 'v entry = { value : 'v; mutable seq : int }
 
 type 'v t = {
   tbl : (string, 'v entry) Hashtbl.t;
   order : (string * int) Queue.t;  (* recency tickets, oldest first *)
   capacity : int;
-  ttl : float;
   mutable next_seq : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable expirations : int;
-  mutable flushes : int;
 }
 
 type stats = {
   hits : int;
   misses : int;
   evictions : int;
-  expirations : int;
-  flushes : int;
   size : int;
   capacity : int;
 }
 
-let create ~capacity ~ttl () =
+let create ~capacity () =
   {
     tbl = Hashtbl.create (max 16 capacity);
     order = Queue.create ();
     capacity;
-    ttl;
     next_seq = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
-    expirations = 0;
-    flushes = 0;
   }
 
 let touch (t : 'v t) key entry =
@@ -65,11 +55,6 @@ let find (t : 'v t) key =
     | None ->
         t.misses <- t.misses + 1;
         None
-    | Some e when t.ttl > 0.0 && Clock.now () -. e.born > t.ttl ->
-        Hashtbl.remove t.tbl key;
-        t.expirations <- t.expirations + 1;
-        t.misses <- t.misses + 1;
-        None
     | Some e ->
         t.hits <- t.hits + 1;
         touch t key e;
@@ -77,7 +62,7 @@ let find (t : 'v t) key =
 
 let add (t : 'v t) key value =
   if t.capacity > 0 then begin
-    let e = { value; born = Clock.now (); seq = 0 } in
+    let e = { value; seq = 0 } in
     Hashtbl.replace t.tbl key e;
     touch t key e;
     while Hashtbl.length t.tbl > t.capacity do
@@ -85,20 +70,11 @@ let add (t : 'v t) key value =
     done
   end
 
-let flush (t : 'v t) =
-  if Hashtbl.length t.tbl > 0 || not (Queue.is_empty t.order) then begin
-    Hashtbl.reset t.tbl;
-    Queue.clear t.order;
-    t.flushes <- t.flushes + 1
-  end
-
 let stats (t : 'v t) : stats =
   {
     hits = t.hits;
     misses = t.misses;
     evictions = t.evictions;
-    expirations = t.expirations;
-    flushes = t.flushes;
     size = Hashtbl.length t.tbl;
     capacity = t.capacity;
   }

@@ -1,4 +1,4 @@
-(** LRU + TTL result cache for the serving layer.
+(** LRU result cache for the serving layer.
 
     Single-domain by design: the server's accept loop is the only
     mutator (cache lookups and stores never happen inside a pool
@@ -7,8 +7,9 @@
     the route reads ({!Aladin.Engine.key}), which is what makes
     invalidation explicit {e and} selective — updating a source orphans
     exactly the entries whose key named it (or the whole warehouse),
-    while entries over unrelated sources keep serving hits; {!flush}
-    reclaims orphans eagerly.
+    while entries over unrelated sources keep serving hits, and LRU
+    eviction reclaims the orphans. An entry never goes stale, so none
+    expires.
 
     Values are opaque here; {!Service} stores each response rendered
     once (the wire bytes of its hit variant), so a hit hands back the
@@ -24,25 +25,19 @@ type stats = {
   hits : int;
   misses : int;
   evictions : int;  (** LRU capacity evictions *)
-  expirations : int;  (** TTL expiries observed on lookup *)
-  flushes : int;  (** explicit invalidations *)
   size : int;
   capacity : int;
 }
 
-val create : capacity:int -> ttl:float -> unit -> 'v t
+val create : capacity:int -> unit -> 'v t
 (** [capacity <= 0] disables the cache (every lookup misses, nothing is
-    stored). [ttl] in seconds counts from insertion; [<= 0] means
-    entries never expire. *)
+    stored). *)
 
 val find : 'v t -> string -> 'v option
-(** Lookup; a hit refreshes the entry's recency (but not its TTL). *)
+(** Lookup; a hit refreshes the entry's recency. *)
 
 val add : 'v t -> string -> 'v -> unit
 (** Insert or replace, evicting least-recently-used entries over
     capacity. *)
-
-val flush : 'v t -> unit
-(** Drop every entry (explicit invalidation). Counters survive. *)
 
 val stats : 'v t -> stats

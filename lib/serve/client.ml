@@ -16,5 +16,3 @@ let request ?(host = "127.0.0.1") ?(timeout = 10.0) ~port target =
             if Http.write fd req then Http.read_response fd
             else Error "connection lost while sending the request"
           with Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)))
-
-let get = request

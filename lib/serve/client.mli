@@ -19,6 +19,3 @@ val request :
     before [Content-Length] bytes, or a body over 16 MiB (a larger
     [Content-Length] is refused before anything is allocated) — never
     raises. *)
-
-val get : ?host:string -> ?timeout:float -> port:int -> string -> (Http.response, string) result
-(** Alias of {!request}. *)

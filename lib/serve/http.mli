@@ -53,9 +53,6 @@ val parse_response : string -> (response, string) result
     non-negative integer, is an [Error]. Without one the body is
     everything after the head. *)
 
-val pct_decode : string -> string
-(** Percent-decoding; [+] becomes a space (query-string convention). *)
-
 val pct_encode : string -> string
 (** Encode everything but RFC 3986 unreserved characters. *)
 

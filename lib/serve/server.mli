@@ -3,7 +3,7 @@
     graceful drain.
 
     The loop is single-domain (parallelism lives inside
-    {!Service.handle_batch}'s pool fan-out) and batch-oriented: it
+    {!Service.render_batch}'s pool fan-out) and batch-oriented: it
     accepts a burst of connections, answers [/healthz], [/metrics] and
     malformed requests inline, queues up to [max_queue] real requests —
     everything past that is refused with [503] and [Retry-After] before

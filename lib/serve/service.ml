@@ -10,7 +10,6 @@ module Lk = Aladin_links
 
 type config = {
   cache_capacity : int;
-  cache_ttl : float;
   request_budget : float option;
   debug_endpoints : bool;
 }
@@ -18,7 +17,6 @@ type config = {
 let default_config =
   {
     cache_capacity = 512;
-    cache_ttl = 60.0;
     request_budget = Some 5.0;
     debug_endpoints = false;
   }
@@ -49,20 +47,14 @@ let create ?pool ?(config = default_config) engine =
     engine;
     pool;
     cfg = config;
-    cache = Cache.create ~capacity:config.cache_capacity ~ttl:config.cache_ttl ();
+    cache = Cache.create ~capacity:config.cache_capacity ();
     histos = Hashtbl.create 16;
     counts = Hashtbl.create 16;
     timeouts = 0;
     failures = 0;
   }
 
-let engine t = t.engine
-
-let config t = t.cfg
-
 let cache_stats t = Cache.stats t.cache
-
-let flush_cache t = Cache.flush t.cache
 
 (* --- routing --- *)
 
@@ -297,8 +289,6 @@ let metrics_text ?(extra = []) t =
   line "aladin_cache_hits_total %d" cs.hits;
   line "aladin_cache_misses_total %d" cs.misses;
   line "aladin_cache_evictions_total %d" cs.evictions;
-  line "aladin_cache_expirations_total %d" cs.expirations;
-  line "aladin_cache_flushes_total %d" cs.flushes;
   line "aladin_cache_size %d" cs.size;
   line "aladin_cache_capacity %d" cs.capacity;
   (let looked = cs.hits + cs.misses in

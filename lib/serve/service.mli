@@ -1,5 +1,5 @@
 (** The serving compute layer: routes HTTP requests onto the
-    {!Aladin.Engine} facade, with an LRU+TTL response cache and
+    {!Aladin.Engine} facade, with an LRU response cache and
     pool-parallel batch evaluation.
 
     Separated from {!Server} (which owns sockets, admission and drain)
@@ -15,8 +15,8 @@
     A cache entry keeps its response rendered: the wire bytes of its hit
     variant ([x-cache: hit]), made once on the pool domain that computed
     the miss. {!render_batch} hands a hit out as those very bytes, so the
-    server writes it without rendering or copying anything;
-    {!handle_batch} slices the body back out of them.
+    server writes it without rendering or copying anything; {!handle}
+    slices the body back out of them.
 
     Routes: [/healthz], [/metrics], [/search?q=&source=&field=&limit=],
     [/object/SOURCE/ACCESSION] (or [/object?accession=&source=]),
@@ -31,43 +31,27 @@
 
 type config = {
   cache_capacity : int;  (** response-cache entries; [<= 0] disables *)
-  cache_ttl : float;  (** seconds from insertion; [<= 0] = no expiry *)
   request_budget : float option;  (** per-request deadline, seconds *)
   debug_endpoints : bool;  (** expose [/slow] *)
 }
 
 val default_config : config
-(** 512 entries, 60 s TTL, 5 s request budget, no debug endpoints. *)
+(** 512 entries, 5 s request budget, no debug endpoints. *)
 
 type t
 
 val create : ?pool:Aladin_par.Pool.t -> ?config:config -> Aladin.Engine.t -> t
 
-val engine : t -> Aladin.Engine.t
-
-val config : t -> config
-
 val handle : t -> Http.request -> Http.response
-(** One request through the cached path ([handle_batch] of one). *)
-
-val handle_batch : t -> Http.request list -> Http.response list
-(** Evaluate a batch: cache lookups on the calling domain, the misses
-    fanned out over the pool, results stored back and responses returned
-    in request order. Cache keys embed the engine's typed key over the
-    sources / link kinds the route reads, so entries from before a
-    relevant source add/update can never be served — while entries over
-    unrelated sources keep their hits. *)
+(** One request through the cached path, as a response. *)
 
 val render_batch : t -> Http.request list -> string list
-(** {!handle_batch}, each response as its wire bytes: a hit is its cache
-    entry's stored string itself (no copy), a miss is {!Http.render}ed
-    once. Byte for byte [Http.render] of what {!handle_batch} returns. *)
+(** A batch of requests answered together, the misses fanned out over the
+    pool, each response as its wire bytes: a hit is its cache entry's
+    stored string itself (no copy), a miss is {!Http.render}ed once. Byte
+    for byte [Http.render] of what {!handle} answers. *)
 
 val cache_stats : t -> Cache.stats
-
-val flush_cache : t -> unit
-(** Explicit invalidation (also happens implicitly, and selectively, via
-    the typed cache key when the engine's dependencies change). *)
 
 val metrics_text : ?extra:(string * float) list -> t -> string
 (** Prometheus-style text: per-route request counts and latency

@@ -27,10 +27,6 @@ let disarm () =
   ops_budget := None;
   step_budget := None
 
-let armed () =
-  Option.is_some !budget || Option.is_some !ops_budget
-  || Option.is_some !step_budget
-
 let reset_counters () =
   bytes_seen := 0;
   ops_seen := 0;

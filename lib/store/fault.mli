@@ -44,8 +44,6 @@ val disarm : unit -> unit
 (** Drop every armament (counters are left running; see
     {!reset_counters}). *)
 
-val armed : unit -> bool
-
 val reset_counters : unit -> unit
 (** Zero the byte/op/step counters — call before a run whose kill
     points you want to enumerate, and before any {!arm_step} run. *)

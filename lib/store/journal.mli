@@ -15,15 +15,10 @@
     recomputed; killed after it, the step is restored from the store.
 
     The header is a {!Records.record} whose payload is a
-    {!Serial.record}: the magic, {!format_version}, then the caller's
+    {!Serial.record}: the magic, the format version (2), then the caller's
     [meta] as [key=value] fields — the integration {e plan}. The write
     is {!Fault}-aware like every store write. Single-process,
     single-writer. *)
-
-val format_version : int
-(** 2. Version 1 journals checkpointed each step in a layout of their
-    own; {!plan} refuses them with a message to re-run the
-    integration. *)
 
 val exists : string -> bool
 (** A [JOURNAL] file is present in the directory. *)
@@ -43,6 +38,6 @@ val create : string -> meta:(string * string) list -> (unit, string) result
 val plan : string -> ((string * string) list, string) result
 (** The header's [meta] pairs, in order. [Error] for a missing journal,
     a header failing its checksum, a foreign magic or a version other
-    than {!format_version}. Lines after the header are ignored: the
+    than 2. Lines after the header are ignored: the
     intent, commit and reset records of journals written in the earlier
     append-only format do not stop them from resuming. Never raises. *)

@@ -19,11 +19,6 @@ let records_dropped t =
     (fun acc m -> match m.status with Salvaged n -> acc + n | _ -> acc)
     0 t.members
 
-let find t path =
-  List.find_map
-    (fun m -> if m.path = path then Some m.status else None)
-    t.members
-
 let bump_salvaged t path n =
   if n <= 0 then t
   else

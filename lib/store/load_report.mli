@@ -25,20 +25,12 @@ type t = {
   members : member list;  (** manifest order *)
 }
 
-val status_name : status -> string
-(** ["ok" | "salvaged" | "quarantined" | "missing"]. *)
-
-val member_clean : member -> bool
-(** [Ok] only — any salvage, quarantine or absence degrades the load. *)
-
 val is_clean : t -> bool
 (** Every member [Ok] — the predicate behind [load --strict] and the
     [fsck] exit status. *)
 
 val records_dropped : t -> int
 (** Total over [Salvaged] members. *)
-
-val find : t -> string -> status option
 
 val bump_salvaged : t -> string -> int -> t
 (** [bump_salvaged t path n] folds [n] more dropped records into

@@ -103,8 +103,3 @@ let float_of_string_exn s =
       match float_of_string_opt s with
       | Some f -> f
       | None -> invalid_arg (Printf.sprintf "Serial.float_of_string_exn: %S" s))
-
-let int_of_string_exn s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> invalid_arg (Printf.sprintf "Serial.int_of_string_exn: %S" s)

@@ -37,6 +37,3 @@ val float_to_string : float -> string
 val float_of_string_exn : string -> float
 (** Inverse of {!float_to_string} (also accepts anything
     [float_of_string] does). @raise Invalid_argument *)
-
-val int_of_string_exn : string -> int
-(** @raise Invalid_argument *)

@@ -1,4 +1,4 @@
-type kind = Records | Csv | Pairs
+type kind = Records | Csv
 
 type member = { path : string; kind : kind; content : string }
 
@@ -17,12 +17,12 @@ let gen_name gen = Printf.sprintf "%s%08d" snap_prefix gen
 let kind_name = function
   | Records -> "records"
   | Csv -> "csv"
-  | Pairs -> "pairs"
 
+(* stores written before pairs.txt became a [Records] member name its kind
+   "pairs" *)
 let kind_of_name = function
-  | "records" -> Some Records
+  | "records" | "pairs" -> Some Records
   | "csv" -> Some Csv
-  | "pairs" -> Some Pairs
   | _ -> None
 
 let is_store dir =
@@ -74,12 +74,12 @@ let sweep dir ~keep =
 
 let encode m =
   match m.kind with
-  | Records | Pairs -> Records.encode m.content
+  | Records -> Records.encode m.content
   | Csv -> m.content
 
 let decode_strict kind stored =
   match kind with
-  | Records | Pairs -> Records.decode stored
+  | Records -> Records.decode stored
   | Csv -> Some stored
 
 let csv_salvage stored =
@@ -102,7 +102,7 @@ let csv_salvage stored =
 
 let salvage kind stored =
   match kind with
-  | Records | Pairs -> Records.decode_salvage stored
+  | Records -> Records.decode_salvage stored
   | Csv -> csv_salvage stored
 
 (* --- member path rules, for save and for every manifest read --- *)

@@ -29,22 +29,14 @@
 type kind =
   | Records  (** line records with per-record checksums; salvageable *)
   | Csv  (** CSV with header; salvaged by dropping non-conforming rows *)
-  | Pairs
-      (** the warehouse's per-source-pair link store ([pairs.txt]):
-          line records with per-record checksums, same wire codec as
-          {!Records} but named distinctly in the manifest so tooling can
-          tell the delta store apart; the loader additionally drops any
-          pair group a salvage left incomplete *)
+(** A manifest written before [pairs.txt] became a [Records] member names
+    its kind [pairs]; that reads as [Records], so such a store loads, and
+    its next save still hard-links unchanged members. *)
 
 type member = { path : string; kind : kind; content : string }
 (** [path] is relative to the store ([/]-separated subdirectories
     allowed); [content] is the logical document — the store handles the
     on-disk encoding per [kind]. *)
-
-val format_version : int
-(** Store format version, recorded in the manifest header. Loaders
-    refuse newer versions; bumped on any incompatible layout change
-    (see DESIGN.md for the policy). *)
 
 val is_store : string -> bool
 (** A committed [MANIFEST] is present. *)

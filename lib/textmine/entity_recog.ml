@@ -9,8 +9,6 @@ let add_dictionary t names =
     (fun n -> Hashtbl.replace t.dict (String.lowercase_ascii n) ())
     names
 
-let dictionary_size t = Hashtbl.length t.dict
-
 let has_digit s = String.exists (fun c -> c >= '0' && c <= '9') s
 
 let has_upper s = String.exists (fun c -> c >= 'A' && c <= 'Z') s

@@ -14,16 +14,10 @@ val create : unit -> t
 val add_dictionary : t -> string list -> unit
 (** Register known entity names (matched case-insensitively). *)
 
-val dictionary_size : t -> int
-
-val surface_score : string -> float
-(** Heuristic score that a single token is a gene/protein name: mixed
-    alphanumerics ("BRCA2", "p53"), internal capitals, digit suffixes.
-    0 for plain words. *)
-
 val recognize : t -> ?min_score:float -> string -> mention list
 (** Mentions above [min_score] (default 0.5), in text order. Dictionary
-    matches score 1.0; others use {!surface_score}. Stopwords never match. *)
+    matches score 1.0; others get a surface score (how accession- or
+    symbol-like the token looks). Stopwords never match. *)
 
 val recognize_dictionary : t -> string -> mention list
 (** Dictionary hits only (all score 1.0), in text order — exactly the

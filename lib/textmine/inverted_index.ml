@@ -62,8 +62,6 @@ let build fill =
 
 let doc_count t = Array.length t.doc_ids
 
-let term_count t = Hashtbl.length t.index
-
 let find t term = Hashtbl.find_opt t.index (String.lowercase_ascii term)
 
 let postings t term =
@@ -132,21 +130,3 @@ let search t ?field ?(limit = 20) query =
          | 0 -> String.compare a.doc_id b.doc_id
          | c -> c)
   |> List.filteri (fun i _ -> i < limit)
-
-let phrase_matches t query =
-  match Tokenize.terms query with
-  | [] -> []
-  | first :: rest ->
-      let docs_of term =
-        postings t term
-        |> List.map (fun (p : posting) -> p.doc_id)
-        |> List.sort_uniq String.compare
-      in
-      List.fold_left
-        (fun acc term ->
-          let ds = Hashtbl.create 16 in
-          List.iter
-            (fun (p : posting) -> Hashtbl.replace ds p.doc_id ())
-            (postings t term);
-          List.filter (fun d -> Hashtbl.mem ds d) acc)
-        (docs_of first) rest

@@ -15,8 +15,6 @@ val build : ((doc_id:string -> field:string -> string -> unit) -> unit) -> t
 
 val doc_count : t -> int
 
-val term_count : t -> int
-
 val postings : t -> string -> posting list
 (** Raw postings for a (lowercased) term. *)
 
@@ -32,7 +30,3 @@ val search : t -> ?field:string -> ?limit:int -> string -> query_result list
     a vertical partition (the paper's "focused search"). [limit] defaults to
     20. Multi-term queries are disjunctive but reward documents matching
     more terms. *)
-
-val phrase_matches : t -> string -> string list
-(** Document ids whose indexed text contains every query term (conjunctive
-    filter used by the browser's search box). *)

@@ -16,17 +16,6 @@ let levenshtein a b =
     prev.(m)
   end
 
-let levenshtein_bounded ~bound a b =
-  if abs (String.length a - String.length b) > bound then None
-  else
-    let d = levenshtein a b in
-    if d <= bound then Some d else None
-
-let similarity a b =
-  let n = max (String.length a) (String.length b) in
-  if n = 0 then 1.0
-  else 1.0 -. (float_of_int (levenshtein a b) /. float_of_int n)
-
 let imax (a : int) b = if a >= b then a else b
 
 let imin (a : int) b = if a <= b then a else b
@@ -147,30 +136,6 @@ let dice_bigrams a b =
         | None -> ())
       ta;
     2.0 *. float_of_int !inter /. float_of_int (na + nb)
-  end
-
-let longest_common_substring a b =
-  let n = String.length a and m = String.length b in
-  if n = 0 || m = 0 then ""
-  else begin
-    let prev = Array.make (m + 1) 0 in
-    let cur = Array.make (m + 1) 0 in
-    let best_len = ref 0 and best_end = ref 0 in
-    for i = 1 to n do
-      cur.(0) <- 0;
-      for j = 1 to m do
-        if a.[i - 1] = b.[j - 1] then begin
-          cur.(j) <- prev.(j - 1) + 1;
-          if cur.(j) > !best_len then begin
-            best_len := cur.(j);
-            best_end := i
-          end
-        end
-        else cur.(j) <- 0
-      done;
-      Array.blit cur 0 prev 0 (m + 1)
-    done;
-    String.sub a (!best_end - !best_len) !best_len
   end
 
 let contains ~needle hay =

@@ -4,23 +4,12 @@
 val levenshtein : string -> string -> int
 (** Edit distance (insert/delete/substitute, unit costs). *)
 
-val levenshtein_bounded : bound:int -> string -> string -> int option
-(** [None] when the distance exceeds [bound]; early-exits on the band. *)
-
-val similarity : string -> string -> float
-(** [1 - levenshtein/max_len], in [0,1]; 1.0 when both empty. *)
-
 val jaro_winkler : string -> string -> float
 (** Jaro-Winkler similarity in [0,1] (prefix scale 0.1, max prefix 4). *)
 
 val dice_bigrams : string -> string -> float
 (** Dice coefficient over character bigrams; robust for accession-style
     strings. 1.0 when both have no bigrams. *)
-
-val longest_common_substring : string -> string -> string
-(** One longest common substring (leftmost in the first argument). Used to
-    dig accession numbers out of encoded cross-references like
-    ["Uniprot:P11140"]. *)
 
 val contains : needle:string -> string -> bool
 (** Substring test. An empty needle is contained everywhere. *)

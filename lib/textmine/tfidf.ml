@@ -97,8 +97,6 @@ let vector_of_counts c counts =
 let vector_of_doc c doc_id =
   Option.map (vector_of_counts c) (Hashtbl.find_opt c.docs doc_id)
 
-let vector_of_text c text = vector_of_counts c (term_counts text)
-
 let norm v = sqrt (Hashtbl.fold (fun _ w acc -> acc +. (w *. w)) v 0.0)
 
 let cosine a b =
@@ -360,64 +358,7 @@ let prepare c =
 
 let prepared_docs p = Array.length p.ids
 
-let prepared_doc_id p i = p.ids.(i)
-
 let similar_pairs_range ?df_ceiling p ~lo ~hi ~min_sim =
   List.map
     (fun (i, j, sim) -> (p.ids.(i), p.ids.(j), sim))
     (similar_index_pairs_range ?df_ceiling p ~lo ~hi ~min_sim)
-
-let similar_pairs ?df_ceiling p ~min_sim =
-  similar_pairs_range ?df_ceiling p ~lo:0 ~hi:(Array.length p.ids) ~min_sim
-
-let find_doc p doc_id =
-  let lo = ref 0 and hi = ref (Array.length p.ids) in
-  let found = ref None in
-  while !found = None && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = String.compare doc_id p.ids.(mid) in
-    if c = 0 then found := Some mid
-    else if c < 0 then hi := mid
-    else lo := mid + 1
-  done;
-  !found
-
-let similar_docs c ~doc_id ~min_sim =
-  if not (Hashtbl.mem c.docs doc_id) then []
-  else begin
-    let p = prepare c in
-    match find_doc p doc_id with
-    | None -> []
-    | Some i ->
-        let n = Array.length p.ids in
-        let candidates =
-          if min_sim <= 0.0 then
-            (* a zero threshold admits non-overlapping pairs (cosine 0),
-               which the candidate join never visits by construction:
-               degrade to scoring every other document *)
-            List.filter (fun j -> j <> i) (List.init n Fun.id)
-          else begin
-            let seen = Array.make (max 1 n) (-1) in
-            let buf = Array.make (max 1 n) 0 in
-            let count =
-              candidates_into p ~df_ceiling:(default_df_ceiling p) ~min_sim
-                ~seen ~stamp:i ~buf i ~only_greater:false
-            in
-            Array.to_list (Array.sub buf 0 count)
-          end
-        in
-        List.filter_map
-          (fun j ->
-            let sim = score_pair p i j in
-            if sim >= min_sim then Some (p.ids.(j), sim) else None)
-          candidates
-        |> List.sort (fun (ida, a) (idb, b) ->
-               match Float.compare b a with
-               | 0 -> String.compare ida idb
-               | cmp -> cmp)
-  end
-
-let top_terms v n =
-  Hashtbl.fold (fun term w acc -> (term, w) :: acc) v []
-  |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
-  |> List.filteri (fun i _ -> i < n)

@@ -2,17 +2,16 @@
 
     Backs implicit text-similarity links (§4.4) and search ranking (§4.6).
 
-    Two usage modes:
-    - ad-hoc vectors ({!vector_of_text} / {!vector_of_doc} + {!cosine})
-      for scoring arbitrary text against the corpus statistics;
-    - the {!prepared} corpus for the all-pairs similarity join: built once
-      after all {!corpus_add} calls, or directly from int term counts
-      ({!prepare_counts}), it holds per-document sorted term-id arrays
-      with precomputed tf-idf weights, cached norms and a postings table,
-      so {!similar_pairs} generates candidates through shared postings
-      (only pairs sharing >= 1 non-ubiquitous term are ever scored) and
-      scores each canonical pair exactly once with a fused sorted-merge
-      dot product — no hashtable allocation per pair. *)
+    The {!prepared} corpus serves the all-pairs similarity join: built
+    once after all {!corpus_add} calls, or directly from int term counts
+    ({!prepare_counts}), it holds per-document sorted term-id arrays with
+    precomputed tf-idf weights, cached norms and a postings table, so
+    {!similar_pairs_range} generates candidates through shared postings
+    (only pairs sharing >= 1 non-ubiquitous term are ever scored) and
+    scores each canonical pair exactly once with a fused sorted-merge dot
+    product — no hashtable allocation per pair. {!vector_of_doc} and
+    {!cosine} score one pair naively: the reference the join is tested
+    against. *)
 
 type corpus
 
@@ -24,28 +23,11 @@ val corpus_add : corpus -> doc_id:string -> string -> unit
 (** Add (or replace) a document. Terms come from {!Tokenize.terms}.
     Invalidates any {!prepared} representation cached on the corpus. *)
 
-val corpus_size : corpus -> int
-
-val doc_ids : corpus -> string list
-
 val vector_of_doc : corpus -> string -> vector option
 (** TF-IDF vector of an indexed document. IDF = ln(N / df). *)
 
-val vector_of_text : corpus -> string -> vector
-(** Vector of arbitrary text against the corpus statistics; terms unseen in
-    the corpus get IDF ln(N+1). *)
-
 val cosine : vector -> vector -> float
 (** In [0,1]; 0 when either vector is zero. *)
-
-val similar_docs : corpus -> doc_id:string -> min_sim:float -> (string * float) list
-(** Other documents with cosine >= [min_sim], descending. Runs over the
-    {!prepared} corpus (built on first use, cached until the next
-    {!corpus_add}); scores are identical to pairwise {!cosine}, and every
-    qualifying pair is reported from both of its documents. *)
-
-val top_terms : vector -> int -> (string * float) list
-(** Heaviest terms of a vector (descending weight). *)
 
 (** {2 Prepared corpus — the sparse all-pairs similarity join} *)
 
@@ -84,29 +66,6 @@ val prepared_docs : prepared -> int
 (** Number of documents. A {!prepare}d corpus indexes them
     [0 .. prepared_docs - 1] in ascending doc-id order. *)
 
-val prepared_doc_id : prepared -> int -> string
-
-val default_df_ceiling : prepared -> int
-(** [N - 1]: every term carrying positive weight (df < N) remains a
-    discriminator, so the candidate join is complete — any pair with
-    cosine > 0 shares at least one positive-weight term. Terms in all N
-    documents have idf 0 and are skipped at zero cost. *)
-
-val similar_pairs :
-  ?df_ceiling:int -> prepared -> min_sim:float -> (string * string * float) list
-(** All document pairs of different groups with cosine >= [min_sim],
-    each canonical pair [(id_i, id_j)] (with [i < j]) reported exactly
-    once, in ascending [(i, j)] order. Candidates are generated through
-    postings: only pairs sharing at least one term with df <=
-    [df_ceiling] are scored (default {!default_df_ceiling}, which misses
-    nothing for any [min_sim > 0]). Terms above the ceiling still
-    contribute weight to the scores of pairs found through other terms.
-    A lossless prefix filter skips postings walks for a query document's
-    lightest terms: once the remaining suffix of its weight vector has
-    norm fraction below [min_sim], no pair sharing only those terms can
-    pass the threshold (Cauchy-Schwarz) — which prunes exactly the
-    ubiquitous low-idf terms with the longest postings. *)
-
 val similar_pairs_range :
   ?df_ceiling:int ->
   prepared ->
@@ -114,11 +73,23 @@ val similar_pairs_range :
   hi:int ->
   min_sim:float ->
   (string * string * float) list
-(** {!similar_pairs} restricted to query documents with index in
-    [\[lo, hi)]: the shardable form. Concatenating the results of
-    consecutive ranges covering [\[0, prepared_docs)] equals
-    {!similar_pairs} exactly, whatever the range boundaries — each pair is
-    owned by its smaller document index. Pure and read-only on [prepared],
+(** The document pairs of different groups with cosine >= [min_sim]
+    whose smaller document index [i] lies in [\[lo, hi)], each canonical
+    pair [(id_i, id_j)] (with [i < j]) reported exactly once, in ascending
+    [(i, j)] order. Candidates are generated through postings: only pairs
+    sharing at least one term with df <= [df_ceiling] are scored. The
+    default ceiling is [N - 1]: every term carrying positive weight
+    (df < N) stays a discriminator, so the join misses nothing for any
+    [min_sim > 0], and terms in all N documents have idf 0 and are skipped
+    at no cost. Terms above the ceiling still contribute weight to the
+    scores of pairs found through other terms. A lossless prefix filter
+    skips postings walks for a query document's lightest terms: once the
+    remaining suffix of its weight vector has norm fraction below
+    [min_sim], no pair sharing only those terms can pass the threshold
+    (Cauchy-Schwarz) — which prunes exactly the ubiquitous low-idf terms
+    with the longest postings. The shardable form: concatenating the
+    results of consecutive ranges covering [\[0, prepared_docs)] gives
+    the whole join, whatever the range boundaries. Pure and read-only on [prepared],
     so ranges may run on different pool domains. *)
 
 val similar_index_pairs_range :

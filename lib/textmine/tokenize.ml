@@ -34,24 +34,3 @@ let stopword w = Hashtbl.mem stopwords (String.lowercase_ascii w)
 
 let terms s =
   List.filter (fun w -> String.length w > 1 && not (stopword w)) (words s)
-
-let ngrams ~n s =
-  let s = String.lowercase_ascii s in
-  let len = String.length s in
-  if len < n then []
-  else List.init (len - n + 1) (fun i -> String.sub s i n)
-
-let token_set s =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun w -> Hashtbl.replace tbl w ()) (terms s);
-  tbl
-
-let jaccard a b =
-  let sa = token_set a and sb = token_set b in
-  let na = Hashtbl.length sa and nb = Hashtbl.length sb in
-  if na = 0 && nb = 0 then 1.0
-  else begin
-    let inter = ref 0 in
-    Hashtbl.iter (fun w () -> if Hashtbl.mem sb w then incr inter) sa;
-    float_of_int !inter /. float_of_int (na + nb - !inter)
-  end

@@ -11,11 +11,3 @@ val stopword : string -> bool
 
 val terms : string -> string list
 (** {!words} minus stopwords and one-character tokens. *)
-
-val ngrams : n:int -> string -> string list
-(** Character n-grams of the lowercased input (no padding). *)
-
-val token_set : string -> (string, unit) Hashtbl.t
-
-val jaccard : string -> string -> float
-(** Jaccard similarity of the {!terms} sets; 1.0 when both are empty. *)

@@ -250,6 +250,14 @@ if sed -n '/HOT-PATH-BEGIN/,/HOT-PATH-END/p' "$f" \
 fi
 echo "grep-gate ok: Smith-Waterman cell loop is int-only and reads only the profile"
 
+# Every lib export has a program caller. A `val` in a lib .mli that only
+# tests call is surface the layers must keep and no program needs, so
+# scripts/export_gate.sh fails on one unless scripts/export_allow.txt
+# names it with a reason (a reference implementation, a test-input
+# generator or an observer that a test reads), and fails on an
+# allow-list line whose val is gone or has a program caller again.
+sh scripts/export_gate.sh
+
 dune build
 dune runtest
 

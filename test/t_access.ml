@@ -148,7 +148,7 @@ let eval_tests =
           run "SELECT people.name, cities.city FROM people JOIN cities ON people.city_id = cities.id"
         in
         check Alcotest.int "rows" 4 (Relation.cardinality r);
-        check Alcotest.int "cols" 2 (Relation.arity r));
+        check Alcotest.int "cols" 2 (Schema.arity (Relation.schema r)));
     Alcotest.test_case "join condition reversed" `Quick (fun () ->
         let r =
           run "SELECT * FROM people JOIN cities ON cities.id = people.city_id"
@@ -258,6 +258,16 @@ let like_reference ~pattern s =
   done;
   dp.(np).(ns)
 
+(* LIKE as a query evaluates it: does a one-row table match? *)
+let like_match ~pattern s =
+  let t = Relation.create ~name:"t" (Schema.of_names [ "v" ]) in
+  Relation.insert t [| Value.Text s |];
+  let resolve name = if name = "t" then Some t else None in
+  Relation.cardinality
+    (Sql_eval.run ~resolve
+       (Printf.sprintf "SELECT * FROM t WHERE v LIKE '%s'" pattern))
+  = 1
+
 let like_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -268,17 +278,17 @@ let like_tests =
                    (string_gen_of_size (QCheck.Gen.int_range 0 10)
                       (QCheck.Gen.oneofl [ 'a'; 'b'; 'c' ])))
          (fun (pattern, s) ->
-           Sql_eval.like_match ~pattern s = like_reference ~pattern s));
+           like_match ~pattern s = like_reference ~pattern s));
     Alcotest.test_case "like semantics" `Quick (fun () ->
-        check Alcotest.bool "prefix" true (Sql_eval.like_match ~pattern:"ab%" "abcdef");
-        check Alcotest.bool "suffix" true (Sql_eval.like_match ~pattern:"%def" "abcdef");
-        check Alcotest.bool "infix" true (Sql_eval.like_match ~pattern:"%cd%" "abcdef");
-        check Alcotest.bool "underscore" true (Sql_eval.like_match ~pattern:"a_c" "abc");
-        check Alcotest.bool "exact" true (Sql_eval.like_match ~pattern:"abc" "abc");
-        check Alcotest.bool "case-insensitive" true (Sql_eval.like_match ~pattern:"ABC" "abc");
-        check Alcotest.bool "no match" false (Sql_eval.like_match ~pattern:"x%" "abc");
-        check Alcotest.bool "percent alone" true (Sql_eval.like_match ~pattern:"%" "");
-        check Alcotest.bool "too short" false (Sql_eval.like_match ~pattern:"a_c" "ac"));
+        check Alcotest.bool "prefix" true (like_match ~pattern:"ab%" "abcdef");
+        check Alcotest.bool "suffix" true (like_match ~pattern:"%def" "abcdef");
+        check Alcotest.bool "infix" true (like_match ~pattern:"%cd%" "abcdef");
+        check Alcotest.bool "underscore" true (like_match ~pattern:"a_c" "abc");
+        check Alcotest.bool "exact" true (like_match ~pattern:"abc" "abc");
+        check Alcotest.bool "case-insensitive" true (like_match ~pattern:"ABC" "abc");
+        check Alcotest.bool "no match" false (like_match ~pattern:"x%" "abc");
+        check Alcotest.bool "percent alone" true (like_match ~pattern:"%" "");
+        check Alcotest.bool "too short" false (like_match ~pattern:"a_c" "ac"));
   ]
 
 (* warehouse-level fixtures reuse the linkdisc mini-sources *)
@@ -293,7 +303,11 @@ let search_tests =
   [
     Alcotest.test_case "build and count" `Quick (fun () ->
         let s = Search.build (mini_profiles ()) in
-        check Alcotest.int "six objects" 6 (Search.object_count s));
+        check Alcotest.int "six objects" 6
+          (List.length
+             (List.filter
+                (fun acc -> Search.resolve s acc <> None)
+                [ "AX001"; "AX002"; "AX003"; "BX901"; "BX902"; "BX903" ])));
     Alcotest.test_case "find by description word" `Quick (fun () ->
         let s = Search.build (mini_profiles ()) in
         let hits = Search.search s "kinase" in
@@ -487,7 +501,7 @@ module Ref_view = struct
             Relation.iteri_rows
               (fun row_i row ->
                 let owners =
-                  L.Owner_map.owners e.owner ~relation:entry.relation ~row:row_i
+                  (L.Owner_map.row_owners e.owner ~relation:entry.relation).(row_i)
                 in
                 if List.mem obj.accession owners then
                   rows :=
@@ -909,37 +923,104 @@ let link_query_tests =
         | hs -> Alcotest.fail (Printf.sprintf "%d hits" (List.length hs)));
     Alcotest.test_case "reachable_count" `Quick (fun () ->
         check Alcotest.int "prot degree" 3
-          (Link_query.reachable_count (graph ()) prot));
+          (List.length (Link_query.links_of (graph ()) prot)));
     one_index_test;
   ]
+
+(* a one-table source: entry(entry_id, accession, descr) *)
+let entry_source ~name rows =
+  let cat = Catalog.create ~name in
+  let e =
+    Catalog.create_relation cat ~name:"entry"
+      (Schema.of_names [ "entry_id"; "accession"; "descr" ])
+  in
+  List.iteri
+    (fun i (acc, d) ->
+      Relation.insert e [| Value.Int (i + 1); Value.text acc; Value.text d |])
+    rows;
+  cat
+
+(* the static site of a browser, written to a fresh directory *)
+let site_of b =
+  let dir = Filename.temp_file "aladin" "site" in
+  Sys.remove dir;
+  ignore (Html_export.write_site b ~dir);
+  dir
+
+let site_of_sources catalogs =
+  let profiles =
+    Aladin_links.Profile_list.of_profiles
+      (List.map Aladin_discovery.Source_profile.analyze catalogs)
+  in
+  site_of (Browser.create profiles (Link_query.create []) [])
+
+(* the page of the object with this accession *)
+let page_of dir accession =
+  match
+    List.find_opt
+      (fun f -> Aladin_text.Strdist.contains ~needle:("__" ^ accession ^ ".html") f)
+      (Array.to_list (Sys.readdir dir))
+  with
+  | Some f -> In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+  | None -> Alcotest.failf "no page for %s in %s" accession dir
+
+(* how the page of AX001 shows a descr value: the text between the
+   marker the value starts with and the end of its table cell *)
+let shown_descr value =
+  let page =
+    page_of
+      (site_of_sources
+         [ entry_source ~name:"src"
+             [ ("AX001", "QQSTART" ^ value);
+               ("AX002", "beta transporter protein briefly");
+               ("AX003", "gamma receptor protein binding extracellular calcium ligands here") ] ])
+      "AX001"
+  in
+  let find needle from =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length page then Alcotest.failf "%S not in the page" needle
+      else if String.sub page i n = needle then i
+      else go (i + 1)
+    in
+    go from
+  in
+  let start = find "QQSTART" 0 + String.length "QQSTART" in
+  String.sub page start (find "</td>" start - start)
 
 let html_tests =
   [
     Alcotest.test_case "escape" `Quick (fun () ->
         check Alcotest.string "escaped" "a&amp;b &lt;c&gt; &quot;d&quot;"
-          (Html_export.escape_html "a&b <c> \"d\""));
+          (shown_descr "a&b <c> \"d\""));
     Alcotest.test_case "filename sanitized" `Quick (fun () ->
-        let o =
-          Aladin_links.Objref.make ~source:"s/1" ~relation:"r" ~accession:"GO:0001"
+        let dir =
+          site_of_sources
+            [ entry_source ~name:"s/1"
+                [ ("GO:0001", "alpha kinase protein involved in DNA repair pathways");
+                  ("GO:0002", "beta transporter protein briefly");
+                  ("GO:0003", "gamma receptor protein binding extracellular calcium") ] ]
         in
-        let f = Html_export.page_filename o in
-        check Alcotest.bool "no slash" true (not (String.contains f '/'));
-        check Alcotest.bool "no colon" true (not (String.contains f ':')));
+        let files = Array.to_list (Sys.readdir dir) in
+        check Alcotest.int "index and three pages" 4 (List.length files);
+        List.iter
+          (fun f ->
+            check Alcotest.bool (f ^ " is a file") false
+              (Sys.is_directory (Filename.concat dir f));
+            check Alcotest.bool "no colon" true (not (String.contains f ':')))
+          files);
     Alcotest.test_case "object page wellformed-ish" `Quick (fun () ->
-        let b = mini_browser () in
-        match Browser.view_accession b ~source:"src_a" "AX001" with
-        | None -> Alcotest.fail "no view"
-        | Some v ->
-            let html = Html_export.object_page b v in
-            check Alcotest.bool "has title" true
-              (Aladin_text.Strdist.contains ~needle:"AX001" html);
-            check Alcotest.bool "closes body" true
-              (Aladin_text.Strdist.contains ~needle:"</body>" html));
+        let html = page_of (site_of (mini_browser ())) "AX001" in
+        check Alcotest.bool "has title" true
+          (Aladin_text.Strdist.contains ~needle:"AX001" html);
+        check Alcotest.bool "closes body" true
+          (Aladin_text.Strdist.contains ~needle:"</body>" html));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"escape_html leaves no raw specials" ~count:200
          QCheck.string
          (fun s ->
-           let e = Html_export.escape_html s in
+           (* a page clips a value at 300 bytes before escaping it *)
+           let e = shown_descr (String.sub s 0 (min 290 (String.length s))) in
            not (String.exists (fun c -> c = '<' || c = '>') e)
            (* every & in the output must start an entity *)
            && (let ok = ref true in

@@ -202,12 +202,26 @@ let inclusion_tests =
                fk.origin = `Declared && fk.src_relation = "comment")
              fks));
     Alcotest.test_case "name_affinity" `Quick (fun () ->
-        check Alcotest.bool "taxon_id vs taxon" true
-          (Inclusion.name_affinity ~src_attribute:"taxon_id" ~dst_relation:"taxon"
-             ~dst_attribute:"taxon_id" > 0.0);
-        check (Alcotest.float 0.001) "unrelated" 0.0
-          (Inclusion.name_affinity ~src_attribute:"taxon_id"
-             ~dst_relation:"bioentry" ~dst_attribute:"bioentry_id"));
+        (* three unique integer keys 1..3: the pk-pk guard keeps only the
+           pair whose names correspond *)
+        let cat = Catalog.create ~name:"x" in
+        List.iter
+          (fun (rel, attr) ->
+            let r = Catalog.create_relation cat ~name:rel (Schema.of_names [ attr ]) in
+            for i = 1 to 3 do
+              Relation.insert r [| Value.Int i |]
+            done)
+          [ ("taxon", "taxon_id"); ("org", "taxon_id"); ("bioentry", "bioentry_id") ];
+        let fks = Inclusion.infer (Profile.compute cat) in
+        let linked a b =
+          List.exists
+            (fun (fk : Inclusion.fk) ->
+              (fk.src_relation = a && fk.dst_relation = b)
+              || (fk.src_relation = b && fk.dst_relation = a))
+            fks
+        in
+        check Alcotest.bool "taxon_id vs taxon" true (linked "org" "taxon");
+        check Alcotest.bool "unrelated" false (linked "taxon" "bioentry"));
     Alcotest.test_case "pk-pk guard blocks surrogate confusion" `Quick (fun () ->
         (* two dictionary tables whose integer keys are both 1..3 *)
         let cat = Catalog.create ~name:"x" in
@@ -249,7 +263,10 @@ let inclusion_tests =
                 fks)));
     Alcotest.test_case "candidate_pairs_considered positive" `Quick (fun () ->
         let p = Profile.compute (mini_source ()) in
-        check Alcotest.bool "pairs > 0" true (Inclusion.candidate_pairs_considered p > 0));
+        let tr = Aladin_obs.Trace.create () in
+        ignore (Aladin_obs.Trace.with_ambient tr (fun () -> Inclusion.infer p));
+        check Alcotest.bool "pairs > 0" true
+          (Aladin_obs.Trace.counter_value tr "fk.pairs_considered" > 0));
   ]
 
 let graph_of_mini () =
@@ -269,9 +286,14 @@ let fk_graph_tests =
         check Alcotest.int "zero" 0 (Fk_graph.in_degree g "nope"));
     Alcotest.test_case "neighbors undirected" `Quick (fun () ->
         let g = graph_of_mini () in
+        (* one hop each way: paths follow foreign keys in both directions *)
+        let one_hop src dst =
+          match List.assoc_opt dst (Fk_graph.paths_from g ~src ~max_len:1) with
+          | Some (_ :: _) -> true
+          | Some [] | None -> false
+        in
         check Alcotest.bool "entry<->comment both" true
-          (List.mem_assoc "comment" (Fk_graph.neighbors g "entry")
-          && List.mem_assoc "entry" (Fk_graph.neighbors g "comment")));
+          (one_hop "entry" "comment" && one_hop "comment" "entry"));
     Alcotest.test_case "paths_from reach all" `Quick (fun () ->
         let g = graph_of_mini () in
         let paths = Fk_graph.paths_from g ~src:"entry" ~max_len:4 in
@@ -282,10 +304,6 @@ let fk_graph_tests =
         match List.assoc_opt "kw" paths with
         | Some (first :: _) -> check Alcotest.int "2 hops via bridge" 2 (List.length first)
         | Some [] | None -> Alcotest.fail "kw unreachable");
-    Alcotest.test_case "connected_components" `Quick (fun () ->
-        let g = graph_of_mini () in
-        check Alcotest.int "one component" 1
-          (List.length (Fk_graph.connected_components g)));
     Alcotest.test_case "average in-degree" `Quick (fun () ->
         let g = graph_of_mini () in
         check Alcotest.bool "positive" true (Fk_graph.average_in_degree g > 0.0));
@@ -444,19 +462,34 @@ let tests =
     ("discovery.source_profile", source_profile_tests);
   ]
 
+(* the class column of [attribute]'s row in [relation]'s table of the
+   rendered report *)
+let class_of sp ~relation ~attribute =
+  let words l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  let rec section = function
+    | [] -> None
+    | l :: rest when l <> "" && l.[0] <> ' ' && List.hd (words l) = relation ->
+        row rest
+    | _ :: rest -> section rest
+  and row = function
+    | [] | "" :: _ -> None
+    | l :: rest -> (
+        match words l with
+        | a :: (_ :: _ as cols) when a = attribute -> Some (List.nth cols (List.length cols - 1))
+        | _ -> row rest)
+  in
+  section (String.split_on_char '\n' (Profile_report.render sp))
+
 let profile_report_tests =
   [
     Alcotest.test_case "classes assigned" `Quick (fun () ->
         let sp = Source_profile.analyze (mini_source ()) in
-        check Alcotest.string "accession" "accession"
-          (Profile_report.class_name
-             (Profile_report.classify sp ~relation:"entry" ~attribute:"accession"));
-        check Alcotest.string "fk" "foreign-key"
-          (Profile_report.class_name
-             (Profile_report.classify sp ~relation:"comment" ~attribute:"entry_id"));
-        check Alcotest.string "sequence" "sequence"
-          (Profile_report.class_name
-             (Profile_report.classify sp ~relation:"seqdata" ~attribute:"seq_text")));
+        check Alcotest.(option string) "accession" (Some "accession")
+          (class_of sp ~relation:"entry" ~attribute:"accession");
+        check Alcotest.(option string) "fk" (Some "foreign-key")
+          (class_of sp ~relation:"comment" ~attribute:"entry_id");
+        check Alcotest.(option string) "sequence" (Some "sequence")
+          (class_of sp ~relation:"seqdata" ~attribute:"seq_text"));
     Alcotest.test_case "render mentions primary and relations" `Quick (fun () ->
         let sp = Source_profile.analyze (mini_source ()) in
         let r = Profile_report.render sp in
@@ -464,10 +497,6 @@ let profile_report_tests =
         check Alcotest.bool "primary line" true (contains "primary relation: entry");
         check Alcotest.bool "kw table" true (contains "kw (2 rows)");
         check Alcotest.bool "bridge" true (contains "bridge"));
-    Alcotest.test_case "unknown attribute raises" `Quick (fun () ->
-        let sp = Source_profile.analyze (mini_source ()) in
-        Alcotest.check_raises "Not_found" Not_found (fun () ->
-            ignore (Profile_report.classify sp ~relation:"entry" ~attribute:"zz")));
   ]
 
 let tests = tests @ [ ("discovery.profile_report", profile_report_tests) ]

@@ -3,23 +3,25 @@ open Aladin_dup
 
 let check = Alcotest.check
 
+(* two ids are connected when a cluster holds both *)
+let connected uf a b =
+  a = b
+  || List.exists (fun c -> List.mem a c && List.mem b c) (Union_find.clusters uf)
+
 let union_find_tests =
   [
     Alcotest.test_case "basic union" `Quick (fun () ->
         let uf = Union_find.create () in
         Union_find.union uf "a" "b";
         Union_find.union uf "b" "c";
-        check Alcotest.bool "a~c" true (Union_find.connected uf "a" "c");
-        check Alcotest.bool "a!~d" false (Union_find.connected uf "a" "d"));
+        check Alcotest.bool "a~c" true (connected uf "a" "c");
+        check Alcotest.bool "a!~d" false (connected uf "a" "d"));
     Alcotest.test_case "clusters min size 2" `Quick (fun () ->
         let uf = Union_find.create () in
-        Union_find.add uf "lonely";
+        Union_find.union uf "lonely" "lonely";
         Union_find.union uf "a" "b";
         check Alcotest.(list (list string)) "one cluster" [ [ "a"; "b" ] ]
           (Union_find.clusters uf));
-    Alcotest.test_case "find idempotent on fresh" `Quick (fun () ->
-        let uf = Union_find.create () in
-        check Alcotest.string "self" "x" (Union_find.find uf "x"));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"union is equivalence" ~count:50
          QCheck.(list (pair (int_bound 10) (int_bound 10)))
@@ -32,8 +34,8 @@ let union_find_tests =
            (* symmetric + transitive closure: connected is an equivalence *)
            List.for_all
              (fun (a, b) ->
-               Union_find.connected uf (string_of_int a) (string_of_int b)
-               && Union_find.connected uf (string_of_int b) (string_of_int a))
+               connected uf (string_of_int a) (string_of_int b)
+               && connected uf (string_of_int b) (string_of_int a))
              pairs));
   ]
 
@@ -185,19 +187,26 @@ let field_sim_tests =
 let repr obj_acc source fields =
   { Object_sim.obj = Objref.make ~source ~relation:"r" ~accession:obj_acc; fields }
 
+(* the duplicate pass's score of two objects: both prepared, then bound
+   to the context *)
+let similarity ?context a b =
+  Object_sim.similarity_prepared
+    (Object_sim.bind ?context (Object_sim.prepare a))
+    (Object_sim.bind ?context (Object_sim.prepare b))
+
 let object_sim_tests =
   [
     Alcotest.test_case "identical objects near 1" `Quick (fun () ->
         let fields = [ ("r.name", "BRCA2X"); ("r.desc", "repairs the DNA") ] in
-        let s = Object_sim.similarity (repr "A" "s1" fields) (repr "B" "s2" fields) in
+        let s = similarity (repr "A" "s1" fields) (repr "B" "s2" fields) in
         check Alcotest.bool "high" true (s > 0.85));
     Alcotest.test_case "disjoint objects low" `Quick (fun () ->
         let a = repr "A" "s1" [ ("r.name", "AAAB1"); ("r.desc", "mmm nnn ooo") ] in
         let b = repr "B" "s2" [ ("r.name", "ZZZY9"); ("r.desc", "qqq rrr sss") ] in
-        check Alcotest.bool "low" true (Object_sim.similarity a b < 0.5));
+        check Alcotest.bool "low" true (similarity a b < 0.5));
     Alcotest.test_case "empty fields zero" `Quick (fun () ->
         let a = repr "A" "s1" [] and b = repr "B" "s2" [ ("r.x", "v") ] in
-        check (Alcotest.float 0.001) "zero" 0.0 (Object_sim.similarity a b));
+        check (Alcotest.float 0.001) "zero" 0.0 (similarity a b));
     Alcotest.test_case "context downweights common values" `Quick (fun () ->
         (* many objects share "Homo sapiens"; two also share a rare name *)
         let common i =
@@ -209,8 +218,8 @@ let object_sim_tests =
         let c = repr "C" "s2" [ ("r.org", "Homo sapiens"); ("r.name", "OTHER88") ] in
         let reprs = a :: b :: c :: List.init 20 common in
         let ctx = Object_sim.context_of reprs in
-        let dup_score = Object_sim.similarity ~context:ctx a b in
-        let nondup_score = Object_sim.similarity ~context:ctx a c in
+        let dup_score = similarity ~context:ctx a b in
+        let nondup_score = similarity ~context:ctx a c in
         check Alcotest.bool "dup higher" true (dup_score > nondup_score +. 0.2));
     Alcotest.test_case "explain mentions anchor and score" `Quick (fun () ->
         let fields = [ ("r.name", "BRCA2X"); ("r.desc", "repairs the DNA today") ] in
@@ -226,15 +235,24 @@ let object_sim_tests =
         let a = repr "A" "s1" [ ("r.color", "bluex") ] in
         let b = repr "B" "s2" [ ("r.color", "bluex") ] in
         let ctx = Object_sim.context_of [ a; b ] in
-        check Alcotest.bool "halved" true (Object_sim.similarity ~context:ctx a b < 0.6));
+        check Alcotest.bool "halved" true (similarity ~context:ctx a b < 0.6));
     Alcotest.test_case "field_matches aligned" `Quick (fun () ->
         let a = repr "A" "s1" [ ("r.name", "XYZ1") ] in
         let b = repr "B" "s2" [ ("q.other", "zzz"); ("q.name", "XYZ1") ] in
-        match Object_sim.field_matches a b with
-        | [ (_, va, _, vb, vs) ] ->
-            check Alcotest.string "left" "XYZ1" va;
-            check Alcotest.string "right" "XYZ1" vb;
-            check (Alcotest.float 0.001) "exact" 1.0 vs
+        (* the explanation lists one line per matched field *)
+        let matches =
+          List.filter
+            (fun l -> Aladin_text.Strdist.contains ~needle:" ~ " l)
+            (String.split_on_char '\n' (Object_sim.explain a b))
+        in
+        match matches with
+        | [ m ] ->
+            check Alcotest.bool "left" true
+              (Aladin_text.Strdist.contains ~needle:"r.name=\"XYZ1\"" m);
+            check Alcotest.bool "right" true
+              (Aladin_text.Strdist.contains ~needle:"q.name=\"XYZ1\"" m);
+            check Alcotest.bool "exact" true
+              (Aladin_text.Strdist.contains ~needle:"vs=1.00 " m)
         | ms -> Alcotest.fail (Printf.sprintf "%d matches" (List.length ms)));
   ]
 
@@ -449,22 +467,12 @@ let dup_detect_tests =
            the mixed-case duplicate pair is actually considered *)
         let a = repr "A" "s1" [ ("r.name", "BRCA1") ] in
         let b = repr "B" "s2" [ ("r.name", "brca1") ] in
-        let shared =
-          List.filter
-            (fun k -> List.mem k (Dup_detect.blocking_keys b))
-            (Dup_detect.blocking_keys a)
-        in
-        check Alcotest.bool "share a block" true (shared <> []);
-        check Alcotest.int "pair considered" 1
-          (List.length (Dup_detect.candidate_pairs Dup_detect.default_params
-                          [ a; b ]));
+        let considered reprs = (Dup_detect.detect_on reprs).candidates_checked in
+        check Alcotest.int "pair considered" 1 (considered [ a; b ]);
         (* same for multi-word values that go through the token keys *)
         let c = repr "C" "s1" [ ("r.desc", "Alpha KINASE protein") ] in
         let d = repr "D" "s2" [ ("r.desc", "alpha kinase PROTEIN") ] in
-        check Alcotest.bool "token blocks shared" true
-          (List.exists
-             (fun k -> List.mem k (Dup_detect.blocking_keys d))
-             (Dup_detect.blocking_keys c)));
+        check Alcotest.int "token blocks shared" 1 (considered [ c; d ]));
     Alcotest.test_case "detect_on identical at pool sizes 1/2/4" `Quick
       (fun () ->
         let reprs = planted_reprs () in
@@ -603,12 +611,20 @@ let build_reprs_tests =
              reprs));
   ]
 
+(* the conflicts a browser view lists for a duplicate link from a to b *)
+let between ?params (a : Object_sim.repr) (b : Object_sim.repr) =
+  Conflict.in_duplicates ?params (Conflict.table [ a; b ])
+    [ Link.make ~src:a.obj ~dst:b.obj ~kind:Link.Duplicate ~confidence:0.9
+        ~evidence:"t" ]
+
+let default_params = { Conflict.min_name_affinity = 0.3; max_value_similarity = 0.8 }
+
 let conflict_tests =
   [
     Alcotest.test_case "disagreeing matched field flagged" `Quick (fun () ->
         let a = repr "A" "s1" [ ("p.length", "431") ] in
         let b = repr "B" "s2" [ ("q.length", "497") ] in
-        match Conflict.between a b with
+        match between a b with
         | [ c ] ->
             check Alcotest.string "va" "431" c.value_a;
             check Alcotest.string "vb" "497" c.value_b
@@ -616,11 +632,11 @@ let conflict_tests =
     Alcotest.test_case "agreeing fields not flagged" `Quick (fun () ->
         let a = repr "A" "s1" [ ("p.name", "SAME1") ] in
         let b = repr "B" "s2" [ ("q.name", "SAME1") ] in
-        check Alcotest.int "none" 0 (List.length (Conflict.between a b)));
+        check Alcotest.int "none" 0 (List.length (between a b)));
     Alcotest.test_case "unrelated attribute names not compared" `Quick (fun () ->
         let a = repr "A" "s1" [ ("p.organism", "mouse") ] in
         let b = repr "B" "s2" [ ("q.sequence", "ACGT") ] in
-        check Alcotest.int "none" 0 (List.length (Conflict.between a b)));
+        check Alcotest.int "none" 0 (List.length (between a b)));
     Alcotest.test_case "in_duplicates scoped to links" `Quick (fun () ->
         let a = repr "A" "s1" [ ("p.len", "10") ] in
         let b = repr "B" "s2" [ ("q.len", "99") ] in
@@ -640,7 +656,7 @@ let conflict_tests =
    names tokenized and both values prepared again for every field pair.
    Kept as the reference the prepared kernel must equal. *)
 module Ref_conflict = struct
-  let between ?(params = Conflict.default_params) (a : Object_sim.repr)
+  let between ?(params = default_params) (a : Object_sim.repr)
       (b : Object_sim.repr) =
     List.concat_map
       (fun (attr_a, value_a) ->
@@ -709,7 +725,7 @@ let conflict_kernel_test =
      flagged *)
   let params =
     oneofl
-      [ Conflict.default_params;
+      [ default_params;
         { Conflict.min_name_affinity = 0.0; max_value_similarity = 1.0 } ]
   in
   QCheck_alcotest.to_alcotest
@@ -717,9 +733,9 @@ let conflict_kernel_test =
     (QCheck.Test.make ~name:"between equals the per-pair reference" ~count:300
        (QCheck.make (triple params (repr "A") (repr "B")))
        (fun (params, a, b) ->
-         Conflict.between ~params a b = Ref_conflict.between ~params a b
-         && Conflict.between ~params b a = Ref_conflict.between ~params b a
-         && Conflict.between ~params a a = Ref_conflict.between ~params a a))
+         between ~params a b = Ref_conflict.between ~params a b
+         && between ~params b a = Ref_conflict.between ~params b a
+         && between ~params a a = Ref_conflict.between ~params a a))
 
 let conflict_tests = conflict_tests @ [ conflict_kernel_test ]
 

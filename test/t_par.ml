@@ -26,7 +26,7 @@ let pool_tests =
                 check
                   Alcotest.(list int)
                   (Printf.sprintf "size %d" n)
-                  expected (Pool.parallel_map p f xs)))
+                  expected (Pool.map ~pool:p f xs)))
           [ 1; 2; 4 ]);
     Alcotest.test_case "parallel_filter_map equals List.filter_map" `Quick
       (fun () ->
@@ -36,12 +36,12 @@ let pool_tests =
             check
               Alcotest.(list int)
               "filtered" (List.filter_map f xs)
-              (Pool.parallel_filter_map p f xs)));
+              (Pool.filter_map ~pool:p f xs)));
     Alcotest.test_case "empty and singleton inputs" `Quick (fun () ->
         with_pool 3 (fun p ->
-            check Alcotest.(list int) "empty" [] (Pool.parallel_map p succ []);
+            check Alcotest.(list int) "empty" [] (Pool.map ~pool:p succ []);
             check Alcotest.(list int) "singleton" [ 8 ]
-              (Pool.parallel_map p succ [ 7 ])));
+              (Pool.map ~pool:p succ [ 7 ])));
     Alcotest.test_case "chunked claiming keeps input order on large batches"
       `Quick (fun () ->
         (* 1000 items at 2/4 domains claims runs of >1 item per cursor
@@ -55,7 +55,7 @@ let pool_tests =
                 check
                   Alcotest.(list int)
                   (Printf.sprintf "size %d" n)
-                  expected (Pool.parallel_map p f xs)))
+                  expected (Pool.map ~pool:p f xs)))
           [ 2; 4 ]);
     Alcotest.test_case "expired budget enforced on singleton input" `Quick
       (fun () ->
@@ -76,7 +76,7 @@ let pool_tests =
                         while Obs.Clock.now () <= t0 do () done
                   in
                   spin ();
-                  Pool.parallel_map p succ [ 1 ])
+                  Pool.map ~pool:p succ [ 1 ])
             with
             | _ -> Alcotest.fail "expected Budget.Expired"
             | exception Budget.Expired (step, _) ->
@@ -85,7 +85,7 @@ let pool_tests =
       (fun () ->
         with_pool 4 (fun p ->
             (match
-               Pool.parallel_map p
+               Pool.map ~pool:p
                  (fun x -> if x = 37 then failwith "boom" else x)
                  (List.init 80 Fun.id)
              with
@@ -95,13 +95,13 @@ let pool_tests =
               Alcotest.(list int)
               "pool still works"
               (List.init 10 succ)
-              (Pool.parallel_map p succ (List.init 10 Fun.id))));
+              (Pool.map ~pool:p succ (List.init 10 Fun.id))));
     Alcotest.test_case "nested fan-out is rejected" `Quick (fun () ->
         with_pool 2 (fun p ->
             let inner_rejected =
-              Pool.parallel_map p
+              Pool.map ~pool:p
                 (fun _ ->
-                  match Pool.parallel_map p Fun.id [ 1; 2; 3 ] with
+                  match Pool.map ~pool:p Fun.id [ 1; 2; 3 ] with
                   | _ -> false
                   | exception Invalid_argument _ -> true)
                 [ 1; 2; 3; 4 ]
@@ -111,7 +111,7 @@ let pool_tests =
     Alcotest.test_case "run_sequential is List.map; size reports domains"
       `Quick (fun () ->
         check Alcotest.(list int) "seq" [ 2; 3; 4 ]
-          (Pool.run_sequential succ [ 1; 2; 3 ]);
+          (Pool.map succ [ 1; 2; 3 ]);
         with_pool 3 (fun p -> check Alcotest.int "size" 3 (Pool.size p)));
     Alcotest.test_case "shutdown is idempotent and falls back to sequential"
       `Quick (fun () ->
@@ -122,7 +122,7 @@ let pool_tests =
         check
           Alcotest.(list int)
           "still maps" [ 1; 2 ]
-          (Pool.parallel_map p succ [ 0; 1 ]));
+          (Pool.map ~pool:p succ [ 0; 1 ]));
     Alcotest.test_case "ambient counters/histograms merge exactly" `Quick
       (fun () ->
         with_pool 4 (fun p ->
@@ -131,7 +131,7 @@ let pool_tests =
             Obs.Trace.with_ambient tr (fun () ->
                 Obs.Trace.with_span tr "fan" (fun () ->
                     ignore
-                      (Pool.parallel_map p
+                      (Pool.map ~pool:p
                          (fun i ->
                            Obs.Trace.ambient_incr "par.items";
                            Obs.Trace.ambient_observe "par.cost"

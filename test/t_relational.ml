@@ -4,6 +4,11 @@ let check = Alcotest.check
 
 (* ---- Vec ---- *)
 
+let of_list xs =
+  let v = Vec.create () in
+  List.iter (Vec.push v) xs;
+  v
+
 let vec_tests =
   [
     Alcotest.test_case "push-get-length" `Quick (fun () ->
@@ -16,49 +21,21 @@ let vec_tests =
         check Alcotest.int "get 99" 99 (Vec.get v 99));
     Alcotest.test_case "empty" `Quick (fun () ->
         let v : int Vec.t = Vec.create () in
-        check Alcotest.bool "is_empty" true (Vec.is_empty v);
-        check Alcotest.(option int) "pop" None (Vec.pop v));
-    Alcotest.test_case "pop" `Quick (fun () ->
-        let v = Vec.of_list [ 1; 2; 3 ] in
-        check Alcotest.(option int) "pop 3" (Some 3) (Vec.pop v);
-        check Alcotest.int "len after pop" 2 (Vec.length v));
-    Alcotest.test_case "set" `Quick (fun () ->
-        let v = Vec.of_list [ 1; 2; 3 ] in
-        Vec.set v 1 42;
-        check Alcotest.(list int) "after set" [ 1; 42; 3 ] (Vec.to_list v));
+        check Alcotest.int "length" 0 (Vec.length v);
+        check Alcotest.(list int) "to_list" [] (Vec.to_list v);
+        check Alcotest.(option int) "find" None (Vec.find_opt (fun _ -> true) v));
     Alcotest.test_case "out-of-bounds raises" `Quick (fun () ->
-        let v = Vec.of_list [ 1 ] in
+        let v = of_list [ 1 ] in
         Alcotest.check_raises "get" (Invalid_argument "Vec: index 1 out of bounds (length 1)")
           (fun () -> ignore (Vec.get v 1)));
-    Alcotest.test_case "map-filter-fold" `Quick (fun () ->
-        let v = Vec.of_list [ 1; 2; 3; 4 ] in
-        check Alcotest.(list int) "map" [ 2; 4; 6; 8 ]
-          (Vec.to_list (Vec.map (fun x -> 2 * x) v));
-        check Alcotest.(list int) "filter" [ 2; 4 ]
-          (Vec.to_list (Vec.filter (fun x -> x mod 2 = 0) v));
-        check Alcotest.int "fold" 10 (Vec.fold_left ( + ) 0 v));
     Alcotest.test_case "exists-forall-find" `Quick (fun () ->
-        let v = Vec.of_list [ 1; 3; 5 ] in
-        check Alcotest.bool "exists" true (Vec.exists (fun x -> x = 3) v);
-        check Alcotest.bool "for_all odd" true (Vec.for_all (fun x -> x mod 2 = 1) v);
-        check Alcotest.(option int) "find" (Some 3) (Vec.find_opt (fun x -> x > 2) v));
-    Alcotest.test_case "append and sort" `Quick (fun () ->
-        let a = Vec.of_list [ 3; 1 ] and b = Vec.of_list [ 2 ] in
-        Vec.append a b;
-        Vec.sort Int.compare a;
-        check Alcotest.(list int) "sorted" [ 1; 2; 3 ] (Vec.to_list a));
-    Alcotest.test_case "clear" `Quick (fun () ->
-        let v = Vec.of_list [ 1; 2 ] in
-        Vec.clear v;
-        check Alcotest.int "cleared" 0 (Vec.length v));
+        let v = of_list [ 1; 3; 5 ] in
+        check Alcotest.(option int) "find" (Some 3) (Vec.find_opt (fun x -> x > 2) v);
+        check Alcotest.(option int) "none" None (Vec.find_opt (fun x -> x > 5) v));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"of_list/to_list roundtrip" ~count:100
          QCheck.(list int)
-         (fun xs -> Vec.to_list (Vec.of_list xs) = xs));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"of_array/to_array roundtrip" ~count:100
-         QCheck.(array int)
-         (fun a -> Vec.to_array (Vec.of_array a) = a));
+         (fun xs -> Vec.to_list (of_list xs) = xs));
   ]
 
 (* ---- Value ---- *)
@@ -122,16 +99,19 @@ let schema_tests =
           (Invalid_argument "Schema.make: duplicate attribute \"A\"") (fun () ->
             ignore (Schema.of_names [ "a"; "A" ])));
     Alcotest.test_case "rename and concat" `Quick (fun () ->
-        let s = Schema.of_names [ "a"; "b" ] in
-        let r = Schema.rename s ~prefix:"t." in
-        check Alcotest.(list string) "renamed" [ "t.a"; "t.b" ] (Schema.names r);
-        let c = Schema.concat s r in
-        check Alcotest.int "concat arity" 4 (Schema.arity c));
-    Alcotest.test_case "equal" `Quick (fun () ->
-        check Alcotest.bool "same" true
-          (Schema.equal (Schema.of_names [ "x" ]) (Schema.of_names [ "X" ]));
-        check Alcotest.bool "diff" false
-          (Schema.equal (Schema.of_names [ "x" ]) (Schema.of_names [ "y" ])));
+        (* a query names each column after its table and a join
+           concatenates the two schemas *)
+        let rel name =
+          let r = Relation.create ~name (Schema.of_names [ "a"; "b" ]) in
+          Relation.insert r [| Value.Int 1; Value.Int 2 |];
+          r
+        in
+        let t = rel "t" and u = rel "u" in
+        let resolve = function "t" -> Some t | "u" -> Some u | _ -> None in
+        let names sql = Schema.names (Relation.schema (Aladin_access.Sql_eval.run ~resolve sql)) in
+        check Alcotest.(list string) "renamed" [ "t.a"; "t.b" ] (names "SELECT * FROM t");
+        check Alcotest.int "concat arity" 4
+          (List.length (names "SELECT * FROM t JOIN u ON t.a = u.a")));
   ]
 
 (* ---- Relation ---- *)
@@ -142,6 +122,9 @@ let sample_relation () =
   Relation.insert r [| Value.Int 2; Value.text "B2"; Value.Int 10 |];
   Relation.insert r [| Value.Int 3; Value.text "C3"; Value.Null |];
   r
+
+let stats_of r attr =
+  List.find (fun (c : Col_stats.t) -> c.attribute = attr) (Col_stats.of_relation r)
 
 let relation_tests =
   [
@@ -156,20 +139,20 @@ let relation_tests =
           (fun () -> Relation.insert r [| Value.Int 9 |]));
     Alcotest.test_case "is_unique" `Quick (fun () ->
         let r = sample_relation () in
-        check Alcotest.bool "acc unique" true (Relation.is_unique r "acc");
-        check Alcotest.bool "v not (dups)" false (Relation.is_unique r "v"));
+        check Alcotest.bool "acc unique" true (stats_of r "acc").all_unique;
+        check Alcotest.bool "v not (dups)" false (stats_of r "v").all_unique);
     Alcotest.test_case "unique ignores nulls" `Quick (fun () ->
         let r = Relation.create ~name:"u" (Schema.of_names [ "a" ]) in
         Relation.insert r [| Value.Null |];
         Relation.insert r [| Value.Int 1 |];
         Relation.insert r [| Value.Null |];
-        check Alcotest.bool "unique" true (Relation.is_unique r "a"));
+        check Alcotest.bool "unique" true (stats_of r "a").all_unique);
     Alcotest.test_case "empty column not unique" `Quick (fun () ->
         let r = Relation.create ~name:"e" (Schema.of_names [ "a" ]) in
-        check Alcotest.bool "not unique" false (Relation.is_unique r "a"));
+        check Alcotest.bool "not unique" false (stats_of r "a").all_unique);
     Alcotest.test_case "distinct skips nulls" `Quick (fun () ->
         let r = sample_relation () in
-        check Alcotest.int "distinct v" 1 (Relation.distinct_count r "v"));
+        check Alcotest.int "distinct v" 1 (stats_of r "v").distinct);
     Alcotest.test_case "find_row" `Quick (fun () ->
         let r = sample_relation () in
         (match Relation.find_row r "acc" (Value.text "B2") with
@@ -184,7 +167,7 @@ let relation_tests =
     Alcotest.test_case "insert_strings infers" `Quick (fun () ->
         let r = Relation.create ~name:"s" (Schema.of_names [ "a"; "b" ]) in
         Relation.insert_strings r [ "7"; "XY" ];
-        check Alcotest.bool "int inferred" true (Relation.value r 0 "a" = Value.Int 7));
+        check Alcotest.bool "int inferred" true ((Relation.column r "a").(0) = Value.Int 7));
   ]
 
 (* ---- Catalog ---- *)
@@ -239,13 +222,18 @@ let catalog_tests =
 
 (* ---- Col_stats ---- *)
 
+let of_column vals =
+  let r = Relation.create ~name:"r" (Schema.of_names [ "a" ]) in
+  Array.iter (fun v -> Relation.insert r [| v |]) vals;
+  List.hd (Col_stats.of_relation r)
+
 let col_stats_tests =
   [
     Alcotest.test_case "basic stats" `Quick (fun () ->
         let vals =
           [| Value.text "AB12"; Value.text "CD34"; Value.Null; Value.text "AB12" |]
         in
-        let cs = Col_stats.of_column ~relation:"r" ~attribute:"a" vals in
+        let cs = of_column vals in
         check Alcotest.int "rows" 4 cs.rows;
         check Alcotest.int "nulls" 1 cs.nulls;
         check Alcotest.int "distinct" 2 cs.distinct;
@@ -256,20 +244,21 @@ let col_stats_tests =
         check (Alcotest.float 0.001) "numeric" 0.0 cs.numeric_frac);
     Alcotest.test_case "numeric fraction" `Quick (fun () ->
         let vals = [| Value.Int 1; Value.Int 2; Value.text "x" |] in
-        let cs = Col_stats.of_column ~relation:"r" ~attribute:"a" vals in
+        let cs = of_column vals in
         check (Alcotest.float 0.001) "numeric" (2.0 /. 3.0) cs.numeric_frac);
     Alcotest.test_case "length_spread" `Quick (fun () ->
         let vals = [| Value.text "abcd"; Value.text "abcdefgh" |] in
-        let cs = Col_stats.of_column ~relation:"r" ~attribute:"a" vals in
+        let cs = of_column vals in
         check (Alcotest.float 0.001) "spread" 0.5 (Col_stats.length_spread cs));
     Alcotest.test_case "empty column" `Quick (fun () ->
-        let cs = Col_stats.of_column ~relation:"r" ~attribute:"a" [||] in
+        let cs = of_column [||] in
         check Alcotest.bool "not unique" false cs.all_unique;
         check (Alcotest.float 0.001) "spread" 0.0 (Col_stats.length_spread cs));
     Alcotest.test_case "sample capped" `Quick (fun () ->
         let vals = Array.init 100 (fun i -> Value.Int i) in
-        let cs = Col_stats.of_column ~relation:"r" ~attribute:"a" vals in
-        check Alcotest.int "sample" Col_stats.sample_size (List.length cs.sample));
+        let cs = of_column vals in
+        (* the sample holds the first 20 values *)
+        check Alcotest.int "sample" 20 (List.length cs.sample));
     Alcotest.test_case "of_relation order" `Quick (fun () ->
         let r = sample_relation () in
         let stats = Col_stats.of_relation r in
@@ -299,15 +288,20 @@ let vset_tests =
 
 (* ---- Csv ---- *)
 
+let parse_line line =
+  match Csv.read_string line with
+  | [ fields ] -> fields
+  | records -> Alcotest.failf "%d records in %S" (List.length records) line
+
 let csv_tests =
   [
     Alcotest.test_case "parse simple" `Quick (fun () ->
-        check Alcotest.(list string) "fields" [ "a"; "b"; "c" ] (Csv.parse_line "a,b,c"));
+        check Alcotest.(list string) "fields" [ "a"; "b"; "c" ] (parse_line "a,b,c"));
     Alcotest.test_case "parse quoted" `Quick (fun () ->
         check Alcotest.(list string) "fields" [ "a,b"; "c\"d" ]
-          (Csv.parse_line "\"a,b\",\"c\"\"d\""));
+          (parse_line "\"a,b\",\"c\"\"d\""));
     Alcotest.test_case "empty fields" `Quick (fun () ->
-        check Alcotest.(list string) "fields" [ ""; ""; "" ] (Csv.parse_line ",,"));
+        check Alcotest.(list string) "fields" [ ""; ""; "" ] (parse_line ",,"));
     Alcotest.test_case "render escapes" `Quick (fun () ->
         check Alcotest.string "line" "\"a,b\",plain" (Csv.render_line [ "a,b"; "plain" ]));
     Alcotest.test_case "relation roundtrip" `Quick (fun () ->
@@ -341,7 +335,9 @@ let csv_tests =
                 (fun f -> not (String.contains f '\n' || String.contains f '\r'))
                 fields);
            QCheck.assume (fields <> []);
-           Csv.parse_line (Csv.render_line fields) = fields));
+           (* an all-blank record line is skipped by the reader *)
+           QCheck.assume (String.trim (Csv.render_line fields) <> "");
+           parse_line (Csv.render_line fields) = fields));
     Alcotest.test_case "quoted field spans lines" `Quick (fun () ->
         check
           Alcotest.(list (list string))

@@ -17,15 +17,17 @@ let small_corpus =
              n_families = 3 };
        })
 
+let run_report w source =
+  List.find_opt (fun (r : Run_report.t) -> r.source = source) (Warehouse.run_reports w)
+
 let budget_tests =
   [
     Alcotest.test_case "active inside, cleared outside" `Quick (fun () ->
-        check Alcotest.(option string) "outside" None (Budget.active ());
-        let inside =
-          Budget.with_budget ~step:"s" 60.0 (fun () -> Budget.active ())
-        in
-        check Alcotest.(option string) "inside" (Some "s") inside;
-        check Alcotest.(option string) "restored" None (Budget.active ()));
+        let active () = Budget.remaining () <> None in
+        check Alcotest.bool "outside" false (active ());
+        let inside = Budget.with_budget ~step:"s" 60.0 active in
+        check Alcotest.bool "inside" true inside;
+        check Alcotest.bool "restored" false (active ()));
     Alcotest.test_case "zero budget expires on entry" `Quick (fun () ->
         match Budget.with_budget ~step:"z" 0.0 (fun () -> ()) with
         | () -> Alcotest.fail "no expiry"
@@ -48,8 +50,9 @@ let budget_tests =
              with
             | Error (Run_report.Timeout _) -> ()
             | Ok () | Error _ -> Alcotest.fail "inner should time out");
-            check Alcotest.(option string) "outer back" (Some "outer")
-              (Budget.active ())));
+            (* the outer hour is back, not the inner zero *)
+            check Alcotest.bool "outer back" true
+              (match Budget.remaining () with Some r -> r > 60.0 | None -> false)));
   ]
 
 let boundary_tests =
@@ -69,11 +72,21 @@ let boundary_tests =
         | Error (Run_report.Timeout b) -> check (Alcotest.float 0.0) "b" 0.0 b
         | _ -> Alcotest.fail "not a timeout");
     Alcotest.test_case "status names" `Quick (fun () ->
-        check Alcotest.string "ok" "ok" (Boundary.status_of (Ok ()));
-        check Alcotest.string "timeout" "timeout"
-          (Boundary.status_of (Error (Run_report.Timeout 1.0)));
-        check Alcotest.string "failed" "failed"
-          (Boundary.status_of (Error (Run_report.Crashed "x"))));
+        (* the status a bounded step stamps on its span *)
+        let status ?budget f =
+          let tr = Aladin_obs.Trace.create () in
+          ignore
+            (Aladin_obs.Trace.with_ambient tr (fun () ->
+                 Boundary.bounded ~retry:false ~name:"s" ?budget f));
+          match Aladin_obs.Trace.roots tr with
+          | [ sp ] -> List.assoc_opt "status" (Aladin_obs.Span.attrs sp)
+          | _ -> None
+        in
+        check Alcotest.(option string) "ok" (Some "ok") (status (fun () -> ()));
+        check Alcotest.(option string) "timeout" (Some "timeout")
+          (status ~budget:0.0 (fun () -> ()));
+        check Alcotest.(option string) "failed" (Some "failed")
+          (status (fun () -> failwith "x")));
   ]
 
 let sample_report =
@@ -187,7 +200,7 @@ let quarantine_tests =
         (* the bad source is reported but not in the warehouse *)
         check Alcotest.bool "not a source" false
           (List.mem "garbage" (Warehouse.sources w));
-        (match Warehouse.run_report w "garbage" with
+        (match run_report w "garbage" with
         | Some r ->
             check Alcotest.bool "quarantined" true r.quarantined;
             check Alcotest.bool "import failed" true
@@ -202,7 +215,7 @@ let quarantine_tests =
         List.iter
           (fun cat ->
             let name = Aladin_relational.Catalog.name cat in
-            match Warehouse.run_report w name with
+            match run_report w name with
             | Some r ->
                 check Alcotest.bool (name ^ " clean") true
                   (Run_report.is_clean r)
@@ -380,15 +393,17 @@ let boundary_fatal_tests =
 
 (* --- bounded retries with deterministic backoff --- *)
 
+(* the default policy's growth, jitter and seed, with short delays *)
 let fast_policy =
-  { Retry.default_policy with attempts = 4; base_delay = 1e-5; max_delay = 1e-4 }
+  { Retry.attempts = 4; base_delay = 1e-5; multiplier = 2.0; max_delay = 1e-4;
+    jitter = 0.25; seed = 9 }
 
 let transient_exn = Unix.Unix_error (Unix.EINTR, "read", "")
 
 let retry_tests =
   [
     Alcotest.test_case "backoff is deterministic and bounded" `Quick (fun () ->
-        let p = Retry.default_policy in
+        let p = { fast_policy with base_delay = 0.005; max_delay = 0.25 } in
         let d1 = Retry.backoff_delay p ~step:"seq pass" ~attempt:2 in
         let d2 = Retry.backoff_delay p ~step:"seq pass" ~attempt:2 in
         check (Alcotest.float 0.0) "replayed identically" d1 d2;
@@ -450,14 +465,20 @@ let rec rm_rf path =
 
 let rm_rf path = if Sys.file_exists path then rm_rf path
 
+(* a catalog of one CSV member per (relation, document) *)
+let dump_load ~name members =
+  fst
+    (Aladin_formats.Dump.catalog_of_members ~name
+       (List.map (fun (rel, doc) -> (rel ^ ".csv", doc)) members))
+
 let kr_catalogs () =
   [
-    Aladin_formats.Dump.load ~name:"uniprot"
+    dump_load ~name:"uniprot"
       [ ( "entry",
           "acc,name,description\nP10001,alpha,first protein of the set\n\
            P10002,beta,second protein of the set\n\
            P10003,gamma,third protein of the set\n" ) ];
-    Aladin_formats.Dump.load ~name:"pdb"
+    dump_load ~name:"pdb"
       [ ("item", "id,acc,score\n1,P10001,0.5\n2,P10003,1.5\n") ];
   ]
 
@@ -855,14 +876,14 @@ let resume_tests =
         check
           Alcotest.(list string)
           "pdb recomputed" [ "pdb" ] info.executed_sources;
-        (match Warehouse.run_report w "uniprot" with
+        (match run_report w "uniprot" with
         | Some r ->
             check Alcotest.bool "every step flagged" true
               (List.for_all
                  (fun (s : Run_report.step_report) -> s.resumed)
                  r.steps)
         | None -> Alcotest.fail "no restored report for uniprot");
-        (match Warehouse.run_report w "pdb" with
+        (match run_report w "pdb" with
         | Some r ->
             check Alcotest.bool "recomputed steps not flagged" true
               (List.for_all
@@ -926,7 +947,7 @@ let resume_tests =
         let changed =
           [
             List.hd (kr_catalogs ());
-            Aladin_formats.Dump.load ~name:"pdb"
+            dump_load ~name:"pdb"
               [ ("item", "id,acc,score\n1,P10002,9.9\n") ];
           ]
         in

@@ -34,21 +34,12 @@ let alphabet_tests =
           (half [ protein; rna; rna; protein ] = Some Alphabet.Rna));
     Alcotest.test_case "classify_column empty" `Quick (fun () ->
         check Alcotest.bool "none" true (Alphabet.classify_column [ ""; " " ] = None));
-    Alcotest.test_case "gc_content" `Quick (fun () ->
-        check (Alcotest.float 0.001) "half" 0.5 (Alphabet.gc_content "ACGT");
-        check (Alcotest.float 0.001) "zero" 0.0 (Alphabet.gc_content ""));
-    Alcotest.test_case "reverse_complement" `Quick (fun () ->
-        check Alcotest.string "rc" "CGAT" (Alphabet.reverse_complement "ATCG"));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"revcomp involution" ~count:100
-         QCheck.(string_gen_of_size (QCheck.Gen.int_range 1 50)
-                   (QCheck.Gen.oneofl [ 'A'; 'C'; 'G'; 'T' ]))
-         (fun s ->
-           Alphabet.reverse_complement (Alphabet.reverse_complement s) = s));
   ]
 
 (* Textbook definitions of normalization and classification, against
    which the single-pass [Alphabet] functions are checked. *)
+let rna = "ACGU"
+
 let ref_normalize s =
   String.concat ""
     (List.filter_map
@@ -64,7 +55,7 @@ let ref_is_over alphabet s =
 let ref_classify ~min_len s =
   if String.length (ref_normalize s) < min_len then None
   else if ref_is_over Alphabet.dna s then Some Alphabet.Dna
-  else if ref_is_over Alphabet.rna s then Some Alphabet.Rna
+  else if ref_is_over rna s then Some Alphabet.Rna
   else if ref_is_over Alphabet.protein s then Some Alphabet.Protein
   else None
 
@@ -105,7 +96,7 @@ let alphabet_value =
   in
   let chars s = List.of_seq (String.to_seq s) in
   frequency
-    [ (3, from (chars Alphabet.dna)); (2, from (chars Alphabet.rna));
+    [ (3, from (chars Alphabet.dna)); (2, from (chars rna));
       (2, from (chars Alphabet.protein));
       (1, from (chars (Alphabet.dna ^ "U" ^ Alphabet.protein ^ "XB*1-.")));
       (1, string_size (int_range 0 4) ~gen:(oneofl [ ' '; '\t'; '\n'; '\r' ]));
@@ -130,7 +121,7 @@ let classify_props =
            Alphabet.classify ~min_len v = ref_classify ~min_len v
            && List.for_all
                 (fun a -> Alphabet.is_over ~alphabet:a v = ref_is_over a v)
-                [ Alphabet.dna; Alphabet.rna; Alphabet.protein ]));
+                [ Alphabet.dna; rna; Alphabet.protein ]));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"classify_column matches the definition"
          ~count:500
@@ -225,15 +216,6 @@ let long_proteins () =
 
 let align_tests =
   [
-    Alcotest.test_case "global identical" `Quick (fun () ->
-        let r = Align.global "ACGT" "ACGT" in
-        check Alcotest.int "score" 20 r.score;
-        check (Alcotest.float 0.001) "identity" 1.0 r.identity);
-    Alcotest.test_case "global with gap" `Quick (fun () ->
-        let r = Align.global ~gap:(-8) "ACGT" "AGT" in
-        check Alcotest.int "score" (15 - 8) r.score;
-        check Alcotest.string "q" "ACGT" r.query_aligned;
-        check Alcotest.string "s" "A-GT" r.subject_aligned);
     Alcotest.test_case "local finds motif" `Quick (fun () ->
         let r = Align.local "TTTTACGTACGTTTTT" "ACGTACGT" in
         check Alcotest.int "score" 40 r.score;
@@ -247,14 +229,15 @@ let align_tests =
         check Alcotest.int "start" 2 qs;
         check Alcotest.int "end" 5 qe);
     Alcotest.test_case "empty inputs" `Quick (fun () ->
-        let r = Align.global "" "" in
+        let r = Align.local "" "" in
         check Alcotest.int "score" 0 r.score;
-        check (Alcotest.float 0.001) "identity" 0.0 r.identity);
+        check (Alcotest.float 0.001) "identity" 0.0 r.identity;
+        check Alcotest.int "local_score" 0 (Align.local_score "" ""));
     Alcotest.test_case "normalized 1.0 identical" `Quick (fun () ->
         let q = "ACGTACGTAC" in
-        let r = Align.local q q in
-        check (Alcotest.float 0.001) "norm" 1.0
-          (Align.normalized_score r ~query:q ~subject:q));
+        (* a self-alignment scores its ungapped self score *)
+        check Alcotest.int "norm" (Align.self_score Subst_matrix.nucleotide q)
+          (Align.local_score q q));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"local_score matches traceback score" ~count:200
          nucleotide_pair

@@ -84,7 +84,7 @@ let http_tests =
 let cache_tests =
   [
     Alcotest.test_case "lru evicts least recently used" `Quick (fun () ->
-        let c = Serve.Cache.create ~capacity:2 ~ttl:0.0 () in
+        let c = Serve.Cache.create ~capacity:2 () in
         Serve.Cache.add c "a" 1;
         Serve.Cache.add c "b" 2;
         (* touch a so b becomes the LRU entry *)
@@ -96,24 +96,18 @@ let cache_tests =
         let s = Serve.Cache.stats c in
         check Alcotest.int "evictions" 1 s.evictions;
         check Alcotest.int "size" 2 s.size);
-    Alcotest.test_case "ttl expires entries" `Quick (fun () ->
-        let c = Serve.Cache.create ~capacity:8 ~ttl:0.02 () in
+    Alcotest.test_case "hits and misses counted" `Quick (fun () ->
+        let c = Serve.Cache.create ~capacity:8 () in
+        check Alcotest.(option int) "miss" None (Serve.Cache.find c "k");
         Serve.Cache.add c "k" 1;
-        check Alcotest.(option int) "fresh" (Some 1) (Serve.Cache.find c "k");
-        Unix.sleepf 0.03;
-        check Alcotest.(option int) "expired" None (Serve.Cache.find c "k");
-        check Alcotest.int "expirations" 1 (Serve.Cache.stats c).expirations);
+        check Alcotest.(option int) "hit" (Some 1) (Serve.Cache.find c "k");
+        let s = Serve.Cache.stats c in
+        check Alcotest.int "hits" 1 s.hits;
+        check Alcotest.int "misses" 1 s.misses);
     Alcotest.test_case "capacity 0 disables" `Quick (fun () ->
-        let c = Serve.Cache.create ~capacity:0 ~ttl:0.0 () in
+        let c = Serve.Cache.create ~capacity:0 () in
         Serve.Cache.add c "k" 1;
         check Alcotest.(option int) "nothing stored" None (Serve.Cache.find c "k"));
-    Alcotest.test_case "flush drops everything once" `Quick (fun () ->
-        let c = Serve.Cache.create ~capacity:8 ~ttl:0.0 () in
-        Serve.Cache.add c "k" 1;
-        Serve.Cache.flush c;
-        Serve.Cache.flush c;
-        check Alcotest.(option int) "gone" None (Serve.Cache.find c "k");
-        check Alcotest.int "one flush counted" 1 (Serve.Cache.stats c).flushes);
   ]
 
 (* --- service --- *)
@@ -141,10 +135,19 @@ let batch_targets =
     "/healthz";
   ]
 
+(* a batch as the server answers it: each response's wire bytes *)
+let handle_batch service reqs =
+  List.map
+    (fun wire ->
+      match Http.parse_response wire with
+      | Ok r -> r
+      | Error msg -> Alcotest.fail msg)
+    (Serve.Service.render_batch service reqs)
+
 let run_batch ~domains =
   let pool = Pool.create ~domains () in
   let service = Serve.Service.create ~pool (Lazy.force engine) in
-  let resps = Serve.Service.handle_batch service (List.map req batch_targets) in
+  let resps = handle_batch service (List.map req batch_targets) in
   List.map (fun (r : Http.response) -> (r.status, r.body)) resps
 
 let service_tests =
@@ -188,7 +191,7 @@ let service_tests =
             (fun target (r : Http.response) ->
               check Alcotest.int target 200 r.status)
             targets
-            (Serve.Service.handle_batch service (List.map req targets))
+            (handle_batch service (List.map req targets))
         done);
     Alcotest.test_case "cached repeat is byte-identical, hit-flagged" `Quick
       (fun () ->
@@ -557,6 +560,125 @@ let route_targets () =
     "/nosuch";
   ]
 
+(* [cat] with one cell of [relation] changed: its first text value
+   holding a space (a description, not an accession) gains a prefix *)
+let edited ~relation cat =
+  let open Aladin_relational in
+  let out = Catalog.create ~name:(Catalog.name cat) in
+  let pending = ref true in
+  List.iter
+    (fun rel ->
+      let r =
+        Catalog.create_relation out ~name:(Relation.name rel) (Relation.schema rel)
+      in
+      Relation.iter_rows
+        (fun row ->
+          let row =
+            Array.map
+              (function
+                | Value.Text s
+                  when !pending && Relation.name rel = relation
+                       && String.contains s ' ' ->
+                    pending := false;
+                    Value.Text ("edited " ^ s)
+                | v -> v)
+              row
+          in
+          Relation.insert r row)
+        rel)
+    (Catalog.relations cat);
+  out
+
+let mutation_tests =
+  [
+    Alcotest.test_case "a cache hit equals a fresh response after every mutation"
+      `Quick (fun () ->
+        let eng = Engine.integrate (Lazy.force small_corpus).catalogs in
+        let w = Engine.warehouse eng in
+        let source = "uniprot" in
+        let o =
+          List.find (fun (o : Aladin_links.Objref.t) -> o.source = source)
+            (Engine.objects eng)
+        in
+        (* a relation name only one source holds, addressed bare *)
+        let bare =
+          let open Aladin_relational in
+          let names =
+            List.concat_map
+              (fun c -> List.map Relation.name (Catalog.relations c))
+              (Warehouse.catalogs w)
+          in
+          List.find
+            (fun n -> List.length (List.filter (( = ) n) names) = 1)
+            (List.map Relation.name
+               (Catalog.relations (Option.get (Warehouse.catalog w source))))
+        in
+        let kinds () =
+          List.sort_uniq compare
+            (List.map
+               (fun (l : Aladin_links.Link.t) -> Aladin_links.Link.kind_name l.kind)
+               (Engine.links eng))
+        in
+        let targets =
+          [ "/search?q=protein";
+            "/search?q=repair&limit=4&source=" ^ source;
+            Printf.sprintf "/object/%s/%s" o.source o.accession;
+            "/object?accession=" ^ o.accession;
+            "/resolve?accession=" ^ o.accession;
+            "/query?sql=SELECT%20*%20FROM%20" ^ source ^ ".entry";
+            "/query?sql=SELECT%20*%20FROM%20" ^ bare;
+            "/links" ]
+          @ List.map (fun k -> "/links?kind=" ^ k) (kinds ())
+        in
+        let warm = Serve.Service.create eng in
+        List.iter
+          (fun t ->
+            check Alcotest.int ("warm " ^ t) 200
+              (Serve.Service.handle warm (req t)).status)
+          targets;
+        (* every target from the warm service against a fresh one; the
+           number of warm answers that were cache hits *)
+        let agree step =
+          let fresh = Serve.Service.create eng in
+          List.fold_left
+            (fun hits t ->
+              let a = Serve.Service.handle warm (req t)
+              and b = Serve.Service.handle fresh (req t) in
+              check Alcotest.int (step ^ ": status of " ^ t) b.status a.status;
+              check Alcotest.string (step ^ ": body of " ^ t) b.body a.body;
+              if List.assoc_opt "x-cache" a.headers = Some "hit" then hits + 1
+              else hits)
+            0 targets
+        in
+        (* a rejection leaves the search, resolve and query entries valid *)
+        List.iter
+          (fun k ->
+            match Engine.links ~kind:k eng with
+            | l :: _ ->
+                Engine.reject_link eng l;
+                check Alcotest.bool ("hits after rejecting a " ^ k ^ " link") true
+                  (agree ("reject a " ^ k ^ " link") > 0)
+            | [] -> ())
+          (kinds ());
+        let cat = Option.get (Warehouse.catalog w source) in
+        (match
+           (Engine.update_source eng (edited ~relation:"entry" cat)
+              ~changed_rows:(Aladin_relational.Catalog.total_rows cat)).outcome
+         with
+        | `Reanalyzed _ -> ignore (agree "reanalyzing update")
+        | `Deferred -> Alcotest.fail "the full update was deferred");
+        let cat = Option.get (Warehouse.catalog w source) in
+        match
+          (Engine.update_source eng (edited ~relation:"entry" cat) ~changed_rows:1)
+            .outcome
+        with
+        | `Deferred ->
+            (* nothing changed, so every entry still serves *)
+            check Alcotest.int "all hits after a deferred update"
+              (List.length targets) (agree "deferred update")
+        | `Reanalyzed _ -> Alcotest.fail "the one-row update was not deferred");
+  ]
+
 let server_tests =
   [
     Alcotest.test_case "wire bytes of every route, miss then hit" `Quick
@@ -591,12 +713,12 @@ let server_tests =
     Alcotest.test_case "end-to-end over a socket" `Quick (fun () ->
         let stats =
           with_server (fun ~port ~stop:_ ->
-              (match Serve.Client.get ~port "/healthz" with
+              (match Serve.Client.request ~port "/healthz" with
               | Ok r ->
                   check Alcotest.int "healthz 200" 200 r.status;
                   check Alcotest.string "healthz body" "ok\n" r.body
               | Error msg -> Alcotest.fail msg);
-              match Serve.Client.get ~port "/search?q=protein" with
+              match Serve.Client.request ~port "/search?q=protein" with
               | Ok r ->
                   check Alcotest.int "search 200" 200 r.status;
                   check Alcotest.bool "json body" true
@@ -657,7 +779,7 @@ let tests =
   [
     ("serve.http", http_tests);
     ("serve.cache", cache_tests);
-    ("serve.service", service_tests);
+    ("serve.service", service_tests @ mutation_tests);
     ("serve.server", server_tests);
     ("serve.client", client_tests);
   ]

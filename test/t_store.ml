@@ -8,6 +8,12 @@ module Corrupt = Aladin_datagen.Corrupt
 
 let check = Alcotest.check
 
+(* the status the load report gives member [path] *)
+let find_status (report : Load_report.t) path =
+  List.find_map
+    (fun (m : Load_report.member) -> if m.path = path then Some m.status else None)
+    report.members
+
 let fresh_dir tag =
   let d = Filename.temp_file "aladin" tag in
   Sys.remove d;
@@ -519,12 +525,13 @@ let snapshot_tests =
         write_file path
           (Corrupt.flip_bit_at stored ~byte:(String.length stored - 3) ~bit:1);
         let members, report = load_exn dir in
-        (match Load_report.find report "a/recs.txt" with
+        (match find_status report "a/recs.txt" with
         | Some (Load_report.Salvaged n) -> check Alcotest.int "dropped" 1 n
         | other ->
             Alcotest.failf "expected Salvaged, got %s"
               (match other with
-              | Some s -> Load_report.status_name s
+              | Some (Load_report.Quarantined reason) -> "quarantined: " ^ reason
+              | Some _ -> "another status"
               | None -> "absent"));
         check Alcotest.(option string) "good records kept"
           (Some "alpha\nbeta\twith tab\n")
@@ -548,7 +555,7 @@ let snapshot_tests =
         check Alcotest.bool "found the comma" true (comma > 0);
         write_file path (Corrupt.flip_bit_at stored ~byte:comma ~bit:0);
         let members, report = load_exn dir in
-        (match Load_report.find report "a/table.csv" with
+        (match find_status report "a/table.csv" with
         | Some (Load_report.Salvaged n) ->
             check Alcotest.bool "rows dropped" true (n >= 1)
         | _ -> Alcotest.fail "expected Salvaged");
@@ -565,7 +572,7 @@ let snapshot_tests =
            salvage *)
         write_file (stored_path dir 1 "blob.bin") "not a checksummed record";
         let members, report = load_exn dir in
-        (match Load_report.find report "blob.bin" with
+        (match find_status report "blob.bin" with
         | Some (Load_report.Quarantined _) -> ()
         | _ -> Alcotest.fail "expected Quarantined");
         check Alcotest.(option string) "member absent" None
@@ -582,7 +589,7 @@ let snapshot_tests =
         save_exn dir test_members;
         Sys.remove (stored_path dir 1 "blob.bin");
         let _, report = load_exn dir in
-        match Load_report.find report "blob.bin" with
+        match find_status report "blob.bin" with
         | Some Load_report.Missing -> ()
         | _ -> Alcotest.fail "expected Missing");
     Alcotest.test_case "repair commits the salvage as a clean snapshot" `Quick
@@ -618,6 +625,40 @@ let snapshot_tests =
         | Error msg -> Alcotest.fail ("repair: " ^ msg));
         check Alcotest.bool "nothing rewritten" true
           (before = committed_bytes dir));
+    Alcotest.test_case "a manifest naming the old pairs kind loads and relinks"
+      `Quick (fun () ->
+        (* stores written before pairs.txt became a Records member name
+           its kind "pairs": such a store loads clean, and its next save
+           hard-links the unchanged member *)
+        let dir = fresh_dir "oldkind" in
+        let pairs : Snapshot.member =
+          { path = "pairs.txt"; kind = Records; content = "pair\tone\npair\ttwo\n" }
+        in
+        save_exn dir (pairs :: test_members);
+        let manifest = Filename.concat dir "MANIFEST" in
+        let body =
+          String.split_on_char '\n' (read_file manifest)
+          |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"crc\t" l))
+          |> List.map (fun l ->
+                 let prefix = "member\tpairs.txt\trecords\t" in
+                 let n = String.length prefix in
+                 if String.starts_with ~prefix l then
+                   "member\tpairs.txt\tpairs\t" ^ String.sub l n (String.length l - n)
+                 else l)
+          |> List.map (fun l -> l ^ "\n")
+          |> String.concat ""
+        in
+        write_file manifest
+          (body ^ "crc\t" ^ Crc32.to_hex (Crc32.string body) ^ "\n");
+        let members, report = load_exn dir in
+        check Alcotest.bool "clean" true (Load_report.is_clean report);
+        check Alcotest.(option string) "pairs.txt read as records"
+          (Some pairs.content) (Snapshot.find members "pairs.txt");
+        (* the save sweeps generation 1, so its inode is taken first *)
+        let ino gen = (Unix.stat (stored_path dir gen "pairs.txt")).Unix.st_ino in
+        let before = ino 1 in
+        save_exn dir members;
+        check Alcotest.int "hard-linked" before (ino 2));
   ]
 
 (* --- the tentpole acceptance property ------------------------------- *)
@@ -778,13 +819,13 @@ let torn_write_tests =
 (* --- warehouse-level durability ------------------------------------- *)
 
 open Aladin
-module Dump = Aladin_formats.Dump
+let dump_load = T_resilience.dump_load
 
 let mini_catalogs () =
   [
-    Dump.load ~name:"uniprot"
+    dump_load ~name:"uniprot"
       [ ("entry", "acc,name\nP10001,alpha\nP10002,beta\nP10003,gamma\n") ];
-    Dump.load ~name:"pdb"
+    dump_load ~name:"pdb"
       [ ("item", "id,acc,score\n1,P10001,0.5\n2,P10003,1.5\n") ];
   ]
 
@@ -805,7 +846,7 @@ let warehouse_store_tests =
           (fun name ->
             let w =
               Warehouse.integrate
-                [ Dump.load ~name
+                [ dump_load ~name
                     [ ("entry", "acc,name\nP10001,alpha\nP10002,beta\nP10003,gamma\n") ];
                   List.nth (mini_catalogs ()) 1 ]
             in
@@ -823,6 +864,37 @@ let warehouse_store_tests =
                    (String.starts_with ~prefix:"snap-")
                    (Sys.readdir dir)))
           [ "metadata.txt"; "sources.txt"; "pairs.txt"; "feedback.txt" ]);
+    Alcotest.test_case "a source named under another source is refused" `Quick
+      (fun () ->
+        (* x/y's members would lie under x/, and a load would give x a
+           relation y/entry *)
+        let entry = [ ("entry", "acc,name\nP10001,alpha\nP10002,beta\nP10003,gamma\n") ] in
+        let w =
+          Warehouse.integrate [ dump_load ~name:"x" entry; dump_load ~name:"x/y" entry ]
+        in
+        let dir = fresh_dir "wnest" in
+        (match Warehouse.save_dir w dir with
+        | Ok () -> Alcotest.fail "saved a source named x/y"
+        | Error msg ->
+            check Alcotest.bool "error names x/y" true (contains msg "\"x/y\""));
+        check Alcotest.bool "nothing written" false (Sys.file_exists dir));
+    Alcotest.test_case "a source name holding a newline is refused" `Quick
+      (fun () ->
+        (* sources.txt holds one name per line: a load would lose it *)
+        let name = "two\nlines" in
+        let w =
+          Warehouse.integrate
+            [ dump_load ~name
+                [ ("entry", "acc,name\nP10001,alpha\nP10002,beta\nP10003,gamma\n") ];
+              List.nth (mini_catalogs ()) 1 ]
+        in
+        let dir = fresh_dir "wnl" in
+        (match Warehouse.save_dir w dir with
+        | Ok () -> Alcotest.fail "saved a source name holding a newline"
+        | Error msg ->
+            check Alcotest.bool "error names it" true
+              (contains msg (Printf.sprintf "%S" name)));
+        check Alcotest.bool "nothing written" false (Sys.file_exists dir));
     Alcotest.test_case "save/load/save is byte-identical" `Quick (fun () ->
         let w = mini_warehouse () in
         let dir1 = fresh_dir "wbi1" and dir2 = fresh_dir "wbi2" in
@@ -883,7 +955,7 @@ let warehouse_store_tests =
         let w2, lreport = Warehouse.load_dir dir in
         check Alcotest.bool "load degraded" false
           (Load_report.is_clean lreport);
-        (match Load_report.find lreport "metadata.txt" with
+        (match find_status lreport "metadata.txt" with
         | Some (Load_report.Salvaged n) ->
             check Alcotest.bool "records dropped" true (n >= 1)
         | _ -> Alcotest.fail "expected metadata.txt Salvaged");
@@ -914,7 +986,7 @@ let warehouse_store_tests =
         in
         write_file path (Corrupt.flip_bit_at stored ~byte ~bit:0);
         let w2, lreport = Warehouse.load_dir dir in
-        (match Load_report.find lreport "pairs.txt" with
+        (match find_status lreport "pairs.txt" with
         | Some (Load_report.Salvaged 1) -> ()
         | _ -> Alcotest.fail "expected pairs.txt Salvaged with one record dropped");
         let loaded = render (Warehouse.links w2) in
