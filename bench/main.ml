@@ -397,8 +397,8 @@ let e6_links () =
       (name :: string_of_int res.pairs_compared :: scores_cells s
       @ [ Printf.sprintf "%.3f" secs ])
   in
-  run "with pruning (default)" Lk.Prune.default_params;
-  run "no pruning" Lk.Prune.no_pruning;
+  run "with pruning (default)" true;
+  run "no pruning" false;
   (* name-matching baseline finds correspondences but cannot rank targets *)
   let corrs, secs = timed (fun () -> Bl.Name_matcher.match_corpus corpus.catalogs) in
   Ev.Report.add_row r
@@ -594,7 +594,7 @@ let e10_scale () =
     { Config.default with
       linker =
         { Lk.Linker.default_params with
-          xref = { Lk.Xref_disc.default_params with prune = Lk.Prune.no_pruning } } }
+          xref = { Lk.Xref_disc.default_params with prune = false } } }
   in
   let w1 = Warehouse.create () in
   let w2 = Warehouse.create ~config:no_prune_cfg () in

@@ -443,7 +443,7 @@ let serve_cmd =
           }
         engine
     in
-    let server_cfg = { Serve.Server.default_config with host; port; max_queue } in
+    let server_cfg = { Serve.Server.host; port; max_queue } in
     let stats =
       Serve.Server.run ~config:server_cfg
         ~on_ready:(fun p ->

@@ -102,16 +102,17 @@ let () =
    with
   | weakest :: _ ->
       let before = List.length (Engine.links eng) in
+      let kind = Generation.Link_kind (Lk.Link.kind_name weakest.kind) in
+      let gen () = Generation.get (Warehouse.generation (Engine.warehouse eng)) kind in
+      let gen0 = gen () in
       Engine.reject_link eng weakest;
       Printf.printf
         "\nfeedback: rejected weakest link %s; %d -> %d links \
-         (warehouse generation %d)\n"
+         (%s generation %d -> %d)\n"
         (Format.asprintf "%a" Lk.Link.pp weakest)
         before
         (List.length (Engine.links eng))
-        (Generation.get
-           (Warehouse.generation (Engine.warehouse eng))
-           Generation.Whole)
+        (Lk.Link.kind_name weakest.kind) gen0 (gen ())
   | [] -> ());
 
   (* 5. export the whole warehouse as a browsable static web site *)

@@ -33,7 +33,10 @@ let edge_style = function
   | Link.Shared_term -> "style=dotted"
   | Link.Entity_mention -> "style=dotted, color=gray"
 
-let to_dot ?(max_links = 500) links =
+(* edges drawn, the most confident first *)
+let max_links = 500
+
+let to_dot links =
   let links =
     links
     |> List.sort (fun (a : Link.t) (b : Link.t) ->

@@ -1,8 +1,14 @@
 open Aladin_links
 
+(* paths longer than this are not followed *)
+let max_depth = 3
+
+(* discount per extra link of a path *)
+let decay = 0.5
+
 (* accumulate path contributions into [sink] for every reachable node,
    walking each object's links in the index's order *)
-let explore ?(max_depth = 3) ?(decay = 0.5) index start =
+let explore index start =
   let sink : (Objref.t, float ref) Hashtbl.t = Hashtbl.create 64 in
   let rec dfs node visited weight depth =
     if depth < max_depth then
@@ -18,12 +24,12 @@ let explore ?(max_depth = 3) ?(decay = 0.5) index start =
   dfs start [ start ] 1.0 0;
   sink
 
-let relatedness ?max_depth ?decay index a b =
-  let sink = explore ?max_depth ?decay index a in
+let relatedness index a b =
+  let sink = explore index a in
   match Hashtbl.find_opt sink b with Some r -> !r | None -> 0.0
 
-let rank_from ?max_depth ?decay index start =
-  let sink = explore ?max_depth ?decay index start in
+let rank_from index start =
+  let sink = explore index start in
   Hashtbl.fold (fun obj r acc -> (obj, !r) :: acc) sink []
   |> List.sort (fun (oa, a) (ob, b) ->
          match Float.compare b a with 0 -> Objref.compare oa ob | c -> c)

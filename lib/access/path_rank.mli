@@ -12,15 +12,12 @@
 
 open Aladin_links
 
-val relatedness :
-  ?max_depth:int -> ?decay:float -> Link_query.t -> Objref.t -> Objref.t -> float
-(** Sum over simple paths (length <= [max_depth], default 3) of
-    [decay^(len-1) * prod confidence] with [decay] default 0.5. 0 when
-    unconnected. The paths are summed in the order
+val relatedness : Link_query.t -> Objref.t -> Objref.t -> float
+(** Sum over simple paths of length at most 3 of
+    [0.5^(len-1) * prod confidence]. 0 when unconnected. The paths are summed in the order
     {!Link_query.iter_adjacent} walks them, so the float result is the
     same on every call. *)
 
-val rank_from :
-  ?max_depth:int -> ?decay:float -> Link_query.t -> Objref.t -> (Objref.t * float) list
-(** All objects reachable within [max_depth], by descending relatedness
+val rank_from : Link_query.t -> Objref.t -> (Objref.t * float) list
+(** All objects reachable within 3 links, by descending relatedness
     (ties by {!Objref.compare}). *)

@@ -334,7 +334,10 @@ let eval ~resolve (q : Sql_parser.query) =
 
 let run ~resolve input = eval ~resolve (Sql_parser.parse input)
 
-let render_result ?(max_rows = 25) rel =
+(* rows a rendered result shows *)
+let max_rows = 25
+
+let render_result rel =
   let cols = Schema.names (Relation.schema rel) in
   let rows =
     Relation.rows rel

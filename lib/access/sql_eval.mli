@@ -13,5 +13,6 @@ exception Eval_error of string
 val run : resolve:(string -> Relation.t option) -> string -> Relation.t
 (** Parse + eval. *)
 
-val render_result : ?max_rows:int -> Relation.t -> string
-(** ASCII table for CLI/examples. *)
+val render_result : Relation.t -> string
+(** ASCII table for CLI/examples: the first 25 rows, then the row
+    count. *)

@@ -30,7 +30,10 @@ let attributes cat =
         (Schema.names (Relation.schema rel)))
     (Catalog.relations cat)
 
-let match_attributes ?(min_score = 0.75) a b =
+(* name score a correspondence needs *)
+let min_score = 0.75
+
+let match_attributes a b =
   let bs = attributes b in
   attributes a
   |> List.filter_map (fun (ra, aa) ->
@@ -51,12 +54,12 @@ let match_attributes ?(min_score = 0.75) a b =
                  dst_relation = rb; dst_attribute = ab; score = s }
          | Some _ | None -> None)
 
-let match_corpus ?min_score catalogs =
+let match_corpus catalogs =
   List.concat_map
     (fun a ->
       List.concat_map
         (fun b ->
           if Catalog.name a = Catalog.name b then []
-          else match_attributes ?min_score a b)
+          else match_attributes a b)
         catalogs)
     catalogs

@@ -18,5 +18,6 @@ type correspondence = {
   score : float;
 }
 
-val match_corpus : ?min_score:float -> Catalog.t list -> correspondence list
-(** All ordered source pairs. *)
+val match_corpus : Catalog.t list -> correspondence list
+(** All ordered source pairs: each attribute's best-named counterpart,
+    kept when the name score is at least 0.75. *)

@@ -130,7 +130,7 @@ let keys =
       (fun t -> t.linker.text.min_cosine)
       (fun t f ->
         { t with
-          linker = { t.linker with text = { t.linker.text with min_cosine = f } } });
+          linker = { t.linker with text = { Text_links.min_cosine = f } } });
     int_key "links.xref.min_matches"
       (fun t -> t.linker.xref.min_matches)
       (fun t i ->

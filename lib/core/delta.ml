@@ -63,7 +63,7 @@ let pass ?(enabled = true) ~budget name f =
         Res.Boundary.skipped_span name;
         (None, Report.step name (Report.Skipped Report.Budget_zero))
     | _ ->
-        let res, secs = Res.Boundary.bounded ~retry:false ~name ?budget f in
+        let res, secs = Res.Boundary.bounded ~name ?budget f in
         Obs.Trace.ambient_observe "linkdisc.pass_seconds" secs;
         Res.Boundary.to_step ~seconds:secs name res
 
@@ -79,24 +79,14 @@ let links_of_kind (e : Pair_store.entry) = function
   | Link.Duplicate -> e.dup_links
   | Link.Shared_term -> []
 
-let all_kinds =
-  [ Link.Xref; Link.Seq_similarity; Link.Text_similarity; Link.Entity_mention;
-    Link.Shared_term; Link.Duplicate ]
-
 let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
   let budgets = cfg.budgets in
   let lp = cfg.linker in
-  let others = List.filter (fun s -> s <> changed) source_order in
-  (* the self pair only ever carries within-source links, which exist
-     only when a pass runs with cross_source_only off *)
-  let self_needed =
-    (lp.enable_text && not lp.text.cross_source_only)
-    || (lp.enable_seq && not lp.seq.cross_source_only)
-  in
   let link_pairs =
     List.sort_uniq compare
-      (List.map (fun x -> Pair_store.canon x changed) others
-      @ (if self_needed then [ (changed, changed) ] else []))
+      (List.filter_map
+         (fun x -> if x = changed then None else Some (Pair_store.canon x changed))
+         source_order)
   in
   let current_entry (a, b) =
     match Pair_store.find store a b with
@@ -133,12 +123,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
           let per =
             List.map
               (fun ((a, b) as p) ->
-                if a = b then
-                  ( p,
-                    { Xref_disc.links = []; correspondences = [];
-                      attributes_scanned = 0; pairs_compared = 0 } )
-                else
-                  (p, Xref_disc.discover_between ~params:lp.xref ~pool profiles ~a ~b))
+                (p, Xref_disc.discover_between ~params:lp.xref ~pool profiles ~a ~b))
               link_pairs
           in
           let rs = List.map snd per in
@@ -230,7 +215,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
                  (Pair_store.pairs store))
           in
           let parents = Onto_links.parents_from_profiles profiles in
-          let r = Onto_links.discover ~params:lp.onto ~parents ~xrefs () in
+          let r = Onto_links.discover ~parents ~xrefs () in
           Obs.Trace.ambient_incr ~by:r.hub_targets_skipped
             "onto.hub_targets_skipped";
           Obs.Trace.ambient_incr ~by:(List.length r.links) "onto.links";
@@ -348,7 +333,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
         || List.exists
              (fun (p, old) -> links_of_kind old k <> links_of_kind (current_entry p) k)
              (old_link_entries @ old_dup_entries))
-      all_kinds
+      Link.kinds
   in
   let recomputed_pairs = List.sort_uniq compare (link_pairs @ dup_pairs) in
   let reused_pairs =

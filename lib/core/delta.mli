@@ -63,7 +63,7 @@ val relink :
     pass ({!Aladin_links.Text_links.discover_source}) runs once: it
     builds and splits every source's documents once and derives each of
     the changed source's pairs from them, scoring only cross-source
-    candidates when [cross_source_only] holds. The duplicate phase
+    candidates. The duplicate phase
     prepares each source once ({!Aladin_dup.Dup_detect.prep_source},
     under its current exclude-attribute set) and reuses that preparation
     in every dirty pair of this relink; the preparations go with the

@@ -32,7 +32,7 @@ let build ?links_only w =
 
 let create w = { w; access = build w }
 
-let integrate ?config catalogs = create (Warehouse.integrate ?config catalogs)
+let integrate catalogs = create (Warehouse.integrate catalogs)
 
 let warehouse t = t.w
 

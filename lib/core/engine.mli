@@ -34,9 +34,9 @@ val create : Warehouse.t -> t
 (** Wrap a warehouse and build its search index, link index and browser
     over its current contents. *)
 
-val integrate : ?config:Config.t -> Catalog.t list -> t
-(** [create (Warehouse.integrate catalogs)] — the one-step form the
-    examples use. *)
+val integrate : Catalog.t list -> t
+(** [create (Warehouse.integrate catalogs)] under {!Config.default} —
+    the one-step form the examples use. *)
 
 val warehouse : t -> Warehouse.t
 
@@ -46,7 +46,8 @@ val key : t -> Generation.dep list -> string
     while none of the named dependencies changed — keys over
     [[Source s]] survive additions and updates of every other source,
     keys over [[Link_kind k]] survive changes to other kinds, and
-    [[Whole]] moves on every warehouse mutation. Equal keys guarantee
+    [[Whole]] moves on every addition or update of a source (a link
+    rejection moves only its kind). Equal keys guarantee
     byte-identical query results (see {!Aladin_access.Search}'s
     determinism contract). *)
 
@@ -112,4 +113,5 @@ val reject_link : t -> Link.t -> unit
     ({!Aladin_access.Browser.with_index}): the search index, the
     browser's row indexes and the duplicate representations read only
     the profiles and the exclude triples, which a rejection leaves
-    alone, so they are kept. *)
+    alone, so they are kept. Only the link kind's generation counter
+    moves. *)

@@ -3,16 +3,27 @@ open Aladin_links
 module Serial = Aladin_store.Serial
 
 type t = {
-  links : (string, unit) Hashtbl.t;
+  links : (string list, unit) Hashtbl.t;
+      (* a rejection: the normalized endpoints' (source, relation,
+         accession) and the kind — the identity [Link.dedup] keeps *)
+  rendered : (string list, unit) Hashtbl.t;
+      (* a rejection read from an older feedback.txt: the normalized
+         endpoints rendered as [source:accession], and the kind. It hides
+         every link that renders alike, as it did when it was written *)
   fks : (string, unit) Hashtbl.t;
 }
 
-let create () = { links = Hashtbl.create 32; fks = Hashtbl.create 32 }
+let create () =
+  { links = Hashtbl.create 32; rendered = Hashtbl.create 8; fks = Hashtbl.create 32 }
 
 let link_key l =
   let l = Link.normalized l in
-  String.concat "\x00"
-    [ Objref.to_string l.src; Objref.to_string l.dst; Link.kind_name l.kind ]
+  [ l.src.source; l.src.relation; l.src.accession; l.dst.source;
+    l.dst.relation; l.dst.accession; Link.kind_name l.kind ]
+
+let rendered_key l =
+  let l = Link.normalized l in
+  [ Objref.to_string l.src; Objref.to_string l.dst; Link.kind_name l.kind ]
 
 let fk_key ~source (fk : Inclusion.fk) =
   String.lowercase_ascii
@@ -22,19 +33,20 @@ let fk_key ~source (fk : Inclusion.fk) =
 
 let reject_link t l = Hashtbl.replace t.links (link_key l) ()
 
-let is_link_rejected t l = Hashtbl.mem t.links (link_key l)
+let is_link_rejected t l =
+  Hashtbl.mem t.links (link_key l)
+  || (Hashtbl.length t.rendered > 0 && Hashtbl.mem t.rendered (rendered_key l))
 
 let is_fk_rejected t ~source fk = Hashtbl.mem t.fks (fk_key ~source fk)
 
 let filter_links t links =
-  if Hashtbl.length t.links = 0 then links
+  if Hashtbl.length t.links = 0 && Hashtbl.length t.rendered = 0 then links
   else List.filter (fun l -> not (is_link_rejected t l)) links
 
 let filter_fks t ~source fks =
   List.filter (fun fk -> not (is_fk_rejected t ~source fk)) fks
 
-let sorted_keys tbl =
-  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort String.compare
+let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 
 let save t =
   (* sorted, so the rendering is a pure function of the rejection set and
@@ -43,10 +55,9 @@ let save t =
   Buffer.add_string buf "aladin-feedback\t1\n";
   List.iter
     (fun key ->
-      Buffer.add_string buf
-        (Serial.record ("link" :: String.split_on_char '\x00' key));
+      Buffer.add_string buf (Serial.record ("link" :: key));
       Buffer.add_char buf '\n')
-    (sorted_keys t.links);
+    (sorted_keys t.links @ sorted_keys t.rendered);
   List.iter
     (fun key ->
       Buffer.add_string buf
@@ -57,8 +68,8 @@ let save t =
 
 let apply_line t line =
   match Serial.fields line with
-  | "link" :: rest when List.length rest = 3 ->
-      Hashtbl.replace t.links (String.concat "\x00" rest) ()
+  | "link" :: rest when List.length rest = 7 -> Hashtbl.replace t.links rest ()
+  | "link" :: rest when List.length rest = 3 -> Hashtbl.replace t.rendered rest ()
   | "fk" :: rest when List.length rest = 5 ->
       Hashtbl.replace t.fks (String.concat "\x00" rest) ()
   | _ -> invalid_arg (Printf.sprintf "Feedback: bad line %S" line)

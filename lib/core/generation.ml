@@ -18,9 +18,7 @@ let bump_source t s =
   bump t.sources s;
   bump_whole t
 
-let bump_kind t k =
-  bump t.kinds k;
-  bump_whole t
+let bump_kind t k = bump t.kinds k
 
 let get t = function
   | Whole -> t.whole

@@ -2,17 +2,18 @@
 
     A warehouse carries one {!t}: a whole-warehouse counter plus one
     counter per source and per link kind. Every mutation bumps exactly
-    the counters it can affect — adding or updating source [s] bumps
-    [Source s] (and the kinds whose merged link sets actually changed),
-    rejecting a link bumps its kind, and everything bumps [Whole]
-    (global structures — the search index, the browser, bare-table
-    resolution — can change under any mutation).
+    the counters it can affect. Adding or updating source [s] bumps
+    [Source s] and [Whole] (the search index, the browser's rows and
+    bare-table resolution read every source), and the kinds whose merged
+    link sets actually changed. Rejecting a link bumps its kind alone:
+    no source's rows or profile changes.
 
     A cache derives its key from the {e dependencies} the cached
     computation actually reads ({!key}): a route that only queries
     [uniprot.entry] keys on [Source "uniprot"], so an update to an
-    unrelated source leaves its cached entry valid, while a route over
-    global state keys on [Whole] and invalidates on every mutation. *)
+    unrelated source leaves its cached entry valid; a route over the
+    sources' global state keys on [Whole]; and a route that reads links
+    keys on the kind of every link it reads. *)
 
 type t
 
@@ -30,7 +31,7 @@ val bump_source : t -> string -> unit
 (** Also bumps [Whole]. *)
 
 val bump_kind : t -> string -> unit
-(** Also bumps [Whole]. *)
+(** Bumps that kind's counter only. *)
 
 val get : t -> dep -> int
 (** Untracked sources/kinds read 0. *)

@@ -523,10 +523,10 @@ type journal_source = {
   js_committed : bool;
 }
 
-let journal_status ?(config = Config.default) journal =
+let journal_status journal =
   let* plan = Result.bind (Journal.plan journal) plan_of_meta in
   let restored =
-    match checkpoint ~config journal plan with
+    match checkpoint ~config:Config.default journal plan with
     | Some (_, names) -> names
     | None -> []
   in
@@ -711,7 +711,6 @@ let feedback t = t.feedback
 let reject_link t (l : Link.t) =
   Feedback.reject_link t.feedback l;
   set_link_view t t.link_view;
-  (* only this link's kind changed; routes watching other kinds keep
-     their cached responses *)
-  Generation.bump_kind t.gen (Link.kind_name l.kind);
-  Generation.bump_whole t.gen
+  (* only this link's kind changed; routes reading other kinds, or no
+     link at all, keep their cached responses *)
+  Generation.bump_kind t.gen (Link.kind_name l.kind)

@@ -136,12 +136,11 @@ type journal_source = {
   js_committed : bool;  (** restorable from the journal's store *)
 }
 
-val journal_status :
-  ?config:Config.t -> string -> (journal_source list, string) result
-(** The journaled plan and which sources a resume under [config] would
-    restore rather than re-run. The same rule as resume, on the same
-    {!load_dir} of the store (which quarantines and sweeps as any load
-    does); nothing is written to the journal. *)
+val journal_status : string -> (journal_source list, string) result
+(** The journaled plan and which sources a resume under
+    {!Config.default} would restore rather than re-run. The same rule as
+    resume, on the same {!load_dir} of the store (which quarantines and
+    sweeps as any load does); nothing is written to the journal. *)
 
 val resume_journal :
   ?config:Config.t ->

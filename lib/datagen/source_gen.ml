@@ -333,8 +333,8 @@ let build universe assignment ~gold spec =
     };
   cat
 
-let build_dual_primary ?(seed = 77) universe ~name =
-  let rng = Rng.create seed in
+let build_dual_primary universe ~name =
+  let rng = Rng.create 77 in
   let cat = Catalog.create ~name in
   let genes = Universe.of_kind universe Universe.Gene in
   let n_genes = max 4 (List.length genes) in

@@ -74,7 +74,7 @@ val build :
     assignment. *)
 
 val build_dual_primary :
-  ?seed:int -> Universe.t -> name:string -> Catalog.t * (string * string) list
+  Universe.t -> name:string -> Catalog.t * (string * string) list
 (** The EnsEmbl case of §4.2: a source "focused both on sequenced clones and
     the genes lying on those clones" — two accession-bearing central
     relations (clone, gene) joined by a bridge, each with its own

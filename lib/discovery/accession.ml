@@ -3,10 +3,24 @@ open Aladin_relational
 type params = {
   min_length : int;
   max_length_spread : float;
-  min_alpha_frac : float;
 }
 
-let default_params = { min_length = 4; max_length_spread = 0.2; min_alpha_frac = 1.0 }
+let default_params = { min_length = 4; max_length_spread = 0.2 }
+
+(* The fraction of values that must contain an alphabetic character: the
+   paper says "each".
+
+   Known deviation from the paper: §4.2 asks for "at least one non-digit
+   character", but this test uses [Value.contains_alpha], i.e. at least
+   one ASCII letter. Real-world accessions (UniProt P12345, GenBank
+   NM_000546, GO terms GO:0008150, PDB 1ABC) all carry a letter and pass
+   either way; the stricter letter rule additionally rejects
+   digits-plus-separator columns such as 12:34567 or EC numbers
+   1.14.13.39, which under the paper's literal rule would qualify and,
+   being surrogate-key-shaped, are frequent false positives. Sources
+   whose accessions are purely numeric with separators are therefore
+   not found. *)
+let min_alpha_frac = 1.0
 
 type candidate = {
   relation : string;
@@ -20,7 +34,7 @@ let attribute_is_candidate ?(params = default_params) profile (cs : Col_stats.t)
   && cs.rows > 0
   && cs.nulls = 0
   && cs.min_len >= params.min_length
-  && cs.alpha_frac >= params.min_alpha_frac
+  && cs.alpha_frac >= min_alpha_frac
   && Col_stats.length_spread cs <= params.max_length_spread
 
 let candidates ?(params = default_params) profile =

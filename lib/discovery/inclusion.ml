@@ -66,15 +66,12 @@ let name_affinity ~src_attribute ~dst_relation ~dst_attribute =
   end
 
 type params = {
-  use_declared : bool;
   require_name_affinity_for_pk_pk : bool;
-  max_source_distinct : int option;
   min_containment : float;
 }
 
 let default_params =
-  { use_declared = true; require_name_affinity_for_pk_pk = true;
-    max_source_distinct = None; min_containment = 1.0 }
+  { require_name_affinity_for_pk_pk = true; min_containment = 1.0 }
 
 (* Type compatibility: integer keys join integer keys, text joins text.
    Floats never act as keys. *)
@@ -112,12 +109,8 @@ let source_cardinality profile fk =
   if src_unique && Vset.equal src_vals dst_vals then One_to_one else One_to_many
 
 (* The two pruning predicates of [infer]. *)
-let source_eligible params ~covered (src : Col_stats.t) =
-  src.distinct > 0
-  && (not (covered src))
-  && (match params.max_source_distinct with
-     | Some m -> src.distinct <= m
-     | None -> true)
+let source_eligible ~covered (src : Col_stats.t) =
+  src.distinct > 0 && not (covered src)
 
 let candidate_target (src : Col_stats.t) (dst : Col_stats.t) =
   (not
@@ -141,14 +134,15 @@ let infer ?(params = default_params) ?pool profile =
         Profile.is_unique profile ~relation:cs.relation ~attribute:cs.attribute)
       all
   in
-  let declared = if params.use_declared then declared_fks profile else [] in
   let declared =
-    List.map (fun fk -> { fk with cardinality = source_cardinality profile fk }) declared
+    List.map
+      (fun fk -> { fk with cardinality = source_cardinality profile fk })
+      (declared_fks profile)
   in
   let covered = covered_by declared in
   (* the value-set cache fills lazily; force every set the fan-out can
      read so workers never mutate the shared table *)
-  let eligible_srcs = List.filter (source_eligible params ~covered) all in
+  let eligible_srcs = List.filter (source_eligible ~covered) all in
   Profile.precompute_values profile
     (List.map (fun (cs : Col_stats.t) -> (cs.relation, cs.attribute)) eligible_srcs
     @ List.filter_map
@@ -160,7 +154,7 @@ let infer ?(params = default_params) ?pool profile =
   let inferred =
     Aladin_par.Pool.filter_map ?pool
       (fun (src : Col_stats.t) ->
-        if not (source_eligible params ~covered src) then None
+        if not (source_eligible ~covered src) then None
         else begin
           let src_vals =
             Profile.values profile ~relation:src.relation ~attribute:src.attribute

@@ -27,13 +27,9 @@ type fk = {
 val pp_fk : Format.formatter -> fk -> unit
 
 type params = {
-  use_declared : bool;  (** seed with data-dictionary FKs (default true) *)
   require_name_affinity_for_pk_pk : bool;
       (** reject integer PK ⊆ PK inferences with zero name affinity
           (default true) *)
-  max_source_distinct : int option;
-      (** skip source attributes with more distinct values than this
-          (sampling guard; default None) *)
   min_containment : float;
       (** fraction of the source's distinct values that must appear in the
           target. 1.0 (default) = exact inclusion dependencies; lower values
@@ -44,7 +40,7 @@ type params = {
 val default_params : params
 
 val infer : ?params:params -> ?pool:Aladin_par.Pool.t -> Profile.t -> fk list
-(** All declared FKs plus, for every remaining source attribute, the best
-    value-compatible target (if any). Deterministic order: with a [pool]
+(** All declared FKs (the data dictionary's) plus, for every remaining
+    source attribute, the best value-compatible target (if any). Deterministic order: with a [pool]
     the per-source candidate scans fan out across domains, but the result
     (and the trace counters) are identical to the sequential run. *)

@@ -24,7 +24,10 @@ let rank graph candidates =
 let choose graph candidates =
   match rank graph candidates with [] -> None | best :: _ -> Some best
 
-let choose_multi ?(margin = 0.5) graph candidates =
+(* in-degree above the average that makes a relation a primary *)
+let margin = 0.5
+
+let choose_multi graph candidates =
   let ranked = rank graph candidates in
   let avg = Fk_graph.average_in_degree graph in
   let above =

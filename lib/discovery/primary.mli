@@ -16,9 +16,8 @@ val choose : Fk_graph.t -> Accession.candidate list -> scored option
 (** The single primary relation: the best of the accession-bearing
     relations. Deterministic. *)
 
-val choose_multi :
-  ?margin:float -> Fk_graph.t -> Accession.candidate list -> scored list
-(** All accession-bearing relations whose in-degree is at least
-    [margin] (default 0.5) above the graph's average in-degree; falls back
+val choose_multi : Fk_graph.t -> Accession.candidate list -> scored list
+(** All accession-bearing relations whose in-degree is at least 0.5
+    above the graph's average in-degree; falls back
     to the single best when none clears the bar. For sources like EnsEmbl
     with two primary relations. *)

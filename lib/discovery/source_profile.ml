@@ -9,7 +9,7 @@ type t = {
   secondary : Secondary.t option;
 }
 
-let analyze ?accession_params ?inclusion_params ?(max_path_len = 6) catalog =
+let analyze ?accession_params ?inclusion_params catalog =
   let profile = Profile.compute catalog in
   let accession_candidates = Accession.candidates ?params:accession_params profile in
   let fks = Inclusion.infer ?params:inclusion_params profile in
@@ -18,7 +18,7 @@ let analyze ?accession_params ?inclusion_params ?(max_path_len = 6) catalog =
   let secondary =
     Option.map
       (fun (p : Primary.scored) ->
-        Secondary.discover ~max_len:max_path_len graph ~primary:p.relation)
+        Secondary.discover graph ~primary:p.relation)
       primary
   in
   { profile; accession_candidates; fks; graph; primary; secondary }

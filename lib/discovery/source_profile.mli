@@ -18,9 +18,10 @@ type t = {
 val analyze :
   ?accession_params:Accession.params ->
   ?inclusion_params:Inclusion.params ->
-  ?max_path_len:int ->
   Catalog.t ->
   t
+(** Profile the catalog and discover its structure; secondary paths are
+    searched up to {!Secondary.discover}'s default length. *)
 
 val source : t -> string
 

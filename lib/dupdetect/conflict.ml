@@ -10,12 +10,11 @@ type t = {
   similarity : float;
 }
 
-type params = {
-  min_name_affinity : float;
-  max_value_similarity : float;
-}
+(* fields only conflict when their attribute names correspond this much *)
+let min_name_affinity = 0.3
 
-let default_params = { min_name_affinity = 0.3; max_value_similarity = 0.8 }
+(* values more similar than this agree *)
+let max_value_similarity = 0.8
 
 (* one side of a comparison: each field's name tokens, computed once per
    call, and its value, prepared on first use *)
@@ -43,7 +42,7 @@ let prepared_value s i =
 
 (* pair up fields by attribute-name affinity, then flag disagreeing
    values; in (field of a, field of b) order *)
-let between ?(params = default_params) (a : Object_sim.repr) (b : Object_sim.repr) =
+let between (a : Object_sim.repr) (b : Object_sim.repr) =
   let sa = side a and sb = side b in
   let found = ref [] in
   (* HOT-PATH-BEGIN: the field-pair loop, up to 40 x 40 pairs per
@@ -54,13 +53,13 @@ let between ?(params = default_params) (a : Object_sim.repr) (b : Object_sim.rep
   for i = 0 to Array.length sa.fields - 1 do
     for j = 0 to Array.length sb.fields - 1 do
       let name_sim = Field_sim.name_affinity_tokens sa.toks.(i) sb.toks.(j) in
-      if name_sim < params.min_name_affinity then ()
+      if name_sim < min_name_affinity then ()
       else
         let vs =
           Field_sim.similarity_prepared (prepared_value sa i)
             (prepared_value sb j)
         in
-        if vs >= params.max_value_similarity then ()
+        if vs >= max_value_similarity then ()
         else
           let attr_a, value_a = sa.fields.(i)
           and attr_b, value_b = sb.fields.(j) in
@@ -82,7 +81,7 @@ let table reprs =
     reprs;
   tbl
 
-let in_duplicates ?params tbl links =
+let in_duplicates tbl links =
   List.concat_map
     (fun (l : Link.t) ->
       if l.kind <> Link.Duplicate then []
@@ -91,7 +90,7 @@ let in_duplicates ?params tbl links =
           ( Hashtbl.find_opt tbl (Objref.to_string l.src),
             Hashtbl.find_opt tbl (Objref.to_string l.dst) )
         with
-        | Some a, Some b -> between ?params a b
+        | Some a, Some b -> between a b
         | (Some _ | None), _ -> [])
     links
 

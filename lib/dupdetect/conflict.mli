@@ -3,7 +3,8 @@
     "Different sources might contradict each other in the data they store
     about an object. [...] Exploring such contradictions is of great
     interest to biologists." A conflict is a matched field pair whose
-    values disagree beyond noise. *)
+    values disagree beyond noise: the attribute names have an affinity of
+    at least 0.3 and the values a similarity below 0.8. *)
 
 open Aladin_links
 
@@ -17,21 +18,13 @@ type t = {
   similarity : float;  (** field-value similarity — low but fields matched *)
 }
 
-type params = {
-  min_name_affinity : float;
-      (** fields only conflict when the attribute names correspond
-          (default 0.3) *)
-  max_value_similarity : float;  (** values more similar than this agree
-                                     (default 0.8) *)
-}
-
 type table
 (** Representations looked up by object: the last one given for each
     {!Objref.to_string} key. Read-only once built. *)
 
 val table : Object_sim.repr list -> table
 
-val in_duplicates : ?params:params -> table -> Link.t list -> t list
+val in_duplicates : table -> Link.t list -> t list
 (** Conflicts inside every [Duplicate] link's pair, in link order; a
     link with an end the table lacks has none. Looks up only the links'
     own ends. *)

@@ -5,10 +5,13 @@ module Pool = Aladin_par.Pool
 type params = {
   min_similarity : float;
   all_pairs : bool;
-  max_block_size : int;
 }
 
-let default_params = { min_similarity = 0.78; all_pairs = false; max_block_size = 50 }
+let default_params = { min_similarity = 0.78; all_pairs = false }
+
+(* a blocking key shared by more objects than this is not specific
+   enough to block on *)
+let max_block_size = 50
 
 type result = {
   links : Link.t list;
@@ -118,7 +121,7 @@ let candidate_index_pairs ?pool params (reprs : Object_sim.repr array)
       Hashtbl.fold
         (fun key members acc ->
           let ms = !members in
-          if List.length ms <= params.max_block_size then (key, ms) :: acc
+          if List.length ms <= max_block_size then (key, ms) :: acc
           else acc)
         blocks []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -232,8 +235,7 @@ let detect_prepared ?(params = default_params) ?pool entries =
   in
   result_of_links ~candidates_checked:(List.length pairs) (Link.dedup links)
 
-let detect_on ?params ?pool reprs =
-  detect_prepared ?params ?pool (prepare_reprs ?pool reprs)
+let detect_on ?params reprs = detect_prepared ?params (prepare_reprs reprs)
 
 (* --- pairwise entry points (delta pipeline) --- *)
 

@@ -2,8 +2,9 @@
 
     Duplicates are flagged, never merged: the output is a set of
     [Duplicate] links plus clusters. Candidate pairs come from cheap
-    blocking (shared accession string, shared rare name token); candidates
-    are verified with {!Object_sim.similarity_prepared}. When [min_similarity] is
+    blocking (shared accession string, shared rare name token; a key
+    shared by more than 50 objects is not blocked on); candidates are
+    verified with {!Object_sim.similarity_prepared}. When [min_similarity] is
     above 0.5, a candidate that fails {!Object_sim.may_agree} is not
     scored: without an identity agreement its similarity is at most 0.5,
     so it could not become a link. Such candidates still count in
@@ -17,7 +18,6 @@ type params = {
   all_pairs : bool;
       (** compare every cross-source pair instead of blocking — exact but
           quadratic (default false) *)
-  max_block_size : int;  (** ignore blocks larger than this (default 50) *)
 }
 
 val default_params : params
@@ -33,14 +33,12 @@ val result_of_links : candidates_checked:int -> Link.t list -> result
     more objects, each sorted, in sorted order — the same whatever order
     the links come in. *)
 
-val detect_on :
-  ?params:params -> ?pool:Aladin_par.Pool.t -> Object_sim.repr list -> result
+val detect_on : ?params:params -> Object_sim.repr list -> result
 (** Detection over prebuilt representations ({!Object_sim.build_reprs},
     whose [exclude_attributes] should name the cross-reference
     attributes discovered in step 4): prepares every object once, then
-    runs the same core as {!detect_between}. With a [pool] the pairwise
-    similarity verification fans out across domains; the result is
-    identical to the sequential run. *)
+    runs the same core as {!detect_between}, sequentially — the
+    evaluators' entry point. *)
 
 type prepared_source
 (** One source ready for {!detect_between}: its representations, each

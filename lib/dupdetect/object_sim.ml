@@ -15,7 +15,10 @@ let content_attribute (cs : Col_stats.t) = cs.distinct > 0 && cs.numeric_frac < 
    check is O(1) instead of List.length's walk of the whole bag *)
 type bag = { mutable n : int; mutable items : (string * string) list }
 
-let build_reprs ?(max_fields_per_object = 40) ?(exclude_attributes = []) profiles =
+(* fields kept per object, in attribute-then-row order *)
+let max_fields_per_object = 40
+
+let build_reprs ?(exclude_attributes = []) profiles =
   let norm = String.lowercase_ascii in
   let excluded =
     List.map (fun (s, r, a) -> (norm s, norm r, norm a)) exclude_attributes
@@ -69,9 +72,11 @@ let build_reprs ?(max_fields_per_object = 40) ?(exclude_attributes = []) profile
     bags []
   |> List.sort (fun a b -> Objref.compare a.obj b.obj)
 
-type weights = { w_value : float; w_name : float }
+(* a matched field pair's score weighs value similarity over name
+   affinity *)
+let w_value = 0.8
 
-let default_weights = { w_value = 0.8; w_name = 0.2 }
+let w_name = 0.2
 
 type context = { df : (string, int) Hashtbl.t; n_objects : int }
 
@@ -235,7 +240,7 @@ let imin (a : int) b = if a <= b then a else b
 
 let imax (a : int) b = if a >= b then a else b
 
-let similarity_prepared ?(weights = default_weights) a b =
+let similarity_prepared a b =
   let na = Array.length a.prep.pfields and nb = Array.length b.prep.pfields in
   if na = 0 || nb = 0 then 0.0
   else begin
@@ -271,7 +276,7 @@ let similarity_prepared ?(weights = default_weights) a b =
         let a_anchor_shape = if swapped then fl.anchor_shape else fs.anchor_shape
         and b_seq_raw = if swapped then fs.seq_raw else fl.seq_raw in
         let name_sim = Field_sim.name_affinity_tokens fs.name_toks fl.name_toks in
-        let s_score = (weights.w_value *. vs) +. (weights.w_name *. name_sim) in
+        let s_score = (w_value *. vs) +. (w_name *. name_sim) in
         let df = imin smaller.dfs.(s) larger.dfs.(!best_i) in
         (* a greedy value match between unrelated attributes (an accession
            landing on "bait") must not be amplified as evidence *)
@@ -294,7 +299,7 @@ let similarity_prepared ?(weights = default_weights) a b =
     done;
     if acc.(1) = 0.0 then 0.0
     else begin
-      let base = acc.(0) /. acc.(1) /. (weights.w_value +. weights.w_name) in
+      let base = acc.(0) /. acc.(1) /. (w_value +. w_name) in
       match context with
       | Some _ when not !identity_agreement -> base *. 0.5
       | Some _ | None -> base
@@ -340,10 +345,10 @@ let field_matches a b =
   |> List.map (fun ((fa : pfield), (fb : pfield), vs) ->
          (fa.attr, fa.value, fb.attr, fb.value, vs))
 
-let similarity ?weights ?context a b =
-  similarity_prepared ?weights (bind ?context (prepare a)) (bind ?context (prepare b))
+let similarity ?context a b =
+  similarity_prepared (bind ?context (prepare a)) (bind ?context (prepare b))
 
-let explain ?(weights = default_weights) ?context a b =
+let explain ?context a b =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "%s vs %s\n" (Objref.to_string a.obj) (Objref.to_string b.obj);
@@ -369,5 +374,5 @@ let explain ?(weights = default_weights) ?context a b =
         (if anchor then " ANCHOR" else "")
         attr_a (clip va) attr_b (clip vb))
     (field_matches a b);
-  add "similarity = %.3f\n" (similarity ~weights ?context a b);
+  add "similarity = %.3f\n" (similarity ?context a b);
   Buffer.contents buf

@@ -16,24 +16,18 @@ type repr = {
 }
 
 val build_reprs :
-  ?max_fields_per_object:int ->
   ?exclude_attributes:(string * string * string) list ->
   Profile_list.t ->
   repr list
 (** One representation per primary object. Surrogate-key attributes
-    (numeric, FK-ish) are excluded; [max_fields_per_object] defaults
-    to 40. Sorted by object.
+    (numeric, FK-ish) are excluded, and an object keeps at most 40
+    fields. Sorted by object.
 
     [exclude_attributes] lists (source, relation, attribute) triples to
     leave out of the bags — step 5 runs after link discovery, so the
     attributes already identified as cross-references (which hold OTHER
     objects' accessions) must not count as similarity evidence between an
     object and its link target. *)
-
-type weights = {
-  w_value : float;  (** default 0.8 *)
-  w_name : float;  (** default 0.2 *)
-}
 
 type context
 (** Corpus-level value statistics: how many objects carry each value.
@@ -74,10 +68,14 @@ val bind : ?context:context -> prepared -> bound
 (** Look up each field's df once, before the candidate fan-out, so
     {!similarity_prepared} never touches the df table per pair. *)
 
-val similarity_prepared : ?weights:weights -> bound -> bound -> float
-(** Exactly [similarity ?weights ?context a b] for [bind ?context
-    (prepare a)] and [bind ?context (prepare b)]; both arguments must be
-    bound under the same context. *)
+val similarity_prepared : bound -> bound -> float
+(** The object similarity: each field of the smaller object is matched
+    to its most similar field of the other, and the pair scores 0.8 of
+    its value similarity plus 0.2 of its attribute-name affinity; the
+    scores are averaged, weighted by the rarity of agreeing values.
+    Under a context, a pair of objects without an identity agreement
+    (see {!may_agree}) scores half that. Both arguments must be bound
+    under the same context. *)
 
 val may_agree : bound -> bound -> bool
 (** Whether the two objects could agree on an identifying value: some
@@ -89,10 +87,10 @@ val may_agree : bound -> bound -> bool
     context. Every field pair on which {!similarity_prepared} records an
     identity agreement passes these tests, so when [may_agree a b] is
     false, [similarity_prepared a b] is half a weighted mean of values
-    at most 1: at most 0.5 (for nonnegative weights). Detection uses it
+    at most 1: at most 0.5. Detection uses it
     to leave such pairs unscored when its threshold is above 0.5. *)
 
-val explain : ?weights:weights -> ?context:context -> repr -> repr -> string
+val explain : ?context:context -> repr -> repr -> string
 (** Human-readable derivation of {!similarity_prepared} over the two
     objects: one line per matched field
     pair with value similarity, name affinity, weight and anchor status —

@@ -33,36 +33,6 @@ let make_tables cat =
   in
   { bioentry; taxon; biosequence; dbxref; term; bioentry_term; reference }
 
-let declare_constraints cat =
-  let open Constraint_def in
-  List.iter (Catalog.declare cat)
-    [
-      Primary_key { relation = "bioentry"; attribute = "bioentry_id" };
-      Unique { relation = "bioentry"; attribute = "accession" };
-      Primary_key { relation = "taxon"; attribute = "taxon_id" };
-      Primary_key { relation = "dbxref"; attribute = "dbxref_id" };
-      Primary_key { relation = "term"; attribute = "term_id" };
-      Primary_key { relation = "reference"; attribute = "reference_id" };
-      Foreign_key
-        { src_relation = "bioentry"; src_attribute = "taxon_id";
-          dst_relation = "taxon"; dst_attribute = "taxon_id" };
-      Foreign_key
-        { src_relation = "biosequence"; src_attribute = "bioentry_id";
-          dst_relation = "bioentry"; dst_attribute = "bioentry_id" };
-      Foreign_key
-        { src_relation = "dbxref"; src_attribute = "bioentry_id";
-          dst_relation = "bioentry"; dst_attribute = "bioentry_id" };
-      Foreign_key
-        { src_relation = "bioentry_term"; src_attribute = "bioentry_id";
-          dst_relation = "bioentry"; dst_attribute = "bioentry_id" };
-      Foreign_key
-        { src_relation = "bioentry_term"; src_attribute = "term_id";
-          dst_relation = "term"; dst_attribute = "term_id" };
-      Foreign_key
-        { src_relation = "reference"; src_attribute = "bioentry_id";
-          dst_relation = "bioentry"; dst_attribute = "bioentry_id" };
-    ]
-
 type counters = {
   mutable next_entry : int;
   mutable next_taxon : int;
@@ -178,10 +148,9 @@ let parse_record tables counters lines =
          Value.text seq |]
   end
 
-let parse ?(name = source_name) ?(declare = false) doc =
+let parse ?(name = source_name) doc =
   let cat = Catalog.create ~name in
   let tables = make_tables cat in
   let counters = fresh_counters () in
   List.iter (parse_record tables counters) (Line_format.records doc);
-  if declare then declare_constraints cat;
   cat

@@ -15,8 +15,6 @@
 
 open Aladin_relational
 
-val parse : ?name:string -> ?declare:bool -> string -> Catalog.t
-(** Parse a whole document. When [declare] (default false) the importer
-    also records the real integrity constraints in the catalog — the
-    situation where a source ships its schema; leaving it off forces ALADIN
-    to infer everything. *)
+val parse : ?name:string -> string -> Catalog.t
+(** Parse a whole document. The catalog declares no integrity
+    constraints: ALADIN infers them all. *)

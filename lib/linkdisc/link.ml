@@ -6,6 +6,9 @@ type kind =
   | Entity_mention
   | Duplicate
 
+let kinds =
+  [ Xref; Seq_similarity; Text_similarity; Shared_term; Entity_mention; Duplicate ]
+
 let kind_name = function
   | Xref -> "xref"
   | Seq_similarity -> "seq"

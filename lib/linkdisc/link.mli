@@ -11,6 +11,9 @@ type kind =
   | Entity_mention  (** one object's text mentions the other's name *)
   | Duplicate  (** same real-world object (step 5) *)
 
+val kinds : kind list
+(** Every kind, in declaration order. *)
+
 val kind_name : kind -> string
 
 val kind_rank : kind -> int

@@ -7,7 +7,6 @@ type params = {
   xref : Xref_disc.params;
   seq : Seq_links.params;
   text : Text_links.params;
-  onto : Onto_links.params;
   enable_seq : bool;
   enable_text : bool;
   enable_onto : bool;

@@ -1,13 +1,11 @@
 open Aladin_relational
 open Aladin_discovery
 
-type params = {
-  max_fanout : int;
-  min_shared : int;
-  parent_depth : int;
-}
+(* a hub target referenced by more objects than this is skipped *)
+let max_fanout = 25
 
-let default_params = { max_fanout = 25; min_shared = 1; parent_depth = 2 }
+(* is_a levels an xref climbs *)
+let parent_depth = 2
 
 type result = {
   links : Link.t list;
@@ -118,7 +116,7 @@ let parents_from_profiles profiles =
     (Profile_list.entries profiles);
   fun obj -> try Otbl.find table obj with Not_found -> []
 
-let discover ?(params = default_params) ?parents ~xrefs () =
+let discover ?parents ~xrefs () =
   (* group xref links by target; with a hierarchy, an xref also vouches for
      the target's ancestors at decayed confidence *)
   let by_target : Link.t list Otbl.t = Otbl.create 256 in
@@ -134,7 +132,7 @@ let discover ?(params = default_params) ?parents ~xrefs () =
         | None -> ()
         | Some up ->
             let rec climb node depth conf =
-              if depth < params.parent_depth then
+              if depth < parent_depth then
                 List.iter
                   (fun parent ->
                     let ghost = { l with dst = parent; confidence = conf } in
@@ -155,7 +153,7 @@ let discover ?(params = default_params) ?parents ~xrefs () =
         |> List.map (fun (l : Link.t) -> l.src)
         |> List.sort_uniq Objref.compare
       in
-      if List.length sources > params.max_fanout then incr skipped
+      if List.length sources > max_fanout then incr skipped
       else
         let rec pairs = function
           | [] -> ()
@@ -184,18 +182,15 @@ let discover ?(params = default_params) ?parents ~xrefs () =
   let links =
     Hashtbl.fold
       (fun key terms acc ->
-        if List.length !terms >= params.min_shared then begin
-          let a, b = Hashtbl.find reps key in
-          let n = List.length !terms in
-          let confidence = Float.min 0.9 (0.3 +. (0.15 *. float_of_int n)) in
-          Link.make ~src:a ~dst:b ~kind:Link.Shared_term ~confidence
-            ~evidence:
-              (Printf.sprintf "shared targets: %s"
-                 (String.concat ", "
-                    (List.filteri (fun i _ -> i < 3) (List.rev !terms))))
-          :: acc
-        end
-        else acc)
+        let a, b = Hashtbl.find reps key in
+        let n = List.length !terms in
+        let confidence = Float.min 0.9 (0.3 +. (0.15 *. float_of_int n)) in
+        Link.make ~src:a ~dst:b ~kind:Link.Shared_term ~confidence
+          ~evidence:
+            (Printf.sprintf "shared targets: %s"
+               (String.concat ", "
+                  (List.filteri (fun i _ -> i < 3) (List.rev !terms))))
+        :: acc)
       grouped []
   in
   { links = Link.dedup links; hub_targets_skipped = !skipped }

@@ -5,20 +5,9 @@
 
     When two objects from different sources both cross-reference the same
     third object (typically an ontology term), they get a [Shared_term]
-    link carrying the term as evidence. *)
-
-type params = {
-  max_fanout : int;
-      (** skip hub targets referenced by more objects than this — linking
-          all pairs under a giant term is noise (default 25) *)
-  min_shared : int;  (** shared targets required per pair (default 1) *)
-  parent_depth : int;
-      (** how many is_a levels to climb when a term hierarchy is available:
-          objects annotated with two siblings of one parent term still share
-          that parent (default 2) *)
-}
-
-val default_params : params
+    link carrying the term as evidence. A hub target referenced by more
+    than 25 objects links none of them: linking all pairs under a giant
+    term is noise. *)
 
 type result = {
   links : Link.t list;
@@ -26,7 +15,6 @@ type result = {
 }
 
 val discover :
-  ?params:params ->
   ?parents:(Objref.t -> Objref.t list) ->
   xrefs:Link.t list ->
   unit ->
@@ -34,7 +22,8 @@ val discover :
 (** Derives shared-term links from already-discovered [Xref] links.
     [parents] gives a term's direct is_a parents; when present, an xref to
     a term also counts (with decayed confidence) as a reference to its
-    ancestors up to [parent_depth]. *)
+    parents and grandparents, so objects annotated with two siblings of
+    one parent term still share that parent. *)
 
 val parents_from_profiles : Profile_list.t -> Objref.t -> Objref.t list
 (** Build a parents function from discovered structure: any relation with

@@ -9,19 +9,12 @@
 
 open Aladin_relational
 
-type params = {
-  min_distinct : int;  (** default 3 *)
-  exclude_numeric : bool;  (** default true *)
-  min_avg_len : float;  (** default 3.0 — single letters are not references *)
-  enabled : bool;  (** false = no pruning, for the E6/E10 ablation *)
-}
-
-val default_params : params
-
-val no_pruning : params
-
-val is_link_source : params -> Col_stats.t -> bool
-(** May this attribute hold cross-references? *)
+val is_link_source : prune:bool -> Col_stats.t -> bool
+(** May this attribute hold cross-references? With [prune] it needs at
+    least 3 distinct values, an average length of at least 3 (single
+    letters are not references) and values that are not all numeric.
+    Without it (the E6/E10 ablation) any attribute holding a value
+    qualifies. *)
 
 val is_text_field : Col_stats.t -> bool
 (** Long, alphabetic, mostly non-unique content — a description field worth

@@ -2,16 +2,12 @@ open Aladin_relational
 open Aladin_discovery
 module Sq = Aladin_seq
 
-type params = {
-  min_normalized : float;
-  min_seq_len : int;
-  cross_source_only : bool;
-  sample_for_detection : int;
-}
+type params = { min_normalized : float; min_seq_len : int }
 
-let default_params =
-  { min_normalized = 0.5; min_seq_len = 20; cross_source_only = true;
-    sample_for_detection = 50 }
+let default_params = { min_normalized = 0.5; min_seq_len = 20 }
+
+(* values sampled to classify a column *)
+let sample_for_detection = 50
 
 type seq_field = {
   source : string;
@@ -48,7 +44,7 @@ let sequence_fields params profiles =
                 else
                   let sample =
                     column_sample catalog cs.relation cs.attribute
-                      params.sample_for_detection
+                      sample_for_detection
                   in
                   Sq.Alphabet.classify_column ~min_len:params.min_seq_len sample
                   |> Option.map (fun kind ->
@@ -126,13 +122,10 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
   in
   (* per alphabet kind, the source's own sequences are indexed (ids in
      field-then-row order) and every other source's sequences probe the
-     index, the source's sequence being the query; with
-     cross_source_only off, each own sequence also probes for the ids
-     before it, as the query itself. Each probe names the job that
-     answers it: another source's probe whose sequence an earlier one of
-     the same kind carries shares that one's job, whose hits are its
-     own, as it would read the same index with the same [keep] and the
-     same query. *)
+     index, the source's sequence being the query. Each probe names the
+     job that answers it: a probe whose sequence an earlier one of the
+     same kind carries shares that one's job, whose hits are its own, as
+     it would read the same index with the same query. *)
   let jobs = ref [] and njobs = ref 0 in
   let job j =
     jobs := j :: !jobs;
@@ -149,35 +142,24 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
           Sq.Homology.probe_index kind (Array.map (fun (_, _, s) -> s) entries)
         in
         let first = Hashtbl.create 64 in
-        let cross =
-          List.map
-            (fun ((_, _, s) as p) ->
-              match Hashtbl.find_opt first s with
-              | Some id ->
-                  incr shared;
-                  (entries, p, id)
-              | None ->
-                  let id = job (ix, s, false, Fun.const true) in
-                  Hashtbl.add first s id;
-                  (entries, p, id))
-            (of_kind others)
-        in
-        let within =
-          if params.cross_source_only then []
-          else
-            List.mapi
-              (fun id ((_, _, s) as p) ->
-                (entries, p, job (ix, s, true, fun j -> j < id)))
-              (Array.to_list entries)
-        in
-        cross @ within)
+        List.map
+          (fun ((_, _, s) as p) ->
+            match Hashtbl.find_opt first s with
+            | Some id ->
+                incr shared;
+                (entries, p, id)
+            | None ->
+                let id = job (ix, s) in
+                Hashtbl.add first s id;
+                (entries, p, id))
+          (of_kind others))
       kinds
   in
   let hits =
     Array.of_list
       (Aladin_par.Pool.map ?pool
-         (fun (ix, s, probe_is_query, keep) ->
-           Sq.Homology.probe ix ~probe_is_query ~keep s
+         (fun (ix, s) ->
+           Sq.Homology.probe ix ~probe_is_query:false ~keep:(Fun.const true) s
              ~min_normalized:params.min_normalized)
          (List.rev !jobs))
   in
@@ -204,12 +186,12 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
   fresh
 
 (* Batch discovery, per alphabet kind: every sequence in one index, and
-   each entry probes it as the query for the entries after it, so each
-   unordered pair is aligned once. Entries are ordered by their
-   source\x00relation\x00row string, which decides the query of a
-   tied-length pair; same-key entries (two sequence columns of one row)
-   keep field order. *)
-let discover ?(params = default_params) ?pool profiles =
+   each entry probes it as the query for the other sources' entries
+   after it, so each unordered cross-source pair is aligned once.
+   Entries are ordered by their source\x00relation\x00row string, which
+   decides the query of a tied-length pair; same-key entries (two
+   sequence columns of one row) keep field order. *)
+let discover ?(params = default_params) profiles =
   let fields = sequence_fields params profiles in
   let kinds = List.sort_uniq compare (List.map (fun f -> f.kind) fields) in
   let probes =
@@ -236,14 +218,13 @@ let discover ?(params = default_params) ?pool profiles =
       kinds
   in
   let hits =
-    Aladin_par.Pool.map ?pool
+    List.map
       (fun (entries, ix, i) ->
         let f, _, s = entries.(i) in
-        (* a same-source pair is never a link when cross_source_only
-           holds, so it is not aligned *)
+        (* a same-source pair is never a link, so it is not aligned *)
         let keep j =
           let g, _, _ = entries.(j) in
-          j > i && not (params.cross_source_only && g.source = f.source)
+          j > i && g.source <> f.source
         in
         Sq.Homology.probe ix ~probe_is_query:true ~keep s
           ~min_normalized:params.min_normalized)

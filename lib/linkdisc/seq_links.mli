@@ -1,14 +1,14 @@
 (** Implicit links from sequence homology (§4.4, second kind of link).
 
-    Sequence fields are detected by their fixed alphabet; values are
-    indexed per alphabet and similar pairs become [Seq_similarity] links
-    between the owning primary objects. *)
+    Sequence fields are detected by their fixed alphabet, from the
+    first 50 non-null values of a column; values are indexed per
+    alphabet and similar pairs of different sources become
+    [Seq_similarity] links between the owning primary objects. Two
+    objects of one source are never linked. *)
 
 type params = {
   min_normalized : float;  (** alignment score threshold (default 0.5) *)
   min_seq_len : int;  (** ignore shorter values (default 20) *)
-  cross_source_only : bool;  (** default true *)
-  sample_for_detection : int;  (** values sampled to classify a column (default 50) *)
 }
 
 val default_params : params
@@ -30,19 +30,15 @@ type result = {
   pairs_verified : int;
 }
 
-val discover :
-  ?params:params -> ?pool:Aladin_par.Pool.t -> Profile_list.t -> result
+val discover : ?params:params -> Profile_list.t -> result
 (** Batch discovery over every source in the list — the reference the
     delta pipeline's pass ({!discover_source}) is tested against, and
     the E7 evaluator; the warehouse never calls it. Per alphabet kind,
     every sequence goes into one {!Aladin_seq.Homology.probe_index},
     ordered by its [source\x00relation\x00row] string, and each probes
-    it as the query for the ones after it: each unordered pair is
-    aligned once, the earlier side being the query. With
-    [cross_source_only] a same-source pair is dropped before it is
-    aligned, so [pairs_verified] counts cross-source hits only. With a
-    [pool] the probes fan out across domains; the result is identical to
-    the sequential run. *)
+    it as the query for the other sources' ones after it: each unordered
+    cross-source pair is aligned once, the earlier side being the query,
+    and a same-source pair is never aligned. Sequential. *)
 
 val discover_source :
   ?params:params ->
@@ -60,10 +56,7 @@ val discover_source :
     normalizes the pair. A probe whose normalized sequence an earlier
     probe of the same kind from another source carries is not run: it
     takes that probe's hits, which are equal, and every owning object of
-    either is linked. With [cross_source_only] off, each of its
-    sequences also probes its own index for the ones before it, as the
-    query, which adds the within-source links. Sequence fields are
-    detected once per source. The ambient trace counts
+    either is linked. Sequence fields are detected once per source. The ambient trace counts
     [seq.sequences_indexed] (the named source's sequences),
     [seq.alignments] (Smith-Waterman calls made), [seq.probes_shared]
     (probes answered by an earlier identical one), [seq.pairs_verified]

@@ -4,14 +4,9 @@ module Tx = Aladin_text
 module Sq = Aladin_seq
 module Pool = Aladin_par.Pool
 
-type params = {
-  min_cosine : float;
-  cross_source_only : bool;
-  mention_min_score : float;
-}
+type params = { min_cosine : float }
 
-let default_params =
-  { min_cosine = 0.5; cross_source_only = true; mention_min_score = 1.0 }
+let default_params = { min_cosine = 0.5 }
 
 type result = {
   links : Link.t list;
@@ -116,7 +111,7 @@ let ranges_of nshards n =
     go 0 []
   end
 
-let discover ?(params = default_params) ?pool profiles =
+let discover ?(params = default_params) profiles =
   let documents = object_documents profiles in
   let corpus = Tx.Tfidf.corpus_create () in
   let by_id : (string, Objref.t) Hashtbl.t = Hashtbl.create 256 in
@@ -126,63 +121,41 @@ let discover ?(params = default_params) ?pool profiles =
       Hashtbl.replace by_id id obj;
       Tx.Tfidf.corpus_add corpus ~doc_id:id doc)
     documents;
-  (* cosine-similarity links: the candidate join over the prepared corpus,
-     sharded across the pool by query-document range. The prepared arrays
-     are built once, before the fan-out, and are read-only inside it; each
-     shard accumulates its own pairs and the shards are concatenated in
-     range order, which is exactly ascending (i, j) order whatever the
-     pool size — every pair is owned by its smaller document index. *)
+  (* cosine-similarity links: the candidate join over the whole prepared
+     corpus, same-source pairs dropped after scoring *)
   let prep = Tx.Tfidf.prepare corpus in
-  let ndocs = Tx.Tfidf.prepared_docs prep in
-  let nshards = match pool with None -> 1 | Some p -> max 1 (Pool.size p * 4) in
-  let pair_shards =
-    Pool.map ?pool
-      (fun (lo, hi) ->
-        Tx.Tfidf.similar_pairs_range prep ~lo ~hi ~min_sim:params.min_cosine)
-      (ranges_of nshards ndocs)
-  in
   let links = ref [] in
   List.iter
-    (List.iter (fun (ida, idb, sim) ->
-         match (Hashtbl.find_opt by_id ida, Hashtbl.find_opt by_id idb) with
-         | Some obj, Some other ->
-             if
-               (not params.cross_source_only)
-               || obj.Objref.source <> other.Objref.source
-             then
-               links :=
-                 Link.make ~src:obj ~dst:other ~kind:Link.Text_similarity
-                   ~confidence:sim
-                   ~evidence:(Printf.sprintf "tfidf cosine=%.2f" sim)
-                 :: !links
-         | _ -> ()))
-    pair_shards;
+    (fun (ida, idb, sim) ->
+      match (Hashtbl.find_opt by_id ida, Hashtbl.find_opt by_id idb) with
+      | Some obj, Some other when obj.Objref.source <> other.Objref.source ->
+          links :=
+            Link.make ~src:obj ~dst:other ~kind:Link.Text_similarity
+              ~confidence:sim
+              ~evidence:(Printf.sprintf "tfidf cosine=%.2f" sim)
+            :: !links
+      | _ -> ())
+    (Tx.Tfidf.similar_pairs_range prep ~lo:0 ~hi:(Tx.Tfidf.prepared_docs prep)
+       ~min_sim:params.min_cosine);
   (* entity-mention links: only dictionary hits are ever computed (the
      recognizer's surface heuristics would be discarded at the lookup
-     below anyway); recognition fans out per document, dictionary tables
-     read-only, results merged in document order *)
+     below anyway), in document order *)
   let dict = name_dictionary profiles in
   let recognizer = Tx.Entity_recog.create () in
   Tx.Entity_recog.add_dictionary recognizer
     (Hashtbl.fold (fun name _ acc -> name :: acc) dict []);
   let mention_shards =
-    Pool.map ?pool
+    List.map
       (fun (obj, doc) ->
         Tx.Entity_recog.recognize_dictionary recognizer doc
         |> List.filter_map (fun (m : Tx.Entity_recog.mention) ->
                match Hashtbl.find_opt dict (String.lowercase_ascii m.surface) with
-               | None -> None
-               | Some target ->
-                   let cross =
-                     (not params.cross_source_only)
-                     || obj.Objref.source <> target.Objref.source
-                   in
-                   if cross && not (Objref.equal obj target) then
-                     Some
-                       (Link.make ~src:obj ~dst:target ~kind:Link.Entity_mention
-                          ~confidence:(0.6 *. m.score)
-                          ~evidence:(Printf.sprintf "mention %S" m.surface))
-                   else None))
+               | Some target when obj.Objref.source <> target.Objref.source ->
+                   Some
+                     (Link.make ~src:obj ~dst:target ~kind:Link.Entity_mention
+                        ~confidence:(0.6 *. m.score)
+                        ~evidence:(Printf.sprintf "mention %S" m.surface))
+               | _ -> None))
       documents
   in
   let mention_links =
@@ -341,12 +314,12 @@ let prepare_sources ?pool profiles =
    no string is lowercased, hashed or sorted (a grep-gate in
    scripts/check.sh enforces it on this region). *)
 
-(* A pair's corpus over its sources in canonical order ([a; b], or [a]
-   alone for a self pair): their documents merged in ascending doc-id
-   order — the order a string corpus over them indexes them in — grouped
-   by source when same-source pairs are not wanted, with document
-   frequencies summed from the sources' *)
-let pair_corpus ~cross_source_only ~nterms srcs =
+(* A pair's corpus over its two sources in canonical order: their
+   documents merged in ascending doc-id order — the order a string corpus
+   over them indexes them in — grouped by source, so that no same-source
+   pair is a candidate, with document frequencies summed from the
+   sources' *)
+let pair_corpus ~nterms srcs =
   let order =
     Array.concat
       (List.mapi
@@ -360,9 +333,7 @@ let pair_corpus ~cross_source_only ~nterms srcs =
   Array.iter (fun s -> Array.iteri (fun t d -> df.(t) <- df.(t) + d) s.df) srcs;
   let prep =
     Tx.Tfidf.prepare_counts
-      ?groups:
-        (if cross_source_only then Some (Array.map (fun (_, si, _) -> si) order)
-         else None)
+      ~groups:(Array.map (fun (_, si, _) -> si) order)
       ~ids:(doc (fun s d -> s.ids.(d)))
       ~df
       (doc (fun s d -> s.counts.(d)))
@@ -372,7 +343,7 @@ let pair_corpus ~cross_source_only ~nterms srcs =
 (* the pair's mention links: every document of its sources against the
    pair's dictionary, where a name both sources define resolves to the
    canonically later one *)
-let pair_mentions ~cross_source_only srcs =
+let pair_mentions srcs =
   let later_first = List.rev srcs in
   let resolve nid = List.find_map (fun s -> s.names.(nid)) later_first in
   let links = ref [] in
@@ -384,10 +355,7 @@ let pair_mentions ~cross_source_only srcs =
           List.iter
             (fun (surface, nid) ->
               match resolve nid with
-              | Some target
-                when ((not cross_source_only)
-                     || obj.Objref.source <> target.Objref.source)
-                     && not (Objref.equal obj target) ->
+              | Some target when obj.Objref.source <> target.Objref.source ->
                   links :=
                     Link.make ~src:obj ~dst:target ~kind:Link.Entity_mention
                       ~confidence:0.6
@@ -406,14 +374,11 @@ let cosine_link objs (i, j, sim) =
 (* HOT-PATH-END *)
 
 let discover_source ?(params = default_params) ?pool profiles ~source =
-  let cross_source_only = params.cross_source_only in
   let sources = Profile_list.sources profiles in
   let nterms, prepared =
-    (* a source alone has no pair unless its own is wanted *)
-    if
-      List.mem source sources
-      && ((not cross_source_only) || List.exists (( <> ) source) sources)
-    then prepare_sources ?pool profiles
+    (* a source alone has no pair *)
+    if List.mem source sources && List.exists (( <> ) source) sources then
+      prepare_sources ?pool profiles
     else (0, [])
   in
   (* the changed source's pairs, each with its sources in canonical order *)
@@ -423,8 +388,7 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
     | Some own ->
         List.filter_map
           (fun (other, s) ->
-            if other = source then
-              if cross_source_only then None else Some ((source, source), [ own ])
+            if other = source then None
             else if String.compare source other < 0 then
               Some ((source, other), [ own; s ])
             else Some ((other, source), [ s; own ]))
@@ -432,9 +396,7 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
   in
   let corpora =
     Array.of_list
-      (Pool.map ?pool
-         (fun (_, srcs) -> pair_corpus ~cross_source_only ~nterms srcs)
-         pairs)
+      (Pool.map ?pool (fun (_, srcs) -> pair_corpus ~nterms srcs) pairs)
   in
   (* every pair's join, sharded by query-document range, in one fan-out *)
   let nshards = match pool with None -> 1 | Some p -> max 1 (Pool.size p * 4) in
@@ -462,7 +424,7 @@ let discover_source ?(params = default_params) ?pool profiles ~source =
   let pairs =
     List.mapi
       (fun pi (p, srcs) ->
-        (p, Link.dedup (cosine.(pi) @ pair_mentions ~cross_source_only srcs)))
+        (p, Link.dedup (cosine.(pi) @ pair_mentions srcs)))
       pairs
   in
   Aladin_obs.Trace.ambient_incr

@@ -1,21 +1,13 @@
 (** Implicit links from text similarity and from entity mentions (§4.4).
 
     Every primary object gets a document assembled from the text fields of
-    the rows it owns; TF-IDF cosine above a threshold links two objects.
-    Additionally, gene/protein-style names recognized inside text fields
-    are matched against the name-like unique attributes of other sources'
-    primary relations ([Entity_mention] links). *)
+    the rows it owns; TF-IDF cosine above a threshold links two objects of
+    different sources. Additionally, gene/protein-style names recognized
+    inside text fields are matched against the name-like unique
+    attributes of other sources' primary relations ([Entity_mention]
+    links). Two objects of one source are never linked. *)
 
-type params = {
-  min_cosine : float;  (** default 0.5 *)
-  cross_source_only : bool;  (** default true *)
-  mention_min_score : float;  (** kept for configuration compatibility;
-                                  linking only ever keeps dictionary
-                                  matches (which score 1.0), so the
-                                  recognizer's surface-shape threshold
-                                  never affected the links and the pass
-                                  now computes dictionary hits directly *)
-}
+type params = { min_cosine : float  (** default 0.5 *) }
 
 val default_params : params
 
@@ -29,16 +21,13 @@ val object_documents : Profile_list.t -> (Objref.t * string) list
 (** The assembled per-object documents (exposed for search indexing and
     tests). Sequence-shaped fields are excluded. *)
 
-val discover :
-  ?params:params -> ?pool:Aladin_par.Pool.t -> Profile_list.t -> result
+val discover : ?params:params -> Profile_list.t -> result
 (** Batch discovery over every source in the list, one corpus and one
-    dictionary for all of them — the linker's pass, and the reference
-    {!discover_source} is tested against. The cosine candidate join runs
-    over {!Aladin_text.Tfidf.prepare}d vectors (built once, before any
-    fan-out) and is sharded across the pool by query-document range;
-    entity-mention recognition fans out per document. Per-shard
-    accumulators are merged deterministically at the join, so the result
-    is byte-identical at any pool size. *)
+    dictionary for all of them — the reference {!discover_source} is
+    tested against. The cosine candidate join runs over the
+    {!Aladin_text.Tfidf.prepare}d corpus and drops same-source pairs
+    after scoring; entity-mention recognition runs per document.
+    Sequential. *)
 
 val discover_source :
   ?params:params ->
@@ -49,8 +38,7 @@ val discover_source :
 (** The text links of every source pair holding the named source — the
     delta pipeline's text pass, called once per relink: per canonical
     source pair [(a, b)] holding the named source (one for every other
-    source, plus [(source, source)] when [cross_source_only] is off),
-    the pair's links, deduplicated. A pair's links
+    source), the pair's links, deduplicated. A pair's links
     are exactly {!discover}'s over the two-source restriction of the
     profile list: its tf-idf corpus, document frequencies and name
     dictionary are pair-local, so they are a pure function of the two
@@ -63,7 +51,7 @@ val discover_source :
     frequencies and name dictionary are kept. A pair then sums the two
     sources' counts ([N = N_a + N_b], [df = df_a + df_b]) into its
     weights and runs {!Aladin_text.Tfidf}'s prefix-filtered join, which
-    skips same-source candidates when [cross_source_only] holds; weights
+    skips same-source candidates; weights
     are summed in ascending term order, so every cosine is bit-identical
     to {!discover}'s. The joins of all pairs fan out over the pool in one
     batch, and nothing prepared outlives the call. The ambient trace

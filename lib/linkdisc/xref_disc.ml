@@ -1,14 +1,12 @@
 open Aladin_relational
 open Aladin_discovery
 
-type params = {
-  prune : Prune.params;
-  min_matches : int;
-  min_match_frac : float;
-}
+type params = { prune : bool; min_matches : int }
 
-let default_params =
-  { prune = Prune.default_params; min_matches = 2; min_match_frac = 0.02 }
+let default_params = { prune = true; min_matches = 2 }
+
+(* of an attribute's non-null rows that must match *)
+let min_match_frac = 0.02
 
 type correspondence = {
   src_source : string;
@@ -140,7 +138,7 @@ let scan_attribute entry ~src_source ~relation ~attribute ~targets params =
         if !nonnull = 0 then 0.0
         else float_of_int st.matches /. float_of_int !nonnull
       in
-      if st.matches >= params.min_matches && match_frac >= params.min_match_frac
+      if st.matches >= params.min_matches && match_frac >= min_match_frac
       then begin
         let dst_source, dst_relation, dst_attribute = st.tgt in
         Some
@@ -160,7 +158,7 @@ let scan_attribute entry ~src_source ~relation ~attribute ~targets params =
       else None)
     states
 
-let discover ?(params = default_params) ?pool profiles =
+let scan_all ~params ?pool profiles =
   let targets = Profile_list.targets profiles in
   (* accession string set per target *)
   let target_sets =
@@ -196,7 +194,7 @@ let discover ?(params = default_params) ?pool profiles =
                    && String.lowercase_ascii a = String.lowercase_ascii cs.attribute
                | None -> false
              in
-             if Prune.is_link_source params.prune cs && not is_own_accession
+             if Prune.is_link_source ~prune:params.prune cs && not is_own_accession
              then begin
                incr attributes_scanned;
                let tgts =
@@ -227,14 +225,14 @@ let discover ?(params = default_params) ?pool profiles =
     pairs_compared = !pairs_compared;
   }
 
+let discover ?(params = default_params) profiles = scan_all ~params profiles
+
 (* Pairwise entry point for the delta pipeline: the cross-reference scan
    restricted to one source pair. Because the global scan only ever
    matches an attribute against OTHER sources' target sets and scores
    each (attribute, target) independently, the global result is exactly
    the union of the per-pair results — restricting the profile list to
    the canonically ordered pair IS the pairwise pass. *)
-let discover_between ?params ?pool profiles ~a ~b =
+let discover_between ?(params = default_params) ?pool profiles ~a ~b =
   let lo, hi = if String.compare a b <= 0 then (a, b) else (b, a) in
-  (* a self pair restricts to the single source once, not twice *)
-  let names = if lo = hi then [ lo ] else [ lo; hi ] in
-  discover ?params ?pool (Profile_list.restrict profiles names)
+  scan_all ~params ?pool (Profile_list.restrict profiles [ lo; hi ])

@@ -7,10 +7,13 @@
     relations automatically finds the correct target database" (§5). *)
 
 type params = {
-  prune : Prune.params;
-  min_matches : int;  (** rows that must match before an attribute counts
-                          as a cross-reference attribute (default 2) *)
-  min_match_frac : float;  (** of the attribute's non-null rows (default 0.02) *)
+  prune : bool;
+      (** {!Prune.is_link_source}'s pruning (default true; false is the
+          E6/E10 ablation) *)
+  min_matches : int;
+      (** rows that must match before an attribute counts as a
+          cross-reference attribute (default 2); they must also be at
+          least 2% of its non-null rows *)
 }
 
 val default_params : params
@@ -34,11 +37,9 @@ type result = {
   pairs_compared : int;
 }
 
-val discover :
-  ?params:params -> ?pool:Aladin_par.Pool.t -> Profile_list.t -> result
-(** With a [pool] the attribute x target scans fan out across domains;
-    links, correspondences and counters are identical to the sequential
-    run (link order is made canonical by {!Link.dedup}). *)
+val discover : ?params:params -> Profile_list.t -> result
+(** The scan over every source in the list, sequential — the E6/E10
+    evaluator. Link order is made canonical by {!Link.dedup}. *)
 
 val discover_between :
   ?params:params ->
@@ -48,7 +49,9 @@ val discover_between :
   b:string ->
   result
 (** {!discover} restricted to the canonically ordered source pair
-    [(a, b)] — the delta pipeline's unit of work. The xref scan is
-    strictly cross-source and scores each (attribute, target)
-    independently, so the union of the per-pair results over all pairs
-    equals the whole-warehouse run. Symmetric in [a]/[b]. *)
+    [(a, b)] — the delta pipeline's unit of work. With a [pool] the
+    attribute x target scans fan out across domains; links,
+    correspondences and counters are identical to the sequential run.
+    The xref scan is strictly cross-source and scores each (attribute,
+    target) independently, so the union of the per-pair results over
+    all pairs equals the whole-warehouse run. Symmetric in [a]/[b]. *)

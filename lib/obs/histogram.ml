@@ -1,5 +1,4 @@
 type t = {
-  bounds : float array;
   counts : int array; (* length = Array.length bounds + 1; last is overflow *)
   mutable total : int;
   mutable vsum : float;
@@ -7,11 +6,10 @@ type t = {
   mutable vmax : float;
 }
 
-let default_bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0; 100.0 |]
+let bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0; 100.0 |]
 
-let create ?(bounds = default_bounds) () =
+let create () =
   {
-    bounds;
     counts = Array.make (Array.length bounds + 1) 0;
     total = 0;
     vsum = 0.0;
@@ -19,13 +17,13 @@ let create ?(bounds = default_bounds) () =
     vmax = 0.0;
   }
 
-let bucket_index bounds v =
+let bucket_index v =
   let n = Array.length bounds in
   let rec find i = if i >= n then n else if v <= bounds.(i) then i else find (i + 1) in
   find 0
 
 let observe t v =
-  let i = bucket_index t.bounds v in
+  let i = bucket_index v in
   t.counts.(i) <- t.counts.(i) + 1;
   if t.total = 0 then begin
     t.vmin <- v;
@@ -53,13 +51,11 @@ let buckets t =
     (Array.length t.counts)
     (fun i ->
       let bound =
-        if i < Array.length t.bounds then t.bounds.(i) else infinity
+        if i < Array.length bounds then bounds.(i) else infinity
       in
       (bound, t.counts.(i)))
 
 let merge_into dst src =
-  if dst.bounds <> src.bounds then
-    invalid_arg "Histogram.merge_into: bucket bounds differ";
   Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
   if src.total > 0 then begin
     if dst.total = 0 then begin

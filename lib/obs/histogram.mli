@@ -1,4 +1,5 @@
-(** A latency histogram with fixed log-scale buckets (seconds).
+(** A latency histogram with fixed log-scale buckets (seconds): one per
+    decade from 1 µs to 100 s, then an overflow bucket.
 
     Cheap enough to sit on a hot path: one array index per observation,
     no allocation. Summaries (count / sum / min / max / mean and the
@@ -6,8 +7,7 @@
 
 type t
 
-val create : ?bounds:float array -> unit -> t
-(** [bounds] must be sorted ascending. *)
+val create : unit -> t
 
 val observe : t -> float -> unit
 
@@ -31,5 +31,4 @@ val buckets : t -> (float * int) list
 val merge_into : t -> t -> unit
 (** [merge_into dst src] folds [src]'s observations into [dst]: bucket
     counts and totals add, min/max combine. Used to merge per-domain
-    buffers after a parallel fan-out. [src] is left untouched.
-    @raise Invalid_argument when the two histograms' bounds differ. *)
+    buffers after a parallel fan-out. [src] is left untouched. *)

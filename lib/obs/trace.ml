@@ -30,16 +30,18 @@ let finish_span t sp =
   | parent :: _ -> Span.add_child parent sp
   | [] -> t.finished_roots <- sp :: t.finished_roots
 
-let with_span t ?(attrs = []) sname f =
+let span t ?(attrs = []) sname f =
   let sp = Span.make ~name:sname ~start:(Clock.now ()) in
   List.iter (fun (k, v) -> Span.add_attr sp k v) attrs;
   t.open_stack <- sp :: t.open_stack;
   Fun.protect ~finally:(fun () -> finish_span t sp) f
 
+let with_span t sname f = span t sname f
+
 let timed_span t ?attrs sname f =
   let sp_ref = ref None in
   let v =
-    with_span t ?attrs sname (fun () ->
+    span t ?attrs sname (fun () ->
         (match t.open_stack with sp :: _ -> sp_ref := Some sp | [] -> ());
         f ())
   in
@@ -173,7 +175,7 @@ let ambient_span ?attrs sname f =
   match Domain.DLS.get buffer_key with
   | Some b -> buffer_span b ?attrs sname f
   | None -> (
-      match !current with Some t -> with_span t ?attrs sname f | None -> f ())
+      match !current with Some t -> span t ?attrs sname f | None -> f ())
 
 let ambient_span_timed ?attrs sname f =
   match Domain.DLS.get buffer_key with

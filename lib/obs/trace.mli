@@ -32,7 +32,7 @@ val started_at : t -> float
 
 (** {2 Spans} *)
 
-val with_span : t -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
+val with_span : t -> string -> (unit -> 'a) -> 'a
 (** Run the body inside a new span; nests under the innermost open span,
     or becomes a root span. *)
 

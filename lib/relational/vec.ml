@@ -1,10 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
-let create ?(capacity = 16) () =
-  { data = [||]; len = 0 }
-  |> fun v ->
-  ignore capacity;
-  v
+let create () = { data = [||]; len = 0 }
 
 let length v = v.len
 

@@ -5,8 +5,8 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Fresh empty vector. [capacity] is a hint, default 16. *)
+val create : unit -> 'a t
+(** Fresh empty vector. *)
 
 val length : 'a t -> int
 

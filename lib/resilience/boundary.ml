@@ -21,21 +21,9 @@ let status_of = function
   | Error (Run_report.Timeout _) -> "timeout"
   | Error (Run_report.Crashed _) -> "failed"
 
-let bounded ?(retry = true) ~name ?budget f =
+let bounded ~name ?budget f =
   Aladin_obs.Trace.ambient_span_timed name (fun () ->
-      let attempts = ref 1 in
-      let body () =
-        if retry then begin
-          let v, n = Retry.run_counted ~step:name f in
-          attempts := n;
-          v
-        end
-        else f ()
-      in
-      let res = protect ~step:name ?budget body in
-      if !attempts > 1 then
-        Aladin_obs.Trace.ambient_add_attr "retry.attempts"
-          (string_of_int !attempts);
+      let res = protect ~step:name ?budget f in
       Aladin_obs.Trace.ambient_add_attr "status" (status_of res);
       res)
 

@@ -36,7 +36,6 @@ val protect :
     mean the same thing for every step. *)
 
 val bounded :
-  ?retry:bool ->
   name:string ->
   ?budget:float ->
   (unit -> 'a) ->
@@ -44,10 +43,9 @@ val bounded :
 (** {!protect} the body as step [name] inside an ambient span of that
     name, and return the result with the span's wall-clock seconds. The
     span is stamped with the result's status as its ["status"]: [ok],
-    [timeout] or [failed].
-    With [retry] (default true) transient failures are retried first
-    ({!Retry.run_counted}); a second or later attempt leaves a
-    ["retry.attempts"] attribute. *)
+    [timeout] or [failed]. The body is not retried: the steps read only
+    in-memory catalogs, so none of their failures is transient; the
+    importers retry their own file reads ({!Retry.run}). *)
 
 val skipped_span : string -> unit
 (** A marker span [name] with status ["skipped"], for a step skipped

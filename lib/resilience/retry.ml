@@ -1,23 +1,19 @@
-type policy = {
-  attempts : int;
-  base_delay : float;
-  multiplier : float;
-  max_delay : float;
-  jitter : float;
-  seed : int;
-}
+(* total attempts, including the first *)
+let attempts = 3
 
-let default_policy =
-  {
-    attempts = 3;
-    base_delay = 0.005;
-    multiplier = 2.0;
-    max_delay = 0.25;
-    jitter = 0.25;
-    seed = 9;
-  }
+(* seconds before the first retry, pre-jitter, growing by [multiplier]
+   per attempt up to [max_delay] *)
+let base_delay = 0.005
 
-type verdict = Transient | Permanent
+let multiplier = 2.0
+
+let max_delay = 0.25
+
+(* symmetric fraction of the delay *)
+let jitter = 0.25
+
+(* the jitter hash seed *)
+let seed = 9
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -28,20 +24,17 @@ let contains ~sub s =
    or contended I/O. Anything deterministic (parse failures, missing
    files, logic bugs) is permanent — retrying would just burn the budget
    reproducing the same failure. *)
-let classify = function
+let transient = function
   | Unix.Unix_error
       ((EINTR | EAGAIN | EWOULDBLOCK | EBUSY | ENFILE | EMFILE), _, _) ->
-      Transient
+      true
   | Sys_error msg ->
-      if
-        contains ~sub:"Interrupted" msg
-        || contains ~sub:"interrupted" msg
-        || contains ~sub:"temporarily unavailable" msg
-        || contains ~sub:"Resource busy" msg
-        || contains ~sub:"Too many open files" msg
-      then Transient
-      else Permanent
-  | _ -> Permanent
+      contains ~sub:"Interrupted" msg
+      || contains ~sub:"interrupted" msg
+      || contains ~sub:"temporarily unavailable" msg
+      || contains ~sub:"Resource busy" msg
+      || contains ~sub:"Too many open files" msg
+  | _ -> false
 
 (* the one blessed sleep in the tree (scripts/check.sh forbids raw
    Unix.sleep/sleepf elsewhere): EINTR-tolerant, no-op on <= 0 *)
@@ -58,18 +51,16 @@ let unit_float ~seed ~step ~attempt =
   let h = String.fold_left (fun h c -> mix h (Char.code c)) h step in
   float_of_int (h land 0xFFFFFF) /. float_of_int 0xFFFFFF
 
-let backoff_delay policy ~step ~attempt =
-  let exp =
-    policy.base_delay *. (policy.multiplier ** float_of_int attempt)
-  in
-  let capped = Float.min policy.max_delay exp in
-  let u = (2.0 *. unit_float ~seed:policy.seed ~step ~attempt) -. 1.0 in
-  Float.max 0.0 (capped *. (1.0 +. (policy.jitter *. u)))
+let backoff_delay ~step ~attempt =
+  let exp = base_delay *. (multiplier ** float_of_int attempt) in
+  let capped = Float.min max_delay exp in
+  let u = (2.0 *. unit_float ~seed ~step ~attempt) -. 1.0 in
+  Float.max 0.0 (capped *. (1.0 +. (jitter *. u)))
 
-let run_counted ?(policy = default_policy) ?(classify = classify) ~step f =
+let run ~step f =
   let rec go attempt =
     match f () with
-    | v -> (v, attempt + 1)
+    | v -> v
     | exception e -> (
         match e with
         (* never retry a kill, resource exhaustion, or budget expiry:
@@ -78,10 +69,10 @@ let run_counted ?(policy = default_policy) ?(classify = classify) ~step f =
         | Aladin_store.Fault.Killed | Stack_overflow | Out_of_memory
         | Budget.Expired _ ->
             raise e
-        | e when attempt + 1 >= max 1 policy.attempts -> raise e
-        | e when classify e = Permanent -> raise e
+        | e when attempt + 1 >= attempts -> raise e
+        | e when not (transient e) -> raise e
         | _ ->
-            let d = backoff_delay policy ~step ~attempt in
+            let d = backoff_delay ~step ~attempt in
             (* never sleep past an active deadline *)
             let d =
               match Budget.remaining () with
@@ -92,5 +83,3 @@ let run_counted ?(policy = default_policy) ?(classify = classify) ~step f =
             go (attempt + 1))
   in
   go 0
-
-let run ?policy ?classify ~step f = fst (run_counted ?policy ?classify ~step f)

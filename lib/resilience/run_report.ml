@@ -22,8 +22,8 @@ type step_report = {
 
 type t = { source : string; steps : step_report list; quarantined : bool }
 
-let step ?(children = []) ?(seconds = 0.0) ?(resumed = false) name outcome =
-  { step = name; outcome; seconds; resumed; children }
+let step ?(children = []) ?(seconds = 0.0) name outcome =
+  { step = name; outcome; seconds; resumed = false; children }
 
 let rec mark_step_resumed s =
   { s with resumed = true; children = List.map mark_step_resumed s.children }

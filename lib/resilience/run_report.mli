@@ -48,13 +48,9 @@ type t = {
 }
 
 val step :
-  ?children:step_report list ->
-  ?seconds:float ->
-  ?resumed:bool ->
-  string ->
-  outcome ->
-  step_report
-(** [resumed] defaults to [false]. *)
+  ?children:step_report list -> ?seconds:float -> string -> outcome -> step_report
+(** A step that ran in this process: not [resumed] ({!mark_resumed}
+    flags the steps a resume restored). *)
 
 val mark_resumed : t -> t
 (** Flag every step (recursively) as restored-from-checkpoint — applied

@@ -22,8 +22,8 @@ let identity_of qa sa =
 
 (* Smith-Waterman with traceback: cells clamp at 0 and the traceback
    starts at the best cell. *)
-let local ?(matrix = Subst_matrix.nucleotide) ?gap q s =
-  let gap = Option.value gap ~default:(Subst_matrix.gap_open matrix) in
+let local ?(matrix = Subst_matrix.nucleotide) q s =
+  let gap = Subst_matrix.gap_open matrix in
   let n = String.length q and m = String.length s in
   let score = Array.make_matrix (n + 1) (m + 1) 0 in
   let trace = Array.make_matrix (n + 1) (m + 1) Stop in
@@ -105,8 +105,8 @@ let take_work n =
   Domain.DLS.set work_slot [||];
   if Array.length w >= n then w else Array.make n 0
 
-let local_score ?(matrix = Subst_matrix.nucleotide) ?gap q s =
-  let gap = Option.value gap ~default:(Subst_matrix.gap_open matrix) in
+let local_score ?(matrix = Subst_matrix.nucleotide) q s =
+  let gap = Subst_matrix.gap_open matrix in
   let q, s = if String.length q <= String.length s then (s, q) else (q, s) in
   let n = String.length q and m = String.length s in
   (* One flat array: the DP row at [1..m] (column 0 stays 0), then the

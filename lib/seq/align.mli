@@ -14,15 +14,16 @@ type result = {
   subject_span : int * int;
 }
 
-val local : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> result
+val local : ?matrix:Subst_matrix.t -> string -> string -> result
 (** Smith-Waterman with traceback; score is never negative. The default
-    matrix is {!Subst_matrix.nucleotide}. The reference {!local_score} is
-    tested against. *)
+    matrix is {!Subst_matrix.nucleotide}; a gap costs the matrix's
+    {!Subst_matrix.gap_open}. The reference {!local_score} is tested
+    against. *)
 
-val local_score : ?matrix:Subst_matrix.t -> ?gap:int -> string -> string -> int
+val local_score : ?matrix:Subst_matrix.t -> string -> string -> int
 (** Score-only Smith-Waterman — the verification kernel of homology
     search, where the traceback is not needed. Equal to [(local ?matrix
-    ?gap q s).score]. The shorter sequence runs along one DP row, updated
+    q s).score]. The shorter sequence runs along one DP row, updated
     in place, and the longer one's distinct bytes each get a profile row
     of scores against the shorter, built once per call, so a DP cell
     reads one int: O(min(n,m) x distinct bytes of the longer) space. The

@@ -59,7 +59,10 @@ let kind_of ~min_len (len, bits) =
 
 let classify ?(min_len = 10) s = kind_of ~min_len (scan s)
 
-let classify_column ?(min_len = 10) ?(min_frac = 0.9) values =
+(* the share of a column's non-empty values that must agree on a kind *)
+let min_frac = 0.9
+
+let classify_column ?(min_len = 10) values =
   (* each value scanned and classified once *)
   let nonempty = ref 0 and dna = ref 0 and rna = ref 0 and protein = ref 0 in
   List.iter

@@ -23,8 +23,8 @@ val classify : ?min_len:int -> string -> kind option
     for ACGT-only strings, RNA over protein; [min_len] (default 10)
     guards against short words like "CAT" being taken for sequences. *)
 
-val classify_column : ?min_len:int -> ?min_frac:float -> string list -> kind option
-(** A column is a sequence field when at least [min_frac] (default 0.9) of
-    its non-empty values (after normalization) classify to the same
-    kind: the most frequent one, DNA > RNA > Protein on ties. Each value
-    is classified once. *)
+val classify_column : ?min_len:int -> string list -> kind option
+(** A column is a sequence field when at least 90% of its non-empty
+    values (after normalization) classify to the same kind: the most
+    frequent one, DNA > RNA > Protein on ties. Each value is classified
+    once. *)

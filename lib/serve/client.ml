@@ -1,4 +1,7 @@
-let request ?(host = "127.0.0.1") ?(timeout = 10.0) ~port target =
+(* seconds that bound the connect and each read *)
+let timeout = 10.0
+
+let request ?(host = "127.0.0.1") ~port target =
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | fd -> (

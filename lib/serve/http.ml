@@ -300,8 +300,10 @@ let read_head ~what ~max_head fd =
   in
   fill (Bytes.create 1024) 0
 
-let read_request ?(max_head = 16384) fd =
-  let* buf, len, head_len, body_off = read_head ~what:"request" ~max_head fd in
+let read_request fd =
+  let* buf, len, head_len, body_off =
+    read_head ~what:"request" ~max_head:16384 fd
+  in
   let* req = parse_request (Bytes.sub_string buf 0 head_len) in
   (* drain any body so the peer never sees a reset before our response;
      GET bodies are ignored *)

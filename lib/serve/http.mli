@@ -66,11 +66,10 @@ val render : response -> string
 
 (** {2 Descriptor I/O} — confined to lib/serve by scripts/check.sh. *)
 
-val read_request : ?max_head:int -> Unix.file_descr -> (request, string) result
+val read_request : Unix.file_descr -> (request, string) result
 (** Read and parse one request head from the descriptor (honouring its
     receive timeout), then read and discard any [Content-Length] body.
-    [Error] on EOF, timeout, malformed head, or a head over [max_head]
-    (default 16 KiB) bytes. *)
+    [Error] on EOF, timeout, malformed head, or a head over 16 KiB. *)
 
 val read_response : Unix.file_descr -> (response, string) result
 (** Read one response as {!parse_response} reads its bytes: the head,

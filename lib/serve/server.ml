@@ -1,12 +1,9 @@
-type config = {
-  host : string;
-  port : int;
-  max_queue : int;
-  read_timeout : float;
-}
+type config = { host : string; port : int; max_queue : int }
 
-let default_config =
-  { host = "127.0.0.1"; port = 8080; max_queue = 64; read_timeout = 2.0 }
+let default_config = { host = "127.0.0.1"; port = 8080; max_queue = 64 }
+
+(* seconds to wait for a request head *)
+let read_timeout = 2.0
 
 type stats = {
   served : int;
@@ -74,7 +71,7 @@ let metrics_extra st =
    (health, metrics, parse failures, backpressure) or admit it *)
 let admit st conn =
   Unix.clear_nonblock conn;
-  (try Unix.setsockopt_float conn Unix.SO_RCVTIMEO st.cfg.read_timeout
+  (try Unix.setsockopt_float conn Unix.SO_RCVTIMEO read_timeout
    with Unix.Unix_error _ -> ());
   match Http.read_request conn with
   | Error msg ->

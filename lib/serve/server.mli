@@ -21,11 +21,12 @@ type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** [0] = ephemeral; see [on_ready] *)
   max_queue : int;  (** admitted requests per batch; excess gets 503 *)
-  read_timeout : float;  (** seconds to wait for a request head *)
 }
+(** A connection whose request head has not arrived within 2 s is
+    dropped. *)
 
 val default_config : config
-(** 127.0.0.1:8080, queue of 64, 2 s read timeout. *)
+(** 127.0.0.1:8080, queue of 64. *)
 
 type stats = {
   served : int;  (** responses written from the batch path *)

@@ -88,6 +88,9 @@ let cacheable route =
    unparseable SQL, search/browse routes — conservatively depends on
    the whole warehouse. Cached responses therefore survive additions
    and updates of sources they never read. *)
+let every_kind =
+  List.map (fun k -> Generation.Link_kind (Lk.Link.kind_name k)) Lk.Link.kinds
+
 let deps_of_req route (req : Http.request) =
   match route with
   | "query" -> (
@@ -110,8 +113,11 @@ let deps_of_req route (req : Http.request) =
           | exception _ -> [ Generation.Whole ]))
   | "links" -> (
       match Http.query_param req "kind" with
-      | None | Some "" -> [ Generation.Whole ]
+      | None | Some "" -> every_kind
       | Some k -> [ Generation.Link_kind k ])
+  (* a view lists the object's rows, its links of every kind and the
+     conflicts of its duplicate links *)
+  | "object" -> Generation.Whole :: every_kind
   | _ -> [ Generation.Whole ]
 
 let cache_key t route req =

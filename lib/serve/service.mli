@@ -24,6 +24,13 @@
     with [debug_endpoints] — [/slow?seconds=] (a deadline-polling
     sleeper for overload and drain testing).
 
+    A cached response is keyed on what its route reads: [/search],
+    [/resolve] and a [/query] over a bare table on [Whole]; a [/query]
+    over [source.table]s on those sources; [/links?kind=k] on kind [k]
+    and a bare [/links] on every kind; [/object] on [Whole] (its rows)
+    and every kind (its links and their conflicts). A link rejection
+    therefore keeps every [/search] and [/resolve] entry.
+
     Each request runs under a [`Domain]-scoped
     {!Aladin_resilience.Budget} of [request_budget] seconds inside an
     error boundary: deadline expiry maps to [503] with [Retry-After],

@@ -23,8 +23,10 @@ and prepared = {
   doc_terms : int array array;  (* doc index -> sorted term ids, weight > 0 *)
   doc_weights : float array array;  (* parallel to [doc_terms] *)
   norms : float array;  (* doc index -> euclidean norm of the weight vector *)
-  postings : int array array;  (* term id -> ascending doc indexes *)
-  term_df : int array;  (* term id -> document frequency *)
+  postings : int array array;
+      (* term id -> ascending doc indexes. Only positive-weight terms
+         are posted, and every such term has df < N, so a candidate
+         shares at least one discriminating term with its query *)
   gen_terms : int array array;
       (* doc index -> term ids in candidate-generation order: descending
          weight (ties by ascending id), so the prefix filter can stop
@@ -118,13 +120,6 @@ let cosine a b =
 (* prepared corpus                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Every term with positive weight has df < N, so a ceiling of N - 1 keeps
-   every discriminating term and the candidate join is provably complete:
-   any pair with cosine > 0 shares at least one positive-weight term. A
-   term in all N documents has idf = ln(N/N) = 0 and never carries weight,
-   so skipping it costs nothing. Lower ceilings trade recall for speed. *)
-let default_df_ceiling p = Array.length p.ids - 1
-
 (* HOT-PATH-BEGIN (tf-idf weighting and the candidate join): everything
    down to the END sentinel runs per document and per candidate pair of a
    corpus the delta text pass builds once per source pair. It works on
@@ -132,10 +127,9 @@ let default_df_ceiling p = Array.length p.ids - 1
    tokenized or sorted here, and no per-pair table or count vector is
    built (a grep-gate in scripts/check.sh enforces it on this region). *)
 
-let prepare_counts ?groups ~ids ~df docs =
+let prepare_counts ~groups:group ~ids ~df docs =
   let n = Array.length docs in
   let nterms = Array.length df in
-  let group = match groups with Some g -> g | None -> Array.init n Fun.id in
   let run_end = Array.make n n in
   for i = n - 2 downto 0 do
     run_end.(i) <- (if group.(i) = group.(i + 1) then run_end.(i + 1) else i + 1)
@@ -211,7 +205,7 @@ let prepare_counts ?groups ~ids ~df docs =
         ts)
     doc_terms;
   { ids; group; run_end; doc_terms; doc_weights; norms; postings;
-    term_df = df; gen_terms; gen_suffix }
+    gen_terms; gen_suffix }
 
 (* fused sorted-merge dot product over the unboxed weight arrays *)
 let dot_sorted ta wa tb wb =
@@ -247,7 +241,7 @@ let lower_bound a x =
   !lo
 
 (* Candidate generation for query doc [i]: walk the postings of its terms
-   with df <= ceiling and collect every co-occurring doc of another group
+   and collect every co-occurring doc of another group
    once. [seen] is a generation-stamped scratch array ([stamp] must be
    fresh per query), so no per-query table is allocated. Candidates come
    out sorted, making the emission order independent of postings
@@ -266,7 +260,7 @@ let lower_bound a x =
    Candidates land in the caller-provided unboxed scratch array [buf]
    (capacity >= number of documents); the returned prefix [0, count) is
    sorted ascending. No per-query list or table allocation. *)
-let candidates_into p ~df_ceiling ~min_sim ~seen ~stamp ~buf i ~only_greater =
+let candidates_into p ~min_sim ~seen ~stamp ~buf i ~only_greater =
   let from = if only_greater then p.run_end.(i) else 0 in
   if from >= Array.length p.ids then 0
   else begin
@@ -276,18 +270,15 @@ let candidates_into p ~df_ceiling ~min_sim ~seen ~stamp ~buf i ~only_greater =
     let count = ref 0 in
     let m = ref 0 in
     while !m < k && suf.(!m) >= min_sim do
-      let t = gts.(!m) in
-      if p.term_df.(t) <= df_ceiling then begin
-        let post = p.postings.(t) in
-        for x = lower_bound post from to Array.length post - 1 do
-          let j = Array.unsafe_get post x in
-          if p.group.(j) <> g && seen.(j) <> stamp then begin
-            seen.(j) <- stamp;
-            buf.(!count) <- j;
-            incr count
-          end
-        done
-      end;
+      let post = p.postings.(gts.(!m)) in
+      for x = lower_bound post from to Array.length post - 1 do
+        let j = Array.unsafe_get post x in
+        if p.group.(j) <> g && seen.(j) <> stamp then begin
+          seen.(j) <- stamp;
+          buf.(!count) <- j;
+          incr count
+        end
+      done;
       incr m
     done;
     let sub = Array.sub buf 0 !count in
@@ -296,18 +287,15 @@ let candidates_into p ~df_ceiling ~min_sim ~seen ~stamp ~buf i ~only_greater =
     !count
   end
 
-let similar_index_pairs_range ?df_ceiling p ~lo ~hi ~min_sim =
+let similar_index_pairs_range p ~lo ~hi ~min_sim =
   let n = Array.length p.ids in
-  let df_ceiling =
-    match df_ceiling with Some d -> d | None -> default_df_ceiling p
-  in
   let lo = max 0 lo and hi = min n hi in
   let seen = Array.make (max 1 n) (-1) in
   let buf = Array.make (max 1 n) 0 in
   let out = ref [] in
   for i = lo to hi - 1 do
     let count =
-      candidates_into p ~df_ceiling ~min_sim ~seen ~stamp:i ~buf i
+      candidates_into p ~min_sim ~seen ~stamp:i ~buf i
         ~only_greater:true
     in
     for k = 0 to count - 1 do
@@ -346,7 +334,7 @@ let build_prepared c =
           tfs = Array.of_list (List.map snd pairs) })
       ids
   in
-  prepare_counts ~ids ~df docs
+  prepare_counts ~groups:(Array.init (Array.length ids) Fun.id) ~ids ~df docs
 
 let prepare c =
   match c.prep with
@@ -358,7 +346,7 @@ let prepare c =
 
 let prepared_docs p = Array.length p.ids
 
-let similar_pairs_range ?df_ceiling p ~lo ~hi ~min_sim =
+let similar_pairs_range p ~lo ~hi ~min_sim =
   List.map
     (fun (i, j, sim) -> (p.ids.(i), p.ids.(j), sim))
-    (similar_index_pairs_range ?df_ceiling p ~lo ~hi ~min_sim)
+    (similar_index_pairs_range p ~lo ~hi ~min_sim)

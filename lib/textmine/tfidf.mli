@@ -38,7 +38,7 @@ type counts = { terms : int array; tfs : int array }
     their (positive) counts. *)
 
 val prepare_counts :
-  ?groups:int array -> ids:string array -> df:int array -> counts array -> prepared
+  groups:int array -> ids:string array -> df:int array -> counts array -> prepared
 (** The prepared form of the documents [docs] ([N = Array.length docs]),
     document [i] being [docs.(i)] with id [ids.(i)]. [df.(t)] is term
     [t]'s document frequency over [docs]. This is what {!prepare} builds
@@ -52,22 +52,20 @@ val prepare_counts :
 
     [groups.(i)] places document [i] in a group: two documents of one
     group are never a candidate pair, so they are neither collected nor
-    scored. Default: every document is its own group. The join is
-    fastest when groups are contiguous index runs, but any assignment is
-    correct. The result is immutable and safe to share across pool
+    scored. The join is fastest when groups are contiguous index runs,
+    but any assignment is correct. The result is immutable and safe to share across pool
     domains. *)
 
 val prepare : corpus -> prepared
 (** The prepared representation of the corpus as currently indexed,
-    through {!prepare_counts}. Cached on the corpus; invalidated by
-    {!corpus_add}. *)
+    through {!prepare_counts}, every document its own group. Cached on
+    the corpus; invalidated by {!corpus_add}. *)
 
 val prepared_docs : prepared -> int
 (** Number of documents. A {!prepare}d corpus indexes them
     [0 .. prepared_docs - 1] in ascending doc-id order. *)
 
 val similar_pairs_range :
-  ?df_ceiling:int ->
   prepared ->
   lo:int ->
   hi:int ->
@@ -77,12 +75,10 @@ val similar_pairs_range :
     whose smaller document index [i] lies in [\[lo, hi)], each canonical
     pair [(id_i, id_j)] (with [i < j]) reported exactly once, in ascending
     [(i, j)] order. Candidates are generated through postings: only pairs
-    sharing at least one term with df <= [df_ceiling] are scored. The
-    default ceiling is [N - 1]: every term carrying positive weight
-    (df < N) stays a discriminator, so the join misses nothing for any
-    [min_sim > 0], and terms in all N documents have idf 0 and are skipped
-    at no cost. Terms above the ceiling still contribute weight to the
-    scores of pairs found through other terms. A lossless prefix filter
+    sharing at least one positive-weight term are scored. Every such
+    term has df < N, so the join misses nothing for any [min_sim > 0],
+    and a term in all N documents has idf 0 and is skipped at no cost.
+    A lossless prefix filter
     skips postings walks for a query document's lightest terms: once the
     remaining suffix of its weight vector has norm fraction below
     [min_sim], no pair sharing only those terms can pass the threshold
@@ -93,7 +89,6 @@ val similar_pairs_range :
     so ranges may run on different pool domains. *)
 
 val similar_index_pairs_range :
-  ?df_ceiling:int ->
   prepared ->
   lo:int ->
   hi:int ->

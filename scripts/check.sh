@@ -255,7 +255,11 @@ echo "grep-gate ok: Smith-Waterman cell loop is int-only and reads only the prof
 # scripts/export_gate.sh fails on one unless scripts/export_allow.txt
 # names it with a reason (a reference implementation, a test-input
 # generator or an observer that a test reads), and fails on an
-# allow-list line whose val is gone or has a program caller again.
+# allow-list line whose val is gone or has a program caller again. The
+# same holds for optional arguments: each is a setting tests and
+# benchmarks must cover, so one that no program passes fails unless the
+# allow list gives a reason (a query's own term, or a test's only
+# handle).
 sh scripts/export_gate.sh
 
 dune build

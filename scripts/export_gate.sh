@@ -1,5 +1,6 @@
 #!/bin/sh
-# Export gate: every `val` in a lib `.mli` has a program caller.
+# Export gate: every `val` in a lib `.mli` has a program caller, and
+# every optional argument of one is passed by a program.
 #
 #   scripts/export_gate.sh
 #
@@ -10,6 +11,12 @@
 # gate fails on any other `val`, on an allow-list line without a reason,
 # and on an allow-list line whose `val` is no longer declared or now has
 # a program caller, so the list cannot rot.
+#
+# The same pass checks optional arguments: a `?label` of a lib `.mli`
+# val passes when a program file outside its module that names the val
+# also spells `~label` or `?label`, or when the allow list has a line
+# `Module.name ?label reason`. An allow-list knob line whose val no
+# longer takes `?label`, or whose label a program now passes, fails too.
 #
 # References are read after comments and string literals are blanked.
 # In a path `A.B.name` the module is `B`, with aliases resolved: a
@@ -75,19 +82,34 @@ function flag(where, what,    seen) {
   seen = where in problem
   problem[where] = seen ? problem[where] "; " what : what
 }
-function use(m, name) { if (m != own && (m SUBSEP name) in decl) used[m, name] = 1 }
-function endfile(    m, w) {
+function use(m, name) {
+  if (m != own && (m SUBSEP name) in decl) used[m, name] = infile[m, name] = 1
+}
+# A val this file names is passed each optional label the file spells.
+function endfile(    m, w, d, k, n, ls) {
   for (m in opened) for (w in bare) use(m, w)
+  for (d in infile) {
+    n = split(labels[d], ls, " ")
+    for (k = 1; k <= n; k++) if (ls[k] in spelt) passed[d, ls[k]] = 1
+  }
   split("", opened); split("", bare); split("", alias)
+  split("", infile); split("", spelt)
 }
 FNR == 1 {
-  endfile(); depth = 0; instr = 0
+  endfile(); depth = 0; instr = 0; cur = ""
   kind = (FILENAME == allow) ? "allow" : (FILENAME ~ /\.mli$/) ? "mli" : "ml"
   own = (FILENAME ~ /^lib\//) ? modname(FILENAME) : ""
 }
 kind == "allow" {
   if ($0 ~ /^[ \t]*(#|$)/) next
-  key = $1; reason = $0; sub(/^[ \t]*[^ \t]+[ \t]*/, "", reason)
+  reason = $0; sub(/^[ \t]*[^ \t]+[ \t]*/, "", reason)
+  if ($2 ~ /^\?/) {
+    key = $1 " " $2; sub(/^[^ \t]+[ \t]*/, "", reason)
+    knob[key] = FILENAME ":" FNR
+    if (reason == "") flag(knob[key], key " has no reason")
+    next
+  }
+  key = $1
   allowed[key] = FILENAME ":" FNR
   if (reason == "") flag(allowed[key], key " has no reason")
   next
@@ -97,12 +119,26 @@ kind == "mli" {
   if (match(s, /^val[ \t]+[a-z_][A-Za-z0-9_'\'']*/)) {
     name = substr(s, RSTART, RLENGTH); sub(/^val[ \t]+/, "", name)
     decl[own, name] = FILENAME ":" FNR
+    cur = own SUBSEP name
+  } else if (s ~ /^[ \t]*(type|module|exception|external|include|open|end)([ \t]|$)/)
+    cur = ""
+  # the optional labels of the val being declared
+  t = s
+  while (cur != "" && match(t, /\?[a-z_][A-Za-z0-9_'\'']*[ \t]*:/)) {
+    a = substr(t, RSTART + 1, RLENGTH - 2); t = substr(t, RSTART + RLENGTH)
+    sub(/[ \t]+$/, "", a)
+    if (!((cur SUBSEP a) in optarg)) labels[cur] = labels[cur] " " a
+    optarg[cur, a] = FILENAME ":" FNR
   }
   aliases(s, own ".", galias)
   next
 }
 {
   aliases(s, "", alias)
+  t = s
+  while (match(t, /[~?][a-z_][A-Za-z0-9_'\'']*/)) {
+    spelt[substr(t, RSTART + 1, RLENGTH - 1)] = 1; t = substr(t, RSTART + RLENGTH)
+  }
   t = s
   while (match(t, /(^|[^A-Za-z0-9_.])open!?[ \t]+[A-Z][A-Za-z0-9_.]*/)) {
     a = substr(t, RSTART, RLENGTH); t = substr(t, RSTART + RLENGTH)
@@ -146,13 +182,28 @@ END {
     if (!((m SUBSEP name) in decl))
       flag(allowed[key], key " is not a val of any lib .mli; drop its line")
   }
+  for (o in optarg) {
+    split(o, q, SUBSEP); key = q[1] "." q[2] " ?" q[3]
+    if (key in knob) {
+      if (o in passed)
+        flag(knob[key], key " is passed by a program now; drop its line")
+    } else if (!(o in passed))
+      flag(optarg[o], key " is passed by no program that names " q[1] "." q[2] \
+        " (make it a constant, or allow-list it in " allow " with a reason)")
+  }
+  for (key in knob) {
+    split(key, q, " "); m = q[1]; sub(/\..*/, "", m)
+    name = q[1]; sub(/^[^.]*\./, "", name); a = substr(q[2], 2)
+    if (!((m SUBSEP name SUBSEP a) in optarg))
+      flag(knob[key], key " is not an optional argument of a lib val; drop its line")
+  }
   for (w in problem) print w ": " problem[w]
 }
 ' $(ls lib/*/*.mli) "$allow" $progs | sort)
 
 if [ -n "$out" ]; then
   echo "$out" >&2
-  echo "error: lib exports without a program caller (see above)" >&2
+  echo "error: lib exports without a program caller, or optional arguments no program passes (see above)" >&2
   exit 1
 fi
-echo "export-gate ok: every lib val has a program caller or an allow-list reason"
+echo "export-gate ok: every lib val and optional argument has a program caller or an allow-list reason"

@@ -774,10 +774,11 @@ module Ref_adjacency = struct
                | c -> c)
            | c -> c)
 
-  let explore ~max_depth neighbors start =
+  (* paths of up to 3 links, each further link discounted by half *)
+  let explore neighbors start =
     let sink = Hashtbl.create 64 in
     let rec dfs node visited weight depth =
-      if depth < max_depth then
+      if depth < 3 then
         List.iter
           (fun (next, (l : L.Link.t)) ->
             if not (List.exists (L.Objref.equal next) visited) then begin
@@ -792,13 +793,13 @@ module Ref_adjacency = struct
     dfs start [ start ] 1.0 0;
     sink
 
-  let rank_from ~max_depth neighbors start =
-    Hashtbl.fold (fun o r acc -> (o, !r) :: acc) (explore ~max_depth neighbors start) []
+  let rank_from neighbors start =
+    Hashtbl.fold (fun o r acc -> (o, !r) :: acc) (explore neighbors start) []
     |> List.sort (fun (oa, a) (ob, b) ->
            match Float.compare b a with 0 -> L.Objref.compare oa ob | c -> c)
 
-  let relatedness ~max_depth neighbors a b =
-    match Hashtbl.find_opt (explore ~max_depth neighbors a) b with
+  let relatedness neighbors a b =
+    match Hashtbl.find_opt (explore neighbors a) b with
     | Some r -> !r
     | None -> 0.0
 end
@@ -853,18 +854,14 @@ let one_index_test =
                   (objs :: List.map (fun o -> [ o ]) objs))
               steps
          && List.for_all
-              (fun max_depth ->
-                List.for_all
-                  (fun a ->
-                    Path_rank.rank_from ~max_depth index a
-                    = Ref_adjacency.rank_from ~max_depth ref_neighbors a
-                    && List.for_all
-                         (fun b ->
-                           Path_rank.relatedness ~max_depth index a b
-                           = Ref_adjacency.relatedness ~max_depth ref_neighbors a b)
-                         objs)
-                  objs)
-              [ 3; 4 ]))
+              (fun a ->
+                Path_rank.rank_from index a = Ref_adjacency.rank_from ref_neighbors a
+                && List.for_all
+                     (fun b ->
+                       Path_rank.relatedness index a b
+                       = Ref_adjacency.relatedness ref_neighbors a b)
+                     objs)
+              objs))
 
 let link_query_tests =
   let obj s a = Aladin_links.Objref.make ~source:s ~relation:"r" ~accession:a in
@@ -1090,18 +1087,19 @@ let link_export_tests =
         check Alcotest.bool "bold duplicate" true (contains "style=bold"));
     Alcotest.test_case "max_links caps edges" `Quick (fun () ->
         let many =
-          List.init 20 (fun i ->
-              link Aladin_links.Link.Xref (0.5 +. (0.01 *. float_of_int i))
+          List.init 520 (fun i ->
+              link Aladin_links.Link.Xref (0.5 +. (0.0001 *. float_of_int i))
                 (obj "a" (Printf.sprintf "A%d" i))
                 (obj "b" (Printf.sprintf "B%d" i)))
         in
-        let dot = Link_export.to_dot ~max_links:5 many in
-        let edge_count =
-          String.split_on_char '\n' dot
+        let edges =
+          String.split_on_char '\n' (Link_export.to_dot many)
           |> List.filter (fun l -> Aladin_text.Strdist.contains ~needle:" -- " l)
-          |> List.length
         in
-        check Alcotest.int "5 edges" 5 edge_count);
+        check Alcotest.int "500 edges" 500 (List.length edges);
+        (* the most confident are kept: A19 has the 20 lowest below it *)
+        check Alcotest.bool "least confident dropped" false
+          (List.exists (Aladin_text.Strdist.contains ~needle:"A19\"") edges));
   ]
 
 let tests = tests @ [ ("access.link_export", link_export_tests) ]

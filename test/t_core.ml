@@ -482,6 +482,11 @@ let system_tests =
           (Aladin_text.Strdist.contains ~needle:"links:" s));
   ]
 
+let save_dir_exn w dir =
+  match Warehouse.save_dir w dir with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail ("save_dir: " ^ msg)
+
 let feedback_tests =
   [
     Alcotest.test_case "engine reject_link keeps search and drops the link"
@@ -609,6 +614,90 @@ let feedback_tests =
         check Alcotest.bool "dropped" true (dropped > 0);
         check Alcotest.string "nothing rejected"
           (Feedback.save (Feedback.create ())) (Feedback.save fb));
+    Alcotest.test_case "a rejection hides only its own link" `Quick (fun () ->
+        (* four xref links that render alike as source:accession: two
+           differ only in the source relation, two in where the colon
+           splits source from accession *)
+        let o source relation accession =
+          Aladin_links.Objref.make ~source ~relation ~accession
+        in
+        let dst = o "b" "entry" "BX0001" in
+        let xref src =
+          Aladin_links.Link.make ~src ~dst ~kind:Aladin_links.Link.Xref
+            ~confidence:0.9 ~evidence:"t"
+        in
+        let r1 = xref (o "a" "r1" "AX0001") and r2 = xref (o "a" "r2" "AX0001")
+        and c1 = xref (o "x:AB" "entry" "CD0001")
+        and c2 = xref (o "x" "entry" "AB:CD0001") in
+        let key (l : Aladin_links.Link.t) =
+          Printf.sprintf "%s|%s|%s>%s|%s|%s" l.src.source l.src.relation
+            l.src.accession l.dst.source l.dst.relation l.dst.accession
+        in
+        let held w l = List.exists (fun l' -> key l' = key l) (Warehouse.links w) in
+        (* a store of the small corpus whose pairs.txt holds the four *)
+        let dir = Filename.temp_file "aladin" "fb" in
+        Sys.remove dir;
+        save_dir_exn (Lazy.force warehouse) dir;
+        let ps = Pair_store.create () in
+        List.iter
+          (fun (l : Aladin_links.Link.t) ->
+            let a, b = Pair_store.canon l.src.source l.dst.source in
+            let e = Option.value (Pair_store.find ps a b) ~default:Pair_store.empty_entry in
+            Pair_store.set ps a b
+              { e with xref_links = Aladin_links.Link.dedup (l :: e.xref_links) })
+          [ r1; r2; c1; c2 ];
+        (match Aladin_store.Snapshot.load dir with
+        | Error msg -> Alcotest.fail msg
+        | Ok (members, _) ->
+            let members =
+              List.map
+                (fun (m : Aladin_store.Snapshot.member) ->
+                  if m.path = "pairs.txt" then { m with content = Pair_store.save ps }
+                  else m)
+                members
+            in
+            ignore (Result.get_ok (Aladin_store.Snapshot.save dir members)));
+        let w, _ = Warehouse.load_dir dir in
+        check Alcotest.bool "all four held" true (List.for_all (held w) [ r1; r2; c1; c2 ]);
+        Warehouse.reject_link w r1;
+        Warehouse.reject_link w c1;
+        let kept w =
+          List.map (fun l -> (key l, held w l)) [ r1; r2; c1; c2 ]
+        in
+        let expected =
+          [ (key r1, false); (key r2, true); (key c1, false); (key c2, true) ]
+        in
+        check Alcotest.(list (pair string bool)) "the other two stay" expected (kept w);
+        let dir2 = Filename.temp_file "aladin" "fb2" in
+        Sys.remove dir2;
+        save_dir_exn w dir2;
+        let w2, _ = Warehouse.load_dir dir2 in
+        check Alcotest.(list (pair string bool)) "and stay after save and load"
+          expected (kept w2));
+    Alcotest.test_case "a 3-field rejection still hides what it hid" `Quick
+      (fun () ->
+        (* feedback.txt as written before rejections carried relations:
+           the endpoints rendered as source:accession *)
+        let doc =
+          Feedback.save (Feedback.create ())
+          ^ Aladin_store.Serial.record [ "link"; "a:AX0001"; "b:BX0001"; "xref" ]
+          ^ "\n"
+        in
+        let fb, dropped = Feedback.load_salvaging doc in
+        check Alcotest.int "nothing dropped" 0 dropped;
+        let o source relation accession =
+          Aladin_links.Objref.make ~source ~relation ~accession
+        in
+        let xref src dst =
+          Aladin_links.Link.make ~src ~dst ~kind:Aladin_links.Link.Xref
+            ~confidence:0.9 ~evidence:"t"
+        in
+        let dst = o "b" "entry" "BX0001" in
+        let alike = [ xref (o "a" "r1" "AX0001") dst; xref (o "a" "r2" "AX0001") dst ] in
+        let other = xref (o "a" "r1" "AX0002") dst in
+        check Alcotest.int "both renderings hidden, the other kept" 1
+          (List.length (Feedback.filter_links fb (other :: alike)));
+        check Alcotest.string "written back as read" doc (Feedback.save fb));
     Alcotest.test_case "warehouse reject_link survives relink" `Quick (fun () ->
         let c = Lazy.force small_corpus in
         let w = Warehouse.integrate c.catalogs in
@@ -629,11 +718,6 @@ let feedback_tests =
                     (fun l2 -> same_endpoints l l2)
                     (Warehouse.links w))));
   ]
-
-let save_dir_exn w dir =
-  match Warehouse.save_dir w dir with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail ("save_dir: " ^ msg)
 
 let persistence_tests =
   [
@@ -935,21 +1019,17 @@ let config_tests =
               let budget () = opt float st in
               let d = Config.default in
               { Config.accession =
-                  { d.accession with min_length = i ();
-                    max_length_spread = f () };
+                  { min_length = i (); max_length_spread = f () };
                 inclusion =
-                  { d.inclusion with min_containment = f ();
+                  { min_containment = f ();
                     require_name_affinity_for_pk_pk = b () };
                 linker =
-                  { d.linker with
-                    seq =
-                      { d.linker.seq with min_normalized = f ();
-                        min_seq_len = i () };
-                    text = { d.linker.text with min_cosine = f () };
+                  { seq = { min_normalized = f (); min_seq_len = i () };
+                    text = { min_cosine = f () };
                     xref = { d.linker.xref with min_matches = i () };
                     enable_seq = b (); enable_text = b ();
                     enable_onto = b () };
-                dup = { d.dup with min_similarity = f (); all_pairs = b () };
+                dup = { min_similarity = f (); all_pairs = b () };
                 max_path_len = i ();
                 change_threshold = f ();
                 domains = i ();

@@ -148,15 +148,9 @@ let accession_tests =
       `Quick (fun () ->
         (* the paper's rule ("at least one non-digit") would accept these;
            our stricter letter test treats them as surrogate-key-shaped —
-           see the min_alpha_frac doc in accession.mli *)
+           see the deviation note on min_alpha_frac in accession.ml *)
         let p = profile_of [ "12:34567"; "12:34568"; "12:34569" ] in
         check Alcotest.int "none" 0 (List.length (candidate_of p)));
-    Alcotest.test_case "min_alpha_frac = 0 recovers the paper's rule" `Quick
-      (fun () ->
-        let p = profile_of [ "12:34567"; "12:34568"; "12:34569" ] in
-        let params = { Accession.default_params with min_alpha_frac = 0.0 } in
-        check Alcotest.int "found" 1
-          (List.length (Accession.candidates ~params p)));
   ]
 
 let inclusion_tests =
@@ -327,7 +321,7 @@ let primary_tests =
         let p = Profile.compute cat in
         let cands = Accession.candidates p in
         let g = graph_of_mini () in
-        check Alcotest.bool "nonempty" true (Primary.choose_multi ~margin:100.0 g cands <> []));
+        check Alcotest.bool "nonempty" true (Primary.choose_multi g cands <> []));
   ]
 
 let secondary_tests =
@@ -409,12 +403,15 @@ let multi_primary_tests =
         let sp = Source_profile.analyze cat in
         check Alcotest.(option string) "one of them" (Some "clone")
           (Source_profile.primary_relation sp));
-    Alcotest.test_case "huge margin falls back to best" `Quick (fun () ->
+    Alcotest.test_case "none above the margin falls back to best" `Quick
+      (fun () ->
         let u = Aladin_datagen.Universe.generate Aladin_datagen.Universe.default_params in
         let cat, _ = Aladin_datagen.Source_gen.build_dual_primary u ~name:"ensembl" in
         let sp = Source_profile.analyze cat in
+        (* without foreign keys every in-degree is the average, 0 *)
+        let flat = Fk_graph.build ~relations:(Catalog.relation_names cat) [] in
         check Alcotest.int "one" 1
-          (List.length (Primary.choose_multi ~margin:100.0 sp.graph sp.accession_candidates)));
+          (List.length (Primary.choose_multi flat sp.accession_candidates)));
   ]
 
 let approx_ind_tests =

@@ -473,27 +473,6 @@ let dup_detect_tests =
         let c = repr "C" "s1" [ ("r.desc", "Alpha KINASE protein") ] in
         let d = repr "D" "s2" [ ("r.desc", "alpha kinase PROTEIN") ] in
         check Alcotest.int "token blocks shared" 1 (considered [ c; d ]));
-    Alcotest.test_case "detect_on identical at pool sizes 1/2/4" `Quick
-      (fun () ->
-        let reprs = planted_reprs () in
-        let norm (r : Dup_detect.result) =
-          ( List.map (Format.asprintf "%a" Link.pp) r.links,
-            r.clusters,
-            r.candidates_checked )
-        in
-        let base = norm (Dup_detect.detect_on reprs) in
-        List.iter
-          (fun domains ->
-            let p = Aladin_par.Pool.create ~domains () in
-            Fun.protect
-              ~finally:(fun () -> Aladin_par.Pool.shutdown p)
-              (fun () ->
-                check
-                  Alcotest.(triple (list string) (list (list string)) int)
-                  (Printf.sprintf "domains=%d" domains)
-                  base
-                  (norm (Dup_detect.detect_on ~pool:p reprs))))
-          [ 1; 2; 4 ]);
   ]
 
 (* a small generated corpus, profiled: two overlapping protein sources
@@ -559,9 +538,7 @@ let between_tests =
                     let pa = Dup_detect.prep_source ~pool:p profiles ~source:a in
                     let pb = Dup_detect.prep_source ~pool:p profiles ~source:b in
                     check testable (lbl "detect_between") base
-                      (norm (Dup_detect.detect_between ~pool:p pa pb));
-                    check testable (lbl "detect_on") base
-                      (norm (Dup_detect.detect_on ~pool:p merged))))
+                      (norm (Dup_detect.detect_between ~pool:p pa pb))))
               [ 1; 2; 4 ])
           [ ("pir", "uniprot"); ("bind", "mint") ]);
   ]
@@ -569,55 +546,51 @@ let between_tests =
 (* build_reprs over a real profiled source: the field cap must hold *)
 let build_reprs_tests =
   let open Aladin_relational in
-  let source () =
+  (* one entry relation of [n] text columns besides its id and accession *)
+  let source n =
     let cat = Catalog.create ~name:"caps" in
     let entry =
       Catalog.create_relation cat ~name:"entry"
         (Schema.of_names
-           [ "entry_id"; "accession"; "c1"; "c2"; "c3"; "c4"; "c5"; "c6" ])
+           ("entry_id" :: "accession" :: List.init n (Printf.sprintf "c%d")))
     in
     List.iteri
       (fun i acc ->
         Relation.insert entry
           (Array.append
              [| Value.Int (i + 1); Value.text acc |]
-             (Array.init 6 (fun j ->
+             (Array.init n (fun j ->
                   Value.text (Printf.sprintf "text value %d-%d ok" i j)))))
       [ "CP001"; "CP002"; "CP003" ];
     cat
   in
-  let profiles () =
-    Profile_list.of_profiles
-      [ Aladin_discovery.Source_profile.analyze (source ()) ]
+  let reprs n =
+    Object_sim.build_reprs
+      (Profile_list.of_profiles
+         [ Aladin_discovery.Source_profile.analyze (source n) ])
   in
   [
     Alcotest.test_case "max_fields_per_object is respected" `Quick (fun () ->
-        let reprs =
-          Object_sim.build_reprs ~max_fields_per_object:3 (profiles ())
-        in
+        let reprs = reprs 45 in
         check Alcotest.bool "some reprs" true (reprs <> []);
         List.iter
           (fun (r : Object_sim.repr) ->
-            check Alcotest.bool
-              (Objref.to_string r.obj ^ " capped")
-              true
-              (List.length r.fields <= 3))
+            check Alcotest.int
+              (Objref.to_string r.obj ^ " capped at 40")
+              40 (List.length r.fields))
           reprs);
     Alcotest.test_case "uncapped keeps every content field" `Quick (fun () ->
-        let reprs = Object_sim.build_reprs (profiles ()) in
-        check Alcotest.bool "wider than the cap of 3" true
-          (List.exists
-             (fun (r : Object_sim.repr) -> List.length r.fields > 3)
-             reprs));
+        check Alcotest.bool "every text field below the cap" true
+          (List.for_all
+             (fun (r : Object_sim.repr) -> List.length r.fields >= 6)
+             (reprs 6)));
   ]
 
 (* the conflicts a browser view lists for a duplicate link from a to b *)
-let between ?params (a : Object_sim.repr) (b : Object_sim.repr) =
-  Conflict.in_duplicates ?params (Conflict.table [ a; b ])
+let between (a : Object_sim.repr) (b : Object_sim.repr) =
+  Conflict.in_duplicates (Conflict.table [ a; b ])
     [ Link.make ~src:a.obj ~dst:b.obj ~kind:Link.Duplicate ~confidence:0.9
         ~evidence:"t" ]
-
-let default_params = { Conflict.min_name_affinity = 0.3; max_value_similarity = 0.8 }
 
 let conflict_tests =
   [
@@ -656,17 +629,16 @@ let conflict_tests =
    names tokenized and both values prepared again for every field pair.
    Kept as the reference the prepared kernel must equal. *)
 module Ref_conflict = struct
-  let between ?(params = default_params) (a : Object_sim.repr)
-      (b : Object_sim.repr) =
+  let between (a : Object_sim.repr) (b : Object_sim.repr) =
     List.concat_map
       (fun (attr_a, value_a) ->
         List.filter_map
           (fun (attr_b, value_b) ->
             let name_sim = Field_sim.name_affinity attr_a attr_b in
-            if name_sim < params.Conflict.min_name_affinity then None
+            if name_sim < 0.3 then None
             else
               let vs = Field_sim.similarity value_a value_b in
-              if vs >= params.max_value_similarity then None
+              if vs >= 0.8 then None
               else
                 Some
                   { Conflict.obj_a = a.obj; obj_b = b.obj; attr_a; attr_b;
@@ -721,21 +693,14 @@ let conflict_kernel_test =
       { Object_sim.obj = Objref.make ~source:"s" ~relation:"r" ~accession:acc;
         fields }
   in
-  (* besides the defaults: every name pair compared, every unequal value
-     flagged *)
-  let params =
-    oneofl
-      [ default_params;
-        { Conflict.min_name_affinity = 0.0; max_value_similarity = 1.0 } ]
-  in
   QCheck_alcotest.to_alcotest
     ~rand:(Random.State.make [| conflict_kernel_seed |])
     (QCheck.Test.make ~name:"between equals the per-pair reference" ~count:300
-       (QCheck.make (triple params (repr "A") (repr "B")))
-       (fun (params, a, b) ->
-         between ~params a b = Ref_conflict.between ~params a b
-         && between ~params b a = Ref_conflict.between ~params b a
-         && between ~params a a = Ref_conflict.between ~params a a))
+       (QCheck.make (pair (repr "A") (repr "B")))
+       (fun (a, b) ->
+         between a b = Ref_conflict.between a b
+         && between b a = Ref_conflict.between b a
+         && between a a = Ref_conflict.between a a))
 
 let conflict_tests = conflict_tests @ [ conflict_kernel_test ]
 

@@ -115,9 +115,6 @@ let swissprot_tests =
     Alcotest.test_case "no constraints by default" `Quick (fun () ->
         let cat = Swissprot.parse sample_swissprot in
         check Alcotest.int "zero" 0 (List.length (Catalog.constraints cat)));
-    Alcotest.test_case "declare adds dictionary" `Quick (fun () ->
-        let cat = Swissprot.parse ~declare:true sample_swissprot in
-        check Alcotest.bool "has fks" true (List.length (Catalog.declared_fks cat) >= 6));
   ]
 
 let fasta_tests =

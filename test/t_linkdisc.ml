@@ -233,30 +233,30 @@ let prune_tests =
           of_column (Array.init 10 (fun i -> Value.Int i))
         in
         check Alcotest.bool "pruned" false
-          (Prune.is_link_source Prune.default_params cs));
+          (Prune.is_link_source ~prune:true cs));
     Alcotest.test_case "few distinct excluded" `Quick (fun () ->
         let cs =
           of_column [| Value.text "same"; Value.text "same" |]
         in
-        check Alcotest.bool "pruned" false (Prune.is_link_source Prune.default_params cs));
+        check Alcotest.bool "pruned" false (Prune.is_link_source ~prune:true cs));
     Alcotest.test_case "accession-like passes" `Quick (fun () ->
         let cs =
           of_column [| Value.text "AB001"; Value.text "AB002"; Value.text "AB003" |]
         in
-        check Alcotest.bool "kept" true (Prune.is_link_source Prune.default_params cs));
+        check Alcotest.bool "kept" true (Prune.is_link_source ~prune:true cs));
     Alcotest.test_case "no_pruning passes numerics" `Quick (fun () ->
         let cs =
           of_column [| Value.Int 1; Value.Int 2 |]
         in
-        check Alcotest.bool "kept" true (Prune.is_link_source Prune.no_pruning cs));
+        check Alcotest.bool "kept" true (Prune.is_link_source ~prune:false cs));
     Alcotest.test_case "pruning shrinks comparison space" `Quick (fun () ->
         let ps = profiles () in
         let compared prune =
           (Xref_disc.discover ~params:{ Xref_disc.default_params with prune } ps)
             .pairs_compared
         in
-        let pruned = compared Prune.default_params in
-        let full = compared Prune.no_pruning in
+        let pruned = compared true in
+        let full = compared false in
         check Alcotest.bool "fewer" true (pruned < full);
         check Alcotest.bool "positive" true (pruned > 0));
     Alcotest.test_case "is_text_field" `Quick (fun () ->
@@ -377,7 +377,6 @@ type seq_case = {
   sources : (string option * string option) list list;
       (* per source, its rows' protein and DNA cells *)
   changed : int;
-  cross_source_only : bool;
   min_normalized : float;
 }
 
@@ -443,13 +442,11 @@ let seq_case_gen st =
               cell dna Aladin_seq.Alphabet.dna "N-." ~dirty_row:dd i )))
   in
   { sources; changed = Random.State.int st n;
-    cross_source_only = Random.State.bool st;
     min_normalized = [| 0.3; 0.5; 0.8 |].(Random.State.int st 3) }
 
 let seq_case_print c =
   let cell = function None -> "null" | Some s -> String.escaped s in
-  Printf.sprintf "changed=%d cross_source_only=%b min_normalized=%g\n%s"
-    c.changed c.cross_source_only c.min_normalized
+  Printf.sprintf "changed=%d min_normalized=%g\n%s" c.changed c.min_normalized
     (String.concat "\n"
        (List.mapi
           (fun i rows ->
@@ -477,9 +474,7 @@ let seq_case_profiles c =
        c.sources)
 
 (* every same-kind (changed, other) pair sharing at least min_hits
-   distinct k-mers, aligned with the changed sequence as the query; with
-   cross_source_only off, every pair of the changed source's own
-   sequences too, the later one (in field-then-row order) as the query.
+   distinct k-mers, aligned with the changed sequence as the query.
    Returns the links and the trace counters the pass must report; an
    other-source sequence equal to an earlier one of its kind counts no
    alignment. *)
@@ -571,11 +566,6 @@ let oracle_seq_links (params : Seq_links.params) ps ~source =
             List.iter (fun c -> consider ~aligned c o) own)
           (sequences other))
     (Profile_list.sources ps);
-  if not params.cross_source_only then
-    List.iteri
-      (fun j later ->
-        List.iteri (fun i earlier -> if i < j then consider later earlier) own)
-      own;
   let links = Link.dedup !links in
   ( links,
     [ ("seq.alignments", !alignments); ("seq.links", List.length links);
@@ -600,9 +590,7 @@ let seq_state_tests =
            let ps = seq_case_profiles c in
            let source = List.nth (Profile_list.sources ps) c.changed in
            let params =
-             { Seq_links.default_params with
-               cross_source_only = c.cross_source_only;
-               min_normalized = c.min_normalized; min_seq_len = 6 }
+             { Seq_links.min_normalized = c.min_normalized; min_seq_len = 6 }
            in
            let show (links, counters) =
              String.concat "\n"
@@ -639,8 +627,7 @@ let seq_state_tests =
          (fun c ->
            let ps = seq_case_profiles c in
            let params =
-             { Seq_links.default_params with
-               min_normalized = c.min_normalized; min_seq_len = 6 }
+             { Seq_links.min_normalized = c.min_normalized; min_seq_len = 6 }
            in
            (* batch takes the sequence whose source name sorts first as a
               cross-source pair's query: the source a fold in descending
@@ -733,22 +720,17 @@ let seq_state_tests =
         check Alcotest.int "both hits verified" 2 (count "seq.pairs_verified");
         check Alcotest.int "one alignment" 1 (count "seq.alignments");
         check Alcotest.int "one shared probe" 1 (count "seq.probes_shared"));
-    Alcotest.test_case "same-source homologs without cross_source_only" `Quick
+    Alcotest.test_case "same-source homologs are never linked" `Quick
       (fun () ->
         let ps =
           Profile_list.of_profiles [ Source_profile.analyze (source_paralogs ()) ]
         in
-        let params =
-          { Seq_links.default_params with cross_source_only = false }
-        in
-        let fresh = Seq_links.discover_source ~params ps ~source:"src_p" in
-        check Alcotest.(list string) "paralog link" [ "src_p:PX001|src_p:PX002" ]
-          (List.map link_key fresh);
-        check Alcotest.(list string) "batch agrees"
-          (List.map link_key (Seq_links.discover ~params ps).links)
-          (List.map link_key fresh);
-        check Alcotest.int "dropped when cross-source only" 0
-          (List.length (Seq_links.discover_source ps ~source:"src_p")));
+        check Alcotest.int "delta pass" 0
+          (List.length (Seq_links.discover_source ps ~source:"src_p"));
+        let batch = Seq_links.discover ps in
+        check Alcotest.int "batch" 0 (List.length batch.links);
+        check Alcotest.int "batch aligns no same-source pair" 0
+          batch.pairs_verified);
   ]
 
 let text_link_tests =
@@ -761,7 +743,7 @@ let text_link_tests =
              (fun ((o : Objref.t), d) -> o.accession = "AX001" && d <> "")
              docs));
     Alcotest.test_case "similar descriptions linked" `Quick (fun () ->
-        let params = { Text_links.default_params with min_cosine = 0.4 } in
+        let params = { Text_links.min_cosine = 0.4 } in
         let r = Text_links.discover ~params (profiles ()) in
         check Alcotest.bool "AX001~BX901" true
           (List.exists
@@ -776,27 +758,6 @@ let text_link_tests =
           (List.for_all
              (fun (l : Link.t) -> l.src.Objref.source <> l.dst.Objref.source)
              r.links));
-    Alcotest.test_case "discover identical at pool sizes 1/2/4" `Quick
-      (fun () ->
-        let norm (r : Text_links.result) =
-          ( List.map (Format.asprintf "%a" Link.pp) r.links,
-            r.documents,
-            r.mention_links )
-        in
-        let params = { Text_links.default_params with min_cosine = 0.3 } in
-        let base = norm (Text_links.discover ~params (profiles ())) in
-        List.iter
-          (fun domains ->
-            let p = Aladin_par.Pool.create ~domains () in
-            Fun.protect
-              ~finally:(fun () -> Aladin_par.Pool.shutdown p)
-              (fun () ->
-                check
-                  Alcotest.(triple (list string) int int)
-                  (Printf.sprintf "domains=%d" domains)
-                  base
-                  (norm (Text_links.discover ~params ~pool:p (profiles ())))))
-          [ 1; 2; 4 ]);
   ]
 
 (* a source pair built for entity mentions: src_c's primary relation has a
@@ -963,7 +924,8 @@ let onto_tests =
         let xrefs =
           List.init 30 (fun i -> xref (obj (Printf.sprintf "s%d" i) "A") term)
         in
-        let r = Onto_links.discover ~params:{ Onto_links.default_params with max_fanout = 10 } ~xrefs () in
+        (* 30 referrers: over the fan-out of 25 *)
+        let r = Onto_links.discover ~xrefs () in
         check Alcotest.int "skipped" 1 r.hub_targets_skipped;
         check Alcotest.int "no links" 0 (List.length r.links));
     Alcotest.test_case "hierarchy expansion links siblings" `Quick (fun () ->
@@ -1015,11 +977,16 @@ let onto_tests =
         let a = obj "a" "A1" and b = obj "b" "B1" in
         let r =
           Onto_links.discover
-            ~params:{ Onto_links.default_params with min_shared = 2 }
             ~xrefs:[ xref a t1; xref b t1; xref a t2; xref b t2 ]
             ()
         in
-        check Alcotest.int "one strong link" 1 (List.length r.links));
+        (* two shared targets make one link, stronger than one would *)
+        match r.links with
+        | [ l ] ->
+            check (Alcotest.float 1e-9) "two targets" 0.6 l.confidence;
+            check Alcotest.string "both named" "shared targets: go:GO:1, go:GO:2"
+              l.evidence
+        | ls -> Alcotest.failf "%d links" (List.length ls));
   ]
 
 (* --- the delta pipeline's text pass against batch discovery ---
@@ -1046,7 +1013,6 @@ type text_source = {
 type text_case = {
   tsources : text_source list;
   tchanged : int;
-  tcross : bool;
   tmin_cosine : float;
 }
 
@@ -1111,12 +1077,10 @@ let text_case_gen st =
       names
   in
   { tsources; tchanged = Random.State.int st (List.length names);
-    tcross = Random.State.bool st;
     tmin_cosine = [| 0.2; 0.35; 0.5 |].(Random.State.int st 3) }
 
 let text_case_print c =
-  Printf.sprintf "changed=%d cross_source_only=%b min_cosine=%g\n%s" c.tchanged
-    c.tcross c.tmin_cosine
+  Printf.sprintf "changed=%d min_cosine=%g\n%s" c.tchanged c.tmin_cosine
     (String.concat "\n"
        (List.map
           (fun s ->
@@ -1173,24 +1137,18 @@ let text_oracle_case c =
   let ps = text_case_profiles c in
   let sources = Profile_list.sources ps in
   let source = List.nth sources c.tchanged in
-  let params =
-    { Text_links.default_params with
-      cross_source_only = c.tcross; min_cosine = c.tmin_cosine }
-  in
+  let params = { Text_links.min_cosine = c.tmin_cosine } in
   let pairs =
     List.filter_map
       (fun other ->
-        if other = source then
-          if c.tcross then None else Some (source, source)
+        if other = source then None
         else Some (min source other, max source other))
       sources
   in
   let expected =
     List.map
       (fun (a, b) ->
-        ( (a, b),
-          Text_links.discover ~params
-            (Profile_list.restrict ps (if a = b then [ a ] else [ a; b ])) ))
+        ((a, b), Text_links.discover ~params (Profile_list.restrict ps [ a; b ])))
       pairs
   in
   let documents =
@@ -1247,7 +1205,7 @@ let text_oracle_case c =
   in
   let clash =
     List.exists
-      (fun (a, b) -> a <> b && List.exists (fun n -> List.mem n (syms b)) (syms a))
+      (fun (a, b) -> List.exists (fun n -> List.mem n (syms b)) (syms a))
       pairs
   in
   let textless =
@@ -1278,8 +1236,7 @@ let text_pass_tests =
             (QCheck.make ~print:text_case_print text_case_gen)
             (fun c ->
               let clash, textless, text, mention = text_oracle_case c in
-              covered :=
-                (clash, textless, text, mention, c.tcross) :: !covered;
+              covered := (clash, textless, text, mention) :: !covered;
               true)
         in
         QCheck.Test.check_exn
@@ -1287,14 +1244,11 @@ let text_pass_tests =
           test;
         let some f = List.exists f !covered in
         check Alcotest.bool "a name both sources of a pair define" true
-          (some (fun (x, _, _, _, _) -> x));
+          (some (fun (x, _, _, _) -> x));
         check Alcotest.bool "a text-less source" true
-          (some (fun (_, x, _, _, _) -> x));
-        check Alcotest.bool "cosine links" true (some (fun (_, _, x, _, _) -> x));
-        check Alcotest.bool "mention links" true
-          (some (fun (_, _, _, x, _) -> x));
-        check Alcotest.bool "both cross_source_only values" true
-          (some (fun (_, _, _, _, x) -> x) && some (fun (_, _, _, _, x) -> not x)));
+          (some (fun (_, x, _, _) -> x));
+        check Alcotest.bool "cosine links" true (some (fun (_, _, x, _) -> x));
+        check Alcotest.bool "mention links" true (some (fun (_, _, _, x) -> x)));
   ]
 
 let tests =

@@ -146,7 +146,8 @@ let json_tests =
   [
     Alcotest.test_case "export shape" `Quick (fun () ->
         let tr = Trace.create ~name:"demo" () in
-        Trace.with_span tr "step" ~attrs:[ ("source", "s1") ] (fun () ->
+        Trace.with_span tr "step" (fun () ->
+            Trace.add_attr tr "source" "s1";
             Trace.with_span tr "child" (fun () -> ());
             Trace.incr tr "pairs";
             Trace.with_ambient tr (fun () -> Trace.ambient_observe "lat" 0.01));

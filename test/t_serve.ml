@@ -485,7 +485,7 @@ let pieces_of n s =
 
 let fetch_raw ?hold pieces =
   with_raw_listener ?hold pieces (fun port ->
-      Serve.Client.request ~timeout:2.0 ~port "/x")
+      Serve.Client.request ~port "/x")
 
 let client_tests =
   let ok = function
@@ -629,6 +629,15 @@ let mutation_tests =
             "/query?sql=SELECT%20*%20FROM%20" ^ bare;
             "/links" ]
           @ List.map (fun k -> "/links?kind=" ^ k) (kinds ())
+          (* the view of an end of each link rejected below *)
+          @ List.sort_uniq compare
+              (List.filter_map
+                 (fun k ->
+                   match Engine.links ~kind:k eng with
+                   | (l : Aladin_links.Link.t) :: _ ->
+                       Some (Printf.sprintf "/object/%s/%s" l.src.source l.src.accession)
+                   | [] -> None)
+                 (kinds ()))
         in
         let warm = Serve.Service.create eng in
         List.iter
@@ -637,27 +646,37 @@ let mutation_tests =
               (Serve.Service.handle warm (req t)).status)
           targets;
         (* every target from the warm service against a fresh one; the
-           number of warm answers that were cache hits *)
+           targets whose warm answers were cache hits *)
         let agree step =
           let fresh = Serve.Service.create eng in
-          List.fold_left
-            (fun hits t ->
+          List.filter
+            (fun t ->
               let a = Serve.Service.handle warm (req t)
               and b = Serve.Service.handle fresh (req t) in
               check Alcotest.int (step ^ ": status of " ^ t) b.status a.status;
               check Alcotest.string (step ^ ": body of " ^ t) b.body a.body;
-              if List.assoc_opt "x-cache" a.headers = Some "hit" then hits + 1
-              else hits)
-            0 targets
+              List.assoc_opt "x-cache" a.headers = Some "hit")
+            targets
         in
-        (* a rejection leaves the search, resolve and query entries valid *)
+        (* a rejection reads no profile: the search, resolve and query
+           entries stay valid *)
+        let link_free =
+          List.filter
+            (fun t ->
+              not (String.starts_with ~prefix:"/links" t
+                   || String.starts_with ~prefix:"/object" t))
+            targets
+        in
         List.iter
           (fun k ->
             match Engine.links ~kind:k eng with
             | l :: _ ->
                 Engine.reject_link eng l;
-                check Alcotest.bool ("hits after rejecting a " ^ k ^ " link") true
-                  (agree ("reject a " ^ k ^ " link") > 0)
+                check Alcotest.(list string) ("hits after rejecting a " ^ k ^ " link")
+                  link_free
+                  (List.filter
+                     (fun t -> List.mem t link_free)
+                     (agree ("reject a " ^ k ^ " link")))
             | [] -> ())
           (kinds ());
         let cat = Option.get (Warehouse.catalog w source) in
@@ -674,9 +693,140 @@ let mutation_tests =
         with
         | `Deferred ->
             (* nothing changed, so every entry still serves *)
-            check Alcotest.int "all hits after a deferred update"
-              (List.length targets) (agree "deferred update")
+            check Alcotest.(list string) "all hits after a deferred update"
+              targets (agree "deferred update")
         | `Reanalyzed _ -> Alcotest.fail "the one-row update was not deferred");
+  ]
+
+(* --- the serve twin: random request streams against a fresh service ---
+
+   Each case integrates the small corpus afresh, then runs a random
+   stream of cacheable requests through one long-lived service,
+   interleaved with mutations made through the engine: a rejection of
+   one of a kind's first two links (whose ends the requests view), a
+   reanalyzing update of a random source, and a deferred one (which
+   reanalyzes once the deferred rows add up). Every answer
+   must equal, in status and body, a fresh service's answer to the same
+   request at that point: a route that under-declares what it reads
+   serves a stale hit. ALADIN_SOAK=N runs N times the cases. *)
+
+type twin_op =
+  | Get of int
+  | Reject of int * int  (* a kind, then one of its first two links *)
+  | Reanalyze of int
+  | Defer of int
+
+let twin_seed = 20261020
+
+let soak =
+  match Option.bind (Sys.getenv_opt "ALADIN_SOAK") int_of_string_opt with
+  | Some n when n > 1 -> n
+  | _ -> 1
+
+let twin_ops =
+  let open QCheck.Gen in
+  (* uniform picks: [nat] favours small numbers *)
+  let pick = int_bound 9999 in
+  let op =
+    frequency
+      [ (12, map (fun i -> Get i) pick);
+        (4, map2 (fun k i -> Reject (k, i)) pick pick);
+        (1, map (fun i -> Reanalyze i) pick); (1, map (fun i -> Defer i) pick) ]
+  in
+  let print = function
+    | Get i -> Printf.sprintf "get %d" i
+    | Reject (k, i) -> Printf.sprintf "reject %d %d" k i
+    | Reanalyze i -> Printf.sprintf "reanalyze %d" i
+    | Defer i -> Printf.sprintf "defer %d" i
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 20 60) op)
+
+let nth l i = List.nth l (i mod List.length l)
+
+(* the links a [Reject (k, i)] picks from: the first two of kind [k] *)
+let twin_rejectable eng k =
+  List.filteri
+    (fun i _ -> i < 2)
+    (Engine.links ~kind:(Aladin_links.Link.kind_name (nth Aladin_links.Link.kinds k)) eng)
+
+(* the cacheable targets: every route, over each source and over the
+   objects the rejectable links start at *)
+let twin_targets eng =
+  let w = Engine.warehouse eng in
+  let sources = Warehouse.sources w in
+  let relation s =
+    Aladin_relational.Relation.name
+      (List.hd (Aladin_relational.Catalog.relations (Option.get (Warehouse.catalog w s))))
+  in
+  let objects =
+    List.sort_uniq compare
+      (List.concat
+         (List.mapi
+            (fun k _ ->
+              List.map (fun (l : Aladin_links.Link.t) -> l.src) (twin_rejectable eng k))
+            Aladin_links.Link.kinds))
+  in
+  Array.of_list
+    (List.map (fun q -> "/search?q=" ^ q) [ "protein"; "kinase"; "edited" ]
+    @ List.map (fun s -> "/search?q=protein&source=" ^ s) sources
+    @ List.concat_map
+        (fun (o : Aladin_links.Objref.t) ->
+          [ Printf.sprintf "/object/%s/%s" o.source o.accession;
+            "/object?accession=" ^ o.accession;
+            "/resolve?accession=" ^ o.accession ])
+        objects
+    @ List.map
+        (fun s -> Printf.sprintf "/query?sql=SELECT%%20*%%20FROM%%20%s.%s" s (relation s))
+        sources
+    @ List.map (fun s -> "/query?sql=SELECT%20*%20FROM%20" ^ relation s) sources
+    @ [ "/links" ]
+    @ List.map
+        (fun k -> "/links?kind=" ^ Aladin_links.Link.kind_name k)
+        Aladin_links.Link.kinds)
+
+let twin_case ops =
+  let eng = Engine.integrate (Lazy.force small_corpus).catalogs in
+  let w = Engine.warehouse eng in
+  let targets = twin_targets eng in
+  let warm = Serve.Service.create eng in
+  let update i ~changed_rows =
+    let cat = Option.get (Warehouse.catalog w (nth (Warehouse.sources w) i)) in
+    let relation =
+      Aladin_relational.Relation.name (List.hd (Aladin_relational.Catalog.relations cat))
+    in
+    ignore
+      (Engine.update_source eng (edited ~relation cat)
+         ~changed_rows:(changed_rows cat))
+  in
+  List.iter
+    (function
+      | Get i ->
+          let t = targets.(i mod Array.length targets) in
+          let a = Serve.Service.handle warm (req t)
+          and b = Serve.Service.handle (Serve.Service.create eng) (req t) in
+          if a.status <> b.status || a.body <> b.body then
+            QCheck.Test.fail_reportf "%s: warm %d (%s), fresh %d" t a.status
+              (Option.value ~default:"?" (List.assoc_opt "x-cache" a.headers))
+              b.status
+      | Reject (k, i) -> (
+          match twin_rejectable eng k with
+          | [] -> ()
+          | links -> Engine.reject_link eng (nth links i))
+      | Reanalyze i ->
+          update i ~changed_rows:Aladin_relational.Catalog.total_rows
+      | Defer i -> update i ~changed_rows:(fun _ -> 1))
+    ops;
+  true
+
+let twin_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| twin_seed |])
+      (QCheck.Test.make ~name:"random streams: every answer equals a fresh service's"
+         ~count:(10 * soak) twin_ops twin_case);
   ]
 
 let server_tests =
@@ -779,7 +929,7 @@ let tests =
   [
     ("serve.http", http_tests);
     ("serve.cache", cache_tests);
-    ("serve.service", service_tests @ mutation_tests);
+    ("serve.service", service_tests @ mutation_tests @ twin_tests);
     ("serve.server", server_tests);
     ("serve.client", client_tests);
   ]

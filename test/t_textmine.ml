@@ -135,9 +135,8 @@ let strdist_tests =
   ]
 
 (* the whole join: the range join over every prepared document *)
-let similar_pairs ?df_ceiling p ~min_sim =
-  Tfidf.similar_pairs_range ?df_ceiling p ~lo:0 ~hi:(Tfidf.prepared_docs p)
-    ~min_sim
+let similar_pairs p ~min_sim =
+  Tfidf.similar_pairs_range p ~lo:0 ~hi:(Tfidf.prepared_docs p) ~min_sim
 
 let tfidf_tests =
   [
@@ -337,12 +336,7 @@ let prepared_tests =
         (* "shared" appears in every doc of pairs_corpus: idf = ln(N/N) = 0,
            so a pair overlapping ONLY on it has cosine 0 and skipping it as
            a discriminator loses nothing *)
-        let c = pairs_corpus () in
-        let p = Tfidf.prepare c in
-        check Alcotest.bool "default ceiling is N-1" true
-          (similar_pairs p ~min_sim:0.0001
-          = similar_pairs ~df_ceiling:(Tfidf.prepared_docs p - 1) p
-              ~min_sim:0.0001);
+        let p = Tfidf.prepare (pairs_corpus ()) in
         let found = similar_pairs p ~min_sim:0.0001 in
         check Alcotest.bool "d6 pairs with nobody" true
           (List.for_all (fun (a, b, _) -> a <> "d6" && b <> "d6") found));
@@ -360,21 +354,6 @@ let prepared_tests =
             check Alcotest.bool "0 < s < 1" true (s > 0.0 && s < 1.0)
         | other ->
             Alcotest.fail (Printf.sprintf "%d pairs" (List.length other)));
-    Alcotest.test_case "df ceiling: lowering it prunes candidates" `Quick
-      (fun () ->
-        let c = Tfidf.corpus_create () in
-        Tfidf.corpus_add c ~doc_id:"a" "frequent rare1";
-        Tfidf.corpus_add c ~doc_id:"b" "frequent rare2";
-        Tfidf.corpus_add c ~doc_id:"c" "frequent rare3";
-        Tfidf.corpus_add c ~doc_id:"d" "unrelated stuff";
-        let p = Tfidf.prepare c in
-        (* "frequent" has df 3 < N: a discriminator at the default ceiling,
-           pruned at ceiling 2 — the a/b/c pairs disappear because they
-           share nothing else *)
-        check Alcotest.int "default finds the 3 pairs" 3
-          (List.length (similar_pairs p ~min_sim:0.0001));
-        check Alcotest.int "ceiling 2 prunes them" 0
-          (List.length (similar_pairs ~df_ceiling:2 p ~min_sim:0.0001)));
     Alcotest.test_case "corpus_add invalidates the prepared cache" `Quick
       (fun () ->
         let c = Tfidf.corpus_create () in
