@@ -58,14 +58,11 @@ let outcome_of_children children =
 let pass ?(enabled = true) ~budget name f =
   if not enabled then (None, Report.step name (Report.Skipped Report.Disabled))
   else
-    match budget with
-    | Some b when b <= 0.0 ->
-        Res.Boundary.skipped_span name;
-        (None, Report.step name (Report.Skipped Report.Budget_zero))
-    | _ ->
-        let res, secs = Res.Boundary.bounded ~name ?budget f in
-        Obs.Trace.ambient_observe "linkdisc.pass_seconds" secs;
-        Res.Boundary.to_step ~seconds:secs name res
+    let v, step = Res.Boundary.optional ~name ~budget f in
+    (match step.outcome with
+    | Report.Skipped Report.Budget_zero -> ()
+    | _ -> Obs.Trace.ambient_observe "linkdisc.pass_seconds" step.seconds);
+    (v, step)
 
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
@@ -226,14 +223,13 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
     [ xref_step; seq_step; text_step; onto_step ]
   in
   let link_step =
-    match budgets.links with
-    | Some b when b <= 0.0 ->
-        Res.Boundary.skipped_span "link discovery";
+    match Res.Boundary.skipped_for_zero ~name:"link discovery" budgets.links with
+    | Some skipped ->
         clear_link_fields ();
-        Report.step "link discovery" (Report.Skipped Report.Budget_zero)
-    | link_budget -> (
+        skipped
+    | None -> (
         let res, link_secs =
-          Res.Boundary.bounded ~name:"link discovery" ?budget:link_budget
+          Res.Boundary.bounded ~name:"link discovery" ?budget:budgets.links
             run_link_passes
         in
         match res with
@@ -274,57 +270,48 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
       dup_pairs
   in
   let dup_step =
-    match budgets.dups with
-    | Some b when b <= 0.0 ->
-        Res.Boundary.skipped_span "duplicate detection";
-        clear_dup_fields ();
-        Report.step "duplicate detection" (Report.Skipped Report.Budget_zero)
-    | dup_budget ->
-        let res, dup_secs =
-          Res.Boundary.bounded ~name:"duplicate detection" ?budget:dup_budget
-            (fun () ->
-              (* each source is prepared once for all of this relink's
-                 pairs; the table goes away with the relink *)
-              let prepared =
-                List.map
-                  (fun s ->
-                    ( s,
-                      Dup.Dup_detect.prep_source ~pool
-                        ~exclude_attributes:(List.assoc s new_excludes)
-                        profiles ~source:s ))
-                  source_order
-              in
-              let results =
-                List.map
-                  (fun ((a, b) as p) ->
-                    ( p,
-                      Dup.Dup_detect.detect_between ~params:cfg.dup ~pool
-                        (List.assoc a prepared) (List.assoc b prepared) ))
-                  dup_pairs
-              in
-              let rs = List.map snd results in
-              Obs.Trace.ambient_incr
-                ~by:(sum (fun (r : Dup.Dup_detect.result) -> r.candidates_checked) rs)
-                "dup.candidates_checked";
-              Obs.Trace.ambient_incr
-                ~by:(sum (fun (r : Dup.Dup_detect.result) -> List.length r.links) rs)
-                "dup.links";
-              results)
-        in
-        let results, step =
-          Res.Boundary.to_step ~seconds:dup_secs "duplicate detection" res
-        in
-        (match results with
-        | Some results ->
-            List.iter
-              (fun ((a, b) as p, (r : Dup.Dup_detect.result)) ->
-                let e = current_entry p in
-                Pair_store.set store a b
-                  { e with Pair_store.dup_links = r.links;
-                    dup_candidates = r.candidates_checked })
-              results
-        | None -> clear_dup_fields ());
-        step
+    let results, step =
+      Res.Boundary.optional ~name:"duplicate detection" ~budget:budgets.dups
+        (fun () ->
+          (* each source is prepared once for all of this relink's
+             pairs; the table goes away with the relink *)
+          let prepared =
+            List.map
+              (fun s ->
+                ( s,
+                  Dup.Dup_detect.prep_source ~pool
+                    ~exclude_attributes:(List.assoc s new_excludes)
+                    profiles ~source:s ))
+              source_order
+          in
+          let results =
+            List.map
+              (fun ((a, b) as p) ->
+                ( p,
+                  Dup.Dup_detect.detect_between ~params:cfg.dup ~pool
+                    (List.assoc a prepared) (List.assoc b prepared) ))
+              dup_pairs
+          in
+          let rs = List.map snd results in
+          Obs.Trace.ambient_incr
+            ~by:(sum (fun (r : Dup.Dup_detect.result) -> r.candidates_checked) rs)
+            "dup.candidates_checked";
+          Obs.Trace.ambient_incr
+            ~by:(sum (fun (r : Dup.Dup_detect.result) -> List.length r.links) rs)
+            "dup.links";
+          results)
+    in
+    (match results with
+    | Some results ->
+        List.iter
+          (fun ((a, b) as p, (r : Dup.Dup_detect.result)) ->
+            let e = current_entry p in
+            Pair_store.set store a b
+              { e with Pair_store.dup_links = r.links;
+                dup_candidates = r.candidates_checked })
+          results
+    | None -> clear_dup_fields ());
+    step
   in
   let changed_kinds =
     List.filter

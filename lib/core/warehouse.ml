@@ -162,30 +162,17 @@ let discover t catalog =
       (* step 3: secondary structure. Optional: a timeout or crash just
          means no secondary relations for this source. *)
       let secondary, step3 =
-        match t.cfg.budgets.secondary with
-        | Some b when b <= 0.0 ->
-            Res.Boundary.skipped_span "secondary discovery";
-            ( None,
-              Report.step "secondary discovery"
-                (Report.Skipped Report.Budget_zero) )
-        | budget ->
-            let res3, secs3 =
-              Res.Boundary.bounded ~name:"secondary discovery" ?budget
-                (fun () ->
-                  Option.map
-                    (fun (p : Primary.scored) ->
-                      Secondary.discover ~max_len:t.cfg.max_path_len graph
-                        ~primary:p.relation)
-                    primary)
-            in
-            let secondary, step3 =
-              Res.Boundary.to_step ~seconds:secs3 "secondary discovery" res3
-            in
-            (Option.join secondary, step3)
+        Res.Boundary.optional ~name:"secondary discovery"
+          ~budget:t.cfg.budgets.secondary (fun () ->
+            Option.map
+              (fun (p : Primary.scored) ->
+                Secondary.discover ~max_len:t.cfg.max_path_len graph
+                  ~primary:p.relation)
+              primary)
       in
       Ok
         ( { Source_profile.profile; accession_candidates = cands; fks; graph;
-            primary; secondary },
+            primary; secondary = Option.join secondary },
           [ Report.step ~seconds:secs2 "primary discovery" Report.Ok; step3 ] )
 
 let add_source_raw ?trace ?(import_errors = []) t catalog =

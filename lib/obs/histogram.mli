@@ -30,5 +30,6 @@ val buckets : t -> (float * int) list
 
 val merge_into : t -> t -> unit
 (** [merge_into dst src] folds [src]'s observations into [dst]: bucket
-    counts and totals add, min/max combine. Used to merge per-domain
-    buffers after a parallel fan-out. [src] is left untouched. *)
+    counts and totals add, min/max combine. Used to merge a pool
+    participant's child trace into its caller's. [src] is left
+    untouched. *)

@@ -24,6 +24,12 @@
 
 val to_json : Trace.t -> string
 
+val add_json_string : Buffer.t -> string -> unit
+(** Append a string as a JSON string literal, quotes included: double
+    quotes, backslashes and control bytes escaped, every other byte as
+    it is. The tree's one JSON string escaper; the serve layer's JSON
+    bodies go through it too. *)
+
 val write_json : Trace.t -> string -> unit
 (** [write_json trace path]. *)
 

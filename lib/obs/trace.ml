@@ -58,17 +58,6 @@ let duration t =
     (fun acc sp -> Float.max acc (Span.finish sp -. t.started))
     0.0 t.finished_roots
 
-(* A counter is a named int cell, of the trace or of a domain's buffer. *)
-let counter tbl cname =
-  match Hashtbl.find_opt tbl cname with
-  | Some c -> c
-  | None ->
-      let c = ref 0 in
-      Hashtbl.add tbl cname c;
-      c
-
-let bump c by = c := !c + Option.value by ~default:1
-
 let histogram t hname =
   match Hashtbl.find_opt t.thistograms hname with
   | Some h -> h
@@ -77,7 +66,11 @@ let histogram t hname =
       Hashtbl.add t.thistograms hname h;
       h
 
-let incr t ?by cname = bump (counter t.tcounters cname) by
+(* a counter is a named int cell, made at its first increment *)
+let incr t ?(by = 1) cname =
+  match Hashtbl.find_opt t.tcounters cname with
+  | Some c -> c := !c + by
+  | None -> Hashtbl.add t.tcounters cname (ref by)
 
 let observe t hname v = Histogram.observe (histogram t hname) v
 
@@ -100,103 +93,44 @@ let attach_span t sp =
   | parent :: _ -> Span.add_child parent sp
   | [] -> t.finished_roots <- sp :: t.finished_roots
 
-(* --- per-domain buffers --- *)
-
-type buffer = {
-  bcounters : (string, int ref) Hashtbl.t;
-  bhistograms : (string, Histogram.t) Hashtbl.t;
-  mutable bstack : Span.t list; (* innermost first *)
-  mutable broots : Span.t list; (* reversed *)
-}
-
-let buffer_create () =
-  {
-    bcounters = Hashtbl.create 8;
-    bhistograms = Hashtbl.create 4;
-    bstack = [];
-    broots = [];
-  }
-
-let buffer_key : buffer option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let with_buffer b f =
-  let prev = Domain.DLS.get buffer_key in
-  Domain.DLS.set buffer_key (Some b);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set buffer_key prev) f
-
-let buf_histogram b hname =
-  match Hashtbl.find_opt b.bhistograms hname with
-  | Some h -> h
-  | None ->
-      let h = Histogram.create () in
-      Hashtbl.add b.bhistograms hname h;
-      h
-
-let buffer_span b ?(attrs = []) sname f =
-  let sp = Span.make ~name:sname ~start:(Clock.now ()) in
-  List.iter (fun (k, v) -> Span.add_attr sp k v) attrs;
-  b.bstack <- sp :: b.bstack;
-  Fun.protect
-    ~finally:(fun () ->
-      Span.close sp ~at:(Clock.now ());
-      (match b.bstack with
-      | s :: rest when s == sp -> b.bstack <- rest
-      | _ -> b.bstack <- List.filter (fun s -> s != sp) b.bstack);
-      match b.bstack with
-      | parent :: _ -> Span.add_child parent sp
-      | [] -> b.broots <- sp :: b.broots)
-    f
-
-let merge_buffer t ?spans_into b =
-  Hashtbl.iter (fun k c -> incr t ~by:!c k) b.bcounters;
+(* A child trace recorded on another domain: its counters and
+   histograms add into [t], and its root spans attach where [t] stands. *)
+let merge t child =
+  Hashtbl.iter (fun k c -> incr t ~by:!c k) child.tcounters;
   Hashtbl.iter
     (fun k h -> Histogram.merge_into (histogram t k) h)
-    b.bhistograms;
-  List.iter
-    (fun sp ->
-      match spans_into with
-      | Some parent -> Span.add_child parent sp
-      | None -> attach_span t sp)
-    (List.rev b.broots)
+    child.thistograms;
+  List.iter (attach_span t) (roots child)
 
 (* --- ambient trace --- *)
 
-let current : t option ref = ref None
+(* one slot per domain: the orchestrator's trace on its own domain, a
+   pool participant's child trace on the domain it runs on. A ref inside
+   DLS keeps install/restore a plain write. *)
+let slot : t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
 let with_ambient t f =
-  let prev = !current in
-  current := Some t;
-  Fun.protect ~finally:(fun () -> current := prev) f
+  let cell = Domain.DLS.get slot in
+  let prev = !cell in
+  cell := Some t;
+  Fun.protect ~finally:(fun () -> cell := prev) f
 
-let ambient () = !current
+let ambient () = !(Domain.DLS.get slot)
 
 let ambient_span ?attrs sname f =
-  match Domain.DLS.get buffer_key with
-  | Some b -> buffer_span b ?attrs sname f
-  | None -> (
-      match !current with Some t -> span t ?attrs sname f | None -> f ())
+  match ambient () with Some t -> span t ?attrs sname f | None -> f ()
 
 let ambient_span_timed ?attrs sname f =
-  match Domain.DLS.get buffer_key with
-  | Some b -> Clock.timed (fun () -> buffer_span b ?attrs sname f)
-  | None -> (
-      match !current with
-      | Some t -> timed_span t ?attrs sname f
-      | None -> Clock.timed f)
+  match ambient () with
+  | Some t -> timed_span t ?attrs sname f
+  | None -> Clock.timed f
 
 let ambient_add_attr k v =
-  match Domain.DLS.get buffer_key with
-  | Some b -> (
-      match b.bstack with sp :: _ -> Span.add_attr sp k v | [] -> ())
-  | None -> ( match !current with Some t -> add_attr t k v | None -> ())
+  match ambient () with Some t -> add_attr t k v | None -> ()
 
 let ambient_incr ?by cname =
-  match Domain.DLS.get buffer_key with
-  | Some b -> bump (counter b.bcounters cname) by
-  | None -> ( match !current with Some t -> incr t ?by cname | None -> ())
+  match ambient () with Some t -> incr t ?by cname | None -> ()
 
 let ambient_observe hname v =
-  match Domain.DLS.get buffer_key with
-  | Some b -> Histogram.observe (buf_histogram b hname) v
-  | None -> ( match !current with Some t -> observe t hname v | None -> ())
+  match ambient () with Some t -> observe t hname v | None -> ()

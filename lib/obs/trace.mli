@@ -13,12 +13,11 @@
       Every [ambient_*] function is a no-op when no trace is installed, so
       instrumented code pays nothing outside a traced run.
 
-    The ambient slot is a plain global owned by the orchestrating domain.
-    Worker domains must never touch it directly: during a parallel
-    fan-out, [Aladin_par.Pool] installs a per-domain {!buffer}
-    (domain-local storage) that every [ambient_*] call routes into, and
-    merges the buffers back with {!merge_buffer} once the fan-out joins —
-    so traces stay exact under parallelism. Span recording is
+    The ambient trace lives in one domain-local slot, so each domain
+    records into its own. During a parallel fan-out, [Aladin_par.Pool]
+    installs a fresh child trace as every participant's ambient trace
+    and {!merge}s the children into the caller's trace once the fan-out
+    joins, so traces stay exact under parallelism. Span recording is
     exception-safe: a raising body still closes its span. *)
 
 type t
@@ -45,6 +44,10 @@ val roots : t -> Span.t list
 val duration : t -> float
 (** Latest root-span finish minus {!started_at}; 0 with no roots. *)
 
+val attach_span : t -> Span.t -> unit
+(** Attach an externally built (closed) span as a child of the innermost
+    open span, or as a root when none is open. *)
+
 (** {2 Metrics} *)
 
 val incr : t -> ?by:int -> string -> unit
@@ -58,13 +61,22 @@ val counters : t -> (string * int) list
 val histograms : t -> (string * Histogram.t) list
 (** Sorted by name. *)
 
+(** {2 Child traces} *)
+
+val merge : t -> t -> unit
+(** [merge t child] folds [child]'s counters and histograms into [t] and
+    attaches [child]'s root spans with {!attach_span}. Counter sums are
+    exact; histogram float sums may differ from a sequential run in the
+    last bit. [child] is left as it is; merge each child once. *)
+
 (** {2 Ambient trace} *)
 
 val with_ambient : t -> (unit -> 'a) -> 'a
-(** Install [t] as the ambient trace for the body (restoring the previous
-    one after, so traced regions nest). *)
+(** Install [t] as the calling domain's ambient trace for the body
+    (restoring the previous one after, so traced regions nest). *)
 
 val ambient : unit -> t option
+(** The calling domain's ambient trace. *)
 
 val ambient_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** {!with_span} on the ambient trace; just runs the body when none. *)
@@ -75,37 +87,10 @@ val ambient_span_timed :
     or without an ambient trace. *)
 
 val ambient_add_attr : string -> string -> unit
-(** {!add_attr} on the innermost open span of the ambient trace (or the
-    active per-domain buffer); no-op when nothing is recording. Used to
-    stamp a span with its resilience [status] ("ok", "skipped",
-    "failed", ...) after the body ran. *)
+(** {!add_attr} on the innermost open span of the ambient trace; no-op
+    when none is installed. Used to stamp a span with its resilience
+    [status] ("ok", "skipped", "failed", ...) after the body ran. *)
 
 val ambient_incr : ?by:int -> string -> unit
 
 val ambient_observe : string -> float -> unit
-
-(** {2 Per-domain buffers}
-
-    Worker domains record ambient effects into a private [buffer] instead
-    of the shared trace; the pool merges buffers after joining. Counter
-    sums are exact (integer sums are order-independent); histogram
-    float sums may differ from a sequential run in the last bit. *)
-
-type buffer
-
-val buffer_create : unit -> buffer
-
-val with_buffer : buffer -> (unit -> 'a) -> 'a
-(** Route every [ambient_*] call made by this domain during the body into
-    [b] (restoring the previous routing after). The buffer takes
-    precedence over the ambient trace, so the installing domain's own
-    work is buffered too. *)
-
-val merge_buffer : t -> ?spans_into:Span.t -> buffer -> unit
-(** Fold a buffer's counters and histograms into the trace, and attach
-    its top-level spans as children of [spans_into] when given, else via
-    {!attach_span}. The buffer is not cleared; merge each buffer once. *)
-
-val attach_span : t -> Span.t -> unit
-(** Attach an externally built (closed) span as a child of the innermost
-    open span, or as a root when none is open. *)

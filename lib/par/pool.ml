@@ -1,19 +1,12 @@
 module Trace = Aladin_obs.Trace
-module Span = Aladin_obs.Span
-module Clock = Aladin_obs.Clock
 module Budget = Aladin_resilience.Budget
-
-(* One batch = one parallel_map call. Items are claimed with an atomic
-   cursor (dynamic load balancing); [completed] counts items finished so
-   the submitter can wait for stragglers after the cursor runs dry. *)
-type batch = { total : int; completed : int Atomic.t; work : int -> unit }
 
 type t = {
   domains : int; (* participants per fan-out, caller included *)
   m : Mutex.t;
   work_ready : Condition.t; (* a batch was posted, or stop *)
-  batch_done : Condition.t; (* the last in-flight item finished *)
-  mutable batch : batch option;
+  batch_done : Condition.t; (* the last busy participant finished *)
+  mutable batch : (int -> unit) option; (* the posted batch's work *)
   mutable batch_id : int;
   mutable stopped : bool;
   mutable handles : unit Domain.t list;
@@ -45,7 +38,7 @@ let worker_loop t participant =
     else begin
       let id = t.batch_id and b = t.batch in
       Mutex.unlock t.m;
-      (match b with Some b -> b.work participant | None -> ());
+      (match b with Some work -> work participant | None -> ());
       loop id
     end
   in
@@ -133,17 +126,27 @@ let get ?(domains = 0) () =
    balancing survives), capped so huge batches don't create stragglers. *)
 let chunk_size ~participants n = max 1 (min 64 (n / (participants * 8)))
 
+(* One batch = one parallel_map call. Items are claimed with an atomic
+   cursor (dynamic load balancing). A participant counts itself [busy]
+   before its first claim and out once its child trace is complete, so
+   when the caller's own share is done (the cursor ran dry) and [busy]
+   is back to zero, every item has run and every child can be merged. A
+   participant that wakes after that claims nothing and is not merged. *)
 let run_parallel t f input =
   let n = Array.length input in
   let out = Array.make n None in
   let error = Atomic.make None in
-  let tracing = Trace.ambient () in
+  let caller = Trace.ambient () in
+  let deadline = Budget.current () in
   let nparts = t.domains in
-  let bufs = Array.init nparts (fun _ -> Trace.buffer_create ()) in
-  (* per-participant (items, first-claim time, last-finish time) *)
-  let stats = Array.make nparts None in
+  (* one child trace per participant, merged into the caller's at the
+     join; none when the caller records nothing *)
+  let children =
+    Array.init nparts (fun _ -> Option.map (fun _ -> Trace.create ()) caller)
+  in
+  let claimed = Array.make nparts 0 in
   let next = Atomic.make 0 in
-  let completed = Atomic.make 0 in
+  let busy = Atomic.make 0 in
   let chunk = chunk_size ~participants:nparts n in
   let run_item i =
     if Atomic.get error = None then
@@ -154,69 +157,67 @@ let run_parallel t f input =
       | v -> out.(i) <- Some v
       | exception e -> ignore (Atomic.compare_and_set error None (Some e))
   in
-  let drain () =
-    let k = ref 0 in
-    let rec loop () =
+  let drain p =
+    let rec loop k =
       let start = Atomic.fetch_and_add next chunk in
       if start < n then begin
         let stop = min n (start + chunk) in
         for i = start to stop - 1 do
           run_item i
         done;
-        let c = stop - start in
-        k := !k + c;
-        if c + Atomic.fetch_and_add completed c = n then begin
+        loop (k + stop - start)
+      end
+      else if k > 0 then claimed.(p) <- k
+    in
+    loop 0
+  in
+  let work p =
+    Atomic.incr busy;
+    Domain.DLS.set in_task true;
+    Fun.protect
+      ~finally:(fun () ->
+        Domain.DLS.set in_task false;
+        if Atomic.fetch_and_add busy (-1) = 1 then begin
           Mutex.lock t.m;
           Condition.broadcast t.batch_done;
           Mutex.unlock t.m
-        end;
-        loop ()
-      end
-    in
-    loop ();
-    !k
-  in
-  let work p =
-    Domain.DLS.set in_task true;
-    Fun.protect
-      ~finally:(fun () -> Domain.DLS.set in_task false)
+        end)
       (fun () ->
-        let t0 = Clock.now () in
-        let k =
-          if tracing = None then drain ()
-          else Trace.with_buffer bufs.(p) (fun () -> drain ())
-        in
-        if k > 0 then stats.(p) <- Some (k, t0, Clock.now ()))
+        Budget.with_deadline deadline (fun () ->
+            match children.(p) with
+            | None -> drain p
+            | Some child ->
+                Trace.with_ambient child (fun () ->
+                    Trace.with_span child "par.worker" (fun () ->
+                        Trace.add_attr child "worker" (string_of_int p);
+                        drain p;
+                        Trace.add_attr child "items"
+                          (string_of_int claimed.(p))))))
   in
-  let b = { total = n; completed; work } in
   Mutex.lock t.m;
-  t.batch <- Some b;
+  t.batch <- Some work;
   t.batch_id <- t.batch_id + 1;
   Condition.broadcast t.work_ready;
   Mutex.unlock t.m;
   work 0;
   Mutex.lock t.m;
-  while Atomic.get completed < n do
+  while Atomic.get busy > 0 do
     Condition.wait t.batch_done t.m
   done;
   t.batch <- None;
   Mutex.unlock t.m;
-  (match tracing with
+  (match caller with
   | None -> ()
   | Some tr ->
       Trace.add_attr tr "par.domains" (string_of_int nparts);
+      (* a participant that claimed no item recorded nothing but its
+         par.worker span, which the trace leaves out *)
       Array.iteri
-        (fun p st ->
-          match st with
-          | Some (k, t0, t1) ->
-              let sp = Span.make ~name:"par.worker" ~start:t0 in
-              Span.add_attr sp "worker" (string_of_int p);
-              Span.add_attr sp "items" (string_of_int k);
-              Span.close sp ~at:t1;
-              Trace.merge_buffer tr ~spans_into:sp bufs.(p);
-              Trace.attach_span tr sp
-          | None -> Trace.merge_buffer tr bufs.(p))
-        stats);
+        (fun p child ->
+          match child with
+          | Some child when claimed.(p) > 0 -> Trace.merge tr child
+          | Some _ | None -> ())
+        children);
   match Atomic.get error with
   | Some e -> raise e
   | None -> Array.to_list (Array.map Option.get out)

@@ -5,12 +5,22 @@
     {b Determinism contract.} [parallel_map pool f xs] returns exactly
     [List.map f xs] for any pool size, provided [f] is pure up to ambient
     trace recording: items are claimed dynamically by whichever domain is
-    free, but results are assembled by input index. Ambient
-    {!Aladin_obs.Trace} counters and histogram observations made inside [f]
-    are collected in per-domain buffers and merged after the fan-out, so
-    counter totals are also independent of the schedule (histogram float
-    sums may differ in the last bit because float addition is not
-    associative).
+    free, but results are assembled by input index.
+
+    {b Context.} Each participant of a fan-out runs its items under the
+    caller's context. When the caller has an ambient
+    {!Aladin_obs.Trace}, each participant records into a fresh child
+    trace inside a [par.worker] span (attrs [worker] and [items]). After
+    the join, the child of every participant that claimed an item is
+    merged into the caller's trace: its [par.worker] span lands under
+    the caller's innermost open span, which gets a [par.domains] attr.
+    Counter totals are therefore independent of the schedule (histogram
+    float sums may differ in the last bit because float addition is not
+    associative); which participant claims which items is not. Each
+    participant also runs under the caller's
+    {!Aladin_resilience.Budget} deadline, and every item polls it, so an
+    expired step budget stops the fan-out at the next item on every
+    domain.
 
     {b Domain-safety contract.} [f] must not mutate shared state: every
     table it touches must be read-only during the fan-out (see the

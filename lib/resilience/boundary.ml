@@ -1,7 +1,7 @@
-let protect ?scope ~step ?budget f =
+let protect ~step ?budget f =
   let body () =
     match budget with
-    | Some b -> Budget.with_budget ?scope ~step b f
+    | Some b -> Budget.with_budget ~step b f
     | None -> f ()
   in
   match body () with
@@ -27,16 +27,22 @@ let bounded ~name ?budget f =
       Aladin_obs.Trace.ambient_add_attr "status" (status_of res);
       res)
 
-let skipped_span name =
-  Aladin_obs.Trace.ambient_span name
-    ~attrs:[ ("status", "skipped") ]
-    (fun () -> ())
+let skipped_for_zero ~name = function
+  | Some b when b <= 0.0 ->
+      Aladin_obs.Trace.ambient_span name
+        ~attrs:[ ("status", "skipped") ]
+        (fun () -> ());
+      Some (Run_report.step name (Run_report.Skipped Run_report.Budget_zero))
+  | Some _ | None -> None
 
-let to_step ~seconds name = function
-  | Ok v -> (Some v, Run_report.step ~seconds name Run_report.Ok)
-  | Error (Run_report.Timeout b) ->
-      ( None,
-        Run_report.step ~seconds name
-          (Run_report.Skipped (Run_report.Budget_exhausted b)) )
-  | Error (Run_report.Crashed _ as e) ->
-      (None, Run_report.step ~seconds name (Run_report.Failed e))
+let optional ~name ~budget f =
+  match skipped_for_zero ~name budget with
+  | Some report -> (None, report)
+  | None -> (
+      let res, seconds = bounded ~name ?budget f in
+      let step = Run_report.step ~seconds name in
+      match res with
+      | Ok v -> (Some v, step Run_report.Ok)
+      | Error (Run_report.Timeout b) ->
+          (None, step (Run_report.Skipped (Run_report.Budget_exhausted b)))
+      | Error (Run_report.Crashed _ as e) -> (None, step (Run_report.Failed e)))

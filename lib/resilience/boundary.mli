@@ -9,7 +9,6 @@
     report. *)
 
 val protect :
-  ?scope:[ `Pool | `Domain ] ->
   step:string ->
   ?budget:float ->
   (unit -> 'a) ->
@@ -17,8 +16,9 @@ val protect :
 (** Run the body inside an error boundary.
 
     With [budget] (seconds), the body runs under
-    {!Budget.with_budget} (in the given [scope], default [`Pool]); a
-    budget [<= 0] expires before the body does any work. Budget expiry
+    {!Budget.with_budget} on the calling domain (and on every domain it
+    fans out to); a budget [<= 0] expires before the body does any
+    work. Budget expiry
     maps to [Error (Timeout budget)]; any other exception maps to
     [Error (Crashed msg)] with the printed exception.
 
@@ -47,15 +47,19 @@ val bounded :
     in-memory catalogs, so none of their failures is transient; the
     importers retry their own file reads ({!Retry.run}). *)
 
-val skipped_span : string -> unit
-(** A marker span [name] with status ["skipped"], for a step skipped
-    before doing any work. *)
+val skipped_for_zero :
+  name:string -> float option -> Run_report.step_report option
+(** The report of step [name] skipped before doing any work, when its
+    budget is [<= 0]: [Skipped Budget_zero], with a marker span [name]
+    whose ["status"] is ["skipped"]. [None] when the budget lets the
+    step run. *)
 
-val to_step :
-  seconds:float ->
-  string ->
-  ('a, Run_report.error) result ->
+val optional :
+  name:string ->
+  budget:float option ->
+  (unit -> 'a) ->
   'a option * Run_report.step_report
-(** The report of an optional step from its {!bounded} result: [Ok]
-    keeps the value; a [Timeout] is [Skipped (Budget_exhausted _)] and
-    a crash is [Failed], both without a value. *)
+(** An optional step: {!skipped_for_zero} when its budget is [<= 0],
+    else the body run through {!bounded}. [Ok] keeps the value; a
+    [Timeout] is [Skipped (Budget_exhausted _)] and a crash is
+    [Failed], both without a value. *)

@@ -222,13 +222,13 @@ let compute t route (req : Http.request) =
     | "slow" when t.cfg.debug_endpoints -> handle_slow req
     | _ -> Http.response 404 (Printf.sprintf "no route for %s\n" req.path)
 
-(* per-request deadline: a [`Domain]-scoped budget so every concurrently
-   handled request carries its own, then an error boundary so one bad
-   request can never take the batch down *)
+(* per-request deadline: a budget on the domain that handles the
+   request, so every concurrently handled request carries its own, then
+   an error boundary so one bad request can never take the batch down *)
 let compute_protected t route req =
   match
-    Boundary.protect ~scope:`Domain ~step:("serve " ^ route)
-      ?budget:t.cfg.request_budget (fun () -> compute t route req)
+    Boundary.protect ~step:("serve " ^ route) ?budget:t.cfg.request_budget
+      (fun () -> compute t route req)
   with
   | Ok resp -> resp
   | Error (Run_report.Timeout b) ->

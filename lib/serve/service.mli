@@ -31,9 +31,9 @@
     and every kind (its links and their conflicts). A link rejection
     therefore keeps every [/search] and [/resolve] entry.
 
-    Each request runs under a [`Domain]-scoped
-    {!Aladin_resilience.Budget} of [request_budget] seconds inside an
-    error boundary: deadline expiry maps to [503] with [Retry-After],
+    Each request runs under its own {!Aladin_resilience.Budget} of
+    [request_budget] seconds, installed on the domain that handles it,
+    inside an error boundary: deadline expiry maps to [503] with [Retry-After],
     a crash to [500]; the boundary never kills the batch. *)
 
 type config = {

@@ -245,9 +245,9 @@ let lower_bound a x =
    once. [seen] is a generation-stamped scratch array ([stamp] must be
    fresh per query), so no per-query table is allocated. Candidates come
    out sorted, making the emission order independent of postings
-   traversal. With [only_greater], only docs past [i]'s run of same-group
-   docs are collected — each pair is owned by its smaller index — and
-   each postings walk starts there.
+   traversal. Only docs past [i]'s run of same-group docs are collected
+   — each pair is owned by its smaller index — and each postings walk
+   starts there.
 
    Terms are walked in descending-weight order with a prefix filter: once
    the remaining suffix of [i]'s vector has norm fraction below [min_sim],
@@ -260,8 +260,8 @@ let lower_bound a x =
    Candidates land in the caller-provided unboxed scratch array [buf]
    (capacity >= number of documents); the returned prefix [0, count) is
    sorted ascending. No per-query list or table allocation. *)
-let candidates_into p ~min_sim ~seen ~stamp ~buf i ~only_greater =
-  let from = if only_greater then p.run_end.(i) else 0 in
+let candidates_into p ~min_sim ~seen ~stamp ~buf i =
+  let from = p.run_end.(i) in
   if from >= Array.length p.ids then 0
   else begin
     let gts = p.gen_terms.(i) and suf = p.gen_suffix.(i) in
@@ -294,10 +294,7 @@ let similar_index_pairs_range p ~lo ~hi ~min_sim =
   let buf = Array.make (max 1 n) 0 in
   let out = ref [] in
   for i = lo to hi - 1 do
-    let count =
-      candidates_into p ~min_sim ~seen ~stamp:i ~buf i
-        ~only_greater:true
-    in
+    let count = candidates_into p ~min_sim ~seen ~stamp:i ~buf i in
     for k = 0 to count - 1 do
       let j = buf.(k) in
       let sim = score_pair p i j in

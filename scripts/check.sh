@@ -11,7 +11,7 @@
 #   - Domain.spawn / Mutex.create / Condition.create: all parallelism
 #     must go through Aladin_par.Pool (lib/par/), which owns the only
 #     domain/lock lifecycle in the tree. Ad-hoc domains elsewhere would
-#     undermine the determinism and trace-buffer contracts.
+#     undermine the determinism and child-trace contracts.
 #   - failwith / invalid_arg in the pipeline path (lib/formats importers,
 #     the warehouse/config/system layer): failures there must flow
 #     through the typed resilience API (results, Run_report), not
@@ -32,6 +32,21 @@ if grep -rnE 'Domain\.spawn|Mutex\.create|Condition\.create' lib bin bench \
   exit 1
 fi
 echo "grep-gate ok: no Domain.spawn/Mutex.create/Condition.create outside lib/par/"
+
+# Domain-local state has four owners: the ambient trace
+# (lib/obs/trace.ml) and the deadline (lib/resilience/budget.ml), which
+# the pool hands each participant of a fan-out, the pool's own in-task
+# flag (lib/par/pool.ml), and the Smith-Waterman scratch array
+# (lib/seq/align.ml), which no call reads back. A DLS key
+# anywhere else is state a fan-out does not carry to the domains that
+# run its items.
+if grep -rn 'Domain\.DLS' lib bin bench examples \
+    --include='*.ml' --include='*.mli' 2>/dev/null \
+    | grep -vE '^lib/(obs/trace|resilience/budget|par/pool|seq/align)\.ml:'; then
+  echo "error: Domain.DLS outside lib/obs/trace.ml, lib/resilience/budget.ml, lib/par/pool.ml and lib/seq/align.ml (record through the ambient trace, poll the budget)" >&2
+  exit 1
+fi
+echo "grep-gate ok: Domain.DLS only in trace.ml, budget.ml, pool.ml and align.ml"
 
 if grep -rnE '\b(failwith|invalid_arg)\b' \
     lib/formats/import.ml lib/formats/dump.ml \
@@ -264,6 +279,24 @@ sh scripts/export_gate.sh
 
 dune build
 dune runtest
+
+# The tests leave nothing in the temp directory: each temp file and
+# directory they make comes from test/tmp.ml, which removes it when the
+# runner exits. dune runs a test under a private TMPDIR that it empties
+# itself, which would hide what a test left, so the suite runs once
+# more here with TMPDIR set to a fresh directory that must stay empty.
+tdir=$(mktemp -d)
+TMPDIR="$tdir" ./_build/default/test/test_main.exe --compact > /dev/null || {
+  echo "error: the tier-1 tests failed under a fresh TMPDIR" >&2
+  rm -rf "$tdir"; exit 1; }
+if [ -n "$(ls -A "$tdir")" ]; then
+  echo "error: the tests left $(ls -A "$tdir" | wc -l) entries in the temp directory (make them with test/tmp.ml):" >&2
+  ls -A "$tdir" | head -n 5 >&2
+  rm -rf "$tdir"
+  exit 1
+fi
+rmdir "$tdir"
+echo "temp-dir gate ok: the tier-1 tests leave nothing in TMPDIR"
 
 # Pool-size determinism: the same pipeline must print byte-identical
 # output whether it runs sequentially or on a 2- or 4-domain pool (4

@@ -939,8 +939,7 @@ let entry_source ~name rows =
 
 (* the static site of a browser, written to a fresh directory *)
 let site_of b =
-  let dir = Filename.temp_file "aladin" "site" in
-  Sys.remove dir;
+  let dir = Tmp.path "site" in
   ignore (Html_export.write_site b ~dir);
   dir
 
@@ -1038,8 +1037,7 @@ let html_tests =
     Alcotest.test_case "write_site" `Quick (fun () ->
         let profiles = mini_profiles () in
         let b = Browser.create profiles (Link_query.create []) [] in
-        let dir = Filename.temp_file "aladin" "site" in
-        Sys.remove dir;
+        let dir = Tmp.path "site" in
         let n = Html_export.write_site b ~dir in
         check Alcotest.int "six pages" 6 n;
         check Alcotest.bool "index exists" true

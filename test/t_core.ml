@@ -188,8 +188,7 @@ let warehouse_tests =
         check Alcotest.bool "correspondences" true
           (Warehouse.correspondences w <> []);
         (* the reports and the provenance come back from a store *)
-        let dir = Filename.temp_file "aladin" "repo" in
-        Sys.remove dir;
+        let dir = Tmp.path "repo" in
         match Warehouse.save_dir w dir with
         | Error msg -> Alcotest.fail ("save_dir: " ^ msg)
         | Ok () ->
@@ -453,7 +452,7 @@ let change_tests =
 let system_tests =
   [
     Alcotest.test_case "import_file fasta" `Quick (fun () ->
-        let path = Filename.temp_file "aladin" ".fasta" in
+        let path = Tmp.file ".fasta" in
         let oc = open_out path in
         output_string oc ">Q1 test\nACGTACGT\n";
         close_out oc;
@@ -466,7 +465,7 @@ let system_tests =
         check Alcotest.bool "entry" true (Catalog.find im.catalog "entry" <> None);
         check Alcotest.int "no record errors" 0 (List.length im.record_errors));
     Alcotest.test_case "integrate_paths" `Quick (fun () ->
-        let path = Filename.temp_file "aladin" ".fasta" in
+        let path = Tmp.file ".fasta" in
         let oc = open_out path in
         output_string oc ">Q1 test protein\nACGTACGTACGTACGTACGTA\n>Q2 other\nTTTTACGTACGTACGTACGTA\n";
         close_out oc;
@@ -635,8 +634,7 @@ let feedback_tests =
         in
         let held w l = List.exists (fun l' -> key l' = key l) (Warehouse.links w) in
         (* a store of the small corpus whose pairs.txt holds the four *)
-        let dir = Filename.temp_file "aladin" "fb" in
-        Sys.remove dir;
+        let dir = Tmp.path "fb" in
         save_dir_exn (Lazy.force warehouse) dir;
         let ps = Pair_store.create () in
         List.iter
@@ -668,8 +666,7 @@ let feedback_tests =
           [ (key r1, false); (key r2, true); (key c1, false); (key c2, true) ]
         in
         check Alcotest.(list (pair string bool)) "the other two stay" expected (kept w);
-        let dir2 = Filename.temp_file "aladin" "fb2" in
-        Sys.remove dir2;
+        let dir2 = Tmp.path "fb2" in
         save_dir_exn w dir2;
         let w2, _ = Warehouse.load_dir dir2 in
         check Alcotest.(list (pair string bool)) "and stay after save and load"
@@ -723,8 +720,7 @@ let persistence_tests =
   [
     Alcotest.test_case "save/load roundtrip (trusted)" `Quick (fun () ->
         let w = Lazy.force warehouse in
-        let dir = Filename.temp_file "aladin" "wh" in
-        Sys.remove dir;
+        let dir = Tmp.path "wh" in
         save_dir_exn w dir;
         let w2, report = Warehouse.load_dir dir in
         check Alcotest.bool "clean load" true
@@ -742,8 +738,7 @@ let persistence_tests =
         | [] -> Alcotest.fail "no objects after load");
     Alcotest.test_case "load with reanalyze rediscovers" `Quick (fun () ->
         let w = Lazy.force warehouse in
-        let dir = Filename.temp_file "aladin" "wh2" in
-        Sys.remove dir;
+        let dir = Tmp.path "wh2" in
         save_dir_exn w dir;
         let w2, _report = Warehouse.load_dir ~reanalyze:true dir in
         (* re-discovery on the round-tripped data finds the same links *)
@@ -752,8 +747,7 @@ let persistence_tests =
           (List.length (Warehouse.links w2)));
     Alcotest.test_case "sql works after load" `Quick (fun () ->
         let w = Lazy.force warehouse in
-        let dir = Filename.temp_file "aladin" "wh3" in
-        Sys.remove dir;
+        let dir = Tmp.path "wh3" in
         save_dir_exn w dir;
         let w2, _report = Warehouse.load_dir dir in
         let n w =
@@ -764,8 +758,7 @@ let persistence_tests =
     Alcotest.test_case "save refuses to clobber a non-store directory" `Quick
       (fun () ->
         let w = Lazy.force warehouse in
-        let dir = Filename.temp_file "aladin" "wh4" in
-        Sys.remove dir;
+        let dir = Tmp.path "wh4" in
         Sys.mkdir dir 0o755;
         let oc = open_out (Filename.concat dir "precious.txt") in
         output_string oc "user data\n";
@@ -780,11 +773,6 @@ let persistence_tests =
 (* state a save -> load round trip must carry: rejections and the
    profiles add_source computed *)
 let roundtrip_tests =
-  let temp_store tag =
-    let dir = Filename.temp_file "aladin" tag in
-    Sys.remove dir;
-    dir
-  in
   let render_profile w name =
     match Warehouse.profile w name with
     | Some sp -> Format.asprintf "%a" Aladin_discovery.Source_profile.pp sp
@@ -808,7 +796,7 @@ let roundtrip_tests =
     Alcotest.test_case "rejected link stays gone after load and add" `Quick
       (fun () ->
         let w, l = rejected_link () in
-        let dir = temp_store "rl" in
+        let dir = Tmp.path "rl" in
         save_dir_exn w dir;
         let w2, _ = Warehouse.load_dir dir in
         check Alcotest.string "rejection loaded"
@@ -823,7 +811,7 @@ let roundtrip_tests =
              (Warehouse.links w2)));
     Alcotest.test_case "save/load/save keeps the rejection" `Quick (fun () ->
         let w, _ = rejected_link () in
-        let dir = temp_store "rl1" and dir2 = temp_store "rl2" in
+        let dir = Tmp.path "rl1" and dir2 = Tmp.path "rl2" in
         save_dir_exn w dir;
         let w2, _ = Warehouse.load_dir dir in
         save_dir_exn w2 dir2;
@@ -845,7 +833,7 @@ let roundtrip_tests =
         in
         let shown = Format.asprintf "%a" Aladin_discovery.Inclusion.pp_fk fk in
         let before = List.filter (( <> ) shown) (fks w "uniprot") in
-        let dir = temp_store "rf" in
+        let dir = Tmp.path "rf" in
         save_dir_exn w dir;
         (* commit the store again with the fk rejected in feedback.txt *)
         (match Aladin_store.Snapshot.load dir with
@@ -875,7 +863,7 @@ let roundtrip_tests =
         let w =
           Warehouse.integrate ~config (Lazy.force small_corpus).catalogs
         in
-        let dir = temp_store "mpl" in
+        let dir = Tmp.path "mpl" in
         save_dir_exn w dir;
         let w2, _ = Warehouse.load_dir ~config dir in
         List.iter
@@ -905,7 +893,7 @@ let link_query_warehouse_tests =
 
 (* Config.of_file over a file holding [doc] *)
 let of_string doc =
-  let path = Filename.temp_file "aladin" ".conf" in
+  let path = Tmp.file ".conf" in
   let oc = open_out_bin path in
   output_string oc doc;
   close_out oc;
@@ -1048,7 +1036,7 @@ let config_tests =
 (* one line through the shell's read-eval-print loop: the output between
    its prompts, or [`Quit] when it printed no second prompt *)
 let shell_execute sh line =
-  let inp = Filename.temp_file "shell" ".in" and outp = Filename.temp_file "shell" ".out" in
+  let inp = Tmp.file ".in" and outp = Tmp.file ".out" in
   let oc = open_out_bin inp in
   output_string oc (line ^ "\n");
   close_out oc;
@@ -1130,8 +1118,7 @@ let delta_tests =
               (x :: init, last)
         in
         let init, last = split_last c.catalogs in
-        let dir = Filename.temp_file "aladin_delta" "" in
-        Sys.remove dir;
+        let dir = Tmp.path "delta" in
         let w0 = Warehouse.integrate init in
         (match Warehouse.save_dir w0 dir with
         | Ok () -> ()
@@ -1148,15 +1135,7 @@ let delta_tests =
               (List.for_all
                  (fun (x, y) -> x = name || y = name)
                  a.Delta.recomputed_pairs));
-        let rec rm path =
-          if Sys.is_directory path then begin
-            Array.iter (fun f -> rm (Filename.concat path f))
-              (Sys.readdir path);
-            Sys.rmdir path
-          end
-          else Sys.remove path
-        in
-        rm dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "update in place matches cold integrate" `Quick
       (fun () ->
         let c = Lazy.force small_corpus in
@@ -1246,18 +1225,6 @@ let delta_tests =
               (render w))
           [ mid; second ]);
   ]
-
-let temp_store tag =
-  let dir = Filename.temp_file "aladin" tag in
-  Sys.remove dir;
-  dir
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
 
 (* links rendered with every byte that matters, confidences exactly *)
 let render_links links =
@@ -1639,7 +1606,7 @@ let clusters_of links =
    links, and loading the save gives back the same links,
    correspondences and duplicates *)
 let check_promises stage w =
-  let dir = temp_store "promises" in
+  let dir = Tmp.path "promises" in
   save_dir_exn w dir;
   let merged =
     match Aladin_store.Snapshot.find (snapshot_members dir) "pairs.txt" with
@@ -1647,7 +1614,7 @@ let check_promises stage w =
     | Some doc -> Pair_store.all_links (fst (Pair_store.load doc))
   in
   let w2, report = Warehouse.load_dir dir in
-  rm_rf dir;
+  Tmp.rm_rf dir;
   same_links (stage ^ ": links")
     (Feedback.filter_links (Warehouse.feedback w) merged)
     (Warehouse.links w);
@@ -1692,10 +1659,10 @@ let view_ops_seed = 20261018
 let view_tests =
   let module L = Aladin_links in
   let merged_view w =
-    let dir = temp_store "views" in
+    let dir = Tmp.path "views" in
     save_dir_exn w dir;
     let members = snapshot_members dir in
-    rm_rf dir;
+    Tmp.rm_rf dir;
     match Aladin_store.Snapshot.find members "pairs.txt" with
     | None -> Alcotest.fail "no pairs.txt"
     | Some doc ->
@@ -1753,7 +1720,7 @@ let view_tests =
       "load_dir keeps one copy of each link an older metadata.txt carries"
       `Quick (fun () ->
         let w = Lazy.force warehouse in
-        let dir = temp_store "oldmeta" in
+        let dir = Tmp.path "oldmeta" in
         save_dir_exn w dir;
         (* the link and corr records metadata.txt held before the pair
            store became the only copy, with the first link repeated *)
@@ -1820,7 +1787,7 @@ let view_tests =
                (fun (m : Aladin_store.Snapshot.member) -> m.path <> "pairs.txt")
                members)
         in
-        rm_rf dir;
+        Tmp.rm_rf dir;
         save_dir_exn reseeded dir;
         let plinks =
           match Aladin_store.Snapshot.find (snapshot_members dir) "pairs.txt" with
@@ -1831,7 +1798,7 @@ let view_tests =
                    (String.split_on_char '\n' doc))
           | None -> Alcotest.fail "no pairs.txt"
         in
-        rm_rf dir;
+        Tmp.rm_rf dir;
         check Alcotest.int "each link seeded once"
           (List.length (Warehouse.links w)) plinks);
     Alcotest.test_case
@@ -1882,10 +1849,10 @@ let view_tests =
         let w = Lazy.force warehouse in
         let d = Warehouse.duplicates w in
         check Alcotest.bool "clusters to compare" true (d.clusters <> []);
-        let dir = temp_store "dups" in
+        let dir = Tmp.path "dups" in
         save_dir_exn w dir;
         let w2, report = Warehouse.load_dir dir in
-        rm_rf dir;
+        Tmp.rm_rf dir;
         check Alcotest.bool "clean load" true
           (Aladin_store.Load_report.is_clean report);
         same_duplicates "loaded" d (Warehouse.duplicates w2));
@@ -1898,7 +1865,7 @@ let view_tests =
           | last :: rest -> (last, List.rev rest)
           | [] -> Alcotest.fail "no catalogs"
         in
-        let base = temp_store "viewbase" in
+        let base = Tmp.path "viewbase" in
         save_dir_exn (Warehouse.integrate rest) base;
         let covered = ref [] in
         let run_case ops =
@@ -1921,10 +1888,10 @@ let view_tests =
                       covered := l.kind :: !covered;
                       Warehouse.reject_link !w l)
               | Reload ->
-                  let dir = temp_store "reload" in
+                  let dir = Tmp.path "reload" in
                   save_dir_exn !w dir;
                   w := fst (Warehouse.load_dir dir);
-                  rm_rf dir
+                  Tmp.rm_rf dir
               | Add_held_out -> ignore (Warehouse.add_source !w held_out)
               | Update_text -> (
                   match Warehouse.catalog !w "uniprot" with
@@ -1940,7 +1907,7 @@ let view_tests =
             ops
         in
         Fun.protect
-          ~finally:(fun () -> rm_rf base)
+          ~finally:(fun () -> Tmp.rm_rf base)
           (fun () ->
             QCheck.Test.check_exn
               ~rand:(Random.State.make [| view_ops_seed |])

@@ -47,7 +47,7 @@ let metrics_tests =
 
 (* what [f ()] writes to stdout *)
 let capture_stdout f =
-  let path = Filename.temp_file "report" ".txt" in
+  let path = Tmp.file ".txt" in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let saved = Unix.dup Unix.stdout in
   flush stdout;

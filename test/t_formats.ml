@@ -530,8 +530,7 @@ let dump_tests =
         ignore (Catalog.create_relation cat ~name:"t" (Schema.of_names [ "a"; "b" ]));
         ignore (Catalog.create_relation cat ~name:"u" (Schema.of_names [ "x" ]));
         List.iter (Catalog.declare cat) cs;
-        let dir = Filename.temp_file "aladin" "" in
-        Sys.remove dir;
+        let dir = Tmp.path "dump" in
         (match Dump.save_dir cat dir with
         | Ok () -> ()
         | Error msg -> Alcotest.fail ("save_dir: " ^ msg));
@@ -560,8 +559,7 @@ let dump_tests =
         let cat = fst (Dump.catalog_of_members ~name:"s" [ ("t.csv", "a,b\n1,x\n2,y\n") ]) in
         check Alcotest.int "rows" 2 (Relation.cardinality (Catalog.find_exn cat "t")));
     Alcotest.test_case "save/load dir" `Quick (fun () ->
-        let dir = Filename.temp_file "aladin" "" in
-        Sys.remove dir;
+        let dir = Tmp.path "dump" in
         let cat = fst (Dump.catalog_of_members ~name:"s" [ ("t.csv", "a,b\n1,x\n") ]) in
         Catalog.declare cat (Constraint_def.Unique { relation = "t"; attribute = "a" });
         (match Dump.save_dir cat dir with

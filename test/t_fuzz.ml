@@ -280,11 +280,6 @@ module Crc32 = Aladin_store.Crc32
 let fixed_seed test =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) test
 
-let scratch_dir tag =
-  let d = Filename.temp_file "aladin-fuzz" tag in
-  Sys.remove d;
-  d
-
 let write_bytes path doc =
   let oc = open_out_bin path in
   output_string oc doc;
@@ -316,7 +311,7 @@ let journal_meta =
 
 (* one journal directory whose JOURNAL each case overwrites *)
 let journal_dir, valid_journal =
-  let dir = scratch_dir "jplan" in
+  let dir = Tmp.path "jplan" in
   (match Journal.create dir ~meta:journal_meta with
   | Ok () -> ()
   | Error e -> failwith e);
@@ -346,7 +341,7 @@ let save_would_accept paths =
 
 (* one store, saved once, whose MANIFEST each case overwrites *)
 let store_dir, valid_manifest =
-  let dir = scratch_dir "mfst" in
+  let dir = Tmp.path "mfst" in
   (match
      Snapshot.save dir
        [ { path = "a/recs.txt"; kind = Records; content = "alpha\nbeta\n" };

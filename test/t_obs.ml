@@ -284,8 +284,7 @@ let pipeline_tests =
             check_contains "provenance json" "\"spans\"" doc;
             check_contains "provenance json" "link discovery" doc;
             (* survives a store round trip *)
-            let dir = Filename.temp_file "aladin" "prov" in
-            Sys.remove dir;
+            let dir = Tmp.path "prov" in
             match Aladin.Warehouse.save_dir w dir with
             | Error msg -> Alcotest.fail ("save_dir: " ^ msg)
             | Ok () ->

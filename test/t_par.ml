@@ -81,6 +81,43 @@ let pool_tests =
             | _ -> Alcotest.fail "expected Budget.Expired"
             | exception Budget.Expired (step, _) ->
                 check Alcotest.string "step" "single" step));
+    Alcotest.test_case "a caller's budget reaches every worker domain" `Quick
+      (fun () ->
+        let module Budget = Aladin_resilience.Budget in
+        with_pool 4 (fun p ->
+            (* each item waits (without polling) until all four run at
+               once, one per domain, then polls the budget for up to 2 s:
+               an item whose domain missed the caller's 0.1 s deadline
+               holds the join for the full 2 s *)
+            let started = Atomic.make 0 in
+            let poll _ =
+              Atomic.incr started;
+              let t0 = Obs.Clock.now () in
+              while Atomic.get started < 4 && Obs.Clock.now () -. t0 < 0.5 do
+                Unix.sleepf 0.001
+              done;
+              let until = Obs.Clock.now () +. 2.0 in
+              while Obs.Clock.now () < until do
+                Budget.check ();
+                Unix.sleepf 0.005
+              done
+            in
+            let t0 = Obs.Clock.now () in
+            (match
+               Budget.with_budget ~step:"fan" 0.1 (fun () ->
+                   Pool.map ~pool:p poll [ 1; 2; 3; 4 ])
+             with
+            | _ -> Alcotest.fail "expected Budget.Expired"
+            | exception Budget.Expired (step, _) ->
+                check Alcotest.string "step" "fan" step);
+            let took = Obs.Clock.now () -. t0 in
+            check Alcotest.bool
+              (Printf.sprintf "expired within 1 s (took %.3f s)" took)
+              true (took < 1.0);
+            check
+              Alcotest.(list int)
+              "second batch" [ 2; 3; 4; 5 ]
+              (Pool.map ~pool:p succ [ 1; 2; 3; 4 ])));
     Alcotest.test_case "exception propagates and the pool stays usable" `Quick
       (fun () ->
         with_pool 4 (fun p ->
@@ -136,7 +173,7 @@ let pool_tests =
                            Obs.Trace.ambient_incr "par.items";
                            Obs.Trace.ambient_observe "par.cost"
                              (float_of_int i);
-                           i)
+                           Obs.Trace.ambient_span "task" (fun () -> i))
                          (List.init n Fun.id))));
             check Alcotest.int "counter" n
               (Obs.Trace.counter_value tr "par.items");
@@ -150,6 +187,34 @@ let pool_tests =
                 check Alcotest.bool "has par.worker children" true
                   (List.exists
                      (fun sp -> Obs.Span.name sp = "par.worker")
+                     (Obs.Span.children fan));
+                (* every item is counted by the participant that ran it,
+                   and its task span sits under that participant's span *)
+                let workers =
+                  List.filter
+                    (fun sp -> Obs.Span.name sp = "par.worker")
+                    (Obs.Span.children fan)
+                in
+                let attr sp k =
+                  Option.value ~default:"?" (List.assoc_opt k (Obs.Span.attrs sp))
+                in
+                check Alcotest.int "items attrs sum to the batch" n
+                  (List.fold_left
+                     (fun acc sp -> acc + int_of_string (attr sp "items"))
+                     0 workers);
+                List.iter
+                  (fun sp ->
+                    let tasks = Obs.Span.children sp in
+                    check Alcotest.int
+                      ("task spans under worker " ^ attr sp "worker")
+                      (int_of_string (attr sp "items"))
+                      (List.length tasks);
+                    check Alcotest.bool "only task spans" true
+                      (List.for_all (fun t -> Obs.Span.name t = "task") tasks))
+                  workers;
+                check Alcotest.bool "no task span outside a worker" true
+                  (List.for_all
+                     (fun sp -> Obs.Span.name sp <> "task")
                      (Obs.Span.children fan))
             | roots ->
                 Alcotest.fail (Printf.sprintf "%d roots" (List.length roots))));

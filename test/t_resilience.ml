@@ -446,20 +446,6 @@ let retry_tests =
 
 module Fault = Aladin_store.Fault
 
-let fresh_dir tag =
-  let d = Filename.temp_file "aladin-res" tag in
-  Sys.remove d;
-  d
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let rm_rf path = if Sys.file_exists path then rm_rf path
-
 (* a catalog of one CSV member per (relation, document) *)
 let dump_load ~name members =
   fst
@@ -557,7 +543,7 @@ let resume_tests =
     Alcotest.test_case "journaled run matches plain integrate" `Quick
       (fun () ->
         let expect = links_csv (Warehouse.integrate (kr_catalogs ())) in
-        let dir = fresh_dir "jeq" in
+        let dir = Tmp.path "jeq" in
         let w, (info : Warehouse.resume_info) =
           journaled_exn ~journal:dir (kr_catalogs ())
         in
@@ -566,19 +552,19 @@ let resume_tests =
           Alcotest.(list string)
           "all executed" [ "uniprot"; "pdb" ] info.executed_sources;
         check_journal_one_line "after the run" dir;
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "kill at every step boundary, resume byte-identical"
       `Slow (fun () ->
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
         (* count the boundaries on a clean run *)
-        let probe = fresh_dir "jprobe" in
+        let probe = Tmp.path "jprobe" in
         Fault.reset_counters ();
         ignore (journaled_exn ~journal:probe (kr_catalogs ()));
         let _, _, steps_total = Fault.counters () in
-        rm_rf probe;
+        Tmp.rm_rf probe;
         check Alcotest.bool "several boundaries" true (steps_total >= 6);
         for k = 0 to steps_total - 1 do
-          let dir = fresh_dir "jkill" in
+          let dir = Tmp.path "jkill" in
           Fault.reset_counters ();
           Fault.arm_step ~index:k;
           (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
@@ -601,7 +587,7 @@ let resume_tests =
                 (List.mem s (info.resumed_sources @ info.executed_sources)))
             [ "uniprot"; "pdb" ];
           check_journal_one_line (Printf.sprintf "resume after kill at %d" k) dir;
-          rm_rf dir
+          Tmp.rm_rf dir
         done);
     Alcotest.test_case "op kills across the last step, resume byte-identical"
       `Slow (fun () ->
@@ -614,18 +600,18 @@ let resume_tests =
         let catalogs = kr_catalogs () in
         let expect = fingerprint (Warehouse.integrate catalogs) in
         let ops_of cats =
-          let probe = fresh_dir "jops" in
+          let probe = Tmp.path "jops" in
           Fault.reset_counters ();
           ignore (journaled_exn ~journal:probe cats);
           let _, ops, _ = Fault.counters () in
-          rm_rf probe;
+          Tmp.rm_rf probe;
           ops
         in
         let first = ops_of [ List.hd catalogs ] and total = ops_of catalogs in
         check Alcotest.bool "pdb's step has store operations" true
           (total > first);
         for k = first to total - 1 do
-          let dir = fresh_dir "jopk" in
+          let dir = Tmp.path "jopk" in
           Fault.reset_counters ();
           Fault.arm_ops ~ops:k;
           (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ())
@@ -648,7 +634,7 @@ let resume_tests =
           check Alcotest.string
             (Printf.sprintf "state identical after op kill %d" k)
             expect (fingerprint w);
-          rm_rf dir
+          Tmp.rm_rf dir
         done);
     Alcotest.test_case "a kill after the last manifest rename restores the step"
       `Quick (fun () ->
@@ -656,7 +642,7 @@ let resume_tests =
            manifest rename: the store holds pdb, so resume restores it
            instead of recomputing it *)
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
-        let dir = fresh_dir "jlate" in
+        let dir = Tmp.path "jlate" in
         killed_at_step ~journal:dir 5;
         check Alcotest.(list string) "the store holds both" [ "uniprot"; "pdb" ]
           (store_sources dir);
@@ -668,11 +654,11 @@ let resume_tests =
         check Alcotest.(list string) "nothing executed" [] info.executed_sources;
         check Alcotest.string "same state" expect (fingerprint w);
         check_journal_one_line "after the resume" dir;
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "damaged store re-runs the whole plan" `Quick
       (fun () ->
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
-        let dir = fresh_dir "jdmg" in
+        let dir = Tmp.path "jdmg" in
         ignore (journaled_exn ~journal:dir (kr_catalogs ()));
         let store = Filename.concat dir "store" in
         (match Aladin_store.Snapshot.verify store with
@@ -704,7 +690,7 @@ let resume_tests =
           Alcotest.(list string)
           "whole plan re-run" [ "uniprot"; "pdb" ] info.executed_sources;
         check Alcotest.string "same state" expect (fingerprint w);
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "kills while re-running over a lost store" `Slow
       (fun () ->
         (* a fully committed journal whose store is then damaged or
@@ -716,7 +702,7 @@ let resume_tests =
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
         let lose how store =
           match how with
-          | `Deleted -> rm_rf store
+          | `Deleted -> Tmp.rm_rf store
           | `Damaged -> (
               match Aladin_store.Snapshot.verify store with
               | Ok rep ->
@@ -734,7 +720,7 @@ let resume_tests =
               | Error e -> Alcotest.fail e)
         in
         let prepared how =
-          let dir = fresh_dir "jlost" in
+          let dir = Tmp.path "jlost" in
           ignore (journaled_exn ~journal:dir (kr_catalogs ()));
           lose how (Filename.concat dir "store");
           dir
@@ -745,7 +731,7 @@ let resume_tests =
             Fault.reset_counters ();
             ignore (journaled_exn ~journal:probe (kr_catalogs ()));
             let _, ops, _ = Fault.counters () in
-            rm_rf probe;
+            Tmp.rm_rf probe;
             for k = 0 to ops - 1 do
               let dir = prepared how in
               Fault.reset_counters ();
@@ -769,7 +755,7 @@ let resume_tests =
                 [ "pdb"; "uniprot" ]
                 (List.sort compare
                    (info.resumed_sources @ info.executed_sources));
-              rm_rf dir
+              Tmp.rm_rf dir
             done)
           [ `Damaged; `Deleted ]);
     Alcotest.test_case "journal_status agrees with resume on a short decode"
@@ -778,7 +764,7 @@ let resume_tests =
            arity: load_dir drops and counts it, so resume restores
            nothing, and journal_status must say the same *)
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
-        let dir = fresh_dir "jdec" in
+        let dir = Tmp.path "jdec" in
         ignore (journaled_exn ~journal:dir (kr_catalogs ()));
         let store = Filename.concat dir "store" in
         (match Aladin_store.Snapshot.load store with
@@ -809,11 +795,11 @@ let resume_tests =
         in
         check Alcotest.(list string) "nothing restored" [] info.resumed_sources;
         check Alcotest.string "same state" expect (fingerprint w);
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "a store rolled back to the first step resumes from it"
       `Quick (fun () ->
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
-        let dir = fresh_dir "jback" and backup = fresh_dir "jbak" in
+        let dir = Tmp.path "jback" and backup = Tmp.path "jbak" in
         let store = Filename.concat dir "store" in
         let rec copy src dst =
           if Sys.is_directory src then begin
@@ -828,7 +814,7 @@ let resume_tests =
         killed_at_step ~journal:dir 3;
         copy store backup;
         ignore (journaled_exn ~journal:dir (kr_catalogs ()));
-        rm_rf store;
+        Tmp.rm_rf store;
         copy backup store;
         check Alcotest.(list string) "journal_status follows the store"
           [ "uniprot" ] (committed_sources dir);
@@ -840,14 +826,14 @@ let resume_tests =
         check Alcotest.(list string) "pdb recomputed" [ "pdb" ]
           info.executed_sources;
         check Alcotest.string "same state" expect (fingerprint w);
-        rm_rf dir;
-        rm_rf backup);
+        Tmp.rm_rf dir;
+        Tmp.rm_rf backup);
     Alcotest.test_case "a failed checkpoint save is an Error, not a commit"
       `Quick (fun () ->
         (* a plan with no store yet (killed at the first boundary), then
            a regular file where the store directory belongs: the first
            step's save_dir fails *)
-        let dir = fresh_dir "jsave" in
+        let dir = Tmp.path "jsave" in
         killed_at_step ~journal:dir 0;
         write_file (Filename.concat dir "store") "";
         (match Warehouse.integrate_journaled ~journal:dir (kr_catalogs ()) with
@@ -856,10 +842,10 @@ let resume_tests =
         check Alcotest.(list string) "nothing restorable" []
           (committed_sources dir);
         check_journal_one_line "after the failed save" dir;
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "restored reports are flagged resumed" `Quick
       (fun () ->
-        let dir = fresh_dir "jflag" in
+        let dir = Tmp.path "jflag" in
         (* kill at the second source's first boundary: uniprot committed *)
         killed_at_step ~journal:dir 3;
         let w, (info : Warehouse.resume_info) =
@@ -885,14 +871,14 @@ let resume_tests =
                  (fun (s : Run_report.step_report) -> not s.resumed)
                  r.steps)
         | None -> Alcotest.fail "no report for pdb");
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "a journal in the append-only format resumes" `Quick
       (fun () ->
         (* the earlier format appended intent, commit and reset records
            after the header, and a kill mid-append left a torn fragment;
            resume reads only the header and restores from the store *)
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
-        let dir = fresh_dir "jappend" in
+        let dir = Tmp.path "jappend" in
         killed_at_step ~journal:dir 3;
         let path = Filename.concat dir "JOURNAL" in
         let line fields =
@@ -919,12 +905,12 @@ let resume_tests =
         check Alcotest.(list string) "pdb recomputed" [ "pdb" ]
           info.executed_sources;
         check Alcotest.string "same state" expect (fingerprint w);
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "a fresh journal refuses a directory holding a store"
       `Quick (fun () ->
         (* the store is the commit record: adopting a stale one would
            restore sources the new plan never committed *)
-        let dir = fresh_dir "jstale" in
+        let dir = Tmp.path "jstale" in
         (match Warehouse.save_dir (Warehouse.integrate (kr_catalogs ()))
                  (Filename.concat dir "store")
          with
@@ -935,9 +921,9 @@ let resume_tests =
         | Ok _ -> Alcotest.fail "a journal adopted a stale store");
         check Alcotest.bool "no journal written" false
           (Sys.file_exists (Filename.concat dir "JOURNAL"));
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "resume refuses a changed source" `Quick (fun () ->
-        let dir = fresh_dir "jdig" in
+        let dir = Tmp.path "jdig" in
         killed_at_step ~journal:dir 3;
         let changed =
           [
@@ -951,11 +937,11 @@ let resume_tests =
             check Alcotest.bool "names the digest mismatch" true
               (Aladin_text.Strdist.contains ~needle:"digest" e)
         | Ok _ -> Alcotest.fail "expected a digest-mismatch refusal");
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "a resume from the plan's paths loads the store once"
       `Quick (fun () ->
         let expect = fingerprint (Warehouse.integrate (kr_catalogs ())) in
-        let dir = fresh_dir "jpaths" in
+        let dir = Tmp.path "jpaths" in
         let paths = [ ("uniprot", "in/uniprot.csv"); ("pdb", "in/pdb.csv") ] in
         (* killed after uniprot's step committed, with every path in the
            plan *)
@@ -973,7 +959,7 @@ let resume_tests =
            again after choosing what to import would restore nothing *)
         let imported = ref [] in
         let import path =
-          if !imported = [] then rm_rf (Filename.concat dir "store");
+          if !imported = [] then Tmp.rm_rf (Filename.concat dir "store");
           imported := path :: !imported;
           List.find
             (fun c ->
@@ -990,10 +976,10 @@ let resume_tests =
             check Alcotest.(list string) "runs the rest" [ "pdb" ]
               info.executed_sources;
             check Alcotest.string "same state" expect (fingerprint w));
-        rm_rf dir);
+        Tmp.rm_rf dir);
     Alcotest.test_case "journal_status names uncommitted work" `Quick
       (fun () ->
-        let dir = fresh_dir "jstat" in
+        let dir = Tmp.path "jstat" in
         killed_at_step ~journal:dir 3;
         (match Warehouse.journal_status dir with
         | Ok entries ->
@@ -1006,7 +992,7 @@ let resume_tests =
                    (e.js_name, e.js_committed))
                  entries)
         | Error e -> Alcotest.fail e);
-        rm_rf dir);
+        Tmp.rm_rf dir);
   ]
 
 let tests =

@@ -297,6 +297,51 @@ let service_tests =
         check Alcotest.int "503" 503 resp.status;
         check Alcotest.(option string) "retry-after" (Some "1")
           (List.assoc_opt "retry-after" resp.headers));
+    Alcotest.test_case "a request deadline stays with its own request" `Quick
+      (fun () ->
+        (* one slow request beside three fast ones on a 4-domain pool:
+           the slow one's deadline fires on the domain that handles it,
+           and the others answer as a fresh service does *)
+        let config =
+          {
+            Serve.Service.default_config with
+            request_budget = Some 0.05;
+            debug_endpoints = true;
+          }
+        in
+        let fast = [ "/search?q=protein"; "/links?kind=xref"; "/healthz" ] in
+        let pool = Pool.create ~domains:4 () in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            let service = Serve.Service.create ~pool ~config (Lazy.force engine) in
+            let t0 = Aladin_obs.Clock.now () in
+            let wires =
+              Serve.Service.render_batch service
+                (List.map req ("/slow?seconds=5" :: fast))
+            in
+            let took = Aladin_obs.Clock.now () -. t0 in
+            check Alcotest.bool
+              (Printf.sprintf "answered within 1 s (took %.3f s)" took)
+              true (took < 1.0);
+            match wires with
+            | slow :: rest ->
+                (match Http.parse_response slow with
+                | Ok r -> check Alcotest.int "slow request" 503 r.status
+                | Error msg -> Alcotest.fail msg);
+                List.iter2
+                  (fun target wire ->
+                    let fresh =
+                      Serve.Service.render_batch
+                        (Serve.Service.create (Lazy.force engine))
+                        [ req target ]
+                    in
+                    (match Http.parse_response wire with
+                    | Ok r -> check Alcotest.int (target ^ " status") 200 r.status
+                    | Error msg -> Alcotest.fail msg);
+                    check Alcotest.(list string) (target ^ " bytes") fresh [ wire ])
+                  fast rest
+            | [] -> Alcotest.fail "no responses"));
     Alcotest.test_case "malformed SQL is a 400, not a counted failure" `Quick
       (fun () ->
         let service = Serve.Service.create (Lazy.force engine) in

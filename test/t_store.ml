@@ -14,11 +14,6 @@ let find_status (report : Load_report.t) path =
     (fun (m : Load_report.member) -> if m.path = path then Some m.status else None)
     report.members
 
-let fresh_dir tag =
-  let d = Filename.temp_file "aladin" tag in
-  Sys.remove d;
-  d
-
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -461,7 +456,7 @@ let codec_reference_tests =
 let snapshot_tests =
   [
     Alcotest.test_case "snapshot save/load roundtrip" `Quick (fun () ->
-        let dir = fresh_dir "st1" in
+        let dir = Tmp.path "st1" in
         save_exn dir test_members;
         let members, report = load_exn dir in
         check Alcotest.bool "clean" true (Load_report.is_clean report);
@@ -474,7 +469,7 @@ let snapshot_tests =
           (sorted_members members));
     Alcotest.test_case "re-save advances generation and sweeps the old one"
       `Quick (fun () ->
-        let dir = fresh_dir "st2" in
+        let dir = Tmp.path "st2" in
         save_exn dir test_members;
         (match Snapshot.save dir test_members with
         | Ok gen -> check Alcotest.int "save names its generation" 2 gen
@@ -485,7 +480,7 @@ let snapshot_tests =
           (Sys.file_exists (gen_dir dir 1)));
     Alcotest.test_case "save refuses foreign non-empty directories" `Quick
       (fun () ->
-        let dir = fresh_dir "st3" in
+        let dir = Tmp.path "st3" in
         Sys.mkdir dir 0o755;
         write_file (Filename.concat dir "precious.txt") "user data\n";
         (match Snapshot.save dir test_members with
@@ -495,7 +490,7 @@ let snapshot_tests =
           (read_file (Filename.concat dir "precious.txt")));
     Alcotest.test_case "stale temps and orphan generations are swept" `Quick
       (fun () ->
-        let dir = fresh_dir "st4" in
+        let dir = Tmp.path "st4" in
         save_exn dir test_members;
         let orphan = gen_dir dir 999 in
         Sys.mkdir orphan 0o755;
@@ -506,7 +501,7 @@ let snapshot_tests =
         check Alcotest.bool "temp gone" false
           (Sys.file_exists (Filename.concat dir "MANIFEST.aladin-tmp")));
     Alcotest.test_case "verify is read-only" `Quick (fun () ->
-        let dir = fresh_dir "st5" in
+        let dir = Tmp.path "st5" in
         save_exn dir test_members;
         let path = stored_path dir 1 "blob.bin" in
         let torn = Corrupt.flip_bit_at (read_file path) ~byte:3 ~bit:0 in
@@ -517,7 +512,7 @@ let snapshot_tests =
         check Alcotest.bool "no quarantine" false
           (Sys.file_exists (Filename.concat dir ".quarantine")));
     Alcotest.test_case "bit flip in a records member salvages" `Quick (fun () ->
-        let dir = fresh_dir "st6" in
+        let dir = Tmp.path "st6" in
         save_exn dir test_members;
         let path = stored_path dir 1 "a/recs.txt" in
         let stored = read_file path in
@@ -538,7 +533,7 @@ let snapshot_tests =
           (Snapshot.find members "a/recs.txt"));
     Alcotest.test_case "arity-breaking damage in a csv drops the row" `Quick
       (fun () ->
-        let dir = fresh_dir "st7" in
+        let dir = Tmp.path "st7" in
         save_exn dir test_members;
         let path = stored_path dir 1 "a/table.csv" in
         let stored = read_file path in
@@ -566,7 +561,7 @@ let snapshot_tests =
             check Alcotest.bool "good row kept" true (contains csv "civet"));
     Alcotest.test_case "unrecoverable members are quarantined with a reason"
       `Quick (fun () ->
-        let dir = fresh_dir "st8" in
+        let dir = Tmp.path "st8" in
         save_exn dir test_members;
         (* no header and no line whose checksum verifies: nothing to
            salvage *)
@@ -585,7 +580,7 @@ let snapshot_tests =
              (Sys.readdir qdir)));
     Alcotest.test_case "missing members are reported, not fatal" `Quick
       (fun () ->
-        let dir = fresh_dir "st9" in
+        let dir = Tmp.path "st9" in
         save_exn dir test_members;
         Sys.remove (stored_path dir 1 "blob.bin");
         let _, report = load_exn dir in
@@ -594,7 +589,7 @@ let snapshot_tests =
         | _ -> Alcotest.fail "expected Missing");
     Alcotest.test_case "repair commits the salvage as a clean snapshot" `Quick
       (fun () ->
-        let dir = fresh_dir "st10" in
+        let dir = Tmp.path "st10" in
         save_exn dir test_members;
         let rpath = stored_path dir 1 "a/recs.txt" in
         let stored = read_file rpath in
@@ -616,7 +611,7 @@ let snapshot_tests =
           (Some "alpha\nbeta\twith tab\n")
           (Snapshot.find members "a/recs.txt"));
     Alcotest.test_case "repair of a clean store is a no-op" `Quick (fun () ->
-        let dir = fresh_dir "st11" in
+        let dir = Tmp.path "st11" in
         save_exn dir test_members;
         let before = committed_bytes dir in
         (match Snapshot.repair dir with
@@ -630,7 +625,7 @@ let snapshot_tests =
         (* stores written before pairs.txt became a Records member name
            its kind "pairs": such a store loads clean, and its next save
            hard-links the unchanged member *)
-        let dir = fresh_dir "oldkind" in
+        let dir = Tmp.path "oldkind" in
         let pairs : Snapshot.member =
           { path = "pairs.txt"; kind = Records; content = "pair\tone\npair\ttwo\n" }
         in
@@ -673,7 +668,7 @@ let torn_write_tests =
   [
     Alcotest.test_case "kill at every byte keeps snapshot 1 byte-identical"
       `Slow (fun () ->
-        let dir = fresh_dir "torn" in
+        let dir = Tmp.path "torn" in
         save_exn dir test_members;
         let baseline = committed_bytes dir in
         let kills = ref 0 in
@@ -708,7 +703,7 @@ let torn_write_tests =
     Alcotest.test_case "kill between member writes and the manifest rename"
       `Quick (fun () ->
         let prepare tag =
-          let dir = fresh_dir tag in
+          let dir = Tmp.path tag in
           save_exn dir test_members;
           save_exn dir altered_members;
           dir
@@ -746,7 +741,7 @@ let torn_write_tests =
           (Sys.file_exists (Filename.concat dir "MANIFEST.aladin-tmp")));
     Alcotest.test_case "unchanged members are hard-linked, not rewritten"
       `Quick (fun () ->
-        let dir = fresh_dir "link" in
+        let dir = Tmp.path "link" in
         save_exn dir test_members;
         let changed =
           List.map
@@ -775,7 +770,7 @@ let torn_write_tests =
           changed);
     Alcotest.test_case "a damaged member is rewritten, not linked" `Quick
       (fun () ->
-        let dir = fresh_dir "nolink" in
+        let dir = Tmp.path "nolink" in
         save_exn dir test_members;
         let path = stored_path dir 1 "a/table.csv" in
         write_file path (Corrupt.flip_bit_at (read_file path) ~byte:12 ~bit:0);
@@ -791,7 +786,7 @@ let torn_write_tests =
           (Snapshot.find members "a/table.csv"));
     Alcotest.test_case "truncation at every offset of every member" `Slow
       (fun () ->
-        let dir = fresh_dir "torn3" in
+        let dir = Tmp.path "torn3" in
         save_exn dir test_members;
         let report = committed_report dir in
         List.iter
@@ -852,7 +847,7 @@ let warehouse_store_tests =
             in
             check Alcotest.(list string) "integrated" [ name; "pdb" ]
               (Warehouse.sources w);
-            let dir = fresh_dir "wname" in
+            let dir = Tmp.path "wname" in
             (match Warehouse.save_dir w dir with
             | Ok () -> Alcotest.failf "saved a source named %S" name
             | Error msg ->
@@ -872,7 +867,7 @@ let warehouse_store_tests =
         let w =
           Warehouse.integrate [ dump_load ~name:"x" entry; dump_load ~name:"x/y" entry ]
         in
-        let dir = fresh_dir "wnest" in
+        let dir = Tmp.path "wnest" in
         (match Warehouse.save_dir w dir with
         | Ok () -> Alcotest.fail "saved a source named x/y"
         | Error msg ->
@@ -888,7 +883,7 @@ let warehouse_store_tests =
                 [ ("entry", "acc,name\nP10001,alpha\nP10002,beta\nP10003,gamma\n") ];
               List.nth (mini_catalogs ()) 1 ]
         in
-        let dir = fresh_dir "wnl" in
+        let dir = Tmp.path "wnl" in
         (match Warehouse.save_dir w dir with
         | Ok () -> Alcotest.fail "saved a source name holding a newline"
         | Error msg ->
@@ -897,7 +892,7 @@ let warehouse_store_tests =
         check Alcotest.bool "nothing written" false (Sys.file_exists dir));
     Alcotest.test_case "save/load/save is byte-identical" `Quick (fun () ->
         let w = mini_warehouse () in
-        let dir1 = fresh_dir "wbi1" and dir2 = fresh_dir "wbi2" in
+        let dir1 = Tmp.path "wbi1" and dir2 = Tmp.path "wbi2" in
         save_wh_exn w dir1;
         let w2, report = Warehouse.load_dir dir1 in
         check Alcotest.bool "clean" true (Load_report.is_clean report);
@@ -913,7 +908,7 @@ let warehouse_store_tests =
     Alcotest.test_case "warehouse save killed mid-flight keeps snapshot 1"
       `Slow (fun () ->
         let w = mini_warehouse () in
-        let dir = fresh_dir "wtorn" in
+        let dir = Tmp.path "wtorn" in
         save_wh_exn w dir;
         let baseline = committed_bytes dir in
         let kills = ref 0 in
@@ -945,7 +940,7 @@ let warehouse_store_tests =
     Alcotest.test_case "bit flip in the metadata member salvages on load"
       `Quick (fun () ->
         let w = mini_warehouse () in
-        let dir = fresh_dir "wflip" in
+        let dir = Tmp.path "wflip" in
         save_wh_exn w dir;
         let report = committed_report dir in
         let path = stored_path dir report.generation "metadata.txt" in
@@ -972,7 +967,7 @@ let warehouse_store_tests =
         in
         let saved = render (Warehouse.links w) in
         check Alcotest.bool "several links" true (List.length saved >= 2);
-        let dir = fresh_dir "wpairs" in
+        let dir = Tmp.path "wpairs" in
         save_wh_exn w dir;
         let report = committed_report dir in
         let path = stored_path dir report.generation "pairs.txt" in
@@ -997,7 +992,7 @@ let warehouse_store_tests =
     Alcotest.test_case "bit flip in a csv member drops only the torn row"
       `Quick (fun () ->
         let w = mini_warehouse () in
-        let dir = fresh_dir "wcsv" in
+        let dir = Tmp.path "wcsv" in
         save_wh_exn w dir;
         let report = committed_report dir in
         let path = stored_path dir report.generation "uniprot/entry.csv" in
@@ -1043,7 +1038,7 @@ let reseal_with_member dir line =
 
 let manifest_path_tests =
   let outside name line_of =
-    let base = fresh_dir "mpath" in
+    let base = Tmp.path "mpath" in
     Sys.mkdir base 0o755;
     let st = Filename.concat base "st" in
     save_exn st test_members;
@@ -1094,7 +1089,7 @@ let journal_plan_exn dir =
 let journal_tests =
   [
     Alcotest.test_case "create/plan roundtrip" `Quick (fun () ->
-        let dir = fresh_dir "jrt" in
+        let dir = Tmp.path "jrt" in
         let meta =
           [ ("plan", "demo"); ("source.0.path", "dir\twith tab\nand newline") ]
         in
@@ -1108,26 +1103,26 @@ let journal_tests =
         check Alcotest.string "store beside the plan"
           (Filename.concat dir "store") (Journal.store_dir dir));
     Alcotest.test_case "create refuses an existing journal" `Quick (fun () ->
-        let dir = fresh_dir "jdup" in
+        let dir = Tmp.path "jdup" in
         journal_create_exn dir ~meta:[];
         check Alcotest.bool "refused" true
           (Result.is_error (Journal.create dir ~meta:[])));
     Alcotest.test_case "create refuses '=' in meta keys" `Quick (fun () ->
-        let dir = fresh_dir "jeq" in
+        let dir = Tmp.path "jeq" in
         check Alcotest.bool "refused" true
           (Result.is_error (Journal.create dir ~meta:[ ("a=b", "v") ])));
     Alcotest.test_case "create refuses a directory holding a store" `Quick
       (fun () ->
         (* the store is the commit record: a new plan must not adopt a
            stale one *)
-        let dir = fresh_dir "jstale" in
+        let dir = Tmp.path "jstale" in
         save_exn (Journal.store_dir dir) test_members;
         check Alcotest.bool "refused" true
           (Result.is_error (Journal.create dir ~meta:[]));
         check Alcotest.bool "no journal written" false (Journal.exists dir));
     Alcotest.test_case "create accepts leftover temp files" `Quick (fun () ->
         (* what a create killed before its rename leaves behind *)
-        let dir = fresh_dir "jtmp" in
+        let dir = Tmp.path "jtmp" in
         Sys.mkdir dir 0o755;
         write_file
           (Filename.concat dir ("JOURNAL" ^ Atomic_file.temp_suffix))
@@ -1140,7 +1135,7 @@ let journal_tests =
       (fun () ->
         (* a journal of the earlier append-only format: intent, commit
            and reset records and a torn fragment after the header *)
-        let dir = fresh_dir "jold" in
+        let dir = Tmp.path "jold" in
         journal_create_exn dir ~meta:[ ("plan", "old") ];
         let path = Filename.concat dir "JOURNAL" in
         let line fields = Records.record (Serial.record fields) ^ "\n" in
@@ -1153,7 +1148,7 @@ let journal_tests =
           Alcotest.(list (pair string string))
           "plan" [ ("plan", "old") ] (journal_plan_exn dir));
     Alcotest.test_case "version-1 journal is refused" `Quick (fun () ->
-        let dir = fresh_dir "jv1" in
+        let dir = Tmp.path "jv1" in
         Sys.mkdir dir 0o755;
         (* a version-1 header: same line framing, older version field *)
         write_file
