@@ -1113,8 +1113,8 @@ let micro () =
   assert (Dup.Field_sim.choose_metric res_a res_b = Dup.Field_sim.Sequence_metric);
   let field_a = Dup.Field_sim.prepare res_a and field_b = Dup.Field_sim.prepare res_b in
   (* the store codecs a load runs: a pairs.txt-sized member (7 sources,
-     each pair's four lists in Link.dedup's form, ~11.5k links, as the
-     perfbench base store holds), and 1 MiB of bytes to checksum *)
+     each pair's links one list in Link.dedup's form, ~11.5k links, as
+     the perfbench base store holds), and 1 MiB of bytes to checksum *)
   let mib = String.init (1 lsl 20) (fun i -> Char.chr ((i * 7919) land 0xff)) in
   let pairs_doc =
     let ps = Pair_store.create () in
@@ -1137,15 +1137,18 @@ let micro () =
           (fun j b ->
             if i < j then
               Pair_store.set ps a b
-                { Pair_store.xref_links = links Lk.Link.Xref a b 200;
+                { Pair_store.links =
+                    Lk.Link.union
+                      [ links Lk.Link.Xref a b 200;
+                        links Lk.Link.Seq_similarity a b 150;
+                        links Lk.Link.Text_similarity a b 120;
+                        links Lk.Link.Duplicate a b 60;
+                        (if i = 0 && j = 1 then links Lk.Link.Shared_term a b 400
+                         else []) ];
                   correspondences = [];
-                  seq_links = links Lk.Link.Seq_similarity a b 150;
-                  text_links = links Lk.Link.Text_similarity a b 120;
-                  dup_links = links Lk.Link.Duplicate a b 60;
                   dup_candidates = 100 })
           sources)
       sources;
-    Pair_store.set_onto ps (links Lk.Link.Shared_term "source0" "source1" 400);
     Pair_store.save ps
   in
   let pairs_member = Aladin_store.Records.encode pairs_doc in

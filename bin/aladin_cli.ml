@@ -73,26 +73,10 @@ let integrate_cmd =
            ~doc:"(testing) Kill the process at the $(docv)-th pipeline \
                  step boundary; exits 3.")
   in
-  let kill_ops_arg =
-    Arg.(value & opt (some int) None & info [ "chaos-kill-ops" ] ~docv:"N"
-           ~doc:"(testing) Kill the process at the $(docv)-th durable \
-                 store operation; exits 3.")
-  in
-  let kill_bytes_arg =
-    Arg.(value & opt (some int) None & info [ "chaos-kill-bytes" ] ~docv:"N"
-           ~doc:"(testing) Kill the process after $(docv) journal/store \
-                 bytes have been written; exits 3.")
-  in
   let run paths journal resume save links_out save_store config strict
-      trace_file kill_step kill_ops kill_bytes =
+      trace_file kill_step =
     (match kill_step with
     | Some i -> Aladin_store.Fault.arm_step ~index:i
-    | None -> ());
-    (match kill_ops with
-    | Some n -> Aladin_store.Fault.arm_ops ~ops:n
-    | None -> ());
-    (match kill_bytes with
-    | Some n -> Aladin_store.Fault.arm ~bytes:n
     | None -> ());
     let journal_dir =
       match (journal, resume) with
@@ -184,7 +168,7 @@ let integrate_cmd =
     (Cmd.info "integrate" ~doc:"Integrate data sources hands-off (all five steps).")
     Term.(const run $ loose_paths $ journal_arg $ resume_arg $ save
           $ links_out_arg $ save_store_arg $ config_arg $ strict_arg
-          $ trace_file_arg $ kill_step_arg $ kill_ops_arg $ kill_bytes_arg)
+          $ trace_file_arg $ kill_step_arg)
 
 (* --- discover --- *)
 

@@ -7,7 +7,7 @@
      1  degraded — the operation completed but something was skipped,
         salvaged, quarantined or over budget, and --strict was given
      2  error — bad input, missing object, parse failure, I/O error
-     3  killed — an armed chaos fault (a --chaos-kill flag) fired; the
+     3  killed — an armed chaos fault (--chaos-kill-step) fired; the
         journal, if any, is left for [integrate --resume]
    (Cmdliner additionally uses 124/125 for command-line parse errors.)
 

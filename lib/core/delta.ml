@@ -66,15 +66,38 @@ let pass ?(enabled = true) ~budget name f =
 
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
-let links_of_kind (e : Pair_store.entry) = function
-  | Link.Xref -> e.xref_links
-  | Link.Seq_similarity -> e.seq_links
-  | Link.Text_similarity ->
-      List.filter (fun (l : Link.t) -> l.kind = Link.Text_similarity) e.text_links
-  | Link.Entity_mention ->
-      List.filter (fun (l : Link.t) -> l.kind = Link.Entity_mention) e.text_links
-  | Link.Duplicate -> e.dup_links
-  | Link.Shared_term -> []
+(* [links] grouped by the canonical pair of their endpoints' sources,
+   each group in [links]' order *)
+let by_pair links =
+  let groups = Hashtbl.create 16 in
+  List.iter
+    (fun (l : Link.t) ->
+      let p = Pair_store.canon l.src.source l.dst.source in
+      Hashtbl.replace groups p
+        (l :: Option.value (Hashtbl.find_opt groups p) ~default:[]))
+    (List.rev links);
+  Hashtbl.fold (fun p ls acc -> (p, ls) :: acc) groups []
+
+(* the link kinds each phase owns *)
+let xref_kinds = [ Link.Xref ]
+let seq_kinds = [ Link.Seq_similarity ]
+let text_kinds = [ Link.Text_similarity; Link.Entity_mention ]
+let onto_kinds = [ Link.Shared_term ]
+let dup_kinds = [ Link.Duplicate ]
+
+(* the kinds whose links differ in some pair between two states of the
+   store, compared pair by pair *)
+let changed_kinds before after =
+  let of_kind k entries p =
+    match List.assoc_opt p entries with
+    | Some (e : Pair_store.entry) ->
+        List.filter (fun (l : Link.t) -> l.kind = k) e.links
+    | None -> []
+  in
+  let pairs = List.sort_uniq compare (List.map fst before @ List.map fst after) in
+  List.filter
+    (fun k -> List.exists (fun p -> of_kind k before p <> of_kind k after p) pairs)
+    Link.kinds
 
 let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
   let budgets = cfg.budgets in
@@ -90,27 +113,45 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
     | Some e -> e
     | None -> Pair_store.empty_entry
   in
-  (* pre-run snapshots, for the per-kind change diff that drives typed
-     cache invalidation — and the exclude-attribute sets before the new
-     correspondences land, which decide below which dup pairs are stale *)
-  let old_link_entries = List.map (fun p -> (p, current_entry p)) link_pairs in
-  let old_onto = Pair_store.onto store in
+  (* the entries before the run, for the per-kind change diff that drives
+     typed cache invalidation — and the exclude-attribute sets before the
+     new correspondences land, which decide below which dup pairs are
+     stale *)
+  let before = Pair_store.pairs store in
   let excludes_of () =
     List.map
       (fun s -> (s, Pair_store.exclude_triples store ~source:s))
       source_order
   in
   let old_excludes = excludes_of () in
+  (* the one commit rule: a phase owns the link kinds [owns], and in each
+     pair it rewrites, [fresh] (its links there, in [Link.dedup]'s form)
+     replaces exactly the pair's links of those kinds. A phase that did
+     not run commits no links, exactly as a from-scratch run under the
+     same config would. The xref pass also owns the correspondences and
+     the dup phase the candidate count. *)
+  let commit owns ?correspondences ?dup_candidates ((a, b) as p) fresh =
+    let e = current_entry p in
+    Pair_store.set store a b
+      {
+        links =
+          Link.union
+            [ List.filter (fun (l : Link.t) -> not (List.mem l.kind owns)) e.links;
+              fresh ];
+        correspondences = Option.value correspondences ~default:e.correspondences;
+        dup_candidates = Option.value dup_candidates ~default:e.dup_candidates;
+      }
+  in
+  (* a staged pass's links in pair [p] *)
+  let staged_in staged p =
+    Option.value (Option.bind staged (List.assoc_opt p)) ~default:[]
+  in
 
-  (* --- the link phase: three pairwise passes, commit, then the global
-     shared-term pass over the committed xref view --- *)
-  let clear_link_fields () =
+  (* --- the link phase: three pairwise passes over the recomputed pairs,
+     then the global shared-term pass over the committed xref view --- *)
+  let clear_pairwise () =
     List.iter
-      (fun ((a, b) as p) ->
-        let e = current_entry p in
-        Pair_store.set store a b
-          { e with Pair_store.xref_links = []; correspondences = [];
-            seq_links = []; text_links = [] })
+      (fun p -> commit (xref_kinds @ seq_kinds @ text_kinds) ~correspondences:[] p [])
       link_pairs
   in
   let run_link_passes () =
@@ -138,27 +179,23 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
             "xref.links";
           per)
     in
+    List.iter
+      (fun p ->
+        match Option.bind xref_staged (List.assoc_opt p) with
+        | Some (r : Xref_disc.result) ->
+            commit xref_kinds ~correspondences:r.correspondences p r.links
+        | None -> commit xref_kinds ~correspondences:[] p [])
+      link_pairs;
     let seq_staged, seq_step =
       pass ~enabled:lp.enable_seq ~budget:budgets.seq_pass "seq pass" (fun () ->
           (* index the changed source alone and probe it with every
-             other source's sequences; the reused pairs' links are
-             already in the store *)
-          let fresh =
-            Seq_links.discover_source ~params:lp.seq ~pool profiles
-              ~source:changed
-          in
-          (* every fresh link touches the changed source, so this
-             partition covers them all; [fresh] is deduplicated and
-             sorted, and so is each part *)
-          List.map
-            (fun p ->
-              ( p,
-                List.filter
-                  (fun (l : Link.t) ->
-                    Pair_store.canon l.src.source l.dst.source = p)
-                  fresh ))
-            link_pairs)
+             other source's sequences; every fresh link touches the
+             changed source, so its pairs are all recomputed ones *)
+          by_pair
+            (Seq_links.discover_source ~params:lp.seq ~pool profiles
+               ~source:changed))
     in
+    List.iter (fun p -> commit seq_kinds p (staged_in seq_staged p)) link_pairs;
     let text_staged, text_step =
       pass ~enabled:lp.enable_text ~budget:budgets.text_pass "text pass"
         (fun () ->
@@ -167,48 +204,19 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
           Text_links.discover_source ~params:lp.text ~pool profiles
             ~source:changed)
     in
-    (* commit the three pairwise passes: a recomputed pair's lists are
-       replaced wholesale (a skipped pass leaves them empty, exactly as
-       a from-scratch run under the same config would); duplicate fields
-       are carried until the dup phase below rewrites them *)
-    let staged_assoc staged p = try List.assoc p staged with Not_found -> [] in
-    List.iter
-      (fun ((a, b) as p) ->
-        let e = current_entry p in
-        Pair_store.set store a b
-          {
-            e with
-            Pair_store.xref_links =
-              (match xref_staged with
-              | Some per -> (
-                  try (List.assoc p per).Xref_disc.links with Not_found -> [])
-              | None -> []);
-            correspondences =
-              (match xref_staged with
-              | Some per -> (
-                  try (List.assoc p per).Xref_disc.correspondences
-                  with Not_found -> [])
-              | None -> []);
-            seq_links =
-              (match seq_staged with
-              | Some staged -> staged_assoc staged p
-              | None -> []);
-            text_links =
-              (match text_staged with
-              | Some staged -> staged_assoc staged p
-              | None -> []);
-          })
-      link_pairs;
+    List.iter (fun p -> commit text_kinds p (staged_in text_staged p)) link_pairs;
     (* shared-term links count shared targets across ALL xref links (a
        third source's xrefs raise a pair's confidence), so this pass
-       stays global: cheap, derived from the committed xref view *)
+       stays global: cheap, derived from the committed xref view, and
+       committed to every pair *)
     let onto_staged, onto_step =
       pass ~enabled:lp.enable_onto ~budget:budgets.onto_pass "onto pass"
         (fun () ->
           let xrefs =
             Link.union
               (List.map
-                 (fun (_, (e : Pair_store.entry)) -> e.xref_links)
+                 (fun (_, (e : Pair_store.entry)) ->
+                   List.filter (fun (l : Link.t) -> l.kind = Link.Xref) e.links)
                  (Pair_store.pairs store))
           in
           let parents = Onto_links.parents_from_profiles profiles in
@@ -216,16 +224,20 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
           Obs.Trace.ambient_incr ~by:r.hub_targets_skipped
             "onto.hub_targets_skipped";
           Obs.Trace.ambient_incr ~by:(List.length r.links) "onto.links";
-          r)
+          by_pair r.links)
     in
-    Pair_store.set_onto store
-      (match onto_staged with Some r -> r.Onto_links.links | None -> []);
+    (* every pair the store holds, and every pair a link names *)
+    List.iter
+      (fun p -> commit onto_kinds p (staged_in onto_staged p))
+      (List.sort_uniq compare
+         (Pair_store.pair_keys store
+         @ List.map fst (Option.value onto_staged ~default:[])));
     [ xref_step; seq_step; text_step; onto_step ]
   in
   let link_step =
     match Res.Boundary.skipped_for_zero ~name:"link discovery" budgets.links with
     | Some skipped ->
-        clear_link_fields ();
+        clear_pairwise ();
         skipped
     | None -> (
         let res, link_secs =
@@ -240,7 +252,7 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
             (* discard partial results of this run; reused pairs keep
                theirs, exactly like a from-scratch run that never
                produced them *)
-            clear_link_fields ();
+            clear_pairwise ();
             Report.step ~seconds:link_secs "link discovery" (Report.Failed err))
   in
   (* --- the duplicate phase: a pair's stored links stay valid unless an
@@ -259,15 +271,6 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
       (fun (a, b) ->
         a <> b && (List.mem a dirty_sources || List.mem b dirty_sources))
       (Pair_store.pair_keys store)
-  in
-  let old_dup_entries = List.map (fun p -> (p, current_entry p)) dup_pairs in
-  let clear_dup_fields () =
-    List.iter
-      (fun ((a, b) as p) ->
-        let e = current_entry p in
-        Pair_store.set store a b
-          { e with Pair_store.dup_links = []; dup_candidates = 0 })
-      dup_pairs
   in
   let dup_step =
     let results, step =
@@ -301,26 +304,14 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
             "dup.links";
           results)
     in
-    (match results with
-    | Some results ->
-        List.iter
-          (fun ((a, b) as p, (r : Dup.Dup_detect.result)) ->
-            let e = current_entry p in
-            Pair_store.set store a b
-              { e with Pair_store.dup_links = r.links;
-                dup_candidates = r.candidates_checked })
-          results
-    | None -> clear_dup_fields ());
+    List.iter
+      (fun p ->
+        match Option.bind results (List.assoc_opt p) with
+        | Some (r : Dup.Dup_detect.result) ->
+            commit dup_kinds ~dup_candidates:r.candidates_checked p r.links
+        | None -> commit dup_kinds ~dup_candidates:0 p [])
+      dup_pairs;
     step
-  in
-  let changed_kinds =
-    List.filter
-      (fun k ->
-        (k = Link.Shared_term && old_onto <> Pair_store.onto store)
-        || List.exists
-             (fun (p, old) -> links_of_kind old k <> links_of_kind (current_entry p) k)
-             (old_link_entries @ old_dup_entries))
-      Link.kinds
   in
   let recomputed_pairs = List.sort_uniq compare (link_pairs @ dup_pairs) in
   let reused_pairs =
@@ -333,5 +324,5 @@ let relink ~(cfg : Config.t) ~pool ~profiles ~source_order ~store ~changed () =
     dup_step;
     links = Pair_store.all_links store;
     audit = { recomputed_pairs; reused_pairs };
-    changed_kinds;
+    changed_kinds = changed_kinds before (Pair_store.pairs store);
   }

@@ -10,12 +10,22 @@
     so incremental results are byte-identical to a full rebuild by
     construction.
 
+    Every phase commits through one rule: it owns some link kinds, and
+    in each pair it rewrites, its fresh links replace exactly the
+    pair's links of those kinds. The xref pass (Xref, with the
+    correspondences), the seq pass (Seq_similarity) and the text pass
+    (Text_similarity, Entity_mention) rewrite the recomputed pairs; the
+    onto pass (Shared_term) rewrites every pair the store holds and
+    every pair its links name, creating an entry where none exists; the
+    dup phase (Duplicate, with the candidate count) rewrites the dirty
+    pairs.
+
     Each step and pass runs in its own error boundary under its budget
     key ({!Config.budgets}): a pass that is disabled, budget-zero, over
-    budget or crashed leaves the {e recomputed} pairs without its links
-    (just as a from-scratch run would), while reused pairs keep theirs;
-    the run report's ["link discovery"] step lists one child per pass
-    (xref, seq, text, onto). *)
+    budget or crashed commits no links, so the pairs it rewrites lose
+    its kinds (just as a from-scratch run would), while reused pairs
+    keep theirs; the run report's ["link discovery"] step lists one
+    child per pass (xref, seq, text, onto). *)
 
 open Aladin_links
 module Report = Aladin_resilience.Run_report
@@ -37,8 +47,9 @@ type outcome = {
           derives its link view, duplicates included, from it *)
   audit : audit;
   changed_kinds : Link.kind list;
-      (** link kinds whose merged set actually changed — what typed
-          cache invalidation bumps *)
+      (** link kinds whose links changed in some pair, compared pair by
+          pair before and after the relink — what typed cache
+          invalidation bumps *)
 }
 
 val relink :

@@ -2,25 +2,16 @@ open Aladin_links
 module Serial = Aladin_store.Serial
 
 type entry = {
-  xref_links : Link.t list;
+  links : Link.t list;
   correspondences : Xref_disc.correspondence list;
-  seq_links : Link.t list;
-  text_links : Link.t list;
-  dup_links : Link.t list;
   dup_candidates : int;
 }
 
-let empty_entry =
-  { xref_links = []; correspondences = []; seq_links = []; text_links = [];
-    dup_links = []; dup_candidates = 0 }
+let empty_entry = { links = []; correspondences = []; dup_candidates = 0 }
 
-type t = {
-  tbl : (string * string, entry) Hashtbl.t;
-  mutable onto_links : Link.t list;
-  mutable onto_present : bool;
-}
+type t = { tbl : (string * string, entry) Hashtbl.t }
 
-let create () = { tbl = Hashtbl.create 32; onto_links = []; onto_present = false }
+let create () = { tbl = Hashtbl.create 32 }
 
 let canon a b = if String.compare a b <= 0 then (a, b) else (b, a)
 
@@ -36,22 +27,12 @@ let pairs t =
 
 let pair_keys t = List.map fst (pairs t)
 
-let onto t = t.onto_links
-
-let set_onto t links =
-  t.onto_links <- links;
-  t.onto_present <- true
-
 (* every list the store holds is in [Link.dedup]'s form: each pass ends
-   in [Link.dedup] (a filter of a deduplicated list keeps the form), and
-   [save] writes each list in its order, so [load] reads it back in
-   form. [Link.union] checks each list in one pass and merges them. *)
-let all_links t =
-  Link.union
-    (List.fold_left
-       (fun acc (_, e) ->
-         e.xref_links :: e.seq_links :: e.text_links :: e.dup_links :: acc)
-       [ t.onto_links ] (pairs t))
+   in [Link.dedup], a relink merges a pair's kept and fresh links with
+   [Link.union], [save] writes each list in its order and [load] puts
+   each back in form. [Link.union] checks each list in one pass and
+   merges them. *)
+let all_links t = Link.union (List.map (fun (_, e) -> e.links) (pairs t))
 
 let compare_corr (a : Xref_disc.correspondence) (b : Xref_disc.correspondence) =
   compare
@@ -83,31 +64,23 @@ let exclude_triples t ~source =
 
      pairstore  <version>
      pair  <a>  <b>  <n-items>  <dup-candidates>
-     plink  ss sr sa ds dr da kind confidence evidence   (xN, any pass)
-     pcorr  ss sr sa ds dr da matches frac encoded       (interleaved)
-     onto  <n-items>
-     plink  ...
+     plink  ss sr sa ds dr da kind confidence evidence   (xN, any kind)
+     pcorr  ss sr sa ds dr da matches frac encoded       (xN)
 
    The file is the store's only record of its links, so the reader
    salvages record by record: each link and correspondence goes to the
-   canonical pair of its own endpoints' sources (a shared-term link to
-   the onto list), and a [pair] header is read only for its
-   dup-candidate count. A damaged line loses that line alone.
+   canonical pair of its own endpoints' sources, and a [pair] header is
+   read only for its dup-candidate count. A damaged line loses that
+   line alone. A document written before a pair held one list groups
+   each pair's links by the pass that found them and puts the
+   shared-term links after an [onto <n-items>] header; the same routing
+   reads it, and the header is skipped.
 
    A metadata.txt written before the links moved here carries the same
    records tagged [link] and [corr]; [seed_missing] reads those with
    the same field parsers. *)
 
 let version = 1
-
-let kind_of_string = function
-  | "xref" -> Some Link.Xref
-  | "seq" -> Some Link.Seq_similarity
-  | "text" -> Some Link.Text_similarity
-  | "shared-term" -> Some Link.Shared_term
-  | "mention" -> Some Link.Entity_mention
-  | "duplicate" -> Some Link.Duplicate
-  | _ -> None
 
 let add_link buf (l : Link.t) =
   Serial.add_record buf
@@ -127,7 +100,7 @@ let add_corr buf (c : Xref_disc.correspondence) =
 let parse_link = function
   | [ ss; sr; sa; ds; dr; da; kind; conf; evidence ] -> (
       match
-        ( kind_of_string kind,
+        ( Link.kind_of_name kind,
           try Some (Serial.float_of_string_exn conf)
           with Invalid_argument _ -> None )
       with
@@ -158,14 +131,8 @@ let parse_corr = function
 
 let save t =
   let pairs = pairs t in
-  let items e =
-    List.length e.xref_links + List.length e.correspondences
-    + List.length e.seq_links + List.length e.text_links
-    + List.length e.dup_links
-  in
-  let total =
-    List.fold_left (fun n (_, e) -> n + items e) (List.length t.onto_links) pairs
-  in
+  let items e = List.length e.links + List.length e.correspondences in
+  let total = List.fold_left (fun n (_, e) -> n + items e) 0 pairs in
   let buf = Buffer.create (4096 + (128 * total)) in
   let header fs =
     Serial.add_record buf fs;
@@ -176,42 +143,31 @@ let save t =
     (fun ((a, b), e) ->
       header
         [ "pair"; a; b; string_of_int (items e); string_of_int e.dup_candidates ];
-      List.iter (add_link buf) e.xref_links;
-      List.iter (add_corr buf) e.correspondences;
-      List.iter (add_link buf) e.seq_links;
-      List.iter (add_link buf) e.text_links;
-      List.iter (add_link buf) e.dup_links)
+      List.iter (add_link buf) e.links;
+      List.iter (add_corr buf) e.correspondences)
     pairs;
-  header [ "onto"; string_of_int (List.length t.onto_links) ];
-  List.iter (add_link buf) t.onto_links;
   Buffer.contents buf
 
 (* --- routing, shared by [load] and [seed_missing]: each record is
    consed onto its pair's accumulator, created once per pair, and
-   [finish] builds each entry once, reversing its lists, so filling a
-   store is linear in its record count and keeps the records' order.
-   [save] writes the records grouped by pair, so the last pair's
-   accumulator is found by comparing two strings, without hashing the
-   pair (which would cost about a third of a load) --- *)
+   [finish] builds each entry once, reversing its lists and putting the
+   links in [Link.dedup]'s form, so filling a store is linear in its
+   record count. [save] writes the records grouped by pair, so the last
+   pair's accumulator is found by comparing two strings, without hashing
+   the pair (which would cost about a third of a load) --- *)
 
 type acc = {
-  mutable xrefs : Link.t list;
+  mutable links_acc : Link.t list;
   mutable corrs : Xref_disc.correspondence list;
-  mutable seqs : Link.t list;
-  mutable texts : Link.t list;
-  mutable dups : Link.t list;
   mutable cands : int;
 }
 
 type router = {
   accs : (string * string, acc) Hashtbl.t;
-  mutable onto_acc : Link.t list;
-  mutable onto_seen : bool;
   mutable last : (string * string * acc) option;
 }
 
-let router () =
-  { accs = Hashtbl.create 32; onto_acc = []; onto_seen = false; last = None }
+let router () = { accs = Hashtbl.create 32; last = None }
 
 let acc_of r a b =
   match r.last with
@@ -225,10 +181,7 @@ let acc_of r a b =
         match Hashtbl.find_opt r.accs key with
         | Some acc -> acc
         | None ->
-            let acc =
-              { xrefs = []; corrs = []; seqs = []; texts = []; dups = [];
-                cands = 0 }
-            in
+            let acc = { links_acc = []; corrs = []; cands = 0 } in
             Hashtbl.add r.accs key acc;
             acc
       in
@@ -236,36 +189,24 @@ let acc_of r a b =
       acc
 
 let route_link r (l : Link.t) =
-  let add f = f (acc_of r l.src.source l.dst.source) in
-  match l.kind with
-  | Link.Xref -> add (fun acc -> acc.xrefs <- l :: acc.xrefs)
-  | Link.Seq_similarity -> add (fun acc -> acc.seqs <- l :: acc.seqs)
-  | Link.Text_similarity | Link.Entity_mention ->
-      add (fun acc -> acc.texts <- l :: acc.texts)
-  | Link.Duplicate -> add (fun acc -> acc.dups <- l :: acc.dups)
-  | Link.Shared_term ->
-      r.onto_acc <- l :: r.onto_acc;
-      r.onto_seen <- true
+  let acc = acc_of r l.src.source l.dst.source in
+  acc.links_acc <- l :: acc.links_acc
 
 let route_corr r (c : Xref_disc.correspondence) =
   let acc = acc_of r c.src_source c.dst_source in
   acc.corrs <- c :: acc.corrs
 
-(* a store holding exactly what [r] routed *)
+(* a store holding exactly what [r] routed; a list already in form (all
+   a save writes) costs one check *)
 let finish r =
   let t = create () in
   Hashtbl.iter
     (fun key acc ->
       Hashtbl.replace t.tbl key
-        { xref_links = List.rev acc.xrefs;
+        { links = Link.union [ List.rev acc.links_acc ];
           correspondences = List.rev acc.corrs;
-          seq_links = List.rev acc.seqs;
-          text_links = List.rev acc.texts;
-          dup_links = List.rev acc.dups;
           dup_candidates = acc.cands })
     r.accs;
-  t.onto_links <- List.rev r.onto_acc;
-  t.onto_present <- r.onto_seen;
   t
 
 (* a parsed record, or a dropped line *)
@@ -289,12 +230,11 @@ let load doc =
   let dropped = ref 0 in
   iter_lines
     (function
-      | [ "" ] | [ "pairstore"; _ ] -> ()
+      | [ "" ] | [ "pairstore"; _ ] | [ "onto"; _ ] -> ()
       | [ "pair"; a; b; _; cands ] ->
           parsed dropped
             (fun n -> (acc_of r a b).cands <- n)
             (int_of_string_opt cands)
-      | [ "onto"; _ ] -> r.onto_seen <- true
       | "plink" :: fs -> parsed dropped (route_link r) (parse_link fs)
       | "pcorr" :: fs -> parsed dropped (route_corr r) (parse_corr fs)
       | _ -> incr dropped)
@@ -302,22 +242,17 @@ let load doc =
   (finish r, !dropped)
 
 let seed_missing t meta =
-  let dropped = ref 0 in
-  let links = ref [] and corrs = ref [] in
+  let r = router () in
+  let dropped = ref 0 and corrs = ref [] in
   iter_lines
     (function
-      | "link" :: fs ->
-          parsed dropped (fun l -> links := l :: !links) (parse_link fs)
+      | "link" :: fs -> parsed dropped (route_link r) (parse_link fs)
       | "corr" :: fs ->
           parsed dropped (fun c -> corrs := c :: !corrs) (parse_corr fs)
       | _ -> ())
     meta;
-  (* one global dedup and sort leave each pair's lists in the order a
-     per-pair dedup and sort would *)
-  let r = router () in
-  List.iter (route_link r) (Link.dedup (List.rev !links));
+  (* one stable sort leaves each pair's correspondences in the order a
+     per-pair sort would *)
   List.iter (route_corr r) (List.stable_sort compare_corr (List.rev !corrs));
-  let seed = finish r in
-  Hashtbl.iter (fun (a, b) e -> if not (mem t a b) then set t a b e) seed.tbl;
-  if not t.onto_present then set_onto t seed.onto_links;
+  Hashtbl.iter (fun (a, b) e -> if not (mem t a b) then set t a b e) (finish r).tbl;
   !dropped

@@ -3,14 +3,13 @@
 
     Every link the pipeline discovers belongs to exactly one unordered
     source pair (the sources of its two endpoints), so the warehouse's
-    merged link set is a pure function of this map: integrating or
-    updating a source recomputes only the entries of pairs that touch
-    it, and {!all_links} merges the rest verbatim. The one exception is
-    the shared-term pass, whose per-object-pair confidence counts shared
-    targets across {e all} xref links (a third source's xrefs raise a
-    pair's confidence), so its output is held as a single global
-    component ({!onto}/{!set_onto}) recomputed on every delta — it is
-    cheap, derived from already-discovered xref links.
+    merged link set is a pure function of this map. A pair's links are
+    one list, whichever pass found them; the store routes every record
+    by its endpoints alone and names no link kind. Which pass rewrites
+    which links is the delta pipeline's rule ({!Delta.relink}): each
+    phase replaces the kinds it owns in the pairs it recomputes, and
+    every other link of those pairs, like every other pair, is kept
+    verbatim.
 
     The store serializes to one line-record document ({!save}/{!load}),
     persisted as the [pairs.txt] member (a
@@ -24,11 +23,10 @@
 open Aladin_links
 
 type entry = {
-  xref_links : Link.t list;
+  links : Link.t list;
+      (** every pass's links between the pair's sources, in
+          {!Link.dedup}'s form *)
   correspondences : Xref_disc.correspondence list;
-  seq_links : Link.t list;
-  text_links : Link.t list;  (** [Text_similarity] and [Entity_mention] *)
-  dup_links : Link.t list;
   dup_candidates : int;  (** candidate pairs the dup pass verified *)
 }
 
@@ -51,19 +49,14 @@ val pairs : t -> ((string * string) * entry) list
 
 val pair_keys : t -> (string * string) list
 
-val onto : t -> Link.t list
-(** The global shared-term component ([Shared_term] links). *)
-
-val set_onto : t -> Link.t list -> unit
-
 val all_links : t -> Link.t list
-(** Every pass's links over every pair, plus the shared-term component:
-    [Link.dedup] of their concatenation, the warehouse's merged link set
-    (before feedback filtering). Every list the pipeline stores is
-    already in [Link.dedup]'s form (each pass ends in it, and {!save}
-    and {!load} keep each list's order), so this is {!Link.union}'s
-    merge of the lists, with no hashing or sorting; a list out of form
-    is deduplicated first. *)
+(** Every pair's links: [Link.dedup] of their concatenation, the
+    warehouse's merged link set (before feedback filtering). Every list
+    the pipeline stores is already in [Link.dedup]'s form (each pass
+    ends in it, a relink merges with {!Link.union}, {!save} keeps each
+    list's order and {!load} puts each list in form), so this is
+    {!Link.union}'s merge of the lists, with no hashing or sorting; a
+    list out of form is deduplicated first. *)
 
 val correspondences : t -> Xref_disc.correspondence list
 (** All pairs' xref correspondences in one canonical (sorted) order. *)
@@ -80,17 +73,20 @@ val exclude_triples : t -> source:string -> (string * string * string) list
 
 val save : t -> string
 (** The [pairs.txt] document: the pairs in {!pairs} order, each a [pair]
-    header and then its records (xref links, correspondences, seq, text
-    and dup links, each list in its order), then the shared-term
-    component. Written into one buffer. *)
+    header, then its links in their order, then its correspondences.
+    Written into one buffer. *)
 
 val load : string -> t * int
 (** [load doc] returns the store plus the number of lines it dropped as
     unparseable. Total on any input. Every link and correspondence line
-    is routed to the canonical pair of its own endpoints' sources (a
-    shared-term link to {!onto}), in document order; a [pair] header
-    only sets that pair's dup-candidate count. So a lost or damaged
-    line costs that record alone, and a lost header only its count.
+    is routed to the canonical pair of its own endpoints' sources, in
+    document order, and each pair's links are then put in
+    {!Link.dedup}'s form once (a list a save wrote is already in form:
+    one check). A [pair] header only sets that pair's dup-candidate
+    count. So a lost or damaged line costs that record alone, and a
+    lost header only its count. A document written before a pair held
+    one list (links grouped by pass, and the shared-term links after an
+    [onto] header) loads to the same entries: the header is skipped.
     One pass over [doc] by index: each record goes to its pair's
     accumulator, and each entry is built once, at the end. *)
 
@@ -98,10 +94,9 @@ val seed_missing : t -> string -> int
 (** [seed_missing t meta] backfills from the [link]/[corr] records of a
     [metadata.txt] document [meta] written before the repository
     stopped storing links. They carry the fields of [plink]/[pcorr] and
-    are read by the same parsers; every other line is ignored. Every
-    link maps to exactly one pair (and kind), so partitioning them
-    recovers the entries of any pairs this store does not hold — every
-    pair of a store saved before [pairs.txt] existed, or a pair none of
-    whose records survived in [pairs.txt]. Pairs (and the shared-term
-    component) already present are left untouched. Returns the number
-    of [link]/[corr] lines it dropped as unparseable. *)
+    are read by the same parsers and routed the same way, so the
+    records recover the entries of any pairs this store does not hold:
+    every pair of a store saved before [pairs.txt] existed, or a pair
+    none of whose records survived in [pairs.txt]. Pairs already
+    present are left untouched. Returns the number of [link]/[corr]
+    lines it dropped as unparseable. *)

@@ -96,17 +96,23 @@ let declared_fks profile =
                cardinality = One_to_many; origin = `Declared }
        | Constraint_def.Unique _ | Constraint_def.Primary_key _ -> None)
 
+(* the distinct non-null values of one column. @raise Not_found *)
+let column_values profile ~relation ~attribute =
+  match Catalog.find (Profile.catalog profile) relation with
+  | Some rel -> Vset.of_column (Relation.column rel attribute)
+  | None -> raise Not_found
+
 let source_cardinality profile fk =
   let src_unique =
     Profile.is_unique profile ~relation:fk.src_relation ~attribute:fk.src_attribute
   in
-  let src_vals =
-    Profile.values profile ~relation:fk.src_relation ~attribute:fk.src_attribute
-  in
-  let dst_vals =
-    Profile.values profile ~relation:fk.dst_relation ~attribute:fk.dst_attribute
-  in
-  if src_unique && Vset.equal src_vals dst_vals then One_to_one else One_to_many
+  if
+    src_unique
+    && Vset.equal
+         (column_values profile ~relation:fk.src_relation ~attribute:fk.src_attribute)
+         (column_values profile ~relation:fk.dst_relation ~attribute:fk.dst_attribute)
+  then One_to_one
+  else One_to_many
 
 (* The two pruning predicates of [infer]. *)
 let source_eligible ~covered (src : Col_stats.t) =
@@ -140,35 +146,34 @@ let infer ?(params = default_params) ?pool profile =
       (declared_fks profile)
   in
   let covered = covered_by declared in
-  (* the value-set cache fills lazily; force every set the fan-out can
-     read so workers never mutate the shared table *)
+  (* every value set the fan-out compares, built before it (the workers
+     only read the table) and dropped when [infer] returns *)
   let eligible_srcs = List.filter (source_eligible ~covered) all in
-  Profile.precompute_values profile
-    (List.map (fun (cs : Col_stats.t) -> (cs.relation, cs.attribute)) eligible_srcs
-    @ List.filter_map
-        (fun (dst : Col_stats.t) ->
-          if List.exists (fun src -> candidate_target src dst) eligible_srcs
-          then Some (dst.relation, dst.attribute)
-          else None)
+  let sets = Hashtbl.create 64 in
+  List.iter
+    (fun (cs : Col_stats.t) ->
+      let key = (cs.relation, cs.attribute) in
+      if not (Hashtbl.mem sets key) then
+        Hashtbl.add sets key
+          (column_values profile ~relation:cs.relation ~attribute:cs.attribute))
+    (eligible_srcs
+    @ List.filter
+        (fun dst -> List.exists (fun src -> candidate_target src dst) eligible_srcs)
         uniques);
+  let values (cs : Col_stats.t) = Hashtbl.find sets (cs.relation, cs.attribute) in
   let inferred =
     Aladin_par.Pool.filter_map ?pool
       (fun (src : Col_stats.t) ->
         if not (source_eligible ~covered src) then None
         else begin
-          let src_vals =
-            Profile.values profile ~relation:src.relation ~attribute:src.attribute
-          in
+          let src_vals = values src in
           let src_unique =
             Profile.is_unique profile ~relation:src.relation ~attribute:src.attribute
           in
           let eval_candidate (dst : Col_stats.t) =
                 if not (candidate_target src dst) then None
                 else begin
-                  let dst_vals =
-                    Profile.values profile ~relation:dst.relation
-                      ~attribute:dst.attribute
-                  in
+                  let dst_vals = values dst in
                   let contained =
                     if params.min_containment >= 1.0 then
                       Vset.subset src_vals dst_vals

@@ -3,7 +3,6 @@ open Aladin_relational
 type t = {
   catalog : Catalog.t;
   stats : (string * string, Col_stats.t) Hashtbl.t;
-  values : (string * string, Vset.t) Hashtbl.t;  (* lazily filled *)
   order : (string * string) list;  (* relation-major attribute order *)
 }
 
@@ -22,7 +21,7 @@ let compute catalog =
           order := k :: !order)
         (Col_stats.of_relation rel))
     (Catalog.relations catalog);
-  { catalog; stats; values = Hashtbl.create 64; order = List.rev !order }
+  { catalog; stats; order = List.rev !order }
 
 let catalog t = t.catalog
 
@@ -35,25 +34,6 @@ let stats t ~relation ~attribute =
 
 let all_stats t =
   List.map (fun k -> Hashtbl.find t.stats k) t.order
-
-let values t ~relation ~attribute =
-  let k = key relation attribute in
-  match Hashtbl.find_opt t.values k with
-  | Some vs -> vs
-  | None ->
-      let rel =
-        match Catalog.find t.catalog relation with
-        | Some r -> r
-        | None -> raise Not_found
-      in
-      let vs = Vset.of_column (Relation.column rel attribute) in
-      Hashtbl.add t.values k vs;
-      vs
-
-let precompute_values t pairs =
-  List.iter
-    (fun (relation, attribute) -> ignore (values t ~relation ~attribute))
-    pairs
 
 let is_unique t ~relation ~attribute =
   Catalog.declared_unique t.catalog ~relation ~attribute

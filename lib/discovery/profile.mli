@@ -1,4 +1,4 @@
-(** Data profile of one source: per-attribute statistics and value sets,
+(** Data profile of one source: per-attribute statistics,
     computed once and reused by every discovery step (§3, §4.4: "These
     statistics need to be computed only once for each data source").
 
@@ -21,15 +21,6 @@ val stats : t -> relation:string -> attribute:string -> Col_stats.t
 
 val all_stats : t -> Col_stats.t list
 (** Relation-major, schema order. *)
-
-val values : t -> relation:string -> attribute:string -> Vset.t
-(** Distinct non-null value set (cached). The cache fills lazily and is
-    {b not} domain-safe: parallel callers must {!precompute_values} every
-    pair they will read before fanning out. @raise Not_found *)
-
-val precompute_values : t -> (string * string) list -> unit
-(** Force the {!values} cache for the given (relation, attribute) pairs,
-    so a subsequent parallel fan-out only ever reads the table. *)
 
 val is_unique : t -> relation:string -> attribute:string -> bool
 (** Declared UNIQUE/PRIMARY KEY, or probed unique from the data — the §4.2

@@ -1,31 +1,7 @@
-open Aladin_relational
-
 let first_semi_token s =
   match String.split_on_char ';' s with
   | t :: _ -> String.trim t
   | [] -> String.trim s
-
-let parse_qualifier line =
-  let t = String.trim line in
-  if String.length t < 2 || t.[0] <> '/' then None
-  else
-    let body = String.sub t 1 (String.length t - 1) in
-    match String.index_opt body '=' with
-    | None -> Some (body, "")
-    | Some i ->
-        let key = String.sub body 0 i in
-        let v = String.sub body (i + 1) (String.length body - i - 1) in
-        let v =
-          let n = String.length v in
-          if n >= 2 && v.[0] = '"' && v.[n - 1] = '"' then String.sub v 1 (n - 2)
-          else v
-        in
-        Some (key, v)
-
-let clean_seq line =
-  String.to_seq line
-  |> Seq.filter (fun c -> (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
-  |> String.of_seq
 
 let records doc =
   Line_format.records doc
@@ -65,7 +41,7 @@ let records doc =
          List.iter
            (fun (l : Line_format.line) ->
              if l.code = "FT" then begin
-               match parse_qualifier l.payload with
+               match Genbank.parse_qualifier l.payload with
                | Some (k, v) -> (
                    match !current with
                    | Some f ->
@@ -94,8 +70,8 @@ let records doc =
            (fun (l : Line_format.line) ->
              if l.code = "SQ" then after_sq := true
              else if !after_sq && l.code <> "FT" then begin
-               Buffer.add_string seq (clean_seq l.code);
-               Buffer.add_string seq (clean_seq l.payload)
+               Buffer.add_string seq (Genbank.letters l.code);
+               Buffer.add_string seq (Genbank.letters l.payload)
              end)
            lines;
          {
@@ -108,48 +84,7 @@ let records doc =
          })
 
 let parse ?(name = "embl") doc =
-  let cat = Catalog.create ~name in
-  let entry =
-    Catalog.create_relation cat ~name:"entry"
-      (Schema.of_names [ "entry_id"; "accession"; "locus_name"; "definition"; "organism" ])
-  in
-  let feature_rel =
-    Catalog.create_relation cat ~name:"feature"
-      (Schema.of_names [ "feature_id"; "entry_id"; "feature_key"; "location" ])
-  in
-  let qualifier =
-    Catalog.create_relation cat ~name:"qualifier"
-      (Schema.of_names [ "qualifier_id"; "feature_id"; "qual_key"; "qual_value" ])
-  in
-  let seqrel =
-    Catalog.create_relation cat ~name:"embl_seq"
-      (Schema.of_names [ "entry_id"; "sequence" ])
-  in
-  let next_feature = ref 1 and next_qual = ref 1 in
-  List.iteri
-    (fun i (r : Genbank.record) ->
-      let eid = i + 1 in
-      Relation.insert entry
-        [| Value.Int eid; Value.text r.accession; Value.text r.locus;
-           Value.text r.definition; Value.text r.organism |];
-      List.iter
-        (fun (ft : Genbank.feature) ->
-          let fid = !next_feature in
-          incr next_feature;
-          Relation.insert feature_rel
-            [| Value.Int fid; Value.Int eid; Value.text ft.key; Value.text ft.location |];
-          List.iter
-            (fun (k, v) ->
-              Relation.insert qualifier
-                [| Value.Int !next_qual; Value.Int fid; Value.text k; Value.text v |];
-              incr next_qual)
-            ft.qualifiers)
-        r.features;
-      if r.origin <> "" then
-        Relation.insert seqrel
-          [| Value.Int eid; Value.text (String.uppercase_ascii r.origin) |])
-    (records doc);
-  cat
+  Genbank.catalog ~name ~seq_relation:"embl_seq" (records doc)
 
 let render rs =
   let buf = Buffer.create 4096 in

@@ -48,10 +48,9 @@ let parse_qualifier line =
         in
         Some (key, v)
 
-let clean_origin_line line =
+let letters line =
   String.to_seq line
-  |> Seq.filter (fun c ->
-         (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
+  |> Seq.filter (fun c -> (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
   |> String.of_seq
 
 let records doc =
@@ -114,7 +113,7 @@ let records doc =
                        (* continuation of DEFINITION etc. *)
                        if r.definition <> "" then
                          cur := Some { r with definition = r.definition ^ " " ^ trimmed }
-                   | In_origin -> Buffer.add_string origin_buf (clean_origin_line trimmed)
+                   | In_origin -> Buffer.add_string origin_buf (letters trimmed)
                    | In_features -> (
                        match parse_qualifier trimmed with
                        | Some (k, v) -> (
@@ -142,7 +141,7 @@ let records doc =
   finish ();
   List.rev !out
 
-let parse ?(name = "genbank") doc =
+let catalog ~name ~seq_relation records =
   let cat = Catalog.create ~name in
   let entry =
     Catalog.create_relation cat ~name:"entry"
@@ -157,7 +156,7 @@ let parse ?(name = "genbank") doc =
       (Schema.of_names [ "qualifier_id"; "feature_id"; "qual_key"; "qual_value" ])
   in
   let seqrel =
-    Catalog.create_relation cat ~name:"genbank_seq"
+    Catalog.create_relation cat ~name:seq_relation
       (Schema.of_names [ "entry_id"; "sequence" ])
   in
   let next_feature = ref 1 and next_qual = ref 1 in
@@ -184,8 +183,11 @@ let parse ?(name = "genbank") doc =
       if r.origin <> "" then
         Relation.insert seqrel
           [| Value.Int eid; Value.text (String.uppercase_ascii r.origin) |])
-    (records doc);
+    records;
   cat
+
+let parse ?(name = "genbank") doc =
+  catalog ~name ~seq_relation:"genbank_seq" (records doc)
 
 let wrap_origin s =
   let s = String.lowercase_ascii s in

@@ -38,6 +38,18 @@ type record = {
 
 val parse : ?name:string -> string -> Catalog.t
 
+val catalog : name:string -> seq_relation:string -> record list -> Catalog.t
+(** The relational mapping above of parsed records, with the sequence
+    relation named [seq_relation]: {!parse} names it [genbank_seq], and
+    {!Embl.parse} builds its catalog here too. *)
+
+val parse_qualifier : string -> (string * string) option
+(** A feature-table qualifier line: [/key="value"], [/key=value] or a
+    bare [/key] (value [""]); [None] for any other line. *)
+
+val letters : string -> string
+(** The ASCII letters of a sequence line, in order. *)
+
 val render : record list -> string
 (** The GenBank text of the records, which {!parse} reads back
     (sequence wrapped GenBank-style). *)

@@ -17,6 +17,9 @@ let kind_name = function
   | Entity_mention -> "mention"
   | Duplicate -> "duplicate"
 
+let kind_of_name name =
+  List.find_opt (fun k -> String.equal (kind_name k) name) kinds
+
 let kind_rank = function
   | Xref -> 0
   | Seq_similarity -> 1

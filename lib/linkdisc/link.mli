@@ -16,6 +16,9 @@ val kinds : kind list
 
 val kind_name : kind -> string
 
+val kind_of_name : string -> kind option
+(** The kind {!kind_name} names, if any. *)
+
 val kind_rank : kind -> int
 (** Dense index in [0, 5], in declaration order; the sort key for
     {!dedup}'s deterministic output and a direct array index for

@@ -199,11 +199,12 @@ fi
 echo "grep-gate ok: browser views scan no relation; only index_rows does"
 
 # Opening a store re-reads its links in linear passes. Every list the
-# pair store holds is already in Link.dedup's form (each pass ends in
-# Link.dedup, and save writes each list in its order), so
-# Pair_store.all_links checks each list once and merges them
-# (Link.union) instead of hashing and sorting every link again. (awk
-# tracks the enclosing top-level let.)
+# pair store holds is already in Link.dedup's form (a relink merges each
+# pair's kept and fresh links with Link.union, save writes each list in
+# its order, and load puts each list in form), so Pair_store.all_links
+# checks each list once and merges them (Link.union) instead of hashing
+# and sorting every link again. (awk tracks the enclosing top-level
+# let.)
 grep -q '^let all_links' lib/core/pair_store.ml || {
   echo "error: lib/core/pair_store.ml lost all_links" >&2; exit 1; }
 if awk '
@@ -214,6 +215,22 @@ if awk '
   exit 1
 fi
 echo "grep-gate ok: Pair_store.all_links merges the stored lists without hashing or sorting"
+
+# The pair store is kind-blind: a pair's links are one list, every
+# record is routed by its endpoints alone, and which links a relink
+# replaces is the delta pipeline's one commit rule (each phase replaces
+# the kinds it owns). A link-kind constructor in lib/core/pair_store.ml
+# is per-kind state or routing coming back. The constructors are read
+# from the kind type in lib/linkdisc/link.mli, so a new kind is covered.
+kinds=$(sed -n '/^type kind =/,/^$/p' lib/linkdisc/link.mli \
+  | grep -oE '^ *[|] *[A-Z][A-Za-z0-9_]*' | tr -d '| ' | paste -sd '|' -)
+[ -n "$kinds" ] || {
+  echo "error: no link-kind constructors read from lib/linkdisc/link.mli" >&2; exit 1; }
+if grep -nwE "$kinds" lib/core/pair_store.ml; then
+  echo "error: lib/core/pair_store.ml names a link kind (route records by their endpoints; lib/core/delta.ml owns the kinds)" >&2
+  exit 1
+fi
+echo "grep-gate ok: lib/core/pair_store.ml names no link kind"
 
 # The store's checksum and record codecs run over every byte a load
 # reads: the CRC-32 tables are built when the module initialises (a

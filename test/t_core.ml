@@ -642,7 +642,7 @@ let feedback_tests =
             let a, b = Pair_store.canon l.src.source l.dst.source in
             let e = Option.value (Pair_store.find ps a b) ~default:Pair_store.empty_entry in
             Pair_store.set ps a b
-              { e with xref_links = Aladin_links.Link.dedup (l :: e.xref_links) })
+              { e with links = Aladin_links.Link.dedup (l :: e.links) })
           [ r1; r2; c1; c2 ];
         (match Aladin_store.Snapshot.load dir with
         | Error msg -> Alcotest.fail msg
@@ -1246,11 +1246,12 @@ let snapshot_members dir =
 (* --- the merged link view against [Link.dedup] of the concatenation ---
 
    [random_store_gen] fills a store as the pipeline does: 3-4 sources,
-   self pairs included, every list holding only its own kinds between
-   its own pair's sources (where [Pair_store.load] routes them), but
-   handed to [set] unsorted and with duplicates. Small pools of
-   relations, accessions, confidences and evidence make equal endpoints
-   and tied confidences common. *)
+   self pairs included, each pair's list holding links of every kind
+   (shared-term ones too) between its own pair's sources (where
+   [Pair_store.load] routes them), but handed to [set] in [Link.dedup]'s
+   form only half the time, and otherwise unsorted and with duplicates.
+   Small pools of relations, accessions, confidences and evidence make
+   equal endpoints and tied confidences common. *)
 
 let pair_store_seed = 20261019
 
@@ -1295,20 +1296,24 @@ let random_corr s1 s2 =
       (pair bool (oneofl [ "x"; "y\tz" ]))
       (int_bound 8))
 
+(* each pass's links, one list *)
 let random_entry a b =
   QCheck.Gen.(
     map
-      (fun ((xref_links, correspondences), (seq_links, text_links), dup_links, dup_candidates) ->
-        { Pair_store.xref_links; correspondences; seq_links; text_links;
-          dup_links; dup_candidates })
+      (fun ((xrefs, correspondences), (seqs, texts), (dups, shared), (dup_candidates, in_form)) ->
+        let links = xrefs @ seqs @ texts @ dups @ shared in
+        { Pair_store.links = (if in_form then Lk.Link.dedup links else links);
+          correspondences; dup_candidates })
       (quad
          (pair (random_links [ Lk.Link.Xref ] a b)
             (list_size (int_range 0 2) (random_corr a b)))
          (pair
             (random_links [ Lk.Link.Seq_similarity ] a b)
             (random_links [ Lk.Link.Text_similarity; Lk.Link.Entity_mention ] a b))
-         (random_links [ Lk.Link.Duplicate ] a b)
-         (int_bound 50)))
+         (pair
+            (random_links [ Lk.Link.Duplicate ] a b)
+            (random_links [ Lk.Link.Shared_term ] a b))
+         (pair (int_bound 50) bool)))
 
 let random_store_gen =
   QCheck.Gen.(
@@ -1328,26 +1333,79 @@ let random_store_gen =
                (random_entry a b))
            pairs)
     in
-    let onto =
-      oneofl sources >>= fun a ->
-      oneofl sources >>= fun b -> random_links [ Lk.Link.Shared_term ] a b
-    in
-    map3
-      (fun entries onto seed ->
+    map2
+      (fun entries seed ->
         let ps = Pair_store.create () in
         List.iter (fun ((a, b), e) -> Pair_store.set ps a b e) (List.filter_map Fun.id entries);
-        Pair_store.set_onto ps onto;
         (ps, seed))
-      entries onto int)
+      entries int)
 
-let every_list ps =
-  Pair_store.onto ps
-  :: List.concat_map
-       (fun (_, (e : Pair_store.entry)) ->
-         [ e.xref_links; e.seq_links; e.text_links; e.dup_links ])
-       (Pair_store.pairs ps)
+let reference_links ps =
+  Lk.Link.dedup
+    (List.concat_map (fun (_, (e : Pair_store.entry)) -> e.links) (Pair_store.pairs ps))
 
-let reference_links ps = Lk.Link.dedup (List.concat (every_list ps))
+(* the entries of [ps] with each list in [Link.dedup]'s form, as [load]
+   gives them back *)
+let in_form ps =
+  List.map
+    (fun (k, (e : Pair_store.entry)) -> (k, { e with links = Lk.Link.dedup e.links }))
+    (Pair_store.pairs ps)
+
+(* [ps] saved as a store was before a pair held one list: each pair's
+   links grouped by the pass that found them (xref, then the
+   correspondences, seq, text and mention, duplicates), and every
+   pair's shared-term links after an [onto] header, in one
+   [Link.dedup]-ordered list *)
+let parent_layout ps =
+  let module S = Aladin_store.Serial in
+  let buf = Buffer.create 4096 in
+  let line fields =
+    S.add_record buf fields;
+    Buffer.add_char buf '\n'
+  in
+  let link (l : Lk.Link.t) =
+    line
+      [ "plink"; l.src.source; l.src.relation; l.src.accession; l.dst.source;
+        l.dst.relation; l.dst.accession; Lk.Link.kind_name l.kind;
+        S.float_to_string l.confidence; l.evidence ]
+  in
+  let corr (c : Lk.Xref_disc.correspondence) =
+    line
+      [ "pcorr"; c.src_source; c.src_relation; c.src_attribute; c.dst_source;
+        c.dst_relation; c.dst_attribute; string_of_int c.matches;
+        S.float_to_string c.match_frac; string_of_bool c.encoded ]
+  in
+  let of_kinds kinds (e : Pair_store.entry) =
+    List.filter (fun (l : Lk.Link.t) -> List.mem l.kind kinds) e.links
+  in
+  line [ "pairstore"; "1" ];
+  List.iter
+    (fun ((a, b), (e : Pair_store.entry)) ->
+      let xrefs = of_kinds [ Lk.Link.Xref ] e
+      and rest =
+        List.map
+          (fun kinds -> of_kinds kinds e)
+          [ [ Lk.Link.Seq_similarity ];
+            [ Lk.Link.Text_similarity; Lk.Link.Entity_mention ];
+            [ Lk.Link.Duplicate ] ]
+      in
+      let items =
+        List.fold_left (fun n l -> n + List.length l)
+          (List.length xrefs + List.length e.correspondences) rest
+      in
+      line [ "pair"; a; b; string_of_int items; string_of_int e.dup_candidates ];
+      List.iter link xrefs;
+      List.iter corr e.correspondences;
+      List.iter (List.iter link) rest)
+    (Pair_store.pairs ps);
+  let shared =
+    Lk.Link.dedup
+      (List.concat_map (fun (_, e) -> of_kinds [ Lk.Link.Shared_term ] e)
+         (Pair_store.pairs ps))
+  in
+  line [ "onto"; string_of_int (List.length shared) ];
+  List.iter link shared;
+  Buffer.contents buf
 
 (* [doc] with its plink lines permuted among themselves *)
 let shuffle_plinks seed doc =
@@ -1403,10 +1461,19 @@ let merged_view_tests =
          store_arb (fun (ps, _) ->
            let loaded, dropped = Pair_store.load (Pair_store.save ps) in
            dropped = 0
-           && Pair_store.pairs loaded = Pair_store.pairs ps
-           && Pair_store.onto loaded = Pair_store.onto ps
+           && Pair_store.pairs loaded = in_form ps
            && render_links (Pair_store.all_links loaded)
               = render_links (Pair_store.all_links ps)));
+    fixed
+      (QCheck.Test.make
+         ~name:"a save in the per-pass layout with an onto section loads as the one-list save"
+         ~count:300 store_arb (fun (ps, _) ->
+           let loaded, dropped = Pair_store.load (parent_layout ps) in
+           let resaved, _ = Pair_store.load (Pair_store.save ps) in
+           dropped = 0
+           && Pair_store.pairs loaded = Pair_store.pairs resaved
+           && render_links (Pair_store.all_links loaded)
+              = render_links (Pair_store.all_links resaved)));
     fixed
       (QCheck.Test.make ~name:"a save with shuffled plink lines loads to the same links"
          ~count:300 store_arb (fun (ps, seed) ->
@@ -1471,9 +1538,9 @@ let merged_view_tests =
               (render_links (Lk.Link.union [ [ first ]; [ second ] ]));
             let ps = Pair_store.create () in
             Pair_store.set ps first.src.source first.dst.source
-              { Pair_store.empty_entry with xref_links = [ first ] };
+              { Pair_store.empty_entry with links = [ first ] };
             Pair_store.set ps second.src.source second.dst.source
-              { Pair_store.empty_entry with xref_links = [ second ] };
+              { Pair_store.empty_entry with links = [ second ] };
             check Alcotest.(list string) (what ^ ": all_links agrees")
               (render_links (reference_links ps))
               (render_links (Pair_store.all_links ps)))
@@ -1496,25 +1563,26 @@ let pair_store_tests =
             ~evidence:(Printf.sprintf "e%d" i)
         in
         let entry =
-          { Pair_store.xref_links = List.init n (link L.Link.Xref);
+          { Pair_store.links =
+              L.Link.dedup
+                (List.init n (link L.Link.Xref)
+                @ List.init 1500 (link L.Link.Seq_similarity)
+                @ List.init 1500 (fun i ->
+                      link
+                        (if i mod 3 = 0 then L.Link.Entity_mention
+                         else L.Link.Text_similarity)
+                        i)
+                @ List.init 700 (link L.Link.Duplicate)
+                @ List.init 300 (link L.Link.Shared_term));
             correspondences =
               [ { L.Xref_disc.src_source = "a"; src_relation = "r";
                   src_attribute = "x"; dst_source = "b"; dst_relation = "r";
                   dst_attribute = "acc"; matches = n; match_frac = 0.75;
                   encoded = false } ];
-            seq_links = List.init 1500 (link L.Link.Seq_similarity);
-            text_links =
-              List.init 1500 (fun i ->
-                  link
-                    (if i mod 3 = 0 then L.Link.Entity_mention
-                     else L.Link.Text_similarity)
-                    i);
-            dup_links = List.init 700 (link L.Link.Duplicate);
             dup_candidates = 1234 }
         in
         let ps = Pair_store.create () in
         Pair_store.set ps "a" "b" entry;
-        Pair_store.set_onto ps (List.init 300 (link L.Link.Shared_term));
         let doc = Pair_store.save ps in
         let loaded, dropped = Pair_store.load doc in
         check Alcotest.int "no line dropped" 0 dropped;
@@ -1523,10 +1591,8 @@ let pair_store_tests =
         match Pair_store.find loaded "b" "a" with
         | None -> Alcotest.fail "pair lost"
         | Some e ->
-            check Alcotest.(list string) "xref order kept"
-              (render_links entry.xref_links) (render_links e.xref_links);
-            check Alcotest.(list string) "text order kept"
-              (render_links entry.text_links) (render_links e.text_links));
+            check Alcotest.(list string) "link order kept"
+              (render_links entry.links) (render_links e.links));
   ]
 
 (* append a word to every third multi-word text value: the source's

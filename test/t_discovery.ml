@@ -59,9 +59,9 @@ let profile_tests =
         let p = Profile.compute (mini_source ()) in
         Alcotest.check_raises "missing" Not_found (fun () ->
             ignore (Profile.stats p ~relation:"entry" ~attribute:"zz")));
-    Alcotest.test_case "values cached set" `Quick (fun () ->
-        let p = Profile.compute (mini_source ()) in
-        let v1 = Profile.values p ~relation:"entry" ~attribute:"entry_id" in
+    Alcotest.test_case "column value set" `Quick (fun () ->
+        let entry = Catalog.find_exn (mini_source ()) "entry" in
+        let v1 = Vset.of_column (Relation.column entry "entry_id") in
         check Alcotest.int "card" 3 (Vset.cardinal v1));
     Alcotest.test_case "unique_attributes" `Quick (fun () ->
         let p = Profile.compute (mini_source ()) in

@@ -250,60 +250,61 @@ let quarantine_tests =
           = None));
   ]
 
-(* acceptance: a zero budget on the homology pass skips exactly that
-   pass; every other pass produces byte-identical output *)
+(* acceptance: a zero budget on one pass skips exactly that pass: none
+   of the link kinds it owns is left, every other link is byte-identical,
+   and every source's report records the skip *)
+let normal_run = lazy (Warehouse.integrate (Lazy.force small_corpus).catalogs)
+
+let budget_zero_case (pass, step, kinds, budgets) =
+  Alcotest.test_case (pass ^ " budget 0 skips the pass, rest identical") `Quick
+    (fun () ->
+      let module L = Aladin_links in
+      let c = Lazy.force small_corpus in
+      let normal = Lazy.force normal_run in
+      let throttled =
+        Warehouse.integrate ~config:{ Config.default with budgets } c.catalogs
+      in
+      let owned (l : L.Link.t) = List.mem l.kind kinds in
+      let render links =
+        List.map
+          (fun (l : L.Link.t) ->
+            Printf.sprintf "%s|%s|%s|%s|%s|%h|%s" (L.Objref.to_string l.src)
+              l.src.relation (L.Objref.to_string l.dst) l.dst.relation
+              (L.Link.kind_name l.kind) l.confidence l.evidence)
+          links
+      in
+      (* the pass found something in the normal run ... *)
+      check Alcotest.bool ("normal run has " ^ pass ^ " links") true
+        (List.exists owned (Warehouse.links normal));
+      (* ... the throttled run has none ... *)
+      check Alcotest.int ("throttled run has no " ^ pass ^ " links") 0
+        (List.length (List.filter owned (Warehouse.links throttled)));
+      (* ... and every other link is byte-identical *)
+      check
+        Alcotest.(list string)
+        "other links identical"
+        (render (List.filter (fun l -> not (owned l)) (Warehouse.links normal)))
+        (render (Warehouse.links throttled));
+      (* the skip is recorded on every source's report *)
+      List.iter
+        (fun (r : Run_report.t) ->
+          match Run_report.find r step with
+          | Some s ->
+              check Alcotest.bool (r.source ^ " " ^ step ^ " skipped") true
+                (s.outcome = Run_report.Skipped Run_report.Budget_zero)
+          | None -> Alcotest.fail ("no " ^ step ^ " in " ^ r.source))
+        (Warehouse.run_reports throttled))
+
 let budget_zero_tests =
-  [
-    Alcotest.test_case "seq budget 0 skips the pass, rest identical" `Quick
-      (fun () ->
-        let c = Lazy.force small_corpus in
-        let normal = Warehouse.integrate c.catalogs in
-        let throttled =
-          Warehouse.integrate
-            ~config:
-              { Config.default with
-                budgets = { Config.no_budgets with seq_pass = Some 0.0 } }
-            c.catalogs
-        in
-        let keys ~keep_seq w =
-          Warehouse.links w
-          |> List.filter (fun (l : Aladin_links.Link.t) ->
-                 keep_seq || l.kind <> Aladin_links.Link.Seq_similarity)
-          |> List.map (fun (l : Aladin_links.Link.t) ->
-                 Printf.sprintf "%s|%s|%s"
-                   (Aladin_links.Objref.to_string l.src)
-                   (Aladin_links.Objref.to_string l.dst)
-                   (Aladin_links.Link.kind_name l.kind))
-          |> List.sort String.compare
-        in
-        (* the homology pass found something in the normal run ... *)
-        check Alcotest.bool "normal run has seq links" true
-          (List.exists
-             (fun (l : Aladin_links.Link.t) ->
-               l.kind = Aladin_links.Link.Seq_similarity)
-             (Warehouse.links normal));
-        (* ... the throttled run has none ... *)
-        check Alcotest.int "throttled run has no seq links" 0
-          (List.length
-             (List.filter
-                (fun (l : Aladin_links.Link.t) ->
-                  l.kind = Aladin_links.Link.Seq_similarity)
-                (Warehouse.links throttled)));
-        (* ... and everything else is byte-identical *)
-        check
-          Alcotest.(list string)
-          "other links identical"
-          (keys ~keep_seq:false normal)
-          (keys ~keep_seq:true throttled);
-        (* the skip is recorded on every source's report *)
-        List.iter
-          (fun (r : Run_report.t) ->
-            match Run_report.find r "seq pass" with
-            | Some s ->
-                check Alcotest.bool (r.source ^ " seq skipped") true
-                  (s.outcome = Run_report.Skipped Run_report.Budget_zero)
-            | None -> Alcotest.fail ("no seq pass in " ^ r.source))
-          (Warehouse.run_reports throttled));
+  let module L = Aladin_links.Link in
+  let zero = Some 0.0 and none = Config.no_budgets in
+  List.map budget_zero_case
+    [ ("seq", "seq pass", [ L.Seq_similarity ], { none with seq_pass = zero });
+      ("text", "text pass", [ L.Text_similarity; L.Entity_mention ],
+       { none with text_pass = zero });
+      ("onto", "onto pass", [ L.Shared_term ], { none with onto_pass = zero });
+      ("dups", "duplicate detection", [ L.Duplicate ], { none with dups = zero }) ]
+  @ [
     Alcotest.test_case "disabled pass is clean, budget-zero degrades" `Quick
       (fun () ->
         let c = Lazy.force small_corpus in
